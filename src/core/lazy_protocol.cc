@@ -98,7 +98,7 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
       // Bloom screen's rng behaviour.
       if (!DigestIndicatesCommonItem(mine, d, rng)) continue;
     }
-    const double fpp = d.digest().EstimatedFpp();
+    const double fpp = d.snapshot->DigestFpp();
 
     // Step 2 — the receiver derives the apparently-common items by testing
     // her own items against the candidate's Bloom digest (true common items

@@ -411,6 +411,11 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
       entries.push_back(std::move(entry));
     }
     n.network().RestoreEntries(std::move(entries));
+    if (const std::string broken = n.network().CheckInvariants();
+        !broken.empty()) {
+      throw CheckpointError("personal network of user " + std::to_string(u) +
+                            ": " + broken);
+    }
 
     const std::uint64_t num_view = in->Count(8);
     std::vector<DigestInfo> view;

@@ -6,11 +6,17 @@
 // entries are stored locally (the replicas queries are computed from); the
 // remaining s-c entries are ids+digests only and form the remaining lists of
 // eager mode.
+//
+// Layout: the entries live in one vector kept sorted by (score desc, id asc)
+// plus a flat open-addressing index user -> position. An accepted offer
+// moves one entry to its new rank with a binary search and a rotate, so it
+// costs O(log s + distance moved) and allocates nothing once the vector and
+// index have grown.
 #ifndef P3Q_CORE_PERSONAL_NETWORK_H_
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "gossip/view.h"
@@ -29,7 +35,8 @@ struct NetworkEntry {
   /// Cycles since this neighbour was last gossiped with.
   std::uint32_t timestamp = 0;
   /// Stored profile replica — non-null only while the entry ranks in the
-  /// top-c. Version always equals digest.version().
+  /// top-c. Its version is at most digest.version() (older when a newer
+  /// digest arrived without the profile; see EntriesNeedingProfile).
   ProfilePtr stored_profile;
 
   bool HasStoredProfile() const { return stored_profile != nullptr; }
@@ -58,7 +65,9 @@ class PersonalNetwork {
   /// Entries ordered by descending score (ties: ascending user id).
   const std::vector<NetworkEntry>& entries() const { return entries_; }
 
-  bool Contains(UserId user) const { return index_.count(user) > 0; }
+  bool Contains(UserId user) const {
+    return index_.Find(user) != PositionIndex::kAbsent;
+  }
 
   /// Entry of `user`, or nullptr.
   const NetworkEntry* Find(UserId user) const;
@@ -120,15 +129,53 @@ class PersonalNetwork {
   /// lose any stored replica (the storage invariant).
   void RestoreEntries(std::vector<NetworkEntry> entries);
 
+  /// Describes the first violated structural invariant, or returns an empty
+  /// string when the network is sound: entries strictly ordered by
+  /// (score desc, id asc); index and entries in one-to-one correspondence;
+  /// size <= s, the owner absent and no score 0; replicas only at ranks
+  /// below c, each owned by its entry's user and no newer than the digest.
+  std::string CheckInvariants() const;
+
  private:
-  void Reindex();
-  void RebalanceStorage();
+  /// user -> position in entries_: linear probing over a power-of-two table
+  /// of (user, position) slots kept at most half full. It grows with the
+  /// network (16 slots at first, 1024 at s = 500), so a sparse network
+  /// never pays for capacity s.
+  class PositionIndex {
+   public:
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+    std::uint32_t Find(UserId user) const;
+    /// Inserts `user` or re-points it.
+    void Set(UserId user, std::uint32_t pos);
+    void Erase(UserId user);
+    void Clear();
+    std::size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      UserId user = kInvalidUser;
+      std::uint32_t pos = 0;
+    };
+    std::size_t Home(UserId user) const;
+    void Grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    int shift_ = 64;  // 64 - log2(slots_.size())
+  };
+
+  /// Moves entries_[from] — whose key just changed or which was just
+  /// appended — to its rank in the otherwise sorted vector, re-points the
+  /// index over the shifted range, and drops the one replica that crossed
+  /// rank c. Returns the new position.
+  std::size_t Reposition(std::size_t from);
 
   UserId self_;
   int s_;
   int c_;
-  std::vector<NetworkEntry> entries_;               // sorted: score desc, id asc
-  std::unordered_map<UserId, std::size_t> index_;   // user -> position
+  std::vector<NetworkEntry> entries_;  // sorted: score desc, id asc
+  PositionIndex index_;
 };
 
 }  // namespace p3q

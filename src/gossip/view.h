@@ -39,7 +39,7 @@ struct DigestInfo {
 inline bool DigestIndicatesCommonItem(const Profile& mine,
                                       const DigestInfo& theirs, Rng* rng) {
   if (mine.SharesItemWith(*theirs.snapshot)) return true;
-  const double fpp = theirs.digest().EstimatedFpp();
+  const double fpp = theirs.snapshot->DigestFpp();
   const double miss_all =
       std::pow(1.0 - fpp, static_cast<double>(mine.NumItems()));
   return rng->NextBool(1.0 - miss_all);

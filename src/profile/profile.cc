@@ -33,6 +33,7 @@ Profile::Profile(UserId owner, std::vector<ActionKey> actions,
       last = item;
     }
   }
+  digest_fpp_ = digest_.EstimatedFpp();
   const ScoreIndexData index = ScoreIndexData::Build(actions);
   Pack(actions, index, std::move(arena));
 }
@@ -69,6 +70,7 @@ Profile::Profile(const Profile& base, const std::vector<ActionKey>& new_actions,
     digest_.Insert(item);
     if (!base.ContainsItem(item)) ++num_items_;
   }
+  digest_fpp_ = digest_.EstimatedFpp();
 
   const ScoreIndexData index = ScoreIndexData::Fold(base.index_, delta, merged);
   Pack(merged, index, std::move(arena));
@@ -81,8 +83,9 @@ Profile::~Profile() {
 Profile::Profile(Profile&& other) noexcept
     : owner_(other.owner_), version_(other.version_),
       num_items_(other.num_items_), digest_(std::move(other.digest_)),
-      arena_(std::move(other.arena_)), block_(other.block_),
-      heap_(std::move(other.heap_)), packed_bytes_(other.packed_bytes_),
+      digest_fpp_(other.digest_fpp_), arena_(std::move(other.arena_)),
+      block_(other.block_), heap_(std::move(other.heap_)),
+      packed_bytes_(other.packed_bytes_),
       actions_(other.actions_), index_(other.index_) {
   other.block_ = nullptr;
   other.actions_ = {};

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -28,8 +30,11 @@
 namespace p3q {
 namespace {
 
+/// A scratch path private to this process: ctest runs every test case in its
+/// own process, possibly in parallel, so fixed names would collide.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + "p3q_checkpoint_" + std::to_string(getpid()) +
+         "_" + name;
 }
 
 std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
@@ -206,6 +211,30 @@ TEST(CheckpointSystemTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(a.buffer(), b.buffer());
 }
 
+TEST(CheckpointSystemTest, BrokenPersonalNetworkIsRejected) {
+  // A well-formed encoding of an unsound state: user 0's network lists one
+  // neighbour twice.
+  test::TestSystem env({.users = 40});
+  PersonalNetwork& network = env.system->node(0).network();
+  std::vector<NetworkEntry> entries = network.entries();
+  ASSERT_FALSE(entries.empty());
+  entries.push_back(entries.front());
+  network.RestoreEntries(std::move(entries));
+  CheckpointWriter out;
+  env.system->SaveCheckpoint(&out);
+
+  test::TestSystem fresh({.users = 40});
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  try {
+    fresh.system->LoadCheckpoint(&in);
+    FAIL() << "a network with a duplicated neighbour was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("personal network of user 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential replay matrix.
 // ---------------------------------------------------------------------------
@@ -214,7 +243,7 @@ struct RunConfig {
   std::string scenario;
   double cycle_scale = 0.2;
   int users = 120;
-  std::optional<LatencySpec> latency;
+  std::optional<LatencySpec> latency = std::nullopt;
 };
 
 ScenarioRunnerOptions BaseOptions(const RunConfig& cfg) {
@@ -379,10 +408,12 @@ Scenario EventBoundaryScenario() {
   phase.mode = PhaseMode::kMixed;
   phase.queries_per_cycle = 1;
   phase.events = {
-      ScenarioEvent{/*at_cycle=*/5, EventKind::kDeparture, /*fraction=*/0.3},
-      ScenarioEvent{/*at_cycle=*/8, EventKind::kRejoin, /*fraction=*/1.0},
+      ScenarioEvent{/*at_cycle=*/5, EventKind::kDeparture, /*fraction=*/0.3,
+                    /*count=*/0, /*update=*/{}},
+      ScenarioEvent{/*at_cycle=*/8, EventKind::kRejoin, /*fraction=*/1.0,
+                    /*count=*/0, /*update=*/{}},
       ScenarioEvent{/*at_cycle=*/8, EventKind::kQueryBurst, /*fraction=*/0,
-                    /*count=*/4},
+                    /*count=*/4, /*update=*/{}},
   };
   s.phases.push_back(std::move(phase));
   return s;

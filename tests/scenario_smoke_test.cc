@@ -79,8 +79,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 int RunCli(const std::string& args) {
   // Quote the binary path: the build dir may contain spaces.
-  const std::string cmd = "\"" + std::string(P3Q_BIN_DIR) + "/p3q_sim\" " +
-                          args + " > /dev/null 2>&1";
+  // Appended piecewise: GCC 12 misreports a -Wrestrict overlap for the
+  // equivalent `"literal" + std::string(...)` chain.
+  std::string cmd = "\"";
+  cmd += P3Q_BIN_DIR;
+  cmd += "/p3q_sim\" ";
+  cmd += args;
+  cmd += " > /dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   EXPECT_NE(status, -1);
   EXPECT_TRUE(WIFEXITED(status)) << cmd << " killed by signal";
