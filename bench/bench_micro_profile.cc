@@ -22,18 +22,6 @@ p3q::Profile RandomProfile(p3q::UserId owner, int num_items, int universe,
   return p3q::Profile(owner, std::move(actions), 0);
 }
 
-void BM_SimilarityScore(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const p3q::Profile a = RandomProfile(1, n, n * 2, 1);
-  const p3q::Profile b = RandomProfile(2, n, n * 2, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.SimilarityWith(b));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(a.Length() + b.Length()));
-}
-BENCHMARK(BM_SimilarityScore)->Arg(64)->Arg(249)->Arg(2000);
-
 void BM_PairSimilarity(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const p3q::Profile a = RandomProfile(1, n, n * 2, 3);

@@ -2,10 +2,9 @@
 // hottest loop). The "Paper*" pair of benchmarks is what the CI
 // perf-trajectory harness records as pairs/sec: one node's profile scored
 // against a gossip-sized batch of candidates drawn from a delicious-like
-// trace — exactly the shape of a ScreenProposals/PairInfoBatch call. The
-// remaining benchmarks isolate the intersection kernels (block-bitmap
-// word-AND + popcount vs element-at-a-time merge) and the galloping
-// fallback on skewed pairs.
+// trace — exactly the shape of the batched kernel call in ScreenProposals.
+// The "Skewed*" pair isolates the pair kernel's galloping fallback on
+// skewed pairs.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -67,8 +66,7 @@ const PaperBatch& SharedPaperBatch() {
   return batch;
 }
 
-/// Scalar baseline: the element-at-a-time reference merge per pair (what
-/// every PairInfo cache miss ran before the batched kernel).
+/// Scalar baseline: the element-at-a-time reference merge per pair.
 void BM_PaperScalarPairs(benchmark::State& state) {
   const PaperBatch& fixture = SharedPaperBatch();
   for (auto _ : state) {
@@ -98,31 +96,6 @@ void BM_PaperBatchedPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperBatchedPairs);
 
-/// Score-only kernels on equal-sized random profiles.
-void BM_IntersectScalar(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const p3q::Profile a = RandomProfile(1, n, n * 2, 1);
-  const p3q::Profile b = RandomProfile(2, n, n * 2, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p3q::CountCommonActions(a.actions(), b.actions()));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(a.Length() + b.Length()));
-}
-BENCHMARK(BM_IntersectScalar)->Arg(64)->Arg(249)->Arg(2000);
-
-void BM_IntersectKernel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const p3q::Profile a = RandomProfile(1, n, n * 2, 1);
-  const p3q::Profile b = RandomProfile(2, n, n * 2, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p3q::KernelIntersectionCount(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(a.Length() + b.Length()));
-}
-BENCHMARK(BM_IntersectKernel)->Arg(64)->Arg(249)->Arg(2000);
-
 /// Skewed pairs (tiny vs huge profile): the galloping fallback's territory.
 void BM_SkewedScalar(benchmark::State& state) {
   const p3q::Profile small = RandomProfile(1, 12, 100000, 3);
@@ -144,7 +117,7 @@ BENCHMARK(BM_SkewedKernel);
 
 /// One BM_PaperBatchedPairs leg pinned to a specific SIMD lane; registered
 /// per usable lane from main() so the trajectory harness can record each
-/// lane's pairs/sec side by side regardless of P3Q_SIMD.
+/// lane's pairs/sec side by side.
 void PaperBatchedPairsLane(benchmark::State& state, p3q::SimdLane lane) {
   const PaperBatch& fixture = SharedPaperBatch();
   std::vector<p3q::PairSimilarity> out(fixture.candidates.size());

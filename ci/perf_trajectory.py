@@ -166,7 +166,7 @@ def measure_scenario(sim, name, users, seed):
     return snapshot
 
 
-SIMD_LANES = ["scalar", "avx2", "avx512"]
+SIMD_LANES = ["scalar", "avx2"]
 
 
 def measure_similarity_kernel(bench):
@@ -329,7 +329,7 @@ def append_trajectory(path, sha, bench):
               "dropped", "cycles_to_convergence", "pairs_per_sec_scalar",
               "pairs_per_sec_batched", "kernel_speedup", "simd_lane",
               "pairs_per_sec_lane_scalar", "pairs_per_sec_lane_avx2",
-              "pairs_per_sec_lane_avx512", "ql_p50", "ql_p95",
+              "ql_p50", "ql_p95",
               "ql_p99", "slo_queries_per_sec", "plan_seconds",
               "barrier_seconds", "commit_seconds", "shard_imbalance_mean",
               "shard_imbalance_max", "ckpt_bytes", "ckpt_save_seconds",
@@ -375,7 +375,6 @@ def append_trajectory(path, sha, bench):
                 "simd_lane": kernel.get("auto_simd_lane", ""),
                 "pairs_per_sec_lane_scalar": lanes.get("scalar", ""),
                 "pairs_per_sec_lane_avx2": lanes.get("avx2", ""),
-                "pairs_per_sec_lane_avx512": lanes.get("avx512", ""),
             })
         serving = bench.get("serving")
         if serving is not None:

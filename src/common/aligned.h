@@ -1,10 +1,10 @@
 // Cache-line / vector-register aligned storage for hot-path arrays.
 //
-// The SIMD scoring kernels (profile/score_kernel_simd.h) sweep contiguous
-// 64-bit block arrays with 256/512-bit loads; default std::vector storage is
+// The SIMD scoring kernel (profile/score_kernel_simd.h) sweeps contiguous
+// 64-bit block arrays with 256-bit loads; default std::vector storage is
 // only 16-byte aligned, which splits those loads across cache lines. An
-// AlignedVector places its buffer on a 64-byte boundary — one cache line,
-// and enough for aligned ZMM access — without changing the container API.
+// AlignedVector places its buffer on a 64-byte boundary — one cache line —
+// without changing the container API.
 #ifndef P3Q_COMMON_ALIGNED_H_
 #define P3Q_COMMON_ALIGNED_H_
 

@@ -33,17 +33,12 @@ CpuFeatures Detect() {
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
     f.avx2 = (ebx & bit_AVX2) != 0;
     f.bmi2 = (ebx & bit_BMI2) != 0;
-    f.avx512f = (ebx & bit_AVX512F) != 0;
-    f.avx512bw = (ebx & bit_AVX512BW) != 0;
-    f.avx512vl = (ebx & bit_AVX512VL) != 0;
-    f.avx512vpopcntdq = (ecx & bit_AVX512VPOPCNTDQ) != 0;
   }
 
   if (osxsave) {
     const std::uint64_t xcr0 = ReadXcr0();
-    // Bits 1|2: XMM + YMM state; bits 5|6|7: opmask + ZMM_Hi256 + Hi16_ZMM.
+    // Bits 1|2: XMM + YMM state.
     f.os_ymm = (xcr0 & 0x6) == 0x6;
-    f.os_zmm = (xcr0 & 0xe6) == 0xe6;
   }
 #endif
   return f;
@@ -68,15 +63,9 @@ std::string CpuFeaturesToString(const CpuFeatures& f) {
   Append(&out, "avx", f.avx);
   Append(&out, "avx2", f.avx2);
   Append(&out, "bmi2", f.bmi2);
-  Append(&out, "avx512f", f.avx512f);
-  Append(&out, "avx512bw", f.avx512bw);
-  Append(&out, "avx512vl", f.avx512vl);
-  Append(&out, "avx512vpopcntdq", f.avx512vpopcntdq);
   if (out.empty()) out = "none";
   out.append(" os[");
   out.append(f.os_ymm ? "ymm" : "-");
-  out.push_back(' ');
-  out.append(f.os_zmm ? "zmm" : "-");
   out.push_back(']');
   return out;
 }

@@ -3,10 +3,10 @@
 // The scoring kernel (profile/score_kernel_simd.h) selects its widest usable
 // lane once at startup; this module answers "what can this CPU — and this
 // OS — actually run". Detection is CPUID-based (leaf 1 for POPCNT/AVX/
-// OSXSAVE, leaf 7 for AVX2/BMI2/AVX-512) and cross-checked against XCR0 via
-// XGETBV, because a CPU advertising AVX-512 is useless when the kernel has
-// not enabled ZMM state saving. On non-x86 builds every flag is false and
-// the scalar lane is the only one offered.
+// OSXSAVE, leaf 7 for AVX2/BMI2) and cross-checked against XCR0 via XGETBV,
+// because a CPU advertising AVX2 is useless when the kernel has not enabled
+// YMM state saving. On non-x86 builds every flag is false and the scalar
+// lane is the only one offered.
 #ifndef P3Q_COMMON_CPU_FEATURES_H_
 #define P3Q_COMMON_CPU_FEATURES_H_
 
@@ -21,33 +21,20 @@ struct CpuFeatures {
   bool avx = false;
   bool avx2 = false;
   bool bmi2 = false;
-  bool avx512f = false;
-  bool avx512bw = false;
-  bool avx512vl = false;
-  bool avx512vpopcntdq = false;
-  // OS state-saving flags (XGETBV/XCR0): without these the corresponding
-  // registers fault even when CPUID advertises the instructions.
+  // OS state-saving flag (XGETBV/XCR0): without it the YMM registers fault
+  // even when CPUID advertises the instructions.
   bool os_ymm = false;
-  bool os_zmm = false;
 
   /// True when 256-bit AVX2 code can actually execute here.
   bool Avx2Usable() const { return avx2 && os_ymm; }
-
-  /// True when 512-bit AVX-512 (foundation + BW/VL, the kernel's floor)
-  /// can actually execute here. VPOPCNTDQ is optional and checked
-  /// separately — the AVX-512 lane emulates it when absent.
-  bool Avx512Usable() const {
-    return avx512f && avx512bw && avx512vl && os_zmm;
-  }
 };
 
 /// The host CPU's features, detected once and cached.
 const CpuFeatures& HostCpuFeatures();
 
-/// Human-readable one-line summary, e.g.
-/// "popcnt avx avx2 bmi2 avx512f avx512bw avx512vl avx512vpopcntdq
-///  os[ymm zmm]" — what bench headers print so recorded numbers are
-/// attributable to hardware.
+/// Human-readable one-line summary, e.g. "popcnt avx avx2 bmi2 os[ymm]" —
+/// what bench headers print so recorded numbers are attributable to
+/// hardware.
 std::string CpuFeaturesToString(const CpuFeatures& features);
 
 }  // namespace p3q

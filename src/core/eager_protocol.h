@@ -17,8 +17,8 @@
 // list — all from the node's private forked stream — and packages the
 // cycle's gossips as one self-contained message to the delivery layer. The
 // piggybacked maintenance exchange screens its candidates through the same
-// batched similarity kernel as the lazy mode (one PairInfoBatch sweep per
-// screen, see profile/score_kernel.h).
+// batched similarity kernel as the lazy mode (one KernelPairSimilarityBatch
+// sweep per screen, see profile/score_kernel.h).
 // CommitMessage (sequential, delivery order) applies the
 // task/traffic/query-state effects when the message arrives, merge-aware so
 // a list portion another commit appended to this node's task after planning

@@ -47,10 +47,11 @@ std::size_t ProposalWireBytes(const std::vector<DigestInfo>& proposals) {
 ///
 /// Scoring is batched: a first rng-free pass runs the deterministic step-1
 /// screens (known-version, exact shares-an-item) and hands every surviving
-/// candidate to ONE PairInfoBatch kernel sweep; a second pass then replays
-/// the proposals drawing exactly the random values the per-pair scalar path
-/// drew (Bloom false-positive Bernoulli, spurious-common binomial), so the
-/// batched plan phase stays byte-identical to the sequential one.
+/// candidate to ONE KernelPairSimilarityBatch sweep; a second pass then
+/// replays the proposals drawing exactly the random values the per-pair
+/// scalar path drew (Bloom false-positive Bernoulli, spurious-common
+/// binomial), so the batched plan phase stays byte-identical to the
+/// sequential one.
 void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
                      const std::vector<DigestInfo>& proposals, Rng* rng,
                      Metrics* traffic,
@@ -60,7 +61,7 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
   // Pass 0 (no rng): step-1 screens that need no randomness, then the one
   // batched kernel call. A candidate sharing no item with the receiver has
   // an all-zero PairSimilarity by definition, so only genuinely overlapping
-  // pairs are scored (or cached) at all.
+  // pairs are scored at all.
   enum : signed char { kSkip = 0, kShares = 1, kNoShare = 2 };
   std::vector<signed char> state(proposals.size(), kSkip);
   std::vector<std::size_t> batch_slot(proposals.size(), 0);
@@ -80,7 +81,8 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
       state[i] = kNoShare;
     }
   }
-  const std::vector<PairSimilarity> sims = system->PairInfoBatch(mine, batch);
+  std::vector<PairSimilarity> sims(batch.size());
+  KernelPairSimilarityBatch(mine, batch.data(), batch.size(), sims.data());
 
   // Pass 1 — replay with exactly the scalar path's rng draws: a genuine
   // common item passes the Bloom screen without a draw; otherwise one
@@ -284,8 +286,9 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   std::vector<const Profile*> candidates;
   candidates.reserve(fetched.size());
   for (const DigestInfo& d : fetched) candidates.push_back(d.snapshot.get());
-  const std::vector<PairSimilarity> sims =
-      system_->PairInfoBatch(mine, candidates);
+  std::vector<PairSimilarity> sims(candidates.size());
+  KernelPairSimilarityBatch(mine, candidates.data(), candidates.size(),
+                            sims.data());
   for (std::size_t i = 0; i < fetched.size(); ++i) {
     const std::uint64_t score =
         SimilarityScore(system_->config().similarity, sims[i].score,

@@ -12,7 +12,7 @@
 // Under the engine's plan/commit contract the cycle splits in two: PlanCycle
 // (parallel) reads the frozen start-of-cycle state, draws every random
 // choice from the node's private forked stream, screens all candidates and
-// scores them in batched kernel calls (P3QSystem::PairInfoBatch — the
+// scores them in batched kernel calls (KernelPairSimilarityBatch — the
 // expensive similarity work runs once per node per cycle, preserving the
 // scalar path's exact rng draw sequence) and buffers the decisions into
 // the node's effect slot plus the shard's traffic mailbox; CommitCycle

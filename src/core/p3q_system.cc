@@ -94,24 +94,7 @@ std::size_t P3QSystem::MessagesInFlight() const {
 SystemMemoryStats P3QSystem::MemoryStats() const {
   SystemMemoryStats stats;
   stats.store = store_.MemoryStats();
-  for (const PairCacheStripe& stripe : pair_cache_) {
-    std::lock_guard<std::mutex> lock(
-        const_cast<PairCacheStripe&>(stripe).mu);
-    stats.pair_cache_entries += stripe.map.size();
-  }
-  stats.pair_cache_evictions =
-      pair_cache_evictions_.load(std::memory_order_relaxed);
   return stats;
-}
-
-void P3QSystem::MaybeEvictStripe(PairCacheStripe* stripe) {
-  // Bound the cache so billion-pair full-scale sweeps cannot exhaust
-  // memory; a reset only costs recomputation. Caller holds the stripe lock.
-  if (stripe->map.size() > kPairCacheCapacity / kPairCacheStripes) {
-    pair_cache_evictions_.fetch_add(stripe->map.size(),
-                                    std::memory_order_relaxed);
-    stripe->map.clear();
-  }
 }
 
 P3QSystem::~P3QSystem() = default;
@@ -466,104 +449,6 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
   engine_.LoadState(in, profiles);
   eager_engine_.LoadState(in, profiles);
   eager_->LoadState(in);
-}
-
-P3QSystem::PairKey P3QSystem::MakePairKey(const Profile& a, const Profile& b,
-                                          bool* swapped) {
-  assert(a.owner() != b.owner());
-  *swapped = a.owner() > b.owner();
-  const Profile& lo = *swapped ? b : a;
-  const Profile& hi = *swapped ? a : b;
-  P3QSystem::PairKey key;
-  key.users = (static_cast<std::uint64_t>(lo.owner()) << 32) | hi.owner();
-  key.versions =
-      (static_cast<std::uint64_t>(lo.version()) << 32) | hi.version();
-  return key;
-}
-
-PairSimilarity P3QSystem::PairInfo(const Profile& a, const Profile& b) {
-  bool swapped = false;
-  const PairKey key = MakePairKey(a, b, &swapped);
-  PairCacheStripe& stripe =
-      pair_cache_[PairKeyHash{}(key) & (kPairCacheStripes - 1)];
-
-  PairSimilarity sim;
-  bool cached = false;
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    auto it = stripe.map.find(key);
-    if (it != stripe.map.end()) {
-      sim = it->second;
-      cached = true;
-    }
-  }
-  if (!cached) {
-    // Compute outside the lock (on the block-bitmap kernel — exact, equal
-    // to the scalar merge); two threads racing on the same key both
-    // compute the same pure value, so the first insert wins harmlessly.
-    const Profile& lo = swapped ? b : a;
-    const Profile& hi = swapped ? a : b;
-    sim = KernelPairSimilarity(lo, hi);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    MaybeEvictStripe(&stripe);
-    stripe.map.emplace(key, sim);
-  }
-  if (swapped) std::swap(sim.a_actions_on_common, sim.b_actions_on_common);
-  return sim;
-}
-
-std::vector<PairSimilarity> P3QSystem::PairInfoBatch(
-    const Profile& a, const std::vector<const Profile*>& candidates) {
-  std::vector<PairSimilarity> out(candidates.size());
-  std::vector<std::size_t> misses;
-  std::vector<PairKey> keys(candidates.size());
-  std::vector<bool> swaps(candidates.size());
-
-  // Pass 1 — cache lookups, one short stripe lock each.
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    bool swapped = false;
-    keys[i] = MakePairKey(a, *candidates[i], &swapped);
-    swaps[i] = swapped;
-    PairCacheStripe& stripe =
-        pair_cache_[PairKeyHash{}(keys[i]) & (kPairCacheStripes - 1)];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    auto it = stripe.map.find(keys[i]);
-    if (it != stripe.map.end()) {
-      out[i] = it->second;
-      if (swapped) {
-        std::swap(out[i].a_actions_on_common, out[i].b_actions_on_common);
-      }
-    } else {
-      misses.push_back(i);
-    }
-  }
-  if (misses.empty()) return out;
-
-  // Pass 2 — ONE kernel sweep over all misses, outside the stripe locks.
-  // The kernel is oriented to (a, candidate); cache entries are stored in
-  // canonical low/high owner order, so swapped pairs flip the per-side
-  // action counts on insert.
-  std::vector<const Profile*> miss_profiles;
-  miss_profiles.reserve(misses.size());
-  for (const std::size_t i : misses) miss_profiles.push_back(candidates[i]);
-  std::vector<PairSimilarity> sims(misses.size());
-  KernelPairSimilarityBatch(a, miss_profiles.data(), miss_profiles.size(),
-                            sims.data());
-
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    const std::size_t i = misses[m];
-    out[i] = sims[m];
-    PairSimilarity canonical = sims[m];
-    if (swaps[i]) {
-      std::swap(canonical.a_actions_on_common, canonical.b_actions_on_common);
-    }
-    PairCacheStripe& stripe =
-        pair_cache_[PairKeyHash{}(keys[i]) & (kPairCacheStripes - 1)];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    MaybeEvictStripe(&stripe);
-    stripe.map.emplace(keys[i], canonical);
-  }
-  return out;
 }
 
 }  // namespace p3q

@@ -16,13 +16,9 @@
 #ifndef P3Q_CORE_P3Q_SYSTEM_H_
 #define P3Q_CORE_P3Q_SYSTEM_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -32,6 +28,8 @@
 #include "dataset/dataset.h"
 #include "dataset/update_batch.h"
 #include "profile/profile_store.h"
+#include "profile/score_kernel.h"
+#include "profile/similarity.h"
 #include "sim/delivery.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -45,15 +43,16 @@ class PhaseProfiler;  // obs/profiler.h
 class CheckpointWriter;  // sim/checkpoint.h
 class CheckpointReader;
 
-/// Memory rollup of one deployment (profile storage + scoring caches),
-/// surfaced in the runner's --timing report. All figures are current
-/// values except the peaks noted in ProfileStoreMemoryStats.
+/// Memory rollup of one deployment (profile storage), surfaced in the
+/// runner's --timing report. All figures are current values except the
+/// peaks noted in ProfileStoreMemoryStats.
 struct SystemMemoryStats {
   ProfileStoreMemoryStats store;
-  /// Memoized pair similarities currently cached.
+  /// Always 0: pairs are scored by the kernel directly, with no memo cache.
+  /// Kept only because the end-to-end benchmark (bench/e2e/p3q_bench.cc)
+  /// still reports it as mem.pair_cache_entries; the next change to that
+  /// benchmark drops both.
   std::size_t pair_cache_entries = 0;
-  /// Entries discarded by the cache's capacity bound so far.
-  std::uint64_t pair_cache_evictions = 0;
 };
 
 /// A complete simulated P3Q deployment.
@@ -124,7 +123,7 @@ class P3QSystem {
   std::size_t MessagesInFlight() const;
 
   /// Memory footprint rollup: the profile store's arena/pool/pending
-  /// counters plus the pair-similarity cache's population and evictions.
+  /// counters.
   SystemMemoryStats MemoryStats() const;
 
   // -- Initialization ------------------------------------------------------
@@ -213,30 +212,13 @@ class P3QSystem {
 
   // -- Internals shared by the protocols ------------------------------------
 
-  /// Similarity of two profile snapshots, memoized on (owner, version)
-  /// pairs; the result is oriented to the (a, b) argument order. The score
-  /// field is always the raw common-action count. Thread-safe: the cache is
-  /// sharded by key hash with one lock per shard, so the engines' parallel
-  /// plan phases share it; memoizing a pure function keeps the results
-  /// deterministic regardless of which thread populates an entry first.
-  /// Misses are computed by the block-bitmap kernel (profile/score_kernel.h)
-  /// — exact, byte-identical to the scalar reference merge.
-  PairSimilarity PairInfo(const Profile& a, const Profile& b);
-
-  /// Batched PairInfo: one result per candidate, each oriented to
-  /// (a, candidates[i]). Cache hits are collected first (one short stripe
-  /// lock per lookup); all misses are then computed in ONE batched kernel
-  /// sweep outside the stripe locks — a's index stays cache-hot across the
-  /// whole candidate set — and inserted afterwards. This is what the plan
-  /// phases call once per node per cycle instead of per-pair PairInfo.
-  std::vector<PairSimilarity> PairInfoBatch(
-      const Profile& a, const std::vector<const Profile*>& candidates);
-
   /// The configured similarity metric applied to the pair (what the
-  /// personal networks rank by).
-  std::uint64_t ScoreBetween(const Profile& a, const Profile& b) {
-    return SimilarityScore(config_.similarity, PairInfo(a, b).score,
-                           a.Length(), b.Length());
+  /// personal networks rank by), scored by the exact pair kernel
+  /// (profile/score_kernel.h).
+  std::uint64_t ScoreBetween(const Profile& a, const Profile& b) const {
+    return SimilarityScore(config_.similarity,
+                           KernelPairSimilarity(a, b).score, a.Length(),
+                           b.Length());
   }
 
   EagerProtocol& eager() { return *eager_; }
@@ -248,9 +230,9 @@ class P3QSystem {
   /// liveness flags, traffic metrics, the system rng, every node (own
   /// profile, rng, personal network, random view, probe memo, eager tasks),
   /// both engines (cycle counters + in-flight messages) and the eager
-  /// protocol's query state. Configuration, dataset and the pair-similarity
-  /// cache are NOT serialized — the loading side must be constructed from
-  /// the same dataset/config/seed (the engine seeds are verified on load).
+  /// protocol's query state. Configuration and dataset are NOT serialized —
+  /// the loading side must be constructed from the same dataset/config/seed
+  /// (the engine seeds are verified on load).
   void SaveCheckpoint(CheckpointWriter* out) const;
 
   /// Restores state written by SaveCheckpoint. Throws CheckpointError on
@@ -260,42 +242,6 @@ class P3QSystem {
   void LoadCheckpoint(CheckpointReader* in);
 
  private:
-  struct PairKey {
-    std::uint64_t users;     // lo << 32 | hi
-    std::uint64_t versions;  // ver_lo << 32 | ver_hi
-    bool operator==(const PairKey& o) const {
-      return users == o.users && versions == o.versions;
-    }
-  };
-  struct PairKeyHash {
-    std::size_t operator()(const PairKey& k) const {
-      std::uint64_t h = k.users * 0x9e3779b97f4a7c15ULL;
-      h ^= (k.versions + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  /// Canonical (owner, version) cache key of a pair; `swapped` reports
-  /// whether the (a, b) argument order was flipped to low/high owner order.
-  static PairKey MakePairKey(const Profile& a, const Profile& b,
-                             bool* swapped);
-
-  /// Lock striping for the pair-similarity cache: plan-phase threads mostly
-  /// hit different stripes, and a stripe's lock is held only for the map
-  /// lookup/insert, never while the similarity kernel runs.
-  static constexpr std::size_t kPairCacheStripes = 64;
-  /// Total cache capacity bound; a stripe that outgrows its share resets
-  /// (a reset only costs recomputation — the entries are memoized pure
-  /// values). Evictions are counted for MemoryStats.
-  static constexpr std::size_t kPairCacheCapacity = 20'000'000;
-  struct PairCacheStripe {
-    std::mutex mu;
-    std::unordered_map<PairKey, PairSimilarity, PairKeyHash> map;
-  };
-
-  /// Clears a full stripe (under its lock), counting the eviction.
-  void MaybeEvictStripe(PairCacheStripe* stripe);
-
   P3QConfig config_;
   Rng rng_;
   ProfileStore store_;
@@ -307,8 +253,6 @@ class P3QSystem {
   std::unique_ptr<EagerProtocol> eager_;
   LatencySpec latency_spec_;  ///< default: ZeroLatency
   Tracer* tracer_ = nullptr;
-  std::array<PairCacheStripe, kPairCacheStripes> pair_cache_;
-  std::atomic<std::uint64_t> pair_cache_evictions_{0};
 };
 
 }  // namespace p3q

@@ -7,7 +7,8 @@ namespace p3q {
 namespace {
 
 /// Packed-block layout granularity: every array starts on a 64-byte (8
-/// u64-word) boundary so the SIMD lanes keep their aligned-load contract.
+/// u64-word) boundary, which the AVX2 lane's aligned tag-signature loads
+/// (TagSigMerge) rely on.
 constexpr std::size_t kPadWords = 8;
 
 std::size_t PadWords(std::size_t words) {
@@ -95,13 +96,11 @@ Profile::Profile(Profile&& other) noexcept
 void Profile::Pack(std::span<const ActionKey> sorted_actions,
                    const ScoreIndexData& index,
                    std::shared_ptr<SlabArena> arena) {
-  // Array order inside the block: actions, action bitmap (blocks, words),
-  // item bitmap (blocks, words), item_rank, item_counts, item_offsets,
-  // tag_sig_a, tag_sig_b — each 64-byte aligned.
+  // Array order inside the block: actions, item bitmap (blocks, words),
+  // item_rank, item_counts, item_offsets, tag_sig_a, tag_sig_b — each
+  // 64-byte aligned.
   enum {
     kActions,
-    kActBlocks,
-    kActWords,
     kItemBlocks,
     kItemWords,
     kRank,
@@ -113,8 +112,6 @@ void Profile::Pack(std::span<const ActionKey> sorted_actions,
   };
   std::size_t words[kNumArrays] = {
       sorted_actions.size(),
-      index.actions.blocks.size(),
-      index.actions.words.size(),
       index.items.blocks.size(),
       index.items.words.size(),
       WordsOfU32(index.item_rank.size()),
@@ -148,8 +145,6 @@ void Profile::Pack(std::span<const ActionKey> sorted_actions,
     if (n != 0) std::memcpy(base + off[slot], src, n * sizeof(std::uint32_t));
   };
   copy64(kActions, sorted_actions.data(), sorted_actions.size());
-  copy64(kActBlocks, index.actions.blocks.data(), index.actions.blocks.size());
-  copy64(kActWords, index.actions.words.data(), index.actions.words.size());
   copy64(kItemBlocks, index.items.blocks.data(), index.items.blocks.size());
   copy64(kItemWords, index.items.words.data(), index.items.words.size());
   copy32(kRank, index.item_rank.data(), index.item_rank.size());
@@ -160,9 +155,6 @@ void Profile::Pack(std::span<const ActionKey> sorted_actions,
 
   actions_ = {reinterpret_cast<const ActionKey*>(base + off[kActions]),
               sorted_actions.size()};
-  index_.actions =
-      BitmapView({base + off[kActBlocks], index.actions.blocks.size()},
-                 {base + off[kActWords], index.actions.words.size()});
   index_.items =
       BitmapView({base + off[kItemBlocks], index.items.blocks.size()},
                  {base + off[kItemWords], index.items.words.size()});
@@ -205,10 +197,6 @@ std::size_t CountCommonActions(std::span<const ActionKey> a,
     }
   }
   return count;
-}
-
-std::size_t Profile::SimilarityWith(const Profile& other) const {
-  return KernelIntersectionCount(*this, other);
 }
 
 std::vector<ItemId> Profile::CommonItems(const Profile& other) const {

@@ -92,10 +92,6 @@ class Profile {
   /// True when at least one action concerns the item.
   bool ContainsItem(ItemId item) const;
 
-  /// Similarity score: number of tagging actions shared with other.
-  /// Runs on the block-bitmap kernel; exact.
-  std::size_t SimilarityWith(const Profile& other) const;
-
   /// Items present in both profiles (sorted ascending).
   std::vector<ItemId> CommonItems(const Profile& other) const;
 
@@ -146,14 +142,14 @@ class Profile {
 using ProfilePtr = std::shared_ptr<const Profile>;
 
 /// Counts the common actions of two sorted unique action sequences with a
-/// scalar element-at-a-time merge — the reference the block-bitmap kernel
-/// (profile/score_kernel.h) is differential-tested and benchmarked against.
+/// scalar element-at-a-time merge — the reference the pair kernel's score
+/// (profile/score_kernel.h) is differential-tested against.
 std::size_t CountCommonActions(std::span<const ActionKey> a,
                                std::span<const ActionKey> b);
 
 /// Computes PairSimilarity (profile/score_kernel.h) for two profiles with
 /// the scalar reference merge. Production scoring goes through
-/// KernelPairSimilarity / P3QSystem::PairInfoBatch instead; this stays as
+/// KernelPairSimilarity / KernelPairSimilarityBatch instead; this stays as
 /// the independent implementation the differential tests compare to.
 PairSimilarity ComputePairSimilarity(const Profile& a, const Profile& b);
 

@@ -12,42 +12,6 @@ namespace {
 
 using kernel_detail::AccumulateBlock;
 using kernel_detail::GallopTo;
-using kernel_detail::IntersectBlocksMergeScalar;
-
-/// Galloping variant: for every block of the (smaller) a side, locate the
-/// block in the (larger) b side.
-std::size_t IntersectBlocksGallop(const std::uint64_t* ab,
-                                  const std::uint64_t* aw, std::size_t na,
-                                  const std::uint64_t* bb,
-                                  const std::uint64_t* bw, std::size_t nb) {
-  std::size_t count = 0;
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < na && j < nb; ++i) {
-    j = GallopTo(bb, nb, j, ab[i]);
-    if (j < nb && bb[j] == ab[i]) {
-      count += static_cast<std::size_t>(std::popcount(aw[i] & bw[j]));
-    }
-  }
-  return count;
-}
-
-/// The block-merge intersection through the active SIMD lane; every lane
-/// returns exactly the scalar merge's count.
-std::size_t DispatchBlocksMerge(const std::uint64_t* ab,
-                                const std::uint64_t* aw, std::size_t na,
-                                const std::uint64_t* bb,
-                                const std::uint64_t* bw, std::size_t nb) {
-  switch (ActiveSimdLane()) {
-#ifdef P3Q_SCORE_KERNEL_SIMD_X86
-    case SimdLane::kAvx2:
-      return Avx2IntersectBlocksMerge(ab, aw, na, bb, bw, nb);
-    case SimdLane::kAvx512:
-      return Avx512IntersectBlocksMerge(ab, aw, na, bb, bw, nb);
-#endif
-    default:
-      return IntersectBlocksMergeScalar(ab, aw, na, bb, bw, nb);
-  }
-}
 
 /// Open-addressing hash of the base profile's item blocks, built once per
 /// batch: block id -> index into the base's item bitmap. Power-of-two
@@ -211,7 +175,6 @@ BlockBitmap BlockBitmap::Build(std::span<const std::uint64_t> sorted_keys) {
 
 ScoreIndex ScoreIndexData::View() const {
   ScoreIndex view;
-  view.actions = BitmapView(actions);
   view.items = BitmapView(items);
   view.item_rank = {item_rank.data(), item_rank.size()};
   view.item_counts = {item_counts.data(), item_counts.size()};
@@ -223,7 +186,6 @@ ScoreIndex ScoreIndexData::View() const {
 
 ScoreIndexData ScoreIndexData::Build(std::span<const ActionKey> sorted_actions) {
   ScoreIndexData index;
-  index.actions = BlockBitmap::Build(sorted_actions);
   std::vector<std::uint64_t> items;
   for (std::size_t i = 0; i < sorted_actions.size(); ++i) {
     const ItemId item = ActionItem(sorted_actions[i]);
@@ -258,11 +220,6 @@ ScoreIndexData ScoreIndexData::Fold(const ScoreIndex& base,
                                     std::span<const ActionKey> delta,
                                     std::span<const ActionKey> merged_actions) {
   ScoreIndexData out;
-
-  // Action bitmap: the delta's action keys are disjoint from the base's, so
-  // the union bitmap is a straight block merge.
-  out.actions =
-      FoldBitmap(base.actions, {delta.begin(), delta.end()});
 
   // Distinct delta items with their delta action counts.
   std::vector<std::uint64_t> delta_items;
@@ -330,44 +287,6 @@ ScoreIndexData ScoreIndexData::Fold(const ScoreIndex& base,
   }
   out.item_offsets.push_back(static_cast<std::uint32_t>(merged_actions.size()));
   return out;
-}
-
-std::size_t IntersectBitmaps(const BitmapView& a, const BitmapView& b) {
-  const BitmapView& small = a.size() <= b.size() ? a : b;
-  const BitmapView& large = a.size() <= b.size() ? b : a;
-  if (small.size() * kGallopSkewRatio < large.size()) {
-    return IntersectBlocksGallop(small.blocks.data(), small.words.data(),
-                                 small.size(), large.blocks.data(),
-                                 large.words.data(), large.size());
-  }
-  return DispatchBlocksMerge(a.blocks.data(), a.words.data(), a.size(),
-                             b.blocks.data(), b.words.data(), b.size());
-}
-
-std::size_t IntersectGalloping(const std::uint64_t* a, std::size_t na,
-                               const std::uint64_t* b, std::size_t nb) {
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  std::size_t count = 0;
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < na && j < nb; ++i) {
-    j = GallopTo(b, nb, j, a[i]);
-    if (j < nb && b[j] == a[i]) ++count;
-  }
-  return count;
-}
-
-std::size_t KernelIntersectionCount(const Profile& a, const Profile& b) {
-  const std::size_t na = a.actions().size();
-  const std::size_t nb = b.actions().size();
-  // Very skewed pairs gallop over the raw sorted action keys; everything
-  // else runs the word-AND + popcount block merge.
-  if (std::min(na, nb) * kGallopSkewRatio < std::max(na, nb)) {
-    return IntersectGalloping(a.actions().data(), na, b.actions().data(), nb);
-  }
-  return IntersectBitmaps(a.index().actions, b.index().actions);
 }
 
 bool KernelSharesItem(const Profile& a, const Profile& b) {
@@ -464,18 +383,12 @@ void KernelPairSimilarityBatch(const Profile& base,
     return;
   }
 #ifdef P3Q_SCORE_KERNEL_SIMD_X86
-  // The SIMD lanes sweep a dense gather table of the base's item blocks;
-  // they decline bases whose block span is too sparse for it, in which
-  // case the portable hash path below runs regardless of lane.
-  switch (ActiveSimdLane()) {
-    case SimdLane::kAvx2:
-      if (Avx2PairSimilarityBatch(base, candidates, n, out)) return;
-      break;
-    case SimdLane::kAvx512:
-      if (Avx512PairSimilarityBatch(base, candidates, n, out)) return;
-      break;
-    default:
-      break;
+  // The AVX2 lane sweeps a dense gather table of the base's item blocks; it
+  // declines bases whose block span is too sparse for it, in which case the
+  // portable hash path below runs.
+  if (ActiveSimdLane() == SimdLane::kAvx2 &&
+      Avx2PairSimilarityBatch(base, candidates, n, out)) {
+    return;
   }
 #endif
   const ScoreIndex& ib = base.index();

@@ -4,23 +4,20 @@
 // plan phase: personal-network maintenance screens and scores every gossip
 // candidate each cycle, so at scale the per-pair scalar merge of two sorted
 // action vectors is where the wall-clock goes. This module gives every
-// profile a compact 64-bit *block bitmap* built once at snapshot
-// construction: keys are bucketed into 64-key blocks (block id = key >> 6)
-// and each block carries one word with bit (key & 63) set per member.
-// Intersections then run as a merge over the (much shorter) block arrays
-// with word-AND + popcount on matching blocks — up to 64 element
-// comparisons collapse into one AND.
+// profile a compact 64-bit *block bitmap* of its distinct items, built once
+// at snapshot construction: item ids are bucketed into 64-item blocks
+// (block id = item >> 6) and each block carries one word with bit
+// (item & 63) set per member. One AND + popcount then finds all common
+// items of a 64-item range at once.
 //
-// The pair kernel works at the item level, like the scalar reference: the
-// item-block bitmaps are intersected (one AND + popcount finds all common
-// items of a 64-item range at once), each surviving bit is rank-selected
-// into the per-item count/offset arrays, and only the tiny action runs of
-// genuinely common items are merged for the exact score. The batched entry
-// point additionally builds a small open-addressing hash of the base
-// profile's item blocks ONCE per batch, so every candidate is scored with
-// O(candidate blocks) O(1) probes instead of a merge — that per-batch
-// amortization is where the pairs/sec multiple over the scalar path comes
-// from (bench/bench_micro_similarity.cc measures it).
+// The pair kernel intersects the two item bitmaps, rank-selects each
+// surviving bit into the per-item count/offset arrays, and merges only the
+// tiny action runs of genuinely common items for the exact score. The
+// batched entry point additionally builds a small open-addressing hash of
+// the base profile's item blocks ONCE per batch, so every candidate is
+// scored with O(candidate blocks) O(1) probes instead of a merge — that
+// per-batch amortization is where the pairs/sec multiple over the scalar
+// path comes from (bench/bench_micro_similarity.cc measures it).
 //
 // For very skewed pairs (one side much smaller than the other) a merge is
 // the wrong shape: the kernels fall back to galloping (exponential probe +
@@ -73,8 +70,8 @@ struct PairSimilarity {
 /// key >> 6 (ascending) and `words[i]` has bit (key & 63) set for every
 /// member key of that block. Owning form; the kernels themselves consume
 /// BitmapView so packed (arena-backed) snapshots and standalone bitmaps
-/// share one code path. Storage is 64-byte aligned so the SIMD lanes
-/// (score_kernel_simd.h) sweep it with aligned 256/512-bit loads.
+/// share one code path. Storage is 64-byte aligned, like every array of a
+/// packed snapshot (profile.h).
 struct BlockBitmap {
   AlignedVector<std::uint64_t> blocks;
   AlignedVector<std::uint64_t> words;
@@ -116,16 +113,6 @@ inline constexpr std::size_t kMinHashBatch = 8;
 inline constexpr std::size_t kTagSigLanes = 8;
 inline constexpr std::uint32_t kTagSigMaxTag = 0xfffd;
 
-/// Exact |a ∩ b| of two block bitmaps (word-AND + popcount merge; galloping
-/// over the larger side when the sizes are skewed).
-std::size_t IntersectBitmaps(const BitmapView& a, const BitmapView& b);
-
-/// Exact |a ∩ b| of two sorted unique key arrays by galloping: every key of
-/// the smaller side is located in the larger side with an exponential probe
-/// + binary search. The explicit fallback for very sparse/skewed pairs.
-std::size_t IntersectGalloping(const std::uint64_t* a, std::size_t na,
-                               const std::uint64_t* b, std::size_t nb);
-
 /// Per-profile scoring index *view*, spanning storage packed alongside the
 /// snapshot's action vector (one arena block per profile — profile.h).
 /// Profiles are immutable, so the index is shared by every replica of the
@@ -134,9 +121,6 @@ std::size_t IntersectGalloping(const std::uint64_t* a, std::size_t na,
 /// item, located by rank-select — `item_rank[block] + popcount(word &
 /// (bit - 1))` — into the count/offset arrays.
 struct ScoreIndex {
-  /// Block bitmap over the packed (item, tag) action keys — drives the
-  /// score-only intersection kernel.
-  BitmapView actions;
   /// Block bitmap over the distinct item ids — drives the shares-an-item
   /// screen and the pair kernel's common-item discovery.
   BitmapView items;
@@ -167,7 +151,6 @@ struct ScoreIndex {
 /// one contiguous (optionally arena-backed) block at snapshot construction
 /// and keeps only the view.
 struct ScoreIndexData {
-  BlockBitmap actions;
   BlockBitmap items;
   AlignedVector<std::uint32_t> item_rank;
   AlignedVector<std::uint32_t> item_counts;
@@ -193,17 +176,14 @@ struct ScoreIndexData {
                              std::span<const ActionKey> merged_actions);
 };
 
-/// Exact |Profile(a) ∩ Profile(b)| through the action block bitmaps (raw
-/// galloping intersection for very skewed pairs).
-std::size_t KernelIntersectionCount(const Profile& a, const Profile& b);
-
 /// True when the two profiles share at least one item (exact; the Bloom
 /// digest gives the probabilistic version). Early-exits on the first
 /// matching block.
 bool KernelSharesItem(const Profile& a, const Profile& b);
 
 /// PairSimilarity of one pair through the kernel — exact, equal to the
-/// scalar ComputePairSimilarity in profile.cc.
+/// scalar ComputePairSimilarity in profile.cc. Oriented to (a, b):
+/// a_actions_on_common counts a's actions.
 PairSimilarity KernelPairSimilarity(const Profile& a, const Profile& b);
 
 /// The batched kernel: scores `base` against `n` candidate profiles in one

@@ -1,5 +1,5 @@
 // Shared scalar building blocks of the scoring kernels — used by both the
-// portable kernels in score_kernel.cc and the SIMD lanes in
+// portable kernels in score_kernel.cc and the AVX2 lane in
 // score_kernel_simd.cc. Internal to profile/: nothing here is part of the
 // kernel's public contract (that lives in score_kernel.h), and everything
 // must stay exact — these helpers are where the lanes converge, so a change
@@ -32,30 +32,6 @@ inline std::size_t GallopTo(const std::uint64_t* arr, std::size_t n,
   const std::size_t hi = std::min(n, lo + step + 1);
   return static_cast<std::size_t>(
       std::lower_bound(arr + lo, arr + hi, target) - arr);
-}
-
-/// Merge-intersects two aligned (blocks, words) arrays, AND-ing words of
-/// matching blocks. The merge advances branchlessly on mismatches. This is
-/// the scalar reference the SIMD merge lanes are differential-tested
-/// against, and the tail loop they fall into near the array ends.
-inline std::size_t IntersectBlocksMergeScalar(
-    const std::uint64_t* ab, const std::uint64_t* aw, std::size_t na,
-    const std::uint64_t* bb, const std::uint64_t* bw, std::size_t nb) {
-  std::size_t count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    const std::uint64_t x = ab[i];
-    const std::uint64_t y = bb[j];
-    if (x == y) {
-      count += static_cast<std::size_t>(std::popcount(aw[i] & bw[j]));
-      ++i;
-      ++j;
-    } else {
-      i += x < y;
-      j += y < x;
-    }
-  }
-  return count;
 }
 
 /// Exact number of equal keys in two sorted unique action runs (the runs of

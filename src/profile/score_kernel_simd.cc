@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/aligned.h"
 #include "common/cpu_features.h"
@@ -19,22 +16,7 @@
 namespace p3q {
 namespace {
 
-/// The widest lane this host can run.
-SimdLane WidestUsableLane() {
-  if (SimdLaneUsable(SimdLane::kAvx512)) return SimdLane::kAvx512;
-  if (SimdLaneUsable(SimdLane::kAvx2)) return SimdLane::kAvx2;
-  return SimdLane::kScalar;
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-/// The active lane; -1 until the first ActiveSimdLane() resolves P3Q_SIMD.
+/// The active lane; -1 until the first ActiveSimdLane() detects it.
 std::atomic<int> g_active_lane{-1};
 
 }  // namespace
@@ -45,16 +27,13 @@ const char* SimdLaneName(SimdLane lane) {
       return "scalar";
     case SimdLane::kAvx2:
       return "avx2";
-    case SimdLane::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
 
 bool SimdLaneCompiled(SimdLane lane) {
 #ifdef P3Q_SCORE_KERNEL_SIMD_X86
-  return lane == SimdLane::kScalar || lane == SimdLane::kAvx2 ||
-         lane == SimdLane::kAvx512;
+  return lane == SimdLane::kScalar || lane == SimdLane::kAvx2;
 #else
   return lane == SimdLane::kScalar;
 #endif
@@ -67,73 +46,31 @@ bool SimdLaneUsable(SimdLane lane) {
       return true;
     case SimdLane::kAvx2:
       return HostCpuFeatures().Avx2Usable();
-    case SimdLane::kAvx512:
-      return HostCpuFeatures().Avx512Usable();
   }
   return false;
 }
 
 std::vector<SimdLane> UsableSimdLanes() {
   std::vector<SimdLane> lanes;
-  for (const SimdLane lane :
-       {SimdLane::kScalar, SimdLane::kAvx2, SimdLane::kAvx512}) {
+  for (const SimdLane lane : {SimdLane::kScalar, SimdLane::kAvx2}) {
     if (SimdLaneUsable(lane)) lanes.push_back(lane);
   }
   return lanes;
 }
 
-SimdResolution ResolveSimdLane(std::string_view request) {
-  SimdResolution res;
-  const std::string value = ToLower(request);
-  if (value.empty() || value == "auto") {
-    res.lane = WidestUsableLane();
-    return res;
-  }
-  if (value == "off" || value == "scalar" || value == "none") {
-    res.lane = SimdLane::kScalar;
-    return res;
-  }
-  if (value == "avx2" || value == "avx512") {
-    const SimdLane requested =
-        value == "avx2" ? SimdLane::kAvx2 : SimdLane::kAvx512;
-    if (SimdLaneUsable(requested)) {
-      res.lane = requested;
-      return res;
-    }
-    res.lane = WidestUsableLane();
-    if (static_cast<int>(res.lane) > static_cast<int>(requested)) {
-      // Never silently widen past an explicit request.
-      res.lane = SimdLane::kScalar;
-    }
-    res.warning = "P3Q_SIMD=" + value + " requested but the " + value +
-                  " kernel lane is not usable on this host (" +
-                  (SimdLaneCompiled(requested) ? "CPU/OS support missing"
-                                               : "not compiled in") +
-                  "); falling back to " + SimdLaneName(res.lane);
-    return res;
-  }
-  res.lane = WidestUsableLane();
-  res.warning = "unknown P3Q_SIMD value '" + value + "' (expected off|" +
-                "scalar|avx2|avx512|auto); using " + SimdLaneName(res.lane);
-  return res;
-}
-
 SimdLane ActiveSimdLane() {
-  const int cached = g_active_lane.load(std::memory_order_relaxed);
-  if (cached >= 0) return static_cast<SimdLane>(cached);
-  const char* env = std::getenv("P3Q_SIMD");
-  const SimdResolution res = ResolveSimdLane(env == nullptr ? "" : env);
-  int expected = -1;
-  if (g_active_lane.compare_exchange_strong(expected,
-                                            static_cast<int>(res.lane),
-                                            std::memory_order_relaxed)) {
-    // Only the thread that won the resolution race warns, so the message
-    // appears once. Racing resolutions are identical (same env, same CPU).
-    if (!res.warning.empty()) {
-      std::fprintf(stderr, "p3q: %s\n", res.warning.c_str());
-    }
+  int lane = g_active_lane.load(std::memory_order_relaxed);
+  if (lane < 0) {
+    // The CAS keeps a racing SetSimdLane from being overwritten by the
+    // first-use detection; racing detections store the same value.
+    const std::vector<SimdLane> usable = UsableSimdLanes();
+    int expected = -1;
+    g_active_lane.compare_exchange_strong(expected,
+                                          static_cast<int>(usable.back()),
+                                          std::memory_order_relaxed);
+    lane = g_active_lane.load(std::memory_order_relaxed);
   }
-  return static_cast<SimdLane>(g_active_lane.load(std::memory_order_relaxed));
+  return static_cast<SimdLane>(lane);
 }
 
 SimdLane SetSimdLane(SimdLane lane) {
@@ -146,125 +83,6 @@ SimdLane SetSimdLane(SimdLane lane) {
 #ifdef P3Q_SCORE_KERNEL_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// Block-merge intersection count — all-pairs tile comparison.
-//
-// Both arrays hold unique ascending block ids, so inside a WxW tile every
-// id matches at most one lane of the other side; comparing the a-register
-// against W lane rotations of the b-register covers all W*W pairs with W
-// vector compares. The tile then advances whichever side holds the smaller
-// maximum (both on a tie) — the classic merge step, W elements at a time.
-// Discarded elements can never match the surviving side (everything left
-// there is larger), so the scalar tail finishes from (i, j) exactly.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) std::size_t Avx2IntersectBlocksMerge(
-    const std::uint64_t* ab, const std::uint64_t* aw, std::size_t na,
-    const std::uint64_t* bb, const std::uint64_t* bw, std::size_t nb) {
-  std::size_t count = 0;
-  std::size_t i = 0, j = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ab + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bb + j));
-    for (int r = 0; r < 4; ++r) {
-      const __m256i eq = _mm256_cmpeq_epi64(va, vb);
-      int m = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-      while (m != 0) {
-        const int lane = std::countr_zero(static_cast<unsigned>(m));
-        m &= m - 1;
-        count += static_cast<std::size_t>(
-            std::popcount(aw[i + lane] & bw[j + ((lane + r) & 3)]));
-      }
-      // Rotate b one lane left so round r compares a[L] vs b[(L + r) & 3].
-      vb = _mm256_permute4x64_epi64(vb, 0x39);
-    }
-    const std::uint64_t amax = ab[i + 3];
-    const std::uint64_t bmax = bb[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  return count + kernel_detail::IntersectBlocksMergeScalar(
-                     ab + i, aw + i, na - i, bb + j, bw + j, nb - j);
-}
-
-namespace {
-
-/// Per-64-bit-lane popcount without VPOPCNTDQ: the classic in-register
-/// nibble LUT (VPSHUFB) summed per qword with VPSADBW — AVX-512BW only, so
-/// pre-Ice-Lake AVX-512 parts run it instead of faulting on VPOPCNTQ.
-__attribute__((target("avx512f,avx512bw,avx512vl"))) inline __m512i
-Popcnt64Nibble(__m512i v) {
-  const __m512i lut = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4));
-  const __m512i low = _mm512_set1_epi8(0x0f);
-  const __m512i lo = _mm512_and_si512(v, low);
-  const __m512i hi = _mm512_and_si512(_mm512_srli_epi64(v, 4), low);
-  const __m512i nibbles = _mm512_add_epi8(_mm512_shuffle_epi8(lut, lo),
-                                          _mm512_shuffle_epi8(lut, hi));
-  return _mm512_sad_epu8(nibbles, _mm512_setzero_si512());
-}
-
-/// The AVX-512 all-pairs merge body, shared between the VPOPCNTDQ and the
-/// emulated-popcount builds. The two wrapper functions below differ only in
-/// their target attribute and POPCNT64 expression, so the VPOPCNTQ encoding
-/// never exists in the fallback path.
-#define P3Q_AVX512_MERGE_BODY(POPCNT64)                                     \
-  std::size_t count = 0;                                                    \
-  __m512i acc = _mm512_setzero_si512();                                     \
-  std::size_t i = 0, j = 0;                                                 \
-  while (i + 8 <= na && j + 8 <= nb) {                                      \
-    const __m512i va = _mm512_loadu_si512(ab + i);                          \
-    __m512i vb = _mm512_loadu_si512(bb + j);                                \
-    const __m512i wa = _mm512_loadu_si512(aw + i);                          \
-    __m512i wb = _mm512_loadu_si512(bw + j);                                \
-    for (int r = 0; r < 8; ++r) {                                           \
-      const __mmask8 eq = _mm512_cmpeq_epi64_mask(va, vb);                  \
-      if (eq != 0) {                                                        \
-        const __m512i inter = _mm512_maskz_and_epi64(eq, wa, wb);           \
-        acc = _mm512_add_epi64(acc, POPCNT64(inter));                       \
-      }                                                                     \
-      vb = _mm512_alignr_epi64(vb, vb, 1);                                  \
-      wb = _mm512_alignr_epi64(wb, wb, 1);                                  \
-    }                                                                       \
-    const std::uint64_t amax = ab[i + 7];                                   \
-    const std::uint64_t bmax = bb[j + 7];                                   \
-    if (amax <= bmax) i += 8;                                               \
-    if (bmax <= amax) j += 8;                                               \
-  }                                                                         \
-  count += static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));          \
-  return count + kernel_detail::IntersectBlocksMergeScalar(                 \
-                     ab + i, aw + i, na - i, bb + j, bw + j, nb - j)
-
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512vpopcntdq")))
-std::size_t
-Avx512MergeVpopcnt(const std::uint64_t* ab, const std::uint64_t* aw,
-                   std::size_t na, const std::uint64_t* bb,
-                   const std::uint64_t* bw, std::size_t nb) {
-  P3Q_AVX512_MERGE_BODY(_mm512_popcnt_epi64);
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) std::size_t
-Avx512MergeNibble(const std::uint64_t* ab, const std::uint64_t* aw,
-                  std::size_t na, const std::uint64_t* bb,
-                  const std::uint64_t* bw, std::size_t nb) {
-  P3Q_AVX512_MERGE_BODY(Popcnt64Nibble);
-}
-
-#undef P3Q_AVX512_MERGE_BODY
-
-}  // namespace
-
-std::size_t Avx512IntersectBlocksMerge(const std::uint64_t* ab,
-                                       const std::uint64_t* aw, std::size_t na,
-                                       const std::uint64_t* bb,
-                                       const std::uint64_t* bw,
-                                       std::size_t nb) {
-  static const bool use_popcnt = HostCpuFeatures().avx512vpopcntdq;
-  return use_popcnt ? Avx512MergeVpopcnt(ab, aw, na, bb, bw, nb)
-                    : Avx512MergeNibble(ab, aw, na, bb, bw, nb);
-}
-
-// ---------------------------------------------------------------------------
 // Batched base-vs-many sweep — two-phase survivor compaction.
 //
 // The base's item blocks are scattered once per batch into a dense
@@ -272,9 +90,9 @@ std::size_t Avx512IntersectBlocksMerge(const std::uint64_t* ab,
 // then costs one range check + one gather instead of a hash probe.
 //
 // Phase 1 streams every candidate's block array through the vector lanes —
-// range-check, gather, AND, zero-test, 4 (AVX2) or 8 (AVX-512) blocks per
-// step — and compress-stores the packed (candidate << 32 | block index) of
-// each block whose AND survived into a flat survivor list. No scalar work
+// range-check, gather, AND, zero-test, four blocks per step — and
+// compress-stores the packed (candidate << 32 | block index) of each block
+// whose AND survived into a flat survivor list. No scalar work
 // happens inside the sweep, so the branch predictor sees one tight
 // loop regardless of where the matches fall.
 //
@@ -406,9 +224,7 @@ __attribute__((target("avx2"))) inline std::uint64_t TagSigMerge(
 }
 
 /// Phase 2: exact accumulation of the survivor list, then the batch-wide
-/// orientation swap from (candidate, base) to (base, candidate). AVX2 is
-/// enough here (the signature merge is 128/256-bit), so both lanes share
-/// this function.
+/// orientation swap from (candidate, base) to (base, candidate).
 __attribute__((target("avx2"))) void AccumulateSurvivors(
     const Profile& base, std::uint64_t bmin, std::size_t n, std::size_t k,
     PairSimilarity* out) {
@@ -514,49 +330,6 @@ __attribute__((target("avx2"))) bool Avx2PairSimilarityBatch(
       const std::uint64_t bw = r < span ? t_dense.words[r] : 0;
       t_dense.survivors[k] = (static_cast<std::uint64_t>(c) << 32) | i;
       k += (cand.words[i] & bw) != 0;
-    }
-  }
-  AccumulateSurvivors(base, bmin, n, k, out);
-  return true;
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) bool
-Avx512PairSimilarityBatch(const Profile& base, const Profile* const* candidates,
-                          std::size_t n, PairSimilarity* out) {
-  const ScoreIndex& ib = base.index();
-  std::uint64_t bmin = 0, span = 0;
-  if (!BuildDenseTable(ib, &bmin, &span)) return false;
-  const std::size_t total = FlattenBatch(base, candidates, n, out);
-  t_dense.survivors.resize(total + 8);
-  const __m512i vbmin = _mm512_set1_epi64(static_cast<long long>(bmin));
-  const __m512i vspan = _mm512_set1_epi64(static_cast<long long>(span));
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i iota = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-  std::size_t k = 0;
-  for (std::size_t c = 0; c < n; ++c) {
-    const CandRef& cand = t_dense.tab[c];
-    const std::size_t ncb = cand.nblocks;
-    const __m512i vc = _mm512_set1_epi64(static_cast<long long>(c) << 32);
-    for (std::size_t i = 0; i < ncb; i += 8) {
-      // The final iteration masks the ragged tail instead of falling back
-      // to a scalar loop — AVX-512's k-masks make the remainder free.
-      const __mmask8 live =
-          ncb - i >= 8 ? static_cast<__mmask8>(0xff)
-                       : static_cast<__mmask8>((1u << (ncb - i)) - 1);
-      const __m512i blk = _mm512_maskz_loadu_epi64(live, cand.blocks + i);
-      const __m512i r = _mm512_sub_epi64(blk, vbmin);
-      // Unsigned compare: blocks below bmin wrap past any span.
-      const __mmask8 ok = _mm512_mask_cmplt_epu64_mask(live, r, vspan);
-      const __m512i gathered =
-          _mm512_mask_i64gather_epi64(zero, ok, r, t_dense.words.data(), 8);
-      const __m512i both = _mm512_and_si512(
-          gathered, _mm512_maskz_loadu_epi64(live, cand.words + i));
-      const __mmask8 m = _mm512_test_epi64_mask(both, both);
-      const __m512i pack = _mm512_or_si512(
-          vc, _mm512_add_epi64(iota, _mm512_set1_epi64(
-                                         static_cast<long long>(i))));
-      _mm512_mask_compressstoreu_epi64(t_dense.survivors.data() + k, m, pack);
-      k += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
     }
   }
   AccumulateSurvivors(base, bmin, n, k, out);

@@ -1,36 +1,25 @@
-// SIMD lanes for the similarity-scoring kernel, with runtime CPU dispatch.
+// SIMD lane for the similarity-scoring kernel, with runtime CPU dispatch.
 //
 // The portable kernels in score_kernel.h are already flat base-vs-many
 // sweeps over contiguous 64-bit blocks — exactly the shape vector units
-// want. This module provides AVX2 and AVX-512 implementations of the two
-// hottest loops:
+// want. This module provides an AVX2 implementation of the hottest loop,
+// the batched base-vs-many sweep behind KernelPairSimilarityBatch: the
+// base's item blocks are scattered once per batch into a dense
+// [min_block, max_block] table, then every candidate's blocks are
+// range-checked, gathered and AND-ed four at a time; only blocks with a
+// non-empty intersection fall out to the exact accumulation.
 //
-//   * the block-merge intersection count (word-AND + popcount over two
-//     sorted block arrays) behind IntersectBitmaps / KernelIntersectionCount
-//     — an all-pairs 4x4 (AVX2) or 8x8 (AVX-512, VPOPCNTDQ when available)
-//     tile comparison that advances whole registers per step;
-//   * the batched base-vs-many sweep behind KernelPairSimilarityBatch — the
-//     base's item blocks are scattered once per batch into a dense
-//     [min_block, max_block] table, then every candidate's blocks are
-//     range-checked, gathered and AND-ed four or eight at a time; only
-//     blocks with a non-empty intersection fall out to the scalar exact
-//     accumulation.
-//
-// One lane is selected at startup: the widest the CPU *and* OS support
-// (common/cpu_features.h), overridable with `P3Q_SIMD=off|scalar|avx2|
-// avx512` in the environment or `--simd=` on p3q_sim — an unsupported or
-// unknown request falls back to the best usable lane with a warning on
-// stderr, never a crash. Every lane returns bit-for-bit the counts of the
-// scalar path, so reports and goldens are byte-identical no matter which
-// lane scored a pair; tests/score_kernel_test.cc runs the differential
-// suites against every usable lane to keep that non-negotiable.
+// The active lane is the widest one the CPU *and* OS support
+// (common/cpu_features.h), detected once at first use. The lane returns
+// bit-for-bit the counts of the scalar path, so reports and goldens are
+// byte-identical no matter which lane scored a pair;
+// tests/score_kernel_test.cc runs the differential suites against every
+// usable lane to keep that non-negotiable.
 #ifndef P3Q_PROFILE_SCORE_KERNEL_SIMD_H_
 #define P3Q_PROFILE_SCORE_KERNEL_SIMD_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace p3q {
@@ -39,15 +28,16 @@ class Profile;
 struct PairSimilarity;
 
 /// The kernel implementations this binary can dispatch between, widest
-/// last. kScalar is always compiled and always correct; the x86 lanes exist
-/// only on x86-64 builds and are selected only when the host can run them.
+/// last. kScalar is always compiled and always correct; the AVX2 lane
+/// exists only on x86-64 builds and is selected only when the host can run
+/// it.
 enum class SimdLane : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
-/// Lane name as used by P3Q_SIMD / --simd ("scalar", "avx2", "avx512").
+/// Lane name ("scalar", "avx2"), as the lane-parameterized tests and the
+/// per-lane bench legs label their instances.
 const char* SimdLaneName(SimdLane lane);
 
 /// True when the lane's code is compiled into this binary.
@@ -60,49 +50,19 @@ bool SimdLaneUsable(SimdLane lane);
 /// lane-parameterized test suites and per-lane bench legs iterate over.
 std::vector<SimdLane> UsableSimdLanes();
 
-/// Outcome of resolving a lane request against the host's capabilities.
-struct SimdResolution {
-  SimdLane lane = SimdLane::kScalar;
-  /// Non-empty when the request could not be honored (unknown value or
-  /// unsupported lane) and the resolution fell back; the caller decides
-  /// where to surface it. Resolution never fails hard.
-  std::string warning;
-};
-
-/// Resolves a textual lane request: "" or "auto" selects the widest usable
-/// lane; "off"/"scalar"/"none" force the scalar path; "avx2"/"avx512"
-/// request that lane and fall back (with a warning) when unusable. Unknown
-/// values warn and select auto. Pure — no global state is touched.
-SimdResolution ResolveSimdLane(std::string_view request);
-
-/// The currently selected lane. First use resolves the P3Q_SIMD environment
-/// variable (warning to stderr if it fell back) and caches the result; the
-/// hot kernels read this per batch/merge call (one relaxed atomic load).
+/// The currently selected lane: the widest usable one, detected on first use
+/// and cached unless SetSimdLane replaced it. The batched kernel reads this
+/// per batch (one relaxed atomic load).
 SimdLane ActiveSimdLane();
 
 /// Replaces the active lane and returns the previous one. An unusable lane
-/// is clamped to scalar. Used by --simd, the per-lane bench legs and the
+/// is clamped to scalar. Used by the per-lane bench legs and the
 /// lane-parameterized tests; thread-safe, but callers flip it only at
 /// startup or around single-threaded test sections.
 SimdLane SetSimdLane(SimdLane lane);
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define P3Q_SCORE_KERNEL_SIMD_X86 1
-
-/// AVX2 block-merge intersection count. Exact; only call when
-/// SimdLaneUsable(kAvx2).
-std::size_t Avx2IntersectBlocksMerge(const std::uint64_t* ab,
-                                     const std::uint64_t* aw, std::size_t na,
-                                     const std::uint64_t* bb,
-                                     const std::uint64_t* bw, std::size_t nb);
-
-/// AVX-512 block-merge intersection count (VPOPCNTDQ-accelerated when the
-/// host has it). Exact; only call when SimdLaneUsable(kAvx512).
-std::size_t Avx512IntersectBlocksMerge(const std::uint64_t* ab,
-                                       const std::uint64_t* aw, std::size_t na,
-                                       const std::uint64_t* bb,
-                                       const std::uint64_t* bw,
-                                       std::size_t nb);
 
 /// AVX2 batched base-vs-many sweep. Returns false — leaving `out`
 /// untouched — when the base's block range is too sparse for the dense
@@ -111,18 +71,12 @@ std::size_t Avx512IntersectBlocksMerge(const std::uint64_t* ab,
 bool Avx2PairSimilarityBatch(const Profile& base,
                              const Profile* const* candidates, std::size_t n,
                              PairSimilarity* out);
-
-/// AVX-512 batched base-vs-many sweep; same contract as the AVX2 sweep.
-/// Only call when SimdLaneUsable(kAvx512).
-bool Avx512PairSimilarityBatch(const Profile& base,
-                               const Profile* const* candidates, std::size_t n,
-                               PairSimilarity* out);
 #endif  // x86-64
 
-/// Dense-table shape gate shared by the SIMD sweeps: the base's item-block
-/// span must fit kMaxDenseSpan and not exceed kDenseSpanFactor blocks per
-/// present block, or the sweep refuses and the hash path runs. Exposed so
-/// tests can construct shapes on both sides of the gate.
+/// Dense-table shape gate of the AVX2 sweep: the base's item-block span
+/// must fit kMaxDenseSpan and not exceed kDenseSpanFactor blocks per present
+/// block, or the sweep refuses and the hash path runs. Exposed so tests can
+/// construct shapes on both sides of the gate.
 inline constexpr std::uint64_t kMaxDenseSpan = 4096;
 inline constexpr std::uint64_t kDenseSpanFactor = 32;
 

@@ -33,11 +33,6 @@ std::uint64_t SimilarityScore(SimilarityMetric metric, std::uint64_t common,
   return common;
 }
 
-std::uint64_t SimilarityScore(SimilarityMetric metric, const Profile& a,
-                              const Profile& b) {
-  return SimilarityScore(metric, a.SimilarityWith(b), a.Length(), b.Length());
-}
-
 bool ParseSimilarityMetric(const std::string& text, SimilarityMetric* out) {
   if (text == "common" || text == "common_actions") {
     *out = SimilarityMetric::kCommonActions;

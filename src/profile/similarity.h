@@ -9,10 +9,9 @@
 #ifndef P3Q_PROFILE_SIMILARITY_H_
 #define P3Q_PROFILE_SIMILARITY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "profile/profile.h"
 
 namespace p3q {
 
@@ -35,10 +34,6 @@ inline constexpr std::uint64_t kSimilarityScale = 1'000'000;
 /// and `b_length` are the two profiles' action counts.
 std::uint64_t SimilarityScore(SimilarityMetric metric, std::uint64_t common,
                               std::size_t a_length, std::size_t b_length);
-
-/// Convenience overload computing the intersection first.
-std::uint64_t SimilarityScore(SimilarityMetric metric, const Profile& a,
-                              const Profile& b);
 
 /// Human-readable metric name.
 const char* SimilarityMetricName(SimilarityMetric metric);

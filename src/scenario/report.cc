@@ -87,8 +87,6 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
        << ", \"pool_hits\": " << m.pool_hits
        << ", \"pool_misses\": " << m.pool_misses
        << ", \"peak_pending_depth\": " << m.peak_pending_depth
-       << ", \"pair_cache_entries\": " << m.pair_cache_entries
-       << ", \"pair_cache_evictions\": " << m.pair_cache_evictions
        << ", \"peak_rss_mb\": " << Num(m.peak_rss_mb, 1) << "}";
 }
 

@@ -965,8 +965,6 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.pool_hits = mem.store.pool_hits;
   report.memory.pool_misses = mem.store.pool_misses;
   report.memory.peak_pending_depth = mem.store.peak_pending_depth;
-  report.memory.pair_cache_entries = mem.pair_cache_entries;
-  report.memory.pair_cache_evictions = mem.pair_cache_evictions;
   report.memory.peak_rss_mb = PeakRssMb();
 
   report.total_timing.threads = system.threads();

@@ -138,9 +138,6 @@ struct MemoryReport {
   std::uint64_t pool_misses = 0;
   /// Deepest per-user buffered update delta before a fold.
   std::uint64_t peak_pending_depth = 0;
-  /// Similarity pair-cache population and capacity evictions.
-  std::uint64_t pair_cache_entries = 0;
-  std::uint64_t pair_cache_evictions = 0;
   /// getrusage(RUSAGE_SELF).ru_maxrss at the end of the run, in MiB
   /// (0 where unavailable).
   double peak_rss_mb = 0;

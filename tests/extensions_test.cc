@@ -50,11 +50,15 @@ TEST(SimilarityMetricTest, NormalizedMetricsRankDifferently) {
   for (ItemId i = 100; i < 200; ++i) big_pairs.emplace_back(i, 2);  // noise
   const Profile small = MakeProfile(1, small_pairs);
   const Profile big = MakeProfile(2, big_pairs);
+  auto score = [&me](SimilarityMetric metric, const Profile& other) {
+    return SimilarityScore(metric, KernelPairSimilarity(me, other).score,
+                           me.Length(), other.Length());
+  };
 
-  EXPECT_GT(SimilarityScore(SimilarityMetric::kCommonActions, me, big),
-            SimilarityScore(SimilarityMetric::kCommonActions, me, small));
-  EXPECT_GT(SimilarityScore(SimilarityMetric::kJaccard, me, small),
-            SimilarityScore(SimilarityMetric::kJaccard, me, big));
+  EXPECT_GT(score(SimilarityMetric::kCommonActions, big),
+            score(SimilarityMetric::kCommonActions, small));
+  EXPECT_GT(score(SimilarityMetric::kJaccard, small),
+            score(SimilarityMetric::kJaccard, big));
 }
 
 TEST(SimilarityMetricTest, AllMetricsHaveNames) {

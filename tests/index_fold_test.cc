@@ -52,8 +52,6 @@ void ExpectSpanEq(std::span<const T> got, std::span<const T> want,
 /// kernel-equivalent. This is the strongest possible statement of
 /// Fold == Build.
 void ExpectIndexIdentical(const ScoreIndex& got, const ScoreIndex& want) {
-  ExpectSpanEq(got.actions.blocks, want.actions.blocks, "actions.blocks");
-  ExpectSpanEq(got.actions.words, want.actions.words, "actions.words");
   ExpectSpanEq(got.items.blocks, want.items.blocks, "items.blocks");
   ExpectSpanEq(got.items.words, want.items.words, "items.words");
   ExpectSpanEq(got.item_rank, want.item_rank, "item_rank");

@@ -34,14 +34,15 @@ TEST(ProfileTest, ContainsAndContainsItem) {
 TEST(ProfileTest, SimilarityCountsCommonActions) {
   const Profile a = MakeProfile(1, {{1, 1}, {2, 2}, {3, 3}, {4, 4}});
   const Profile b = MakeProfile(2, {{2, 2}, {3, 3}, {9, 9}});
-  EXPECT_EQ(a.SimilarityWith(b), 2u);
-  EXPECT_EQ(b.SimilarityWith(a), 2u);  // symmetric
+  EXPECT_EQ(KernelPairSimilarity(a, b).score, 2u);
+  EXPECT_EQ(KernelPairSimilarity(b, a).score, 2u);  // symmetric
 }
 
 TEST(ProfileTest, SimilaritySameItemDifferentTagIsZero) {
   const Profile a = MakeProfile(1, {{1, 1}});
   const Profile b = MakeProfile(2, {{1, 2}});
-  EXPECT_EQ(a.SimilarityWith(b), 0u);  // actions differ although item shared
+  // Actions differ although the item is shared.
+  EXPECT_EQ(KernelPairSimilarity(a, b).score, 0u);
   EXPECT_TRUE(a.SharesItemWith(b));
 }
 
@@ -92,7 +93,7 @@ TEST(PairSimilarityTest, MatchesPieceWiseQueries) {
   const Profile a = MakeProfile(1, {{1, 1}, {2, 1}, {2, 2}, {3, 1}, {9, 9}});
   const Profile b = MakeProfile(2, {{2, 1}, {2, 3}, {3, 1}, {4, 4}});
   const PairSimilarity sim = ComputePairSimilarity(a, b);
-  EXPECT_EQ(sim.score, a.SimilarityWith(b));
+  EXPECT_EQ(sim.score, CountCommonActions(a.actions(), b.actions()));
   EXPECT_EQ(sim.common_items, a.CommonItems(b).size());
   EXPECT_EQ(sim.a_actions_on_common, 3u);  // a's actions on items {2,3}
   EXPECT_EQ(sim.b_actions_on_common, 3u);  // b's actions on items {2,3}

@@ -54,9 +54,7 @@ void ExpectSameAsScalar(const Profile& a, const Profile& b) {
   EXPECT_EQ(kernel.common_items, scalar.common_items);
   EXPECT_EQ(kernel.a_actions_on_common, scalar.a_actions_on_common);
   EXPECT_EQ(kernel.b_actions_on_common, scalar.b_actions_on_common);
-  EXPECT_EQ(KernelIntersectionCount(a, b),
-            CountCommonActions(a.actions(), b.actions()));
-  EXPECT_EQ(a.SimilarityWith(b), scalar.score);
+  EXPECT_EQ(kernel.score, CountCommonActions(a.actions(), b.actions()));
   // Every metric maps the same exact counts, so all four agree with the
   // scalar-fed scores.
   for (const SimilarityMetric metric : kAllMetrics) {
@@ -87,21 +85,22 @@ TEST(BlockBitmapTest, RoundTripsMembership) {
 TEST(BlockBitmapTest, IntersectMatchesScalar) {
   Rng rng(99);
   for (int round = 0; round < 50; ++round) {
-    std::vector<std::uint64_t> a, b;
+    // Keys drawn from a 2000-action universe: 250 items x 8 tags, so the
+    // item bitmaps span several blocks and runs reach 8 actions.
+    auto random_key = [&rng] {
+      const std::uint64_t key = rng.NextUint64(2000);
+      return MakeAction(static_cast<ItemId>(key >> 3),
+                        static_cast<TagId>(key & 7));
+    };
+    std::vector<ActionKey> a, b;
     const int na = 1 + static_cast<int>(rng.NextUint64(300));
     const int nb = 1 + static_cast<int>(rng.NextUint64(300));
-    for (int i = 0; i < na; ++i) a.push_back(rng.NextUint64(2000));
-    for (int i = 0; i < nb; ++i) b.push_back(rng.NextUint64(2000));
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-    std::sort(b.begin(), b.end());
-    b.erase(std::unique(b.begin(), b.end()), b.end());
-
-    const std::size_t expected = CountCommonActions(a, b);
-    EXPECT_EQ(IntersectBitmaps(BlockBitmap::Build(a), BlockBitmap::Build(b)),
-              expected);
-    EXPECT_EQ(IntersectGalloping(a.data(), a.size(), b.data(), b.size()),
-              expected);
+    for (int i = 0; i < na; ++i) a.push_back(random_key());
+    for (int i = 0; i < nb; ++i) b.push_back(random_key());
+    const Profile pa(1, std::move(a), 0, /*digest_bits=*/1024);
+    const Profile pb(2, std::move(b), 0, /*digest_bits=*/1024);
+    EXPECT_EQ(KernelPairSimilarity(pa, pb).score,
+              CountCommonActions(pa.actions(), pb.actions()));
   }
 }
 
@@ -355,78 +354,83 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// P3QSystem::PairInfoBatch — the lock-striped cache's batched lookup.
+// Batched sweep properties the differential suites do not cover: orientation
+// under swapped roles, and the per-thread scratch under concurrent batches.
+// Both run per lane, with at least kMinHashBatch candidates per batch so the
+// sweep runs rather than the per-pair fallback.
 // ---------------------------------------------------------------------------
 
-TEST(PairInfoBatchTest, MatchesPerPairPairInfoAndCaches) {
-  test::TestSystem env({.users = 60, .seed_ideal = false});
-  P3QSystem& system = *env.system;
-  const Profile& mine = *system.node(0).profile();
-  std::vector<const Profile*> candidates;
-  for (UserId u = 1; u < 40; ++u) {
-    candidates.push_back(system.profile_store().Get(u).get());
+class KernelBatchLaneTest : public ScoreKernelLaneTest {};
+
+/// sims[i][j] = KernelPairSimilarityBatch(*profiles[i], profiles)[j].
+std::vector<std::vector<PairSimilarity>> AllPairsByBatch(
+    const std::vector<const Profile*>& profiles) {
+  std::vector<std::vector<PairSimilarity>> sims(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    sims[i].resize(profiles.size());
+    KernelPairSimilarityBatch(*profiles[i], profiles.data(), profiles.size(),
+                              sims[i].data());
   }
-  const std::vector<PairSimilarity> batched =
-      system.PairInfoBatch(mine, candidates);
-  ASSERT_EQ(batched.size(), candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const PairSimilarity single = system.PairInfo(mine, *candidates[i]);
-    EXPECT_EQ(batched[i].score, single.score);
-    EXPECT_EQ(batched[i].common_items, single.common_items);
-    EXPECT_EQ(batched[i].a_actions_on_common, single.a_actions_on_common);
-    EXPECT_EQ(batched[i].b_actions_on_common, single.b_actions_on_common);
-  }
-  // A second batched lookup is all cache hits and must return the same.
-  const std::vector<PairSimilarity> again =
-      system.PairInfoBatch(mine, candidates);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    EXPECT_EQ(again[i].score, batched[i].score);
-    EXPECT_EQ(again[i].a_actions_on_common, batched[i].a_actions_on_common);
+  return sims;
+}
+
+TEST_P(KernelBatchLaneTest, OrientationFollowsArgumentOrder) {
+  const SyntheticTrace trace = test::SmallTrace(30, 7);
+  const ProfileStore store = trace.dataset().BuildProfileStore();
+  std::vector<const Profile*> profiles;
+  for (UserId u = 0; u < 12; ++u) profiles.push_back(store.Get(u).get());
+  ASSERT_GE(profiles.size(), kMinHashBatch);
+  const auto sims = AllPairsByBatch(profiles);
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    for (std::size_t j = 0; j < profiles.size(); ++j) {
+      const PairSimilarity& ij = sims[i][j];
+      const PairSimilarity& ji = sims[j][i];
+      EXPECT_EQ(ij.score, ji.score) << i << "," << j;
+      EXPECT_EQ(ij.common_items, ji.common_items) << i << "," << j;
+      EXPECT_EQ(ij.a_actions_on_common, ji.b_actions_on_common)
+          << i << "," << j;
+      EXPECT_EQ(ij.b_actions_on_common, ji.a_actions_on_common)
+          << i << "," << j;
+    }
   }
 }
 
-TEST(PairInfoBatchTest, OrientationFollowsArgumentOrder) {
-  test::TestSystem env({.users = 30, .seed_ideal = false});
-  P3QSystem& system = *env.system;
-  const Profile& a = *system.node(3).profile();
-  const Profile& b = *system.node(7).profile();
-  const PairSimilarity ab = system.PairInfoBatch(a, {&b})[0];
-  const PairSimilarity ba = system.PairInfoBatch(b, {&a})[0];
-  EXPECT_EQ(ab.score, ba.score);
-  EXPECT_EQ(ab.common_items, ba.common_items);
-  EXPECT_EQ(ab.a_actions_on_common, ba.b_actions_on_common);
-  EXPECT_EQ(ab.b_actions_on_common, ba.a_actions_on_common);
-}
-
-TEST(PairInfoBatchTest, ConcurrentBatchesAgree) {
-  test::TestSystem env({.users = 50, .seed_ideal = false});
-  P3QSystem& system = *env.system;
-  std::vector<const Profile*> candidates;
-  for (UserId u = 1; u < 50; ++u) {
-    candidates.push_back(system.profile_store().Get(u).get());
-  }
-  const Profile& mine = *system.node(0).profile();
-  const std::vector<PairSimilarity> expected =
-      system.PairInfoBatch(mine, candidates);
+/// The AVX2 sweep keeps its dense table and survivor list in thread_local
+/// scratch; concurrent batches on different threads must not interfere.
+TEST_P(KernelBatchLaneTest, ConcurrentBatchesAgree) {
+  const SyntheticTrace trace = test::SmallTrace(50, 11);
+  const ProfileStore store = trace.dataset().BuildProfileStore();
+  std::vector<const Profile*> profiles;
+  for (UserId u = 0; u < 50; ++u) profiles.push_back(store.Get(u).get());
+  const auto expected = AllPairsByBatch(profiles);
   for (const int threads : {1, 2, 8}) {
-    std::vector<std::vector<PairSimilarity>> results(threads);
+    std::vector<std::vector<std::vector<PairSimilarity>>> results(threads);
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        results[t] = system.PairInfoBatch(mine, candidates);
-      });
+      workers.emplace_back([&, t] { results[t] = AllPairsByBatch(profiles); });
     }
     for (std::thread& w : workers) w.join();
     for (const auto& result : results) {
       ASSERT_EQ(result.size(), expected.size());
       for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(result[i].score, expected[i].score);
-        EXPECT_EQ(result[i].a_actions_on_common,
-                  expected[i].a_actions_on_common);
+        for (std::size_t j = 0; j < expected.size(); ++j) {
+          EXPECT_EQ(result[i][j].score, expected[i][j].score);
+          EXPECT_EQ(result[i][j].common_items, expected[i][j].common_items);
+          EXPECT_EQ(result[i][j].a_actions_on_common,
+                    expected[i][j].a_actions_on_common);
+          EXPECT_EQ(result[i][j].b_actions_on_common,
+                    expected[i][j].b_actions_on_common);
+        }
       }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLanes, KernelBatchLaneTest, ::testing::ValuesIn(UsableSimdLanes()),
+    [](const ::testing::TestParamInfo<SimdLane>& info) {
+      return std::string(SimdLaneName(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // End to end: the batched plan phase is byte-identical for every metric and

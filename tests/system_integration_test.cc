@@ -11,6 +11,8 @@
 #include "dataset/storage_dist.h"
 #include "eval/metrics_eval.h"
 #include "eval/recall.h"
+#include "profile/score_kernel.h"
+#include "profile/similarity.h"
 
 #include "test_util.h"
 
@@ -94,19 +96,29 @@ TEST(SystemTest, DifferentSeedsProduceDifferentRuns) {
   EXPECT_NE(total(1), total(2));
 }
 
-TEST(SystemTest, PairInfoIsSymmetricallyCachedAndOriented) {
+TEST(SystemTest, ScoreBetweenIsSymmetricAndOriented) {
   const SyntheticTrace trace = test::SmallTrace(40, 7);
-  P3QConfig config;
-  P3QSystem system(trace.dataset(), config, {}, 9);
-  const Profile& a = *system.profile_store().Get(3);
-  const Profile& b = *system.profile_store().Get(17);
-  const PairSimilarity ab = system.PairInfo(a, b);
-  const PairSimilarity ba = system.PairInfo(b, a);
-  EXPECT_EQ(ab.score, ba.score);
-  EXPECT_EQ(ab.common_items, ba.common_items);
-  EXPECT_EQ(ab.a_actions_on_common, ba.b_actions_on_common);
-  EXPECT_EQ(ab.b_actions_on_common, ba.a_actions_on_common);
-  EXPECT_EQ(ab.score, a.SimilarityWith(b));
+  for (const SimilarityMetric metric :
+       {SimilarityMetric::kCommonActions, SimilarityMetric::kJaccard,
+        SimilarityMetric::kCosine, SimilarityMetric::kOverlap}) {
+    P3QConfig config;
+    config.similarity = metric;
+    const P3QSystem system(trace.dataset(), config, {}, 9);
+    const Profile& a = *system.profile_store().Get(3);
+    const Profile& b = *system.profile_store().Get(17);
+    const PairSimilarity ab = KernelPairSimilarity(a, b);
+    const PairSimilarity ba = KernelPairSimilarity(b, a);
+    ASSERT_GT(ab.common_items, 0u);
+    EXPECT_EQ(ab.score, ba.score);
+    EXPECT_EQ(ab.common_items, ba.common_items);
+    EXPECT_EQ(ab.a_actions_on_common, ba.b_actions_on_common);
+    EXPECT_EQ(ab.b_actions_on_common, ba.a_actions_on_common);
+    EXPECT_EQ(system.ScoreBetween(a, b), system.ScoreBetween(b, a))
+        << SimilarityMetricName(metric);
+    EXPECT_EQ(system.ScoreBetween(a, b),
+              SimilarityScore(metric, ab.score, a.Length(), b.Length()))
+        << SimilarityMetricName(metric);
+  }
 }
 
 TEST(SystemTest, ColdStartToAccurateQueryPipeline) {

@@ -60,7 +60,6 @@
 #include "eval/recall.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "profile/score_kernel_simd.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
@@ -93,8 +92,6 @@ struct Options {
   int threads = 0;  // 0 = inherit the P3Q_THREADS environment default
   std::string trace_path;
   bool help = false;
-  // Scoring kernel.
-  std::string simd;  // --simd=off|scalar|avx2|avx512|auto ('' = P3Q_SIMD env)
   // Delivery layer.
   std::optional<p3q::LatencySpec> latency;
   double converge = 0;  // >0: measure cycles-to-convergence at this ratio
@@ -146,11 +143,6 @@ void PrintUsage() {
       "  --seed=N           master seed (1)\n"
       "  --threads=N        plan-phase worker threads (default: P3Q_THREADS\n"
       "                     env or 1); results are byte-identical for every N\n"
-      "  --simd=LANE        scoring-kernel SIMD lane: off (alias scalar),\n"
-      "                     avx2, avx512 or auto (default: P3Q_SIMD env, or\n"
-      "                     the widest usable lane); an unusable lane falls\n"
-      "                     back with a warning. Results are byte-identical\n"
-      "                     for every lane\n"
       "  --latency=MODEL    message-delivery latency model: zero (default),\n"
       "                     fixed:K, uniform:LO:HI or lossy:P:MAX; overrides\n"
       "                     a scenario's own latency block. Deterministic\n"
@@ -332,12 +324,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       if (!ParseUint64Flag("--seed", value, &opt.seed)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--threads", &value)) {
       if (!ParseIntFlag("--threads", value, &opt.threads)) return std::nullopt;
-    } else if (ParseFlag(argv[i], "--simd", &value)) {
-      if (value.empty()) {
-        std::cerr << "--simd: expected off|scalar|avx2|avx512|auto\n";
-        return std::nullopt;
-      }
-      opt.simd = value;
     } else if (ParseFlag(argv[i], "--latency", &value)) {
       latency_text = value;
     } else if (ParseFlag(argv[i], "--loss", &value)) {
@@ -782,9 +768,7 @@ int RunScenarioMode(const Options& opt) {
               << " MiB used/reserved in " << m.arena_slabs << " slabs ("
               << m.arena_live_blocks << " snapshots, "
               << m.arena_recycled_slabs << " recycled); pool "
-              << m.pool_hits << " hits / " << m.pool_misses
-              << " misses; pair cache " << m.pair_cache_entries
-              << " entries, " << m.pair_cache_evictions << " evicted\n";
+              << m.pool_hits << " hits / " << m.pool_misses << " misses\n";
   }
 
   if (!opt.json_path.empty() &&
@@ -918,13 +902,6 @@ int main(int argc, char** argv) {
   if (opt.help) {
     PrintUsage();
     return 0;
-  }
-  if (!opt.simd.empty()) {
-    const p3q::SimdResolution res = p3q::ResolveSimdLane(opt.simd);
-    if (!res.warning.empty()) {
-      std::cerr << "p3q_sim: " << res.warning << "\n";
-    }
-    p3q::SetSimdLane(res.lane);
   }
   if (opt.list_scenarios) {
     for (const std::string& name : p3q::RegisteredScenarioNames()) {
