@@ -273,19 +273,19 @@ void EagerProtocol::EndPlan(std::uint64_t /*cycle*/) {
   }
 }
 
-void EagerProtocol::CommitGossip(P3QNode* node, std::uint64_t send_cycle,
-                                 std::uint64_t cycle, PlannedGossip* g) {
+void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
+                                 PlannedGossip* g) {
   const auto trace_stale = [&] {
     ++stale_messages_dropped_;
-    if (Tracer* tracer = system_->tracer(); tracer != nullptr) {
+    if (ctx.tracing()) {
       TraceEvent event;
-      event.cycle = cycle;
+      event.cycle = ctx.cycle;
       event.kind = TraceEventKind::kMessageStale;
       event.node = node->id();
       event.peer = g->dest;
       event.id = g->query_id;
-      event.value = static_cast<std::int64_t>(cycle - send_cycle);
-      tracer->Emit(event);
+      event.value = static_cast<std::int64_t>(ctx.cycle - ctx.send_cycle);
+      ctx.Emit(event);
     }
   };
   const auto state_it = state_.find(g->query_id);
@@ -360,17 +360,18 @@ void EagerProtocol::CommitGossip(P3QNode* node, std::uint64_t send_cycle,
   // lines 6, 12, 24).
   node->network().ResetTimestamp(g->dest);
   system_->node(g->dest).network().ResetTimestamp(node->id());
-  LazyProtocol::CommitProfileExchange(system_, g->exchange);
+  LazyProtocol::CommitProfileExchange(system_, g->exchange,
+                                      &system_->network().metrics());
 
-  if (Tracer* tracer = system_->tracer(); tracer != nullptr) {
+  if (ctx.tracing()) {
     TraceEvent event;
-    event.cycle = cycle;
+    event.cycle = ctx.cycle;
     event.kind = TraceEventKind::kGossipCommitted;
     event.node = node->id();
     event.peer = g->dest;
     event.id = g->query_id;
-    event.value = static_cast<std::int64_t>(cycle - send_cycle);
-    tracer->Emit(event);
+    event.value = static_cast<std::int64_t>(ctx.cycle - ctx.send_cycle);
+    ctx.Emit(event);
   }
 
   if (task.remaining.empty()) {
@@ -379,14 +380,11 @@ void EagerProtocol::CommitGossip(P3QNode* node, std::uint64_t send_cycle,
   }
 }
 
-void EagerProtocol::CommitMessage(UserId sender, std::uint64_t send_cycle,
-                                  std::uint64_t cycle, DeliveryMessage& message,
-                                  Rng* /*rng*/) {
+void EagerProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
+                                  const CommitContext& ctx) {
   auto& msg = static_cast<TaskGossipMessage&>(message);
   P3QNode* node = &system_->node(sender);
-  for (PlannedGossip& g : msg.gossips) {
-    CommitGossip(node, send_cycle, cycle, &g);
-  }
+  for (PlannedGossip& g : msg.gossips) CommitGossip(node, ctx, &g);
 }
 
 void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {
@@ -516,13 +514,14 @@ void EagerProtocol::EncodeMessage(const DeliveryMessage& message,
 
 std::unique_ptr<DeliveryMessage> EagerProtocol::DecodeMessage(
     CheckpointReader* in, const ProfileTable& profiles) const {
+  const std::size_t num_users = system_->NumUsers();
   auto message = std::make_unique<TaskGossipMessage>();
   const std::uint64_t num_gossips = in->Count(48);
   message->gossips.reserve(static_cast<std::size_t>(num_gossips));
   for (std::uint64_t i = 0; i < num_gossips; ++i) {
     PlannedGossip g;
     g.query_id = in->U64();
-    g.dest = in->U32();
+    g.dest = ReadUserId(in, num_users, "gossip destination");
     g.epoch = in->U64();
     g.generation = in->U32();
     g.consumed = static_cast<std::size_t>(in->U64());
@@ -532,12 +531,14 @@ std::unique_ptr<DeliveryMessage> EagerProtocol::DecodeMessage(
     const std::uint64_t num_returned = in->Count(4);
     g.returned.reserve(static_cast<std::size_t>(num_returned));
     for (std::uint64_t r = 0; r < num_returned; ++r) {
-      g.returned.push_back(in->U32());
+      g.returned.push_back(ReadUserId(in, num_users, "returned-list user"));
     }
     const std::uint64_t num_kept = in->Count(4);
     g.kept.reserve(static_cast<std::size_t>(num_kept));
-    for (std::uint64_t k = 0; k < num_kept; ++k) g.kept.push_back(in->U32());
-    g.exchange = LazyProtocol::DecodeExchangePlan(in, profiles);
+    for (std::uint64_t k = 0; k < num_kept; ++k) {
+      g.kept.push_back(ReadUserId(in, num_users, "kept-list user"));
+    }
+    g.exchange = LazyProtocol::DecodeExchangePlan(in, profiles, num_users);
     message->gossips.push_back(std::move(g));
   }
   return message;

@@ -72,9 +72,10 @@ class EagerProtocol : public CycleProtocol {
   void PlanCycle(UserId node, const PlanContext& ctx) override;
   void EndPlan(std::uint64_t cycle) override;
   bool UsesPerNodeCommit() const override { return false; }
-  void CommitMessage(UserId sender, std::uint64_t send_cycle,
-                     std::uint64_t cycle, DeliveryMessage& message,
-                     Rng* rng) override;
+  /// Sequential: commits share per-query state, participants_ and the
+  /// epoch counter, so the protocol declares no commit footprints.
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override;
   void EndCycle(std::uint64_t cycle, Rng* rng) override;
 
   /// Every id-keyed accessor throws std::out_of_range naming the id for an
@@ -177,10 +178,11 @@ class EagerProtocol : public CycleProtocol {
   bool PlanGossip(const P3QNode* node, const EagerTask& task,
                   const PlanContext& ctx, TaskGossipMessage* message);
 
-  /// Applies one delivered gossip at commit time; `send_cycle`/`cycle` are
-  /// the gossip's wire endpoints (traced as committed or stale).
-  void CommitGossip(P3QNode* node, std::uint64_t send_cycle,
-                    std::uint64_t cycle, PlannedGossip* gossip);
+  /// Applies one delivered gossip at commit time; the context's
+  /// send_cycle/cycle are the gossip's wire endpoints (traced as committed
+  /// or stale).
+  void CommitGossip(P3QNode* node, const CommitContext& ctx,
+                    PlannedGossip* gossip);
 
   /// Looks up a query's state; throws std::out_of_range naming the id when
   /// the query was never issued or has been forgotten.

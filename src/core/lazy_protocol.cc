@@ -136,15 +136,15 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
 /// Commit half of an exchange direction: offer each screened candidate to
 /// the receiver's personal network; when the entry lands in the stored
 /// top-c, the rest of the profile is transferred (step 3).
-void CommitOffers(P3QSystem* system, P3QNode* receiver,
-                  const std::vector<ProfileExchangeOffer>& offers) {
-  Network& net = system->network();
+void CommitOffers(P3QNode* receiver,
+                  const std::vector<ProfileExchangeOffer>& offers,
+                  Metrics* traffic) {
   for (const ProfileExchangeOffer& offer : offers) {
     ConsiderOutcome outcome = receiver->network().Consider(
         offer.digest.user, offer.score, offer.digest,
         /*replica=*/offer.digest.snapshot);
     if (outcome.stored_profile) {
-      net.RecordMessage(MessageType::kLazyFullProfile, offer.rest_bytes);
+      traffic->Record(MessageType::kLazyFullProfile, offer.rest_bytes);
     }
   }
 }
@@ -158,9 +158,8 @@ void CommitOffers(P3QSystem* system, P3QNode* receiver,
 /// storage-dependent freshness behaviour (Figure 7). Runs at commit time,
 /// against the partner's current (partially committed) state — commit order
 /// is canonical, so this stays deterministic.
-void CommitReplicaFill(P3QSystem* system, P3QNode* receiver,
-                       const P3QNode* sender) {
-  Network& net = system->network();
+void CommitReplicaFill(const P3QSystem* system, P3QNode* receiver,
+                       const P3QNode* sender, Metrics* traffic) {
   const Profile& mine = *receiver->profile();
   for (UserId w : receiver->network().EntriesNeedingProfile()) {
     ProfilePtr replica = sender->FindUsableProfile(w);
@@ -177,7 +176,7 @@ void CommitReplicaFill(P3QSystem* system, P3QNode* receiver,
         replica->version() <= stored) {
       continue;
     }
-    net.RecordMessage(MessageType::kLazyFullProfile, replica->WireBytes());
+    traffic->Record(MessageType::kLazyFullProfile, replica->WireBytes());
     const std::uint64_t score = system->ScoreBetween(mine, *replica);
     if (score == 0) continue;  // cannot happen for a network entry; guard
     receiver->network().Consider(w, score, DigestInfo{w, replica}, replica);
@@ -209,20 +208,22 @@ ProfileExchangePlan LazyProtocol::PlanProfileExchange(P3QSystem* system,
 }
 
 void LazyProtocol::CommitProfileExchange(P3QSystem* system,
-                                         const ProfileExchangePlan& plan) {
+                                         const ProfileExchangePlan& plan,
+                                         Metrics* traffic) {
   P3QNode* na = &system->node(plan.a);
   P3QNode* nb = &system->node(plan.b);
-  CommitOffers(system, nb, plan.offers_to_b);
-  CommitReplicaFill(system, nb, na);
-  CommitOffers(system, na, plan.offers_to_a);
-  CommitReplicaFill(system, na, nb);
+  CommitOffers(nb, plan.offers_to_b, traffic);
+  CommitReplicaFill(system, nb, na, traffic);
+  CommitOffers(na, plan.offers_to_a, traffic);
+  CommitReplicaFill(system, na, nb, traffic);
 }
 
 void LazyProtocol::RunProfileExchange(P3QSystem* system, UserId a, UserId b,
                                       Rng* rng) {
+  Metrics* traffic = &system->network().metrics();
   const ProfileExchangePlan plan =
-      PlanProfileExchange(system, a, b, rng, &system->network().metrics());
-  CommitProfileExchange(system, plan);
+      PlanProfileExchange(system, a, b, rng, traffic);
+  CommitProfileExchange(system, plan, traffic);
 }
 
 void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
@@ -342,6 +343,23 @@ void LazyProtocol::EndPlan(std::uint64_t /*cycle*/) {
   system_->network().MergeShardTraffic();
 }
 
+void LazyProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) {
+  // The drain's per-worker traffic lanes.
+  system_->network().MergeShardTraffic();
+}
+
+void LazyProtocol::CommitFootprintOf(UserId /*sender*/,
+                                     const DeliveryMessage& message,
+                                     CommitFootprint* footprint) const {
+  // The sender's view, network and probe offers; the bottom peer's view;
+  // both exchange endpoints' networks (each side's replica fill reads the
+  // other's stored replicas).
+  const auto& plan = static_cast<const GossipMessage&>(message);
+  footprint->Add(plan.bottom_peer);
+  footprint->Add(plan.exchange.a);
+  footprint->Add(plan.exchange.b);
+}
+
 void LazyProtocol::EncodeExchangePlan(const ProfileExchangePlan& plan,
                                       CheckpointWriter* out,
                                       ProfilePool* pool) {
@@ -359,10 +377,19 @@ void LazyProtocol::EncodeExchangePlan(const ProfileExchangePlan& plan,
 }
 
 ProfileExchangePlan LazyProtocol::DecodeExchangePlan(
-    CheckpointReader* in, const ProfileTable& profiles) {
+    CheckpointReader* in, const ProfileTable& profiles,
+    std::size_t num_users) {
   ProfileExchangePlan plan;
   plan.a = in->U32();
   plan.b = in->U32();
+  // A planned exchange has two real endpoints; an unplanned one has none.
+  if (plan.Planned() ? plan.a >= num_users || plan.b >= num_users
+                     : plan.b != kInvalidUser) {
+    throw CheckpointError("corrupt checkpoint: profile exchange endpoints " +
+                          std::to_string(plan.a) + ", " +
+                          std::to_string(plan.b) + " invalid for " +
+                          std::to_string(num_users) + " users");
+  }
   for (std::vector<ProfileExchangeOffer>* offers :
        {&plan.offers_to_b, &plan.offers_to_a}) {
     const std::uint64_t count = in->Count(24);
@@ -370,14 +397,10 @@ ProfileExchangePlan LazyProtocol::DecodeExchangePlan(
     for (std::uint64_t i = 0; i < count; ++i) {
       ProfileExchangeOffer offer;
       offer.score = in->U64();
-      offer.digest = ReadDigestInfo(in, profiles);
+      offer.digest = ReadDigestInfo(in, profiles, num_users);
       offer.rest_bytes = in->U64();
       offers->push_back(std::move(offer));
     }
-  }
-  if (plan.Planned() && plan.b == kInvalidUser) {
-    throw CheckpointError(
-        "corrupt checkpoint: profile exchange with only one endpoint");
   }
   return plan;
 }
@@ -404,19 +427,26 @@ void LazyProtocol::EncodeMessage(const DeliveryMessage& message,
 
 std::unique_ptr<DeliveryMessage> LazyProtocol::DecodeMessage(
     CheckpointReader* in, const ProfileTable& profiles) const {
+  const std::size_t num_users = system_->NumUsers();
   auto plan = std::make_unique<GossipMessage>();
   const std::uint64_t num_removals = in->Count(4);
   plan->view_removals.reserve(static_cast<std::size_t>(num_removals));
   for (std::uint64_t i = 0; i < num_removals; ++i) {
-    plan->view_removals.push_back(in->U32());
+    plan->view_removals.push_back(
+        ReadUserId(in, num_users, "random-view removal"));
   }
   plan->bottom_peer = in->U32();
+  if (plan->bottom_peer != kInvalidUser && plan->bottom_peer >= num_users) {
+    throw CheckpointError("corrupt checkpoint: bottom-layer peer " +
+                          std::to_string(plan->bottom_peer) +
+                          " out of range");
+  }
   for (std::vector<DigestInfo>* payload :
        {&plan->send_payload, &plan->recv_payload}) {
     const std::uint64_t count = in->Count(8);
     payload->reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
-      payload->push_back(ReadDigestInfo(in, profiles));
+      payload->push_back(ReadDigestInfo(in, profiles, num_users));
     }
   }
   const std::uint64_t num_probes = in->Count(16);
@@ -424,16 +454,15 @@ std::unique_ptr<DeliveryMessage> LazyProtocol::DecodeMessage(
   for (std::uint64_t i = 0; i < num_probes; ++i) {
     PlannedProbe probe;
     probe.score = in->U64();
-    probe.digest = ReadDigestInfo(in, profiles);
+    probe.digest = ReadDigestInfo(in, profiles, num_users);
     plan->probes.push_back(std::move(probe));
   }
-  plan->exchange = DecodeExchangePlan(in, profiles);
+  plan->exchange = DecodeExchangePlan(in, profiles, num_users);
   return plan;
 }
 
-void LazyProtocol::CommitMessage(UserId sender, std::uint64_t send_cycle,
-                                 std::uint64_t cycle, DeliveryMessage& message,
-                                 Rng* rng) {
+void LazyProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
+                                 const CommitContext& ctx) {
   auto& plan = static_cast<GossipMessage&>(message);
   P3QNode* node = &system_->node(sender);
 
@@ -442,8 +471,10 @@ void LazyProtocol::CommitMessage(UserId sender, std::uint64_t send_cycle,
   // merge an earlier commit already applied to her view).
   for (UserId r : plan.view_removals) node->random_view().Remove(r);
   if (plan.bottom_peer != kInvalidUser) {
-    node->random_view().Merge(plan.recv_payload, rng);
-    system_->node(plan.bottom_peer).random_view().Merge(plan.send_payload, rng);
+    node->random_view().Merge(plan.recv_payload, ctx.rng);
+    system_->node(plan.bottom_peer)
+        .random_view()
+        .Merge(plan.send_payload, ctx.rng);
   }
   for (const PlannedProbe& probe : plan.probes) {
     node->network().Consider(probe.digest.user, probe.score, probe.digest,
@@ -456,17 +487,18 @@ void LazyProtocol::CommitMessage(UserId sender, std::uint64_t send_cycle,
   // Consider, so a stale offer simply loses.
   if (plan.exchange.Planned()) {
     const UserId dest = plan.exchange.b;
-    CommitProfileExchange(system_, plan.exchange);
+    CommitProfileExchange(system_, plan.exchange,
+                          &system_->network().ShardTraffic(ctx.worker));
     node->network().TouchGossiped(dest);
     system_->node(dest).network().ResetTimestamp(sender);
-    if (Tracer* tracer = system_->tracer(); tracer != nullptr) {
+    if (ctx.tracing()) {
       TraceEvent event;
-      event.cycle = cycle;
+      event.cycle = ctx.cycle;
       event.kind = TraceEventKind::kGossipCommitted;
       event.node = sender;
       event.peer = dest;
-      event.value = static_cast<std::int64_t>(cycle - send_cycle);
-      tracer->Emit(event);
+      event.value = static_cast<std::int64_t>(ctx.cycle - ctx.send_cycle);
+      ctx.Emit(event);
     }
   }
 }

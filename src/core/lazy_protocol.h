@@ -15,12 +15,15 @@
 // scores them in batched kernel calls (KernelPairSimilarityBatch — the
 // expensive similarity work runs once per node per cycle, preserving the
 // scalar path's exact rng draw sequence) and buffers the decisions into
-// the node's effect slot plus the shard's traffic mailbox; CommitCycle
-// (sequential, ascending node order) applies the buffered view merges,
-// personal-network offers, replica fills and timestamp bookkeeping. Effects
-// of a cycle become visible to other nodes only at the next cycle — the
-// classic bulk-synchronous gossip semantics, which is what makes the result
-// independent of the thread count.
+// the node's effect slot plus the shard's traffic mailbox; CommitMessage
+// applies the buffered view merges, personal-network offers, replica fills
+// and timestamp bookkeeping in the drain's (due, sender, seq) order.
+// Effects of a cycle become visible to other nodes only at the next cycle —
+// the classic bulk-synchronous gossip semantics, which is what makes the
+// result independent of the thread count. Each message declares its commit
+// footprint (sender, bottom-layer peer, exchange partner), so the engine
+// commits messages with disjoint footprints concurrently without changing
+// what any commit sees.
 //
 // The profile exchange is factored into Plan/CommitProfileExchange so the
 // eager mode can piggyback the same maintenance on query gossip (Algorithm
@@ -54,7 +57,7 @@ struct ProfileExchangeOffer {
 /// The planned effects of one bidirectional top-layer exchange a <-> b.
 /// Step-1 (digest proposals) and step-2 (actions on common items) traffic is
 /// recorded at plan time; the offers and the replica fill are committed
-/// sequentially.
+/// later, touching only a's and b's state.
 struct ProfileExchangePlan {
   UserId a = kInvalidUser;
   UserId b = kInvalidUser;
@@ -81,12 +84,21 @@ class LazyProtocol : public CycleProtocol {
   /// All commit work arrives as messages.
   bool UsesPerNodeCommit() const override { return false; }
 
-  /// Sequential commit of one delivered gossip message (view merges,
-  /// offers, replica fills, timestamps). Under the default ZeroLatency the
-  /// message arrives at the same cycle's barrier — the classic semantics.
-  void CommitMessage(UserId sender, std::uint64_t send_cycle,
-                     std::uint64_t cycle, DeliveryMessage& message,
-                     Rng* rng) override;
+  /// Commit of one delivered gossip message (view merges, offers, replica
+  /// fills, timestamps). Under the default ZeroLatency the message arrives
+  /// at the same cycle's barrier — the classic semantics. Step-3 traffic
+  /// goes to the worker's lane, Network::ShardTraffic(ctx.worker).
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override;
+
+  /// Commits run level-parallel: a message touches its sender, its
+  /// bottom-layer peer and its exchange endpoints, nobody else.
+  bool DeclaresCommitFootprints() const override { return true; }
+  void CommitFootprintOf(UserId sender, const DeliveryMessage& message,
+                         CommitFootprint* footprint) const override;
+
+  /// After the drain: folds the commit traffic lanes into the metrics.
+  void EndCycle(std::uint64_t cycle, Rng* rng) override;
 
   /// The top-layer profile exchange between two online users a and b (both
   /// directions), planned and committed immediately — the sequential
@@ -104,11 +116,13 @@ class LazyProtocol : public CycleProtocol {
                                                  Metrics* traffic);
 
   /// Applies a planned exchange: offers both directions (conditionally
-  /// recording step-3 traffic), then serves entries entitled to storage
-  /// from the partner's current replicas (Algorithm 1's "require the rest
-  /// of the tagging actions").
+  /// recording step-3 traffic into `traffic`), then serves entries entitled
+  /// to storage from the partner's current replicas (Algorithm 1's "require
+  /// the rest of the tagging actions"). Reads and writes only the state of
+  /// plan.a and plan.b.
   static void CommitProfileExchange(P3QSystem* system,
-                                    const ProfileExchangePlan& plan);
+                                    const ProfileExchangePlan& plan,
+                                    Metrics* traffic);
 
   /// Checkpoint codec for in-flight gossip messages.
   void EncodeMessage(const DeliveryMessage& message, CheckpointWriter* out,
@@ -121,7 +135,8 @@ class LazyProtocol : public CycleProtocol {
   static void EncodeExchangePlan(const ProfileExchangePlan& plan,
                                  CheckpointWriter* out, ProfilePool* pool);
   static ProfileExchangePlan DecodeExchangePlan(CheckpointReader* in,
-                                                const ProfileTable& profiles);
+                                                const ProfileTable& profiles,
+                                                std::size_t num_users);
 
  private:
   /// A probed random-view digest whose full profile will be offered.

@@ -381,7 +381,7 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
       NetworkEntry entry;
       entry.user = in->U32();
       entry.score = in->U64();
-      entry.digest = ReadDigestInfo(in, profiles);
+      entry.digest = ReadDigestInfo(in, profiles, NumUsers());
       entry.timestamp = in->U32();
       entry.stored_profile = profiles.Get(in->U32());
       if (entry.digest.user != entry.user ||
@@ -404,7 +404,7 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
     std::vector<DigestInfo> view;
     view.reserve(static_cast<std::size_t>(num_view));
     for (std::uint64_t v = 0; v < num_view; ++v) {
-      view.push_back(ReadDigestInfo(in, profiles));
+      view.push_back(ReadDigestInfo(in, profiles, NumUsers()));
     }
     n.random_view().Init(std::move(view));
 
@@ -421,7 +421,7 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
     for (std::uint64_t t = 0; t < num_tasks; ++t) {
       EagerTask task;
       task.query_id = in->U64();
-      task.querier = in->U32();
+      task.querier = ReadUserId(in, NumUsers(), "querier");
       const std::uint64_t num_tags = in->Count(4);
       task.tags.reserve(static_cast<std::size_t>(num_tags));
       for (std::uint64_t g = 0; g < num_tags; ++g) {
@@ -430,7 +430,15 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
       const std::uint64_t num_remaining = in->Count(4);
       task.remaining.reserve(static_cast<std::size_t>(num_remaining));
       for (std::uint64_t r = 0; r < num_remaining; ++r) {
-        task.remaining.push_back(in->U32());
+        task.remaining.push_back(
+            ReadUserId(in, NumUsers(), "remaining-list user"));
+      }
+      // The protocol erases a task whose list empties; a restored empty one
+      // would make the budgeted eager plan rotate over zero query ids.
+      if (task.remaining.empty()) {
+        throw CheckpointError("user " + std::to_string(u) +
+                              " holds an empty task for query " +
+                              std::to_string(task.query_id));
       }
       task.epoch = in->U64();
       task.generation = in->U32();

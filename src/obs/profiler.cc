@@ -55,6 +55,9 @@ void PhaseBreakdown::MergeFrom(const PhaseBreakdown& other) {
   barrier_seconds += other.barrier_seconds;
   commit_seconds += other.commit_seconds;
   drain_seconds += other.drain_seconds;
+  drain_levels += other.drain_levels;
+  drain_pooled_messages += other.drain_pooled_messages;
+  drain_inline_messages += other.drain_inline_messages;
   end_cycle_seconds += other.end_cycle_seconds;
   shard_plan_max_seconds += other.shard_plan_max_seconds;
   shard_plan_sum_seconds += other.shard_plan_sum_seconds;
@@ -72,6 +75,11 @@ PhaseBreakdown PhaseBreakdown::Since(const PhaseBreakdown& earlier) const {
   delta.barrier_seconds = barrier_seconds - earlier.barrier_seconds;
   delta.commit_seconds = commit_seconds - earlier.commit_seconds;
   delta.drain_seconds = drain_seconds - earlier.drain_seconds;
+  delta.drain_levels = drain_levels - earlier.drain_levels;
+  delta.drain_pooled_messages =
+      drain_pooled_messages - earlier.drain_pooled_messages;
+  delta.drain_inline_messages =
+      drain_inline_messages - earlier.drain_inline_messages;
   delta.end_cycle_seconds = end_cycle_seconds - earlier.end_cycle_seconds;
   delta.shard_plan_max_seconds =
       shard_plan_max_seconds - earlier.shard_plan_max_seconds;
@@ -101,6 +109,12 @@ std::string PhaseProfilerToJson(const PhaseProfiler& profiler) {
         "      \"barrier_seconds\": " + Num(breakdown.barrier_seconds) + ",\n";
     out += "      \"commit_seconds\": " + Num(breakdown.commit_seconds) + ",\n";
     out += "      \"drain_seconds\": " + Num(breakdown.drain_seconds) + ",\n";
+    out += "      \"drain_levels\": " + std::to_string(breakdown.drain_levels) +
+           ",\n";
+    out += "      \"drain_pooled_messages\": " +
+           std::to_string(breakdown.drain_pooled_messages) + ",\n";
+    out += "      \"drain_inline_messages\": " +
+           std::to_string(breakdown.drain_inline_messages) + ",\n";
     out += "      \"end_cycle_seconds\": " + Num(breakdown.end_cycle_seconds) +
            ",\n";
     out += "      \"total_seconds\": " + Num(breakdown.TotalSeconds()) + ",\n";

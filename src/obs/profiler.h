@@ -29,6 +29,14 @@ struct PhaseBreakdown {
   double barrier_seconds = 0.0;        ///< EndPlan + trace/queue folds
   double commit_seconds = 0.0;         ///< sequential per-node CommitCycle
   double drain_seconds = 0.0;          ///< delivery drain + message commits
+  /// Levels the level-parallel drain ran (sim/engine.h); a sequential drain
+  /// adds none. Long level chains come from users many others gossip with.
+  std::uint64_t drain_levels = 0;
+  /// Messages committed concurrently on the worker pool.
+  std::uint64_t drain_pooled_messages = 0;
+  /// Messages committed on the calling thread: the whole sequential drain,
+  /// plus every level too small to be worth the pool.
+  std::uint64_t drain_inline_messages = 0;
   double end_cycle_seconds = 0.0;      ///< protocol EndCycle
   double shard_plan_max_seconds = 0.0; ///< sum over cycles of max shard time
   double shard_plan_sum_seconds = 0.0; ///< sum over cycles of all shard times

@@ -199,6 +199,9 @@ void AppendProfileJson(const std::map<std::string, PhaseBreakdown>& profile,
          << ", \"barrier_seconds\": " << Num(b.barrier_seconds)
          << ", \"commit_seconds\": " << Num(b.commit_seconds)
          << ", \"drain_seconds\": " << Num(b.drain_seconds)
+         << ", \"drain_levels\": " << b.drain_levels
+         << ", \"drain_pooled_messages\": " << b.drain_pooled_messages
+         << ", \"drain_inline_messages\": " << b.drain_inline_messages
          << ", \"end_cycle_seconds\": " << Num(b.end_cycle_seconds)
          << ", \"mean_imbalance\": " << Num(b.MeanImbalance(), 3)
          << ", \"max_imbalance\": " << Num(b.max_imbalance, 3) << "}";

@@ -231,15 +231,33 @@ void WriteDigestInfo(CheckpointWriter* out, ProfilePool* pool,
   out->U32(pool->Intern(digest.snapshot));
 }
 
-DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles) {
+DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles,
+                          std::size_t num_users) {
   DigestInfo digest;
-  digest.user = in->U32();
+  digest.user = ReadUserId(in, num_users, "digest user");
   digest.snapshot = profiles.Get(in->U32());
   if (digest.snapshot == nullptr) {
     throw CheckpointError(
         "corrupt checkpoint: digest descriptor without a profile snapshot");
   }
+  if (digest.snapshot->owner() != digest.user) {
+    throw CheckpointError("corrupt checkpoint: digest of user " +
+                          std::to_string(digest.user) +
+                          " carries a profile of user " +
+                          std::to_string(digest.snapshot->owner()));
+  }
   return digest;
+}
+
+UserId ReadUserId(CheckpointReader* in, std::size_t num_users,
+                  const char* what) {
+  const UserId user = in->U32();
+  if (user >= num_users) {
+    throw CheckpointError("corrupt checkpoint: " + std::string(what) + " " +
+                          std::to_string(user) + " out of range (" +
+                          Plural(num_users, "user") + ")");
+  }
+  return user;
 }
 
 void WriteRngState(CheckpointWriter* out, const Rng& rng) {

@@ -172,9 +172,16 @@ class ProfileTable {
 void WriteDigestInfo(CheckpointWriter* out, ProfilePool* pool,
                      const DigestInfo& digest);
 
-/// Reads a descriptor; throws when the snapshot reference is null or out of
-/// range (a digest always carries a snapshot).
-DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles);
+/// Reads a descriptor; throws when the user is not below `num_users`, when
+/// the snapshot reference is null or out of range (a digest always carries
+/// a snapshot), or when the snapshot belongs to another user.
+DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles,
+                          std::size_t num_users);
+
+/// Reads a user id; throws unless it is below `num_users`. `what` names the
+/// field in the error.
+UserId ReadUserId(CheckpointReader* in, std::size_t num_users,
+                  const char* what);
 
 void WriteRngState(CheckpointWriter* out, const Rng& rng);
 void ReadRngState(CheckpointReader* in, Rng* rng);

@@ -233,7 +233,8 @@ void DeliveryQueue::SaveState(const CycleProtocol& protocol,
 
 void DeliveryQueue::LoadState(const CycleProtocol& protocol,
                               CheckpointReader* in,
-                              const ProfileTable& profiles) {
+                              const ProfileTable& profiles,
+                              std::size_t num_users) {
   next_seq_ = in->U64();
   stats_ = ReadDeliveryStats(in);
   due_.clear();
@@ -252,7 +253,7 @@ void DeliveryQueue::LoadState(const CycleProtocol& protocol,
     bucket.reserve(static_cast<std::size_t>(num_messages));
     for (std::uint64_t m = 0; m < num_messages; ++m) {
       InFlight message;
-      message.sender = in->U32();
+      message.sender = ReadUserId(in, num_users, "in-flight message sender");
       message.send_cycle = in->U64();
       message.due_cycle = due_cycle;
       message.seq = in->U64();

@@ -205,9 +205,10 @@ class DeliveryQueue {
                  ProfilePool* pool) const;
 
   /// Restores state written by SaveState, replacing any current contents.
-  /// Throws CheckpointError on malformed input.
+  /// Throws CheckpointError on malformed input, including a sender not
+  /// below `num_users`.
   void LoadState(const CycleProtocol& protocol, CheckpointReader* in,
-                 const ProfileTable& profiles);
+                 const ProfileTable& profiles, std::size_t num_users);
 
  private:
   std::array<std::vector<InFlight>, kEngineShards> pending_;

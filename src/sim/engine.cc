@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "common/env.h"
@@ -34,18 +35,24 @@ int ClampThreads(std::int64_t threads) {
 }  // namespace
 
 /// Persistent plan-phase workers: spawned once and fed one job per plan
-/// phase through an epoch counter, so a run pays the thread spawn cost once
-/// instead of once per protocol per cycle (idle workers block on the
-/// condition variable between phases). Run() returns only after every
-/// worker finished the job — the cycle barrier — even when the job throws:
-/// exceptions from any thread are captured and the first one is rethrown
-/// on the calling thread after the barrier, matching threads=1 semantics.
+/// phase (or drain level) through an epoch counter, so a run pays the
+/// thread spawn cost once instead of once per protocol per cycle (idle
+/// workers block on the condition variable between jobs). Run() returns
+/// only after every worker finished the job — the cycle barrier — even
+/// when the job throws: exceptions from any thread are captured and the
+/// first one is rethrown on the calling thread after the barrier, matching
+/// threads=1 semantics.
 class PlanWorkerPool {
  public:
+  /// A job receives its worker index: 0 on the calling thread, 1..workers
+  /// on the pool threads.
+  using Job = std::function<void(std::size_t worker)>;
+
   explicit PlanWorkerPool(int workers) {
     threads_.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i) {
-      threads_.emplace_back([this] { Loop(); });
+      threads_.emplace_back(
+          [this, i] { Loop(static_cast<std::size_t>(i) + 1); });
     }
   }
 
@@ -60,7 +67,7 @@ class PlanWorkerPool {
 
   /// Runs `job` on every worker and the calling thread; returns when all
   /// workers are done with it.
-  void Run(const std::function<void()>& job) {
+  void Run(const Job& job) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       job_ = &job;
@@ -71,7 +78,7 @@ class PlanWorkerPool {
     work_cv_.notify_all();
     std::exception_ptr caller_error;
     try {
-      job();
+      job(0);
     } catch (...) {
       caller_error = std::current_exception();
     }
@@ -86,10 +93,10 @@ class PlanWorkerPool {
   }
 
  private:
-  void Loop() {
+  void Loop(std::size_t worker) {
     std::uint64_t seen = 0;
     for (;;) {
-      const std::function<void()>* job;
+      const Job* job;
       {
         std::unique_lock<std::mutex> lock(mu_);
         work_cv_.wait(lock, [&] { return stop_ || epoch_ > seen; });
@@ -99,7 +106,7 @@ class PlanWorkerPool {
       }
       std::exception_ptr error;
       try {
-        (*job)();
+        (*job)(worker);
       } catch (...) {
         error = std::current_exception();
       }
@@ -116,12 +123,222 @@ class PlanWorkerPool {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void()>* job_ = nullptr;
+  const Job* job_ = nullptr;
   std::exception_ptr error_;
   std::uint64_t epoch_ = 0;
   std::size_t finished_ = 0;
   bool stop_ = false;
 };
+
+/// Commit trace events of a level-parallel drain: staged per worker with
+/// their message index, accepted in message order once the drain ends.
+class CommitEventStage {
+ public:
+  /// Empties the stage and sizes it for `workers` committing threads.
+  void Reset(std::size_t workers) {
+    lanes_.resize(workers);
+    for (auto& lane : lanes_) lane.clear();
+  }
+
+  void Add(std::size_t worker, std::size_t message, const TraceEvent& event) {
+    lanes_[worker].push_back(Staged{message, event});
+  }
+
+  /// Hands every staged event to `tracer` ordered by message index, and
+  /// empties the stage. One message commits on one worker, so its own
+  /// events sit together in emit order and the stable sort keeps it.
+  void AcceptInMessageOrder(Tracer* tracer) {
+    merged_.clear();
+    for (auto& lane : lanes_) {
+      merged_.insert(merged_.end(), lane.begin(), lane.end());
+      lane.clear();
+    }
+    std::stable_sort(merged_.begin(), merged_.end(),
+                     [](const Staged& a, const Staged& b) {
+                       return a.message < b.message;
+                     });
+    for (const Staged& staged : merged_) tracer->Emit(staged.event);
+  }
+
+ private:
+  struct Staged {
+    std::size_t message;
+    TraceEvent event;
+  };
+  std::vector<std::vector<Staged>> lanes_;  ///< one per worker
+  std::vector<Staged> merged_;
+};
+
+void CommitFootprint::Add(UserId user) {
+  if (user == kInvalidUser) return;
+  for (std::size_t i = 0; i < size; ++i) {
+    if (users[i] == user) return;
+  }
+  if (size == kMaxUsers) {
+    throw std::length_error("commit footprint holds more than " +
+                            std::to_string(kMaxUsers) + " users");
+  }
+  users[size++] = user;
+}
+
+void CommitContext::Emit(const TraceEvent& event) const {
+  if (stage != nullptr) {
+    stage->Add(worker, message, event);
+  } else if (tracer != nullptr) {
+    tracer->Emit(event);
+  }
+}
+
+/// The level-parallel drain (see the file comment of engine.h). Its scratch
+/// is sized once and reused, so a steady-state drain allocates nothing.
+class Engine::LevelDrain {
+ public:
+  explicit LevelDrain(std::size_t num_nodes) : next_level_(num_nodes, 0) {}
+
+  /// Commits `due`, given in (due, sender, seq) order, level by level.
+  void Run(Engine* engine, CycleProtocol* protocol, std::uint64_t tag,
+           std::vector<DeliveryQueue::InFlight>& due);
+
+ private:
+  /// Assigns every message its level and commit stream; returns the level
+  /// count.
+  std::size_t AssignLevels(const Engine& engine, const CycleProtocol& protocol,
+                           std::uint64_t tag,
+                           const std::vector<DeliveryQueue::InFlight>& due);
+  /// Zeroes the next_level_ marks of the first `count` messages' footprints.
+  void ClearMarks(std::size_t count);
+
+  /// Per user: one past the level of the last message so far in this drain
+  /// whose footprint holds the user (0: none). All zero between drains.
+  std::vector<std::uint32_t> next_level_;
+  // Per due message.
+  std::vector<CommitFootprint> footprints_;
+  std::vector<std::uint32_t> level_of_;
+  std::vector<std::uint32_t> stream_of_;
+  /// One commit stream per run of consecutive messages from one sender —
+  /// the streams the sequential drain forks.
+  std::vector<Rng> streams_;
+  /// Message indices grouped by level, in message order within a level;
+  /// level l occupies [l == 0 ? 0 : level_end_[l - 1], level_end_[l]).
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> level_end_;
+  CommitEventStage stage_;
+};
+
+void Engine::LevelDrain::ClearMarks(std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const CommitFootprint& footprint = footprints_[i];
+    for (std::size_t k = 0; k < footprint.size; ++k) {
+      next_level_[footprint.users[k]] = 0;
+    }
+  }
+}
+
+std::size_t Engine::LevelDrain::AssignLevels(
+    const Engine& engine, const CycleProtocol& protocol, std::uint64_t tag,
+    const std::vector<DeliveryQueue::InFlight>& due) {
+  const std::size_t n = due.size();
+  footprints_.assign(n, CommitFootprint{});
+  level_of_.resize(n);
+  stream_of_.resize(n);
+  streams_.clear();
+  std::uint32_t num_levels = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeliveryQueue::InFlight& message = due[i];
+    CommitFootprint& footprint = footprints_[i];
+    // The sender is always in the footprint: its messages share a stream.
+    footprint.Add(message.sender);
+    protocol.CommitFootprintOf(message.sender, *message.payload, &footprint);
+    std::uint32_t level = 0;
+    for (std::size_t k = 0; k < footprint.size; ++k) {
+      const UserId user = footprint.users[k];
+      if (user >= next_level_.size()) {
+        ClearMarks(i);
+        throw std::out_of_range("commit footprint names user " +
+                                std::to_string(user) + " of " +
+                                std::to_string(next_level_.size()));
+      }
+      level = std::max(level, next_level_[user]);
+    }
+    for (std::size_t k = 0; k < footprint.size; ++k) {
+      next_level_[footprint.users[k]] = level + 1;
+    }
+    level_of_[i] = level;
+    num_levels = std::max(num_levels, level + 1);
+    if (i == 0 || message.sender != due[i - 1].sender) {
+      streams_.push_back(ForkStream(engine.seed_, engine.cycle_,
+                                    message.sender, kCommitSalt ^ tag));
+    }
+    stream_of_[i] = static_cast<std::uint32_t>(streams_.size() - 1);
+  }
+  ClearMarks(n);
+
+  // Counting sort by level, stable in message order.
+  level_end_.assign(num_levels + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++level_end_[level_of_[i] + 1];
+  for (std::size_t l = 1; l <= num_levels; ++l) {
+    level_end_[l] += level_end_[l - 1];
+  }
+  order_.resize(n);
+  // Bumping each level's start as it fills leaves level_end_[l] at the end
+  // of level l.
+  for (std::size_t i = 0; i < n; ++i) {
+    order_[level_end_[level_of_[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  level_end_.pop_back();
+  return num_levels;
+}
+
+void Engine::LevelDrain::Run(Engine* engine, CycleProtocol* protocol,
+                             std::uint64_t tag,
+                             std::vector<DeliveryQueue::InFlight>& due) {
+  const std::size_t num_levels = AssignLevels(*engine, *protocol, tag, due);
+  Tracer* tracer = engine->tracer_;
+  if (tracer != nullptr) {
+    stage_.Reset(static_cast<std::size_t>(engine->threads_));
+  }
+  const auto commit = [&](std::size_t i, std::size_t worker) {
+    DeliveryQueue::InFlight& message = due[i];
+    CommitContext ctx;
+    ctx.send_cycle = message.send_cycle;
+    ctx.cycle = engine->cycle_;
+    ctx.rng = &streams_[stream_of_[i]];
+    ctx.worker = worker;
+    ctx.tracer = tracer;
+    ctx.stage = tracer != nullptr ? &stage_ : nullptr;
+    ctx.message = i;
+    protocol->CommitMessage(message.sender, *message.payload, ctx);
+  };
+  std::size_t pooled = 0;
+  try {
+    for (std::size_t l = 0; l < num_levels; ++l) {
+      const std::size_t begin = l == 0 ? 0 : level_end_[l - 1];
+      const std::size_t end = level_end_[l];
+      if (end - begin < kInlineLevelSize) {
+        for (std::size_t k = begin; k < end; ++k) commit(order_[k], 0);
+        continue;
+      }
+      pooled += end - begin;
+      std::atomic<std::size_t> next{begin};
+      engine->Workers().Run([&](std::size_t worker) {
+        for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+             k < end; k = next.fetch_add(1, std::memory_order_relaxed)) {
+          commit(order_[k], worker);
+        }
+      });
+    }
+  } catch (...) {
+    // Best effort for the flight recorder: keep what did commit.
+    if (tracer != nullptr) stage_.AcceptInMessageOrder(tracer);
+    throw;
+  }
+  if (tracer != nullptr) stage_.AcceptInMessageOrder(tracer);
+  if (PhaseBreakdown* profile = engine->profile_; profile != nullptr) {
+    profile->drain_levels += num_levels;
+    profile->drain_pooled_messages += pooled;
+    profile->drain_inline_messages += due.size() - pooled;
+  }
+}
 
 void CycleProtocol::EncodeMessage(const DeliveryMessage&, CheckpointWriter*,
                                   ProfilePool*) const {
@@ -235,7 +452,7 @@ void Engine::RunPlanPhase(std::size_t protocol_index, std::uint64_t tag) {
   const bool profiled = profile_ != nullptr;
   if (profiled) shard_plan_seconds_.fill(0.0);
   std::atomic<std::size_t> next_shard{0};
-  const std::function<void()> plan_shards = [&]() {
+  const PlanWorkerPool::Job plan_shards = [&](std::size_t /*worker*/) {
     for (std::size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
          s < kEngineShards;
          s = next_shard.fetch_add(1, std::memory_order_relaxed)) {
@@ -269,30 +486,47 @@ void Engine::RunPlanPhase(std::size_t protocol_index, std::uint64_t tag) {
     }
   };
   if (threads_ <= 1) {
-    plan_shards();
+    plan_shards(0);
     return;
   }
+  Workers().Run(plan_shards);
+}
+
+PlanWorkerPool& Engine::Workers() {
   if (pool_ == nullptr) pool_ = std::make_unique<PlanWorkerPool>(threads_ - 1);
-  pool_->Run(plan_shards);
+  return *pool_;
 }
 
 void Engine::DrainDueMessages(std::size_t protocol_index, std::uint64_t tag) {
   CycleProtocol* protocol = protocols_[protocol_index];
   std::vector<DeliveryQueue::InFlight> due =
       queues_[protocol_index]->TakeDue(cycle_);
+  if (threads_ > 1 && !due.empty() && protocol->DeclaresCommitFootprints()) {
+    if (level_drain_ == nullptr) {
+      level_drain_ = std::make_unique<LevelDrain>(num_nodes_);
+    }
+    level_drain_->Run(this, protocol, tag, due);
+    return;
+  }
+  // The sequential drain — the reference the level-parallel one reproduces.
   // One commit stream per (cycle, sender), shared by every message of that
   // sender arriving this cycle — the exact stream the classic per-node
   // commit used, so ZeroLatency reproduces it draw for draw.
   UserId current_sender = kInvalidUser;
   Rng rng(0);
+  CommitContext ctx;
+  ctx.cycle = cycle_;
+  ctx.rng = &rng;
+  ctx.tracer = tracer_;
   for (DeliveryQueue::InFlight& message : due) {
     if (message.sender != current_sender) {
       current_sender = message.sender;
       rng = ForkStream(seed_, cycle_, message.sender, kCommitSalt ^ tag);
     }
-    protocol->CommitMessage(message.sender, message.send_cycle, cycle_,
-                            *message.payload, &rng);
+    ctx.send_cycle = message.send_cycle;
+    protocol->CommitMessage(message.sender, *message.payload, ctx);
   }
+  if (profile_ != nullptr) profile_->drain_inline_messages += due.size();
 }
 
 void Engine::RunOneCycle() {
@@ -376,7 +610,7 @@ void Engine::LoadState(CheckpointReader* in, const ProfileTable& profiles) {
         std::to_string(queues_.size()));
   }
   for (std::size_t p = 0; p < queues_.size(); ++p) {
-    queues_[p]->LoadState(*protocols_[p], in, profiles);
+    queues_[p]->LoadState(*protocols_[p], in, profiles, num_nodes_);
   }
   in->Sentinel("engine");
 }

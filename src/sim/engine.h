@@ -27,15 +27,17 @@
 //           sequentially in ascending node order; applies the buffered
 //           effects (arbitrary cross-node mutation is allowed here). The
 //           rng is a second per-(cycle, node) forked stream.
-//        e. EndCycle(cycle, rng)       — sequential tear-down hook (e.g.
+//        e. The delivery drain: CommitMessage for every due message (see
+//           below).
+//        f. EndCycle(cycle, rng)       — sequential tear-down hook (e.g.
 //           the eager mode's wave of refreshments).
 //   3. Observers run after the last protocol's commit, in registration
 //      order.
 //
-// Because plan reads only frozen state and commit order is canonical, the
-// node-visit multiset, every RNG stream, and every committed effect are
-// independent of the thread count — `--threads=N` is byte-identical to
-// `--threads=1`.
+// Because plan reads only frozen state and every commit sees the state the
+// canonical commit order gives it, the node-visit multiset, every RNG
+// stream, and every committed effect are independent of the thread count —
+// `--threads=N` is byte-identical to `--threads=1`.
 //
 // Asynchronous delivery (sim/delivery.h) sits between the two phases: a
 // protocol's plan code packages its buffered effects as a self-contained
@@ -43,8 +45,22 @@
 // LatencyModel decides at send time when the message commits (the default
 // ZeroLatency commits it at this cycle's barrier, byte-identical to the
 // synchronous engine); the engine drains every due message during the
-// commit phase, ordered by (due cycle, sender, seq), invoking the
-// protocol's CommitMessage with a per-(cycle, sender) forked stream.
+// commit phase in (due cycle, sender, seq) order, invoking the protocol's
+// CommitMessage with a per-(cycle, sender) forked stream.
+//
+// The drain is sequential unless the protocol declares commit footprints
+// (CycleProtocol::DeclaresCommitFootprints): the users whose state each
+// message's commit reads or writes. Then, with more than one thread, every
+// due message gets a level — one more than the highest level of any
+// earlier due message sharing a user with it — and the levels run in
+// order, the messages of one level concurrently on the plan workers. Two
+// messages sharing a user still commit in (due, sender, seq) order, and
+// one level's messages touch disjoint users, so every commit sees exactly
+// the state the sequential drain gives it. The rest of the contract a
+// footprint-declaring protocol keeps: shared counters are written only
+// through per-worker lanes (CommitContext::worker), and trace events only
+// through CommitContext::Emit, which stages them and accepts them in
+// message order after the drain.
 #ifndef P3Q_SIM_ENGINE_H_
 #define P3Q_SIM_ENGINE_H_
 
@@ -66,12 +82,14 @@ class PlanWorkerPool;    // persistent plan-phase workers (engine.cc)
 class DeliveryQueue;     // timestamped in-flight messages (sim/delivery.h)
 class LatencyModel;      // pluggable delay/loss policy (sim/delivery.h)
 class Tracer;            // deterministic event tracing (obs/trace.h)
+struct TraceEvent;       // one trace record (obs/trace.h)
 class PhaseProfiler;     // wall-clock phase profiling (obs/profiler.h)
 struct PhaseBreakdown;   // one engine's profile slot (obs/profiler.h)
 class CheckpointWriter;  // snapshot byte sink (sim/checkpoint.h)
 class CheckpointReader;  // snapshot byte source (sim/checkpoint.h)
 class ProfilePool;       // profile interning on save (sim/checkpoint.h)
 class ProfileTable;      // profile resolution on load (sim/checkpoint.h)
+class CommitEventStage;  // staged commit trace events (engine.cc)
 
 /// Base of every self-contained planned effect a protocol sends through the
 /// delivery layer; protocols derive their own payload types and downcast in
@@ -111,6 +129,50 @@ struct PlanContext {
   /// so the latency model never perturbs the protocol's own plan stream.
   /// Null for ZeroLatency.
   Rng* delivery_rng = nullptr;
+};
+
+/// Everything a CommitMessage callback may use besides the sender and the
+/// message.
+struct CommitContext {
+  std::uint64_t send_cycle = 0;
+  /// The cycle the message arrives (commits) in.
+  std::uint64_t cycle = 0;
+  /// The per-(cycle, sender) commit stream, shared by every message of the
+  /// sender arriving this cycle (see CycleProtocol::CommitMessage).
+  Rng* rng = nullptr;
+  /// The committing thread, in [0, threads): 0 is the calling thread, which
+  /// runs the whole sequential drain. Counters every commit writes live in
+  /// one lane per worker, indexed by this, and are folded after the drain.
+  std::size_t worker = 0;
+
+  /// True when a tracer is attached (build trace events only then).
+  bool tracing() const { return tracer != nullptr; }
+
+  /// Emits a trace event from the commit. The sequential drain accepts it
+  /// at once; the level-parallel drain stages it and accepts every staged
+  /// event in message order once the drain ends, so the trace stream is
+  /// the sequential drain's.
+  void Emit(const TraceEvent& event) const;
+
+  // Engine-internal trace wiring.
+  Tracer* tracer = nullptr;
+  /// Null in the sequential drain.
+  CommitEventStage* stage = nullptr;
+  /// The message's index in the drain's (due, sender, seq) order.
+  std::size_t message = 0;
+};
+
+/// Every user whose state one delivered message's CommitMessage reads or
+/// writes.
+struct CommitFootprint {
+  static constexpr std::size_t kMaxUsers = 4;
+
+  /// Adds `user` unless it is kInvalidUser or already present. Throws
+  /// std::length_error for a distinct user past kMaxUsers.
+  void Add(UserId user);
+
+  std::array<UserId, kMaxUsers> users{};
+  std::size_t size = 0;
 };
 
 /// A per-node protocol driven by the cycle engine.
@@ -161,19 +223,39 @@ class CycleProtocol {
   /// the per-node CommitCycle sweep (and its stream forks).
   virtual bool UsesPerNodeCommit() const { return true; }
 
-  /// Sequential delivery of one message sent by `sender` in `send_cycle`,
-  /// arriving in `cycle`. Messages are delivered in (due cycle, sender,
-  /// seq) order; `rng` is the per-(cycle, sender) commit stream, shared by
-  /// all of a sender's messages arriving this cycle — under ZeroLatency
-  /// this reproduces the classic CommitCycle stream exactly.
-  virtual void CommitMessage(UserId sender, std::uint64_t send_cycle,
-                             std::uint64_t cycle, DeliveryMessage& message,
-                             Rng* rng) {
+  /// Delivery of one message sent by `sender` in `ctx.send_cycle`,
+  /// arriving in `ctx.cycle`. Every commit sees the state the sequential
+  /// (due cycle, sender, seq) order gives it; `ctx.rng` is the
+  /// per-(cycle, sender) commit stream, shared by all of a sender's
+  /// messages arriving this cycle — under ZeroLatency this reproduces the
+  /// classic CommitCycle stream exactly.
+  virtual void CommitMessage(UserId sender, DeliveryMessage& message,
+                             const CommitContext& ctx) {
     (void)sender;
-    (void)send_cycle;
-    (void)cycle;
     (void)message;
-    (void)rng;
+    (void)ctx;
+  }
+
+  /// Opts into the level-parallel drain (see the file comment). The engine
+  /// asks once per drain; the default — no footprints — drains
+  /// sequentially on the calling thread. A protocol returning true promises
+  /// that CommitFootprintOf names every user CommitMessage reads or writes,
+  /// that CommitMessage writes shared counters only through per-worker
+  /// lanes (CommitContext::worker), and that it emits trace events only
+  /// through CommitContext::Emit.
+  virtual bool DeclaresCommitFootprints() const { return false; }
+
+  /// Adds to `footprint` the users `message`'s commit touches. The
+  /// footprint arrives holding the sender: a sender's messages share one
+  /// commit stream, so they must commit in order. Called sequentially,
+  /// before any commit of the drain; only when DeclaresCommitFootprints()
+  /// is true.
+  virtual void CommitFootprintOf(UserId sender,
+                                 const DeliveryMessage& message,
+                                 CommitFootprint* footprint) const {
+    (void)sender;
+    (void)message;
+    (void)footprint;
   }
 
   /// Sequential hook after all commits of this protocol in this cycle.
@@ -292,7 +374,13 @@ class Engine {
   static constexpr std::uint64_t kCycleSalt = 0x6379636cULL;     // "cycl"
   static constexpr std::uint64_t kDeliverySalt = 0x64656c76ULL;  // "delv"
 
+  /// Levels of the level-parallel drain with fewer messages than this run
+  /// on the calling thread: waking the workers costs more than they save.
+  static constexpr std::size_t kInlineLevelSize = 16;
+
  private:
+  class LevelDrain;  // scratch of the level-parallel drain (engine.cc)
+
   static std::size_t ShardWidth(std::size_t num_nodes) {
     return (num_nodes + kEngineShards - 1) / kEngineShards;
   }
@@ -301,6 +389,8 @@ class Engine {
 
   void SnapshotLiveness();
   void RunPlanPhase(std::size_t protocol_index, std::uint64_t tag);
+  /// The persistent worker pool, spawned on first use.
+  PlanWorkerPool& Workers();
   void DrainDueMessages(std::size_t protocol_index, std::uint64_t tag);
   void RunOneCycle();
 
@@ -326,6 +416,9 @@ class Engine {
   /// plan phase (so drivers issuing RunCycles(1) per timeline event don't
   /// respawn threads every cycle) and reset when SetThreads resizes.
   std::unique_ptr<PlanWorkerPool> pool_;
+  /// Created on the first level-parallel drain and reused by every later
+  /// one.
+  std::unique_ptr<LevelDrain> level_drain_;
 };
 
 }  // namespace p3q

@@ -51,14 +51,15 @@ class Network {
     metrics_.Record(type, bytes);
   }
 
-  /// Plan-phase traffic mailbox of an engine shard. The engine's execution
-  /// contract guarantees one shard is planned by a single thread, so plan
-  /// code records traffic here race-free; MergeShardTraffic folds the
-  /// mailboxes into the global counters at the cycle barrier.
-  Metrics& ShardTraffic(std::size_t shard) { return shard_traffic_[shard]; }
+  /// Traffic mailbox `slot`. The plan phase records into its shard's
+  /// mailbox (one shard is planned by a single thread) and a level-parallel
+  /// commit drain into its worker's (CommitContext::worker, always below
+  /// kEngineShards), so both record race-free; MergeShardTraffic folds the
+  /// mailboxes into the global counters after the phase.
+  Metrics& ShardTraffic(std::size_t slot) { return shard_traffic_[slot]; }
 
-  /// Folds (and zeroes) every per-shard mailbox into metrics(), in shard
-  /// order — the deterministic merge step of the plan/commit contract.
+  /// Folds (and zeroes) every mailbox into metrics(), in slot order — the
+  /// deterministic merge step of the plan/commit contract.
   void MergeShardTraffic();
 
   Metrics& metrics() { return metrics_; }

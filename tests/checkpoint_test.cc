@@ -235,6 +235,60 @@ TEST(CheckpointSystemTest, BrokenPersonalNetworkIsRejected) {
   }
 }
 
+/// Saves `env`'s system, loads it into a fresh 40-user system, and expects a
+/// CheckpointError whose message contains `expected`.
+void ExpectLoadRejected(test::TestSystem& env, const std::string& expected) {
+  CheckpointWriter out;
+  env.system->SaveCheckpoint(&out);
+  test::TestSystem fresh({.users = 40});
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  try {
+    fresh.system->LoadCheckpoint(&in);
+    FAIL() << "accepted a checkpoint that should fail with: " << expected;
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointSystemTest, RandomViewDigestOfUnknownUserIsRejected) {
+  // User 40 does not exist in a 40-user system; its digest is otherwise
+  // well formed (the snapshot is its own).
+  test::TestSystem env({.users = 40});
+  env.system->node(0).random_view().Init({test::MakeDisjointDigest(40)});
+  ExpectLoadRejected(env, "digest user 40 out of range");
+}
+
+TEST(CheckpointSystemTest, DigestCarryingAnotherUsersProfileIsRejected) {
+  test::TestSystem env({.users = 40});
+  env.system->node(0).random_view().Init(
+      {DigestInfo{5, test::MakeDisjointSnapshot(6, 4)}});
+  ExpectLoadRejected(env, "digest of user 5 carries a profile of user 6");
+}
+
+TEST(CheckpointSystemTest, EmptyEagerTaskIsRejected) {
+  // The protocol erases a task whose list empties, so a restored empty one
+  // is corrupt (and would divide by zero in the budgeted eager plan).
+  test::TestSystem env({.users = 40});
+  EagerTask task;
+  task.query_id = 7;
+  task.querier = 0;
+  task.tags = {1};
+  env.system->node(3).tasks().emplace(task.query_id, task);
+  ExpectLoadRejected(env, "user 3 holds an empty task for query 7");
+}
+
+TEST(CheckpointSystemTest, ReadUserIdRejectsIdsPastThePopulation) {
+  CheckpointWriter out;
+  out.U32(39);
+  out.U32(40);
+  out.U32(kInvalidUser);
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  EXPECT_EQ(ReadUserId(&in, 40, "sender"), 39u);
+  EXPECT_THROW(ReadUserId(&in, 40, "sender"), CheckpointError);
+  EXPECT_THROW(ReadUserId(&in, 40, "sender"), CheckpointError);
+}
+
 // ---------------------------------------------------------------------------
 // Differential replay matrix.
 // ---------------------------------------------------------------------------

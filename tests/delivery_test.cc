@@ -237,12 +237,11 @@ class SendingProtocol : public CycleProtocol {
     ctx.Send(std::make_unique<TestPayload>(static_cast<int>(node)));
   }
 
-  void CommitMessage(UserId sender, std::uint64_t send_cycle,
-                     std::uint64_t cycle, DeliveryMessage& message,
-                     Rng* /*rng*/) override {
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override {
     EXPECT_EQ(static_cast<TestPayload&>(message).value,
               static_cast<int>(sender));
-    deliveries.push_back(Delivery{sender, send_cycle, cycle});
+    deliveries.push_back(Delivery{sender, ctx.send_cycle, ctx.cycle});
   }
 
   std::vector<Delivery> deliveries;

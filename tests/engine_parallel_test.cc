@@ -7,13 +7,22 @@
 //  - the per-cycle node-visit multiset, the per-node RNG streams and all
 //    committed effects are independent of the thread count (and of the
 //    shard count, which is fixed);
-//  - the per-shard mailboxes merge deterministically.
+//  - the per-shard mailboxes merge deterministically;
+//  - the level-parallel delivery drain commits every message against the
+//    state, with the stream draws, lane totals and trace order of the
+//    sequential drain, and a protocol without commit footprints keeps the
+//    sequential drain on the calling thread.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -21,6 +30,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
+#include "sim/delivery.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -292,6 +304,270 @@ TEST(EngineParallelTest, ShardTrafficMailboxesMergeDeterministically) {
   // Σ (node + 1) for node in [0, kNodes)
   EXPECT_EQ(net.metrics().Of(MessageType::kRandomViewGossip).bytes,
             kNodes * (kNodes + 1) / 2);
+}
+
+// ---------------------------------------------------------------------------
+// The level-parallel delivery drain.
+// ---------------------------------------------------------------------------
+
+/// Every node sends one message per cycle whose commit touches the sender
+/// plus up to two random users. A commit reads the state of every user it
+/// touches, works for a draw-dependent while (so commits that wrongly
+/// overlap finish out of order), then appends the same Touch — carrying the
+/// next draw of its commit stream and the state it read — to each touched
+/// user's log and advances their state. It also counts itself in its
+/// worker's lane and emits one trace event. The logs are written only by
+/// commits whose footprint holds the user, so they record each user's
+/// commit order and what each commit saw.
+class FootprintProtocol : public CycleProtocol {
+ public:
+  struct Touch {
+    std::uint64_t cycle;
+    UserId sender;
+    std::uint64_t send_cycle;
+    std::uint64_t draw;
+    std::uint64_t seen;  ///< the touched users' states before this commit
+    bool operator==(const Touch&) const = default;
+  };
+  struct Payload : DeliveryMessage {
+    std::vector<UserId> others;
+  };
+
+  explicit FootprintProtocol(std::size_t num_nodes)
+      : logs(num_nodes), num_nodes_(num_nodes), state_(num_nodes, 0) {}
+
+  bool UsesPerNodeCommit() const override { return false; }
+  bool DeclaresCommitFootprints() const override { return true; }
+
+  void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
+    auto payload = std::make_unique<Payload>();
+    const std::uint64_t others = ctx.rng->NextUint64(3);
+    for (std::uint64_t i = 0; i < others; ++i) {
+      payload->others.push_back(
+          static_cast<UserId>(ctx.rng->NextUint64(num_nodes_)));
+    }
+    ctx.Send(std::move(payload));
+  }
+
+  void CommitFootprintOf(UserId /*sender*/, const DeliveryMessage& message,
+                         CommitFootprint* footprint) const override {
+    for (UserId u : static_cast<const Payload&>(message).others) {
+      footprint->Add(u);
+    }
+  }
+
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override {
+    CommitFootprint touched;
+    touched.Add(sender);
+    for (UserId u : static_cast<const Payload&>(message).others) {
+      touched.Add(u);
+    }
+    Touch touch{ctx.cycle, sender, ctx.send_cycle, (*ctx.rng)(), 0};
+    for (std::size_t i = 0; i < touched.size; ++i) {
+      touch.seen = touch.seen * 31 + state_[touched.users[i]];
+    }
+    Rng work(touch.draw);
+    for (std::uint64_t i = touch.draw % 2048; i > 0; --i) touch.seen ^= work();
+    for (std::size_t i = 0; i < touched.size; ++i) {
+      logs[touched.users[i]].push_back(touch);
+      state_[touched.users[i]] = touch.seen;
+    }
+    ++lanes[ctx.worker];
+    if (ctx.tracing()) {
+      TraceEvent event;
+      event.cycle = ctx.cycle;
+      event.kind = TraceEventKind::kGossipCommitted;
+      event.node = sender;
+      event.id = touched.size;
+      event.value = static_cast<std::int64_t>(touch.draw >> 1);
+      ctx.Emit(event);
+    }
+  }
+
+  std::vector<std::vector<Touch>> logs;
+  std::array<std::uint64_t, kEngineShards> lanes{};
+
+ private:
+  std::size_t num_nodes_;
+  std::vector<std::uint64_t> state_;
+};
+
+struct DrainRun {
+  std::vector<std::vector<FootprintProtocol::Touch>> logs;
+  /// (cycle, node, id, value) of every accepted trace event, in order.
+  std::vector<std::tuple<std::uint64_t, UserId, std::uint64_t, std::int64_t>>
+      trace;
+  std::uint64_t lane_total = 0;
+  PhaseBreakdown profile;
+};
+
+/// 600 nodes, so every drain holds at least 500 messages under ZeroLatency
+/// and its wide levels go to the pool.
+DrainRun RunFootprints(int threads,
+                       std::shared_ptr<const LatencyModel> latency) {
+  constexpr std::size_t kNodes = 600;
+  Engine engine(kNodes, /*seed=*/83);
+  engine.SetThreads(threads);
+  engine.SetLatencyModel(std::move(latency));
+  FootprintProtocol protocol(kNodes);
+  engine.AddProtocol(&protocol);
+  VectorTraceSink sink;
+  Tracer tracer(&sink);
+  engine.SetTracer(&tracer);
+  PhaseProfiler profiler;
+  engine.SetProfiler(&profiler, "drain");
+  engine.RunCycles(6);
+
+  DrainRun run;
+  run.logs = protocol.logs;
+  for (const TraceEvent& e : sink.events()) {
+    if (e.kind != TraceEventKind::kGossipCommitted) continue;
+    run.trace.emplace_back(e.cycle, e.node, e.id, e.value);
+  }
+  run.lane_total =
+      std::accumulate(protocol.lanes.begin(), protocol.lanes.end(),
+                      std::uint64_t{0});
+  run.profile = profiler.breakdowns().at("drain");
+  return run;
+}
+
+/// Senders with more than one message in some drain (they share a stream).
+std::size_t SendersWithSeveralDueMessages(const DrainRun& run) {
+  std::size_t count = 0;
+  for (UserId u = 0; u < run.logs.size(); ++u) {
+    std::map<std::uint64_t, int> own_per_cycle;
+    for (const auto& touch : run.logs[u]) {
+      if (touch.sender == u) ++own_per_cycle[touch.cycle];
+    }
+    for (const auto& [cycle, n] : own_per_cycle) {
+      if (n > 1) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+void ExpectLevelDrainMatchesSequential(
+    const std::shared_ptr<const LatencyModel>& latency) {
+  const DrainRun base = RunFootprints(1, latency);
+  EXPECT_EQ(base.profile.drain_levels, 0u) << "1 thread drains sequentially";
+  EXPECT_EQ(base.profile.drain_pooled_messages, 0u);
+  EXPECT_EQ(base.profile.drain_inline_messages, base.lane_total);
+  EXPECT_EQ(base.trace.size(), base.lane_total);
+  for (const int threads : {2, 8}) {
+    const DrainRun run = RunFootprints(threads, latency);
+    EXPECT_EQ(run.logs, base.logs) << threads << " threads";
+    EXPECT_EQ(run.trace, base.trace) << threads << " threads";
+    EXPECT_EQ(run.lane_total, base.lane_total) << threads << " threads";
+    EXPECT_GT(run.profile.drain_levels, 0u) << threads << " threads";
+    EXPECT_GT(run.profile.drain_pooled_messages, 0u)
+        << "no level reached the pool at " << threads << " threads";
+    EXPECT_EQ(run.profile.drain_pooled_messages +
+                  run.profile.drain_inline_messages,
+              base.lane_total);
+  }
+}
+
+TEST(LevelDrainTest, MatchesTheSequentialDrainUnderZeroLatency) {
+  ExpectLevelDrainMatchesSequential(nullptr);
+}
+
+TEST(LevelDrainTest, MatchesTheSequentialDrainWhenSendersHaveSeveralDue) {
+  const auto lagged = std::make_shared<UniformLatency>(0, 3);
+  EXPECT_GT(SendersWithSeveralDueMessages(RunFootprints(1, lagged)), 0u);
+  ExpectLevelDrainMatchesSequential(lagged);
+}
+
+TEST(LevelDrainTest, ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
+  class OrderProtocol : public CycleProtocol {
+   public:
+    bool UsesPerNodeCommit() const override { return false; }
+    void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
+      ctx.Send(std::make_unique<DeliveryMessage>());
+    }
+    void CommitMessage(UserId sender, DeliveryMessage& /*message*/,
+                       const CommitContext& ctx) override {
+      commits.emplace_back(ctx.cycle, sender, ctx.send_cycle);
+      threads.push_back(std::this_thread::get_id());
+      EXPECT_EQ(ctx.worker, 0u);
+    }
+    std::vector<std::tuple<std::uint64_t, UserId, std::uint64_t>> commits;
+    std::vector<std::thread::id> threads;
+  };
+  const auto run = [](int threads) {
+    Engine engine(600, /*seed=*/89);
+    engine.SetThreads(threads);
+    engine.SetLatencyModel(std::make_shared<UniformLatency>(0, 3));
+    OrderProtocol protocol;
+    engine.AddProtocol(&protocol);
+    engine.RunCycles(6);
+    for (const std::thread::id& id : protocol.threads) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+    return protocol.commits;
+  };
+  const auto commits = run(8);
+  EXPECT_EQ(commits, run(1));
+  // (due, sender, seq): within one arrival cycle senders ascend, and one
+  // sender's messages follow their fold order — oldest send first.
+  for (std::size_t i = 1; i < commits.size(); ++i) {
+    if (std::get<0>(commits[i]) == std::get<0>(commits[i - 1])) {
+      EXPECT_LT(std::make_pair(std::get<1>(commits[i - 1]),
+                               std::get<2>(commits[i - 1])),
+                std::make_pair(std::get<1>(commits[i]),
+                               std::get<2>(commits[i])));
+    }
+  }
+}
+
+TEST(LevelDrainTest, CommitExceptionsPropagateAfterTheLevel) {
+  class ThrowingProtocol : public FootprintProtocol {
+   public:
+    using FootprintProtocol::FootprintProtocol;
+    void CommitMessage(UserId sender, DeliveryMessage& message,
+                       const CommitContext& ctx) override {
+      if (sender == 417) throw std::runtime_error("commit failed");
+      FootprintProtocol::CommitMessage(sender, message, ctx);
+    }
+  };
+  Engine engine(600, /*seed=*/97);
+  engine.SetThreads(4);
+  ThrowingProtocol protocol(600);
+  engine.AddProtocol(&protocol);
+  EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
+}
+
+TEST(LevelDrainTest, FootprintNamingAnUnknownUserIsRejected) {
+  class OutOfRangeProtocol : public FootprintProtocol {
+   public:
+    using FootprintProtocol::FootprintProtocol;
+    void CommitFootprintOf(UserId sender, const DeliveryMessage& /*message*/,
+                           CommitFootprint* footprint) const override {
+      if (sender == 5) footprint->Add(600);
+    }
+  };
+  Engine engine(600, /*seed=*/101);
+  engine.SetThreads(2);
+  OutOfRangeProtocol protocol(600);
+  engine.AddProtocol(&protocol);
+  EXPECT_THROW(engine.RunCycles(1), std::out_of_range);
+}
+
+TEST(LevelDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {
+  CommitFootprint footprint;
+  footprint.Add(3);
+  footprint.Add(kInvalidUser);
+  footprint.Add(3);
+  footprint.Add(7);
+  ASSERT_EQ(footprint.size, 2u);
+  EXPECT_EQ(footprint.users[0], 3u);
+  EXPECT_EQ(footprint.users[1], 7u);
+  footprint.Add(8);
+  footprint.Add(9);
+  EXPECT_THROW(footprint.Add(10), std::length_error);
 }
 
 }  // namespace

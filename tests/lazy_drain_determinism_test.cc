@@ -1,0 +1,132 @@
+// The lazy mode's level-parallel delivery drain at system scale: with 1000
+// users every drain holds ~1000 gossip messages, so most of them commit on
+// the worker pool. At 1, 2 and 8 threads, under zero, fixed and lossy
+// latency, the personal networks, random views, traffic counters and the
+// JSONL trace must be identical, and the structural invariants must hold
+// after every cycle.
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/p3q_system.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
+#include "sim/delivery.h"
+#include "test_util.h"
+
+namespace p3q {
+namespace {
+
+constexpr int kUsers = 1000;
+constexpr std::uint64_t kCycles = 8;
+
+struct LazyRun {
+  /// Per user: (neighbour, score, digest version, stored version or -1,
+  /// timestamp) in network order.
+  std::vector<std::vector<
+      std::tuple<UserId, std::uint64_t, std::uint32_t, std::int64_t,
+                 std::uint32_t>>>
+      networks;
+  /// Per user: (user, version) of every random-view entry.
+  std::vector<std::vector<std::pair<UserId, std::uint32_t>>> views;
+  /// (messages, bytes) per message type.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> traffic;
+  std::string trace;
+  /// Lazy messages the drain committed on the worker pool.
+  std::uint64_t pooled_messages = 0;
+};
+
+LazyRun RunLazy(const SyntheticTrace& trace, const std::string& latency,
+                int threads) {
+  const P3QConfig config = test::SmallConfig(/*network_size=*/20,
+                                             /*stored_profiles=*/5);
+  P3QSystem system(trace.dataset(), config, std::vector<int>{}, /*seed=*/31);
+  system.SetThreads(threads);
+  LatencySpec spec;
+  EXPECT_EQ(ParseLatencySpec(latency, &spec), "");
+  system.SetLatency(spec);
+  std::ostringstream jsonl;
+  JsonlTraceSink sink(&jsonl);
+  Tracer tracer(&sink);
+  system.SetTracer(&tracer);
+  PhaseProfiler profiler;
+  system.SetProfiler(&profiler);
+  system.BootstrapRandomViews();
+
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    system.RunLazyCycles(1);
+    for (UserId u = 0; u < static_cast<UserId>(kUsers); ++u) {
+      const P3QNode& node = system.node(u);
+      const std::string broken = node.network().CheckInvariants();
+      EXPECT_EQ(broken, "") << "user " << u << " after cycle " << cycle;
+      const RandomView& view = node.random_view();
+      EXPECT_LE(view.entries().size(), view.capacity()) << "user " << u;
+      for (const DigestInfo& d : view.entries()) {
+        EXPECT_NE(d.user, u) << "random view of user " << u
+                             << " holds its own node";
+      }
+    }
+  }
+
+  LazyRun run;
+  for (UserId u = 0; u < static_cast<UserId>(kUsers); ++u) {
+    const P3QNode& node = system.node(u);
+    auto& network = run.networks.emplace_back();
+    for (const NetworkEntry& e : node.network().entries()) {
+      network.emplace_back(e.user, e.score, e.digest.version(),
+                           e.HasStoredProfile()
+                               ? std::int64_t{e.stored_profile->version()}
+                               : std::int64_t{-1},
+                           e.timestamp);
+    }
+    auto& view = run.views.emplace_back();
+    for (const DigestInfo& d : node.random_view().entries()) {
+      view.emplace_back(d.user, d.version());
+    }
+  }
+  for (int t = 0; t < static_cast<int>(MessageType::kCount); ++t) {
+    const MessageStats& s =
+        system.network().metrics().Of(static_cast<MessageType>(t));
+    run.traffic.emplace_back(s.messages, s.bytes);
+  }
+  tracer.Finish();
+  run.trace = jsonl.str();
+  run.pooled_messages =
+      profiler.breakdowns().at("lazy").drain_pooled_messages;
+  return run;
+}
+
+class LazyDrainSystemTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LazyDrainSystemTest, IdenticalAcrossThreadCountsWithInvariants) {
+  const SyntheticTrace trace = test::SmallTrace(kUsers, /*seed=*/17);
+  const LazyRun base = RunLazy(trace, GetParam(), 1);
+  ASSERT_FALSE(base.trace.empty());
+  for (const int threads : {2, 8}) {
+    const LazyRun run = RunLazy(trace, GetParam(), threads);
+    EXPECT_EQ(run.networks, base.networks) << threads << " threads";
+    EXPECT_EQ(run.views, base.views) << threads << " threads";
+    EXPECT_EQ(run.traffic, base.traffic) << threads << " threads";
+    EXPECT_EQ(run.trace, base.trace) << threads << " threads";
+    EXPECT_GT(run.pooled_messages, 0u) << threads << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Latencies, LazyDrainSystemTest,
+    ::testing::Values("zero", "fixed:2", "lossy:0.15:4"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == ':' || c == '.') c = '_';
+      }
+      return name;
+    });
+
+}  // namespace
+}  // namespace p3q
