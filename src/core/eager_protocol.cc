@@ -407,15 +407,24 @@ void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {
     node.network().TouchGossiped(partner);
     system_->node(partner).network().ResetTimestamp(u);
   }
+}
 
-  // End of cycle: queriers integrate the partial results received during
-  // this cycle and refresh their top-k.
+std::size_t EagerProtocol::PrepareCloseouts(std::uint64_t /*cycle*/) {
+  closeouts_.clear();
   for (auto& [qid, state] : state_) {
-    if (state.finalized) continue;
-    const bool complete = state.active_tasks == 0;
-    state.query->EndOfCycle(complete);
-    state.finalized = complete;
+    if (!state.finalized) closeouts_.push_back(&state);
   }
+  return closeouts_.size();
+}
+
+void EagerProtocol::Closeout(std::size_t item) {
+  // End of cycle: the querier integrates the partial results received
+  // during this cycle and refreshes the query's top-k. The wave reads no
+  // query state, so this may run beside it.
+  QueryState& state = *closeouts_[item];
+  const bool complete = state.active_tasks == 0;
+  state.query->EndOfCycle(complete);
+  state.finalized = complete;
 }
 
 std::vector<std::uint64_t> EagerProtocol::AllQueryIds() const {
@@ -587,7 +596,8 @@ void EagerProtocol::LoadState(CheckpointReader* in) {
     state.query = std::move(query);
     const std::uint64_t num_reached = in->Count(4);
     for (std::uint64_t r = 0; r < num_reached; ++r) {
-      state.reached.insert(in->U32());
+      state.reached.insert(
+          ReadUserId(in, system_->NumUsers(), "reached user"));
     }
     const std::int64_t active_tasks = in->I64();
     if (active_tasks < 0) {

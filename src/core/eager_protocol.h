@@ -23,7 +23,10 @@
 // task/traffic/query-state effects when the message arrives, merge-aware so
 // a list portion another commit appended to this node's task after planning
 // is never lost. EndCycle runs the wave of refreshments over this cycle's
-// participants and closes the queriers' cycle snapshots.
+// participants. Each open query's end-of-cycle NRA pass and snapshot is a
+// close-out item (PrepareCloseouts / Closeout): it touches only that
+// query's ActiveQuery, so the engine may run it on a plan worker beside
+// the wave.
 //
 // Under a lagging or lossy latency model a task's gossip can be in flight
 // for several cycles, so each task gossips at most once concurrently: the
@@ -76,6 +79,12 @@ class EagerProtocol : public CycleProtocol {
   /// epoch counter, so the protocol declares no commit footprints.
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
+  /// Collects the queries not yet finalized; each is one close-out item.
+  std::size_t PrepareCloseouts(std::uint64_t cycle) override;
+  /// Algorithm 4 at the querier: folds the cycle's partial results into the
+  /// query's NRA and records its snapshot.
+  void Closeout(std::size_t item) override;
+  /// The wave of refreshments.
   void EndCycle(std::uint64_t cycle, Rng* rng) override;
 
   /// Every id-keyed accessor throws std::out_of_range naming the id for an
@@ -196,6 +205,9 @@ class EagerProtocol : public CycleProtocol {
 
   P3QSystem* system_;
   std::unordered_map<std::uint64_t, QueryState> state_;
+  /// This cycle's close-out items, from PrepareCloseouts to the cycle's
+  /// end (state_ is neither grown nor shrunk in between).
+  std::vector<QueryState*> closeouts_;
   /// Users who took part in query gossip during the current cycle; each
   /// runs one maintenance exchange at the end of the cycle.
   std::unordered_set<UserId> participants_;

@@ -58,6 +58,8 @@ void PhaseBreakdown::MergeFrom(const PhaseBreakdown& other) {
   drain_levels += other.drain_levels;
   drain_pooled_messages += other.drain_pooled_messages;
   drain_inline_messages += other.drain_inline_messages;
+  closeout_pooled_items += other.closeout_pooled_items;
+  closeout_inline_items += other.closeout_inline_items;
   end_cycle_seconds += other.end_cycle_seconds;
   shard_plan_max_seconds += other.shard_plan_max_seconds;
   shard_plan_sum_seconds += other.shard_plan_sum_seconds;
@@ -80,6 +82,10 @@ PhaseBreakdown PhaseBreakdown::Since(const PhaseBreakdown& earlier) const {
       drain_pooled_messages - earlier.drain_pooled_messages;
   delta.drain_inline_messages =
       drain_inline_messages - earlier.drain_inline_messages;
+  delta.closeout_pooled_items =
+      closeout_pooled_items - earlier.closeout_pooled_items;
+  delta.closeout_inline_items =
+      closeout_inline_items - earlier.closeout_inline_items;
   delta.end_cycle_seconds = end_cycle_seconds - earlier.end_cycle_seconds;
   delta.shard_plan_max_seconds =
       shard_plan_max_seconds - earlier.shard_plan_max_seconds;
@@ -115,6 +121,10 @@ std::string PhaseProfilerToJson(const PhaseProfiler& profiler) {
            std::to_string(breakdown.drain_pooled_messages) + ",\n";
     out += "      \"drain_inline_messages\": " +
            std::to_string(breakdown.drain_inline_messages) + ",\n";
+    out += "      \"closeout_pooled_items\": " +
+           std::to_string(breakdown.closeout_pooled_items) + ",\n";
+    out += "      \"closeout_inline_items\": " +
+           std::to_string(breakdown.closeout_inline_items) + ",\n";
     out += "      \"end_cycle_seconds\": " + Num(breakdown.end_cycle_seconds) +
            ",\n";
     out += "      \"total_seconds\": " + Num(breakdown.TotalSeconds()) + ",\n";

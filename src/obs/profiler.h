@@ -37,7 +37,12 @@ struct PhaseBreakdown {
   /// Messages committed on the calling thread: the whole sequential drain,
   /// plus every level too small to be worth the pool.
   std::uint64_t drain_inline_messages = 0;
-  double end_cycle_seconds = 0.0;      ///< protocol EndCycle
+  /// Close-out items (sim/engine.h) run on the worker pool beside EndCycle.
+  std::uint64_t closeout_pooled_items = 0;
+  /// Close-out items run on the calling thread after EndCycle: all of them
+  /// at one thread, and every close-out too small to be worth the pool.
+  std::uint64_t closeout_inline_items = 0;
+  double end_cycle_seconds = 0.0;      ///< EndCycle + the close-out
   double shard_plan_max_seconds = 0.0; ///< sum over cycles of max shard time
   double shard_plan_sum_seconds = 0.0; ///< sum over cycles of all shard times
   std::uint64_t shards_per_cycle = 0;  ///< active (non-empty) shards

@@ -202,6 +202,8 @@ void AppendProfileJson(const std::map<std::string, PhaseBreakdown>& profile,
          << ", \"drain_levels\": " << b.drain_levels
          << ", \"drain_pooled_messages\": " << b.drain_pooled_messages
          << ", \"drain_inline_messages\": " << b.drain_inline_messages
+         << ", \"closeout_pooled_items\": " << b.closeout_pooled_items
+         << ", \"closeout_inline_items\": " << b.closeout_inline_items
          << ", \"end_cycle_seconds\": " << Num(b.end_cycle_seconds)
          << ", \"mean_imbalance\": " << Num(b.MeanImbalance(), 3)
          << ", \"max_imbalance\": " << Num(b.max_imbalance, 3) << "}";

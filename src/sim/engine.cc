@@ -35,9 +35,9 @@ int ClampThreads(std::int64_t threads) {
 }  // namespace
 
 /// Persistent plan-phase workers: spawned once and fed one job per plan
-/// phase (or drain level) through an epoch counter, so a run pays the
-/// thread spawn cost once instead of once per protocol per cycle (idle
-/// workers block on the condition variable between jobs). Run() returns
+/// phase (or drain level, or close-out) through an epoch counter, so a run
+/// pays the thread spawn cost once instead of once per protocol per cycle
+/// (idle workers block on the condition variable between jobs). Run() returns
 /// only after every worker finished the job — the cycle barrier — even
 /// when the job throws: exceptions from any thread are captured and the
 /// first one is rethrown on the calling thread after the barrier, matching
@@ -529,6 +529,29 @@ void Engine::DrainDueMessages(std::size_t protocol_index, std::uint64_t tag) {
   if (profile_ != nullptr) profile_->drain_inline_messages += due.size();
 }
 
+void Engine::CloseCycle(CycleProtocol* protocol, std::uint64_t tag) {
+  const std::size_t items = protocol->PrepareCloseouts(cycle_);
+  Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt ^ tag);
+  const bool pooled = threads_ > 1 && items >= kInlineLevelSize;
+  if (pooled) {
+    std::atomic<std::size_t> next{0};
+    Workers().Run([&](std::size_t worker) {
+      if (worker == 0) protocol->EndCycle(cycle_, &end_rng);
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < items; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        protocol->Closeout(i);
+      }
+    });
+  } else {
+    protocol->EndCycle(cycle_, &end_rng);
+    for (std::size_t i = 0; i < items; ++i) protocol->Closeout(i);
+  }
+  if (profile_ != nullptr) {
+    (pooled ? profile_->closeout_pooled_items
+            : profile_->closeout_inline_items) += items;
+  }
+}
+
 void Engine::RunOneCycle() {
   using Clock = std::chrono::steady_clock;
   const bool profiled = profile_ != nullptr;
@@ -559,8 +582,7 @@ void Engine::RunOneCycle() {
     const auto t3 = profiled ? Clock::now() : Clock::time_point();
     DrainDueMessages(p, tag);
     const auto t4 = profiled ? Clock::now() : Clock::time_point();
-    Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt ^ tag);
-    protocol->EndCycle(cycle_, &end_rng);
+    CloseCycle(protocol, tag);
     if (profiled) {
       const auto t5 = Clock::now();
       double shard_max = 0.0;

@@ -29,8 +29,15 @@
 //           rng is a second per-(cycle, node) forked stream.
 //        e. The delivery drain: CommitMessage for every due message (see
 //           below).
-//        f. EndCycle(cycle, rng)       — sequential tear-down hook (e.g.
-//           the eager mode's wave of refreshments).
+//        f. The close-out. PrepareCloseouts(cycle), a sequential hook,
+//           names the cycle's independent close-out items (e.g. the eager
+//           mode's open queries). EndCycle(cycle, rng) is the sequential
+//           tear-down hook (e.g. the eager mode's wave of refreshments),
+//           and Closeout(item) runs once per item. With more than one
+//           thread and at least kInlineLevelSize items, EndCycle runs on
+//           the calling thread while the plan workers take the items, and
+//           the calling thread joins them once EndCycle returns. Otherwise
+//           the items run on the calling thread after EndCycle.
 //   3. Observers run after the last protocol's commit, in registration
 //      order.
 //
@@ -61,6 +68,13 @@
 // through per-worker lanes (CommitContext::worker), and trace events only
 // through CommitContext::Emit, which stages them and accepts them in
 // message order after the drain.
+//
+// A close-out item may run on any thread, concurrently with EndCycle and
+// with the other items, so Closeout touches only that item's own state: it
+// draws no randomness, emits no trace events, writes no shared counters,
+// and reads or writes nothing EndCycle does. Every item then does the same
+// work whichever thread runs it and in whatever order, and EndCycle sees
+// the state it sees at one thread.
 #ifndef P3Q_SIM_ENGINE_H_
 #define P3Q_SIM_ENGINE_H_
 
@@ -258,6 +272,22 @@ class CycleProtocol {
     (void)footprint;
   }
 
+  /// Sequential hook after all commits of this protocol in this cycle,
+  /// before EndCycle; returns how many close-out items the cycle has. The
+  /// engine closes item i out with Closeout(i), possibly beside EndCycle
+  /// (see the file comment).
+  virtual std::size_t PrepareCloseouts(std::uint64_t cycle) {
+    (void)cycle;
+    return 0;
+  }
+
+  /// Closes out one item named by PrepareCloseouts; called once per item.
+  /// May run on a plan worker concurrently with EndCycle and with other
+  /// items, so it may touch only that item's own state: no randomness, no
+  /// trace events, no shared counters, and nothing EndCycle reads or
+  /// writes.
+  virtual void Closeout(std::size_t item) { (void)item; }
+
   /// Sequential hook after all commits of this protocol in this cycle.
   virtual void EndCycle(std::uint64_t cycle, Rng* rng) {
     (void)cycle;
@@ -374,8 +404,9 @@ class Engine {
   static constexpr std::uint64_t kCycleSalt = 0x6379636cULL;     // "cycl"
   static constexpr std::uint64_t kDeliverySalt = 0x64656c76ULL;  // "delv"
 
-  /// Levels of the level-parallel drain with fewer messages than this run
-  /// on the calling thread: waking the workers costs more than they save.
+  /// Levels of the level-parallel drain with fewer messages than this, and
+  /// close-outs with fewer items, run on the calling thread: waking the
+  /// workers costs more than they save.
   static constexpr std::size_t kInlineLevelSize = 16;
 
  private:
@@ -392,6 +423,8 @@ class Engine {
   /// The persistent worker pool, spawned on first use.
   PlanWorkerPool& Workers();
   void DrainDueMessages(std::size_t protocol_index, std::uint64_t tag);
+  /// Step f: the protocol's EndCycle and its close-out items.
+  void CloseCycle(CycleProtocol* protocol, std::uint64_t tag);
   void RunOneCycle();
 
   std::vector<CycleProtocol*> protocols_;

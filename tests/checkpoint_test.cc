@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/eager_protocol.h"
 #include "core/p3q_system.h"
+#include "core/query.h"
 #include "obs/trace.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
@@ -276,6 +278,37 @@ TEST(CheckpointSystemTest, EmptyEagerTaskIsRejected) {
   task.tags = {1};
   env.system->node(3).tasks().emplace(task.query_id, task);
   ExpectLoadRejected(env, "user 3 holds an empty task for query 7");
+}
+
+TEST(CheckpointSystemTest, ReachedUserPastThePopulationIsRejected) {
+  // An eager-state section whose one query lists user 40 as reached, in a
+  // 40-user system: Forget would later index the node array with it.
+  test::TestSystem env({.users = 40});
+  CheckpointWriter out;
+  out.U64(1);  // queries
+  const ActiveQuery query(/*id=*/1, env.QueryOf(0), /*k=*/10,
+                          /*expected=*/20);
+  query.SaveState(&out);
+  out.U64(2);  // reached users
+  out.U32(0);
+  out.U32(40);
+  out.I64(0);  // active tasks
+  out.U8(0);   // finalized
+  out.U64(0);  // timeout re-issues
+  out.U64(0);  // stale messages dropped
+  out.U64(0);  // late results of forgotten queries
+  out.U64(2);  // next query id
+  out.U64(1);  // next task epoch
+  out.Sentinel();
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  try {
+    env.system->eager().LoadState(&in);
+    FAIL() << "a reached user past the population was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("reached user 40 out of range"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointSystemTest, ReadUserIdRejectsIdsPastThePopulation) {

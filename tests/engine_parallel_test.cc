@@ -11,10 +11,14 @@
 //  - the level-parallel delivery drain commits every message against the
 //    state, with the stream draws, lane totals and trace order of the
 //    sequential drain, and a protocol without commit footprints keeps the
-//    sequential drain on the calling thread.
+//    sequential drain on the calling thread;
+//  - every close-out item runs exactly once per cycle: beside EndCycle on
+//    the worker pool with more than one thread and at least
+//    kInlineLevelSize items, else on the calling thread after EndCycle.
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -568,6 +572,172 @@ TEST(LevelDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {
   footprint.Add(8);
   footprint.Add(9);
   EXPECT_THROW(footprint.Add(10), std::length_error);
+}
+
+// ---------------------------------------------------------------------------
+// The close-out beside EndCycle.
+// ---------------------------------------------------------------------------
+
+/// Waits, for at most ten seconds, until `done` holds.
+template <typename Done>
+void WaitBriefly(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+/// Cycle c has kItemsPerCycle[c] close-out items, on both sides of
+/// Engine::kInlineLevelSize. Every item counts its runs and records its
+/// thread and whether EndCycle had returned. When the engine should pool
+/// the items, EndCycle waits until all of them ran, so they must have run
+/// on the workers beside it.
+class CloseoutProtocol : public CycleProtocol {
+ public:
+  static constexpr std::array<std::size_t, 7> kItemsPerCycle = {
+      0, 1, 15, 16, 17, 64, 300};
+
+  explicit CloseoutProtocol(int threads)
+      : threads_(threads), caller_(std::this_thread::get_id()) {}
+
+  bool Pooled(std::size_t items) const {
+    return threads_ > 1 && items >= Engine::kInlineLevelSize;
+  }
+
+  bool UsesPerNodeCommit() const override { return false; }
+  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
+
+  std::size_t PrepareCloseouts(std::uint64_t cycle) override {
+    EXPECT_EQ(std::this_thread::get_id(), caller_);
+    runs_ = std::vector<ItemRun>(kItemsPerCycle.at(cycle));
+    done_.store(0);
+    end_cycle_returned_.store(false);
+    return runs_.size();
+  }
+
+  void Closeout(std::size_t item) override {
+    ItemRun& run = runs_.at(item);
+    run.runs.fetch_add(1);
+    run.thread = std::this_thread::get_id();
+    run.after_end_cycle = end_cycle_returned_.load();
+    done_.fetch_add(1);
+  }
+
+  void EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) override {
+    EXPECT_EQ(std::this_thread::get_id(), caller_);
+    if (Pooled(runs_.size())) {
+      WaitBriefly([&] { return done_.load() == runs_.size(); });
+    }
+    end_cycle_returned_.store(true);
+  }
+
+  /// Checks the cycle's items once the cycle is over (an observer).
+  void CheckCycle(std::uint64_t cycle) const {
+    const bool pooled = Pooled(runs_.size());
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      const ItemRun& run = runs_[i];
+      EXPECT_EQ(run.runs.load(), 1) << "cycle " << cycle << " item " << i;
+      if (pooled) {
+        EXPECT_NE(run.thread, caller_) << "cycle " << cycle << " item " << i;
+        EXPECT_FALSE(run.after_end_cycle) << "cycle " << cycle;
+      } else {
+        EXPECT_EQ(run.thread, caller_) << "cycle " << cycle << " item " << i;
+        EXPECT_TRUE(run.after_end_cycle) << "cycle " << cycle;
+      }
+    }
+  }
+
+ private:
+  struct ItemRun {
+    std::atomic<int> runs{0};
+    std::thread::id thread;
+    bool after_end_cycle = false;
+  };
+
+  int threads_;
+  std::thread::id caller_;
+  std::vector<ItemRun> runs_;
+  std::atomic<std::size_t> done_{0};
+  std::atomic<bool> end_cycle_returned_{false};
+};
+
+void ExpectCloseoutsAt(int threads) {
+  Engine engine(64, /*seed=*/103);
+  engine.SetThreads(threads);
+  CloseoutProtocol protocol(threads);
+  engine.AddProtocol(&protocol);
+  engine.AddObserver(
+      [&protocol](std::uint64_t cycle) { protocol.CheckCycle(cycle); });
+  PhaseProfiler profiler;
+  engine.SetProfiler(&profiler, "closeout");
+  engine.RunCycles(CloseoutProtocol::kItemsPerCycle.size());
+
+  std::uint64_t pooled = 0;
+  std::uint64_t inline_items = 0;
+  for (const std::size_t items : CloseoutProtocol::kItemsPerCycle) {
+    (protocol.Pooled(items) ? pooled : inline_items) += items;
+  }
+  const PhaseBreakdown& profile = profiler.breakdowns().at("closeout");
+  EXPECT_EQ(profile.closeout_pooled_items, pooled) << threads << " threads";
+  EXPECT_EQ(profile.closeout_inline_items, inline_items)
+      << threads << " threads";
+}
+
+TEST(CloseoutTest, RunsOnTheCallingThreadAfterEndCycleAtOneThread) {
+  ExpectCloseoutsAt(1);
+}
+
+TEST(CloseoutTest, GoesToThePoolBesideEndCycleFromTheInlineSizeAtTwoThreads) {
+  ExpectCloseoutsAt(2);
+}
+
+TEST(CloseoutTest, GoesToThePoolBesideEndCycleFromTheInlineSizeAtEightThreads) {
+  ExpectCloseoutsAt(8);
+}
+
+/// EndCycle holds the calling thread until the throwing item ran, so a
+/// worker runs it; the other items are slowed so an early rethrow would
+/// leave some of them unrun.
+class ThrowingCloseouts : public CycleProtocol {
+ public:
+  static constexpr std::size_t kItems = 64;
+  static constexpr std::size_t kThrower = 5;
+
+  bool UsesPerNodeCommit() const override { return false; }
+  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
+  std::size_t PrepareCloseouts(std::uint64_t /*cycle*/) override {
+    return kItems;
+  }
+  void Closeout(std::size_t item) override {
+    if (item == kThrower) {
+      thrower_thread = std::this_thread::get_id();
+      thrown.store(true);
+      throw std::runtime_error("close-out failed");
+    }
+    if (item % 8 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    runs.fetch_add(1);
+  }
+  void EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) override {
+    WaitBriefly([&] { return thrown.load(); });
+  }
+
+  std::atomic<bool> thrown{false};
+  std::thread::id thrower_thread;
+  std::atomic<std::size_t> runs{0};
+};
+
+TEST(CloseoutTest, ItemExceptionOnAWorkerLeavesRunCyclesAfterTheBarrier) {
+  Engine engine(64, /*seed=*/107);
+  engine.SetThreads(4);
+  ThrowingCloseouts protocol;
+  engine.AddProtocol(&protocol);
+  EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
+  EXPECT_NE(protocol.thrower_thread, std::this_thread::get_id());
+  EXPECT_EQ(protocol.runs.load(), ThrowingCloseouts::kItems - 1)
+      << "RunCycles rethrew before every other item ran";
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,12 +25,7 @@ constexpr int kUsers = 1000;
 constexpr std::uint64_t kCycles = 8;
 
 struct LazyRun {
-  /// Per user: (neighbour, score, digest version, stored version or -1,
-  /// timestamp) in network order.
-  std::vector<std::vector<
-      std::tuple<UserId, std::uint64_t, std::uint32_t, std::int64_t,
-                 std::uint32_t>>>
-      networks;
+  std::vector<std::vector<test::NetworkRow>> networks;
   /// Per user: (user, version) of every random-view entry.
   std::vector<std::vector<std::pair<UserId, std::uint32_t>>> views;
   /// (messages, bytes) per message type.
@@ -74,26 +68,14 @@ LazyRun RunLazy(const SyntheticTrace& trace, const std::string& latency,
   }
 
   LazyRun run;
+  run.networks = test::NetworkRows(system);
   for (UserId u = 0; u < static_cast<UserId>(kUsers); ++u) {
-    const P3QNode& node = system.node(u);
-    auto& network = run.networks.emplace_back();
-    for (const NetworkEntry& e : node.network().entries()) {
-      network.emplace_back(e.user, e.score, e.digest.version(),
-                           e.HasStoredProfile()
-                               ? std::int64_t{e.stored_profile->version()}
-                               : std::int64_t{-1},
-                           e.timestamp);
-    }
     auto& view = run.views.emplace_back();
-    for (const DigestInfo& d : node.random_view().entries()) {
+    for (const DigestInfo& d : system.node(u).random_view().entries()) {
       view.emplace_back(d.user, d.version());
     }
   }
-  for (int t = 0; t < static_cast<int>(MessageType::kCount); ++t) {
-    const MessageStats& s =
-        system.network().metrics().Of(static_cast<MessageType>(t));
-    run.traffic.emplace_back(s.messages, s.bytes);
-  }
+  run.traffic = test::TrafficRows(system.network().metrics());
   tracer.Finish();
   run.trace = jsonl.str();
   run.pooled_messages =

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,38 @@ inline DigestInfo MakeDigest(UserId owner, std::vector<ItemId> items,
 inline DigestInfo MakeDisjointDigest(UserId owner, std::uint32_t version = 0,
                                      std::size_t num_actions = 4) {
   return DigestInfo{owner, MakeDisjointSnapshot(owner, num_actions, version)};
+}
+
+/// One personal-network entry as the thread-determinism suites compare it:
+/// (neighbour, score, digest version, stored version or -1, timestamp).
+using NetworkRow = std::tuple<UserId, std::uint64_t, std::uint32_t,
+                              std::int64_t, std::uint32_t>;
+
+/// Every user's personal network as NetworkRows, in network order.
+inline std::vector<std::vector<NetworkRow>> NetworkRows(
+    const P3QSystem& system) {
+  std::vector<std::vector<NetworkRow>> rows(system.NumUsers());
+  for (UserId u = 0; u < static_cast<UserId>(rows.size()); ++u) {
+    for (const NetworkEntry& e : system.node(u).network().entries()) {
+      rows[u].emplace_back(e.user, e.score, e.digest.version(),
+                           e.HasStoredProfile()
+                               ? std::int64_t{e.stored_profile->version()}
+                               : std::int64_t{-1},
+                           e.timestamp);
+    }
+  }
+  return rows;
+}
+
+/// (messages, bytes) per message type.
+inline std::vector<std::pair<std::uint64_t, std::uint64_t>> TrafficRows(
+    const Metrics& metrics) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
+  for (int t = 0; t < static_cast<int>(MessageType::kCount); ++t) {
+    const MessageStats& s = metrics.Of(static_cast<MessageType>(t));
+    rows.emplace_back(s.messages, s.bytes);
+  }
+  return rows;
 }
 
 /// A whole test deployment: trace + config + bootstrapped system.
