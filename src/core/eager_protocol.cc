@@ -95,10 +95,11 @@ UserId EagerProtocol::SelectDestination(const P3QNode* initiator,
   };
   std::vector<Scored> neighbours;
   std::vector<UserId> others;
+  const PersonalNetwork& network = initiator->network();
   for (UserId w : task.remaining) {
-    const NetworkEntry* e = initiator->network().Find(w);
+    const NetworkEntry* e = network.Find(w);
     if (e != nullptr) {
-      neighbours.push_back(Scored{w, e->timestamp});
+      neighbours.push_back(Scored{w, network.Timestamp(*e)});
     } else {
       others.push_back(w);
     }

@@ -45,26 +45,24 @@ std::size_t ProposalWireBytes(const std::vector<DigestInfo>& proposals) {
 /// survivor. Step 3 — offering to the personal network and the conditional
 /// full-profile transfer — happens at commit time.
 ///
-/// Scoring is batched: a first rng-free pass runs the deterministic step-1
-/// screens (known-version, exact shares-an-item) and hands every surviving
-/// candidate to ONE KernelPairSimilarityBatch sweep; a second pass then
-/// replays the proposals drawing exactly the random values the per-pair
-/// scalar path drew (Bloom false-positive Bernoulli, spurious-common
-/// binomial), so the batched plan phase stays byte-identical to the
-/// sequential one.
+/// Each candidate takes one kernel pass: a first rng-free pass runs the
+/// known-version screen and hands every surviving candidate to ONE
+/// KernelPairSimilarityBatch sweep; a second pass then replays the
+/// proposals drawing exactly the random values the per-pair scalar path
+/// drew (Bloom false-positive Bernoulli, spurious-common binomial), so the
+/// batched plan phase stays byte-identical to the sequential one.
 void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
                      const std::vector<DigestInfo>& proposals, Rng* rng,
                      Metrics* traffic,
                      std::vector<ProfileExchangeOffer>* offers) {
   const Profile& mine = *receiver->profile();
 
-  // Pass 0 (no rng): step-1 screens that need no randomness, then the one
-  // batched kernel call. A candidate sharing no item with the receiver has
-  // an all-zero PairSimilarity by definition, so only genuinely overlapping
-  // pairs are scored at all.
-  enum : signed char { kSkip = 0, kShares = 1, kNoShare = 2 };
-  std::vector<signed char> state(proposals.size(), kSkip);
-  std::vector<std::size_t> batch_slot(proposals.size(), 0);
+  // Pass 0 (no rng): the step-1 screens that need no randomness, then the
+  // one batched kernel call over every survivor. The kernel's exact
+  // common_items count answers "shares an item" (both intersect the same
+  // item bitmaps), and a candidate sharing no item comes back with an
+  // all-zero PairSimilarity.
+  std::vector<std::size_t> screened;
   std::vector<const Profile*> batch;
   for (std::size_t i = 0; i < proposals.size(); ++i) {
     const DigestInfo& d = proposals[i];
@@ -73,13 +71,8 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
     // digest of the user.
     const std::uint32_t known = receiver->network().KnownVersion(d.user);
     if (known != PersonalNetwork::kNoVersion && d.version() <= known) continue;
-    if (mine.SharesItemWith(*d.snapshot)) {
-      state[i] = kShares;
-      batch_slot[i] = batch.size();
-      batch.push_back(d.snapshot.get());
-    } else {
-      state[i] = kNoShare;
-    }
+    screened.push_back(i);
+    batch.push_back(d.snapshot.get());
   }
   std::vector<PairSimilarity> sims(batch.size());
   KernelPairSimilarityBatch(mine, batch.data(), batch.size(), sims.data());
@@ -88,18 +81,10 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
   // common item passes the Bloom screen without a draw; otherwise one
   // Bernoulli decides the false positive, and every survivor draws the
   // spurious-common binomial below.
-  for (std::size_t i = 0; i < proposals.size(); ++i) {
-    if (state[i] == kSkip) continue;
-    const DigestInfo& d = proposals[i];
-    PairSimilarity sim;  // stays all-zero on the false-positive path
-    if (state[i] == kShares) {
-      sim = sims[batch_slot[i]];
-    } else {
-      // No shared item: the helper's recheck is known-false, so this draws
-      // exactly the false-positive Bernoulli — one source of truth for the
-      // Bloom screen's rng behaviour.
-      if (!DigestIndicatesCommonItem(mine, d, rng)) continue;
-    }
+  for (std::size_t k = 0; k < screened.size(); ++k) {
+    const DigestInfo& d = proposals[screened[k]];
+    const PairSimilarity& sim = sims[k];
+    if (sim.common_items == 0 && !DigestFalsePositive(mine, d, rng)) continue;
     const double fpp = d.snapshot->DigestFpp();
 
     // Step 2 — the receiver derives the apparently-common items by testing
@@ -273,10 +258,8 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   std::vector<DigestInfo> fetched;
   for (const DigestInfo& d : node->random_view().entries()) {
     if (!node->ShouldProbe(d.user, d.version())) continue;
-    if (node->network().KnownVersion(d.user) != PersonalNetwork::kNoVersion &&
-        node->network().KnownVersion(d.user) >= d.version()) {
-      continue;
-    }
+    const std::uint32_t known = node->network().KnownVersion(d.user);
+    if (known != PersonalNetwork::kNoVersion && known >= d.version()) continue;
     if (!DigestIndicatesCommonItem(mine, d, ctx.rng)) continue;
     if (!net.IsOnline(d.user)) continue;
     ProfilePtr current = system_->profile_store().Get(d.user);

@@ -17,10 +17,10 @@ ProfilePtr P3QNode::FindUsableProfile(UserId user) const {
 }
 
 bool P3QNode::ShouldProbe(UserId user, std::uint32_t version) {
-  auto [it, inserted] = probed_versions_.emplace(user, version);
+  auto [probed, inserted] = probed_versions_.Emplace(user, version);
   if (inserted) return true;
-  if (version > it->second) {
-    it->second = version;
+  if (version > *probed) {
+    *probed = version;
     return true;
   }
   return false;

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/user_map.h"
 #include "core/config.h"
 #include "core/personal_network.h"
 #include "gossip/peer_sampling.h"
@@ -69,10 +70,12 @@ class P3QNode {
   /// profile or those stored in her personal network").
   ProfilePtr FindUsableProfile(UserId user) const;
 
-  /// True exactly once per (user, version): memoizes random-view probing so
-  /// a digest that already triggered a probe is not re-probed every cycle
-  /// (behaviourally equivalent to the paper's per-cycle re-scoring, since a
-  /// re-probe of an unchanged digest cannot change the outcome).
+  /// True when `version` is newer than every version of `user` probed
+  /// before (or she was never probed), recording it: memoizes random-view
+  /// probing so a digest that already triggered a probe is not re-probed
+  /// every cycle (behaviourally equivalent to the paper's per-cycle
+  /// re-scoring, since a re-probe of an unchanged digest cannot change the
+  /// outcome). Older and equal versions answer false.
   bool ShouldProbe(UserId user, std::uint32_t version);
 
   /// Active query shares keyed by query id.
@@ -81,13 +84,10 @@ class P3QNode {
     return tasks_;
   }
 
-  /// Probe memo of ShouldProbe (checkpoint access).
-  std::unordered_map<UserId, std::uint32_t>& probed_versions() {
-    return probed_versions_;
-  }
-  const std::unordered_map<UserId, std::uint32_t>& probed_versions() const {
-    return probed_versions_;
-  }
+  /// Probe memo of ShouldProbe, user -> last probed version (checkpoint
+  /// access and memory accounting).
+  UserMap& probed_versions() { return probed_versions_; }
+  const UserMap& probed_versions() const { return probed_versions_; }
 
  private:
   UserId self_;
@@ -96,7 +96,7 @@ class P3QNode {
   PersonalNetwork network_;
   RandomView random_view_;
   Rng rng_;
-  std::unordered_map<UserId, std::uint32_t> probed_versions_;
+  UserMap probed_versions_;
   std::unordered_map<std::uint64_t, EagerTask> tasks_;
 };
 

@@ -94,6 +94,10 @@ std::size_t P3QSystem::MessagesInFlight() const {
 SystemMemoryStats P3QSystem::MemoryStats() const {
   SystemMemoryStats stats;
   stats.store = store_.MemoryStats();
+  for (const std::unique_ptr<P3QNode>& n : nodes_) {
+    stats.probe_memo_bytes += n->probed_versions().MemoryBytes();
+    stats.personal_network_bytes += n->network().MemoryBytes();
+  }
   return stats;
 }
 
@@ -280,13 +284,13 @@ void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
     body.U32(pool.Intern(n.profile()));
     WriteRngState(&body, n.rng());
 
-    const std::vector<NetworkEntry>& entries = n.network().entries();
-    body.U64(entries.size());
-    for (const NetworkEntry& e : entries) {
+    const PersonalNetwork& network = n.network();
+    body.U64(network.size());
+    for (const NetworkEntry& e : network.entries()) {
       body.U32(e.user);
       body.U64(e.score);
       WriteDigestInfo(&body, &pool, e.digest);
-      body.U32(e.timestamp);
+      body.U32(network.Timestamp(e));
       body.U32(pool.Intern(e.stored_profile));
     }
 
@@ -294,9 +298,8 @@ void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
     body.U64(view.size());
     for (const DigestInfo& d : view) WriteDigestInfo(&body, &pool, d);
 
-    std::vector<std::pair<UserId, std::uint32_t>> probed(
-        n.probed_versions().begin(), n.probed_versions().end());
-    std::sort(probed.begin(), probed.end());
+    const std::vector<std::pair<UserId, std::uint32_t>> probed =
+        n.probed_versions().Sorted();
     body.U64(probed.size());
     for (const auto& [user, version] : probed) {
       body.U32(user);
@@ -376,13 +379,15 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
 
     const std::uint64_t num_entries = in->Count(25);
     std::vector<NetworkEntry> entries;
+    std::vector<std::uint32_t> timestamps;
     entries.reserve(static_cast<std::size_t>(num_entries));
+    timestamps.reserve(static_cast<std::size_t>(num_entries));
     for (std::uint64_t e = 0; e < num_entries; ++e) {
       NetworkEntry entry;
       entry.user = in->U32();
       entry.score = in->U64();
       entry.digest = ReadDigestInfo(in, profiles, NumUsers());
-      entry.timestamp = in->U32();
+      timestamps.push_back(in->U32());
       entry.stored_profile = profiles.Get(in->U32());
       if (entry.digest.user != entry.user ||
           (entry.stored_profile != nullptr &&
@@ -393,7 +398,7 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
       }
       entries.push_back(std::move(entry));
     }
-    n.network().RestoreEntries(std::move(entries));
+    n.network().RestoreEntries(std::move(entries), timestamps);
     if (const std::string broken = n.network().CheckInvariants();
         !broken.empty()) {
       throw CheckpointError("personal network of user " + std::to_string(u) +
@@ -408,12 +413,12 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
     }
     n.random_view().Init(std::move(view));
 
-    n.probed_versions().clear();
+    n.probed_versions().Clear();
     const std::uint64_t num_probed = in->Count(8);
     for (std::uint64_t p = 0; p < num_probed; ++p) {
-      const UserId user = in->U32();
+      const UserId user = ReadUserId(in, NumUsers(), "probed user");
       const std::uint32_t version = in->U32();
-      n.probed_versions()[user] = version;
+      n.probed_versions().Set(user, version);
     }
 
     n.tasks().clear();

@@ -43,11 +43,17 @@ class PhaseProfiler;  // obs/profiler.h
 class CheckpointWriter;  // sim/checkpoint.h
 class CheckpointReader;
 
-/// Memory rollup of one deployment (profile storage), surfaced in the
-/// runner's --timing report. All figures are current values except the
-/// peaks noted in ProfileStoreMemoryStats.
+/// Memory rollup of one deployment (profile storage, probe memos and
+/// personal networks), surfaced in the runner's --timing report. All
+/// figures are current values except the peaks noted in
+/// ProfileStoreMemoryStats.
 struct SystemMemoryStats {
   ProfileStoreMemoryStats store;
+  /// Table bytes of every node's probe memo (P3QNode::probed_versions).
+  std::size_t probe_memo_bytes = 0;
+  /// Capacity bytes of every personal network's entry slots, rank keys,
+  /// free list and index (PersonalNetwork::MemoryBytes).
+  std::size_t personal_network_bytes = 0;
   /// Always 0: pairs are scored by the kernel directly, with no memo cache.
   /// Kept only because the end-to-end benchmark (bench/e2e/p3q_bench.cc)
   /// still reports it as mem.pair_cache_entries; the next change to that

@@ -1,149 +1,56 @@
 #include "core/personal_network.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace p3q {
-namespace {
-
-/// Ordering of the network: higher score first, then lower user id so the
-/// order (and thus the stored top-c set) is deterministic. User ids are
-/// unique within a network, so this is a strict total order: repositioning
-/// one entry lands exactly where a full sort would put it.
-bool KeyBefore(std::uint64_t score_a, UserId user_a, std::uint64_t score_b,
-               UserId user_b) {
-  if (score_a != score_b) return score_a > score_b;
-  return user_a < user_b;
-}
-
-bool EntryBefore(const NetworkEntry& a, const NetworkEntry& b) {
-  return KeyBefore(a.score, a.user, b.score, b.user);
-}
-
-}  // namespace
-
-// -- PositionIndex -----------------------------------------------------------
-
-std::size_t PersonalNetwork::PositionIndex::Home(UserId user) const {
-  // Fibonacci hashing: the top bits of a multiplicative hash spread dense
-  // user ids evenly over the table.
-  return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(user) * 0x9e3779b97f4a7c15ull) >> shift_);
-}
-
-std::uint32_t PersonalNetwork::PositionIndex::Find(UserId user) const {
-  if (slots_.empty()) return kAbsent;
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = Home(user);; i = (i + 1) & mask) {
-    const Slot& slot = slots_[i];
-    if (slot.user == kInvalidUser) return kAbsent;
-    if (slot.user == user) return slot.pos;
-  }
-}
-
-void PersonalNetwork::PositionIndex::Set(UserId user, std::uint32_t pos) {
-  assert(user != kInvalidUser);
-  if ((size_ + 1) * 2 > slots_.size()) Grow();
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = Home(user);; i = (i + 1) & mask) {
-    Slot& slot = slots_[i];
-    if (slot.user == user) {
-      slot.pos = pos;
-      return;
-    }
-    if (slot.user == kInvalidUser) {
-      slot = Slot{user, pos};
-      ++size_;
-      return;
-    }
-  }
-}
-
-void PersonalNetwork::PositionIndex::Erase(UserId user) {
-  if (slots_.empty()) return;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t hole = Home(user);
-  while (slots_[hole].user != user) {
-    if (slots_[hole].user == kInvalidUser) return;
-    hole = (hole + 1) & mask;
-  }
-  // Backward-shift deletion: pull each later slot of the probe run into the
-  // hole unless its home lies cyclically in (hole, j], so every remaining
-  // key stays reachable from its home without tombstones.
-  for (std::size_t j = (hole + 1) & mask; slots_[j].user != kInvalidUser;
-       j = (j + 1) & mask) {
-    const std::size_t home = Home(slots_[j].user);
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = Slot{};
-  --size_;
-}
-
-void PersonalNetwork::PositionIndex::Clear() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  size_ = 0;
-}
-
-void PersonalNetwork::PositionIndex::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  const std::size_t capacity = old.empty() ? 16 : old.size() * 2;
-  slots_.assign(capacity, Slot{});
-  shift_ = 64 - std::countr_zero(capacity);
-  size_ = 0;
-  for (const Slot& slot : old) {
-    if (slot.user != kInvalidUser) Set(slot.user, slot.pos);
-  }
-}
-
-// -- PersonalNetwork ---------------------------------------------------------
 
 PersonalNetwork::PersonalNetwork(UserId self, int s, int c)
     : self_(self), s_(s), c_(c) {
-  entries_.reserve(static_cast<std::size_t>(s));
+  slots_.reserve(static_cast<std::size_t>(s));
+  keys_.reserve(static_cast<std::size_t>(s));
 }
 
 const NetworkEntry* PersonalNetwork::Find(UserId user) const {
-  const std::uint32_t pos = index_.Find(user);
-  return pos == PositionIndex::kAbsent ? nullptr : &entries_[pos];
+  const std::uint32_t slot = index_.Find(user);
+  return slot == UserMap::kAbsent ? nullptr : &slots_[slot];
 }
 
-std::uint32_t PersonalNetwork::KnownVersion(UserId user) const {
-  const NetworkEntry* e = Find(user);
-  return e == nullptr ? kNoVersion : e->digest.version();
+std::size_t PersonalNetwork::RankOf(std::uint64_t score, UserId user) const {
+  const Key probe{score, user, 0};
+  const auto it =
+      std::lower_bound(keys_.begin(), keys_.end(), probe, Key::Before);
+  assert(it != keys_.end() && it->user == user);
+  return static_cast<std::size_t>(it - keys_.begin());
 }
 
-std::size_t PersonalNetwork::Reposition(std::size_t from) {
-  const auto first = entries_.begin();
+void PersonalNetwork::Reposition(std::size_t from) {
+  const auto first = keys_.begin();
   const auto moved = first + static_cast<std::ptrdiff_t>(from);
+  const Key key = *moved;
   std::size_t to = from;
-  if (from > 0 && EntryBefore(*moved, moved[-1])) {
-    const auto dest = std::upper_bound(first, moved, *moved, EntryBefore);
+  if (from > 0 && Key::Before(key, moved[-1])) {
+    const auto dest = std::upper_bound(first, moved, key, Key::Before);
     to = static_cast<std::size_t>(dest - first);
-    std::rotate(dest, moved, moved + 1);
-  } else if (from + 1 < entries_.size() && EntryBefore(moved[1], *moved)) {
+    std::move_backward(dest, moved, moved + 1);
+    *dest = key;
+  } else if (from + 1 < keys_.size() && Key::Before(moved[1], key)) {
     const auto dest =
-        std::lower_bound(moved + 1, entries_.end(), *moved, EntryBefore);
+        std::lower_bound(moved + 1, keys_.end(), key, Key::Before);
     to = static_cast<std::size_t>(dest - first) - 1;
-    std::rotate(moved, moved + 1, dest);
-  }
-  for (std::size_t i = std::min(from, to); i <= std::max(from, to); ++i) {
-    index_.Set(entries_[i].user, static_cast<std::uint32_t>(i));
+    std::move(moved + 1, dest, moved);
+    dest[-1] = key;
   }
 
   // Exactly the entries ranked in the top-c may hold replicas. The shifted
-  // entries each move one rank, so besides the moved entry only the one
-  // pushed from rank c-1 to rank c can change side.
+  // keys each move one rank, so besides the moved entry only the one pushed
+  // from rank c-1 to rank c can change side.
   const std::size_t c = static_cast<std::size_t>(c_);
   if (to >= c) {
-    entries_[to].stored_profile.reset();
+    slots_[key.slot].stored_profile.reset();
   } else if (from >= c) {
-    entries_[c].stored_profile.reset();
+    slots_[keys_[c].slot].stored_profile.reset();
   }
-  return to;
 }
 
 ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
@@ -152,13 +59,14 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
   ConsiderOutcome outcome;
   if (user == self_ || score == 0) return outcome;
 
-  const std::uint32_t pos = index_.Find(user);
-  if (pos != PositionIndex::kAbsent) {
-    NetworkEntry& entry = entries_[pos];
+  const std::uint32_t slot = index_.Find(user);
+  if (slot != UserMap::kAbsent) {
+    NetworkEntry& entry = slots_[slot];
     // Refresh only when the offered digest is at least as new as ours.
     if (digest.version() < entry.digest.version()) return outcome;
     const std::uint32_t old_stored_version =
         entry.HasStoredProfile() ? entry.stored_profile->version() : kNoVersion;
+    const std::size_t rank = RankOf(entry.score, user);
     entry.score = score;
     entry.digest = digest;
     if (replica != nullptr &&
@@ -166,43 +74,52 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
          replica->version() > old_stored_version)) {
       entry.stored_profile = std::move(replica);
     }
-    const NetworkEntry& now = entries_[Reposition(pos)];
+    keys_[rank].score = score;
+    Reposition(rank);
     outcome.accepted = true;
     // A transfer happened iff the entry now stores a replica strictly newer
     // than what it stored before (or one where none existed).
     outcome.stored_profile =
-        now.HasStoredProfile() &&
+        entry.HasStoredProfile() &&
         (old_stored_version == kNoVersion ||
-         now.stored_profile->version() > old_stored_version);
+         entry.stored_profile->version() > old_stored_version);
     return outcome;
   }
 
-  // New candidate: qualify against the current worst when full.
-  if (static_cast<int>(entries_.size()) >= s_) {
-    const NetworkEntry& worst = entries_.back();
-    if (!KeyBefore(score, user, worst.score, worst.user)) return outcome;
+  // New candidate: qualify against the current worst when full, and take
+  // over her slot.
+  std::uint32_t free_slot;
+  if (static_cast<int>(keys_.size()) >= s_) {
+    const Key worst = keys_.back();
+    if (!Key::Before(Key{score, user, 0}, worst)) return outcome;
     index_.Erase(worst.user);
-    entries_.pop_back();
+    keys_.pop_back();
+    free_slot = worst.slot;
+  } else if (!free_slots_.empty()) {
+    free_slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    free_slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  NetworkEntry entry;
+  NetworkEntry& entry = slots_[free_slot];
   entry.user = user;
+  entry.touched_at = clock_;
   entry.score = score;
   entry.digest = digest;
-  entry.timestamp = 0;
   entry.stored_profile = std::move(replica);
-  entries_.push_back(std::move(entry));
-  const NetworkEntry& now = entries_[Reposition(entries_.size() - 1)];
+  index_.Set(user, free_slot);
+  keys_.push_back(Key{score, user, free_slot});
+  Reposition(keys_.size() - 1);
   outcome.accepted = true;
-  outcome.stored_profile = now.HasStoredProfile();
+  outcome.stored_profile = entry.HasStoredProfile();
   return outcome;
 }
 
 std::vector<UserId> PersonalNetwork::EntriesNeedingProfile() const {
   std::vector<UserId> out;
-  const std::size_t limit =
-      std::min(entries_.size(), static_cast<std::size_t>(c_));
-  for (std::size_t i = 0; i < limit; ++i) {
-    const NetworkEntry& e = entries_[i];
+  for (std::size_t i = 0; i < StoredRanks(); ++i) {
+    const NetworkEntry& e = slots_[keys_[i].slot];
     if (!e.HasStoredProfile() ||
         e.stored_profile->version() < e.digest.version()) {
       out.push_back(e.user);
@@ -212,37 +129,37 @@ std::vector<UserId> PersonalNetwork::EntriesNeedingProfile() const {
 }
 
 UserId PersonalNetwork::OldestNeighbour(const std::vector<UserId>& skip) const {
+  // One pass over the slots; free slots hold kInvalidUser. The pick does
+  // not depend on the visiting order.
   UserId best = kInvalidUser;
   std::uint32_t best_ts = 0;
-  for (const NetworkEntry& e : entries_) {
+  for (const NetworkEntry& e : slots_) {
+    if (e.user == kInvalidUser) continue;
     if (std::find(skip.begin(), skip.end(), e.user) != skip.end()) continue;
-    if (best == kInvalidUser || e.timestamp > best_ts ||
-        (e.timestamp == best_ts && e.user < best)) {
+    const std::uint32_t ts = Timestamp(e);
+    if (best == kInvalidUser || ts > best_ts ||
+        (ts == best_ts && e.user < best)) {
       best = e.user;
-      best_ts = e.timestamp;
+      best_ts = ts;
     }
   }
   return best;
 }
 
 void PersonalNetwork::TouchGossiped(UserId user) {
-  for (NetworkEntry& e : entries_) {
-    if (e.user == user) {
-      e.timestamp = 0;
-    } else {
-      ++e.timestamp;
-    }
-  }
+  ++clock_;
+  ResetTimestamp(user);
 }
 
 void PersonalNetwork::ResetTimestamp(UserId user) {
-  const std::uint32_t pos = index_.Find(user);
-  if (pos != PositionIndex::kAbsent) entries_[pos].timestamp = 0;
+  const std::uint32_t slot = index_.Find(user);
+  if (slot != UserMap::kAbsent) slots_[slot].touched_at = clock_;
 }
 
 std::vector<ProfilePtr> PersonalNetwork::StoredProfiles() const {
   std::vector<ProfilePtr> out;
-  for (const NetworkEntry& e : entries_) {
+  for (std::size_t i = 0; i < StoredRanks(); ++i) {
+    const NetworkEntry& e = slots_[keys_[i].slot];
     if (e.HasStoredProfile()) out.push_back(e.stored_profile);
   }
   return out;
@@ -255,47 +172,75 @@ ProfilePtr PersonalNetwork::StoredProfileOf(UserId user) const {
 
 std::vector<UserId> PersonalNetwork::Members() const {
   std::vector<UserId> out;
-  out.reserve(entries_.size());
-  for (const NetworkEntry& e : entries_) out.push_back(e.user);
+  out.reserve(keys_.size());
+  for (const Key& k : keys_) out.push_back(k.user);
   return out;
 }
 
 std::vector<UserId> PersonalNetwork::MembersWithoutProfile() const {
   std::vector<UserId> out;
-  for (const NetworkEntry& e : entries_) {
-    if (!e.HasStoredProfile()) out.push_back(e.user);
+  const std::size_t limit = StoredRanks();
+  for (std::size_t i = 0; i < limit; ++i) {
+    if (!slots_[keys_[i].slot].HasStoredProfile()) {
+      out.push_back(keys_[i].user);
+    }
+  }
+  for (std::size_t i = limit; i < keys_.size(); ++i) {
+    out.push_back(keys_[i].user);
   }
   return out;
 }
 
 void PersonalNetwork::Remove(UserId user) {
-  const std::uint32_t pos = index_.Find(user);
-  if (pos == PositionIndex::kAbsent) return;
-  index_.Erase(user);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(pos));
-  // The entries behind move up one rank; the one reaching rank c-1 had no
+  const std::uint32_t slot = index_.Find(user);
+  if (slot == UserMap::kAbsent) return;
+  // The keys behind move up one rank; the one reaching rank c-1 had no
   // replica and simply joins EntriesNeedingProfile.
-  for (std::size_t i = pos; i < entries_.size(); ++i) {
-    index_.Set(entries_[i].user, static_cast<std::uint32_t>(i));
-  }
+  keys_.erase(keys_.begin() +
+              static_cast<std::ptrdiff_t>(RankOf(slots_[slot].score, user)));
+  index_.Erase(user);
+  slots_[slot] = NetworkEntry{};
+  free_slots_.push_back(slot);
 }
 
-void PersonalNetwork::RestoreEntries(std::vector<NetworkEntry> entries) {
-  entries_ = std::move(entries);
-  std::sort(entries_.begin(), entries_.end(), EntryBefore);
+void PersonalNetwork::RestoreEntries(
+    std::vector<NetworkEntry> entries,
+    const std::vector<std::uint32_t>& timestamps) {
+  assert(timestamps.empty() || timestamps.size() == entries.size());
+  clock_ = timestamps.empty()
+               ? 0
+               : *std::max_element(timestamps.begin(), timestamps.end());
+  slots_ = std::move(entries);
+  slots_.reserve(static_cast<std::size_t>(s_));
+  free_slots_.clear();
+  keys_.clear();
+  keys_.reserve(std::max(slots_.size(), static_cast<std::size_t>(s_)));
   index_.Clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i >= static_cast<std::size_t>(c_)) entries_[i].stored_profile.reset();
-    index_.Set(entries_[i].user, static_cast<std::uint32_t>(i));
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    NetworkEntry& e = slots_[i];
+    e.touched_at = clock_ - (timestamps.empty() ? 0 : timestamps[i]);
+    keys_.push_back(Key{e.score, e.user, static_cast<std::uint32_t>(i)});
+    index_.Set(e.user, static_cast<std::uint32_t>(i));
+  }
+  std::sort(keys_.begin(), keys_.end(), Key::Before);
+  for (std::size_t i = static_cast<std::size_t>(c_); i < keys_.size(); ++i) {
+    slots_[keys_[i].slot].stored_profile.reset();
   }
 }
 
 std::size_t PersonalNetwork::StoredProfileActions() const {
   std::size_t total = 0;
-  for (const NetworkEntry& e : entries_) {
+  for (std::size_t i = 0; i < StoredRanks(); ++i) {
+    const NetworkEntry& e = slots_[keys_[i].slot];
     if (e.HasStoredProfile()) total += e.stored_profile->Length();
   }
   return total;
+}
+
+std::size_t PersonalNetwork::MemoryBytes() const {
+  return slots_.capacity() * sizeof(NetworkEntry) +
+         keys_.capacity() * sizeof(Key) +
+         free_slots_.capacity() * sizeof(std::uint32_t) + index_.MemoryBytes();
 }
 
 std::string PersonalNetwork::CheckInvariants() const {
@@ -303,25 +248,44 @@ std::string PersonalNetwork::CheckInvariants() const {
     return "entry " + std::to_string(i) + " (user " + std::to_string(e.user) +
            ")";
   };
-  if (entries_.size() > static_cast<std::size_t>(s_)) {
-    return std::to_string(entries_.size()) + " entries exceed capacity s=" +
+  if (keys_.size() > static_cast<std::size_t>(s_)) {
+    return std::to_string(keys_.size()) + " entries exceed capacity s=" +
            std::to_string(s_);
   }
-  if (index_.size() != entries_.size()) {
+  if (index_.size() != keys_.size()) {
     return "index holds " + std::to_string(index_.size()) + " users for " +
-           std::to_string(entries_.size()) + " entries";
+           std::to_string(keys_.size()) + " entries";
   }
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const NetworkEntry& e = entries_[i];
+  if (keys_.size() + free_slots_.size() != slots_.size()) {
+    return std::to_string(keys_.size()) + " entries and " +
+           std::to_string(free_slots_.size()) + " free slots for " +
+           std::to_string(slots_.size()) + " slots";
+  }
+  for (std::uint32_t slot : free_slots_) {
+    if (slot >= slots_.size() || slots_[slot].user != kInvalidUser) {
+      return "free slot " + std::to_string(slot) + " is not an empty slot";
+    }
+  }
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    const Key& k = keys_[i];
+    if (k.slot >= slots_.size()) {
+      return "entry " + std::to_string(i) + " points past the slots";
+    }
+    const NetworkEntry& e = slots_[k.slot];
+    if (k.user != e.user || k.score != e.score) {
+      return at(i, e) + " has a rank key of user " + std::to_string(k.user) +
+             " score " + std::to_string(k.score) + " but holds score " +
+             std::to_string(e.score);
+    }
     if (e.user == self_) return at(i, e) + " is the network's owner";
     if (e.score == 0) return at(i, e) + " has score 0";
-    if (i > 0 && !EntryBefore(entries_[i - 1], e)) {
+    if (i > 0 && !Key::Before(keys_[i - 1], k)) {
       return at(i, e) + " is not after entry " + std::to_string(i - 1) +
              " in (score desc, id asc) order";
     }
-    if (index_.Find(e.user) != i) {
-      return at(i, e) + " is indexed at position " +
-             std::to_string(index_.Find(e.user));
+    if (index_.Find(e.user) != k.slot) {
+      return at(i, e) + " lives in slot " + std::to_string(k.slot) +
+             " but is indexed at slot " + std::to_string(index_.Find(e.user));
     }
     if (e.digest.snapshot == nullptr || e.digest.user != e.user) {
       return at(i, e) + " carries no digest of its own user";

@@ -7,18 +7,27 @@
 // remaining s-c entries are ids+digests only and form the remaining lists of
 // eager mode.
 //
-// Layout: the entries live in one vector kept sorted by (score desc, id asc)
-// plus a flat open-addressing index user -> position. An accepted offer
-// moves one entry to its new rank with a binary search and a rotate, so it
-// costs O(log s + distance moved) and allocates nothing once the vector and
-// index have grown.
+// Layout: an entry stays in one slot of a slot vector from insertion to
+// eviction, and a free list hands the slots of removed entries to later
+// insertions. Rank order lives apart, in a vector of 16-byte (score, user,
+// slot) keys kept sorted by (score desc, id asc), and a flat index maps each
+// member to her slot. An accepted offer finds its entry through the index
+// and moves only its key, with a binary search and a memmove of the keys in
+// between: O(log s + distance moved), no entry or index slot moves, and
+// nothing is allocated once the vectors and the index have grown. Ageing
+// runs on a per-network gossip clock: each entry records the clock when it
+// was last gossiped with, so ageing every neighbour is one increment.
 #ifndef P3Q_CORE_PERSONAL_NETWORK_H_
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/user_map.h"
 #include "gossip/view.h"
 #include "profile/profile.h"
 
@@ -27,13 +36,15 @@ namespace p3q {
 /// One neighbour of a personal network.
 struct NetworkEntry {
   UserId user = kInvalidUser;
+  /// The owning network's gossip clock when this neighbour joined or was
+  /// last gossiped with. PersonalNetwork::Timestamp turns it into the
+  /// paper's timestamp (cycles since then).
+  std::uint32_t touched_at = 0;
   /// Score_self(user) = common tagging actions, computed against the
   /// `digest` snapshot version.
   std::uint64_t score = 0;
   /// Digest descriptor of the neighbour (always present).
   DigestInfo digest;
-  /// Cycles since this neighbour was last gossiped with.
-  std::uint32_t timestamp = 0;
   /// Stored profile replica — non-null only while the entry ranks in the
   /// top-c. Its version is at most digest.version() (older when a newer
   /// digest arrived without the profile; see EntriesNeedingProfile).
@@ -53,28 +64,109 @@ struct ConsiderOutcome {
 
 /// A size-bounded, score-ordered set of neighbours.
 class PersonalNetwork {
+ private:
+  /// Rank-order key of one entry.
+  struct Key {
+    std::uint64_t score;
+    UserId user;
+    std::uint32_t slot;  ///< the entry's index in slots_
+
+    /// The network's order: higher score first, then lower user id, so the
+    /// order (and thus the stored top-c set) is deterministic. User ids are
+    /// unique within a network, so this is a strict total order:
+    /// repositioning one key lands exactly where a full sort would put it.
+    static bool Before(const Key& a, const Key& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.user < b.user;
+    }
+  };
+  static_assert(sizeof(Key) == 16);
+
  public:
+  /// The entries in rank order (descending score, ties by ascending user
+  /// id), read-only. Valid until the network changes.
+  class Entries {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = NetworkEntry;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const NetworkEntry*;
+      using reference = const NetworkEntry&;
+
+      Iterator() = default;
+      reference operator*() const { return slots_[key_->slot]; }
+      pointer operator->() const { return &slots_[key_->slot]; }
+      Iterator& operator++() {
+        ++key_;
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator before = *this;
+        ++key_;
+        return before;
+      }
+      bool operator==(const Iterator& other) const {
+        return key_ == other.key_;
+      }
+
+     private:
+      friend class Entries;
+      Iterator(const Key* key, const NetworkEntry* slots)
+          : key_(key), slots_(slots) {}
+      const Key* key_ = nullptr;
+      const NetworkEntry* slots_ = nullptr;
+    };
+
+    std::size_t size() const { return network_->keys_.size(); }
+    const NetworkEntry& operator[](std::size_t rank) const {
+      return network_->slots_[network_->keys_[rank].slot];
+    }
+    Iterator begin() const {
+      return Iterator(network_->keys_.data(), network_->slots_.data());
+    }
+    Iterator end() const {
+      return Iterator(network_->keys_.data() + network_->keys_.size(),
+                      network_->slots_.data());
+    }
+
+   private:
+    friend class PersonalNetwork;
+    explicit Entries(const PersonalNetwork* network) : network_(network) {}
+    const PersonalNetwork* network_;
+  };
+
   /// self: owner; s: network capacity; c: stored-profile capacity (c <= s).
   PersonalNetwork(UserId self, int s, int c);
 
   int capacity() const { return s_; }
   int storage_capacity() const { return c_; }
-  std::size_t size() const { return entries_.size(); }
-  bool Empty() const { return entries_.empty(); }
+  std::size_t size() const { return keys_.size(); }
+  bool Empty() const { return keys_.empty(); }
 
   /// Entries ordered by descending score (ties: ascending user id).
-  const std::vector<NetworkEntry>& entries() const { return entries_; }
+  Entries entries() const { return Entries(this); }
 
   bool Contains(UserId user) const {
-    return index_.Find(user) != PositionIndex::kAbsent;
+    return index_.Find(user) != UserMap::kAbsent;
   }
 
   /// Entry of `user`, or nullptr.
   const NetworkEntry* Find(UserId user) const;
 
+  /// Cycles since `entry` (one of this network's) was last gossiped with.
+  std::uint32_t Timestamp(const NetworkEntry& entry) const {
+    return clock_ - entry.touched_at;
+  }
+
   /// Version of the digest we hold for `user`; kNoVersion when absent.
   static constexpr std::uint32_t kNoVersion = 0xffffffffu;
-  std::uint32_t KnownVersion(UserId user) const;
+  std::uint32_t KnownVersion(UserId user) const {
+    const std::uint32_t slot = index_.Find(user);
+    return slot == UserMap::kAbsent ? kNoVersion
+                                    : slots_[slot].digest.version();
+  }
 
   /// Offers a scored candidate. Inserts when the score qualifies for the
   /// top-s (score must be > 0), refreshes score/digest when the candidate is
@@ -92,8 +184,8 @@ class PersonalNetwork {
   std::vector<UserId> EntriesNeedingProfile() const;
 
   /// Neighbour with the largest timestamp (the one not gossiped with for
-  /// longest); kInvalidUser when empty. `skip` users are excluded (offline
-  /// retry).
+  /// longest; ties: smallest id); kInvalidUser when empty. `skip` users are
+  /// excluded (offline retry).
   UserId OldestNeighbour(const std::vector<UserId>& skip = {}) const;
 
   /// Marks `user` as just-gossiped-with (timestamp 0) and ages every other
@@ -105,7 +197,7 @@ class PersonalNetwork {
   /// ageing happens when she initiates).
   void ResetTimestamp(UserId user);
 
-  /// Stored profile replicas (the c highest-scored entries).
+  /// Stored profile replicas (the c highest-scored entries), in rank order.
   std::vector<ProfilePtr> StoredProfiles() const;
 
   /// Stored replica of `user`, or null.
@@ -125,57 +217,48 @@ class PersonalNetwork {
   std::size_t StoredProfileActions() const;
 
   /// Checkpoint restore: replaces the contents with `entries`, re-sorting
-  /// into canonical order and rebuilding the index. Entries past the top-c
-  /// lose any stored replica (the storage invariant).
-  void RestoreEntries(std::vector<NetworkEntry> entries);
+  /// into canonical order and rebuilding the index. `timestamps[i]` is
+  /// entries[i]'s timestamp (all 0 when `timestamps` is empty); their
+  /// touched_at fields are ignored. Entries past the top-c lose any stored
+  /// replica (the storage invariant).
+  void RestoreEntries(std::vector<NetworkEntry> entries,
+                      const std::vector<std::uint32_t>& timestamps = {});
+
+  /// Bytes held by the entry slots, the rank keys, the free list and the
+  /// index (their capacities).
+  std::size_t MemoryBytes() const;
 
   /// Describes the first violated structural invariant, or returns an empty
-  /// string when the network is sound: entries strictly ordered by
-  /// (score desc, id asc); index and entries in one-to-one correspondence;
-  /// size <= s, the owner absent and no score 0; replicas only at ranks
-  /// below c, each owned by its entry's user and no newer than the digest.
+  /// string when the network is sound: keys strictly ordered by (score
+  /// desc, id asc), each mirroring its slot's entry; index, keys and slots
+  /// in one-to-one correspondence (free slots empty); size <= s, the owner
+  /// absent and no score 0; replicas only at ranks below c, each owned by
+  /// its entry's user and no newer than the digest.
   std::string CheckInvariants() const;
 
  private:
-  /// user -> position in entries_: linear probing over a power-of-two table
-  /// of (user, position) slots kept at most half full. It grows with the
-  /// network (16 slots at first, 1024 at s = 500), so a sparse network
-  /// never pays for capacity s.
-  class PositionIndex {
-   public:
-    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+  /// Moves keys_[from], whose score just changed or which was just
+  /// appended, to its rank among the otherwise sorted keys, and drops the
+  /// one replica that crossed rank c.
+  void Reposition(std::size_t from);
 
-    std::uint32_t Find(UserId user) const;
-    /// Inserts `user` or re-points it.
-    void Set(UserId user, std::uint32_t pos);
-    void Erase(UserId user);
-    void Clear();
-    std::size_t size() const { return size_; }
+  /// Rank of the member `user` whose key holds `score`.
+  std::size_t RankOf(std::uint64_t score, UserId user) const;
 
-   private:
-    struct Slot {
-      UserId user = kInvalidUser;
-      std::uint32_t pos = 0;
-    };
-    std::size_t Home(UserId user) const;
-    void Grow();
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-    int shift_ = 64;  // 64 - log2(slots_.size())
-  };
-
-  /// Moves entries_[from] — whose key just changed or which was just
-  /// appended — to its rank in the otherwise sorted vector, re-points the
-  /// index over the shifted range, and drops the one replica that crossed
-  /// rank c. Returns the new position.
-  std::size_t Reposition(std::size_t from);
+  /// Ranks that may hold a replica: min(size, c). Every replica-reading
+  /// scan stops there.
+  std::size_t StoredRanks() const {
+    return std::min(keys_.size(), static_cast<std::size_t>(c_));
+  }
 
   UserId self_;
   int s_;
   int c_;
-  std::vector<NetworkEntry> entries_;  // sorted: score desc, id asc
-  PositionIndex index_;
+  std::uint32_t clock_ = 0;  ///< gossip clock: ticks once per TouchGossiped
+  std::vector<NetworkEntry> slots_;        // stable; free ones are empty
+  std::vector<std::uint32_t> free_slots_;  // slots of removed entries
+  std::vector<Key> keys_;                  // sorted: score desc, id asc
+  UserMap index_;                          // user -> slot
 };
 
 }  // namespace p3q

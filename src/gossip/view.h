@@ -32,17 +32,24 @@ struct DigestInfo {
   }
 };
 
-/// Simulates the receiver-side Bloom check "does Digest(other) contain at
-/// least one item tagged by me?" — true on a genuine common item, and true
-/// with the digest's false-positive probability otherwise (testing n items
+/// The Bloom check's answer for a pair that shares no item: one draw that
+/// passes with the digest's false-positive probability (testing n items
 /// against an FPP-f filter passes spuriously with probability 1-(1-f)^n).
-inline bool DigestIndicatesCommonItem(const Profile& mine,
-                                      const DigestInfo& theirs, Rng* rng) {
-  if (mine.SharesItemWith(*theirs.snapshot)) return true;
+inline bool DigestFalsePositive(const Profile& mine, const DigestInfo& theirs,
+                                Rng* rng) {
   const double fpp = theirs.snapshot->DigestFpp();
   const double miss_all =
       std::pow(1.0 - fpp, static_cast<double>(mine.NumItems()));
   return rng->NextBool(1.0 - miss_all);
+}
+
+/// Simulates the receiver-side Bloom check "does Digest(other) contain at
+/// least one item tagged by me?" — true on a genuine common item without a
+/// draw, else DigestFalsePositive.
+inline bool DigestIndicatesCommonItem(const Profile& mine,
+                                      const DigestInfo& theirs, Rng* rng) {
+  return mine.SharesItemWith(*theirs.snapshot) ||
+         DigestFalsePositive(mine, theirs, rng);
 }
 
 }  // namespace p3q

@@ -965,6 +965,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.pool_hits = mem.store.pool_hits;
   report.memory.pool_misses = mem.store.pool_misses;
   report.memory.peak_pending_depth = mem.store.peak_pending_depth;
+  report.memory.probe_memo_bytes = mem.probe_memo_bytes;
+  report.memory.personal_network_bytes = mem.personal_network_bytes;
   report.memory.peak_rss_mb = PeakRssMb();
 
   report.total_timing.threads = system.threads();

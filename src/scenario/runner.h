@@ -138,6 +138,10 @@ struct MemoryReport {
   std::uint64_t pool_misses = 0;
   /// Deepest per-user buffered update delta before a fold.
   std::uint64_t peak_pending_depth = 0;
+  /// Probe-memo tables and personal-network storage, summed over all
+  /// nodes (SystemMemoryStats).
+  std::uint64_t probe_memo_bytes = 0;
+  std::uint64_t personal_network_bytes = 0;
   /// getrusage(RUSAGE_SELF).ru_maxrss at the end of the run, in MiB
   /// (0 where unavailable).
   double peak_rss_mb = 0;

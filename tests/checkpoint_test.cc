@@ -218,7 +218,8 @@ TEST(CheckpointSystemTest, BrokenPersonalNetworkIsRejected) {
   // neighbour twice.
   test::TestSystem env({.users = 40});
   PersonalNetwork& network = env.system->node(0).network();
-  std::vector<NetworkEntry> entries = network.entries();
+  std::vector<NetworkEntry> entries(network.entries().begin(),
+                                    network.entries().end());
   ASSERT_FALSE(entries.empty());
   entries.push_back(entries.front());
   network.RestoreEntries(std::move(entries));
@@ -278,6 +279,14 @@ TEST(CheckpointSystemTest, EmptyEagerTaskIsRejected) {
   task.tags = {1};
   env.system->node(3).tasks().emplace(task.query_id, task);
   ExpectLoadRejected(env, "user 3 holds an empty task for query 7");
+}
+
+TEST(CheckpointSystemTest, ProbedUserPastThePopulationIsRejected) {
+  // User 40 does not exist in a 40-user system. The probe memo marks its
+  // empty slots with kInvalidUser, so an unchecked id could corrupt it.
+  test::TestSystem env({.users = 40});
+  env.system->node(2).probed_versions().Set(40, 3);
+  ExpectLoadRejected(env, "probed user 40 out of range");
 }
 
 TEST(CheckpointSystemTest, ReachedUserPastThePopulationIsRejected) {

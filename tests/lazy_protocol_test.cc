@@ -157,5 +157,20 @@ TEST(LazyProtocolTest, DeterministicForSameSeed) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(LazyProtocolTest, MemoryStatsAttributeProbeMemosAndNetworks) {
+  const SyntheticTrace trace = SmallTrace();
+  P3QSystem system(trace.dataset(), SmallConfig(), {}, 17);
+  system.BootstrapRandomViews();
+  system.RunLazyCycles(3);
+  const SystemMemoryStats stats = system.MemoryStats();
+  EXPECT_GT(stats.probe_memo_bytes, 0u);
+  EXPECT_GT(stats.personal_network_bytes, 0u);
+  std::size_t memo_slots = 0;
+  for (UserId u = 0; u < static_cast<UserId>(system.NumUsers()); ++u) {
+    memo_slots += system.node(u).probed_versions().slot_count();
+  }
+  EXPECT_EQ(stats.probe_memo_bytes, memo_slots * 8);
+}
+
 }  // namespace
 }  // namespace p3q

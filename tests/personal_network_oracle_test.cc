@@ -1,10 +1,14 @@
 // Differential test of core/personal_network against the sort-based
-// implementation it replaced. PersonalNetwork repositions one entry per
-// accepted offer (binary search + rotate) and keeps a flat position index;
-// the oracle below re-sorts the whole network and drops replicas past rank
-// c after every change, exactly as the original did. Randomized seeded
-// operation streams must leave both with identical entry vectors and
-// outcomes, and the rewrite must pass CheckInvariants() after every step.
+// implementation it replaced. PersonalNetwork keeps its entries in stable
+// slots, moves one 16-byte rank key per accepted offer (binary search +
+// memmove), finds members through a flat index and ages neighbours with a
+// gossip clock; the oracle below keeps one entry vector, re-sorts it and
+// drops replicas past rank c after every change, stores every timestamp
+// explicitly and ages all of them on TouchGossiped, and scans every entry
+// for each query, exactly as the original did. Randomized seeded operation
+// streams must leave both with identical entries, timestamps, outcomes and
+// query answers, and the rewrite must pass CheckInvariants() after every
+// step.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -19,15 +23,20 @@
 namespace p3q {
 namespace {
 
+/// An oracle entry: the entry plus its explicit timestamp.
+struct OracleEntry : NetworkEntry {
+  std::uint32_t timestamp = 0;
+};
+
 /// The original sort-based personal network (reference semantics only).
 class SortedNetworkOracle {
  public:
   SortedNetworkOracle(UserId self, int s, int c) : self_(self), s_(s), c_(c) {}
 
-  const std::vector<NetworkEntry>& entries() const { return entries_; }
+  const std::vector<OracleEntry>& entries() const { return entries_; }
 
-  const NetworkEntry* Find(UserId user) const {
-    for (const NetworkEntry& e : entries_) {
+  const OracleEntry* Find(UserId user) const {
+    for (const OracleEntry& e : entries_) {
       if (e.user == user) return &e;
     }
     return nullptr;
@@ -37,7 +46,7 @@ class SortedNetworkOracle {
                            const DigestInfo& digest, ProfilePtr replica) {
     ConsiderOutcome outcome;
     if (user == self_ || score == 0) return outcome;
-    if (NetworkEntry* entry = FindMutable(user); entry != nullptr) {
+    if (OracleEntry* entry = FindMutable(user); entry != nullptr) {
       if (digest.version() < entry->digest.version()) return outcome;
       const std::uint32_t old_stored =
           entry->HasStoredProfile() ? entry->stored_profile->version()
@@ -49,7 +58,7 @@ class SortedNetworkOracle {
         entry->stored_profile = std::move(replica);
       }
       SortAndRebalance();
-      const NetworkEntry* now = Find(user);
+      const OracleEntry* now = Find(user);
       outcome.accepted = true;
       outcome.stored_profile =
           now->HasStoredProfile() &&
@@ -58,13 +67,13 @@ class SortedNetworkOracle {
       return outcome;
     }
     if (static_cast<int>(entries_.size()) >= s_) {
-      NetworkEntry probe;
+      OracleEntry probe;
       probe.user = user;
       probe.score = score;
       if (!EntryBefore(probe, entries_.back())) return outcome;
       entries_.pop_back();
     }
-    NetworkEntry entry;
+    OracleEntry entry;
     entry.user = user;
     entry.score = score;
     entry.digest = digest;
@@ -77,26 +86,78 @@ class SortedNetworkOracle {
   }
 
   void Remove(UserId user) {
-    auto it = std::find_if(entries_.begin(), entries_.end(),
-                           [&](const NetworkEntry& e) { return e.user == user; });
+    auto it =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [&](const OracleEntry& e) { return e.user == user; });
     if (it == entries_.end()) return;
     entries_.erase(it);
     SortAndRebalance();
   }
 
   void TouchGossiped(UserId user) {
-    for (NetworkEntry& e : entries_) {
+    for (OracleEntry& e : entries_) {
       e.timestamp = e.user == user ? 0 : e.timestamp + 1;
     }
   }
 
   void ResetTimestamp(UserId user) {
-    if (NetworkEntry* e = FindMutable(user); e != nullptr) e->timestamp = 0;
+    if (OracleEntry* e = FindMutable(user); e != nullptr) e->timestamp = 0;
   }
 
-  void RestoreEntries(std::vector<NetworkEntry> entries) {
+  void RestoreEntries(std::vector<OracleEntry> entries) {
     entries_ = std::move(entries);
     SortAndRebalance();
+  }
+
+  UserId OldestNeighbour(const std::vector<UserId>& skip) const {
+    UserId best = kInvalidUser;
+    std::uint32_t best_ts = 0;
+    for (const OracleEntry& e : entries_) {
+      if (std::find(skip.begin(), skip.end(), e.user) != skip.end()) continue;
+      if (best == kInvalidUser || e.timestamp > best_ts ||
+          (e.timestamp == best_ts && e.user < best)) {
+        best = e.user;
+        best_ts = e.timestamp;
+      }
+    }
+    return best;
+  }
+
+  std::vector<ProfilePtr> StoredProfiles() const {
+    std::vector<ProfilePtr> out;
+    for (const OracleEntry& e : entries_) {
+      if (e.HasStoredProfile()) out.push_back(e.stored_profile);
+    }
+    return out;
+  }
+
+  std::vector<UserId> EntriesNeedingProfile() const {
+    std::vector<UserId> out;
+    for (std::size_t i = 0;
+         i < std::min(entries_.size(), static_cast<std::size_t>(c_)); ++i) {
+      const OracleEntry& e = entries_[i];
+      if (!e.HasStoredProfile() ||
+          e.stored_profile->version() < e.digest.version()) {
+        out.push_back(e.user);
+      }
+    }
+    return out;
+  }
+
+  std::vector<UserId> MembersWithoutProfile() const {
+    std::vector<UserId> out;
+    for (const OracleEntry& e : entries_) {
+      if (!e.HasStoredProfile()) out.push_back(e.user);
+    }
+    return out;
+  }
+
+  std::size_t StoredProfileActions() const {
+    std::size_t total = 0;
+    for (const OracleEntry& e : entries_) {
+      if (e.HasStoredProfile()) total += e.stored_profile->Length();
+    }
+    return total;
   }
 
  private:
@@ -105,8 +166,8 @@ class SortedNetworkOracle {
     return a.user < b.user;
   }
 
-  NetworkEntry* FindMutable(UserId user) {
-    return const_cast<NetworkEntry*>(Find(user));
+  OracleEntry* FindMutable(UserId user) {
+    return const_cast<OracleEntry*>(Find(user));
   }
 
   void SortAndRebalance() {
@@ -120,25 +181,28 @@ class SortedNetworkOracle {
   UserId self_;
   int s_;
   int c_;
-  std::vector<NetworkEntry> entries_;
+  std::vector<OracleEntry> entries_;
 };
 
-::testing::AssertionResult SameEntries(const std::vector<NetworkEntry>& got,
-                                       const std::vector<NetworkEntry>& want) {
+::testing::AssertionResult SameEntries(const PersonalNetwork& net,
+                                       const SortedNetworkOracle& oracle) {
+  const PersonalNetwork::Entries got = net.entries();
+  const std::vector<OracleEntry>& want = oracle.entries();
   if (got.size() != want.size()) {
     return ::testing::AssertionFailure()
            << "size " << got.size() << " vs oracle " << want.size();
   }
   for (std::size_t i = 0; i < got.size(); ++i) {
     const NetworkEntry& g = got[i];
-    const NetworkEntry& w = want[i];
+    const OracleEntry& w = want[i];
     if (g.user != w.user || g.score != w.score ||
         g.digest.user != w.digest.user ||
         g.digest.snapshot != w.digest.snapshot ||
-        g.timestamp != w.timestamp || g.stored_profile != w.stored_profile) {
+        net.Timestamp(g) != w.timestamp ||
+        g.stored_profile != w.stored_profile) {
       return ::testing::AssertionFailure()
              << "entry " << i << ": user " << g.user << " score " << g.score
-             << " ts " << g.timestamp << " replica "
+             << " ts " << net.Timestamp(g) << " replica "
              << (g.HasStoredProfile() ? "yes" : "no") << " vs oracle user "
              << w.user << " score " << w.score << " ts " << w.timestamp
              << " replica " << (w.HasStoredProfile() ? "yes" : "no");
@@ -157,13 +221,25 @@ struct Coverage {
   int stale_rejections = 0;
   int evictions = 0;
   int restores = 0;
+  int timestamp_ties = 0;    ///< OldestNeighbour picked among equal ages
+  int skip_changed_pick = 0; ///< the skip list excluded the oldest
+  int stale_replicas = 0;    ///< a top-c replica older than its digest
 };
 
-std::ptrdiff_t RankOf(const std::vector<NetworkEntry>& entries, UserId user) {
+std::ptrdiff_t RankOf(const std::vector<OracleEntry>& entries, UserId user) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].user == user) return static_cast<std::ptrdiff_t>(i);
   }
   return -1;
+}
+
+/// A restore timestamp: mostly small, sometimes just below 2^32 so that
+/// later ageing wraps around.
+std::uint32_t RandomTimestamp(Rng* rng) {
+  if (rng->NextBool(0.75)) {
+    return static_cast<std::uint32_t>(rng->NextUint64(20));
+  }
+  return 0xffffffffu - static_cast<std::uint32_t>(rng->NextUint64(8));
 }
 
 /// Runs `ops` seeded random operations against both implementations.
@@ -230,7 +306,7 @@ void RunDifferential(int s, int c, int ops, std::uint64_t seed,
         if ((before < c) != (after < c)) ++cov->crossed_c;
       }
       if (want.accepted) {
-        for (const NetworkEntry& e : oracle.entries()) {
+        for (const OracleEntry& e : oracle.entries()) {
           if (e.user != user && e.score == score) {
             ++cov->score_ties;
             break;
@@ -248,24 +324,30 @@ void RunDifferential(int s, int c, int ops, std::uint64_t seed,
       net.ResetTimestamp(user);
     } else {
       // A checkpoint-style restore of the current contents in scrambled
-      // order, with replicas handed to arbitrary ranks (including past c)
-      // so the restore must re-establish the storage invariant.
-      std::vector<NetworkEntry> scrambled = oracle.entries();
+      // order, with random timestamps and replicas handed to arbitrary
+      // ranks (including past c) so the restore must re-establish the
+      // storage invariant.
+      std::vector<OracleEntry> scrambled = oracle.entries();
       rng.Shuffle(&scrambled);
-      for (NetworkEntry& e : scrambled) {
+      std::vector<std::uint32_t> timestamps;
+      for (OracleEntry& e : scrambled) {
         if (rng.NextBool(0.5)) e.stored_profile = e.digest.snapshot;
+        e.timestamp = RandomTimestamp(&rng);
+        timestamps.push_back(e.timestamp);
       }
-      oracle.RestoreEntries(scrambled);
-      net.RestoreEntries(std::move(scrambled));
+      net.RestoreEntries(
+          std::vector<NetworkEntry>(scrambled.begin(), scrambled.end()),
+          timestamps);
+      oracle.RestoreEntries(std::move(scrambled));
       ++cov->restores;
     }
 
-    ASSERT_TRUE(SameEntries(net.entries(), oracle.entries()));
+    ASSERT_TRUE(SameEntries(net, oracle));
     const std::string broken = net.CheckInvariants();
     ASSERT_TRUE(broken.empty()) << broken;
     // The index answers exactly like a scan of the oracle.
     const NetworkEntry* found = net.Find(user);
-    const NetworkEntry* expected = oracle.Find(user);
+    const OracleEntry* expected = oracle.Find(user);
     ASSERT_EQ(found == nullptr, expected == nullptr);
     if (found != nullptr) {
       ASSERT_EQ(found->user, user);
@@ -273,6 +355,39 @@ void RunDifferential(int s, int c, int ops, std::uint64_t seed,
     ASSERT_EQ(net.KnownVersion(user),
               expected == nullptr ? PersonalNetwork::kNoVersion
                                   : expected->digest.version());
+
+    // The oldest-neighbour pick, without and with a random skip list.
+    std::vector<UserId> skip;
+    const std::uint64_t num_skip = rng.NextUint64(4);
+    for (std::uint64_t k = 0; k < num_skip; ++k) {
+      skip.push_back(static_cast<UserId>(rng.NextUint64(pool)));
+    }
+    const UserId oldest = oracle.OldestNeighbour({});
+    ASSERT_EQ(net.OldestNeighbour(), oldest);
+    ASSERT_EQ(net.OldestNeighbour(skip), oracle.OldestNeighbour(skip));
+    if (oracle.OldestNeighbour(skip) != oldest) ++cov->skip_changed_pick;
+    if (oldest != kInvalidUser) {
+      const std::uint32_t oldest_ts = oracle.Find(oldest)->timestamp;
+      for (const OracleEntry& e : oracle.entries()) {
+        if (e.user != oldest && e.timestamp == oldest_ts) {
+          ++cov->timestamp_ties;
+          break;
+        }
+      }
+    }
+
+    // The replica-reading queries, which the rewrite stops at rank c.
+    ASSERT_EQ(net.StoredProfiles(), oracle.StoredProfiles());
+    ASSERT_EQ(net.EntriesNeedingProfile(), oracle.EntriesNeedingProfile());
+    ASSERT_EQ(net.MembersWithoutProfile(), oracle.MembersWithoutProfile());
+    ASSERT_EQ(net.StoredProfileActions(), oracle.StoredProfileActions());
+    for (const OracleEntry& e : oracle.entries()) {
+      if (e.HasStoredProfile() &&
+          e.stored_profile->version() < e.digest.version()) {
+        ++cov->stale_replicas;
+        break;
+      }
+    }
   }
 }
 
@@ -292,6 +407,9 @@ TEST(PersonalNetworkOracleTest, MatchesSortBasedNetworkOnRandomStreams) {
   EXPECT_GT(cov.stale_rejections, 0);
   EXPECT_GT(cov.evictions, 0);
   EXPECT_GT(cov.restores, 0);
+  EXPECT_GT(cov.timestamp_ties, 0);
+  EXPECT_GT(cov.skip_changed_pick, 0);
+  EXPECT_GT(cov.stale_replicas, 0);
 }
 
 TEST(PersonalNetworkOracleTest, CheckInvariantsNamesEachViolation) {

@@ -137,16 +137,16 @@ TEST(PersonalNetworkTest, TimestampsAgeAndReset) {
   net.Consider(3, 30, MakeDigest(3), nullptr);
   // Gossip with 2: everyone else ages.
   net.TouchGossiped(2);
-  EXPECT_EQ(net.Find(2)->timestamp, 0u);
-  EXPECT_EQ(net.Find(1)->timestamp, 1u);
-  EXPECT_EQ(net.Find(3)->timestamp, 1u);
+  EXPECT_EQ(net.Timestamp(*net.Find(2)), 0u);
+  EXPECT_EQ(net.Timestamp(*net.Find(1)), 1u);
+  EXPECT_EQ(net.Timestamp(*net.Find(3)), 1u);
   net.TouchGossiped(1);
   // Oldest is now 3 (timestamp 2).
   EXPECT_EQ(net.OldestNeighbour(), 3u);
   // Skip list excludes 3: next oldest by tie-break (1 at ts 0 vs 2 at ts 1).
   EXPECT_EQ(net.OldestNeighbour({3}), 2u);
   net.ResetTimestamp(3);
-  EXPECT_EQ(net.Find(3)->timestamp, 0u);
+  EXPECT_EQ(net.Timestamp(*net.Find(3)), 0u);
 }
 
 TEST(PersonalNetworkTest, OldestNeighbourOnEmpty) {

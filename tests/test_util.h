@@ -105,12 +105,13 @@ inline std::vector<std::vector<NetworkRow>> NetworkRows(
     const P3QSystem& system) {
   std::vector<std::vector<NetworkRow>> rows(system.NumUsers());
   for (UserId u = 0; u < static_cast<UserId>(rows.size()); ++u) {
-    for (const NetworkEntry& e : system.node(u).network().entries()) {
+    const PersonalNetwork& network = system.node(u).network();
+    for (const NetworkEntry& e : network.entries()) {
       rows[u].emplace_back(e.user, e.score, e.digest.version(),
                            e.HasStoredProfile()
                                ? std::int64_t{e.stored_profile->version()}
                                : std::int64_t{-1},
-                           e.timestamp);
+                           network.Timestamp(e));
     }
   }
   return rows;

@@ -768,7 +768,13 @@ int RunScenarioMode(const Options& opt) {
               << " MiB used/reserved in " << m.arena_slabs << " slabs ("
               << m.arena_live_blocks << " snapshots, "
               << m.arena_recycled_slabs << " recycled); pool "
-              << m.pool_hits << " hits / " << m.pool_misses << " misses\n";
+              << m.pool_hits << " hits / " << m.pool_misses << " misses; "
+              << "probe memos "
+              << TablePrinter::Fmt(m.probe_memo_bytes / 1024.0 / 1024.0, 1)
+              << " MiB, personal networks "
+              << TablePrinter::Fmt(m.personal_network_bytes / 1024.0 / 1024.0,
+                                   1)
+              << " MiB\n";
   }
 
   if (!opt.json_path.empty() &&
