@@ -98,12 +98,13 @@ def profile_rollup(profile):
     depend on the runner, so all of these are recorded, never gated.
     """
     rollup = {"plan_seconds": 0.0, "barrier_seconds": 0.0,
-              "commit_seconds": 0.0, "shard_imbalance_mean": 0.0,
-              "shard_imbalance_max": 0.0}
+              "drain_seconds": 0.0, "end_cycle_seconds": 0.0,
+              "shard_imbalance_mean": 0.0, "shard_imbalance_max": 0.0}
     for engine in profile.get("engines", {}).values():
         rollup["plan_seconds"] += engine["plan_seconds"]
         rollup["barrier_seconds"] += engine["barrier_seconds"]
-        rollup["commit_seconds"] += engine["commit_seconds"]
+        rollup["drain_seconds"] += engine["drain_seconds"]
+        rollup["end_cycle_seconds"] += engine["end_cycle_seconds"]
         rollup["shard_imbalance_mean"] = max(rollup["shard_imbalance_mean"],
                                              engine["mean_imbalance"])
         rollup["shard_imbalance_max"] = max(rollup["shard_imbalance_max"],
@@ -331,7 +332,8 @@ def append_trajectory(path, sha, bench):
               "pairs_per_sec_lane_scalar", "pairs_per_sec_lane_avx2",
               "ql_p50", "ql_p95",
               "ql_p99", "slo_queries_per_sec", "plan_seconds",
-              "barrier_seconds", "commit_seconds", "shard_imbalance_mean",
+              "barrier_seconds", "drain_seconds", "end_cycle_seconds",
+              "shard_imbalance_mean",
               "shard_imbalance_max", "ckpt_bytes", "ckpt_save_seconds",
               "ckpt_resume_seconds", "peak_rss_mb", "arena_used_mb",
               "arena_reserved_mb"]
@@ -356,7 +358,8 @@ def append_trajectory(path, sha, bench):
                 "cycles_to_convergence": "",
                 "plan_seconds": s["plan_seconds"],
                 "barrier_seconds": s["barrier_seconds"],
-                "commit_seconds": s["commit_seconds"],
+                "drain_seconds": s["drain_seconds"],
+                "end_cycle_seconds": s["end_cycle_seconds"],
                 "shard_imbalance_mean": s["shard_imbalance_mean"],
                 "shard_imbalance_max": s["shard_imbalance_max"],
                 "peak_rss_mb": s.get("peak_rss_mb", ""),

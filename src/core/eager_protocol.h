@@ -74,7 +74,6 @@ class EagerProtocol : public CycleProtocol {
   bool ActiveInCycle(UserId node) const override;
   void PlanCycle(UserId node, const PlanContext& ctx) override;
   void EndPlan(std::uint64_t cycle) override;
-  bool UsesPerNodeCommit() const override { return false; }
   /// Sequential: commits share per-query state, participants_ and the
   /// epoch counter, so the protocol declares no commit footprints.
   void CommitMessage(UserId sender, DeliveryMessage& message,

@@ -81,9 +81,6 @@ class LazyProtocol : public CycleProtocol {
   /// Barrier: folds the per-shard traffic mailboxes into the metrics.
   void EndPlan(std::uint64_t cycle) override;
 
-  /// All commit work arrives as messages.
-  bool UsesPerNodeCommit() const override { return false; }
-
   /// Commit of one delivered gossip message (view merges, offers, replica
   /// fills, timestamps). Under the default ZeroLatency the message arrives
   /// at the same cycle's barrier — the classic semantics. Step-3 traffic

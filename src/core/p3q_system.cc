@@ -21,8 +21,10 @@ P3QSystem::P3QSystem(ProfileStore&& store, const P3QConfig& config,
       rng_(seed),
       store_(std::move(store)),
       network_(store_.NumUsers()),
-      engine_(store_.NumUsers(), SplitMix64(&seed)),
-      eager_engine_(store_.NumUsers(), SplitMix64(&seed)) {
+      lazy_(std::make_unique<LazyProtocol>(this)),
+      eager_(std::make_unique<EagerProtocol>(this)),
+      engine_(store_.NumUsers(), SplitMix64(&seed), lazy_.get()),
+      eager_engine_(store_.NumUsers(), SplitMix64(&seed), eager_.get()) {
   const std::string problem = config_.Validate();
   if (!problem.empty()) {
     throw std::invalid_argument("P3QConfig: " + problem);
@@ -40,11 +42,7 @@ P3QSystem::P3QSystem(ProfileStore&& store, const P3QConfig& config,
     nodes_.push_back(std::make_unique<P3QNode>(u, store_.Get(u), config_,
                                                std::max(1, c), rng_.Fork()));
   }
-  lazy_ = std::make_unique<LazyProtocol>(this);
-  eager_ = std::make_unique<EagerProtocol>(this);
-  engine_.AddProtocol(lazy_.get());
   engine_.SetLivenessCheck([this](UserId u) { return network_.IsOnline(u); });
-  eager_engine_.AddProtocol(eager_.get());
   eager_engine_.SetLivenessCheck(
       [this](UserId u) { return network_.IsOnline(u); });
 }
@@ -184,10 +182,6 @@ void P3QSystem::SeedExplicitNetworks(
 }
 
 void P3QSystem::RunLazyCycles(std::uint64_t n) { engine_.RunCycles(n); }
-
-void P3QSystem::AddLazyObserver(std::function<void(std::uint64_t)> observer) {
-  engine_.AddObserver(std::move(observer));
-}
 
 std::uint64_t P3QSystem::IssueQuery(const QuerySpec& spec) {
   return eager_->IssueQuery(spec);

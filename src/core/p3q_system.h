@@ -17,7 +17,6 @@
 #define P3Q_CORE_P3Q_SYSTEM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -160,9 +159,6 @@ class P3QSystem {
   /// Runs n lazy cycles over every online node.
   void RunLazyCycles(std::uint64_t n);
 
-  /// Registers an observer invoked after every lazy cycle.
-  void AddLazyObserver(std::function<void(std::uint64_t)> observer);
-
   // -- Eager mode (queries) -------------------------------------------------
 
   /// Issues a query: computes the querier's local partial result, builds her
@@ -252,11 +248,12 @@ class P3QSystem {
   Rng rng_;
   ProfileStore store_;
   Network network_;
+  // Built before the engines, which are constructed with pointers to them.
+  std::unique_ptr<LazyProtocol> lazy_;
+  std::unique_ptr<EagerProtocol> eager_;
   Engine engine_;        ///< drives the lazy protocol's cycles
   Engine eager_engine_;  ///< drives the eager protocol's cycles
   std::vector<std::unique_ptr<P3QNode>> nodes_;
-  std::unique_ptr<LazyProtocol> lazy_;
-  std::unique_ptr<EagerProtocol> eager_;
   LatencySpec latency_spec_;  ///< default: ZeroLatency
   Tracer* tracer_ = nullptr;
 };

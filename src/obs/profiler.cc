@@ -25,13 +25,12 @@ double PhaseBreakdown::MeanImbalance() const {
          shard_plan_sum_seconds;
 }
 
-void PhaseBreakdown::AddCycle(double plan, double barrier, double commit,
-                              double drain, double end_cycle, double shard_max,
+void PhaseBreakdown::AddCycle(double plan, double barrier, double drain,
+                              double end_cycle, double shard_max,
                               double shard_sum, std::uint64_t active_shards) {
   ++cycles;
   plan_seconds += plan;
   barrier_seconds += barrier;
-  commit_seconds += commit;
   drain_seconds += drain;
   end_cycle_seconds += end_cycle;
   shard_plan_max_seconds += shard_max;
@@ -53,7 +52,6 @@ void PhaseBreakdown::MergeFrom(const PhaseBreakdown& other) {
   cycles += other.cycles;
   plan_seconds += other.plan_seconds;
   barrier_seconds += other.barrier_seconds;
-  commit_seconds += other.commit_seconds;
   drain_seconds += other.drain_seconds;
   drain_levels += other.drain_levels;
   drain_pooled_messages += other.drain_pooled_messages;
@@ -75,7 +73,6 @@ PhaseBreakdown PhaseBreakdown::Since(const PhaseBreakdown& earlier) const {
   delta.cycles = cycles - earlier.cycles;
   delta.plan_seconds = plan_seconds - earlier.plan_seconds;
   delta.barrier_seconds = barrier_seconds - earlier.barrier_seconds;
-  delta.commit_seconds = commit_seconds - earlier.commit_seconds;
   delta.drain_seconds = drain_seconds - earlier.drain_seconds;
   delta.drain_levels = drain_levels - earlier.drain_levels;
   delta.drain_pooled_messages =
@@ -102,48 +99,45 @@ PhaseBreakdown PhaseBreakdown::Since(const PhaseBreakdown& earlier) const {
   return delta;
 }
 
+std::string PhaseBreakdownToJson(const PhaseBreakdown& breakdown) {
+  std::string out = "{\"cycles\": " + std::to_string(breakdown.cycles);
+  out += ", \"plan_seconds\": " + Num(breakdown.plan_seconds);
+  out += ", \"barrier_seconds\": " + Num(breakdown.barrier_seconds);
+  out += ", \"drain_seconds\": " + Num(breakdown.drain_seconds);
+  out += ", \"drain_levels\": " + std::to_string(breakdown.drain_levels);
+  out += ", \"drain_pooled_messages\": " +
+         std::to_string(breakdown.drain_pooled_messages);
+  out += ", \"drain_inline_messages\": " +
+         std::to_string(breakdown.drain_inline_messages);
+  out += ", \"closeout_pooled_items\": " +
+         std::to_string(breakdown.closeout_pooled_items);
+  out += ", \"closeout_inline_items\": " +
+         std::to_string(breakdown.closeout_inline_items);
+  out += ", \"end_cycle_seconds\": " + Num(breakdown.end_cycle_seconds);
+  out += ", \"total_seconds\": " + Num(breakdown.TotalSeconds());
+  out += ", \"shard_plan_max_seconds\": " +
+         Num(breakdown.shard_plan_max_seconds);
+  out += ", \"shard_plan_sum_seconds\": " +
+         Num(breakdown.shard_plan_sum_seconds);
+  out += ", \"active_shards\": " + std::to_string(breakdown.shards_per_cycle);
+  out += ", \"mean_imbalance\": " + Num(breakdown.MeanImbalance(), 3);
+  out += ", \"max_imbalance\": " + Num(breakdown.max_imbalance, 3);
+  out += ", \"imbalance_histogram\": [";
+  for (std::size_t i = 0; i < kImbalanceBuckets; ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(breakdown.imbalance_histogram[i]);
+  }
+  out += "]}";
+  return out;
+}
+
 std::string PhaseProfilerToJson(const PhaseProfiler& profiler) {
   std::string out = "{\n  \"engines\": {";
   bool first_engine = true;
   for (const auto& [label, breakdown] : profiler.breakdowns()) {
     if (!first_engine) out += ",";
     first_engine = false;
-    out += "\n    \"" + label + "\": {\n";
-    out += "      \"cycles\": " + std::to_string(breakdown.cycles) + ",\n";
-    out += "      \"plan_seconds\": " + Num(breakdown.plan_seconds) + ",\n";
-    out +=
-        "      \"barrier_seconds\": " + Num(breakdown.barrier_seconds) + ",\n";
-    out += "      \"commit_seconds\": " + Num(breakdown.commit_seconds) + ",\n";
-    out += "      \"drain_seconds\": " + Num(breakdown.drain_seconds) + ",\n";
-    out += "      \"drain_levels\": " + std::to_string(breakdown.drain_levels) +
-           ",\n";
-    out += "      \"drain_pooled_messages\": " +
-           std::to_string(breakdown.drain_pooled_messages) + ",\n";
-    out += "      \"drain_inline_messages\": " +
-           std::to_string(breakdown.drain_inline_messages) + ",\n";
-    out += "      \"closeout_pooled_items\": " +
-           std::to_string(breakdown.closeout_pooled_items) + ",\n";
-    out += "      \"closeout_inline_items\": " +
-           std::to_string(breakdown.closeout_inline_items) + ",\n";
-    out += "      \"end_cycle_seconds\": " + Num(breakdown.end_cycle_seconds) +
-           ",\n";
-    out += "      \"total_seconds\": " + Num(breakdown.TotalSeconds()) + ",\n";
-    out += "      \"shard_plan_max_seconds\": " +
-           Num(breakdown.shard_plan_max_seconds) + ",\n";
-    out += "      \"shard_plan_sum_seconds\": " +
-           Num(breakdown.shard_plan_sum_seconds) + ",\n";
-    out += "      \"active_shards\": " +
-           std::to_string(breakdown.shards_per_cycle) + ",\n";
-    out += "      \"mean_imbalance\": " + Num(breakdown.MeanImbalance(), 3) +
-           ",\n";
-    out += "      \"max_imbalance\": " + Num(breakdown.max_imbalance, 3) +
-           ",\n";
-    out += "      \"imbalance_histogram\": [";
-    for (std::size_t i = 0; i < kImbalanceBuckets; ++i) {
-      if (i > 0) out += ", ";
-      out += std::to_string(breakdown.imbalance_histogram[i]);
-    }
-    out += "]\n    }";
+    out += "\n    \"" + label + "\": " + PhaseBreakdownToJson(breakdown);
   }
   out += "\n  }\n}\n";
   return out;

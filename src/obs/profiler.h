@@ -2,11 +2,11 @@
 //
 // Unlike the tracer (obs/trace.h), which is deterministic and cycle-stamped,
 // the profiler measures real elapsed time: how long each engine phase (plan,
-// barrier fold, per-node commit, delivery drain, EndCycle) takes per cycle,
-// and how evenly the plan phase's work spreads across shards. It answers the
-// "where does the wall-clock go" questions the SIMD/NUMA and multi-process
-// roadmap items need, so it reports through the opt-in --timing gate and
-// never perturbs default byte-stable reports.
+// barrier fold, delivery drain, EndCycle) takes per cycle, and how evenly
+// the plan phase's work spreads across shards. It answers the "where does
+// the wall-clock go" questions the SIMD/NUMA and multi-process roadmap items
+// need, so it reports through the opt-in --timing gate and never perturbs
+// default byte-stable reports.
 #ifndef P3Q_OBS_PROFILER_H_
 #define P3Q_OBS_PROFILER_H_
 
@@ -22,12 +22,11 @@ namespace p3q {
 /// open-ended. Ratio 1.0 = perfectly balanced shards.
 inline constexpr std::size_t kImbalanceBuckets = 16;
 
-/// Accumulated wall-clock breakdown for one engine (one protocol loop).
+/// Accumulated wall-clock breakdown for one engine.
 struct PhaseBreakdown {
   std::uint64_t cycles = 0;            ///< cycles measured
   double plan_seconds = 0.0;           ///< parallel plan phase
   double barrier_seconds = 0.0;        ///< EndPlan + trace/queue folds
-  double commit_seconds = 0.0;         ///< sequential per-node CommitCycle
   double drain_seconds = 0.0;          ///< delivery drain + message commits
   /// Levels the level-parallel drain ran (sim/engine.h); a sequential drain
   /// adds none. Long level chains come from users many others gossip with.
@@ -51,8 +50,7 @@ struct PhaseBreakdown {
 
   /// Total measured engine time.
   double TotalSeconds() const {
-    return plan_seconds + barrier_seconds + commit_seconds + drain_seconds +
-           end_cycle_seconds;
+    return plan_seconds + barrier_seconds + drain_seconds + end_cycle_seconds;
   }
 
   /// Mean per-cycle plan imbalance: max shard time over mean shard time,
@@ -62,8 +60,8 @@ struct PhaseBreakdown {
   /// Folds one cycle's measurements in. `shard_seconds`/`active_shards`
   /// describe the plan phase's per-shard times (max, sum, count of shards
   /// that had nodes to plan).
-  void AddCycle(double plan, double barrier, double commit, double drain,
-                double end_cycle, double shard_max, double shard_sum,
+  void AddCycle(double plan, double barrier, double drain, double end_cycle,
+                double shard_max, double shard_sum,
                 std::uint64_t active_shards);
 
   void MergeFrom(const PhaseBreakdown& other);
@@ -96,8 +94,12 @@ class PhaseProfiler {
   std::map<std::string, PhaseBreakdown> breakdowns_;
 };
 
-/// Renders the profiler as a JSON document:
-/// {"engines":{"lazy":{"cycles":..,"plan_seconds":..,...},"eager":{...}}}
+/// Renders one breakdown as a one-line JSON object:
+/// {"cycles": .., "plan_seconds": .., ..., "imbalance_histogram": [..]}
+std::string PhaseBreakdownToJson(const PhaseBreakdown& breakdown);
+
+/// Renders the profiler as a JSON document, one PhaseBreakdownToJson object
+/// per engine label: {"engines": {"eager": {...}, "lazy": {...}}}
 std::string PhaseProfilerToJson(const PhaseProfiler& profiler);
 
 }  // namespace p3q

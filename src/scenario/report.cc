@@ -196,19 +196,7 @@ void AppendProfileJson(const std::map<std::string, PhaseBreakdown>& profile,
   for (const auto& [label, b] : profile) {
     if (!first) *out << ", ";
     first = false;
-    *out << "\"" << JsonEscape(label) << "\": {\"cycles\": " << b.cycles
-         << ", \"plan_seconds\": " << Num(b.plan_seconds)
-         << ", \"barrier_seconds\": " << Num(b.barrier_seconds)
-         << ", \"commit_seconds\": " << Num(b.commit_seconds)
-         << ", \"drain_seconds\": " << Num(b.drain_seconds)
-         << ", \"drain_levels\": " << b.drain_levels
-         << ", \"drain_pooled_messages\": " << b.drain_pooled_messages
-         << ", \"drain_inline_messages\": " << b.drain_inline_messages
-         << ", \"closeout_pooled_items\": " << b.closeout_pooled_items
-         << ", \"closeout_inline_items\": " << b.closeout_inline_items
-         << ", \"end_cycle_seconds\": " << Num(b.end_cycle_seconds)
-         << ", \"mean_imbalance\": " << Num(b.MeanImbalance(), 3)
-         << ", \"max_imbalance\": " << Num(b.max_imbalance, 3) << "}";
+    *out << "\"" << JsonEscape(label) << "\": " << PhaseBreakdownToJson(b);
   }
   *out << "}";
 }
@@ -219,7 +207,6 @@ void AppendProfileJson(const std::map<std::string, PhaseBreakdown>& profile,
 struct ProfileRollup {
   double plan = 0;
   double barrier = 0;
-  double commit = 0;
   double drain = 0;
   double end_cycle = 0;
   double imbalance = 0;
@@ -232,7 +219,6 @@ ProfileRollup RollupProfile(
     (void)label;
     r.plan += b.plan_seconds;
     r.barrier += b.barrier_seconds;
-    r.commit += b.commit_seconds;
     r.drain += b.drain_seconds;
     r.end_cycle += b.end_cycle_seconds;
     const double mean = b.MeanImbalance();
@@ -387,8 +373,8 @@ std::string ScenarioReportToCsv(const ScenarioReport& report,
     }
   }
   if (include_profile) {
-    out << ",prof_plan_s,prof_barrier_s,prof_commit_s,prof_drain_s,"
-           "prof_end_s,prof_shard_imbalance";
+    out << ",prof_plan_s,prof_barrier_s,prof_drain_s,prof_end_s,"
+           "prof_shard_imbalance";
   }
   out << "\n";
 
@@ -447,8 +433,8 @@ std::string ScenarioReportToCsv(const ScenarioReport& report,
     if (include_profile) {
       const ProfileRollup r = RollupProfile(profile);
       out << "," << Num(r.plan) << "," << Num(r.barrier) << ","
-          << Num(r.commit) << "," << Num(r.drain) << "," << Num(r.end_cycle)
-          << "," << Num(r.imbalance, 3);
+          << Num(r.drain) << "," << Num(r.end_cycle) << ","
+          << Num(r.imbalance, 3);
     }
     out << "\n";
   };

@@ -153,11 +153,10 @@ class LossyLatency : public LatencyModel {
 /// Builds the model a spec describes. The spec must pass Validate().
 std::unique_ptr<const LatencyModel> MakeLatencyModel(const LatencySpec& spec);
 
-/// Timestamped, deterministic in-flight message store: one per registered
-/// protocol, owned by the engine. Plan threads enqueue into per-shard
-/// pending lists (race-free under the engine's one-shard-one-thread
-/// contract); Fold() runs at the cycle barrier; TakeDue() feeds the commit
-/// phase.
+/// Timestamped, deterministic in-flight message store, one per engine.
+/// Plan threads enqueue into per-shard pending lists (race-free under the
+/// engine's one-shard-one-thread contract); Fold() runs at the cycle
+/// barrier; TakeDue() feeds the commit phase.
 class DeliveryQueue {
  public:
   /// One message in flight.

@@ -36,12 +36,12 @@ int ClampThreads(std::int64_t threads) {
 
 /// Persistent plan-phase workers: spawned once and fed one job per plan
 /// phase (or drain level, or close-out) through an epoch counter, so a run
-/// pays the thread spawn cost once instead of once per protocol per cycle
-/// (idle workers block on the condition variable between jobs). Run() returns
-/// only after every worker finished the job — the cycle barrier — even
-/// when the job throws: exceptions from any thread are captured and the
-/// first one is rethrown on the calling thread after the barrier, matching
-/// threads=1 semantics.
+/// pays the thread spawn cost once instead of once per cycle (idle workers
+/// block on the condition variable between jobs). Run() returns only after
+/// every worker finished the job — the cycle barrier — even when the job
+/// throws: exceptions from any thread are captured and the first one is
+/// rethrown on the calling thread after the barrier, matching threads=1
+/// semantics.
 class PlanWorkerPool {
  public:
   /// A job receives its worker index: 0 on the calling thread, 1..workers
@@ -196,14 +196,12 @@ class Engine::LevelDrain {
   explicit LevelDrain(std::size_t num_nodes) : next_level_(num_nodes, 0) {}
 
   /// Commits `due`, given in (due, sender, seq) order, level by level.
-  void Run(Engine* engine, CycleProtocol* protocol, std::uint64_t tag,
-           std::vector<DeliveryQueue::InFlight>& due);
+  void Run(Engine* engine, std::vector<DeliveryQueue::InFlight>& due);
 
  private:
   /// Assigns every message its level and commit stream; returns the level
   /// count.
-  std::size_t AssignLevels(const Engine& engine, const CycleProtocol& protocol,
-                           std::uint64_t tag,
+  std::size_t AssignLevels(const Engine& engine,
                            const std::vector<DeliveryQueue::InFlight>& due);
   /// Zeroes the next_level_ marks of the first `count` messages' footprints.
   void ClearMarks(std::size_t count);
@@ -235,8 +233,7 @@ void Engine::LevelDrain::ClearMarks(std::size_t count) {
 }
 
 std::size_t Engine::LevelDrain::AssignLevels(
-    const Engine& engine, const CycleProtocol& protocol, std::uint64_t tag,
-    const std::vector<DeliveryQueue::InFlight>& due) {
+    const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due) {
   const std::size_t n = due.size();
   footprints_.assign(n, CommitFootprint{});
   level_of_.resize(n);
@@ -248,7 +245,8 @@ std::size_t Engine::LevelDrain::AssignLevels(
     CommitFootprint& footprint = footprints_[i];
     // The sender is always in the footprint: its messages share a stream.
     footprint.Add(message.sender);
-    protocol.CommitFootprintOf(message.sender, *message.payload, &footprint);
+    engine.protocol_->CommitFootprintOf(message.sender, *message.payload,
+                                        &footprint);
     std::uint32_t level = 0;
     for (std::size_t k = 0; k < footprint.size; ++k) {
       const UserId user = footprint.users[k];
@@ -266,8 +264,8 @@ std::size_t Engine::LevelDrain::AssignLevels(
     level_of_[i] = level;
     num_levels = std::max(num_levels, level + 1);
     if (i == 0 || message.sender != due[i - 1].sender) {
-      streams_.push_back(ForkStream(engine.seed_, engine.cycle_,
-                                    message.sender, kCommitSalt ^ tag));
+      streams_.push_back(
+          ForkStream(engine.seed_, engine.cycle_, message.sender, kCommitSalt));
     }
     stream_of_[i] = static_cast<std::uint32_t>(streams_.size() - 1);
   }
@@ -289,10 +287,9 @@ std::size_t Engine::LevelDrain::AssignLevels(
   return num_levels;
 }
 
-void Engine::LevelDrain::Run(Engine* engine, CycleProtocol* protocol,
-                             std::uint64_t tag,
+void Engine::LevelDrain::Run(Engine* engine,
                              std::vector<DeliveryQueue::InFlight>& due) {
-  const std::size_t num_levels = AssignLevels(*engine, *protocol, tag, due);
+  const std::size_t num_levels = AssignLevels(*engine, due);
   Tracer* tracer = engine->tracer_;
   if (tracer != nullptr) {
     stage_.Reset(static_cast<std::size_t>(engine->threads_));
@@ -307,7 +304,7 @@ void Engine::LevelDrain::Run(Engine* engine, CycleProtocol* protocol,
     ctx.tracer = tracer;
     ctx.stage = tracer != nullptr ? &stage_ : nullptr;
     ctx.message = i;
-    protocol->CommitMessage(message.sender, *message.payload, ctx);
+    engine->protocol_->CommitMessage(message.sender, *message.payload, ctx);
   };
   std::size_t pooled = 0;
   try {
@@ -369,19 +366,16 @@ void PlanContext::Send(std::unique_ptr<DeliveryMessage> message) const {
                         std::move(message));
 }
 
-Engine::Engine(std::size_t num_nodes, std::uint64_t seed)
-    : num_nodes_(num_nodes),
+Engine::Engine(std::size_t num_nodes, std::uint64_t seed,
+               CycleProtocol* protocol)
+    : protocol_(protocol),
+      queue_(std::make_unique<DeliveryQueue>()),
+      num_nodes_(num_nodes),
       seed_(seed),
       threads_(ClampThreads(GetEnvInt("P3Q_THREADS", 1))),
       alive_(num_nodes, 1) {}
 
 Engine::~Engine() = default;
-
-void Engine::AddProtocol(CycleProtocol* protocol) {
-  protocols_.push_back(protocol);
-  queues_.push_back(std::make_unique<DeliveryQueue>());
-  queues_.back()->SetTracer(tracer_);
-}
 
 void Engine::SetLatencyModel(std::shared_ptr<const LatencyModel> model) {
   latency_ = std::move(model);
@@ -389,23 +383,17 @@ void Engine::SetLatencyModel(std::shared_ptr<const LatencyModel> model) {
 
 void Engine::SetTracer(Tracer* tracer) {
   tracer_ = tracer;
-  for (auto& queue : queues_) queue->SetTracer(tracer);
+  queue_->SetTracer(tracer);
 }
 
 void Engine::SetProfiler(PhaseProfiler* profiler, const std::string& label) {
   profile_ = profiler != nullptr ? profiler->Breakdown(label) : nullptr;
 }
 
-DeliveryStats Engine::DeliveryStatsTotal() const {
-  DeliveryStats total;
-  for (const auto& queue : queues_) total.MergeFrom(queue->stats());
-  return total;
-}
+DeliveryStats Engine::DeliveryStatsTotal() const { return queue_->stats(); }
 
 std::size_t Engine::MessagesInFlight() const {
-  std::size_t total = 0;
-  for (const auto& queue : queues_) total += queue->InFlightDepth();
-  return total;
+  return queue_->InFlightDepth();
 }
 
 void Engine::SetThreads(int threads) {
@@ -439,9 +427,7 @@ void Engine::SnapshotLiveness() {
   }
 }
 
-void Engine::RunPlanPhase(std::size_t protocol_index, std::uint64_t tag) {
-  CycleProtocol* protocol = protocols_[protocol_index];
-  DeliveryQueue* queue = queues_[protocol_index].get();
+void Engine::RunPlanPhase() {
   // ZeroLatency (or no model) takes the fast path: no model consultation,
   // no delivery-stream forks, every message due this cycle.
   const LatencyModel* latency =
@@ -463,19 +449,19 @@ void Engine::RunPlanPhase(std::size_t protocol_index, std::uint64_t tag) {
       PlanContext ctx;
       ctx.cycle = cycle_;
       ctx.shard = s;
-      ctx.queue = queue;
+      ctx.queue = queue_.get();
       ctx.latency = latency;
       for (UserId u = first; u < last; ++u) {
-        if (!alive_[u] || !protocol->ActiveInCycle(u)) continue;
-        Rng rng = ForkStream(seed_, cycle_, u, kPlanSalt ^ tag);
+        if (!alive_[u] || !protocol_->ActiveInCycle(u)) continue;
+        Rng rng = ForkStream(seed_, cycle_, u, kPlanSalt);
         Rng delivery_rng(0);
         if (latency != nullptr) {
-          delivery_rng = ForkStream(seed_, cycle_, u, kDeliverySalt ^ tag);
+          delivery_rng = ForkStream(seed_, cycle_, u, kDeliverySalt);
           ctx.delivery_rng = &delivery_rng;
         }
         ctx.node = u;
         ctx.rng = &rng;
-        protocol->PlanCycle(u, ctx);
+        protocol_->PlanCycle(u, ctx);
       }
       if (profiled) {
         shard_plan_seconds_[s] =
@@ -497,21 +483,18 @@ PlanWorkerPool& Engine::Workers() {
   return *pool_;
 }
 
-void Engine::DrainDueMessages(std::size_t protocol_index, std::uint64_t tag) {
-  CycleProtocol* protocol = protocols_[protocol_index];
-  std::vector<DeliveryQueue::InFlight> due =
-      queues_[protocol_index]->TakeDue(cycle_);
-  if (threads_ > 1 && !due.empty() && protocol->DeclaresCommitFootprints()) {
+void Engine::DrainDueMessages() {
+  std::vector<DeliveryQueue::InFlight> due = queue_->TakeDue(cycle_);
+  if (threads_ > 1 && !due.empty() && protocol_->DeclaresCommitFootprints()) {
     if (level_drain_ == nullptr) {
       level_drain_ = std::make_unique<LevelDrain>(num_nodes_);
     }
-    level_drain_->Run(this, protocol, tag, due);
+    level_drain_->Run(this, due);
     return;
   }
   // The sequential drain — the reference the level-parallel one reproduces.
   // One commit stream per (cycle, sender), shared by every message of that
-  // sender arriving this cycle — the exact stream the classic per-node
-  // commit used, so ZeroLatency reproduces it draw for draw.
+  // sender arriving this cycle.
   UserId current_sender = kInvalidUser;
   Rng rng(0);
   CommitContext ctx;
@@ -521,30 +504,30 @@ void Engine::DrainDueMessages(std::size_t protocol_index, std::uint64_t tag) {
   for (DeliveryQueue::InFlight& message : due) {
     if (message.sender != current_sender) {
       current_sender = message.sender;
-      rng = ForkStream(seed_, cycle_, message.sender, kCommitSalt ^ tag);
+      rng = ForkStream(seed_, cycle_, message.sender, kCommitSalt);
     }
     ctx.send_cycle = message.send_cycle;
-    protocol->CommitMessage(message.sender, *message.payload, ctx);
+    protocol_->CommitMessage(message.sender, *message.payload, ctx);
   }
   if (profile_ != nullptr) profile_->drain_inline_messages += due.size();
 }
 
-void Engine::CloseCycle(CycleProtocol* protocol, std::uint64_t tag) {
-  const std::size_t items = protocol->PrepareCloseouts(cycle_);
-  Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt ^ tag);
+void Engine::CloseCycle() {
+  const std::size_t items = protocol_->PrepareCloseouts(cycle_);
+  Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt);
   const bool pooled = threads_ > 1 && items >= kInlineLevelSize;
   if (pooled) {
     std::atomic<std::size_t> next{0};
     Workers().Run([&](std::size_t worker) {
-      if (worker == 0) protocol->EndCycle(cycle_, &end_rng);
+      if (worker == 0) protocol_->EndCycle(cycle_, &end_rng);
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < items; i = next.fetch_add(1, std::memory_order_relaxed)) {
-        protocol->Closeout(i);
+        protocol_->Closeout(i);
       }
     });
   } else {
-    protocol->EndCycle(cycle_, &end_rng);
-    for (std::size_t i = 0; i < items; ++i) protocol->Closeout(i);
+    protocol_->EndCycle(cycle_, &end_rng);
+    for (std::size_t i = 0; i < items; ++i) protocol_->Closeout(i);
   }
   if (profile_ != nullptr) {
     (pooled ? profile_->closeout_pooled_items
@@ -556,63 +539,46 @@ void Engine::RunOneCycle() {
   using Clock = std::chrono::steady_clock;
   const bool profiled = profile_ != nullptr;
   SnapshotLiveness();
-  for (std::size_t p = 0; p < protocols_.size(); ++p) {
-    CycleProtocol* protocol = protocols_[p];
-    // Distinct per-protocol salts keep the streams of co-registered
-    // protocols decorrelated.
-    const std::uint64_t tag = static_cast<std::uint64_t>(p) << 32;
-    protocol->BeginCycle(cycle_);
-    const auto t0 = profiled ? Clock::now() : Clock::time_point();
-    RunPlanPhase(p, tag);
-    const auto t1 = profiled ? Clock::now() : Clock::time_point();
-    protocol->EndPlan(cycle_);
-    // The trace fold sits at the same barrier as the mailbox merges and the
-    // queue fold, so the accept order is (shard, emit order) — independent
-    // of the thread count, like every other folded structure.
-    if (tracer_ != nullptr) tracer_->FoldShards();
-    queues_[p]->Fold();
-    const auto t2 = profiled ? Clock::now() : Clock::time_point();
-    if (protocol->UsesPerNodeCommit()) {
-      for (UserId u = 0; u < static_cast<UserId>(num_nodes_); ++u) {
-        if (!alive_[u] || !protocol->ActiveInCycle(u)) continue;
-        Rng rng = ForkStream(seed_, cycle_, u, kCommitSalt ^ tag);
-        protocol->CommitCycle(u, cycle_, &rng);
-      }
+  protocol_->BeginCycle(cycle_);
+  const auto t0 = profiled ? Clock::now() : Clock::time_point();
+  RunPlanPhase();
+  const auto t1 = profiled ? Clock::now() : Clock::time_point();
+  protocol_->EndPlan(cycle_);
+  // The trace fold sits at the same barrier as the mailbox merges and the
+  // queue fold, so the accept order is (shard, emit order) — independent of
+  // the thread count, like every other folded structure.
+  if (tracer_ != nullptr) tracer_->FoldShards();
+  queue_->Fold();
+  const auto t2 = profiled ? Clock::now() : Clock::time_point();
+  DrainDueMessages();
+  const auto t3 = profiled ? Clock::now() : Clock::time_point();
+  CloseCycle();
+  if (profiled) {
+    const auto t4 = Clock::now();
+    double shard_max = 0.0;
+    double shard_sum = 0.0;
+    std::uint64_t active_shards = 0;
+    for (std::size_t s = 0; s < kEngineShards; ++s) {
+      const auto [first, last] = ShardRange(s);
+      if (first >= last) continue;
+      ++active_shards;
+      shard_max = std::max(shard_max, shard_plan_seconds_[s]);
+      shard_sum += shard_plan_seconds_[s];
     }
-    const auto t3 = profiled ? Clock::now() : Clock::time_point();
-    DrainDueMessages(p, tag);
-    const auto t4 = profiled ? Clock::now() : Clock::time_point();
-    CloseCycle(protocol, tag);
-    if (profiled) {
-      const auto t5 = Clock::now();
-      double shard_max = 0.0;
-      double shard_sum = 0.0;
-      std::uint64_t active_shards = 0;
-      for (std::size_t s = 0; s < kEngineShards; ++s) {
-        const auto [first, last] = ShardRange(s);
-        if (first >= last) continue;
-        ++active_shards;
-        shard_max = std::max(shard_max, shard_plan_seconds_[s]);
-        shard_sum += shard_plan_seconds_[s];
-      }
-      const auto sec = [](Clock::time_point from, Clock::time_point to) {
-        return std::chrono::duration<double>(to - from).count();
-      };
-      profile_->AddCycle(sec(t0, t1), sec(t1, t2), sec(t2, t3), sec(t3, t4),
-                         sec(t4, t5), shard_max, shard_sum, active_shards);
-    }
+    const auto sec = [](Clock::time_point from, Clock::time_point to) {
+      return std::chrono::duration<double>(to - from).count();
+    };
+    profile_->AddCycle(sec(t0, t1), sec(t1, t2), sec(t2, t3), sec(t3, t4),
+                       shard_max, shard_sum, active_shards);
   }
-  for (auto& observer : observers_) observer(cycle_);
   ++cycle_;
 }
 
 void Engine::SaveState(CheckpointWriter* out, ProfilePool* pool) const {
   out->U64(seed_);
   out->U64(cycle_);
-  out->U64(queues_.size());
-  for (std::size_t p = 0; p < queues_.size(); ++p) {
-    queues_[p]->SaveState(*protocols_[p], out, pool);
-  }
+  out->U64(1);  // queue count, a field of the v1 format
+  queue_->SaveState(*protocol_, out, pool);
   out->Sentinel();
 }
 
@@ -625,15 +591,12 @@ void Engine::LoadState(CheckpointReader* in, const ProfileTable& profiles) {
   }
   cycle_ = in->U64();
   const std::uint64_t num_queues = in->U64();
-  if (num_queues != queues_.size()) {
-    throw CheckpointError(
-        "checkpoint engine has " + std::to_string(num_queues) +
-        " protocol queue(s) but this run registered " +
-        std::to_string(queues_.size()));
+  if (num_queues != 1) {
+    throw CheckpointError("checkpoint engine has " +
+                          std::to_string(num_queues) +
+                          " protocol queues; an engine runs exactly one");
   }
-  for (std::size_t p = 0; p < queues_.size(); ++p) {
-    queues_[p]->LoadState(*protocols_[p], in, profiles, num_nodes_);
-  }
+  queue_->LoadState(*protocol_, in, profiles, num_nodes_);
   in->Sentinel("engine");
 }
 

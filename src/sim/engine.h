@@ -1,16 +1,15 @@
 // Deterministic sharded parallel cycle engine (the PeerSim substitute).
 //
 // PeerSim's cycle-based mode invokes, once per cycle, the nextCycle() hook
-// of every node's protocol, then runs registered Controls (observers). The
-// original Engine reproduced that contract sequentially; this engine keeps
-// the cycle/observer structure but executes each cycle as a deterministic
-// bulk-synchronous step so the node loop can run on several threads while
-// producing byte-identical results for every thread count (including 1):
+// of every node's protocol. This engine drives one message-passing protocol
+// and executes each cycle as a deterministic bulk-synchronous step, so the
+// node loop can run on several threads while producing byte-identical
+// results for every thread count (including 1):
 //
-//   1. Liveness is snapshotted ONCE per cycle. Every protocol pass of the
-//      cycle sees the same online set; a node failing mid-cycle (through an
-//      observer or an effect) only disappears from the next cycle.
-//   2. For each registered protocol, in registration order:
+//   1. Liveness is snapshotted ONCE per cycle. The whole cycle sees the same
+//      online set; a node failing mid-cycle (through a commit) only
+//      disappears from the next cycle.
+//   2. The cycle then runs, in order:
 //        a. BeginCycle(cycle)          — sequential set-up hook.
 //        b. PlanCycle(node, ctx)       — the PARALLEL phase. Nodes are
 //           partitioned into kEngineShards fixed, contiguous shards; worker
@@ -23,13 +22,9 @@
 //           (seed, cycle, node), so no draw depends on interleaving.
 //        c. EndPlan(cycle)             — sequential barrier hook; merges the
 //           per-shard mailboxes in shard order.
-//        d. CommitCycle(node, cycle, rng) — the COMMIT phase: called
-//           sequentially in ascending node order; applies the buffered
-//           effects (arbitrary cross-node mutation is allowed here). The
-//           rng is a second per-(cycle, node) forked stream.
-//        e. The delivery drain: CommitMessage for every due message (see
-//           below).
-//        f. The close-out. PrepareCloseouts(cycle), a sequential hook,
+//        d. The delivery drain — the COMMIT phase: CommitMessage for every
+//           due message (see below), which may mutate any node's state.
+//        e. The close-out. PrepareCloseouts(cycle), a sequential hook,
 //           names the cycle's independent close-out items (e.g. the eager
 //           mode's open queries). EndCycle(cycle, rng) is the sequential
 //           tear-down hook (e.g. the eager mode's wave of refreshments),
@@ -38,8 +33,6 @@
 //           the calling thread while the plan workers take the items, and
 //           the calling thread joins them once EndCycle returns. Otherwise
 //           the items run on the calling thread after EndCycle.
-//   3. Observers run after the last protocol's commit, in registration
-//      order.
 //
 // Because plan reads only frozen state and every commit sees the state the
 // canonical commit order gives it, the node-visit multiset, every RNG
@@ -50,10 +43,10 @@
 // protocol's plan code packages its buffered effects as a self-contained
 // DeliveryMessage and hands it to PlanContext::Send. A pluggable
 // LatencyModel decides at send time when the message commits (the default
-// ZeroLatency commits it at this cycle's barrier, byte-identical to the
-// synchronous engine); the engine drains every due message during the
-// commit phase in (due cycle, sender, seq) order, invoking the protocol's
-// CommitMessage with a per-(cycle, sender) forked stream.
+// ZeroLatency commits it in the drain of the cycle that sent it); the engine
+// drains every due message during the commit phase in (due cycle, sender,
+// seq) order, invoking the protocol's CommitMessage with a per-(cycle,
+// sender) forked stream.
 //
 // The drain is sequential unless the protocol declares commit footprints
 // (CycleProtocol::DeclaresCommitFootprints): the users whose state each
@@ -189,14 +182,12 @@ struct CommitFootprint {
   std::size_t size = 0;
 };
 
-/// A per-node protocol driven by the cycle engine.
+/// The per-node protocol an Engine drives.
 ///
 /// The execution contract (see the file comment): PlanCycle runs in
-/// parallel against frozen state and buffers effects; CommitCycle applies
-/// them sequentially in ascending node order. A protocol whose cycle work
-/// is trivially local may do everything in PlanCycle's buffers and commit
-/// them wholesale, but shared state must never be mutated during the plan
-/// phase.
+/// parallel against frozen state and sends its effects as DeliveryMessages;
+/// CommitMessage applies each one when it arrives, in the drain's canonical
+/// order. Shared state must never be mutated during the plan phase.
 class CycleProtocol {
  public:
   virtual ~CycleProtocol() = default;
@@ -205,12 +196,10 @@ class CycleProtocol {
   virtual void BeginCycle(std::uint64_t cycle) { (void)cycle; }
 
   /// Cheap pre-filter consulted (from plan-phase threads — must be
-  /// read-only and race-free) before forking streams and invoking
-  /// PlanCycle/CommitCycle for an online node. Protocols where most nodes
-  /// idle most cycles (e.g. eager query processing) override this so a
-  /// mostly-idle population costs one probe per node instead of a stream
-  /// fork + callback. Must not flip from true to false between a node's
-  /// plan and its commit.
+  /// read-only and race-free) before forking streams and invoking PlanCycle
+  /// for an online node. Protocols where most nodes idle most cycles (e.g.
+  /// eager query processing) override this so a mostly-idle population
+  /// costs one probe per node instead of a stream fork + callback.
   virtual bool ActiveInCycle(UserId node) const {
     (void)node;
     return true;
@@ -224,25 +213,11 @@ class CycleProtocol {
   /// per-shard mailboxes here).
   virtual void EndPlan(std::uint64_t cycle) { (void)cycle; }
 
-  /// Sequential commit: invoked for every online node in ascending id
-  /// order after the barrier; applies the node's buffered effects.
-  virtual void CommitCycle(UserId node, std::uint64_t cycle, Rng* rng) {
-    (void)node;
-    (void)cycle;
-    (void)rng;
-  }
-
-  /// Protocols whose plan phase sends DeliveryMessages and whose commit
-  /// work lives entirely in CommitMessage return false so the engine skips
-  /// the per-node CommitCycle sweep (and its stream forks).
-  virtual bool UsesPerNodeCommit() const { return true; }
-
-  /// Delivery of one message sent by `sender` in `ctx.send_cycle`,
-  /// arriving in `ctx.cycle`. Every commit sees the state the sequential
-  /// (due cycle, sender, seq) order gives it; `ctx.rng` is the
-  /// per-(cycle, sender) commit stream, shared by all of a sender's
-  /// messages arriving this cycle — under ZeroLatency this reproduces the
-  /// classic CommitCycle stream exactly.
+  /// The commit: delivery of one message sent by `sender` in
+  /// `ctx.send_cycle`, arriving in `ctx.cycle`. It may mutate any node's
+  /// state. Every commit sees the state the sequential (due cycle, sender,
+  /// seq) order gives it; `ctx.rng` is the per-(cycle, sender) commit
+  /// stream, shared by all of a sender's messages arriving this cycle.
   virtual void CommitMessage(UserId sender, DeliveryMessage& message,
                              const CommitContext& ctx) {
     (void)sender;
@@ -272,10 +247,9 @@ class CycleProtocol {
     (void)footprint;
   }
 
-  /// Sequential hook after all commits of this protocol in this cycle,
-  /// before EndCycle; returns how many close-out items the cycle has. The
-  /// engine closes item i out with Closeout(i), possibly beside EndCycle
-  /// (see the file comment).
+  /// Sequential hook after the cycle's drain, before EndCycle; returns how
+  /// many close-out items the cycle has. The engine closes item i out with
+  /// Closeout(i), possibly beside EndCycle (see the file comment).
   virtual std::size_t PrepareCloseouts(std::uint64_t cycle) {
     (void)cycle;
     return 0;
@@ -288,7 +262,7 @@ class CycleProtocol {
   /// writes.
   virtual void Closeout(std::size_t item) { (void)item; }
 
-  /// Sequential hook after all commits of this protocol in this cycle.
+  /// Sequential hook after the cycle's drain.
   virtual void EndCycle(std::uint64_t cycle, Rng* rng) {
     (void)cycle;
     (void)rng;
@@ -310,27 +284,19 @@ class CycleProtocol {
 /// Deterministic sharded cycle scheduler.
 class Engine {
  public:
-  /// num_nodes: population size; seed: root of every forked stream. The
-  /// initial thread count comes from the P3Q_THREADS environment variable
-  /// (default 1); SetThreads overrides it.
-  Engine(std::size_t num_nodes, std::uint64_t seed);
+  /// num_nodes: population size; seed: root of every forked stream;
+  /// protocol: the one protocol every cycle runs, not owned, and it must
+  /// outlive the engine. The initial thread count comes from the
+  /// P3Q_THREADS environment variable (default 1); SetThreads overrides it.
+  Engine(std::size_t num_nodes, std::uint64_t seed, CycleProtocol* protocol);
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Registers a protocol; all registered protocols run every cycle, in
-  /// registration order. Each protocol gets its own DeliveryQueue.
-  void AddProtocol(CycleProtocol* protocol);
-
-  /// Registers an observer called after every cycle with the cycle index.
-  void AddObserver(std::function<void(std::uint64_t)> observer) {
-    observers_.push_back(std::move(observer));
-  }
-
   /// Optional liveness filter: nodes for which this returns false are
   /// skipped (offline users do not initiate gossip). Snapshotted once per
-  /// cycle — every protocol pass of a cycle sees the same online set.
+  /// cycle — the whole cycle sees the same online set.
   void SetLivenessCheck(std::function<bool(UserId)> check) {
     liveness_ = std::move(check);
   }
@@ -349,22 +315,22 @@ class Engine {
 
   /// Attaches a deterministic event tracer (obs/trace.h): the engine folds
   /// its per-shard plan buffers at every cycle barrier (so traces are
-  /// thread-count independent) and propagates it to every protocol's
-  /// DeliveryQueue for wire events. Null detaches. The tracer must outlive
-  /// the engine's remaining RunCycles calls.
+  /// thread-count independent) and propagates it to the DeliveryQueue for
+  /// wire events. Null detaches. The tracer must outlive the engine's
+  /// remaining RunCycles calls.
   void SetTracer(Tracer* tracer);
   Tracer* tracer() const { return tracer_; }
 
   /// Attaches a wall-clock phase profiler (obs/profiler.h): every cycle's
-  /// plan/barrier/commit/drain/EndCycle sections and per-shard plan times
-  /// are accumulated under `label`. Null detaches. Profiling never touches
+  /// plan/barrier/drain/EndCycle sections and per-shard plan times are
+  /// accumulated under `label`. Null detaches. Profiling never touches
   /// deterministic state — reports stay byte-stable.
   void SetProfiler(PhaseProfiler* profiler, const std::string& label);
 
-  /// Merged delivery counters over every protocol's queue.
+  /// The delivery queue's counters.
   DeliveryStats DeliveryStatsTotal() const;
 
-  /// Messages currently in flight across every protocol's queue.
+  /// Messages currently in flight.
   std::size_t MessagesInFlight() const;
 
   std::size_t num_nodes() const { return num_nodes_; }
@@ -375,15 +341,15 @@ class Engine {
   /// Cycles completed so far.
   std::uint64_t CurrentCycle() const { return cycle_; }
 
-  /// Serializes the engine's between-cycle state — the cycle counter, a
-  /// seed echo, and every protocol's delivery queue (payloads encoded by
-  /// the owning protocol). Only valid at a cycle barrier, where no
+  /// Serializes the engine's between-cycle state — a seed echo, the cycle
+  /// counter, a queue count (always 1) and the delivery queue (payloads
+  /// encoded by the protocol). Only valid at a cycle barrier, where no
   /// per-shard pending state exists.
   void SaveState(CheckpointWriter* out, ProfilePool* pool) const;
 
-  /// Restores state written by SaveState. The engine must already have the
-  /// same protocols registered (and the same seed) as the saving engine;
-  /// mismatches throw CheckpointError.
+  /// Restores state written by SaveState. The engine must have the saving
+  /// engine's seed and protocol; a different seed or a queue count other
+  /// than 1 throws CheckpointError.
   void LoadState(CheckpointReader* in, const ProfileTable& profiles);
 
   /// Shard of `node` in a population of `num_nodes`: contiguous ranges, so
@@ -419,19 +385,17 @@ class Engine {
   std::pair<UserId, UserId> ShardRange(std::size_t shard) const;
 
   void SnapshotLiveness();
-  void RunPlanPhase(std::size_t protocol_index, std::uint64_t tag);
+  void RunPlanPhase();
   /// The persistent worker pool, spawned on first use.
   PlanWorkerPool& Workers();
-  void DrainDueMessages(std::size_t protocol_index, std::uint64_t tag);
-  /// Step f: the protocol's EndCycle and its close-out items.
-  void CloseCycle(CycleProtocol* protocol, std::uint64_t tag);
+  void DrainDueMessages();
+  /// Step e: the protocol's EndCycle and its close-out items.
+  void CloseCycle();
   void RunOneCycle();
 
-  std::vector<CycleProtocol*> protocols_;
-  /// One in-flight message queue per registered protocol (same index).
-  std::vector<std::unique_ptr<DeliveryQueue>> queues_;
+  CycleProtocol* protocol_;
+  std::unique_ptr<DeliveryQueue> queue_;  ///< the protocol's messages
   std::shared_ptr<const LatencyModel> latency_;
-  std::vector<std::function<void(std::uint64_t)>> observers_;
   std::function<bool(UserId)> liveness_;
   std::size_t num_nodes_;
   std::uint64_t seed_;

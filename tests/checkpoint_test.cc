@@ -27,6 +27,7 @@
 #include "scenario/scenario.h"
 #include "sim/checkpoint.h"
 #include "sim/delivery.h"
+#include "sim/engine.h"
 #include "test_util.h"
 
 namespace p3q {
@@ -329,6 +330,33 @@ TEST(CheckpointSystemTest, ReadUserIdRejectsIdsPastThePopulation) {
   EXPECT_EQ(ReadUserId(&in, 40, "sender"), 39u);
   EXPECT_THROW(ReadUserId(&in, 40, "sender"), CheckpointError);
   EXPECT_THROW(ReadUserId(&in, 40, "sender"), CheckpointError);
+}
+
+TEST(CheckpointSystemTest, EngineQueueCountOtherThanOneIsRejected) {
+  class IdleProtocol : public CycleProtocol {
+   public:
+    void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
+  };
+  IdleProtocol protocol;
+  constexpr std::uint64_t kSeed = 11;
+  Engine engine(/*num_nodes=*/4, kSeed, &protocol);
+  const ProfileTable profiles;
+  for (const std::uint64_t count : {0u, 2u}) {
+    CheckpointWriter out;
+    out.U64(kSeed);  // seed echo
+    out.U64(3);      // cycle
+    out.U64(count);  // queue count
+    CheckpointReader in(out.buffer().data(), out.buffer().size());
+    try {
+      engine.LoadState(&in, profiles);
+      FAIL() << "an engine section with " << count << " queues was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(count) +
+                                           " protocol queues"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

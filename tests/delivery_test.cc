@@ -231,8 +231,6 @@ class SendingProtocol : public CycleProtocol {
     std::uint64_t arrived;
   };
 
-  bool UsesPerNodeCommit() const override { return false; }
-
   void PlanCycle(UserId node, const PlanContext& ctx) override {
     ctx.Send(std::make_unique<TestPayload>(static_cast<int>(node)));
   }
@@ -249,9 +247,8 @@ class SendingProtocol : public CycleProtocol {
 
 TEST(EngineDelivery, FixedLatencyDeliversExactlyKCyclesLater) {
   constexpr std::size_t kNodes = 6;
-  Engine engine(kNodes, /*seed=*/11);
   SendingProtocol protocol;
-  engine.AddProtocol(&protocol);
+  Engine engine(kNodes, /*seed=*/11, &protocol);
   engine.SetLatencyModel(std::make_shared<FixedLatency>(2));
   engine.RunCycles(5);
 
@@ -277,9 +274,8 @@ TEST(EngineDelivery, FixedLatencyDeliversExactlyKCyclesLater) {
 }
 
 TEST(EngineDelivery, ZeroLatencyDeliversSameCycleWithNothingInFlight) {
-  Engine engine(4, /*seed=*/11);
   SendingProtocol protocol;
-  engine.AddProtocol(&protocol);  // no model set = ZeroLatency
+  Engine engine(4, /*seed=*/11, &protocol);  // no model set = ZeroLatency
   engine.RunCycles(3);
   EXPECT_EQ(protocol.deliveries.size(), 12u);
   for (const auto& d : protocol.deliveries) EXPECT_EQ(d.arrived, d.sent);
@@ -289,9 +285,8 @@ TEST(EngineDelivery, ZeroLatencyDeliversSameCycleWithNothingInFlight) {
 
 TEST(EngineDelivery, DeliverySequenceIsThreadCountInvariant) {
   auto run = [](int threads) {
-    Engine engine(40, /*seed=*/7);
     SendingProtocol protocol;
-    engine.AddProtocol(&protocol);
+    Engine engine(40, /*seed=*/7, &protocol);
     engine.SetThreads(threads);
     engine.SetLatencyModel(std::make_shared<UniformLatency>(0, 3));
     engine.RunCycles(8);
@@ -311,9 +306,8 @@ TEST(EngineDelivery, DeliverySequenceIsThreadCountInvariant) {
 }
 
 TEST(EngineDelivery, LossyModelCountsDrops) {
-  Engine engine(10, /*seed=*/23);
   SendingProtocol protocol;
-  engine.AddProtocol(&protocol);
+  Engine engine(10, /*seed=*/23, &protocol);
   engine.SetLatencyModel(std::make_shared<LossyLatency>(0.5, 0));
   engine.RunCycles(20);
   const DeliveryStats stats = engine.DeliveryStatsTotal();

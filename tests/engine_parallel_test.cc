@@ -1,12 +1,13 @@
 // Property/invariant suite for the deterministic sharded parallel engine's
 // execution contract (see sim/engine.h):
-//  - every online node is planned and committed exactly once per cycle per
-//    protocol; offline nodes are skipped entirely;
-//  - commits run in ascending node order; observers fire after the barrier
-//    (all commits) in registration order;
+//  - every online node is planned and committed exactly once per cycle;
+//    offline nodes are skipped entirely;
+//  - each cycle runs BeginCycle, the plan phase, the EndPlan barrier, the
+//    commits in ascending sender order, then EndCycle;
 //  - the per-cycle node-visit multiset, the per-node RNG streams and all
 //    committed effects are independent of the thread count (and of the
-//    shard count, which is fixed);
+//    shard count, which is fixed), and every plan, commit and EndCycle
+//    stream is the ForkStream of its (cycle, node) coordinates;
 //  - the per-shard mailboxes merge deterministically;
 //  - the level-parallel delivery drain commits every message against the
 //    state, with the stream draws, lane totals and trace order of the
@@ -44,8 +45,9 @@ namespace p3q {
 namespace {
 
 /// Records everything the engine does, honouring the contract: plan writes
-/// only per-node slots (plus an atomic concurrency probe), commit appends
-/// to shared sequential logs.
+/// only per-node slots (plus an atomic concurrency probe) and sends one
+/// message per node; the sequential drain appends each commit to shared
+/// logs.
 class RecordingProtocol : public CycleProtocol {
  public:
   struct PlanRecord {
@@ -71,6 +73,7 @@ class RecordingProtocol : public CycleProtocol {
     while (now > peak && !peak_concurrency.compare_exchange_weak(peak, now)) {
     }
     in_plan_.fetch_sub(1);
+    ctx.Send(std::make_unique<DeliveryMessage>());
   }
   void EndPlan(std::uint64_t cycle) override {
     sequence.push_back({"end_plan", cycle, kInvalidUser});
@@ -81,9 +84,10 @@ class RecordingProtocol : public CycleProtocol {
       }
     }
   }
-  void CommitCycle(UserId node, std::uint64_t cycle, Rng* rng) override {
-    commits.push_back({node, cycle, (*rng)()});
-    sequence.push_back({"commit", cycle, node});
+  void CommitMessage(UserId sender, DeliveryMessage& /*message*/,
+                     const CommitContext& ctx) override {
+    commits.push_back({sender, ctx.cycle, (*ctx.rng)()});
+    sequence.push_back({"commit", ctx.cycle, sender});
   }
   void EndCycle(std::uint64_t cycle, Rng* /*rng*/) override {
     sequence.push_back({"end_cycle", cycle, kInvalidUser});
@@ -124,10 +128,9 @@ struct RunResult {
 RunResult RunRecorded(std::size_t num_nodes, std::uint64_t seed, int threads,
                       std::uint64_t cycles,
                       std::function<bool(UserId)> liveness = nullptr) {
-  Engine engine(num_nodes, seed);
-  engine.SetThreads(threads);
   RecordingProtocol protocol(num_nodes);
-  engine.AddProtocol(&protocol);
+  Engine engine(num_nodes, seed, &protocol);
+  engine.SetThreads(threads);
   if (liveness) engine.SetLivenessCheck(std::move(liveness));
   engine.RunCycles(cycles);
 
@@ -188,10 +191,9 @@ TEST(EngineParallelTest, VisitMultisetAndStreamsIdenticalAcrossThreadCounts) {
 }
 
 TEST(EngineParallelTest, CommitsAreSequentialAndAscendingUnderThreads) {
-  Engine engine(120, 53);
-  engine.SetThreads(8);
   RecordingProtocol protocol(120);
-  engine.AddProtocol(&protocol);
+  Engine engine(120, 53, &protocol);
+  engine.SetThreads(8);
   engine.RunCycles(2);
   std::uint64_t prev_cycle = ~std::uint64_t{0};
   std::int64_t prev_node = -1;
@@ -206,18 +208,14 @@ TEST(EngineParallelTest, CommitsAreSequentialAndAscendingUnderThreads) {
   }
 }
 
-TEST(EngineParallelTest, ObserversFireAfterTheBarrierInRegistrationOrder) {
-  Engine engine(10, 59);
-  engine.SetThreads(4);
+TEST(EngineParallelTest, PhasesRunInContractOrderEveryCycle) {
   RecordingProtocol protocol(10);
-  engine.AddProtocol(&protocol);
-  std::vector<std::pair<int, std::uint64_t>> observed;
-  engine.AddObserver([&](std::uint64_t c) { observed.emplace_back(1, c); });
-  engine.AddObserver([&](std::uint64_t c) { observed.emplace_back(2, c); });
+  Engine engine(10, 59, &protocol);
+  engine.SetThreads(4);
   engine.RunCycles(3);
 
   // Sequence per cycle: begin, end_plan (the barrier), 10 commits,
-  // end_cycle — and only then the observers, in registration order.
+  // end_cycle.
   ASSERT_EQ(protocol.sequence.size(), 3 * (3 + 10));
   for (std::uint64_t c = 0; c < 3; ++c) {
     const std::size_t base = c * 13;
@@ -228,11 +226,6 @@ TEST(EngineParallelTest, ObserversFireAfterTheBarrierInRegistrationOrder) {
       EXPECT_EQ(protocol.sequence[base + 2 + i].node, static_cast<UserId>(i));
     }
     EXPECT_EQ(protocol.sequence[base + 12].what, "end_cycle");
-  }
-  ASSERT_EQ(observed.size(), 6u);
-  for (std::uint64_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(observed[2 * c], (std::pair<int, std::uint64_t>{1, c}));
-    EXPECT_EQ(observed[2 * c + 1], (std::pair<int, std::uint64_t>{2, c}));
   }
 }
 
@@ -261,13 +254,85 @@ TEST(EngineParallelTest, ForkStreamIsStableAndDecorrelated) {
   EXPECT_NE(Engine::ForkStream(1, 2, 3, Engine::kCommitSalt)(), base);
 }
 
+/// Records the first draw of every stream the engine hands out: each
+/// node's plan stream, each sender's commit stream and EndCycle's stream.
+/// Draws land in per-node slots, so the level-parallel drain may fill them
+/// concurrently.
+class StreamProtocol : public CycleProtocol {
+ public:
+  StreamProtocol(std::size_t num_nodes, bool footprints)
+      : plan_draws(num_nodes), commit_draws(num_nodes),
+        footprints_(footprints) {}
+
+  /// The footprint is the sender alone, so a drain is one level.
+  bool DeclaresCommitFootprints() const override { return footprints_; }
+  void PlanCycle(UserId node, const PlanContext& ctx) override {
+    plan_draws[node].push_back((*ctx.rng)());
+    ctx.Send(std::make_unique<DeliveryMessage>());
+  }
+  void CommitMessage(UserId sender, DeliveryMessage& /*message*/,
+                     const CommitContext& ctx) override {
+    commit_draws[sender].push_back((*ctx.rng)());
+  }
+  void EndCycle(std::uint64_t /*cycle*/, Rng* rng) override {
+    end_draws.push_back((*rng)());
+  }
+
+  std::vector<std::vector<std::uint64_t>> plan_draws;    ///< [node][cycle]
+  std::vector<std::vector<std::uint64_t>> commit_draws;  ///< [sender][cycle]
+  std::vector<std::uint64_t> end_draws;                  ///< [cycle]
+
+ private:
+  bool footprints_;
+};
+
+TEST(EngineParallelTest, StreamsAreForkedFromTheirCoordinates) {
+  constexpr std::size_t kNodes = 100;
+  constexpr std::uint64_t kSeed = 109;
+  constexpr std::uint64_t kCycles = 3;
+  for (const int threads : {1, 4}) {
+    for (const bool footprints : {false, true}) {
+      StreamProtocol protocol(kNodes, footprints);
+      Engine engine(kNodes, kSeed, &protocol);
+      engine.SetThreads(threads);
+      PhaseProfiler profiler;
+      engine.SetProfiler(&profiler, "streams");
+      engine.RunCycles(kCycles);
+
+      const bool level_parallel = threads > 1 && footprints;
+      const PhaseBreakdown& profile = profiler.breakdowns().at("streams");
+      EXPECT_EQ(profile.drain_pooled_messages,
+                level_parallel ? kNodes * kCycles : 0u)
+          << threads << " threads, footprints " << footprints;
+      for (UserId u = 0; u < kNodes; ++u) {
+        ASSERT_EQ(protocol.plan_draws[u].size(), kCycles);
+        ASSERT_EQ(protocol.commit_draws[u].size(), kCycles);
+        for (std::uint64_t c = 0; c < kCycles; ++c) {
+          EXPECT_EQ(protocol.plan_draws[u][c],
+                    Engine::ForkStream(kSeed, c, u, Engine::kPlanSalt)())
+              << "node " << u << " cycle " << c;
+          EXPECT_EQ(protocol.commit_draws[u][c],
+                    Engine::ForkStream(kSeed, c, u, Engine::kCommitSalt)())
+              << "sender " << u << " cycle " << c << ", " << threads
+              << " threads, footprints " << footprints;
+        }
+      }
+      ASSERT_EQ(protocol.end_draws.size(), kCycles);
+      for (std::uint64_t c = 0; c < kCycles; ++c) {
+        EXPECT_EQ(protocol.end_draws[c],
+                  Engine::ForkStream(kSeed, c, 0, Engine::kCycleSalt)())
+            << "cycle " << c;
+      }
+    }
+  }
+}
+
 TEST(EngineParallelTest, PlanPhaseActuallyRunsConcurrently) {
   // Not a correctness requirement on 1-core machines, but the concurrency
   // probe must at least never exceed the configured thread count.
-  Engine engine(400, 67);
-  engine.SetThreads(4);
   RecordingProtocol protocol(400);
-  engine.AddProtocol(&protocol);
+  Engine engine(400, 67, &protocol);
+  engine.SetThreads(4);
   engine.RunCycles(2);
   EXPECT_GE(protocol.peak_concurrency.load(), 1);
   EXPECT_LE(protocol.peak_concurrency.load(), 4);
@@ -296,10 +361,9 @@ TEST(EngineParallelTest, ShardTrafficMailboxesMergeDeterministically) {
 
   constexpr std::size_t kNodes = 301;
   Network net(kNodes);
-  Engine engine(kNodes, 71);
-  engine.SetThreads(8);
   MailboxProtocol protocol(&net);
-  engine.AddProtocol(&protocol);
+  Engine engine(kNodes, 71, &protocol);
+  engine.SetThreads(8);
   engine.RunCycles(1);
 
   EXPECT_EQ(protocol.before_merge_messages_, 0u)
@@ -340,7 +404,6 @@ class FootprintProtocol : public CycleProtocol {
   explicit FootprintProtocol(std::size_t num_nodes)
       : logs(num_nodes), num_nodes_(num_nodes), state_(num_nodes, 0) {}
 
-  bool UsesPerNodeCommit() const override { return false; }
   bool DeclaresCommitFootprints() const override { return true; }
 
   void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
@@ -411,11 +474,10 @@ struct DrainRun {
 DrainRun RunFootprints(int threads,
                        std::shared_ptr<const LatencyModel> latency) {
   constexpr std::size_t kNodes = 600;
-  Engine engine(kNodes, /*seed=*/83);
+  FootprintProtocol protocol(kNodes);
+  Engine engine(kNodes, /*seed=*/83, &protocol);
   engine.SetThreads(threads);
   engine.SetLatencyModel(std::move(latency));
-  FootprintProtocol protocol(kNodes);
-  engine.AddProtocol(&protocol);
   VectorTraceSink sink;
   Tracer tracer(&sink);
   engine.SetTracer(&tracer);
@@ -488,7 +550,6 @@ TEST(LevelDrainTest, MatchesTheSequentialDrainWhenSendersHaveSeveralDue) {
 TEST(LevelDrainTest, ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
   class OrderProtocol : public CycleProtocol {
    public:
-    bool UsesPerNodeCommit() const override { return false; }
     void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
       ctx.Send(std::make_unique<DeliveryMessage>());
     }
@@ -502,11 +563,10 @@ TEST(LevelDrainTest, ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
     std::vector<std::thread::id> threads;
   };
   const auto run = [](int threads) {
-    Engine engine(600, /*seed=*/89);
+    OrderProtocol protocol;
+    Engine engine(600, /*seed=*/89, &protocol);
     engine.SetThreads(threads);
     engine.SetLatencyModel(std::make_shared<UniformLatency>(0, 3));
-    OrderProtocol protocol;
-    engine.AddProtocol(&protocol);
     engine.RunCycles(6);
     for (const std::thread::id& id : protocol.threads) {
       EXPECT_EQ(id, std::this_thread::get_id());
@@ -537,10 +597,9 @@ TEST(LevelDrainTest, CommitExceptionsPropagateAfterTheLevel) {
       FootprintProtocol::CommitMessage(sender, message, ctx);
     }
   };
-  Engine engine(600, /*seed=*/97);
-  engine.SetThreads(4);
   ThrowingProtocol protocol(600);
-  engine.AddProtocol(&protocol);
+  Engine engine(600, /*seed=*/97, &protocol);
+  engine.SetThreads(4);
   EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
 }
 
@@ -553,10 +612,9 @@ TEST(LevelDrainTest, FootprintNamingAnUnknownUserIsRejected) {
       if (sender == 5) footprint->Add(600);
     }
   };
-  Engine engine(600, /*seed=*/101);
-  engine.SetThreads(2);
   OutOfRangeProtocol protocol(600);
-  engine.AddProtocol(&protocol);
+  Engine engine(600, /*seed=*/101, &protocol);
+  engine.SetThreads(2);
   EXPECT_THROW(engine.RunCycles(1), std::out_of_range);
 }
 
@@ -605,7 +663,6 @@ class CloseoutProtocol : public CycleProtocol {
     return threads_ > 1 && items >= Engine::kInlineLevelSize;
   }
 
-  bool UsesPerNodeCommit() const override { return false; }
   void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
 
   std::size_t PrepareCloseouts(std::uint64_t cycle) override {
@@ -632,7 +689,7 @@ class CloseoutProtocol : public CycleProtocol {
     end_cycle_returned_.store(true);
   }
 
-  /// Checks the cycle's items once the cycle is over (an observer).
+  /// Checks the cycle's items once the cycle is over.
   void CheckCycle(std::uint64_t cycle) const {
     const bool pooled = Pooled(runs_.size());
     for (std::size_t i = 0; i < runs_.size(); ++i) {
@@ -663,15 +720,16 @@ class CloseoutProtocol : public CycleProtocol {
 };
 
 void ExpectCloseoutsAt(int threads) {
-  Engine engine(64, /*seed=*/103);
-  engine.SetThreads(threads);
   CloseoutProtocol protocol(threads);
-  engine.AddProtocol(&protocol);
-  engine.AddObserver(
-      [&protocol](std::uint64_t cycle) { protocol.CheckCycle(cycle); });
+  Engine engine(64, /*seed=*/103, &protocol);
+  engine.SetThreads(threads);
   PhaseProfiler profiler;
   engine.SetProfiler(&profiler, "closeout");
-  engine.RunCycles(CloseoutProtocol::kItemsPerCycle.size());
+  for (std::uint64_t cycle = 0; cycle < CloseoutProtocol::kItemsPerCycle.size();
+       ++cycle) {
+    engine.RunCycles(1);
+    protocol.CheckCycle(cycle);
+  }
 
   std::uint64_t pooled = 0;
   std::uint64_t inline_items = 0;
@@ -704,7 +762,6 @@ class ThrowingCloseouts : public CycleProtocol {
   static constexpr std::size_t kItems = 64;
   static constexpr std::size_t kThrower = 5;
 
-  bool UsesPerNodeCommit() const override { return false; }
   void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
   std::size_t PrepareCloseouts(std::uint64_t /*cycle*/) override {
     return kItems;
@@ -730,10 +787,9 @@ class ThrowingCloseouts : public CycleProtocol {
 };
 
 TEST(CloseoutTest, ItemExceptionOnAWorkerLeavesRunCyclesAfterTheBarrier) {
-  Engine engine(64, /*seed=*/107);
-  engine.SetThreads(4);
   ThrowingCloseouts protocol;
-  engine.AddProtocol(&protocol);
+  Engine engine(64, /*seed=*/107, &protocol);
+  engine.SetThreads(4);
   EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
   EXPECT_NE(protocol.thrower_thread, std::this_thread::get_id());
   EXPECT_EQ(protocol.runs.load(), ThrowingCloseouts::kItems - 1)

@@ -7,6 +7,7 @@
 // untraced run's), and the flight-recorder ring dumps the trace tail when
 // an invariant throws mid-run.
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -288,6 +289,9 @@ TEST(TraceDeterminismTest, TracingIsObservationOnly) {
   const std::string timed = ScenarioReportToJson(traced, /*include_timing=*/true);
   EXPECT_NE(timed.find("\"trace_events\""), std::string::npos);
   EXPECT_NE(timed.find("\"profile\""), std::string::npos);
+  // The profile blocks carry PhaseBreakdownToJson's full field set.
+  EXPECT_NE(timed.find("\"drain_levels\""), std::string::npos);
+  EXPECT_NE(timed.find("\"imbalance_histogram\""), std::string::npos);
   const std::string untimed_untraced =
       ScenarioReportToJson(untraced, /*include_timing=*/true);
   EXPECT_EQ(untimed_untraced.find("\"trace_events\""), std::string::npos);
@@ -335,8 +339,9 @@ TEST(TraceDeterminismTest, ProfilerMeasuresEveryEnginePhase) {
 // Flight recorder: ring dump on an invariant throw.
 // ---------------------------------------------------------------------------
 
-/// Emits one event per node per plan phase and throws from the commit phase
-/// of cycle 1 — the shape of a protocol invariant tripping mid-run.
+/// Emits one event and sends one message per node per plan phase, and
+/// throws from the commit of node 0's cycle-1 message — the shape of a
+/// protocol invariant tripping mid-run.
 class ThrowingProtocol : public CycleProtocol {
  public:
   explicit ThrowingProtocol(Tracer* tracer) : tracer_(tracer) {}
@@ -347,10 +352,12 @@ class ThrowingProtocol : public CycleProtocol {
     e.kind = TraceEventKind::kGossipPlanned;
     e.node = node;
     tracer_->EmitShard(ctx.shard, e);
+    ctx.Send(std::make_unique<DeliveryMessage>());
   }
 
-  void CommitCycle(UserId node, std::uint64_t cycle, Rng*) override {
-    if (cycle == 1 && node == 0) {
+  void CommitMessage(UserId sender, DeliveryMessage& /*message*/,
+                     const CommitContext& ctx) override {
+    if (ctx.cycle == 1 && sender == 0) {
       throw std::runtime_error("invariant violated");
     }
   }
@@ -363,9 +370,10 @@ TEST(FlightRecorderTest, EngineDumpsRingTailOnThrow) {
   VectorTraceSink sink;
   Tracer tracer(&sink);
   tracer.SetRingCapacity(4);
-  Engine engine(/*num_nodes=*/8, /*seed=*/1);
+  // Plan events only: the queue's wire events would change the counts.
+  tracer.SetKindMask(1u << static_cast<int>(TraceEventKind::kGossipPlanned));
   ThrowingProtocol protocol(&tracer);
-  engine.AddProtocol(&protocol);
+  Engine engine(/*num_nodes=*/8, /*seed=*/1, &protocol);
   engine.SetTracer(&tracer);
   EXPECT_THROW(engine.RunCycles(3), std::runtime_error);
   // Cycle 0 planned 8 events, cycle 1 planned 8 more and folded them at the

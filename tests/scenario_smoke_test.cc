@@ -105,6 +105,9 @@ TEST(P3qSimScenarioCli, ListScenariosExitsCleanly) {
 
 TEST(P3qSimScenarioCli, UnknownScenarioFails) {
   EXPECT_NE(RunCli("--scenario=no-such-scenario"), 0);
+  // A scenario generates its own trace, so a real one is rejected.
+  EXPECT_NE(RunCli("--scenario=steady-state --input-trace=/nonexistent.tsv"),
+            0);
 }
 
 TEST(P3qSimScenarioCli, DiurnalJsonReportIsCompleteAndDeterministic) {

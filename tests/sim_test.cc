@@ -1,4 +1,6 @@
 // Unit tests for sim/: metrics accounting, network liveness, cycle engine.
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -118,17 +120,19 @@ TEST(NetworkTest, FailRandomFractionOnlyHitsOnline) {
 }
 
 // A plan/commit protocol recording both phases. Plan writes only the
-// node's private slot (the engine contract); commit appends to the shared
-// log sequentially.
+// node's private slot and sends one message (the engine contract); the
+// sequential drain appends each commit to the shared log.
 class CountingProtocol : public CycleProtocol {
  public:
   explicit CountingProtocol(std::size_t num_nodes) : planned_(num_nodes) {}
 
   void PlanCycle(UserId node, const PlanContext& ctx) override {
     planned_[node].emplace_back(node, ctx.cycle);
+    ctx.Send(std::make_unique<DeliveryMessage>());
   }
-  void CommitCycle(UserId node, std::uint64_t cycle, Rng* /*rng*/) override {
-    commits.emplace_back(node, cycle);
+  void CommitMessage(UserId sender, DeliveryMessage& /*message*/,
+                     const CommitContext& ctx) override {
+    commits.emplace_back(sender, ctx.cycle);
   }
 
   /// All plan calls, flattened in node order.
@@ -147,9 +151,8 @@ class CountingProtocol : public CycleProtocol {
 };
 
 TEST(EngineTest, RunsEveryNodeEveryCycle) {
-  Engine engine(4, 7);
   CountingProtocol protocol(4);
-  engine.AddProtocol(&protocol);
+  Engine engine(4, 7, &protocol);
   engine.RunCycles(3);
   EXPECT_EQ(protocol.Planned().size(), 12u);
   EXPECT_EQ(protocol.commits.size(), 12u);
@@ -165,9 +168,9 @@ TEST(EngineTest, RunsEveryNodeEveryCycle) {
 }
 
 TEST(EngineTest, CommitsInAscendingNodeOrder) {
-  Engine engine(6, 11);
+  // The ZeroLatency drain commits each cycle's messages by ascending sender.
   CountingProtocol protocol(6);
-  engine.AddProtocol(&protocol);
+  Engine engine(6, 11, &protocol);
   engine.RunCycles(2);
   ASSERT_EQ(protocol.commits.size(), 12u);
   for (std::size_t i = 0; i < protocol.commits.size(); ++i) {
@@ -176,18 +179,9 @@ TEST(EngineTest, CommitsInAscendingNodeOrder) {
   }
 }
 
-TEST(EngineTest, ObserversSeeCycleNumbers) {
-  Engine engine(2, 13);
-  std::vector<std::uint64_t> observed;
-  engine.AddObserver([&observed](std::uint64_t c) { observed.push_back(c); });
-  engine.RunCycles(4);
-  EXPECT_EQ(observed, (std::vector<std::uint64_t>{0, 1, 2, 3}));
-}
-
 TEST(EngineTest, LivenessFilterSkipsNodes) {
-  Engine engine(4, 17);
   CountingProtocol protocol(4);
-  engine.AddProtocol(&protocol);
+  Engine engine(4, 17, &protocol);
   engine.SetLivenessCheck([](UserId u) { return u != 2; });
   engine.RunCycles(2);
   for (const auto& [node, cycle] : protocol.Planned()) EXPECT_NE(node, 2u);
@@ -198,25 +192,24 @@ TEST(EngineTest, LivenessFilterSkipsNodes) {
 
 TEST(EngineTest, DeterministicForSameSeed) {
   CountingProtocol p1(10), p2(10);
-  Engine e1(10, 99), e2(10, 99);
-  e1.AddProtocol(&p1);
-  e2.AddProtocol(&p2);
+  Engine e1(10, 99, &p1), e2(10, 99, &p2);
   e1.RunCycles(5);
   e2.RunCycles(5);
   EXPECT_EQ(p1.Planned(), p2.Planned());
   EXPECT_EQ(p1.commits, p2.commits);
 }
 
-// A protocol that flips a user offline during its commit phase, through the
-// same backing store the engine's liveness callback reads.
-class MidCycleKiller : public CycleProtocol {
+// A counting protocol whose commit of node 0's message flips a victim
+// offline, through the same backing store the engine's liveness callback
+// reads.
+class MidCycleKiller : public CountingProtocol {
  public:
   MidCycleKiller(std::vector<char>* online, UserId victim)
-      : online_(online), victim_(victim) {}
-  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
-  void CommitCycle(UserId node, std::uint64_t /*cycle*/,
-                   Rng* /*rng*/) override {
-    if (node == 0) (*online_)[victim_] = 0;
+      : CountingProtocol(online->size()), online_(online), victim_(victim) {}
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override {
+    CountingProtocol::CommitMessage(sender, message, ctx);
+    if (sender == 0) (*online_)[victim_] = 0;
   }
 
  private:
@@ -224,30 +217,24 @@ class MidCycleKiller : public CycleProtocol {
   UserId victim_;
 };
 
-// Regression for the per-protocol liveness re-check: liveness is
-// snapshotted ONCE per cycle, so a node failing mid-cycle is still visited
-// by every protocol pass of that cycle (the old engine re-evaluated the
-// check per protocol per node, so a later pass silently skipped it), and
-// only disappears from the next cycle.
+// Liveness is snapshotted ONCE per cycle: a node failing mid-cycle keeps
+// the cycle it was online for, and only disappears from the next one.
 TEST(EngineTest, LivenessIsSnapshottedOncePerCycle) {
   std::vector<char> online(4, 1);
-  Engine engine(4, 23);
-  MidCycleKiller killer(&online, /*victim=*/2);
-  CountingProtocol witness(4);  // registered AFTER the killer
-  engine.AddProtocol(&killer);
-  engine.AddProtocol(&witness);
+  MidCycleKiller protocol(&online, /*victim=*/2);
+  Engine engine(4, 23, &protocol);
   engine.SetLivenessCheck([&online](UserId u) { return online[u] != 0; });
 
   engine.RunCycles(1);
-  // The victim failed during the killer's commit (node 0 < victim 2), yet
-  // the witness pass of the same cycle still planned and committed it.
+  // The victim failed during sender 0's commit (0 < victim 2), yet its own
+  // cycle-0 message still committed in cycle 0.
   std::set<UserId> cycle0;
-  for (const auto& [node, cycle] : witness.commits) cycle0.insert(node);
-  EXPECT_TRUE(cycle0.count(2)) << "mid-cycle failure leaked into the "
-                                  "same cycle's later protocol pass";
+  for (const auto& [node, cycle] : protocol.commits) cycle0.insert(node);
+  EXPECT_TRUE(cycle0.count(2)) << "a mid-cycle failure dropped the victim's "
+                                  "message of the same cycle";
 
   engine.RunCycles(1);
-  for (const auto& [node, cycle] : witness.commits) {
+  for (const auto& [node, cycle] : protocol.Planned()) {
     if (cycle == 1) {
       EXPECT_NE(node, 2u) << "next cycle must skip the victim";
     }

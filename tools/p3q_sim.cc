@@ -189,7 +189,7 @@ void PrintUsage() {
       "                     accepted events and dump them at exit or when an\n"
       "                     invariant throws (default: stream everything)\n"
       "  --profile=FILE     write per-engine wall-clock phase breakdowns\n"
-      "                     (plan/barrier/commit/drain/EndCycle seconds and\n"
+      "                     (plan/barrier/drain/EndCycle seconds and\n"
       "                     per-shard plan imbalance) as JSON\n"
       "  --progress[=K]     scenario mode: print a stderr heartbeat every K\n"
       "                     timeline cycles (default K=100) with the cycle,\n"
@@ -432,8 +432,8 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     return std::nullopt;
   }
   if (!opt.scenario.empty() && !opt.trace_path.empty()) {
-    std::cerr << "--scenario runs on a synthetic trace; --trace is not "
-                 "supported in scenario mode\n";
+    std::cerr << "--scenario runs on a synthetic trace; --input-trace is "
+                 "not supported in scenario mode\n";
     return std::nullopt;
   }
   if (!latency_text.empty()) {
