@@ -309,10 +309,13 @@ def measure_checkpoint(sim, users, seed):
     }
 
 
-def measure_convergence(sim, model, users, seed, target, budget):
-    """cycles_to_convergence for one latency model (deterministic)."""
-    args = [f"--users={users}", f"--seed={seed}", f"--converge={target}",
-            f"--lazy-cycles={budget}", "--queries=0"]
+def measure_convergence(sim, model, users, seed):
+    """cycles_to_convergence for one latency model (deterministic).
+
+    Runs the registered convergence scenario, whose lazy phase stops on its
+    success-ratio target; the target and cycle budget live in the registry.
+    """
+    args = ["--scenario=convergence", f"--users={users}", f"--seed={seed}"]
     if model != "zero":
         args.append(f"--latency={model}")
     out = run_sim(sim, args)
@@ -428,15 +431,12 @@ def main():
         baseline = json.load(f)
     users = baseline["users"]
     seed = baseline["seed"]
-    target = baseline["convergence_target"]
-    budget = baseline["lazy_cycle_budget"]
     sha = os.environ.get("GITHUB_SHA", "local")
 
     bench = {
         "git_sha": sha,
         "users": users,
         "seed": seed,
-        "convergence_target": target,
         "scenarios": {},
         "convergence": {},
     }
@@ -452,7 +452,7 @@ def main():
     for model in CONVERGENCE_MODELS:
         print(f"measuring cycles-to-convergence under {model} ...", flush=True)
         bench["convergence"][model] = measure_convergence(
-            args.sim, model, users, seed, target, budget)
+            args.sim, model, users, seed)
 
     with open(args.out, "w") as f:
         json.dump(bench, f, indent=2)

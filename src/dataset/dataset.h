@@ -2,9 +2,9 @@
 //
 // The paper evaluates on a delicious crawl (10,000 users, 101,144 items,
 // 31,899 tags, 9,536,635 actions after reduction). This class holds an
-// equivalent structure — synthetic (dataset/generator.h) or loaded from a
-// real trace (dataset/trace_loader.h) — plus the reduction operator the
-// paper applies ("items and tags used by at least 10 distinct users").
+// equivalent synthetic structure (dataset/generator.h) plus the reduction
+// operator the paper applies ("items and tags used by at least 10 distinct
+// users").
 #ifndef P3Q_DATASET_DATASET_H_
 #define P3Q_DATASET_DATASET_H_
 

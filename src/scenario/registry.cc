@@ -234,6 +234,19 @@ Scenario MixedStress() {
   return s;
 }
 
+Scenario Convergence() {
+  Scenario s;
+  s.name = "convergence";
+  s.description =
+      "The paper's Figure 2 measure: lazy cycles from a cold start until "
+      "the gossip-built personal networks reach a 0.9 success ratio "
+      "against the ideal ones (at most 300 cycles); the CI convergence "
+      "gate.";
+  s.phases.push_back(Phase("converge", 300, PhaseMode::kLazy));
+  s.phases.back().stop_at_success_ratio = 0.9;
+  return s;
+}
+
 using ScenarioFactory = Scenario (*)();
 
 struct RegistryEntry {
@@ -255,6 +268,7 @@ constexpr RegistryEntry kRegistry[] = {
     {"lossy-flash-crowd", LossyFlashCrowd},
     {"open-loop-steady", OpenLoopSteady},
     {"open-loop-saturation", OpenLoopSaturation},
+    {"convergence", Convergence},
 };
 
 const RegistryEntry* FindEntry(const std::string& name) {

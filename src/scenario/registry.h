@@ -6,7 +6,9 @@
 // dynamics — diurnal availability, flash crowds, sustained churn, querying
 // during cold start, a combined stress timeline, and delivery-latency
 // variants (lagged-steady, lossy-flash-crowd) that run a base timeline
-// under a non-zero latency model. Scenarios are built on
+// under a non-zero latency model, and the convergence measurement the CI
+// gate reads (a lazy phase that stops on a success-ratio target).
+// Scenarios are built on
 // demand so callers can scale them via the runner options; the registry is
 // the single source the p3q_sim CLI, the scenario_tour example and the
 // scenario smoke tests all enumerate, so a new scenario is automatically

@@ -56,25 +56,25 @@ double PeakRssMb() {
 }
 
 /// Issues one query from a uniformly random online user with a non-empty
-/// profile; returns false when no attempt produced a usable query. Queries
-/// draw from the user's ORIGINAL (version-0) actions — the paper generates
-/// the whole query workload from the initial trace — which the store keeps
-/// reachable across updates (RetainOriginals).
-bool TryIssueQuery(P3QSystem* system, const std::vector<UserId>& online,
-                   Rng* workload_rng, std::vector<OpenQuery>* open) {
-  if (online.empty()) return false;
+/// profile, drawing from `rng`; returns nothing when no attempt produced a
+/// usable query. Queries draw from the user's ORIGINAL (version-0) actions
+/// — the paper generates the whole query workload from the initial trace —
+/// which the store keeps reachable across updates (RetainOriginals).
+std::optional<OpenQuery> IssueRandomQuery(P3QSystem* system,
+                                          const std::vector<UserId>& online,
+                                          Rng* rng) {
+  if (online.empty()) return std::nullopt;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const UserId u = online[workload_rng->NextUint64(online.size())];
+    const UserId u = online[rng->NextUint64(online.size())];
     QuerySpec spec = GenerateQueryForUser(
-        system->profile_store().OriginalActionsOf(u), u, workload_rng);
+        system->profile_store().OriginalActionsOf(u), u, rng);
     if (spec.tags.empty()) continue;
     OpenQuery q;
     q.reference = ReferenceTopK(*system, spec, system->config().top_k);
     q.id = system->IssueQuery(spec);
-    open->push_back(std::move(q));
-    return true;
+    return q;
   }
-  return false;
+  return std::nullopt;
 }
 
 /// The arrival process a phase actually serves: the CLI override wins, then
@@ -88,25 +88,6 @@ const ArrivalSpec& EffectiveArrivals(const Scenario& scenario,
   if (options.arrivals.has_value()) return *options.arrivals;
   if (phase.arrivals.has_value()) return *phase.arrivals;
   return scenario.arrivals;
-}
-
-/// Issues one open-loop query from a uniformly random online user and hands
-/// it to the serving tracker with its issue-time centralized reference.
-void TryIssueServingQuery(P3QSystem* system, const std::vector<UserId>& online,
-                          Rng* serving_rng, std::uint64_t cycle,
-                          ServingTracker* tracker, QueryLatencyStats* stats) {
-  if (online.empty()) return;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const UserId u = online[serving_rng->NextUint64(online.size())];
-    QuerySpec spec = GenerateQueryForUser(
-        system->profile_store().OriginalActionsOf(u), u, serving_rng);
-    if (spec.tags.empty()) continue;
-    std::vector<ItemId> reference =
-        ReferenceTopK(*system, spec, system->config().top_k);
-    const std::uint64_t id = system->IssueQuery(spec);
-    tracker->Track(system, id, cycle, std::move(reference), stats);
-    return;
-  }
 }
 
 /// Phase cycle budget after applying --cycle-scale (every phase keeps >= 1).
@@ -534,10 +515,32 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.traced = options.tracer != nullptr;
   report.profiled = options.profiler != nullptr;
 
-  // The ideal networks the success ratio compares against; recomputed only
-  // when an update storm changed the profiles.
+  // The success ratio against the ideal networks (Figure 2 metric), read at
+  // every phase end and after every cycle of a phase with a stop target.
+  // The ideal networks are recomputed only when an update storm changed the
+  // profiles.
   IdealNetworks ideal;
   bool ideal_dirty = true;
+  const auto success_ratio = [&] {
+    if (ideal_dirty) {
+      // The exact baseline is O(users^2) similarity scores; past experiment
+      // scale the success ratio is estimated over a deterministic user
+      // sample instead (non-sampled users keep empty ideal lists, which
+      // AverageSuccessRatio skips). Scales <= the gate — every golden —
+      // keep the exact computation.
+      constexpr std::size_t kIdealExactLimit = 20000;
+      constexpr std::size_t kIdealSampleSize = 512;
+      ideal = system.NumUsers() > kIdealExactLimit
+                  ? ComputeIdealNetworksSampled(
+                        system.profile_store(), config.network_size,
+                        kIdealSampleSize, options.seed, config.similarity)
+                  : ComputeIdealNetworks(system.profile_store(),
+                                         config.network_size,
+                                         config.similarity);
+      ideal_dirty = false;
+    }
+    return AverageSuccessRatio(system, ideal);
+  };
 
   // Checkpoint/resume wiring. The checkpoint fires at the top of timeline
   // cycle K, before K's events — so a resumed run fires them exactly once.
@@ -751,7 +754,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
           case EventKind::kQueryBurst: {
             const std::vector<UserId> online = system.network().OnlineUsers();
             for (int i = 0; i < event.count; ++i) {
-              if (TryIssueQuery(&system, online, &workload_rng, &open)) {
+              if (auto q = IssueRandomQuery(&system, online, &workload_rng)) {
+                open.push_back(std::move(*q));
                 ++pr.queries_issued;
               }
             }
@@ -798,7 +802,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       if (phase.queries_per_cycle > 0) {
         const std::vector<UserId> online = system.network().OnlineUsers();
         for (int i = 0; i < phase.queries_per_cycle; ++i) {
-          if (TryIssueQuery(&system, online, &workload_rng, &open)) {
+          if (auto q = IssueRandomQuery(&system, online, &workload_rng)) {
+            open.push_back(std::move(*q));
             ++pr.queries_issued;
           }
         }
@@ -811,8 +816,10 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
         if (n > 0) {
           const std::vector<UserId> online = system.network().OnlineUsers();
           for (int i = 0; i < n; ++i) {
-            TryIssueServingQuery(&system, online, &serving_rng, serving_cycle,
-                                 &*tracker, &serving_stats);
+            if (auto q = IssueRandomQuery(&system, online, &serving_rng)) {
+              tracker->Track(&system, q->id, serving_cycle,
+                             std::move(q->reference), &serving_stats);
+            }
           }
         }
       }
@@ -854,6 +861,14 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
                      tracker.has_value() ? tracker->open() : std::size_t{0},
                      system.MessagesInFlight());
       }
+
+      // 8. Stop condition: the phase ends as soon as the networks reach its
+      // success-ratio target.
+      if (phase.stop_at_success_ratio > 0 &&
+          success_ratio() >= phase.stop_at_success_ratio) {
+        pr.cycles = cycle + 1;
+        break;
+      }
     }
     const auto wall_end = std::chrono::steady_clock::now();
 
@@ -877,24 +892,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       pr.avg_coverage = coverage_sum / pr.queries_issued;
     }
 
-    if (ideal_dirty) {
-      // The exact baseline is O(users^2) similarity scores; past experiment
-      // scale the success ratio is estimated over a deterministic user
-      // sample instead (non-sampled users keep empty ideal lists, which
-      // AverageSuccessRatio skips). Scales <= the gate — every golden —
-      // keep the exact computation.
-      constexpr std::size_t kIdealExactLimit = 20000;
-      constexpr std::size_t kIdealSampleSize = 512;
-      ideal = system.NumUsers() > kIdealExactLimit
-                  ? ComputeIdealNetworksSampled(
-                        system.profile_store(), config.network_size,
-                        kIdealSampleSize, options.seed, config.similarity)
-                  : ComputeIdealNetworks(system.profile_store(),
-                                         config.network_size,
-                                         config.similarity);
-      ideal_dirty = false;
-    }
-    pr.success_ratio = AverageSuccessRatio(system, ideal);
+    pr.success_ratio = success_ratio();
     pr.online_at_end = system.network().NumOnline();
     pr.traffic = system.metrics().Since(before);
     pr.delivery = system.DeliveryStatsTotal().Since(delivery_before);
@@ -918,7 +916,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     pr.timing.threads = system.threads();
     if (pr.timing.wall_seconds > 0) {
       pr.timing.cycles_per_sec =
-          static_cast<double>(cycles) / pr.timing.wall_seconds;
+          static_cast<double>(pr.cycles) / pr.timing.wall_seconds;
       pr.timing.user_cycles_per_sec =
           online_cycle_sum / pr.timing.wall_seconds;
       pr.timing.queries_per_sec =
@@ -936,6 +934,14 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     report.total_queries_completed += pr.queries_completed;
     report.total_timing.wall_seconds += pr.timing.wall_seconds;
     report.phases.push_back(std::move(pr));
+  }
+  // A phase that met its stop target shortens the timeline, which can skip
+  // the checkpoint cycle; fail rather than silently write no snapshot.
+  if (want_checkpoint && !checkpoint_written) {
+    throw std::invalid_argument(
+        "checkpoint_at " + std::to_string(*options.checkpoint_at) +
+        " was never reached: the timeline ended at cycle " +
+        std::to_string(serving_cycle));
   }
 
   // Queries still open when the timeline ends never completed: count them

@@ -72,7 +72,8 @@ struct ScenarioRunnerOptions {
   /// When set, snapshot the full run state to `checkpoint_path` at the top
   /// of this timeline cycle — before that cycle's events fire — and then
   /// continue to completion (sim/checkpoint.h). Must lie inside the scaled
-  /// timeline and requires `checkpoint_path`.
+  /// timeline and requires `checkpoint_path`; a run whose timeline ends
+  /// early (a stop target met) before reaching it throws.
   std::optional<std::uint64_t> checkpoint_at;
   std::string checkpoint_path;
   /// When non-empty, restore the run from this snapshot and replay only the
@@ -151,6 +152,9 @@ struct MemoryReport {
 struct PhaseReport {
   std::string name;
   std::string mode;
+  /// Cycles actually run: the scaled budget, or fewer when the phase met
+  /// its stop_at_success_ratio target. Events scheduled later in the phase
+  /// did not fire.
   std::uint64_t cycles = 0;
   std::size_t online_at_end = 0;
   std::size_t departures = 0;  ///< users taken offline during the phase
@@ -235,7 +239,8 @@ struct ScenarioReport {
 };
 
 /// Runs the scenario at the given scale. Throws std::invalid_argument when
-/// the scenario fails Validate() or the options are out of range.
+/// the scenario fails Validate(), the options are out of range, or the
+/// timeline ends before the checkpoint_at cycle.
 ScenarioReport RunScenario(const Scenario& scenario,
                            const ScenarioRunnerOptions& options);
 

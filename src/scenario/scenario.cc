@@ -75,6 +75,10 @@ std::string Scenario::Validate() const {
     if (phase.name.empty()) return "a phase has an empty name";
     if (phase.cycles == 0) return where + "cycle budget is 0";
     if (phase.queries_per_cycle < 0) return where + "queries_per_cycle < 0";
+    if (!(phase.stop_at_success_ratio >= 0.0 &&
+          phase.stop_at_success_ratio <= 1.0)) {
+      return where + "stop_at_success_ratio outside [0, 1]";
+    }
     if (phase.queries_per_cycle > 0 && phase.mode == PhaseMode::kLazy) {
       return where + "background queries require an eager or mixed mode";
     }
@@ -96,7 +100,7 @@ std::string Scenario::Validate() const {
       switch (event.kind) {
         case EventKind::kDeparture:
         case EventKind::kRejoin:
-          if (event.fraction < 0.0 || event.fraction > 1.0) {
+          if (!(event.fraction >= 0.0 && event.fraction <= 1.0)) {
             return which + "fraction outside [0, 1]";
           }
           break;
@@ -107,8 +111,8 @@ std::string Scenario::Validate() const {
           }
           break;
         case EventKind::kUpdateStorm:
-          if (event.update.changed_user_fraction < 0.0 ||
-              event.update.changed_user_fraction > 1.0) {
+          if (!(event.update.changed_user_fraction >= 0.0 &&
+                event.update.changed_user_fraction <= 1.0)) {
             return which + "changed_user_fraction outside [0, 1]";
           }
           break;

@@ -82,6 +82,12 @@ struct ScenarioPhase {
   std::optional<ArrivalSpec> arrivals;
   std::vector<ScenarioEvent> events;
   DutyCycleFn duty;  ///< empty = liveness driven by events only
+  /// Stop condition: when > 0, the runner checks the success ratio against
+  /// the ideal networks after every cycle and ends the phase as soon as it
+  /// reaches this target (the paper's Figure 2 convergence measure). The
+  /// phase report then holds the cycles actually run; events scheduled
+  /// past that cycle never fire. 0 runs the whole cycle budget.
+  double stop_at_success_ratio = 0;
 };
 
 /// A named, ordered timeline of phases.

@@ -484,6 +484,16 @@ TEST(CheckpointResumeTest, OpenLoopServingResumes) {
   }
 }
 
+// A checkpoint inside a phase with a stop target: the resumed run keeps
+// checking the target and ends the phase on the same cycle.
+TEST(CheckpointResumeTest, ConvergencePhaseResumes) {
+  RunConfig cfg{"convergence"};
+  cfg.cycle_scale = 1.0;
+  cfg.users = 400;
+  const Rendered straight = StraightRun(cfg);
+  ExpectResumeIdentical(cfg, straight, 20);
+}
+
 TEST(CheckpointResumeTest, ResumedTraceIsByteSuffixOfStraightTrace) {
   const RunConfig cfg{"open-loop-steady"};
   const Scenario scenario = MakeScenario(cfg.scenario);
@@ -702,6 +712,22 @@ TEST_F(CheckpointCorruptionTest, CheckpointPastTimelineRejected) {
   options.checkpoint_at = 100000;
   options.checkpoint_path = TempPath("never_written.ckpt");
   EXPECT_THROW(RunScenario(*scenario_, options), std::invalid_argument);
+
+  // Inside the budget, but the phase meets its stop target (cycle 46)
+  // before the timeline gets there.
+  ScenarioRunnerOptions early;
+  early.users = 400;
+  early.seed = 1;
+  early.checkpoint_at = 100;
+  early.checkpoint_path = TempPath("never_reached.ckpt");
+  try {
+    RunScenario(MakeScenario("convergence"), early);
+    FAIL() << "an unreached checkpoint cycle was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("never reached"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(early.checkpoint_path).good());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
-// Unit tests for dataset/: synthetic generator, reduction, loader, queries,
-// update batches and the Table-1 storage distributions.
+// Unit tests for dataset/: synthetic generator, reduction, queries, update
+// batches and the Table-1 storage distributions.
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -11,8 +10,6 @@
 #include "dataset/generator.h"
 #include "dataset/query_gen.h"
 #include "dataset/storage_dist.h"
-#include "dataset/trace_loader.h"
-#include "dataset/trace_writer.h"
 
 #include "test_util.h"
 
@@ -207,82 +204,6 @@ TEST(UpdateBatchTest, ApplyBumpsVersions) {
     EXPECT_GT(store.Get(u.user)->Length(),
               trace.dataset().ActionsOf(u.user).size());
   }
-}
-
-TEST(TraceLoaderTest, ParsesTabSeparatedTriples) {
-  std::istringstream in(
-      "alice\thttp://a\tcpp\n"
-      "# comment\n"
-      "\n"
-      "bob\thttp://a\tcpp\n"
-      "alice\thttp://b\tdatabases\n"
-      "malformed line without tabs\n"
-      "only\ttwo\n");
-  const auto loaded = LoadTaggingTrace(in);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->user_names.size(), 2u);
-  EXPECT_EQ(loaded->item_names.size(), 2u);
-  EXPECT_EQ(loaded->tag_names.size(), 2u);
-  EXPECT_EQ(loaded->skipped_lines, 2u);
-  EXPECT_EQ(loaded->dataset.NumUsers(), 2u);
-  EXPECT_EQ(loaded->dataset.ActionsOf(0).size(), 2u);  // alice
-  EXPECT_EQ(loaded->dataset.ActionsOf(1).size(), 1u);  // bob
-  // alice and bob share (http://a, cpp).
-  EXPECT_EQ(CountCommonActions(loaded->dataset.ActionsOf(0),
-                               loaded->dataset.ActionsOf(1)),
-            1u);
-}
-
-TEST(TraceLoaderTest, EmptyStreamFails) {
-  std::istringstream in("# nothing here\n");
-  EXPECT_FALSE(LoadTaggingTrace(in).has_value());
-}
-
-TEST(TraceLoaderTest, MissingFileFails) {
-  EXPECT_FALSE(LoadTaggingTraceFile("/nonexistent/path/trace.tsv").has_value());
-}
-
-TEST(TraceWriterTest, RoundTripsThroughLoader) {
-  const SyntheticTrace trace = test::SmallTrace(60, 71);
-  std::stringstream buffer;
-  const std::size_t lines = WriteTaggingTrace(trace.dataset(), buffer);
-  EXPECT_EQ(lines, trace.dataset().ComputeStats().num_actions);
-
-  const auto loaded = LoadTaggingTrace(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->skipped_lines, 0u);
-  const DatasetStats original = trace.dataset().ComputeStats();
-  const DatasetStats reloaded = loaded->dataset.ComputeStats();
-  EXPECT_EQ(original.num_users, reloaded.num_users);
-  EXPECT_EQ(original.num_items, reloaded.num_items);
-  EXPECT_EQ(original.num_tags, reloaded.num_tags);
-  EXPECT_EQ(original.num_actions, reloaded.num_actions);
-  // Per-user structure survives: same profile lengths and pairwise
-  // similarity for a sample pair (ids are re-interned but consistent).
-  for (UserId u = 0; u < 60; ++u) {
-    EXPECT_EQ(trace.dataset().ActionsOf(u).size(),
-              loaded->dataset.ActionsOf(u).size());
-  }
-  EXPECT_EQ(CountCommonActions(trace.dataset().ActionsOf(0),
-                               trace.dataset().ActionsOf(1)),
-            CountCommonActions(loaded->dataset.ActionsOf(0),
-                               loaded->dataset.ActionsOf(1)));
-}
-
-TEST(TraceWriterTest, FileRoundTrip) {
-  const SyntheticTrace trace = test::SmallTrace(20, 73);
-  const std::string path = ::testing::TempDir() + "/p3q_trace_roundtrip.tsv";
-  ASSERT_TRUE(WriteTaggingTraceFile(trace.dataset(), path));
-  const auto loaded = LoadTaggingTraceFile(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->dataset.NumUsers(), 20u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceWriterTest, UnwritablePathFails) {
-  const SyntheticTrace trace = test::SmallTrace(10, 79);
-  EXPECT_FALSE(
-      WriteTaggingTraceFile(trace.dataset(), "/nonexistent/dir/out.tsv"));
 }
 
 TEST(QueryGenTest, TagsComeFromTheSourceItem) {

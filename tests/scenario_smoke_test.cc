@@ -105,9 +105,21 @@ TEST(P3qSimScenarioCli, ListScenariosExitsCleanly) {
 
 TEST(P3qSimScenarioCli, UnknownScenarioFails) {
   EXPECT_NE(RunCli("--scenario=no-such-scenario"), 0);
-  // A scenario generates its own trace, so a real one is rejected.
+  // A scenario generates its own trace; there is no flag to load one.
   EXPECT_NE(RunCli("--scenario=steady-state --input-trace=/nonexistent.tsv"),
             0);
+}
+
+TEST(P3qSimScenarioCli, ScenarioIsRequiredAndClassicFlagsAreGone) {
+  EXPECT_NE(RunCli("--users=60"), 0);
+  const std::string args =
+      "--scenario=convergence --users=60 --cycle-scale=0.2 ";
+  EXPECT_EQ(RunCli(args), 0);
+  // Each flag of the removed classic pipeline is an unknown flag now.
+  for (const char* flag : {"--converge=0.9", "--lazy-cycles=5", "--lambda=1",
+                           "--input-trace=x.tsv"}) {
+    EXPECT_NE(RunCli(args + flag), 0) << flag;
+  }
 }
 
 TEST(P3qSimScenarioCli, DiurnalJsonReportIsCompleteAndDeterministic) {
@@ -149,12 +161,15 @@ TEST(P3qSimScenarioCli, DiurnalJsonReportIsCompleteAndDeterministic) {
 
 TEST(P3qSimScenarioCli, SimilarityFlagIsStrictAndSelectsTheMetric) {
   // Strict parsing: unknown names, prefixes, case variants and empty
-  // values are all rejected.
-  EXPECT_NE(RunCli("--similarity=bogus"), 0);
-  EXPECT_NE(RunCli("--similarity=jac"), 0);
-  EXPECT_NE(RunCli("--similarity=Jaccard"), 0);
-  EXPECT_NE(RunCli("--similarity="), 0);
-  EXPECT_NE(RunCli("--similarity"), 0);
+  // values are all rejected. Each runs on a valid tiny scenario, so a lax
+  // parser that accepted the value would run it and exit 0.
+  const std::string tiny =
+      "--scenario=steady-state --users=60 --cycle-scale=0.15 ";
+  EXPECT_NE(RunCli(tiny + "--similarity=bogus"), 0);
+  EXPECT_NE(RunCli(tiny + "--similarity=jac"), 0);
+  EXPECT_NE(RunCli(tiny + "--similarity=Jaccard"), 0);
+  EXPECT_NE(RunCli(tiny + "--similarity="), 0);
+  EXPECT_NE(RunCli(tiny + "--similarity"), 0);
 
   // Every valid metric runs, in scenario mode too, and the chosen metric
   // changes the report (jaccard ranks different neighbours than raw common
@@ -175,9 +190,6 @@ TEST(P3qSimScenarioCli, SimilarityFlagIsStrictAndSelectsTheMetric) {
             0);
   ASSERT_EQ(RunCli(args + "--similarity=cosine"), 0);
   ASSERT_EQ(RunCli(args + "--similarity=overlap"), 0);
-  EXPECT_EQ(RunCli("--users=60 --lazy-cycles=5 --queries=2 "
-                   "--similarity=overlap"),
-            0);
 
   const std::string common_json = ReadFileOrEmpty(common_a);
   ASSERT_FALSE(common_json.empty());
@@ -192,9 +204,11 @@ TEST(P3qSimScenarioCli, SimilarityFlagIsStrictAndSelectsTheMetric) {
 }
 
 TEST(P3qSimScenarioCli, LatencyFlagIsValidatedAndDeterministic) {
-  EXPECT_NE(RunCli("--latency=bogus"), 0);
-  EXPECT_NE(RunCli("--loss=1.5"), 0);
-  EXPECT_NE(RunCli("--latency=fixed:2 --loss=0.1"), 0);
+  const std::string tiny =
+      "--scenario=steady-state --users=60 --cycle-scale=0.15 ";
+  EXPECT_NE(RunCli(tiny + "--latency=bogus"), 0);
+  EXPECT_NE(RunCli(tiny + "--loss=1.5"), 0);
+  EXPECT_NE(RunCli(tiny + "--latency=fixed:2 --loss=0.1"), 0);
 
   const std::string dir = ::testing::TempDir();
   const std::string path_a = dir + "/p3q_lagged_a.json";
@@ -217,19 +231,22 @@ TEST(P3qSimScenarioCli, LatencyFlagIsValidatedAndDeterministic) {
 TEST(P3qSimScenarioCli, NumericFlagsRejectTrailingGarbage) {
   // std::from_chars full-string validation: a numeric flag must consume the
   // whole value, so partial parses that atof/atoi silently accepted fail.
-  EXPECT_NE(RunCli("--cycle-scale=abc"), 0);
-  EXPECT_NE(RunCli("--cycle-scale=1.5x"), 0);
-  EXPECT_NE(RunCli("--cycle-scale="), 0);
-  EXPECT_NE(RunCli("--users=1e3"), 0);
-  EXPECT_NE(RunCli("--users=100abc"), 0);
-  EXPECT_NE(RunCli("--threads=2x"), 0);
-  EXPECT_NE(RunCli("--seed=-1"), 0);
-  EXPECT_NE(RunCli("--queries=3.5"), 0);
-  EXPECT_NE(RunCli("--alpha=0.5;rm"), 0);
+  // Each bad value follows a valid tiny scenario, so a lax parser would run
+  // it and exit 0; a repeated flag fails at its bad value.
+  const std::string tiny =
+      "--scenario=steady-state --users=60 --cycle-scale=0.15 ";
+  EXPECT_NE(RunCli(tiny + "--cycle-scale=abc"), 0);
+  EXPECT_NE(RunCli(tiny + "--cycle-scale=1.5x"), 0);
+  EXPECT_NE(RunCli(tiny + "--cycle-scale="), 0);
+  EXPECT_NE(RunCli(tiny + "--users=1e3"), 0);
+  EXPECT_NE(RunCli(tiny + "--users=100abc"), 0);
+  EXPECT_NE(RunCli(tiny + "--threads=2x"), 0);
+  EXPECT_NE(RunCli(tiny + "--seed=-1"), 0);
+  EXPECT_NE(RunCli(tiny + "--k=3.5"), 0);
+  // Quoted, so the shell hands p3q_sim the whole value.
+  EXPECT_NE(RunCli(tiny + "--alpha='0.5;rm'"), 0);
   // The exact same values without the garbage still parse.
-  EXPECT_EQ(RunCli("--scenario=steady-state --users=60 --cycle-scale=0.15 "
-                   "--threads=2 --seed=5"),
-            0);
+  EXPECT_EQ(RunCli(tiny + "--threads=2 --seed=5"), 0);
 }
 
 TEST(P3qSimScenarioCli, ArrivalFlagsAreValidated) {
@@ -304,14 +321,16 @@ TEST(P3qSimScenarioCli, TraceIsByteIdenticalAcrossThreadsAndObservationOnly) {
 }
 
 TEST(P3qSimScenarioCli, ObservabilityFlagsAreValidated) {
-  EXPECT_NE(RunCli("--trace-format=xml"), 0);
-  EXPECT_NE(RunCli("--trace-filter=query_issued"), 0);  // needs --trace
-  EXPECT_NE(RunCli("--trace-ring=100"), 0);             // needs --trace
+  const std::string tiny =
+      "--scenario=steady-state --users=60 --cycle-scale=0.15 ";
+  EXPECT_NE(RunCli(tiny + "--trace-format=xml"), 0);
+  EXPECT_NE(RunCli(tiny + "--trace-filter=query_issued"), 0);  // needs --trace
+  EXPECT_NE(RunCli(tiny + "--trace-ring=100"), 0);             // needs --trace
   EXPECT_NE(RunCli("--scenario=steady-state --trace=/tmp/t.jsonl "
                    "--trace-filter=no_such_kind"),
             0);
   EXPECT_NE(RunCli("--scenario=steady-state --trace-nodes=1,2x"), 0);
-  EXPECT_NE(RunCli("--progress=10"), 0);  // scenario mode only
+  EXPECT_NE(RunCli("--progress=10"), 0);  // no --scenario
   EXPECT_NE(RunCli("--scenario=open-loop-saturation --arrival-sweep=1:2:1 "
                    "--trace=/tmp/t.jsonl"),
             0);

@@ -1,6 +1,7 @@
 // Scenario engine: timeline model validation, the built-in registry, node
 // re-entry (rejoin) semantics, runner determinism and report serialization.
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -146,7 +147,31 @@ TEST(ScenarioModel, ValidateCatchesBadTimelines) {
   s.phases.back().events.push_back(bad_fraction);
   EXPECT_NE(s.Validate(), "");
 
+  // NaN fractions fail the range checks too (they would reach
+  // FailRandomFraction as an undefined size_t conversion).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const EventKind kind : {EventKind::kDeparture, EventKind::kRejoin}) {
+    s.phases.back().events.clear();
+    ScenarioEvent nan_fraction;
+    nan_fraction.kind = kind;
+    nan_fraction.fraction = nan;
+    s.phases.back().events.push_back(nan_fraction);
+    EXPECT_NE(s.Validate(), "") << EventKindName(kind);
+  }
   s.phases.back().events.clear();
+  ScenarioEvent nan_storm;
+  nan_storm.kind = EventKind::kUpdateStorm;
+  nan_storm.update.changed_user_fraction = nan;
+  s.phases.back().events.push_back(nan_storm);
+  EXPECT_NE(s.Validate(), "");
+
+  s.phases.back().events.clear();
+  for (const double target : {-0.1, 1.5, nan}) {
+    s.phases.back().stop_at_success_ratio = target;
+    EXPECT_NE(s.Validate(), "") << target;
+  }
+  s.phases.back().stop_at_success_ratio = 0;
+
   s.phases.back().mode = PhaseMode::kLazy;
   ScenarioEvent burst;
   burst.kind = EventKind::kQueryBurst;
@@ -176,7 +201,7 @@ TEST(ScenarioModel, DutyCycleHelpers) {
 
 TEST(ScenarioRegistry, AllBuiltInScenariosAreWellFormed) {
   const std::vector<std::string> names = RegisteredScenarioNames();
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 13u);
   for (const std::string& name : names) {
     EXPECT_TRUE(HasScenario(name));
     const Scenario scenario = MakeScenario(name);
@@ -189,7 +214,7 @@ TEST(ScenarioRegistry, AllBuiltInScenariosAreWellFormed) {
   for (const char* expected :
        {"steady-state", "massive-departure", "diurnal", "flash-crowd",
         "update-storm", "churn-grind", "cold-start-query", "mixed-stress",
-        "lagged-steady", "lossy-flash-crowd"}) {
+        "lagged-steady", "lossy-flash-crowd", "convergence"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -427,6 +452,72 @@ TEST(ScenarioRunner, PerPhaseTrafficSumsToTheTotal) {
   EXPECT_EQ(messages, report.total_traffic.TotalMessages());
   EXPECT_EQ(bytes, report.total_traffic.TotalBytes());
   EXPECT_GT(messages, 0u);
+}
+
+// The CI convergence gate reads the registered scenario: a change to its
+// target or budget, or to anything convergence depends on, shows up here.
+TEST(ScenarioRunner, ConvergenceScenarioPinsTheCiGate) {
+  ScenarioRunnerOptions options;
+  options.users = 400;
+  options.seed = 1;
+  const Scenario scenario = MakeScenario("convergence");
+  const ScenarioReport zero = RunScenario(scenario, options);
+  ASSERT_EQ(zero.phases.size(), 1u);
+  EXPECT_EQ(zero.phases[0].cycles, 46u);
+  EXPECT_NEAR(zero.phases[0].success_ratio, 0.901574, 1e-6);
+  EXPECT_EQ(zero.total_cycles, 46u);
+
+  options.latency = LatencySpec{LatencyKind::kFixed, /*fixed=*/2};
+  const ScenarioReport lagged = RunScenario(scenario, options);
+  ASSERT_EQ(lagged.phases.size(), 1u);
+  EXPECT_EQ(lagged.phases[0].cycles, 67u);
+  EXPECT_NEAR(lagged.phases[0].success_ratio, 0.900652, 1e-6);
+}
+
+// A target the networks never reach leaves the phase its whole budget.
+TEST(ScenarioRunner, UnreachedStopTargetRunsTheWholeBudget) {
+  Scenario s;
+  s.name = "unreached";
+  ScenarioPhase phase;
+  phase.name = "converge";
+  phase.cycles = 6;
+  phase.mode = PhaseMode::kLazy;
+  phase.stop_at_success_ratio = 0.99;
+  s.phases.push_back(phase);
+  ScenarioRunnerOptions options = TinyOptions();
+  options.cycle_scale = 1.0;
+  const ScenarioReport report = RunScenario(s, options);
+  ASSERT_EQ(report.phases.size(), 1u);
+  EXPECT_EQ(report.phases[0].cycles, 6u);
+  EXPECT_LT(report.phases[0].success_ratio, 0.99);
+}
+
+// A reached target ends the phase early: events scheduled past that cycle
+// never fire, and the next phase starts right away.
+TEST(ScenarioRunner, ReachedStopTargetSkipsTheRestOfThePhase) {
+  Scenario s;
+  s.name = "reached";
+  ScenarioPhase converge;
+  converge.name = "converge";
+  converge.cycles = 200;
+  converge.mode = PhaseMode::kLazy;
+  converge.stop_at_success_ratio = 0.5;
+  ScenarioEvent late;
+  late.at_cycle = 199;
+  late.kind = EventKind::kDeparture;
+  late.fraction = 0.5;
+  converge.events.push_back(late);
+  s.phases.push_back(converge);
+  s.phases.push_back(MixedPhase(3));
+  ScenarioRunnerOptions options = TinyOptions();
+  options.cycle_scale = 1.0;
+  const ScenarioReport report = RunScenario(s, options);
+  ASSERT_EQ(report.phases.size(), 2u);
+  EXPECT_LT(report.phases[0].cycles, 199u);
+  EXPECT_GE(report.phases[0].success_ratio, 0.5);
+  EXPECT_EQ(report.phases[0].departures, 0u);
+  EXPECT_EQ(report.phases[1].cycles, 3u);
+  EXPECT_EQ(report.total_cycles, report.phases[0].cycles + 3);
 }
 
 TEST(ScenarioRunner, InvalidScenarioOrOptionsThrow) {

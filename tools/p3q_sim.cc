@@ -1,24 +1,24 @@
-// p3q_sim — command-line driver for custom P3Q simulations.
+// p3q_sim — command-line driver for P3Q simulations.
 //
-// Runs the full pipeline (trace -> lazy convergence -> queries -> optional
-// churn/updates) with every protocol parameter exposed as a flag, and prints
-// the quality/cost summary. Examples:
-//
-//   p3q_sim --users=2000 --c=10 --lazy-cycles=150 --queries=50
-//   p3q_sim --users=800 --lambda=1 --departure=0.5 --queries=100
-//   p3q_sim --input-trace=delicious.tsv --s=1000 --c=20 --alpha=0.3
-//
-// Declarative timeline-driven workloads (the scenario engine):
+// Runs a named, timeline-driven scenario (the scenario engine) with every
+// protocol parameter exposed as a flag, and prints its per-phase report.
+// Examples:
 //
 //   p3q_sim --list-scenarios
 //   p3q_sim --scenario=diurnal --users=600 --json=out.json
 //   p3q_sim --scenario=mixed-stress --cycle-scale=0.5 --csv=out.csv --timing
+//   p3q_sim --scenario=steady-state --users=2000 --s=200 --c=20 --alpha=0.3
+//
+// Convergence (lazy cycles until the personal networks reach a success
+// ratio; prints cycles_to_convergence):
+//
+//   p3q_sim --scenario=convergence --users=400 --seed=1
 //
 // Asynchronous delivery (the latency model between plan and commit):
 //
-//   p3q_sim --latency=fixed:2 --users=500 --queries=20
 //   p3q_sim --scenario=steady-state --latency=uniform:1:3 --json=out.json
-//   p3q_sim --loss=0.05 --converge=0.9 --lazy-cycles=300 --queries=0
+//   p3q_sim --scenario=convergence --users=400 --latency=fixed:2
+//   p3q_sim --scenario=convergence --loss=0.05
 //
 // Open-loop serving (latency SLOs and saturation sweeps):
 //
@@ -47,17 +47,8 @@
 #include <string>
 #include <vector>
 
-#include "baseline/centralized_topk.h"
-#include "baseline/ideal_network.h"
 #include "common/parse.h"
 #include "common/table_printer.h"
-#include "core/p3q_system.h"
-#include "dataset/generator.h"
-#include "dataset/query_gen.h"
-#include "dataset/storage_dist.h"
-#include "dataset/trace_loader.h"
-#include "eval/metrics_eval.h"
-#include "eval/recall.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "scenario/registry.h"
@@ -77,24 +68,16 @@ struct SweepSpec {
 
 struct Options {
   int users = 1000;
-  int network_size = -1;  // default: users/10
+  int network_size = -1;  // default: users/10, at most 500
   int stored = 10;
-  double lambda = 0;  // >0: heterogeneous storage instead of uniform c
   double alpha = 0.5;
   int top_k = 10;
   p3q::SimilarityMetric similarity = p3q::SimilarityMetric::kCommonActions;
-  int lazy_cycles = 100;
-  int eager_cycles = 15;
-  int queries = 50;
-  double departure = 0;
-  bool apply_updates = false;
   std::uint64_t seed = 1;
   int threads = 0;  // 0 = inherit the P3Q_THREADS environment default
-  std::string trace_path;
   bool help = false;
   // Delivery layer.
   std::optional<p3q::LatencySpec> latency;
-  double converge = 0;  // >0: measure cycles-to-convergence at this ratio
   // Scenario engine.
   std::string scenario;
   bool list_scenarios = false;
@@ -124,22 +107,18 @@ struct Options {
 
 void PrintUsage() {
   std::cout <<
-      "p3q_sim — run a P3Q simulation\n\n"
+      "p3q_sim — run a P3Q scenario\n\n"
+      "  --scenario=NAME    the scenario timeline to run (required unless\n"
+      "                     --resume, --list-scenarios or --help)\n"
+      "  --list-scenarios   print the built-in scenarios and exit\n"
       "  --users=N          population size for the synthetic trace (1000)\n"
-      "  --input-trace=PATH load a real user<TAB>item<TAB>tag trace instead\n"
-      "  --s=N              personal network size (users/10)\n"
+      "  --s=N              personal network size (users/10, at most 500)\n"
       "  --c=N              stored profiles per user (10)\n"
-      "  --lambda=X         heterogeneous storage, truncated Poisson(X)\n"
       "  --alpha=X          remaining-list split parameter (0.5)\n"
       "  --k=N              top-k size (10)\n"
       "  --similarity=M     personal-network distance: common (default,\n"
       "                     alias common_actions), jaccard, cosine or\n"
       "                     overlap; anything else is rejected\n"
-      "  --lazy-cycles=N    lazy maintenance cycles before querying (100)\n"
-      "  --eager-cycles=N   eager cycles per query (15)\n"
-      "  --queries=N        number of queries to run (50)\n"
-      "  --departure=X      fraction of users leaving before queries (0)\n"
-      "  --updates          apply a profile-update batch before queries\n"
       "  --seed=N           master seed (1)\n"
       "  --threads=N        plan-phase worker threads (default: P3Q_THREADS\n"
       "                     env or 1); results are byte-identical for every N\n"
@@ -149,21 +128,14 @@ void PrintUsage() {
       "                     and byte-identical for every --threads value\n"
       "  --loss=P           shorthand for --latency=lossy:P:2 (cannot be\n"
       "                     combined with a non-lossy --latency)\n"
-      "  --converge=R       classic mode: run lazy cycles until the success\n"
-      "                     ratio reaches R (checked every cycle, bounded by\n"
-      "                     --lazy-cycles) and print cycles_to_convergence\n"
-      "\nScenario engine (timeline-driven workloads):\n"
-      "  --list-scenarios   print the built-in scenarios and exit\n"
-      "  --scenario=NAME    run a named scenario timeline instead of the\n"
-      "                     classic pipeline (honours --users, --seed, --s,\n"
-      "                     --c, --alpha, --k)\n"
+      "\nRun scale and reports:\n"
       "  --cycle-scale=X    stretch/compress every phase's cycle budget (1.0)\n"
       "  --json=PATH        write the structured scenario report as JSON\n"
       "  --csv=PATH         write the scenario report as CSV\n"
       "  --timing           include wall-clock throughput in JSON/CSV\n"
       "                     reports (off by default so reports from equal\n"
       "                     seeds are byte-identical)\n"
-      "\nOpen-loop serving (scenario mode only):\n"
+      "\nOpen-loop serving:\n"
       "  --arrival-rate=R   override the scenario's open-loop arrival\n"
       "                     process with Poisson(R) queries per cycle on\n"
       "                     every eager/mixed phase; reports gain\n"
@@ -191,11 +163,11 @@ void PrintUsage() {
       "  --profile=FILE     write per-engine wall-clock phase breakdowns\n"
       "                     (plan/barrier/drain/EndCycle seconds and\n"
       "                     per-shard plan imbalance) as JSON\n"
-      "  --progress[=K]     scenario mode: print a stderr heartbeat every K\n"
+      "  --progress[=K]     print a stderr heartbeat every K\n"
       "                     timeline cycles (default K=100) with the cycle,\n"
       "                     open queries and messages in flight; stdout\n"
       "                     reports are untouched\n"
-      "\nCheckpoint/resume (scenario mode only):\n"
+      "\nCheckpoint/resume:\n"
       "  --checkpoint-at=CYCLE\n"
       "                     snapshot the full run state at the top of this\n"
       "                     timeline cycle (before its events fire) and keep\n"
@@ -284,16 +256,10 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       opt.help = true;
     } else if (ParseFlag(argv[i], "--users", &value)) {
       if (!ParseIntFlag("--users", value, &opt.users)) return std::nullopt;
-    } else if (ParseFlag(argv[i], "--input-trace", &value)) {
-      opt.trace_path = value;
     } else if (ParseFlag(argv[i], "--s", &value)) {
       if (!ParseIntFlag("--s", value, &opt.network_size)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--c", &value)) {
       if (!ParseIntFlag("--c", value, &opt.stored)) return std::nullopt;
-    } else if (ParseFlag(argv[i], "--lambda", &value)) {
-      if (!ParseDoubleFlag("--lambda", value, &opt.lambda)) {
-        return std::nullopt;
-      }
     } else if (ParseFlag(argv[i], "--alpha", &value)) {
       if (!ParseDoubleFlag("--alpha", value, &opt.alpha)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--k", &value)) {
@@ -304,22 +270,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
                   << "' (expected common|jaccard|cosine|overlap)\n";
         return std::nullopt;
       }
-    } else if (ParseFlag(argv[i], "--lazy-cycles", &value)) {
-      if (!ParseIntFlag("--lazy-cycles", value, &opt.lazy_cycles)) {
-        return std::nullopt;
-      }
-    } else if (ParseFlag(argv[i], "--eager-cycles", &value)) {
-      if (!ParseIntFlag("--eager-cycles", value, &opt.eager_cycles)) {
-        return std::nullopt;
-      }
-    } else if (ParseFlag(argv[i], "--queries", &value)) {
-      if (!ParseIntFlag("--queries", value, &opt.queries)) return std::nullopt;
-    } else if (ParseFlag(argv[i], "--departure", &value)) {
-      if (!ParseDoubleFlag("--departure", value, &opt.departure)) {
-        return std::nullopt;
-      }
-    } else if (ParseFlag(argv[i], "--updates", &value)) {
-      opt.apply_updates = true;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
       if (!ParseUint64Flag("--seed", value, &opt.seed)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--threads", &value)) {
@@ -330,10 +280,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       double p = 0;
       if (!ParseDoubleFlag("--loss", value, &p)) return std::nullopt;
       loss = p;
-    } else if (ParseFlag(argv[i], "--converge", &value)) {
-      if (!ParseDoubleFlag("--converge", value, &opt.converge)) {
-        return std::nullopt;
-      }
     } else if (ParseFlag(argv[i], "--scenario", &value)) {
       opt.scenario = value;
     } else if (ParseFlag(argv[i], "--list-scenarios", &value)) {
@@ -410,12 +356,8 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (opt.users < 1 && opt.trace_path.empty()) {
+  if (opt.users < 1) {
     std::cerr << "--users must be >= 1\n";
-    return std::nullopt;
-  }
-  if (opt.lazy_cycles < 0 || opt.eager_cycles < 0 || opt.queries < 0) {
-    std::cerr << "--lazy-cycles, --eager-cycles and --queries must be >= 0\n";
     return std::nullopt;
   }
   if (!(opt.cycle_scale > 0)) {
@@ -426,14 +368,15 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     std::cerr << "--threads must be >= 0 (0 = inherit P3Q_THREADS)\n";
     return std::nullopt;
   }
+  if (opt.scenario.empty() && opt.resume_path.empty() && !opt.help &&
+      !opt.list_scenarios) {
+    std::cerr << "p3q_sim runs a scenario: pass --scenario=NAME (see "
+                 "--list-scenarios) or --resume=FILE\n";
+    return std::nullopt;
+  }
   if (!opt.scenario.empty() && !p3q::HasScenario(opt.scenario)) {
     std::cerr << "unknown scenario: " << opt.scenario
               << " (see --list-scenarios)\n";
-    return std::nullopt;
-  }
-  if (!opt.scenario.empty() && !opt.trace_path.empty()) {
-    std::cerr << "--scenario runs on a synthetic trace; --input-trace is "
-                 "not supported in scenario mode\n";
     return std::nullopt;
   }
   if (!latency_text.empty()) {
@@ -463,20 +406,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     spec.kind = p3q::LatencyKind::kLossy;
     spec.loss = *loss;
     opt.latency = spec;
-  }
-  if (opt.converge < 0 || opt.converge > 1.0) {
-    std::cerr << "--converge must be in (0, 1]\n";
-    return std::nullopt;
-  }
-  if (opt.converge > 0 && !opt.scenario.empty()) {
-    std::cerr << "--converge applies to the classic pipeline, not scenario "
-                 "mode\n";
-    return std::nullopt;
-  }
-  if ((opt.arrival_rate.has_value() || opt.arrival_sweep.has_value()) &&
-      opt.scenario.empty()) {
-    std::cerr << "--arrival-rate/--arrival-sweep require --scenario=NAME\n";
-    return std::nullopt;
   }
   if (opt.arrival_rate.has_value() && opt.arrival_sweep.has_value()) {
     std::cerr << "--arrival-rate and --arrival-sweep are mutually "
@@ -509,22 +438,12 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
                  "combined with --arrival-sweep\n";
     return std::nullopt;
   }
-  if (opt.progress_every > 0 && opt.scenario.empty() &&
-      opt.resume_path.empty()) {
-    std::cerr << "--progress requires --scenario=NAME\n";
-    return std::nullopt;
-  }
   if (opt.checkpoint_at.has_value() && opt.checkpoint_path.empty()) {
     std::cerr << "--checkpoint-at requires --checkpoint=FILE\n";
     return std::nullopt;
   }
   if (!opt.checkpoint_path.empty() && !opt.checkpoint_at.has_value()) {
     std::cerr << "--checkpoint requires --checkpoint-at=CYCLE\n";
-    return std::nullopt;
-  }
-  if (opt.checkpoint_at.has_value() && opt.scenario.empty() &&
-      opt.resume_path.empty()) {
-    std::cerr << "--checkpoint-at requires --scenario=NAME or --resume=FILE\n";
     return std::nullopt;
   }
   if (opt.checkpoint_at.has_value() && opt.arrival_sweep.has_value()) {
@@ -546,16 +465,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     if (opt.latency.has_value()) {
       std::cerr << "--resume restores the run's latency model from the "
                    "snapshot; drop --latency/--loss\n";
-      return std::nullopt;
-    }
-    if (opt.converge > 0) {
-      std::cerr << "--converge applies to the classic pipeline, not "
-                   "--resume\n";
-      return std::nullopt;
-    }
-    if (!opt.trace_path.empty()) {
-      std::cerr << "--resume regenerates the snapshot's synthetic trace; "
-                   "--input-trace is not supported\n";
       return std::nullopt;
     }
   }
@@ -735,6 +644,17 @@ int RunScenarioMode(const Options& opt) {
             << " user-cycles/s (wall "
             << TablePrinter::Fmt(report.total_timing.wall_seconds, 3)
             << " s)\n";
+  for (std::size_t i = 0; i < report.phases.size(); ++i) {
+    const double target = scenario.phases[i].stop_at_success_ratio;
+    if (target <= 0) continue;
+    // -1 when the ratio stayed below the target for the whole budget.
+    const PhaseReport& p = report.phases[i];
+    std::cout << "cycles_to_convergence: "
+              << (p.success_ratio >= target ? static_cast<long long>(p.cycles)
+                                            : -1LL)
+              << " (phase " << p.name << ", success ratio " << p.success_ratio
+              << ", target " << target << ")\n";
+  }
   if (!effective_latency.IsZero()) {
     const DeliveryStats& d = report.total_delivery;
     std::cout << "delivery: " << d.enqueued << " sent, " << d.delivered
@@ -943,161 +863,6 @@ int main(int argc, char** argv) {
     }
     return RunScenarioMode(opt);
   }
-  if (!opt.scenario.empty()) {
-    return opt.arrival_sweep.has_value() ? RunSweepMode(opt)
-                                         : RunScenarioMode(opt);
-  }
-
-  using namespace p3q;
-
-  // --- dataset ---
-  std::optional<SyntheticTrace> synthetic;
-  Dataset file_dataset;
-  if (!opt.trace_path.empty()) {
-    auto loaded = LoadTaggingTraceFile(opt.trace_path);
-    if (!loaded) {
-      std::cerr << "cannot load trace: " << opt.trace_path << "\n";
-      return 1;
-    }
-    file_dataset = std::move(loaded->dataset);
-    std::cout << "loaded trace: " << loaded->user_names.size() << " users ("
-              << loaded->skipped_lines << " lines skipped)\n";
-  } else {
-    synthetic = GenerateSyntheticTrace(
-        SyntheticConfig::DeliciousLike(opt.users), opt.seed);
-  }
-  // Borrow, never copy: the trace keeps sole ownership of the action
-  // list. (The scenario mode goes further and streams the trace straight
-  // into the profile store without materializing a Dataset at all.)
-  const Dataset& dataset =
-      synthetic ? synthetic->dataset() : file_dataset;
-  const DatasetStats stats = dataset.ComputeStats();
-  std::cout << "dataset: " << stats.num_users << " users, " << stats.num_items
-            << " items, " << stats.num_tags << " tags, " << stats.num_actions
-            << " actions\n";
-  if (opt.network_size <= 0) {
-    opt.network_size = std::max(10, static_cast<int>(stats.num_users) / 10);
-  }
-
-  // --- system ---
-  P3QConfig config;
-  config.network_size = opt.network_size;
-  config.stored_profiles = std::min(opt.stored, opt.network_size);
-  config.alpha = opt.alpha;
-  config.top_k = opt.top_k;
-  config.similarity = opt.similarity;
-  if (const std::string error = config.Validate(); !error.empty()) {
-    std::cerr << "invalid configuration: " << error << "\n";
-    return 1;
-  }
-  std::vector<int> per_user_c;
-  Rng rng(opt.seed + 7);
-  if (opt.lambda > 0) {
-    const StorageDistribution dist = StorageDistribution::TruncatedPoisson(
-        opt.lambda, opt.network_size / 1000.0);
-    per_user_c = dist.AssignAll(stats.num_users, &rng);
-    std::cout << "storage: truncated Poisson(" << opt.lambda
-              << "), mean c = " << dist.Mean() << "\n";
-  } else {
-    std::cout << "storage: uniform c = " << config.stored_profiles << "\n";
-  }
-  P3QSystem system(dataset, config, per_user_c, opt.seed);
-  if (config.similarity != SimilarityMetric::kCommonActions) {
-    std::cout << "similarity: " << SimilarityMetricName(config.similarity)
-              << "\n";
-  }
-  if (opt.threads > 0) system.SetThreads(opt.threads);
-  if (opt.latency.has_value()) {
-    system.SetLatency(*opt.latency);
-    std::cout << "latency model: " << opt.latency->Name() << "\n";
-  }
-  ObsSession obs;
-  if (!OpenObsSession(opt, &obs)) return 1;
-  if (obs.tracer != nullptr) system.SetTracer(obs.tracer.get());
-  if (obs.profiler != nullptr) system.SetProfiler(obs.profiler.get());
-  system.BootstrapRandomViews();
-
-  // --- lazy convergence ---
-  const IdealNetworks ideal =
-      ComputeIdealNetworks(dataset, opt.network_size, opt.similarity);
-  if (opt.converge > 0) {
-    // Run cycle by cycle until the success ratio crosses the target; the
-    // crossing cycle is the CI perf trajectory's convergence metric (it is
-    // deterministic in (users, seed, latency), so a baseline can gate it).
-    long converged_at = -1;
-    double ratio = 0;
-    for (int cycle = 1; cycle <= opt.lazy_cycles; ++cycle) {
-      system.RunLazyCycles(1);
-      ratio = AverageSuccessRatio(system, ideal);
-      if (ratio >= opt.converge) {
-        converged_at = cycle;
-        break;
-      }
-    }
-    std::cout << "cycles_to_convergence: " << converged_at
-              << "\nconvergence_success_ratio: " << ratio
-              << "\nconvergence_target: " << opt.converge << "\n";
-  } else {
-    system.RunLazyCycles(static_cast<std::uint64_t>(opt.lazy_cycles));
-    std::cout << "after " << opt.lazy_cycles << " lazy cycles: success ratio "
-              << AverageSuccessRatio(system, ideal) << ", maintenance traffic "
-              << system.metrics().TotalBytes() / 1024.0 / 1024.0 << " MiB\n";
-  }
-
-  // --- dynamism ---
-  if (opt.apply_updates && synthetic) {
-    const UpdateBatch batch = synthetic->MakeUpdateBatch(UpdateConfig{}, &rng);
-    system.ApplyUpdateBatch(batch);
-    std::cout << "applied update batch: " << batch.NumChangedUsers()
-              << " users changed, AUR "
-              << AverageUpdateRate(system, ChangedUsers(batch)) << "\n";
-  }
-  if (opt.departure > 0) {
-    const auto left = system.FailRandomFraction(opt.departure);
-    std::cout << "departure: " << left.size() << " users left, "
-              << system.network().NumOnline() << " online\n";
-  }
-
-  // --- queries ---
-  const Metrics before = system.metrics().Snapshot();
-  double recall_sum = 0, reach_sum = 0, cycles_sum = 0;
-  int ran = 0, completed = 0;
-  for (int i = 0; i < opt.queries; ++i) {
-    const UserId querier = static_cast<UserId>(rng.NextUint64(stats.num_users));
-    if (!system.network().IsOnline(querier)) continue;
-    const QuerySpec spec = GenerateQueryForUser(dataset, querier, &rng);
-    if (spec.tags.empty()) continue;
-    const std::vector<ItemId> reference =
-        ReferenceTopK(system, spec, config.top_k);
-    const std::uint64_t qid = system.IssueQuery(spec);
-    system.RunEagerCycles(static_cast<std::uint64_t>(opt.eager_cycles));
-    const ActiveQuery& q = system.query(qid);
-    recall_sum += RecallAtK(q.CurrentTopKItems(), reference);
-    reach_sum += static_cast<double>(system.QueryReached(qid).size());
-    if (system.QueryComplete(qid)) {
-      ++completed;
-      cycles_sum += static_cast<double>(q.history().size()) - 1;
-    }
-    ++ran;
-    system.ForgetQuery(qid);
-  }
-  const Metrics eager = system.metrics().Since(before);
-
-  TablePrinter summary({"metric", "value"});
-  summary.AddRow({"queries run", TablePrinter::Fmt(ran)});
-  summary.AddRow({"avg recall@k",
-                  TablePrinter::Fmt(ran ? recall_sum / ran : 0)});
-  summary.AddRow({"completed", TablePrinter::Fmt(completed)});
-  summary.AddRow({"avg cycles to complete",
-                  TablePrinter::Fmt(completed ? cycles_sum / completed : -1, 1)});
-  summary.AddRow({"avg users reached",
-                  TablePrinter::Fmt(ran ? reach_sum / ran : 0, 1)});
-  summary.AddRow({"eager traffic (MiB)",
-                  TablePrinter::Fmt(eager.TotalBytes() / 1024.0 / 1024.0, 2)});
-  summary.AddRow(
-      {"eager messages", TablePrinter::Fmt(eager.TotalMessages())});
-  std::cout << "\n";
-  summary.Print(std::cout);
-  if (!CloseObsSession(opt, &obs)) return 1;
-  return 0;
+  return opt.arrival_sweep.has_value() ? RunSweepMode(opt)
+                                       : RunScenarioMode(opt);
 }
