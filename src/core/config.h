@@ -31,8 +31,6 @@ struct P3QConfig {
   int top_k = 10;
   /// Bloom digest size in bits (paper: 20 Kbit).
   std::size_t digest_bits = kDefaultDigestBits;
-  /// Bloom digest hash count.
-  int digest_hashes = 10;
   /// Attempts to find an online gossip partner before skipping a cycle.
   int offline_retry = 3;
   /// Cycles an eager task waits for an in-flight gossip's reply before it

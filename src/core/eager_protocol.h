@@ -104,6 +104,9 @@ class EagerProtocol : public CycleProtocol {
     return StateOrThrow(id).reached;
   }
 
+  /// True when the query was issued and not yet forgotten.
+  bool HasQuery(std::uint64_t id) const { return state_.contains(id); }
+
   std::vector<std::uint64_t> AllQueryIds() const;
 
   /// Releases all state of a query (long parameter sweeps). Messages of the

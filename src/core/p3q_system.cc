@@ -208,6 +208,10 @@ const std::unordered_set<UserId>& P3QSystem::QueryReached(
   return eager_->Reached(query_id);
 }
 
+bool P3QSystem::HasQuery(std::uint64_t query_id) const {
+  return eager_->HasQuery(query_id);
+}
+
 std::vector<std::uint64_t> P3QSystem::AllQueryIds() const {
   return eager_->AllQueryIds();
 }

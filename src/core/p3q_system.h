@@ -180,6 +180,9 @@ class P3QSystem {
   /// Users reached by the query's gossip so far (includes the querier).
   const std::unordered_set<UserId>& QueryReached(std::uint64_t query_id) const;
 
+  /// True when the query was issued and not yet forgotten.
+  bool HasQuery(std::uint64_t query_id) const;
+
   /// Ids of all issued queries.
   std::vector<std::uint64_t> AllQueryIds() const;
 

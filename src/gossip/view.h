@@ -2,11 +2,12 @@
 //
 // A DigestInfo is what actually travels in gossip messages: a user id plus
 // the Bloom digest of (a version of) her profile. In the simulator the
-// digest is carried as the immutable profile snapshot it was computed from —
-// protocol code only ever reads the snapshot's digest/items through the
-// helpers below, and wire costs are accounted as digest bytes, so the
-// semantics are exactly "a Bloom filter travelled", while exactness of the
-// overlap check is emulated including the filter's false-positive rate.
+// digest is carried as the immutable profile snapshot it was computed from,
+// which keeps the digest's false-positive rate and wire size but not its
+// bits. Protocol code reads the digest only through the helpers below: wire
+// costs are accounted as digest bytes, so the semantics are exactly "a Bloom
+// filter travelled", and the overlap check is an exact item test plus one
+// draw at the filter's false-positive rate.
 #ifndef P3Q_GOSSIP_VIEW_H_
 #define P3Q_GOSSIP_VIEW_H_
 
@@ -24,11 +25,10 @@ struct DigestInfo {
   ProfilePtr snapshot;  ///< the profile version the digest was built from
 
   std::uint32_t version() const { return snapshot->version(); }
-  const BloomFilter& digest() const { return snapshot->digest(); }
 
   /// Wire size of the descriptor: digest bits + the user id.
   std::size_t WireBytes() const {
-    return snapshot->digest().SizeBytes() + kBytesPerUserId;
+    return snapshot->DigestBytes() + kBytesPerUserId;
   }
 };
 

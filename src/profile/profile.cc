@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "bloom/bloom_filter.h"
+
 namespace p3q {
 namespace {
 
@@ -22,59 +24,23 @@ std::size_t WordsOfU32(std::size_t n) { return (n + 1) / 2; }
 Profile::Profile(UserId owner, std::vector<ActionKey> actions,
                  std::uint32_t version, std::size_t digest_bits,
                  std::shared_ptr<SlabArena> arena)
-    : owner_(owner), version_(version), num_items_(0), digest_(digest_bits) {
+    : owner_(owner), version_(version), num_items_(0) {
   std::sort(actions.begin(), actions.end());
   actions.erase(std::unique(actions.begin(), actions.end()), actions.end());
+  BloomFilter digest(digest_bits);
   ItemId last = kInvalidItem;
   for (ActionKey a : actions) {
     const ItemId item = ActionItem(a);
     if (item != last) {
       ++num_items_;
-      digest_.Insert(item);
+      digest.Insert(item);
       last = item;
     }
   }
-  digest_fpp_ = digest_.EstimatedFpp();
+  digest_fpp_ = digest.EstimatedFpp();
+  digest_bytes_ = digest.SizeBytes();
   const ScoreIndexData index = ScoreIndexData::Build(actions);
   Pack(actions, index, std::move(arena));
-}
-
-Profile::Profile(const Profile& base, const std::vector<ActionKey>& new_actions,
-                 std::shared_ptr<SlabArena> arena)
-    : owner_(base.owner_), version_(base.version_ + 1),
-      num_items_(base.num_items_), digest_(base.digest_) {
-  // Normalize the delta: sorted, unique, disjoint from the base — the form
-  // ScoreIndexData::Fold folds bit-identically to a from-scratch build.
-  std::vector<ActionKey> delta(new_actions);
-  std::sort(delta.begin(), delta.end());
-  delta.erase(std::unique(delta.begin(), delta.end()), delta.end());
-  delta.erase(std::remove_if(delta.begin(), delta.end(),
-                             [&](ActionKey k) {
-                               return std::binary_search(
-                                   base.actions_.begin(), base.actions_.end(),
-                                   k);
-                             }),
-              delta.end());
-
-  std::vector<ActionKey> merged(base.actions_.size() + delta.size());
-  std::merge(base.actions_.begin(), base.actions_.end(), delta.begin(),
-             delta.end(), merged.begin());
-
-  // The Bloom digest only ever ORs bits in, so extending the base's copy
-  // with the delta's items lands on exactly the bits a rebuild over the
-  // merged set would set. num_items_ counts only genuinely new items.
-  ItemId last = kInvalidItem;
-  for (ActionKey a : delta) {
-    const ItemId item = ActionItem(a);
-    if (item == last) continue;
-    last = item;
-    digest_.Insert(item);
-    if (!base.ContainsItem(item)) ++num_items_;
-  }
-  digest_fpp_ = digest_.EstimatedFpp();
-
-  const ScoreIndexData index = ScoreIndexData::Fold(base.index_, delta, merged);
-  Pack(merged, index, std::move(arena));
 }
 
 Profile::~Profile() {
@@ -83,8 +49,8 @@ Profile::~Profile() {
 
 Profile::Profile(Profile&& other) noexcept
     : owner_(other.owner_), version_(other.version_),
-      num_items_(other.num_items_), digest_(std::move(other.digest_)),
-      digest_fpp_(other.digest_fpp_), arena_(std::move(other.arena_)),
+      num_items_(other.num_items_), digest_fpp_(other.digest_fpp_),
+      digest_bytes_(other.digest_bytes_), arena_(std::move(other.arena_)),
       block_(other.block_), heap_(std::move(other.heap_)),
       packed_bytes_(other.packed_bytes_),
       actions_(other.actions_), index_(other.index_) {

@@ -10,14 +10,19 @@
 // snapshot with a bumped version. Replicas held by other users are
 // shared_ptr's to snapshots, so a replica is stale exactly when its version
 // is older than the owner's current version — which is how the dynamism
-// experiments (Figures 7, 9, 10, Table 2) measure freshness.
+// experiments (Figures 7, 9, 10, Table 2) measure freshness. An update
+// builds its snapshot with the one constructor below, from the old actions
+// plus the new ones (ProfileStore::ApplyUpdate).
 //
 // Storage: a snapshot's sorted actions and its whole ScoreIndex live in ONE
 // contiguous 64-byte-aligned block — either a SlabArena block (the
 // million-user path: ProfileStore hands every snapshot its shard's arena)
 // or a single heap allocation when no arena is given (tests, standalone
 // profiles). The snapshot keeps its arena alive through a shared_ptr, so
-// replicas can outlive the store that allocated them.
+// replicas can outlive the store that allocated them. Of the Bloom digest
+// (Section 2.1) a snapshot keeps only what the simulation reads: its
+// false-positive rate and its wire size (gossip/view.h). The filter's bits
+// are built at construction and dropped.
 #ifndef P3Q_PROFILE_PROFILE_H_
 #define P3Q_PROFILE_PROFILE_H_
 
@@ -26,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
 #include "common/aligned.h"
 #include "common/arena.h"
 #include "common/types.h"
@@ -38,19 +42,11 @@ namespace p3q {
 class Profile {
  public:
   /// Builds a snapshot from (possibly unsorted, possibly duplicated) packed
-  /// actions. Actions are sorted and deduplicated. When `arena` is non-null
-  /// the packed snapshot block is allocated from it.
+  /// actions. Actions are sorted and deduplicated; `digest_bits` sizes the
+  /// Bloom digest of their items. When `arena` is non-null the packed
+  /// snapshot block is allocated from it.
   Profile(UserId owner, std::vector<ActionKey> actions, std::uint32_t version,
           std::size_t digest_bits = kDefaultDigestBits,
-          std::shared_ptr<SlabArena> arena = nullptr);
-
-  /// Incremental snapshot: `base`'s actions plus `new_actions` (possibly
-  /// unsorted/duplicated/overlapping the base), version bumped by one. The
-  /// Bloom digest is extended by OR (order-independent, so bit-identical to
-  /// a rebuild) and the ScoreIndex is *folded* from the base's index
-  /// (ScoreIndexData::Fold) instead of rebuilt — bit-identical to the
-  /// from-scratch constructor above on the merged action set.
-  Profile(const Profile& base, const std::vector<ActionKey>& new_actions,
           std::shared_ptr<SlabArena> arena = nullptr);
 
   ~Profile();
@@ -72,12 +68,13 @@ class Profile {
   /// Number of distinct items tagged.
   std::size_t NumItems() const { return num_items_; }
 
-  /// Bloom digest over the profile's items (what gossip messages carry).
-  const BloomFilter& digest() const { return digest_; }
-
-  /// digest().EstimatedFpp(), computed once at construction: the digest
-  /// never changes after that, and the Bloom screens read it per proposal.
+  /// Estimated false-positive rate of the Bloom digest over the profile's
+  /// items (MakeItemDigest(actions, digest_bits).EstimatedFpp()), computed
+  /// at construction; the Bloom screens read it per proposal.
   double DigestFpp() const { return digest_fpp_; }
+
+  /// Wire size of that digest in bytes (what gossip messages carry).
+  std::size_t DigestBytes() const { return digest_bytes_; }
 
   /// Block-bitmap scoring index (profile/score_kernel.h), built once at
   /// snapshot construction; what the batched similarity kernels run on.
@@ -124,8 +121,8 @@ class Profile {
   UserId owner_;
   std::uint32_t version_;
   std::size_t num_items_;
-  BloomFilter digest_;
   double digest_fpp_ = 0.0;
+  std::size_t digest_bytes_ = 0;
 
   /// Packed storage: arena block when arena_ is set, heap_ otherwise.
   std::shared_ptr<SlabArena> arena_;

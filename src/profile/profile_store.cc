@@ -21,10 +21,7 @@ ProfileStore::ProfileStore() {
 
 ProfileStore::ProfileStore(ProfileStore&& other) noexcept
     : current_(std::move(other.current_)),
-      digest_bits_(other.digest_bits_),
       arenas_(std::move(other.arenas_)),
-      pending_(std::move(other.pending_)),
-      peak_pending_depth_(other.peak_pending_depth_),
       retain_originals_(other.retain_originals_),
       originals_(std::move(other.originals_)),
       pool_(std::move(other.pool_)),
@@ -35,59 +32,29 @@ void ProfileStore::AddUser(UserId user, std::vector<ActionKey> actions,
                            std::size_t digest_bits) {
   assert(user == current_.size() && "users must be added in id order");
   (void)user;
-  digest_bits_ = digest_bits;
   const UserId id = static_cast<UserId>(current_.size());
   current_.push_back(std::make_shared<Profile>(id, std::move(actions), 0,
                                                digest_bits, ArenaOf(id)));
   PoolRegister(current_.back());
 }
 
-void ProfileStore::RecordAction(UserId user, ActionKey action) {
-  std::vector<ActionKey>& pending = pending_[user];
-  pending.push_back(action);
-  peak_pending_depth_ = std::max(peak_pending_depth_, pending.size());
-}
-
-bool ProfileStore::HasPending(UserId user) const {
-  const auto it = pending_.find(user);
-  return it != pending_.end() && !it->second.empty();
-}
-
-ProfilePtr ProfileStore::PublishPending(UserId user) {
-  const auto it = pending_.find(user);
-  if (it == pending_.end() || it->second.empty()) return current_[user];
+ProfilePtr ProfileStore::ApplyUpdate(UserId user,
+                                     const std::vector<ActionKey>& new_actions) {
   const ProfilePtr& old = current_[user];
   if (retain_originals_ && old->version() == 0) {
     originals_.emplace(user, std::vector<ActionKey>(old->actions().begin(),
                                                     old->actions().end()));
   }
-  // The fold constructor merges the delta into the base snapshot and folds
-  // the ScoreIndex incrementally — bit-identical to rebuilding from the
-  // concatenated action set.
-  current_[user] =
-      std::make_shared<Profile>(*old, it->second, ArenaOf(user));
-  pending_.erase(it);
+  // The constructor's sort + unique turns the concatenation into the union.
+  std::vector<ActionKey> actions;
+  actions.reserve(old->Length() + new_actions.size());
+  actions.assign(old->actions().begin(), old->actions().end());
+  actions.insert(actions.end(), new_actions.begin(), new_actions.end());
+  current_[user] = std::make_shared<Profile>(
+      user, std::move(actions), old->version() + 1, old->DigestBytes() * 8,
+      ArenaOf(user));
   PoolRegister(current_[user]);
   return current_[user];
-}
-
-ProfilePtr ProfileStore::ApplyUpdate(UserId user,
-                                     const std::vector<ActionKey>& new_actions) {
-  if (new_actions.empty()) {
-    // Historical semantics: even an empty update publishes a new version.
-    const ProfilePtr& old = current_[user];
-    if (retain_originals_ && old->version() == 0) {
-      originals_.emplace(user, std::vector<ActionKey>(old->actions().begin(),
-                                                      old->actions().end()));
-    }
-    current_[user] = std::make_shared<Profile>(*old, new_actions, ArenaOf(user));
-    PoolRegister(current_[user]);
-    return current_[user];
-  }
-  std::vector<ActionKey>& pending = pending_[user];
-  pending.insert(pending.end(), new_actions.begin(), new_actions.end());
-  peak_pending_depth_ = std::max(peak_pending_depth_, pending.size());
-  return PublishPending(user);
 }
 
 void ProfileStore::RestoreSnapshots(std::vector<ProfilePtr> snapshots) {
@@ -107,7 +74,6 @@ void ProfileStore::RestoreSnapshots(std::vector<ProfilePtr> snapshots) {
     }
   }
   current_ = std::move(snapshots);
-  pending_.clear();
   for (const ProfilePtr& p : current_) PoolRegister(p);
 }
 
@@ -166,10 +132,6 @@ ProfileStoreMemoryStats ProfileStore::MemoryStats() const {
     std::lock_guard<std::mutex> lock(pool_mu_);
     stats.pool_hits = pool_hits_;
     stats.pool_misses = pool_misses_;
-  }
-  stats.peak_pending_depth = peak_pending_depth_;
-  for (const auto& [user, pending] : pending_) {
-    stats.pending_users += !pending.empty();
   }
   for (const auto& [user, actions] : originals_) {
     stats.original_bytes += actions.size() * sizeof(ActionKey);

@@ -10,11 +10,8 @@
 //  - Every snapshot's packed block (actions + ScoreIndex) is allocated from
 //    one of the store's slab arenas, sharded by user id so plan threads
 //    publishing concurrently don't contend on one allocator lock.
-//  - Updates are *buffered*: RecordAction appends to a per-user pending
-//    delta, and PublishPending folds the delta into a new snapshot through
-//    the incremental ScoreIndex fold — no from-scratch rebuild. ApplyUpdate
-//    (the classic entry point) is RecordAction + PublishPending and stays
-//    bit-identical to the historical rebuild semantics.
+//  - An update builds the next snapshot through the one Profile
+//    constructor, over the old actions plus the new ones.
 //  - A deduplicating snapshot pool maps (owner, version) to live snapshots
 //    so a checkpoint restore can reuse snapshots that already exist (e.g.
 //    the version-0 profiles of a freshly built system) instead of
@@ -46,10 +43,6 @@ struct ProfileStoreMemoryStats {
   /// Snapshot-pool reuse counters (checkpoint restore).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Deepest per-user pending delta ever buffered (actions).
-  std::size_t peak_pending_depth = 0;
-  /// Users with a pending delta right now.
-  std::size_t pending_users = 0;
   /// Bytes of retained original action vectors (streaming mode).
   std::size_t original_bytes = 0;
 };
@@ -91,23 +84,9 @@ class ProfileStore {
     return replica.version() == CurrentVersion(replica.owner());
   }
 
-  /// Buffers one new tagging action for `user` without publishing a
-  /// snapshot. Successive RecordActions accumulate in a pending delta that
-  /// PublishPending folds into the next snapshot in one go.
-  void RecordAction(UserId user, ActionKey action);
-
-  /// True when `user` has buffered actions not yet folded into a snapshot.
-  bool HasPending(UserId user) const;
-
-  /// Folds `user`'s pending delta into a new snapshot (version + 1) via the
-  /// incremental ScoreIndex fold and publishes it. No-op returning the
-  /// current snapshot when nothing is pending.
-  ProfilePtr PublishPending(UserId user);
-
   /// Publishes a new snapshot for `user` containing her previous actions
-  /// plus `new_actions`; bumps the version. Returns the new snapshot.
-  /// Equivalent to RecordAction for each action followed by PublishPending,
-  /// and bit-identical to the historical from-scratch rebuild.
+  /// plus `new_actions`, built with the previous snapshot's digest size;
+  /// bumps the version, even for an empty batch. Returns the new snapshot.
   ProfilePtr ApplyUpdate(UserId user, const std::vector<ActionKey>& new_actions);
 
   /// Total number of tagging actions across all current snapshots.
@@ -145,12 +124,7 @@ class ProfileStore {
   void PoolRegister(const ProfilePtr& snapshot);
 
   std::vector<ProfilePtr> current_;
-  std::size_t digest_bits_ = kDefaultDigestBits;
   std::vector<std::shared_ptr<SlabArena>> arenas_;
-
-  /// Per-user buffered deltas (RecordAction) and the high-water depth.
-  std::unordered_map<UserId, std::vector<ActionKey>> pending_;
-  std::size_t peak_pending_depth_ = 0;
 
   /// Original version-0 actions of updated users (streaming mode only).
   bool retain_originals_ = false;

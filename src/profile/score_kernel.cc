@@ -60,8 +60,7 @@ class BlockHash {
 };
 
 /// Packs one item run's tags into the two signature forms, or leaves the
-/// four words zero when the run is unpackable. Shared by Build and Fold so
-/// both produce bit-identical signatures by construction.
+/// four words zero when the run is unpackable.
 void PackTagSignature(std::span<const ActionKey> actions, std::uint32_t begin,
                       std::uint32_t end, std::uint64_t* sig_a_out,
                       std::uint64_t* sig_b_out) {
@@ -85,78 +84,6 @@ void PackTagSignature(std::span<const ActionKey> actions, std::uint32_t begin,
   sig_b_out[0] = sig_b[0];
   sig_b_out[1] = sig_b[1];
 }
-
-/// Merges an existing block bitmap with the bitmap of additional sorted
-/// unique keys — the union, with words of shared blocks OR-ed. Equal to
-/// BlockBitmap::Build over the merged key set because a bitmap is a pure
-/// function of its key set.
-BlockBitmap FoldBitmap(const BitmapView& base,
-                       const std::vector<std::uint64_t>& delta_keys) {
-  const BlockBitmap delta = BlockBitmap::Build(delta_keys);
-  BlockBitmap out;
-  out.blocks.reserve(base.size() + delta.size());
-  out.words.reserve(base.size() + delta.size());
-  std::size_t i = 0, j = 0;
-  while (i < base.size() || j < delta.size()) {
-    if (j >= delta.size() ||
-        (i < base.size() && base.blocks[i] < delta.blocks[j])) {
-      out.blocks.push_back(base.blocks[i]);
-      out.words.push_back(base.words[i]);
-      ++i;
-    } else if (i >= base.size() || delta.blocks[j] < base.blocks[i]) {
-      out.blocks.push_back(delta.blocks[j]);
-      out.words.push_back(delta.words[j]);
-      ++j;
-    } else {
-      out.blocks.push_back(base.blocks[i]);
-      out.words.push_back(base.words[i] | delta.words[j]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-/// Enumerates the distinct items of an item bitmap in ascending order —
-/// the select side of the rank-select pairing.
-class ItemCursor {
- public:
-  explicit ItemCursor(const BitmapView& bitmap) : bitmap_(bitmap) {
-    Advance();
-  }
-
-  bool Done() const { return done_; }
-  std::uint64_t Item() const { return item_; }
-  std::size_t Index() const { return index_; }
-
-  void Next() {
-    ++index_;
-    Advance();
-  }
-
- private:
-  void Advance() {
-    while (block_ < bitmap_.size() && word_ == 0) {
-      word_ = bitmap_.words[block_];
-      if (word_ == 0) ++block_;  // never happens for well-formed bitmaps
-    }
-    if (block_ >= bitmap_.size()) {
-      done_ = true;
-      return;
-    }
-    const int bit = std::countr_zero(word_);
-    word_ &= word_ - 1;
-    item_ = bitmap_.blocks[block_] * 64 + static_cast<std::uint64_t>(bit);
-    if (word_ == 0) ++block_;
-  }
-
-  BitmapView bitmap_;
-  std::size_t block_ = 0;
-  std::uint64_t word_ = 0;
-  std::uint64_t item_ = 0;
-  std::size_t index_ = 0;
-  bool done_ = false;
-};
 
 }  // namespace
 
@@ -214,79 +141,6 @@ ScoreIndexData ScoreIndexData::Build(std::span<const ActionKey> sorted_actions) 
                      &index.tag_sig_b[it * 2]);
   }
   return index;
-}
-
-ScoreIndexData ScoreIndexData::Fold(const ScoreIndex& base,
-                                    std::span<const ActionKey> delta,
-                                    std::span<const ActionKey> merged_actions) {
-  ScoreIndexData out;
-
-  // Distinct delta items with their delta action counts.
-  std::vector<std::uint64_t> delta_items;
-  std::vector<std::uint32_t> delta_counts;
-  for (const ActionKey key : delta) {
-    const std::uint64_t item = ActionItem(key);
-    if (delta_items.empty() || delta_items.back() != item) {
-      delta_items.push_back(item);
-      delta_counts.push_back(0);
-    }
-    ++delta_counts.back();
-  }
-
-  out.items = FoldBitmap(base.items, delta_items);
-
-  out.item_rank.reserve(out.items.size());
-  std::uint32_t rank = 0;
-  for (const std::uint64_t word : out.items.words) {
-    out.item_rank.push_back(rank);
-    rank += static_cast<std::uint32_t>(std::popcount(word));
-  }
-
-  // Merge the base's distinct-item stream with the delta's: untouched items
-  // keep their base count, touched items add their delta count, new items
-  // are delta-only. Offsets are the running prefix sum, exactly as Build
-  // accumulates them.
-  const std::size_t total_items = static_cast<std::size_t>(rank);
-  out.item_counts.reserve(total_items);
-  out.item_offsets.reserve(total_items + 1);
-  out.tag_sig_a.assign(total_items * 2, 0);
-  out.tag_sig_b.assign(total_items * 2, 0);
-
-  ItemCursor base_cursor(base.items);
-  std::size_t di = 0;
-  std::uint32_t offset = 0;
-  std::size_t ui = 0;
-  while (!base_cursor.Done() || di < delta_items.size()) {
-    const bool take_base =
-        !base_cursor.Done() &&
-        (di >= delta_items.size() || base_cursor.Item() <= delta_items[di]);
-    const bool take_delta =
-        di < delta_items.size() &&
-        (base_cursor.Done() || delta_items[di] <= base_cursor.Item());
-    std::uint32_t count = 0;
-    if (take_base) count += base.item_counts[base_cursor.Index()];
-    if (take_delta) count += delta_counts[di];
-    out.item_offsets.push_back(offset);
-    out.item_counts.push_back(count);
-    if (take_base && !take_delta) {
-      // Untouched item: its run is unchanged, so its signature is too.
-      const std::size_t bi = base_cursor.Index();
-      out.tag_sig_a[ui * 2] = base.tag_sig_a[bi * 2];
-      out.tag_sig_a[ui * 2 + 1] = base.tag_sig_a[bi * 2 + 1];
-      out.tag_sig_b[ui * 2] = base.tag_sig_b[bi * 2];
-      out.tag_sig_b[ui * 2 + 1] = base.tag_sig_b[bi * 2 + 1];
-    } else {
-      // Touched or new item: repack from the merged run.
-      PackTagSignature(merged_actions, offset, offset + count,
-                       &out.tag_sig_a[ui * 2], &out.tag_sig_b[ui * 2]);
-    }
-    offset += count;
-    ++ui;
-    if (take_base) base_cursor.Next();
-    if (take_delta) ++di;
-  }
-  out.item_offsets.push_back(static_cast<std::uint32_t>(merged_actions.size()));
-  return out;
 }
 
 bool KernelSharesItem(const Profile& a, const Profile& b) {

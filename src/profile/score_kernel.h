@@ -31,12 +31,11 @@
 // tests/score_kernel_test.cc enforces this.
 //
 // Storage model: the kernels read *views* (ScoreIndex — spans over packed
-// per-snapshot storage, profile.h); building happens through the owning
-// ScoreIndexData, either from scratch (Build) or by folding a sorted delta
-// into an existing snapshot's index (Fold). Fold is bit-identical to a
-// from-scratch Build of the merged action set — every array is a pure
-// function of the action set, and tests/index_fold_test.cc enforces the
-// equality array-by-array across all SIMD lanes.
+// per-snapshot storage, profile.h); building happens once per snapshot
+// through the owning ScoreIndexData::Build. Every array is a pure function
+// of the action set, so a snapshot does not depend on how the updates that
+// produced it were batched; tests/index_fold_test.cc checks that array by
+// array across all SIMD lanes.
 #ifndef P3Q_PROFILE_SCORE_KERNEL_H_
 #define P3Q_PROFILE_SCORE_KERNEL_H_
 
@@ -164,16 +163,6 @@ struct ScoreIndexData {
 
   /// Builds the index of a sorted unique action vector from scratch.
   static ScoreIndexData Build(std::span<const ActionKey> sorted_actions);
-
-  /// Incremental fold: the index of base ∪ delta, computed from the base
-  /// snapshot's existing index plus the (sorted unique, disjoint-from-base)
-  /// delta actions, without re-scanning untouched items. `merged_actions`
-  /// must be the sorted unique union the new snapshot stores — offsets and
-  /// signatures of touched items are read from it. Bit-identical to
-  /// Build(merged_actions).
-  static ScoreIndexData Fold(const ScoreIndex& base,
-                             std::span<const ActionKey> delta,
-                             std::span<const ActionKey> merged_actions);
 };
 
 /// True when the two profiles share at least one item (exact; the Bloom

@@ -86,7 +86,6 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
        << ", \"arena_recycled_slabs\": " << m.arena_recycled_slabs
        << ", \"pool_hits\": " << m.pool_hits
        << ", \"pool_misses\": " << m.pool_misses
-       << ", \"peak_pending_depth\": " << m.peak_pending_depth
        << ", \"probe_memo_bytes\": " << m.probe_memo_bytes
        << ", \"personal_network_bytes\": " << m.personal_network_bytes
        << ", \"peak_rss_mb\": " << Num(m.peak_rss_mb, 1) << "}";

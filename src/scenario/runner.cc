@@ -353,7 +353,11 @@ struct RunnerResumeState {
   std::vector<OpenQuery> open;
 };
 
-RunnerResumeState ReadRunnerSection(CheckpointReader* in, Rng* workload_rng,
+/// Reads the runner section of a checkpoint into a RunnerResumeState.
+/// `system` is already restored: every open query id, closed-loop or
+/// tracked, must name one of its live queries, else CheckpointError.
+RunnerResumeState ReadRunnerSection(CheckpointReader* in,
+                                    const P3QSystem& system, Rng* workload_rng,
                                     Rng* serving_rng,
                                     std::optional<ServingTracker>* tracker) {
   RunnerResumeState s;
@@ -370,7 +374,7 @@ RunnerResumeState ReadRunnerSection(CheckpointReader* in, Rng* workload_rng,
   s.has_tracker = in->U8() != 0;
   if (s.has_tracker) {
     tracker->emplace(0, 0.0);  // overwritten entirely by LoadState
-    (*tracker)->LoadState(in);
+    (*tracker)->LoadState(in, system);
   }
   s.open_loop = in->U8() != 0;
   s.slo_cycles = in->U64();
@@ -399,6 +403,10 @@ RunnerResumeState ReadRunnerSection(CheckpointReader* in, Rng* workload_rng,
   for (std::uint64_t q = 0; q < num_open; ++q) {
     OpenQuery query;
     query.id = in->U64();
+    if (!system.HasQuery(query.id)) {
+      throw CheckpointError("runner open query id " +
+                            std::to_string(query.id) + " names no live query");
+    }
     const std::uint64_t num_reference = in->Count(4);
     query.reference.reserve(static_cast<std::size_t>(num_reference));
     for (std::uint64_t r = 0; r < num_reference; ++r) {
@@ -571,7 +579,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     CheckpointReader in(payload.data(), payload.size());
     VerifyResumeHeader(ReadRunHeader(&in), scenario, options, latency);
     system.LoadCheckpoint(&in);
-    resume = ReadRunnerSection(&in, &workload_rng, &serving_rng, &tracker);
+    resume =
+        ReadRunnerSection(&in, system, &workload_rng, &serving_rng, &tracker);
     in.ExpectEnd();
     if (resume.phase_index >= scenario.phases.size()) {
       throw CheckpointError(
@@ -970,7 +979,6 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.arena_recycled_slabs = mem.store.arena.recycled_slabs;
   report.memory.pool_hits = mem.store.pool_hits;
   report.memory.pool_misses = mem.store.pool_misses;
-  report.memory.peak_pending_depth = mem.store.peak_pending_depth;
   report.memory.probe_memo_bytes = mem.probe_memo_bytes;
   report.memory.personal_network_bytes = mem.personal_network_bytes;
   report.memory.peak_rss_mb = PeakRssMb();

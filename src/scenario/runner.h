@@ -137,8 +137,6 @@ struct MemoryReport {
   /// snapshots instead of rebuilding them).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Deepest per-user buffered update delta before a fold.
-  std::uint64_t peak_pending_depth = 0;
   /// Probe-memo tables and personal-network storage, summed over all
   /// nodes (SystemMemoryStats).
   std::uint64_t probe_memo_bytes = 0;

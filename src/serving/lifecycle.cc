@@ -1,5 +1,6 @@
 #include "serving/lifecycle.h"
 
+#include <string>
 #include <utility>
 
 #include "core/p3q_system.h"
@@ -104,7 +105,7 @@ void ServingTracker::SaveState(CheckpointWriter* out) const {
   out->Sentinel();
 }
 
-void ServingTracker::LoadState(CheckpointReader* in) {
+void ServingTracker::LoadState(CheckpointReader* in, const P3QSystem& system) {
   const std::uint64_t slo_cycles = in->U64();
   const double recall_target = in->F64();
   std::map<std::uint64_t, OpenQuery> loaded;
@@ -114,6 +115,11 @@ void ServingTracker::LoadState(CheckpointReader* in) {
     const std::uint64_t query_id = in->U64();
     if (q > 0 && query_id <= prev_id) {
       throw CheckpointError("serving tracker query ids out of order");
+    }
+    if (!system.HasQuery(query_id)) {
+      throw CheckpointError("serving tracker query id " +
+                            std::to_string(query_id) +
+                            " names no live query");
     }
     prev_id = query_id;
     OpenQuery open;

@@ -65,7 +65,9 @@ class ServingTracker {
   void SaveState(CheckpointWriter* out) const;
 
   /// Restores state written by SaveState, replacing current contents.
-  void LoadState(CheckpointReader* in);
+  /// `system` is the already restored system: an open query id it holds no
+  /// live query for throws a CheckpointError.
+  void LoadState(CheckpointReader* in, const P3QSystem& system);
 
  private:
   struct OpenQuery {

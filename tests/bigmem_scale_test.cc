@@ -87,13 +87,12 @@ TEST(BigMemScaleTest, ArenaChurnUnderUpdateStormDoesNotLeak) {
     store.AddUser(u, stream.NextUserActions(), kDefaultDigestBits);
   }
 
-  // Three publish waves per user: each fold retires the previous snapshot
+  // Three update waves per user: each update retires the previous snapshot
   // into the arena free lists, so the live population must stay flat.
   for (int wave = 0; wave < 3; ++wave) {
     for (UserId u = 0; u < static_cast<UserId>(kUsers); ++u) {
-      store.RecordAction(u, MakeAction(static_cast<ItemId>(1000 + wave),
-                                       static_cast<TagId>(wave)));
-      store.PublishPending(u);
+      store.ApplyUpdate(u, {MakeAction(static_cast<ItemId>(1000 + wave),
+                                       static_cast<TagId>(wave))});
     }
   }
   const ProfileStoreMemoryStats stats = store.MemoryStats();

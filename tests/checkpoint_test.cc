@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -165,7 +167,7 @@ TEST(CheckpointCodecTest, ProfilePoolSharesSnapshots) {
   pool.Serialize(&w);
   CheckpointReader r(w.buffer().data(), w.buffer().size());
   const ProfileTable table =
-      ProfileTable::Deserialize(&r, p1->digest().num_bits());
+      ProfileTable::Deserialize(&r, p1->DigestBytes() * 8);
   r.ExpectEnd();
   ASSERT_EQ(table.size(), 2u);
   EXPECT_EQ(table.Get(id1)->owner(), p1->owner());
@@ -494,6 +496,16 @@ TEST(CheckpointResumeTest, ConvergencePhaseResumes) {
   ExpectResumeIdentical(cfg, straight, 20);
 }
 
+// The storms fire at timeline cycles 30 and 39, so K = 35 restores
+// snapshots the first storm already updated (version > 0), and the resumed
+// run applies the second storm on top of them.
+TEST(CheckpointResumeTest, UpdateStormResumes) {
+  RunConfig cfg{"update-storm"};
+  cfg.cycle_scale = 1.0;
+  const Rendered straight = StraightRun(cfg);
+  ExpectResumeIdentical(cfg, straight, 35);
+}
+
 TEST(CheckpointResumeTest, ResumedTraceIsByteSuffixOfStraightTrace) {
   const RunConfig cfg{"open-loop-steady"};
   const Scenario scenario = MakeScenario(cfg.scenario);
@@ -728,6 +740,138 @@ TEST_F(CheckpointCorruptionTest, CheckpointPastTimelineRejected) {
         << e.what();
   }
   EXPECT_FALSE(std::ifstream(early.checkpoint_path).good());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile snapshots: a CRC-valid file whose open query ids name no live
+// query must fail with a CheckpointError, never abort in a query lookup.
+// The tests locate an open-query list in a real snapshot, set its first id
+// to 0 (ids start at 1, so 0 is never issued) and re-frame the payload with
+// a fresh checksum.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kSectionMarker = 0x7a9b1c2du;
+
+/// The little-endian `bytes`-byte integer at `at`.
+std::uint64_t Peek(const std::vector<std::uint8_t>& b, std::size_t at,
+                   int bytes) {
+  std::uint64_t v = 0;
+  for (int i = bytes - 1; i >= 0; --i) v = (v << 8) | b[at + i];
+  return v;
+}
+
+std::uint64_t PeekU64(const std::vector<std::uint8_t>& b, std::size_t at) {
+  return Peek(b, at, 8);
+}
+
+std::uint32_t PeekU32(const std::vector<std::uint8_t>& b, std::size_t at) {
+  return static_cast<std::uint32_t>(Peek(b, at, 4));
+}
+
+/// Walks `count` open-query entries from `at`: `head` bytes (the id first),
+/// then a u64 n and n u32 reference items. Returns the offset past them, or
+/// 0 when they run off the payload.
+std::size_t SkipOpenQueries(const std::vector<std::uint8_t>& b, std::size_t at,
+                            std::uint64_t count, std::size_t head) {
+  for (std::uint64_t q = 0; q < count; ++q) {
+    if (at + head + 8 > b.size()) return 0;
+    const std::uint64_t n = PeekU64(b, at + head);
+    if (n > b.size()) return 0;
+    at += head + 8 + 4 * n;
+  }
+  return at <= b.size() ? at : 0;
+}
+
+/// Checkpoints `cfg` at K, applies `patch` to the payload, re-frames it and
+/// expects the resume to throw a CheckpointError naming a dead query id.
+void ExpectDeadQueryIdRejected(
+    const RunConfig& cfg, std::uint64_t k,
+    const std::function<void(std::vector<std::uint8_t>*)>& patch) {
+  const Scenario scenario = MakeScenario(cfg.scenario);
+  const std::string path = TempPath("hostile_" + cfg.scenario + ".ckpt");
+  ScenarioRunnerOptions writer = BaseOptions(cfg);
+  writer.checkpoint_at = k;
+  writer.checkpoint_path = path;
+  RunScenario(scenario, writer);
+
+  std::vector<std::uint8_t> payload = ReadCheckpointPayload(path);
+  patch(&payload);
+  if (::testing::Test::HasFatalFailure()) return;
+  CheckpointWriter framed;
+  framed.Bytes(payload.data(), payload.size());
+  WriteCheckpointFile(path, framed);
+
+  ScenarioRunnerOptions reader = BaseOptions(cfg);
+  reader.resume_path = path;
+  try {
+    RunScenario(scenario, reader);
+    ADD_FAILURE() << "a dead query id was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("query id 0 names no live query"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+/// Sets the u64 query id at `at` to 0 after checking it named a query.
+void KillQueryId(std::vector<std::uint8_t>* payload, std::size_t at) {
+  ASSERT_NE(PeekU64(*payload, at), 0u);
+  for (std::size_t i = 0; i < 8; ++i) (*payload)[at + i] = 0;
+}
+
+TEST(CheckpointHostileTest, DeadServingTrackerQueryIdIsRejected) {
+  // Mid-serve with two-cycle latency, the tracker holds open queries.
+  RunConfig cfg{"open-loop-steady"};
+  cfg.cycle_scale = 0.25;
+  cfg.latency = LatencySpec{LatencyKind::kFixed, /*fixed=*/2};
+  const ArrivalSpec arrivals = MakeScenario(cfg.scenario).arrivals;
+  ExpectDeadQueryIdRejected(cfg, 15, [&](std::vector<std::uint8_t>* payload) {
+    // The tracker section: u64 slo_cycles, f64 recall_target, u64 count,
+    // then per query (u64 id, u64 issue cycle, u32 querier, u8 flag, the
+    // reference), then a section marker.
+    std::uint64_t recall_bits = 0;
+    std::memcpy(&recall_bits, &arrivals.recall_target, sizeof(recall_bits));
+    std::vector<std::size_t> found;
+    for (std::size_t p = 0; p + 32 <= payload->size(); ++p) {
+      if (PeekU64(*payload, p) != arrivals.slo_cycles ||
+          PeekU64(*payload, p + 8) != recall_bits) {
+        continue;
+      }
+      const std::uint64_t count = PeekU64(*payload, p + 16);
+      if (count == 0 || count > payload->size()) continue;
+      const std::size_t end =
+          SkipOpenQueries(*payload, p + 24, count, /*head=*/21);
+      if (end != 0 && end + 4 <= payload->size() &&
+          PeekU32(*payload, end) == kSectionMarker) {
+        found.push_back(p + 24);
+      }
+    }
+    ASSERT_EQ(found.size(), 1u) << "tracker section not located";
+    KillQueryId(payload, found[0]);
+  });
+}
+
+TEST(CheckpointHostileTest, DeadClosedLoopQueryIdIsRejected) {
+  // update-storm issues one closed-loop query per storm-phase cycle from
+  // timeline cycle 30, so at K = 35 the runner holds five open queries.
+  RunConfig cfg{"update-storm"};
+  cfg.cycle_scale = 1.0;
+  ExpectDeadQueryIdRejected(cfg, 35, [](std::vector<std::uint8_t>* payload) {
+    // The runner section ends with u64 count, then per query (u64 id, the
+    // reference), then the section marker.
+    std::vector<std::size_t> found;
+    for (std::size_t p = 0; p + 12 <= payload->size(); ++p) {
+      if (PeekU64(*payload, p) != 5) continue;
+      if (SkipOpenQueries(*payload, p + 8, 5, /*head=*/8) + 4 ==
+          payload->size()) {
+        found.push_back(p + 8);
+      }
+    }
+    ASSERT_EQ(found.size(), 1u) << "open-query list not located";
+    ASSERT_EQ(PeekU32(*payload, payload->size() - 4), kSectionMarker);
+    KillQueryId(payload, found[0]);
+  });
 }
 
 // ---------------------------------------------------------------------------

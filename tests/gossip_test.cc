@@ -17,7 +17,8 @@ using test::MakeSnapshot;
 TEST(DigestInfoTest, ExposesVersionAndWireBytes) {
   const DigestInfo d = MakeDigest(3, {1, 2}, 5);
   EXPECT_EQ(d.version(), 5u);
-  EXPECT_EQ(d.WireBytes(), d.digest().SizeBytes() + kBytesPerUserId);
+  EXPECT_EQ(d.WireBytes(), d.snapshot->DigestBytes() + kBytesPerUserId);
+  EXPECT_EQ(d.snapshot->DigestBytes(), 2048u / 8);  // MakeDigest's 2048 bits
 }
 
 TEST(DigestIndicatesCommonItemTest, TrueOnGenuineOverlap) {

@@ -1,6 +1,7 @@
 // Unit tests for profile/: the tagging data model and similarity kernels.
 #include <gtest/gtest.h>
 
+#include "bloom/bloom_filter.h"
 #include "common/random.h"
 #include "profile/profile.h"
 #include "profile/profile_store.h"
@@ -79,9 +80,16 @@ TEST(ProfileTest, ScoreQueryEmptyWhenNoMatch) {
 }
 
 TEST(ProfileTest, DigestCoversItems) {
+  // The snapshot keeps the rate and size of the digest over its items
+  // (MakeProfile builds a 1024-bit digest).
   const Profile p = MakeProfile(1, {{10, 1}, {20, 2}});
-  EXPECT_TRUE(p.digest().MayContain(10));
-  EXPECT_TRUE(p.digest().MayContain(20));
+  const BloomFilter digest = MakeItemDigest(
+      std::vector<ActionKey>(p.actions().begin(), p.actions().end()), 1024);
+  EXPECT_TRUE(digest.MayContain(10));
+  EXPECT_TRUE(digest.MayContain(20));
+  EXPECT_GT(p.DigestFpp(), 0.0);
+  EXPECT_EQ(p.DigestFpp(), digest.EstimatedFpp());
+  EXPECT_EQ(p.DigestBytes(), digest.SizeBytes());
 }
 
 TEST(ProfileTest, WireBytesUsesPaperCost) {

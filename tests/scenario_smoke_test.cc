@@ -375,5 +375,33 @@ TEST(P3qSimScenarioCli, ArrivalSweepWritesTheSweepReport) {
   std::remove(path.c_str());
 }
 
+// --resume reads the run's shape from the snapshot: it runs with the
+// options that do not change results, and every flag that would (even with
+// the snapshot's own value) is an error rather than silently ignored.
+TEST(P3qSimScenarioCli, ResumeRejectsRunShapeFlags) {
+  const std::string dir = ::testing::TempDir();
+  const std::string ckpt = dir + "/p3q_cli_resume.ckpt";
+  const std::string straight = dir + "/p3q_cli_straight.json";
+  const std::string resumed = dir + "/p3q_cli_resumed.json";
+  const std::string run =
+      "--scenario=steady-state --users=60 --cycle-scale=0.15 ";
+  ASSERT_EQ(RunCli(run + "--json=\"" + straight + "\""), 0);
+  ASSERT_EQ(RunCli(run + "--checkpoint-at=2 --checkpoint=\"" + ckpt + "\""),
+            0);
+  const std::string resume = "--resume=\"" + ckpt + "\" ";
+  ASSERT_EQ(RunCli(resume + "--threads=2 --json=\"" + resumed + "\""), 0);
+  EXPECT_EQ(ReadFileOrEmpty(resumed), ReadFileOrEmpty(straight));
+  for (const char* flag :
+       {"--users=60", "--users=999", "--seed=1", "--seed=7", "--s=3", "--c=3",
+        "--alpha=0.9", "--k=5", "--similarity=jaccard", "--cycle-scale=0.15",
+        "--scenario=steady-state", "--latency=fixed:2", "--loss=0.1",
+        "--arrival-rate=2"}) {
+    EXPECT_NE(RunCli(resume + flag), 0) << flag;
+  }
+  std::remove(ckpt.c_str());
+  std::remove(straight.c_str());
+  std::remove(resumed.c_str());
+}
+
 }  // namespace
 }  // namespace p3q

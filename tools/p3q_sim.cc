@@ -100,6 +100,9 @@ struct Options {
   std::optional<std::uint64_t> checkpoint_at;  // --checkpoint-at=CYCLE
   std::string checkpoint_path;                 // --checkpoint=FILE
   std::string resume_path;                     // --resume=FILE
+  // Run-shape flags given on the command line; --resume reads the run's
+  // shape from the snapshot and rejects them.
+  std::vector<std::string> run_shape_flags;
   // The arrival override the snapshot was written with (filled from the
   // checkpoint header when resuming, never from a flag).
   std::optional<p3q::ArrivalSpec> resume_arrivals;
@@ -178,7 +181,11 @@ void PrintUsage() {
       "                     every result-affecting option come from the\n"
       "                     file, so the final report is byte-identical to\n"
       "                     the straight-through run's. --threads, --json,\n"
-      "                     --csv, --trace and --progress still apply\n";
+      "                     --csv, --trace and --progress still apply; the\n"
+      "                     run-shape flags (--scenario, --users, --seed,\n"
+      "                     --s, --c, --alpha, --k, --similarity,\n"
+      "                     --cycle-scale, --latency, --loss, --arrival-*)\n"
+      "                     are rejected\n";
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* value) {
@@ -252,6 +259,10 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
   std::optional<double> loss;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    for (const char* flag : {"--users", "--seed", "--s", "--c", "--alpha",
+                             "--k", "--similarity", "--cycle-scale"}) {
+      if (ParseFlag(argv[i], flag, &value)) opt.run_shape_flags.push_back(flag);
+    }
     if (ParseFlag(argv[i], "--help", &value)) {
       opt.help = true;
     } else if (ParseFlag(argv[i], "--users", &value)) {
@@ -465,6 +476,15 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     if (opt.latency.has_value()) {
       std::cerr << "--resume restores the run's latency model from the "
                    "snapshot; drop --latency/--loss\n";
+      return std::nullopt;
+    }
+    if (!opt.run_shape_flags.empty()) {
+      std::cerr << "--resume restores the run's population, seed and "
+                   "protocol parameters from the snapshot; drop";
+      for (const std::string& flag : opt.run_shape_flags) {
+        std::cerr << " " << flag;
+      }
+      std::cerr << "\n";
       return std::nullopt;
     }
   }
