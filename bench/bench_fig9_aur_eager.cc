@@ -46,10 +46,11 @@ int main() {
   auto micro = [&](const std::vector<UserId>& over) {
     std::size_t subject = 0, updated = 0;
     for (UserId u : over) {
-      for (const NetworkEntry& e : system->node(u).network().entries()) {
+      const PersonalNetwork& network = system->node(u).network();
+      for (const NetworkEntry& e : network.entries()) {
         if (!e.HasStoredProfile() || changed.count(e.user) == 0) continue;
         ++subject;
-        if (e.stored_profile->version() ==
+        if (network.StoredProfileOf(e)->version() ==
             system->profile_store().CurrentVersion(e.user)) {
           ++updated;
         }

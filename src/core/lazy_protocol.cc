@@ -150,10 +150,9 @@ void CommitReplicaFill(const P3QSystem* system, P3QNode* receiver,
     ProfilePtr replica = sender->FindUsableProfile(w);
     if (replica == nullptr) continue;
     const std::uint32_t known = receiver->network().KnownVersion(w);
-    const NetworkEntry* entry = receiver->network().Find(w);
-    const std::uint32_t stored = entry->HasStoredProfile()
-                                     ? entry->stored_profile->version()
-                                     : PersonalNetwork::kNoVersion;
+    const ProfilePtr& held = receiver->network().StoredProfileOf(w);
+    const std::uint32_t stored =
+        held != nullptr ? held->version() : PersonalNetwork::kNoVersion;
     // Useless when older than the digest we trust, or no newer than what we
     // already store.
     if (replica->version() < known) continue;

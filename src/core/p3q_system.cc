@@ -95,7 +95,11 @@ SystemMemoryStats P3QSystem::MemoryStats() const {
   for (const std::unique_ptr<P3QNode>& n : nodes_) {
     stats.probe_memo_bytes += n->probed_versions().MemoryBytes();
     stats.personal_network_bytes += n->network().MemoryBytes();
+    stats.random_view_bytes += n->random_view().MemoryBytes();
   }
+  stats.peak_in_flight_messages =
+      engine_.DeliveryStatsTotal().max_in_flight +
+      eager_engine_.DeliveryStatsTotal().max_in_flight;
   return stats;
 }
 
@@ -286,10 +290,10 @@ void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
     body.U64(network.size());
     for (const NetworkEntry& e : network.entries()) {
       body.U32(e.user);
-      body.U64(e.score);
-      WriteDigestInfo(&body, &pool, e.digest);
+      body.U32(e.score);
+      body.U32(e.digest_version);
       body.U32(network.Timestamp(e));
-      body.U32(pool.Intern(e.stored_profile));
+      body.U32(pool.Intern(network.StoredProfileOf(e)));
     }
 
     const std::vector<DigestInfo>& view = n.random_view().entries();
@@ -375,28 +379,29 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
     n.SetOwnProfile(own);
     ReadRngState(in, &n.rng());
 
-    const std::uint64_t num_entries = in->Count(25);
+    const std::uint64_t num_entries = in->Count(20);
     std::vector<NetworkEntry> entries;
+    std::vector<ProfilePtr> replicas;
     std::vector<std::uint32_t> timestamps;
     entries.reserve(static_cast<std::size_t>(num_entries));
+    replicas.reserve(static_cast<std::size_t>(num_entries));
     timestamps.reserve(static_cast<std::size_t>(num_entries));
     for (std::uint64_t e = 0; e < num_entries; ++e) {
       NetworkEntry entry;
-      entry.user = in->U32();
-      entry.score = in->U64();
-      entry.digest = ReadDigestInfo(in, profiles, NumUsers());
+      entry.user = ReadUserId(in, NumUsers(), "network entry user");
+      entry.score = in->U32();
+      entry.digest_version = in->U32();
       timestamps.push_back(in->U32());
-      entry.stored_profile = profiles.Get(in->U32());
-      if (entry.digest.user != entry.user ||
-          (entry.stored_profile != nullptr &&
-           entry.stored_profile->owner() != entry.user)) {
+      const ProfilePtr& replica = profiles.Get(in->U32());
+      if (replica != nullptr && replica->owner() != entry.user) {
         throw CheckpointError("personal-network entry of user " +
                               std::to_string(u) +
                               " carries another user's profile");
       }
-      entries.push_back(std::move(entry));
+      entries.push_back(entry);
+      replicas.push_back(replica);
     }
-    n.network().RestoreEntries(std::move(entries), timestamps);
+    n.network().RestoreEntries(entries, std::move(replicas), timestamps);
     if (const std::string broken = n.network().CheckInvariants();
         !broken.empty()) {
       throw CheckpointError("personal network of user " + std::to_string(u) +

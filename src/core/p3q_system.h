@@ -51,8 +51,15 @@ struct SystemMemoryStats {
   /// Table bytes of every node's probe memo (P3QNode::probed_versions).
   std::size_t probe_memo_bytes = 0;
   /// Capacity bytes of every personal network's entry slots, rank keys,
-  /// free list and index (PersonalNetwork::MemoryBytes).
+  /// replica array, free lists and index (PersonalNetwork::MemoryBytes).
   std::size_t personal_network_bytes = 0;
+  /// Capacity bytes of every random view (RandomView::MemoryBytes).
+  std::size_t random_view_bytes = 0;
+  /// Largest number of delivery messages queued after one plan barrier,
+  /// summed over the lazy and the eager engine (DeliveryStats::
+  /// max_in_flight of each): a bound on the messages, and the snapshots
+  /// they carry, held at once.
+  std::uint64_t peak_in_flight_messages = 0;
   /// Always 0: pairs are scored by the kernel directly, with no memo cache.
   /// Kept only because the end-to-end benchmark (bench/e2e/p3q_bench.cc)
   /// still reports it as mem.pair_cache_entries; the next change to that

@@ -2,21 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace p3q {
+namespace {
+
+/// Makes room for one more element in `v`, which never holds more than
+/// `cap`: the capacity starts at 16, doubles, and stops at `cap`, so a
+/// network that never fills never pays for all of its capacity, and one
+/// that fills reallocates a handful of times, not once per power of two.
+template <typename T>
+void GrowForOneMore(std::vector<T>* v, std::size_t cap) {
+  if (v->size() == v->capacity()) {
+    v->reserve(std::min(std::max<std::size_t>(2 * v->capacity(), 16), cap));
+  }
+}
+
+}  // namespace
 
 PersonalNetwork::PersonalNetwork(UserId self, int s, int c)
-    : self_(self), s_(s), c_(c) {
-  slots_.reserve(static_cast<std::size_t>(s));
-  keys_.reserve(static_cast<std::size_t>(s));
-}
+    : self_(self), s_(s), c_(c) {}
 
 const NetworkEntry* PersonalNetwork::Find(UserId user) const {
   const std::uint32_t slot = index_.Find(user);
   return slot == UserMap::kAbsent ? nullptr : &slots_[slot];
 }
 
-std::size_t PersonalNetwork::RankOf(std::uint64_t score, UserId user) const {
+std::size_t PersonalNetwork::RankOf(std::uint32_t score, UserId user) const {
   const Key probe{score, user, 0};
   const auto it =
       std::lower_bound(keys_.begin(), keys_.end(), probe, Key::Before);
@@ -24,7 +37,29 @@ std::size_t PersonalNetwork::RankOf(std::uint64_t score, UserId user) const {
   return static_cast<std::size_t>(it - keys_.begin());
 }
 
-void PersonalNetwork::Reposition(std::size_t from) {
+void PersonalNetwork::StoreReplica(NetworkEntry& entry, ProfilePtr replica) {
+  if (!entry.HasStoredProfile()) {
+    if (free_replicas_.empty()) {
+      entry.replica = static_cast<std::uint32_t>(replicas_.size());
+      GrowForOneMore(&replicas_, static_cast<std::size_t>(c_));
+      replicas_.push_back(std::move(replica));
+      return;
+    }
+    entry.replica = free_replicas_.back();
+    free_replicas_.pop_back();
+  }
+  replicas_[entry.replica] = std::move(replica);
+}
+
+void PersonalNetwork::DropReplica(NetworkEntry& entry) {
+  if (!entry.HasStoredProfile()) return;
+  replicas_[entry.replica].reset();
+  GrowForOneMore(&free_replicas_, static_cast<std::size_t>(c_));
+  free_replicas_.push_back(entry.replica);
+  entry.replica = NetworkEntry::kNoReplica;
+}
+
+std::size_t PersonalNetwork::Reposition(std::size_t from) {
   const auto first = keys_.begin();
   const auto moved = first + static_cast<std::ptrdiff_t>(from);
   const Key key = *moved;
@@ -47,42 +82,47 @@ void PersonalNetwork::Reposition(std::size_t from) {
   // from rank c-1 to rank c can change side.
   const std::size_t c = static_cast<std::size_t>(c_);
   if (to >= c) {
-    slots_[key.slot].stored_profile.reset();
+    DropReplica(slots_[key.slot]);
   } else if (from >= c) {
-    slots_[keys_[c].slot].stored_profile.reset();
+    DropReplica(slots_[keys_[c].slot]);
   }
+  return to;
 }
 
 ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
                                           const DigestInfo& digest,
                                           ProfilePtr replica) {
+  if (score > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::out_of_range("PersonalNetwork::Consider: score " +
+                            std::to_string(score) + " does not fit in 32 bits");
+  }
   ConsiderOutcome outcome;
   if (user == self_ || score == 0) return outcome;
+  const std::uint32_t score32 = static_cast<std::uint32_t>(score);
+  const std::uint32_t version = digest.version();
 
   const std::uint32_t slot = index_.Find(user);
   if (slot != UserMap::kAbsent) {
     NetworkEntry& entry = slots_[slot];
     // Refresh only when the offered digest is at least as new as ours.
-    if (digest.version() < entry.digest.version()) return outcome;
+    if (version < entry.digest_version) return outcome;
+    const ProfilePtr& held = StoredProfileOf(entry);
     const std::uint32_t old_stored_version =
-        entry.HasStoredProfile() ? entry.stored_profile->version() : kNoVersion;
+        held != nullptr ? held->version() : kNoVersion;
     const std::size_t rank = RankOf(entry.score, user);
-    entry.score = score;
-    entry.digest = digest;
-    if (replica != nullptr &&
-        (old_stored_version == kNoVersion ||
-         replica->version() > old_stored_version)) {
-      entry.stored_profile = std::move(replica);
-    }
-    keys_[rank].score = score;
-    Reposition(rank);
+    entry.score = score32;
+    entry.digest_version = version;
+    keys_[rank].score = score32;
+    const std::size_t to = Reposition(rank);
+    // A transfer happens iff the entry still ranks in the top-c and the
+    // offered replica is strictly newer than what it stored before (or
+    // none existed).
     outcome.accepted = true;
-    // A transfer happened iff the entry now stores a replica strictly newer
-    // than what it stored before (or one where none existed).
     outcome.stored_profile =
-        entry.HasStoredProfile() &&
+        to < static_cast<std::size_t>(c_) && replica != nullptr &&
         (old_stored_version == kNoVersion ||
-         entry.stored_profile->version() > old_stored_version);
+         replica->version() > old_stored_version);
+    if (outcome.stored_profile) StoreReplica(entry, std::move(replica));
     return outcome;
   }
 
@@ -91,28 +131,32 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
   std::uint32_t free_slot;
   if (static_cast<int>(keys_.size()) >= s_) {
     const Key worst = keys_.back();
-    if (!Key::Before(Key{score, user, 0}, worst)) return outcome;
+    if (!Key::Before(Key{score32, user, 0}, worst)) return outcome;
     index_.Erase(worst.user);
     keys_.pop_back();
     free_slot = worst.slot;
+    DropReplica(slots_[free_slot]);
   } else if (!free_slots_.empty()) {
     free_slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
     free_slot = static_cast<std::uint32_t>(slots_.size());
+    GrowForOneMore(&slots_, static_cast<std::size_t>(s_));
     slots_.emplace_back();
   }
   NetworkEntry& entry = slots_[free_slot];
   entry.user = user;
+  entry.score = score32;
+  entry.digest_version = version;
   entry.touched_at = clock_;
-  entry.score = score;
-  entry.digest = digest;
-  entry.stored_profile = std::move(replica);
   index_.Set(user, free_slot);
-  keys_.push_back(Key{score, user, free_slot});
-  Reposition(keys_.size() - 1);
+  GrowForOneMore(&keys_, static_cast<std::size_t>(s_));
+  keys_.push_back(Key{score32, user, free_slot});
+  const std::size_t to = Reposition(keys_.size() - 1);
   outcome.accepted = true;
-  outcome.stored_profile = entry.HasStoredProfile();
+  outcome.stored_profile =
+      to < static_cast<std::size_t>(c_) && replica != nullptr;
+  if (outcome.stored_profile) StoreReplica(entry, std::move(replica));
   return outcome;
 }
 
@@ -121,7 +165,7 @@ std::vector<UserId> PersonalNetwork::EntriesNeedingProfile() const {
   for (std::size_t i = 0; i < StoredRanks(); ++i) {
     const NetworkEntry& e = slots_[keys_[i].slot];
     if (!e.HasStoredProfile() ||
-        e.stored_profile->version() < e.digest.version()) {
+        replicas_[e.replica]->version() < e.digest_version) {
       out.push_back(e.user);
     }
   }
@@ -160,14 +204,14 @@ std::vector<ProfilePtr> PersonalNetwork::StoredProfiles() const {
   std::vector<ProfilePtr> out;
   for (std::size_t i = 0; i < StoredRanks(); ++i) {
     const NetworkEntry& e = slots_[keys_[i].slot];
-    if (e.HasStoredProfile()) out.push_back(e.stored_profile);
+    if (e.HasStoredProfile()) out.push_back(replicas_[e.replica]);
   }
   return out;
 }
 
-ProfilePtr PersonalNetwork::StoredProfileOf(UserId user) const {
+const ProfilePtr& PersonalNetwork::StoredProfileOf(UserId user) const {
   const NetworkEntry* e = Find(user);
-  return e == nullptr ? nullptr : e->stored_profile;
+  return e == nullptr ? kNoProfile : StoredProfileOf(*e);
 }
 
 std::vector<UserId> PersonalNetwork::Members() const {
@@ -199,32 +243,37 @@ void PersonalNetwork::Remove(UserId user) {
   keys_.erase(keys_.begin() +
               static_cast<std::ptrdiff_t>(RankOf(slots_[slot].score, user)));
   index_.Erase(user);
+  DropReplica(slots_[slot]);
   slots_[slot] = NetworkEntry{};
   free_slots_.push_back(slot);
 }
 
 void PersonalNetwork::RestoreEntries(
-    std::vector<NetworkEntry> entries,
+    const std::vector<NetworkEntry>& entries, std::vector<ProfilePtr> replicas,
     const std::vector<std::uint32_t>& timestamps) {
-  assert(timestamps.empty() || timestamps.size() == entries.size());
   clock_ = timestamps.empty()
                ? 0
                : *std::max_element(timestamps.begin(), timestamps.end());
-  slots_ = std::move(entries);
-  slots_.reserve(static_cast<std::size_t>(s_));
+  slots_.assign(entries.begin(), entries.end());
   free_slots_.clear();
   keys_.clear();
-  keys_.reserve(std::max(slots_.size(), static_cast<std::size_t>(s_)));
+  keys_.reserve(slots_.size());
+  replicas_.clear();
+  free_replicas_.clear();
   index_.Clear();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     NetworkEntry& e = slots_[i];
-    e.touched_at = clock_ - (timestamps.empty() ? 0 : timestamps[i]);
+    e.touched_at = clock_ - (i < timestamps.size() ? timestamps[i] : 0);
+    e.replica = NetworkEntry::kNoReplica;
     keys_.push_back(Key{e.score, e.user, static_cast<std::uint32_t>(i)});
     index_.Set(e.user, static_cast<std::uint32_t>(i));
   }
   std::sort(keys_.begin(), keys_.end(), Key::Before);
-  for (std::size_t i = static_cast<std::size_t>(c_); i < keys_.size(); ++i) {
-    slots_[keys_[i].slot].stored_profile.reset();
+  for (std::size_t i = 0; i < StoredRanks(); ++i) {
+    const std::uint32_t slot = keys_[i].slot;
+    if (slot < replicas.size() && replicas[slot] != nullptr) {
+      StoreReplica(slots_[slot], std::move(replicas[slot]));
+    }
   }
 }
 
@@ -232,7 +281,7 @@ std::size_t PersonalNetwork::StoredProfileActions() const {
   std::size_t total = 0;
   for (std::size_t i = 0; i < StoredRanks(); ++i) {
     const NetworkEntry& e = slots_[keys_[i].slot];
-    if (e.HasStoredProfile()) total += e.stored_profile->Length();
+    if (e.HasStoredProfile()) total += replicas_[e.replica]->Length();
   }
   return total;
 }
@@ -240,7 +289,10 @@ std::size_t PersonalNetwork::StoredProfileActions() const {
 std::size_t PersonalNetwork::MemoryBytes() const {
   return slots_.capacity() * sizeof(NetworkEntry) +
          keys_.capacity() * sizeof(Key) +
-         free_slots_.capacity() * sizeof(std::uint32_t) + index_.MemoryBytes();
+         free_slots_.capacity() * sizeof(std::uint32_t) +
+         replicas_.capacity() * sizeof(ProfilePtr) +
+         free_replicas_.capacity() * sizeof(std::uint32_t) +
+         index_.MemoryBytes();
 }
 
 std::string PersonalNetwork::CheckInvariants() const {
@@ -262,8 +314,31 @@ std::string PersonalNetwork::CheckInvariants() const {
            std::to_string(slots_.size()) + " slots";
   }
   for (std::uint32_t slot : free_slots_) {
-    if (slot >= slots_.size() || slots_[slot].user != kInvalidUser) {
+    if (slot >= slots_.size() || slots_[slot].user != kInvalidUser ||
+        slots_[slot].HasStoredProfile()) {
       return "free slot " + std::to_string(slot) + " is not an empty slot";
+    }
+  }
+  // A slot is added only when none is free, so the array never outgrows
+  // the c replicas it can hold at once. Each slot is named exactly once:
+  // by the entry holding it or, null, by the free list.
+  if (replicas_.size() > static_cast<std::size_t>(c_)) {
+    return std::to_string(replicas_.size()) +
+           " replica slots exceed storage capacity c=" + std::to_string(c_);
+  }
+  std::vector<bool> named(replicas_.size(), false);
+  const auto name_replica = [&](std::uint32_t r, bool live) {
+    if (r >= replicas_.size() || named[r] ||
+        (replicas_[r] != nullptr) != live) {
+      return false;
+    }
+    named[r] = true;
+    return true;
+  };
+  for (std::uint32_t r : free_replicas_) {
+    if (!name_replica(r, /*live=*/false)) {
+      return "free replica slot " + std::to_string(r) +
+             " is not an unnamed null slot";
     }
   }
   for (std::size_t i = 0; i < keys_.size(); ++i) {
@@ -287,23 +362,31 @@ std::string PersonalNetwork::CheckInvariants() const {
       return at(i, e) + " lives in slot " + std::to_string(k.slot) +
              " but is indexed at slot " + std::to_string(index_.Find(e.user));
     }
-    if (e.digest.snapshot == nullptr || e.digest.user != e.user) {
-      return at(i, e) + " carries no digest of its own user";
+    if (e.digest_version == kNoVersion) {
+      return at(i, e) + " carries no digest version";
     }
     if (!e.HasStoredProfile()) continue;
+    if (!name_replica(e.replica, /*live=*/true)) {
+      return at(i, e) + " names replica slot " + std::to_string(e.replica) +
+             ", which is not its own live slot";
+    }
+    const Profile& replica = *replicas_[e.replica];
     if (i >= static_cast<std::size_t>(c_)) {
       return at(i, e) + " stores a replica past rank c=" + std::to_string(c_);
     }
-    if (e.stored_profile->owner() != e.user) {
-      return at(i, e) + " stores user " +
-             std::to_string(e.stored_profile->owner()) + "'s profile";
+    if (replica.owner() != e.user) {
+      return at(i, e) + " stores user " + std::to_string(replica.owner()) +
+             "'s profile";
     }
-    if (e.stored_profile->version() > e.digest.version()) {
+    if (replica.version() > e.digest_version) {
       return at(i, e) + " stores replica version " +
-             std::to_string(e.stored_profile->version()) +
+             std::to_string(replica.version()) +
              " newer than its digest version " +
-             std::to_string(e.digest.version());
+             std::to_string(e.digest_version);
     }
+  }
+  if (std::find(named.begin(), named.end(), false) != named.end()) {
+    return "a replica slot is neither held by an entry nor free";
   }
   return {};
 }

@@ -1,22 +1,27 @@
 // The personal network: a user's implicit social acquaintances (Section 2.1).
 //
 // Network(u) holds the s users with the highest similarity scores, each with
-// her score, profile digest, and a timestamp counting "for how many cycles
-// she has not been gossiped with". Only the profiles of the c highest-scored
-// entries are stored locally (the replicas queries are computed from); the
-// remaining s-c entries are ids+digests only and form the remaining lists of
-// eager mode.
+// her score, the version of her profile digest, and a timestamp counting
+// "for how many cycles she has not been gossiped with". Only the profiles of
+// the c highest-scored entries are stored locally (the replicas queries are
+// computed from); the remaining s-c entries are ids+digest versions only and
+// form the remaining lists of eager mode.
 //
-// Layout: an entry stays in one slot of a slot vector from insertion to
-// eviction, and a free list hands the slots of removed entries to later
-// insertions. Rank order lives apart, in a vector of 16-byte (score, user,
-// slot) keys kept sorted by (score desc, id asc), and a flat index maps each
-// member to her slot. An accepted offer finds its entry through the index
-// and moves only its key, with a binary search and a memmove of the keys in
-// between: O(log s + distance moved), no entry or index slot moves, and
-// nothing is allocated once the vectors and the index have grown. Ageing
-// runs on a per-network gossip clock: each entry records the clock when it
-// was last gossiped with, so ageing every neighbour is one increment.
+// Layout: an entry is 20 trivially copyable bytes and stays in one slot of a
+// slot vector from insertion to eviction; a free list hands the slots of
+// removed entries to later insertions. The <= c stored replicas live in a
+// side array of ProfilePtrs, which an entry names by index, so an entry pins
+// no snapshot: only replicas, random views and in-flight messages do. Rank
+// order lives apart, in a vector of 12-byte (score, user, slot) keys kept
+// sorted by (score desc, id asc), and a flat index maps each member to her
+// slot. An accepted offer finds its entry through the index and moves only
+// its key, with a binary search and a memmove of the keys in between:
+// O(log s + distance moved), no entry or index slot moves, and nothing is
+// allocated once the vectors and the index have grown. The vectors start at
+// 16 entries and double, but never past s (c for the replicas), so a
+// network that never fills never pays for s entries. Ageing runs on a
+// per-network gossip clock: each entry records the clock when it was last
+// gossiped with, so ageing every neighbour is one increment.
 #ifndef P3Q_CORE_PERSONAL_NETWORK_H_
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/user_map.h"
@@ -35,23 +41,30 @@ namespace p3q {
 
 /// One neighbour of a personal network.
 struct NetworkEntry {
+  /// `replica` of an entry without a stored profile.
+  static constexpr std::uint32_t kNoReplica = 0xffffffffu;
+
   UserId user = kInvalidUser;
+  /// Score_self(user) = common tagging actions (or a similarity scaled by
+  /// kSimilarityScale), computed against digest version `digest_version`.
+  std::uint32_t score = 0;
+  /// Version of the neighbour's profile digest (always present).
+  std::uint32_t digest_version = 0;
   /// The owning network's gossip clock when this neighbour joined or was
   /// last gossiped with. PersonalNetwork::Timestamp turns it into the
   /// paper's timestamp (cycles since then).
   std::uint32_t touched_at = 0;
-  /// Score_self(user) = common tagging actions, computed against the
-  /// `digest` snapshot version.
-  std::uint64_t score = 0;
-  /// Digest descriptor of the neighbour (always present).
-  DigestInfo digest;
-  /// Stored profile replica — non-null only while the entry ranks in the
-  /// top-c. Its version is at most digest.version() (older when a newer
-  /// digest arrived without the profile; see EntriesNeedingProfile).
-  ProfilePtr stored_profile;
+  /// Index of the stored profile replica in the network's replica array
+  /// (PersonalNetwork::StoredProfileOf reads it), or kNoReplica. Only
+  /// entries ranked in the top-c hold one. Its version is at most
+  /// digest_version (older when a newer digest arrived without the profile;
+  /// see EntriesNeedingProfile).
+  std::uint32_t replica = kNoReplica;
 
-  bool HasStoredProfile() const { return stored_profile != nullptr; }
+  bool HasStoredProfile() const { return replica != kNoReplica; }
 };
+static_assert(std::is_trivially_copyable_v<NetworkEntry>);
+static_assert(sizeof(NetworkEntry) == 20);
 
 /// Outcome of offering a candidate to the network.
 struct ConsiderOutcome {
@@ -67,7 +80,7 @@ class PersonalNetwork {
  private:
   /// Rank-order key of one entry.
   struct Key {
-    std::uint64_t score;
+    std::uint32_t score;
     UserId user;
     std::uint32_t slot;  ///< the entry's index in slots_
 
@@ -80,7 +93,7 @@ class PersonalNetwork {
       return a.user < b.user;
     }
   };
-  static_assert(sizeof(Key) == 16);
+  static_assert(sizeof(Key) == 12);
 
  public:
   /// The entries in rank order (descending score, ties by ascending user
@@ -164,17 +177,18 @@ class PersonalNetwork {
   static constexpr std::uint32_t kNoVersion = 0xffffffffu;
   std::uint32_t KnownVersion(UserId user) const {
     const std::uint32_t slot = index_.Find(user);
-    return slot == UserMap::kAbsent ? kNoVersion
-                                    : slots_[slot].digest.version();
+    return slot == UserMap::kAbsent ? kNoVersion : slots_[slot].digest_version;
   }
 
   /// Offers a scored candidate. Inserts when the score qualifies for the
-  /// top-s (score must be > 0), refreshes score/digest when the candidate is
-  /// already a neighbour, stores/evicts replicas so that exactly the top-c
-  /// entries hold profiles. `replica` may be null when the caller only has
-  /// the digest; in that case the entry joins without a stored profile even
-  /// if it ranks top-c (the caller should then fetch the profile — see
-  /// EntriesNeedingProfile).
+  /// top-s (score must be > 0), refreshes score/digest version when the
+  /// candidate is already a neighbour, stores/evicts replicas so that
+  /// exactly the top-c entries hold profiles. Only `digest`'s version is
+  /// kept. `replica` may be null when the caller only has the digest; in
+  /// that case the entry joins without a stored profile even if it ranks
+  /// top-c (the caller should then fetch the profile — see
+  /// EntriesNeedingProfile). Throws std::out_of_range for a score that does
+  /// not fit in 32 bits.
   ConsiderOutcome Consider(UserId user, std::uint64_t score,
                            const DigestInfo& digest, ProfilePtr replica);
 
@@ -201,7 +215,12 @@ class PersonalNetwork {
   std::vector<ProfilePtr> StoredProfiles() const;
 
   /// Stored replica of `user`, or null.
-  ProfilePtr StoredProfileOf(UserId user) const;
+  const ProfilePtr& StoredProfileOf(UserId user) const;
+
+  /// Stored replica of `entry` (one of this network's), or null.
+  const ProfilePtr& StoredProfileOf(const NetworkEntry& entry) const {
+    return entry.HasStoredProfile() ? replicas_[entry.replica] : kNoProfile;
+  }
 
   /// All member ids (score order).
   std::vector<UserId> Members() const;
@@ -217,33 +236,47 @@ class PersonalNetwork {
   std::size_t StoredProfileActions() const;
 
   /// Checkpoint restore: replaces the contents with `entries`, re-sorting
-  /// into canonical order and rebuilding the index. `timestamps[i]` is
-  /// entries[i]'s timestamp (all 0 when `timestamps` is empty); their
-  /// touched_at fields are ignored. Entries past the top-c lose any stored
+  /// into canonical order and rebuilding the index. `replicas[i]` is
+  /// entries[i]'s stored replica (null or missing for none) and
+  /// `timestamps[i]` its timestamp (0 when missing); the entries' touched_at
+  /// and replica fields are ignored. Entries past the top-c lose any stored
   /// replica (the storage invariant).
-  void RestoreEntries(std::vector<NetworkEntry> entries,
+  void RestoreEntries(const std::vector<NetworkEntry>& entries,
+                      std::vector<ProfilePtr> replicas = {},
                       const std::vector<std::uint32_t>& timestamps = {});
 
-  /// Bytes held by the entry slots, the rank keys, the free list and the
-  /// index (their capacities).
+  /// Bytes held by the entry slots, the rank keys, the replica array, the
+  /// two free lists and the index (their capacities), not counting the
+  /// replicas' snapshots.
   std::size_t MemoryBytes() const;
 
   /// Describes the first violated structural invariant, or returns an empty
   /// string when the network is sound: keys strictly ordered by (score
   /// desc, id asc), each mirroring its slot's entry; index, keys and slots
-  /// in one-to-one correspondence (free slots empty); size <= s, the owner
-  /// absent and no score 0; replicas only at ranks below c, each owned by
-  /// its entry's user and no newer than the digest.
+  /// in one-to-one correspondence (free slots empty); at most c replica
+  /// slots, each named exactly once by an entry or the free list (free
+  /// ones null); size <= s, the owner absent, no score 0 and every digest
+  /// version known; replicas only at ranks below c, each owned by its
+  /// entry's user and no newer than the digest.
   std::string CheckInvariants() const;
 
  private:
   /// Moves keys_[from], whose score just changed or which was just
-  /// appended, to its rank among the otherwise sorted keys, and drops the
-  /// one replica that crossed rank c.
-  void Reposition(std::size_t from);
+  /// appended, to its rank among the otherwise sorted keys, drops the one
+  /// replica that crossed rank c, and returns the new rank.
+  std::size_t Reposition(std::size_t from);
 
   /// Rank of the member `user` whose key holds `score`.
-  std::size_t RankOf(std::uint64_t score, UserId user) const;
+  std::size_t RankOf(std::uint32_t score, UserId user) const;
+
+  /// Gives `entry` `replica`, reusing her replica-array slot or a free one.
+  void StoreReplica(NetworkEntry& entry, ProfilePtr replica);
+
+  /// Releases `entry`'s replica, if any, and frees its slot.
+  void DropReplica(NetworkEntry& entry);
+
+  /// StoredProfileOf's answer for an entry without a replica.
+  inline static const ProfilePtr kNoProfile;
 
   /// Ranks that may hold a replica: min(size, c). Every replica-reading
   /// scan stops there.
@@ -255,10 +288,12 @@ class PersonalNetwork {
   int s_;
   int c_;
   std::uint32_t clock_ = 0;  ///< gossip clock: ticks once per TouchGossiped
-  std::vector<NetworkEntry> slots_;        // stable; free ones are empty
-  std::vector<std::uint32_t> free_slots_;  // slots of removed entries
-  std::vector<Key> keys_;                  // sorted: score desc, id asc
-  UserMap index_;                          // user -> slot
+  std::vector<NetworkEntry> slots_;           // stable; free ones are empty
+  std::vector<std::uint32_t> free_slots_;     // slots of removed entries
+  std::vector<Key> keys_;                     // sorted: score desc, id asc
+  std::vector<ProfilePtr> replicas_;          // <= c live; free ones null
+  std::vector<std::uint32_t> free_replicas_;  // null slots of replicas_
+  UserMap index_;                             // user -> slot
 };
 
 }  // namespace p3q

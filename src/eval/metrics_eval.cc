@@ -38,7 +38,8 @@ double AurOver(const P3QSystem& system, const std::unordered_set<UserId>& change
       if (!e.HasStoredProfile()) continue;
       if (changed.count(e.user) == 0) continue;
       ++subject;
-      if (e.stored_profile->version() == store.CurrentVersion(e.user)) {
+      if (network.StoredProfileOf(e)->version() ==
+          store.CurrentVersion(e.user)) {
         ++updated;
       }
     }

@@ -44,6 +44,11 @@ class RandomView {
   /// Drops a user from the view (e.g. detected offline).
   void Remove(UserId user);
 
+  /// Bytes held by the view's entry vector (its capacity).
+  std::size_t MemoryBytes() const {
+    return entries_.capacity() * sizeof(DigestInfo);
+  }
+
  private:
   UserId self_;
   std::size_t capacity_;

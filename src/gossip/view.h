@@ -8,6 +8,10 @@
 // costs are accounted as digest bytes, so the semantics are exactly "a Bloom
 // filter travelled", and the overlap check is an exact item test plus one
 // draw at the filter's false-positive rate.
+//
+// A DigestInfo pins its snapshot, so only random views and in-flight
+// messages hold them; a personal network keeps just the digest's version
+// (NetworkEntry::digest_version) and lets the snapshot go.
 #ifndef P3Q_GOSSIP_VIEW_H_
 #define P3Q_GOSSIP_VIEW_H_
 

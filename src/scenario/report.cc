@@ -88,6 +88,8 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
        << ", \"pool_misses\": " << m.pool_misses
        << ", \"probe_memo_bytes\": " << m.probe_memo_bytes
        << ", \"personal_network_bytes\": " << m.personal_network_bytes
+       << ", \"random_view_bytes\": " << m.random_view_bytes
+       << ", \"peak_in_flight_messages\": " << m.peak_in_flight_messages
        << ", \"peak_rss_mb\": " << Num(m.peak_rss_mb, 1) << "}";
 }
 

@@ -981,6 +981,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.pool_misses = mem.store.pool_misses;
   report.memory.probe_memo_bytes = mem.probe_memo_bytes;
   report.memory.personal_network_bytes = mem.personal_network_bytes;
+  report.memory.random_view_bytes = mem.random_view_bytes;
+  report.memory.peak_in_flight_messages = mem.peak_in_flight_messages;
   report.memory.peak_rss_mb = PeakRssMb();
 
   report.total_timing.threads = system.threads();

@@ -137,10 +137,12 @@ struct MemoryReport {
   /// snapshots instead of rebuilding them).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Probe-memo tables and personal-network storage, summed over all
-  /// nodes (SystemMemoryStats).
+  /// Probe-memo tables, personal-network storage and random views, summed
+  /// over all nodes, and the in-flight message peak (SystemMemoryStats).
   std::uint64_t probe_memo_bytes = 0;
   std::uint64_t personal_network_bytes = 0;
+  std::uint64_t random_view_bytes = 0;
+  std::uint64_t peak_in_flight_messages = 0;
   /// getrusage(RUSAGE_SELF).ru_maxrss at the end of the run, in MiB
   /// (0 where unavailable).
   double peak_rss_mb = 0;

@@ -12,13 +12,13 @@
 // patterns):
 //
 //   magic   8 bytes  "P3QCKPT\0"
-//   version u32      kCheckpointVersion (currently 1)
+//   version u32      kCheckpointVersion (currently 2)
 //   crc32   u32      CRC-32 (polynomial 0xEDB88320) of the payload
 //   payload          header / profile pool / system / runner sections,
 //                    each terminated by a section sentinel
 //
 // Every decode path is bounds-checked and throws CheckpointError on any
-// structural problem (truncation, bad magic, future version, checksum
+// structural problem (truncation, bad magic, other version, checksum
 // mismatch, out-of-range ids) — corrupt input must never crash or invoke
 // undefined behaviour.
 #ifndef P3Q_SIM_CHECKPOINT_H_
@@ -55,8 +55,10 @@ inline constexpr unsigned char kCheckpointMagic[8] = {'P', '3', 'Q', 'C',
                                                       'K', 'P', 'T', '\0'};
 
 /// Current on-disk format version. Bump on any incompatible layout change;
-/// loaders reject snapshots written by a newer build.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// loaders reject every other version, older and newer alike. Version 2
+/// writes a personal-network entry's digest version where version 1 wrote a
+/// snapshot reference, and its score in 32 bits.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Profile-pool reference meaning "null ProfilePtr".
 inline constexpr std::uint32_t kNullProfileRef = 0xffffffffu;

@@ -577,7 +577,7 @@ void Engine::RunOneCycle() {
 void Engine::SaveState(CheckpointWriter* out, ProfilePool* pool) const {
   out->U64(seed_);
   out->U64(cycle_);
-  out->U64(1);  // queue count, a field of the v1 format
+  out->U64(1);  // queue count, a format field since v1
   queue_->SaveState(*protocol_, out, pool);
   out->Sentinel();
 }

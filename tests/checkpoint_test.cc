@@ -1,8 +1,9 @@
 // Checkpoint/resume: codec round-trips, whole-system save/load identity,
 // the differential replay matrix (straight-through vs checkpoint-at-K +
 // resume must produce byte-identical reports for every K, thread count and
-// latency model), corrupt-input robustness, and the checked-in golden v1
-// snapshot that pins the on-disk format.
+// latency model), corrupt-input robustness (including seeded mutations of
+// a real snapshot), and the checked-in golden v2 snapshot that pins the
+// on-disk format.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -223,9 +225,14 @@ TEST(CheckpointSystemTest, BrokenPersonalNetworkIsRejected) {
   PersonalNetwork& network = env.system->node(0).network();
   std::vector<NetworkEntry> entries(network.entries().begin(),
                                     network.entries().end());
+  std::vector<ProfilePtr> replicas;
+  for (const NetworkEntry& e : entries) {
+    replicas.push_back(network.StoredProfileOf(e));
+  }
   ASSERT_FALSE(entries.empty());
   entries.push_back(entries.front());
-  network.RestoreEntries(std::move(entries));
+  replicas.push_back(replicas.front());
+  network.RestoreEntries(entries, std::move(replicas));
   CheckpointWriter out;
   env.system->SaveCheckpoint(&out);
 
@@ -598,18 +605,31 @@ TEST(CheckpointResumeTest, ResumeOnEventCycleFiresEventsExactlyOnce) {
 // under ASan/UBSan in CI, so any out-of-bounds decode would be fatal here.
 // ---------------------------------------------------------------------------
 
+/// The run shape of the corruption suites' source snapshot, and of every
+/// resume of a mangled copy.
+ScenarioRunnerOptions CorruptionRunOptions() {
+  ScenarioRunnerOptions options;
+  options.users = 100;
+  options.seed = 5;
+  options.cycle_scale = 0.2;
+  return options;
+}
+
+/// Writes the corruption suites' source snapshot (diurnal, checkpointed at
+/// cycle 7) to `path`.
+void WriteCorruptionSource(const Scenario& scenario, const std::string& path) {
+  ScenarioRunnerOptions options = CorruptionRunOptions();
+  options.checkpoint_at = 7;
+  options.checkpoint_path = path;
+  RunScenario(scenario, options);
+}
+
 class CheckpointCorruptionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     scenario_ = new Scenario(MakeScenario("diurnal"));
     path_ = new std::string(TempPath("corruption_source.ckpt"));
-    ScenarioRunnerOptions options;
-    options.users = 100;
-    options.seed = 5;
-    options.cycle_scale = 0.2;
-    options.checkpoint_at = 7;
-    options.checkpoint_path = *path_;
-    RunScenario(*scenario_, options);
+    WriteCorruptionSource(*scenario_, *path_);
     bytes_ = new std::vector<std::uint8_t>(ReadFileBytes(*path_));
   }
 
@@ -636,10 +656,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
             << e.what();
       }
     }
-    ScenarioRunnerOptions options;
-    options.users = 100;
-    options.seed = 5;
-    options.cycle_scale = 0.2;
+    ScenarioRunnerOptions options = CorruptionRunOptions();
     options.resume_path = path;
     EXPECT_THROW(RunScenario(*scenario_, options), CheckpointError);
     std::remove(path.c_str());
@@ -686,6 +703,15 @@ TEST_F(CheckpointCorruptionTest, FutureVersionRejected) {
   std::vector<std::uint8_t> mangled = *bytes_;
   mangled[8] = 0x63;  // version 99
   ExpectRejected(mangled, "unsupported checkpoint version");
+}
+
+TEST_F(CheckpointCorruptionTest, PastVersionRejected) {
+  // Version 1 kept a snapshot reference per personal-network entry; this
+  // build reads only its own layout.
+  std::vector<std::uint8_t> mangled = *bytes_;
+  mangled[8] = 1;
+  mangled[9] = mangled[10] = mangled[11] = 0;
+  ExpectRejected(mangled, "unsupported checkpoint version 1");
 }
 
 TEST_F(CheckpointCorruptionTest, BitFlipsRejectedByChecksum) {
@@ -874,15 +900,92 @@ TEST(CheckpointHostileTest, DeadClosedLoopQueryIdIsRejected) {
   });
 }
 
+/// One seeded mangling of a checkpoint payload: overwrite 1-8 bytes,
+/// truncate, or duplicate a span in place. Returns what it did.
+std::string MutatePayload(std::vector<std::uint8_t>* payload, Rng* rng) {
+  const std::size_t size = payload->size();
+  switch (rng->NextUint64(3)) {
+    case 0: {
+      const std::uint64_t n = 1 + rng->NextUint64(8);
+      std::string what = "overwrite";
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::size_t at = static_cast<std::size_t>(rng->NextUint64(size));
+        (*payload)[at] ^= static_cast<std::uint8_t>(1 + rng->NextUint64(255));
+        what += " @" + std::to_string(at);
+      }
+      return what;
+    }
+    case 1: {
+      const std::size_t keep = static_cast<std::size_t>(rng->NextUint64(size));
+      payload->resize(keep);
+      return "truncate to " + std::to_string(keep);
+    }
+    default: {
+      const std::size_t from = static_cast<std::size_t>(rng->NextUint64(size));
+      const std::size_t len = static_cast<std::size_t>(
+          1 + rng->NextUint64(std::min<std::size_t>(64, size - from)));
+      const std::vector<std::uint8_t> span(
+          payload->begin() + static_cast<std::ptrdiff_t>(from),
+          payload->begin() + static_cast<std::ptrdiff_t>(from + len));
+      payload->insert(payload->begin() + static_cast<std::ptrdiff_t>(from),
+                      span.begin(), span.end());
+      return "duplicate " + std::to_string(len) + " bytes @" +
+             std::to_string(from);
+    }
+  }
+}
+
+TEST(CheckpointHostileTest, SeededMutationsFailCleanly) {
+  // Each case mangles the corruption suites' snapshot, re-frames it with a
+  // valid checksum and resumes. The decoder must reject it with a
+  // CheckpointError or restore a state that runs to completion: no crash,
+  // hang, other exception or sanitizer report.
+  constexpr int kCases = 64;
+  const Scenario scenario = MakeScenario("diurnal");
+  const std::string source = TempPath("mutation_source.ckpt");
+  WriteCorruptionSource(scenario, source);
+  const std::vector<std::uint8_t> pristine = ReadCheckpointPayload(source);
+  const std::string path = TempPath("mutation_case.ckpt");
+  int rejected = 0;
+  int resumed = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Rng rng(0x6d757461746500ULL + static_cast<std::uint64_t>(c));
+    std::vector<std::uint8_t> payload = pristine;
+    const std::string what = MutatePayload(&payload, &rng);
+    SCOPED_TRACE("case " + std::to_string(c) + ": " + what);
+    CheckpointWriter framed;
+    framed.Bytes(payload.data(), payload.size());
+    WriteCheckpointFile(path, framed);
+    ScenarioRunnerOptions options = CorruptionRunOptions();
+    options.resume_path = path;
+    try {
+      RunScenario(scenario, options);
+      ++resumed;
+    } catch (const CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a CheckpointError: " << e.what();
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(source.c_str());
+  // Both outcomes occur, so the cases reach past the framing into the
+  // decoder and the resumed run.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(resumed, 0);
+}
+
 // ---------------------------------------------------------------------------
-// Golden v1 snapshot: a checked-in file written by the version-1 codec.
-// Future builds must keep reading it (or bump kCheckpointVersion and keep a
-// migration story); a byte-level drift in the writer shows up here too.
+// Golden v2 snapshot: a checked-in file written by the version-2 codec
+// (diurnal, 120 users, seed 3, cycle scale 0.2, checkpointed at cycle 7).
+// Future builds must keep reading it (or bump kCheckpointVersion and
+// regenerate it in a documented commit); a byte-level drift in the writer
+// shows up here too.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointGoldenTest, V1SnapshotStillResumesByteIdentically) {
+TEST(CheckpointGoldenTest, V2SnapshotStillResumesByteIdentically) {
   const std::string golden =
-      std::string(P3Q_SOURCE_DIR) + "/tests/golden/checkpoint_v1.ckpt";
+      std::string(P3Q_SOURCE_DIR) + "/tests/golden/checkpoint_v2.ckpt";
   const CheckpointRunInfo info = ReadScenarioCheckpointInfo(golden);
   EXPECT_EQ(info.scenario, "diurnal");
   EXPECT_EQ(info.users, 120);

@@ -165,9 +165,10 @@ TEST(DynamicsEdgeTest, RepeatedUpdateBatchesMonotoneVersions) {
   for (UserId u = 0; u < 150; ++u) {
     EXPECT_EQ(env.system->node(u).profile()->version(),
               env.system->profile_store().CurrentVersion(u));
-    for (const NetworkEntry& e : env.system->node(u).network().entries()) {
+    const PersonalNetwork& network = env.system->node(u).network();
+    for (const NetworkEntry& e : network.entries()) {
       if (e.HasStoredProfile()) {
-        EXPECT_LE(e.stored_profile->version(),
+        EXPECT_LE(network.StoredProfileOf(e)->version(),
                   env.system->profile_store().CurrentVersion(e.user));
       }
     }

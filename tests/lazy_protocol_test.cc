@@ -58,9 +58,13 @@ TEST(LazyProtocolTest, NetworkScoresAreExactSimilarities) {
     const P3QNode& node = system.node(u);
     for (const NetworkEntry& e : node.network().entries()) {
       // The entry's score is the similarity against the snapshot version the
-      // digest was computed from.
+      // digest was computed from. No profile changes in this run, so that
+      // version is the store's snapshot of the neighbour.
+      const ProfilePtr& snapshot = system.profile_store().Get(e.user);
+      ASSERT_EQ(snapshot->version(), e.digest_version)
+          << "user " << u << " neighbour " << e.user;
       EXPECT_EQ(e.score, CountCommonActions(node.profile()->actions(),
-                                            e.digest.snapshot->actions()))
+                                            snapshot->actions()))
           << "user " << u << " neighbour " << e.user;
       EXPECT_GT(e.score, 0u);
     }
@@ -170,6 +174,24 @@ TEST(LazyProtocolTest, MemoryStatsAttributeProbeMemosAndNetworks) {
     memo_slots += system.node(u).probed_versions().slot_count();
   }
   EXPECT_EQ(stats.probe_memo_bytes, memo_slots * 8);
+}
+
+TEST(LazyProtocolTest, MemoryStatsAttributeViewsAndInFlightMessages) {
+  const SyntheticTrace trace = SmallTrace();
+  P3QSystem system(trace.dataset(), SmallConfig(), {}, 17);
+  system.BootstrapRandomViews();
+  system.RunLazyCycles(3);
+  const SystemMemoryStats stats = system.MemoryStats();
+  std::size_t view_capacity = 0;
+  for (UserId u = 0; u < static_cast<UserId>(system.NumUsers()); ++u) {
+    view_capacity += system.node(u).random_view().entries().capacity();
+  }
+  EXPECT_GT(view_capacity, 0u);
+  EXPECT_EQ(stats.random_view_bytes, view_capacity * sizeof(DigestInfo));
+  // Lazy cycles only: the eager queue never held a message.
+  EXPECT_GT(stats.peak_in_flight_messages, 0u);
+  EXPECT_EQ(stats.peak_in_flight_messages,
+            system.DeliveryStatsTotal().max_in_flight);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Differential test of core/personal_network against the sort-based
-// implementation it replaced. PersonalNetwork keeps its entries in stable
-// slots, moves one 16-byte rank key per accepted offer (binary search +
+// implementation it replaced. PersonalNetwork keeps 20-byte entries in
+// stable slots that hold a digest version and an index into a side array of
+// replicas, moves one 12-byte rank key per accepted offer (binary search +
 // memmove), finds members through a flat index and ages neighbours with a
-// gossip clock; the oracle below keeps one entry vector, re-sorts it and
-// drops replicas past rank c after every change, stores every timestamp
-// explicitly and ages all of them on TouchGossiped, and scans every entry
-// for each query, exactly as the original did. Randomized seeded operation
-// streams must leave both with identical entries, timestamps, outcomes and
-// query answers, and the rewrite must pass CheckInvariants() after every
-// step.
+// gossip clock; the oracle below keeps one vector of entries that carry the
+// whole digest snapshot and replica pointer, re-sorts it and drops replicas
+// past rank c after every change, stores every timestamp explicitly and ages
+// all of them on TouchGossiped, and scans every entry for each query,
+// exactly as the original did. Randomized seeded operation streams must
+// leave both with identical entries (digest versions against the oracle's
+// snapshots, replicas by pointer), timestamps, outcomes and query answers,
+// and the rewrite must pass CheckInvariants() after every step.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -23,9 +25,16 @@
 namespace p3q {
 namespace {
 
-/// An oracle entry: the entry plus its explicit timestamp.
-struct OracleEntry : NetworkEntry {
+/// An oracle entry, as the original network held it: the digest snapshot
+/// and the replica pointer inline, plus an explicit timestamp.
+struct OracleEntry {
+  UserId user = kInvalidUser;
+  std::uint64_t score = 0;
+  DigestInfo digest;
+  ProfilePtr stored_profile;
   std::uint32_t timestamp = 0;
+
+  bool HasStoredProfile() const { return stored_profile != nullptr; }
 };
 
 /// The original sort-based personal network (reference semantics only).
@@ -161,7 +170,7 @@ class SortedNetworkOracle {
   }
 
  private:
-  static bool EntryBefore(const NetworkEntry& a, const NetworkEntry& b) {
+  static bool EntryBefore(const OracleEntry& a, const OracleEntry& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.user < b.user;
   }
@@ -195,11 +204,10 @@ class SortedNetworkOracle {
   for (std::size_t i = 0; i < got.size(); ++i) {
     const NetworkEntry& g = got[i];
     const OracleEntry& w = want[i];
-    if (g.user != w.user || g.score != w.score ||
-        g.digest.user != w.digest.user ||
-        g.digest.snapshot != w.digest.snapshot ||
+    if (g.user != w.user || g.score != w.score || w.digest.user != g.user ||
+        g.digest_version != w.digest.version() ||
         net.Timestamp(g) != w.timestamp ||
-        g.stored_profile != w.stored_profile) {
+        net.StoredProfileOf(g) != w.stored_profile) {
       return ::testing::AssertionFailure()
              << "entry " << i << ": user " << g.user << " score " << g.score
              << " ts " << net.Timestamp(g) << " replica "
@@ -335,9 +343,16 @@ void RunDifferential(int s, int c, int ops, std::uint64_t seed,
         e.timestamp = RandomTimestamp(&rng);
         timestamps.push_back(e.timestamp);
       }
-      net.RestoreEntries(
-          std::vector<NetworkEntry>(scrambled.begin(), scrambled.end()),
-          timestamps);
+      std::vector<NetworkEntry> entries;
+      std::vector<ProfilePtr> replicas;
+      for (const OracleEntry& e : scrambled) {
+        entries.push_back(NetworkEntry{
+            .user = e.user,
+            .score = static_cast<std::uint32_t>(e.score),
+            .digest_version = e.digest.version()});
+        replicas.push_back(e.stored_profile);
+      }
+      net.RestoreEntries(entries, std::move(replicas), timestamps);
       oracle.RestoreEntries(std::move(scrambled));
       ++cov->restores;
     }
@@ -413,17 +428,16 @@ TEST(PersonalNetworkOracleTest, MatchesSortBasedNetworkOnRandomStreams) {
 }
 
 TEST(PersonalNetworkOracleTest, CheckInvariantsNamesEachViolation) {
-  const auto entry = [](UserId user, std::uint64_t score,
+  const auto entry = [](UserId user, std::uint32_t score,
                         std::uint32_t version = 0) {
-    NetworkEntry e;
-    e.user = user;
-    e.score = score;
-    e.digest = test::MakeDisjointDigest(user, version);
-    return e;
+    return NetworkEntry{
+        .user = user, .score = score, .digest_version = version};
   };
-  const auto violation = [](int s, int c, std::vector<NetworkEntry> entries) {
+  const auto violation = [](int s, int c,
+                            const std::vector<NetworkEntry>& entries,
+                            std::vector<ProfilePtr> replicas = {}) {
     PersonalNetwork net(/*self=*/0, s, c);
-    net.RestoreEntries(std::move(entries));
+    net.RestoreEntries(entries, std::move(replicas));
     return net.CheckInvariants();
   };
 
@@ -436,13 +450,17 @@ TEST(PersonalNetworkOracleTest, CheckInvariantsNamesEachViolation) {
   EXPECT_NE(violation(3, 1, {entry(1, 5), entry(1, 4)}).find("index"),
             std::string::npos);
 
-  NetworkEntry foreign = entry(1, 5);
-  foreign.stored_profile = test::MakeDisjointSnapshot(2, 4);
-  EXPECT_NE(violation(3, 1, {foreign}).find("profile"), std::string::npos);
+  EXPECT_NE(violation(3, 1, {entry(1, 5, PersonalNetwork::kNoVersion)})
+                .find("no digest version"),
+            std::string::npos);
 
-  NetworkEntry newer = entry(1, 5, /*version=*/0);
-  newer.stored_profile = test::MakeDisjointSnapshot(1, 4, /*version=*/1);
-  EXPECT_NE(violation(3, 1, {newer}).find("newer than its digest"),
+  EXPECT_NE(violation(3, 1, {entry(1, 5)}, {test::MakeDisjointSnapshot(2, 4)})
+                .find("profile"),
+            std::string::npos);
+
+  EXPECT_NE(violation(3, 1, {entry(1, 5, /*version=*/0)},
+                      {test::MakeDisjointSnapshot(1, 4, /*version=*/1)})
+                .find("newer than its digest"),
             std::string::npos);
 }
 

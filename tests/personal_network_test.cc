@@ -1,5 +1,9 @@
 // Unit tests for core/personal_network: score-ordered bounded neighbour set
 // with top-c replica storage and gossip timestamps.
+#include <limits>
+#include <memory>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/personal_network.h"
@@ -189,6 +193,76 @@ TEST(PersonalNetworkTest, KnownVersionSentinel) {
   EXPECT_EQ(net.KnownVersion(9), PersonalNetwork::kNoVersion);
   net.Consider(1, 10, MakeDigest(1, 7), nullptr);
   EXPECT_EQ(net.KnownVersion(1), 7u);
+}
+
+TEST(PersonalNetworkTest, ScoreBeyond32BitsThrows) {
+  PersonalNetwork net(0, 4, 2);
+  const std::uint64_t top = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_TRUE(net.Consider(1, top, MakeDigest(1), nullptr).accepted);
+  EXPECT_EQ(net.Find(1)->score, top);
+  EXPECT_THROW(net.Consider(2, top + 1, MakeDigest(2), nullptr),
+               std::out_of_range);
+  EXPECT_FALSE(net.Contains(2));
+}
+
+TEST(PersonalNetworkTest, RefreshedOrEvictedSnapshotsAreFreed) {
+  // An entry keeps its digest's version, not the snapshot: once no replica,
+  // view or message holds an old snapshot, it is gone.
+  PersonalNetwork net(0, /*s=*/2, /*c=*/1);
+  std::weak_ptr<const Profile> digest_only;
+  DigestInfo in_view;  // a random view's copy of the same digest
+  {
+    const ProfilePtr v0 = MakeSnapshot(1, 4, 0);
+    digest_only = v0;
+    in_view = DigestInfo{1, v0};
+    net.Consider(1, 10, DigestInfo{1, v0}, nullptr);
+  }
+  EXPECT_FALSE(digest_only.expired());
+  in_view = DigestInfo{};
+  EXPECT_TRUE(digest_only.expired());
+  EXPECT_EQ(net.KnownVersion(1), 0u);
+
+  // Refreshed: the replica of version 1 gives way to version 2's.
+  std::weak_ptr<const Profile> refreshed;
+  {
+    const ProfilePtr v1 = MakeSnapshot(1, 4, 1);
+    refreshed = v1;
+    EXPECT_TRUE(net.Consider(1, 10, DigestInfo{1, v1}, v1).stored_profile);
+  }
+  EXPECT_FALSE(refreshed.expired());
+  std::weak_ptr<const Profile> pushed_out;
+  {
+    const ProfilePtr v2 = MakeSnapshot(1, 4, 2);
+    pushed_out = v2;
+    EXPECT_TRUE(net.Consider(1, 10, DigestInfo{1, v2}, v2).stored_profile);
+  }
+  EXPECT_TRUE(refreshed.expired());
+  EXPECT_EQ(net.KnownVersion(1), 2u);
+
+  // Pushed past rank c: user 2 takes the one storage slot, and user 1's
+  // replica goes.
+  {
+    const ProfilePtr w = MakeSnapshot(2, 4);
+    EXPECT_TRUE(net.Consider(2, 20, DigestInfo{2, w}, w).stored_profile);
+  }
+  EXPECT_TRUE(pushed_out.expired());
+  EXPECT_EQ(net.StoredProfileOf(1), nullptr);
+  EXPECT_EQ(net.CheckInvariants(), "");
+
+  // Evicted: with s = c the worst entry holds a replica, and a better
+  // candidate's arrival frees it.
+  PersonalNetwork full(0, /*s=*/1, /*c=*/1);
+  std::weak_ptr<const Profile> evicted;
+  {
+    const ProfilePtr w = MakeSnapshot(2, 4);
+    evicted = w;
+    EXPECT_TRUE(full.Consider(2, 20, DigestInfo{2, w}, w).stored_profile);
+  }
+  EXPECT_FALSE(evicted.expired());
+  EXPECT_TRUE(full.Consider(3, 30, MakeDigest(3), nullptr).accepted);
+  EXPECT_FALSE(full.Contains(2));
+  EXPECT_TRUE(evicted.expired());
+  EXPECT_EQ(full.CheckInvariants(), "");
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ TEST_P(ProtocolSweep, LazyModeInvariantsHoldEveryCycle) {
         last_score = e.score;
         if (e.HasStoredProfile()) {
           ASSERT_LT(i, static_cast<std::size_t>(param.c));
-          ASSERT_EQ(e.stored_profile->owner(), e.user);
-          ASSERT_LE(e.stored_profile->version(), e.digest.version());
+          ASSERT_EQ(net.StoredProfileOf(e)->owner(), e.user);
+          ASSERT_LE(net.StoredProfileOf(e)->version(), e.digest_version);
         }
       }
       // Random view bounded and self-free.

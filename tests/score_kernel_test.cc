@@ -446,10 +446,12 @@ std::uint64_t NetworksDigest(P3QSystem& system) {
     h *= 1099511628211ULL;
   };
   for (UserId u = 0; u < static_cast<UserId>(system.NumUsers()); ++u) {
-    for (const NetworkEntry& e : system.node(u).network().entries()) {
+    const PersonalNetwork& network = system.node(u).network();
+    for (const NetworkEntry& e : network.entries()) {
       mix(e.user);
       mix(e.score);
-      mix(e.HasStoredProfile() ? e.stored_profile->version() + 1 : 0);
+      mix(e.HasStoredProfile() ? network.StoredProfileOf(e)->version() + 1
+                               : 0);
     }
   }
   return h;

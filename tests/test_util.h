@@ -107,11 +107,12 @@ inline std::vector<std::vector<NetworkRow>> NetworkRows(
   for (UserId u = 0; u < static_cast<UserId>(rows.size()); ++u) {
     const PersonalNetwork& network = system.node(u).network();
     for (const NetworkEntry& e : network.entries()) {
-      rows[u].emplace_back(e.user, e.score, e.digest.version(),
-                           e.HasStoredProfile()
-                               ? std::int64_t{e.stored_profile->version()}
-                               : std::int64_t{-1},
-                           network.Timestamp(e));
+      rows[u].emplace_back(
+          e.user, e.score, e.digest_version,
+          e.HasStoredProfile()
+              ? std::int64_t{network.StoredProfileOf(e)->version()}
+              : std::int64_t{-1},
+          network.Timestamp(e));
     }
   }
   return rows;

@@ -714,7 +714,10 @@ int RunScenarioMode(const Options& opt) {
               << " MiB, personal networks "
               << TablePrinter::Fmt(m.personal_network_bytes / 1024.0 / 1024.0,
                                    1)
-              << " MiB\n";
+              << " MiB, random views "
+              << TablePrinter::Fmt(m.random_view_bytes / 1024.0 / 1024.0, 1)
+              << " MiB; peak " << m.peak_in_flight_messages
+              << " messages in flight\n";
   }
 
   if (!opt.json_path.empty() &&
