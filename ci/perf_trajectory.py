@@ -8,8 +8,8 @@ pairs/sec), runs the open-loop-steady serving scenario (query-latency
 p50/p95/p99 and queries/sec completed within the SLO), measures the
 checkpoint/resume leg (snapshot size, save/resume wall time, and a hard
 byte-identity check of straight vs checkpoint+resume reports), records each
-scenario leg's peak RSS (os.wait4 rusage of the child) plus the arena
-footprint from the report's memory block, and emits:
+scenario leg's peak RSS and arena footprint from the report's memory block,
+and emits:
 
   * BENCH_pr.json        — the run's structured perf snapshot (scenario
                            wall-clock/throughput, engine phase timings with
@@ -52,42 +52,14 @@ CONVERGENCE_MODELS = ["zero", "fixed:2"]
 
 
 def run_sim(sim, args):
-    out, _ = run_sim_rss(sim, args)
-    return out
-
-
-def run_sim_rss(sim, args):
-    """Runs the sim and returns (stdout, peak_rss_mb of the child).
-
-    Peak RSS comes from os.wait4's rusage (ru_maxrss: KiB on Linux, bytes
-    on macOS), so it covers the whole child lifetime — setup included —
-    unlike the in-report figure, which is sampled at report time. Falls
-    back to plain subprocess.run (rss None) where wait4 is unavailable.
-    """
+    """Runs the sim and returns its stdout; exits 2 when it fails."""
     cmd = [sim] + args
-    if not hasattr(os, "wait4"):
-        result = subprocess.run(cmd, capture_output=True, text=True)
-        if result.returncode != 0:
-            sys.stderr.write(
-                f"FAILED: {' '.join(cmd)}\n{result.stdout}{result.stderr}\n")
-            sys.exit(2)
-        return result.stdout, None
-    with tempfile.TemporaryFile(mode="w+") as out_f, \
-            tempfile.TemporaryFile(mode="w+") as err_f:
-        proc = subprocess.Popen(cmd, stdout=out_f, stderr=err_f, text=True)
-        _, status, rusage = os.wait4(proc.pid, 0)
-        # The child is already reaped; keep the Popen object consistent so
-        # its destructor does not wait again.
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out_f.seek(0)
-        err_f.seek(0)
-        stdout = out_f.read()
-        stderr = err_f.read()
-    if proc.returncode != 0:
-        sys.stderr.write(f"FAILED: {' '.join(cmd)}\n{stdout}{stderr}\n")
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    if result.returncode != 0:
+        sys.stderr.write(
+            f"FAILED: {' '.join(cmd)}\n{result.stdout}{result.stderr}\n")
         sys.exit(2)
-    divisor = 1024 * 1024 if sys.platform == "darwin" else 1024
-    return stdout, rusage.ru_maxrss / divisor
+    return result.stdout
 
 
 def profile_rollup(profile):
@@ -119,10 +91,9 @@ def measure_scenario(sim, name, users, seed):
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         profile_path = tmp.name
     try:
-        _, peak_rss_mb = run_sim_rss(
-            sim, [f"--scenario={name}", f"--users={users}", f"--seed={seed}",
-                  "--timing", f"--json={json_path}",
-                  f"--profile={profile_path}"])
+        run_sim(sim, [f"--scenario={name}", f"--users={users}",
+                      f"--seed={seed}", "--timing", f"--json={json_path}",
+                      f"--profile={profile_path}"])
         with open(json_path) as f:
             report = json.load(f)
         with open(profile_path) as f:
@@ -146,16 +117,14 @@ def measure_scenario(sim, name, users, seed):
     }
     memory = totals.get("memory")
     if memory is not None:
-        # Prefer the wait4 measurement (whole child lifetime); the
-        # in-report figure is the fallback where wait4 is unavailable.
-        if peak_rss_mb is None:
-            peak_rss_mb = memory["peak_rss_mb"]
+        # The sim's own peak (VmHWM on Linux). A child's wait4 ru_maxrss
+        # would start at this harness's RSS, which Linux carries across
+        # exec, and at 400 users the sim peaks below it.
+        snapshot["peak_rss_mb"] = memory["peak_rss_mb"]
         snapshot["arena_used_mb"] = memory["arena_used_bytes"] / (1 << 20)
         snapshot["arena_reserved_mb"] = memory["arena_reserved_bytes"] / (1 << 20)
         snapshot["arena_slabs"] = memory["arena_slabs"]
         snapshot["arena_live_blocks"] = memory["arena_live_blocks"]
-    if peak_rss_mb is not None:
-        snapshot["peak_rss_mb"] = peak_rss_mb
     snapshot.update(profile_rollup(profile))
     delivery = totals.get("delivery")
     if delivery is not None:

@@ -66,10 +66,12 @@ class Rng {
   }
 
   /// Reservoir-samples k elements from v without replacement. Returns fewer
-  /// if v.size() < k. Order of the sample is unspecified.
-  template <typename T>
-  std::vector<T> SampleWithoutReplacement(const std::vector<T>& v, std::size_t k) {
-    std::vector<T> out;
+  /// if v.size() < k. Order of the sample is unspecified. The sample uses
+  /// v's allocator, so a std::pmr vector samples into its own resource.
+  template <typename T, typename Alloc>
+  std::vector<T, Alloc> SampleWithoutReplacement(const std::vector<T, Alloc>& v,
+                                                 std::size_t k) {
+    std::vector<T, Alloc> out(v.get_allocator());
     if (v.empty() || k == 0) return out;
     out.reserve(k < v.size() ? k : v.size());
     for (std::size_t i = 0; i < v.size(); ++i) {

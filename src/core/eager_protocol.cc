@@ -25,10 +25,10 @@ std::size_t ForwardBytes(const EagerTask& task) {
 EagerProtocol::EagerProtocol(P3QSystem* system) : system_(system) {}
 
 PartialResultMessage EagerProtocol::BuildPartialResult(
-    const std::vector<ProfilePtr>& profiles, const std::vector<UserId>& owners,
-    const std::vector<TagId>& tags) {
+    const std::vector<const Profile*>& profiles,
+    const std::vector<UserId>& owners, const std::vector<TagId>& tags) {
   std::unordered_map<ItemId, std::uint32_t> scores;
-  for (const ProfilePtr& profile : profiles) {
+  for (const Profile* profile : profiles) {
     for (const auto& [item, score] : profile->ScoreQuery(tags)) {
       scores[item] += score;
     }
@@ -54,13 +54,19 @@ std::uint64_t EagerProtocol::IssueQuery(const QuerySpec& spec) {
   state.reached.insert(spec.querier);
 
   // Algorithm 2 line 3: process Q with the locally stored profiles first.
-  std::vector<ProfilePtr> stored = querier.network().StoredProfiles();
+  const std::vector<const ProfilePtr*> stored =
+      querier.network().StoredProfiles();
   if (!stored.empty()) {
+    std::vector<const Profile*> profiles;
     std::vector<UserId> owners;
+    profiles.reserve(stored.size());
     owners.reserve(stored.size());
-    for (const ProfilePtr& p : stored) owners.push_back(p->owner());
+    for (const ProfilePtr* p : stored) {
+      profiles.push_back(p->get());
+      owners.push_back((*p)->owner());
+    }
     state.query->DeliverPartialResult(
-        BuildPartialResult(stored, owners, spec.tags));
+        BuildPartialResult(profiles, owners, spec.tags));
   }
 
   // Remaining list: network members whose profiles are not stored.
@@ -141,13 +147,13 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
   // Destination prunes the list with the (frozen) profiles she can serve
   // (Algorithm 3 line 18) and processes her share of the query.
   std::vector<UserId> found_owners;
-  std::vector<ProfilePtr> found_profiles;
+  std::vector<const Profile*> found_profiles;  // borrowed from frozen state
   std::vector<UserId> rest;
   for (UserId w : task.remaining) {
-    ProfilePtr p = dest->FindUsableProfile(w);
+    const Profile* p = dest->FindUsableProfile(w).get();
     if (p != nullptr) {
       found_owners.push_back(w);
-      found_profiles.push_back(std::move(p));
+      found_profiles.push_back(p);
     } else {
       rest.push_back(w);
     }

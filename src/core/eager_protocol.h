@@ -200,9 +200,10 @@ class EagerProtocol : public CycleProtocol {
   QueryState& StateOrThrow(std::uint64_t id);
   const QueryState& StateOrThrow(std::uint64_t id) const;
 
-  /// Sums Score_{u,Q}(i) over the given profiles into a ranked list.
+  /// Sums Score_{u,Q}(i) over the given (borrowed) profiles into a ranked
+  /// list.
   static PartialResultMessage BuildPartialResult(
-      const std::vector<ProfilePtr>& profiles,
+      const std::vector<const Profile*>& profiles,
       const std::vector<UserId>& owners, const std::vector<TagId>& tags);
 
   P3QSystem* system_;

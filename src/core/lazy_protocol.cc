@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/p3q_system.h"
@@ -15,27 +16,26 @@ namespace {
 /// Digests a node proposes in a top-layer gossip: a random subset of up to
 /// `fanout` stored profiles ("if more than 50 profiles are stored ... 50
 /// random ones are exchanged") plus the node's own fresh digest, so a user's
-/// own updates disseminate.
-std::vector<DigestInfo> MakeProposals(const P3QNode* node, int fanout,
-                                      Rng* rng) {
-  std::vector<ProfilePtr> stored = node->network().StoredProfiles();
-  std::vector<DigestInfo> proposals;
-  if (static_cast<int>(stored.size()) > fanout) {
-    stored =
-        rng->SampleWithoutReplacement(stored, static_cast<std::size_t>(fanout));
+/// own updates disseminate. Borrowed from the node's frozen state: each
+/// proposal is a snapshot's owner and version, so no handle is copied until
+/// an offer survives the screen.
+std::vector<const ProfilePtr*> MakeProposals(const P3QNode* node, int fanout,
+                                             Rng* rng) {
+  std::vector<const ProfilePtr*> proposals = node->network().StoredProfiles();
+  if (static_cast<int>(proposals.size()) > fanout) {
+    proposals = rng->SampleWithoutReplacement(proposals,
+                                              static_cast<std::size_t>(fanout));
   }
-  proposals.reserve(stored.size() + 1);
-  for (ProfilePtr& p : stored) {
-    const UserId owner = p->owner();
-    proposals.push_back(DigestInfo{owner, std::move(p)});
-  }
-  proposals.push_back(node->SelfDigest());
+  proposals.push_back(&node->profile());
   return proposals;
 }
 
-std::size_t ProposalWireBytes(const std::vector<DigestInfo>& proposals) {
+/// Wire size of the proposed digests (DigestInfo::WireBytes each).
+std::size_t ProposalWireBytes(const std::vector<const ProfilePtr*>& proposals) {
   std::size_t bytes = 0;
-  for (const DigestInfo& d : proposals) bytes += d.WireBytes();
+  for (const ProfilePtr* p : proposals) {
+    bytes += (*p)->DigestBytes() + kBytesPerUserId;
+  }
   return bytes;
 }
 
@@ -50,9 +50,10 @@ std::size_t ProposalWireBytes(const std::vector<DigestInfo>& proposals) {
 /// KernelPairSimilarityBatch sweep; a second pass then replays the
 /// proposals drawing exactly the random values the per-pair scalar path
 /// drew (Bloom false-positive Bernoulli, spurious-common binomial), so the
-/// batched plan phase stays byte-identical to the sequential one.
+/// batched plan phase stays byte-identical to the sequential one. The
+/// proposals are borrowed; only an offer copies its snapshot's handle.
 void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
-                     const std::vector<DigestInfo>& proposals, Rng* rng,
+                     const std::vector<const ProfilePtr*>& proposals, Rng* rng,
                      Metrics* traffic,
                      std::vector<ProfileExchangeOffer>* offers) {
   const Profile& mine = *receiver->profile();
@@ -62,17 +63,22 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
   // common_items count answers "shares an item" (both intersect the same
   // item bitmaps), and a candidate sharing no item comes back with an
   // all-zero PairSimilarity.
-  std::vector<std::size_t> screened;
+  std::vector<const ProfilePtr*> screened;
   std::vector<const Profile*> batch;
-  for (std::size_t i = 0; i < proposals.size(); ++i) {
-    const DigestInfo& d = proposals[i];
-    if (d.user == receiver->id()) continue;
+  screened.reserve(proposals.size());
+  batch.reserve(proposals.size());
+  for (const ProfilePtr* proposal : proposals) {
+    const Profile& theirs = **proposal;
+    if (theirs.owner() == receiver->id()) continue;
     // Step 1 — digest screen: drop when we already hold this (or a newer)
     // digest of the user.
-    const std::uint32_t known = receiver->network().KnownVersion(d.user);
-    if (known != PersonalNetwork::kNoVersion && d.version() <= known) continue;
-    screened.push_back(i);
-    batch.push_back(d.snapshot.get());
+    const std::uint32_t known =
+        receiver->network().KnownVersion(theirs.owner());
+    if (known != PersonalNetwork::kNoVersion && theirs.version() <= known) {
+      continue;
+    }
+    screened.push_back(proposal);
+    batch.push_back(&theirs);
   }
   std::vector<PairSimilarity> sims(batch.size());
   KernelPairSimilarityBatch(mine, batch.data(), batch.size(), sims.data());
@@ -82,10 +88,12 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
   // Bernoulli decides the false positive, and every survivor draws the
   // spurious-common binomial below.
   for (std::size_t k = 0; k < screened.size(); ++k) {
-    const DigestInfo& d = proposals[screened[k]];
+    const Profile& theirs = *batch[k];
     const PairSimilarity& sim = sims[k];
-    if (sim.common_items == 0 && !DigestFalsePositive(mine, d, rng)) continue;
-    const double fpp = d.snapshot->DigestFpp();
+    if (sim.common_items == 0 && !DigestFalsePositive(mine, theirs, rng)) {
+      continue;
+    }
+    const double fpp = theirs.DigestFpp();
 
     // Step 2 — the receiver derives the apparently-common items by testing
     // her own items against the candidate's Bloom digest (true common items
@@ -105,14 +113,14 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
     if (sim.score == 0) continue;
     const std::uint64_t score =
         SimilarityScore(system->config().similarity, sim.score, mine.Length(),
-                        d.snapshot->Length());
+                        theirs.Length());
 
+    // The offer outlives the plan phase, so it owns its snapshot.
     ProfileExchangeOffer offer;
     offer.score = score;
-    offer.digest = d;
+    offer.digest = DigestInfo{theirs.owner(), *screened[k]};
     offer.rest_bytes =
-        static_cast<std::uint64_t>(d.snapshot->Length() -
-                                   sim.b_actions_on_common) *
+        static_cast<std::uint64_t>(theirs.Length() - sim.b_actions_on_common) *
         kBytesPerTaggingAction;
     offers->push_back(std::move(offer));
   }
@@ -147,7 +155,8 @@ void CommitReplicaFill(const P3QSystem* system, P3QNode* receiver,
                        const P3QNode* sender, Metrics* traffic) {
   const Profile& mine = *receiver->profile();
   for (UserId w : receiver->network().EntriesNeedingProfile()) {
-    ProfilePtr replica = sender->FindUsableProfile(w);
+    // Borrowed from the sender; copied below only when offered.
+    const ProfilePtr& replica = sender->FindUsableProfile(w);
     if (replica == nullptr) continue;
     const std::uint32_t known = receiver->network().KnownVersion(w);
     const ProfilePtr& held = receiver->network().StoredProfileOf(w);
@@ -182,8 +191,8 @@ ProfileExchangePlan LazyProtocol::PlanProfileExchange(P3QSystem* system,
   ProfileExchangePlan plan;
   plan.a = a;
   plan.b = b;
-  const std::vector<DigestInfo> from_a = MakeProposals(na, fanout, rng);
-  const std::vector<DigestInfo> from_b = MakeProposals(nb, fanout, rng);
+  const std::vector<const ProfilePtr*> from_a = MakeProposals(na, fanout, rng);
+  const std::vector<const ProfilePtr*> from_b = MakeProposals(nb, fanout, rng);
   traffic->Record(MessageType::kLazyDigestProposal, ProposalWireBytes(from_a));
   traffic->Record(MessageType::kLazyDigestProposal, ProposalWireBytes(from_b));
   ScreenProposals(system, nb, from_a, rng, traffic, &plan.offers_to_b);
@@ -216,14 +225,17 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   Metrics& traffic = system_->network().ShardTraffic(ctx.shard);
 
   // Random-peer-sampling shuffle with one online random-view peer. The
-  // frozen view is filtered locally as unresponsive peers are discovered;
-  // the removals themselves are committed after the barrier.
-  std::vector<DigestInfo> pool = node->random_view().entries();
+  // frozen view is filtered locally as unresponsive peers are discovered
+  // (a pool of view indices: only the payload sent copies digests); the
+  // removals themselves are committed after the barrier.
+  const std::vector<DigestInfo>& view = node->random_view().entries();
+  std::vector<std::uint32_t> pool(view.size());
+  std::iota(pool.begin(), pool.end(), 0u);
   for (int attempt = 0; attempt < system_->config().offline_retry; ++attempt) {
     if (pool.empty()) break;
     const std::size_t pick =
         static_cast<std::size_t>(ctx.rng->NextUint64(pool.size()));
-    const UserId peer = pool[pick].user;
+    const UserId peer = view[pool[pick]].user;
     if (!net.IsOnline(peer)) {
       plan->view_removals.push_back(peer);  // replaced over time
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
@@ -231,7 +243,8 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
     }
     const P3QNode* pn = &system_->node(peer);
     plan->bottom_peer = peer;
-    plan->send_payload = pool;
+    plan->send_payload.reserve(pool.size() + 1);
+    for (std::uint32_t i : pool) plan->send_payload.push_back(view[i]);
     plan->send_payload.push_back(node->SelfDigest());
     plan->recv_payload =
         pn->random_view().MakeExchangePayload(pn->SelfDigest());
@@ -254,30 +267,31 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   // survivors is deferred to one batched kernel call, which cannot change
   // the outcome because scoring consumes no randomness.
   const Profile& mine = *node->profile();
-  std::vector<DigestInfo> fetched;
-  for (const DigestInfo& d : node->random_view().entries()) {
+  std::vector<const ProfilePtr*> fetched;  // borrowed from the frozen store
+  for (const DigestInfo& d : view) {
     if (!node->ShouldProbe(d.user, d.version())) continue;
     const std::uint32_t known = node->network().KnownVersion(d.user);
     if (known != PersonalNetwork::kNoVersion && known >= d.version()) continue;
     if (!DigestIndicatesCommonItem(mine, d, ctx.rng)) continue;
     if (!net.IsOnline(d.user)) continue;
-    ProfilePtr current = system_->profile_store().Get(d.user);
+    const ProfilePtr& current = system_->profile_store().Get(d.user);
     traffic.Record(MessageType::kDirectProfileFetch, current->WireBytes());
-    fetched.push_back(DigestInfo{d.user, std::move(current)});
+    fetched.push_back(&current);
   }
   if (fetched.empty()) return;
   std::vector<const Profile*> candidates;
   candidates.reserve(fetched.size());
-  for (const DigestInfo& d : fetched) candidates.push_back(d.snapshot.get());
+  for (const ProfilePtr* p : fetched) candidates.push_back(p->get());
   std::vector<PairSimilarity> sims(candidates.size());
   KernelPairSimilarityBatch(mine, candidates.data(), candidates.size(),
                             sims.data());
   for (std::size_t i = 0; i < fetched.size(); ++i) {
     const std::uint64_t score =
         SimilarityScore(system_->config().similarity, sims[i].score,
-                        mine.Length(), fetched[i].snapshot->Length());
+                        mine.Length(), candidates[i]->Length());
     if (score == 0) continue;
-    plan->probes.push_back(PlannedProbe{score, std::move(fetched[i])});
+    plan->probes.push_back(
+        PlannedProbe{score, DigestInfo{candidates[i]->owner(), *fetched[i]}});
   }
 }
 

@@ -11,7 +11,7 @@ P3QNode::P3QNode(UserId self, ProfilePtr profile, const P3QConfig& config,
       random_view_(self, static_cast<std::size_t>(config.random_view_size)),
       rng_(rng) {}
 
-ProfilePtr P3QNode::FindUsableProfile(UserId user) const {
+const ProfilePtr& P3QNode::FindUsableProfile(UserId user) const {
   if (user == self_) return profile_;
   return network_.StoredProfileOf(user);
 }

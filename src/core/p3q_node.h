@@ -67,8 +67,9 @@ class P3QNode {
   /// The profile of `user` if this node can serve it: her own profile when
   /// user == self, else a stored replica. Null otherwise. This is what the
   /// eager mode's GoodProfiles check uses (Section 2.3: "either her own
-  /// profile or those stored in her personal network").
-  ProfilePtr FindUsableProfile(UserId user) const;
+  /// profile or those stored in her personal network"). Borrowed: valid
+  /// until this node's profile or network changes.
+  const ProfilePtr& FindUsableProfile(UserId user) const;
 
   /// True when `version` is newer than every version of `user` probed
   /// before (or she was never probed), recording it: memoizes random-view

@@ -200,11 +200,12 @@ void PersonalNetwork::ResetTimestamp(UserId user) {
   if (slot != UserMap::kAbsent) slots_[slot].touched_at = clock_;
 }
 
-std::vector<ProfilePtr> PersonalNetwork::StoredProfiles() const {
-  std::vector<ProfilePtr> out;
+std::vector<const ProfilePtr*> PersonalNetwork::StoredProfiles() const {
+  std::vector<const ProfilePtr*> out;
+  out.reserve(StoredRanks());
   for (std::size_t i = 0; i < StoredRanks(); ++i) {
     const NetworkEntry& e = slots_[keys_[i].slot];
-    if (e.HasStoredProfile()) out.push_back(replicas_[e.replica]);
+    if (e.HasStoredProfile()) out.push_back(&replicas_[e.replica]);
   }
   return out;
 }

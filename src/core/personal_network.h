@@ -22,6 +22,12 @@
 // network that never fills never pays for s entries. Ageing runs on a
 // per-network gossip clock: each entry records the clock when it was last
 // gossiped with, so ageing every neighbour is one increment.
+//
+// Reads borrow: StoredProfiles and StoredProfileOf hand out pointers and
+// references into the replica array, valid until the network changes, so
+// sampling proposals or answering a query costs no refcount traffic. A
+// caller copies a ProfilePtr only into what outlives the read (a message,
+// an offer, another network's replica).
 #ifndef P3Q_CORE_PERSONAL_NETWORK_H_
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
@@ -211,8 +217,10 @@ class PersonalNetwork {
   /// ageing happens when she initiates).
   void ResetTimestamp(UserId user);
 
-  /// Stored profile replicas (the c highest-scored entries), in rank order.
-  std::vector<ProfilePtr> StoredProfiles() const;
+  /// Stored profile replicas (the c highest-scored entries), in rank order,
+  /// borrowed: each points into the replica array and stays valid until the
+  /// network changes. Copy the handle only into what outlives the read.
+  std::vector<const ProfilePtr*> StoredProfiles() const;
 
   /// Stored replica of `user`, or null.
   const ProfilePtr& StoredProfileOf(UserId user) const;

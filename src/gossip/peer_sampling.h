@@ -6,6 +6,12 @@
 // uniformly at random from the union. The random view keeps the overlay
 // connected regardless of interest clustering and feeds fresh candidates to
 // the personal-network layer.
+//
+// A view owns its entries: each DigestInfo pins the snapshot it was built
+// from. A merge reads the two digest lists through pointers, in a hash
+// table that lives on the stack, and copies only the <= r survivors into
+// the view, so the lazy commit's two merges allocate nothing once the view
+// is full.
 #ifndef P3Q_GOSSIP_PEER_SAMPLING_H_
 #define P3Q_GOSSIP_PEER_SAMPLING_H_
 
@@ -38,7 +44,9 @@ class RandomView {
 
   /// Merges received digests: union of current view and received entries
   /// (deduplicated by user keeping the newest version, never containing
-  /// self), then keeps `capacity` uniformly random survivors.
+  /// self), then keeps `capacity` uniformly random survivors. The union's
+  /// order, and so which survivors the rng picks, is libstdc++'s
+  /// unordered_map iteration order (see peer_sampling.cc).
   void Merge(const std::vector<DigestInfo>& received, Rng* rng);
 
   /// Drops a user from the view (e.g. detected offline).

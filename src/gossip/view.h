@@ -11,7 +11,11 @@
 //
 // A DigestInfo pins its snapshot, so only random views and in-flight
 // messages hold them; a personal network keeps just the digest's version
-// (NetworkEntry::digest_version) and lets the snapshot go.
+// (NetworkEntry::digest_version) and lets the snapshot go. Code that only
+// reads a digest borrows the snapshot (a `const Profile&`, or a
+// `const ProfilePtr*` into the state that owns it) and builds a DigestInfo
+// only for what outlives the read: a message payload, an offer or a view
+// entry.
 #ifndef P3Q_GOSSIP_VIEW_H_
 #define P3Q_GOSSIP_VIEW_H_
 
@@ -37,11 +41,12 @@ struct DigestInfo {
 };
 
 /// The Bloom check's answer for a pair that shares no item: one draw that
-/// passes with the digest's false-positive probability (testing n items
-/// against an FPP-f filter passes spuriously with probability 1-(1-f)^n).
-inline bool DigestFalsePositive(const Profile& mine, const DigestInfo& theirs,
+/// passes with the false-positive probability of `theirs`'s digest (testing
+/// n items against an FPP-f filter passes spuriously with probability
+/// 1-(1-f)^n).
+inline bool DigestFalsePositive(const Profile& mine, const Profile& theirs,
                                 Rng* rng) {
-  const double fpp = theirs.snapshot->DigestFpp();
+  const double fpp = theirs.DigestFpp();
   const double miss_all =
       std::pow(1.0 - fpp, static_cast<double>(mine.NumItems()));
   return rng->NextBool(1.0 - miss_all);
@@ -53,7 +58,7 @@ inline bool DigestFalsePositive(const Profile& mine, const DigestInfo& theirs,
 inline bool DigestIndicatesCommonItem(const Profile& mine,
                                       const DigestInfo& theirs, Rng* rng) {
   return mine.SharesItemWith(*theirs.snapshot) ||
-         DigestFalsePositive(mine, theirs, rng);
+         DigestFalsePositive(mine, *theirs.snapshot, rng);
 }
 
 }  // namespace p3q

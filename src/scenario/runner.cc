@@ -4,11 +4,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 #include "baseline/centralized_topk.h"
@@ -39,9 +44,20 @@ std::uint64_t ScaleOffset(std::uint64_t at_cycle, double cycle_scale,
   return std::min(scaled, scaled_cycles - 1);
 }
 
-/// Process peak RSS in MiB (0 where getrusage is unavailable). Linux
-/// reports ru_maxrss in KiB, macOS in bytes.
+/// Process peak RSS in MiB (0 where neither source is available). Linux
+/// reads VmHWM, this process's own high-water mark: ru_maxrss starts at
+/// the parent's, which Linux carries across exec, so a run launched from a
+/// harness never reads below the harness's RSS. Elsewhere getrusage:
+/// macOS reports ru_maxrss in bytes, other systems in KiB.
 double PeakRssMb() {
+#if defined(__linux__)
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // "VmHWM:  12345 kB"
+    }
+  }
+#endif
 #if defined(__APPLE__)
   struct rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
@@ -52,6 +68,20 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 #else
   return 0;
+#endif
+}
+
+/// Fills the allocator's view of the heap (glibc's mallinfo2, summed over
+/// its arenas; zero elsewhere): bytes held from the system, in the arenas
+/// plus mmapped blocks, and the part of them handed out to live
+/// allocations. Held minus in use is free memory the allocator keeps.
+void ReadHeapStats(MemoryReport* memory) {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  memory->heap_held_bytes = info.arena + info.hblkhd;
+  memory->heap_in_use_bytes = info.uordblks + info.hblkhd;
+#else
+  (void)memory;
 #endif
 }
 
@@ -984,6 +1014,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.random_view_bytes = mem.random_view_bytes;
   report.memory.peak_in_flight_messages = mem.peak_in_flight_messages;
   report.memory.peak_rss_mb = PeakRssMb();
+  ReadHeapStats(&report.memory);
 
   report.total_timing.threads = system.threads();
   if (report.total_timing.wall_seconds > 0) {

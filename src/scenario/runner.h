@@ -143,9 +143,14 @@ struct MemoryReport {
   std::uint64_t personal_network_bytes = 0;
   std::uint64_t random_view_bytes = 0;
   std::uint64_t peak_in_flight_messages = 0;
-  /// getrusage(RUSAGE_SELF).ru_maxrss at the end of the run, in MiB
-  /// (0 where unavailable).
+  /// The process's peak RSS at the end of the run, in MiB: VmHWM on
+  /// Linux, getrusage's ru_maxrss elsewhere (0 where unavailable).
   double peak_rss_mb = 0;
+  /// The allocator's heap at the end of the run (glibc mallinfo2; 0
+  /// elsewhere): bytes held from the system (arena + hblkhd) and bytes in
+  /// live allocations (uordblks + hblkhd). Observation only.
+  std::uint64_t heap_held_bytes = 0;
+  std::uint64_t heap_in_use_bytes = 0;
 };
 
 /// Everything measured over one phase.

@@ -1,8 +1,14 @@
 // Integration tests for the lazy mode: convergence, the 3-step exchange's
 // traffic accounting, storage bounds and update dissemination.
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baseline/ideal_network.h"
+#include "core/lazy_protocol.h"
 #include "core/p3q_system.h"
 #include "dataset/generator.h"
 #include "eval/metrics_eval.h"
@@ -159,6 +165,66 @@ TEST(LazyProtocolTest, DeterministicForSameSeed) {
     return system.metrics().TotalBytes();
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(LazyProtocolTest, OffersOwnTheirSnapshotsWhileProposalsBorrow) {
+  // Proposals borrow the proposer's replicas; an offer that survives the
+  // screens owns its snapshot. So a planned exchange still commits when
+  // every other handle of an offered snapshot is gone by commit time.
+  const SyntheticTrace trace = SmallTrace();
+  P3QSystem system(trace.dataset(), SmallConfig(), {}, 43);
+  // No random views and empty networks: the store, the owner's node and
+  // the replicas stored below are the only handles of a snapshot.
+  const UserId a = 0;
+  const UserId b = 1;
+  const Profile& profile_a = *system.node(a).profile();
+  const Profile& profile_b = *system.node(b).profile();
+  PersonalNetwork& proposer = system.node(a).network();
+  for (UserId w = 2; w < system.NumUsers() && proposer.size() < 3; ++w) {
+    const ProfilePtr& snapshot = system.profile_store().Get(w);
+    const std::uint64_t score = system.ScoreBetween(profile_a, *snapshot);
+    if (score == 0 || system.ScoreBetween(profile_b, *snapshot) == 0) continue;
+    proposer.Consider(w, score, DigestInfo{w, snapshot}, snapshot);
+  }
+  ASSERT_EQ(proposer.StoredProfiles().size(), 3u);
+
+  Rng rng(47);
+  Metrics traffic;
+  const ProfileExchangePlan plan =
+      LazyProtocol::PlanProfileExchange(&system, a, b, &rng, &traffic);
+  // b knows nobody, so each replica a proposes survives b's screens.
+  ASSERT_GE(plan.offers_to_b.size(), 3u);
+
+  // Drop every other handle: the proposer forgets her entries and every
+  // offered owner publishes a new profile.
+  std::vector<std::pair<UserId, std::weak_ptr<const Profile>>> offered;
+  UpdateBatch batch;
+  for (const auto* offers : {&plan.offers_to_b, &plan.offers_to_a}) {
+    for (const ProfileExchangeOffer& offer : *offers) {
+      offered.emplace_back(offer.digest.user, offer.digest.snapshot);
+      proposer.Remove(offer.digest.user);
+      batch.updates.push_back(ProfileUpdate{offer.digest.user, {}});
+    }
+  }
+  system.ApplyUpdateBatch(batch);
+  ASSERT_TRUE(proposer.StoredProfiles().empty());
+  for (const auto& [user, weak] : offered) {
+    SCOPED_TRACE("offered user " + std::to_string(user));
+    ASSERT_FALSE(weak.expired());
+    EXPECT_EQ(weak.use_count(), 1);  // the offer is the last owner
+    EXPECT_NE(system.profile_store().Get(user), weak.lock());
+  }
+
+  LazyProtocol::CommitProfileExchange(&system, plan, &traffic);
+  for (const auto* offers : {&plan.offers_to_b, &plan.offers_to_a}) {
+    const PersonalNetwork& receiver =
+        system.node(offers == &plan.offers_to_b ? b : a).network();
+    for (const ProfileExchangeOffer& offer : *offers) {
+      EXPECT_EQ(receiver.StoredProfileOf(offer.digest.user),
+                offer.digest.snapshot)
+          << "offered user " << offer.digest.user;
+    }
+  }
 }
 
 TEST(LazyProtocolTest, MemoryStatsAttributeProbeMemosAndNetworks) {

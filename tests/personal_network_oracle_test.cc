@@ -392,7 +392,9 @@ void RunDifferential(int s, int c, int ops, std::uint64_t seed,
     }
 
     // The replica-reading queries, which the rewrite stops at rank c.
-    ASSERT_EQ(net.StoredProfiles(), oracle.StoredProfiles());
+    std::vector<ProfilePtr> stored;
+    for (const ProfilePtr* p : net.StoredProfiles()) stored.push_back(*p);
+    ASSERT_EQ(stored, oracle.StoredProfiles());
     ASSERT_EQ(net.EntriesNeedingProfile(), oracle.EntriesNeedingProfile());
     ASSERT_EQ(net.MembersWithoutProfile(), oracle.MembersWithoutProfile());
     ASSERT_EQ(net.StoredProfileActions(), oracle.StoredProfileActions());

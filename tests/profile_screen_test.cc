@@ -33,15 +33,14 @@ struct ScreenCases {
 
 std::vector<DigestInfo> ReferenceProposals(const P3QNode& node, int fanout,
                                            Rng* rng) {
-  std::vector<ProfilePtr> stored = node.network().StoredProfiles();
+  std::vector<const ProfilePtr*> stored = node.network().StoredProfiles();
   std::vector<DigestInfo> proposals;
   if (static_cast<int>(stored.size()) > fanout) {
     stored =
         rng->SampleWithoutReplacement(stored, static_cast<std::size_t>(fanout));
   }
-  for (ProfilePtr& p : stored) {
-    const UserId owner = p->owner();
-    proposals.push_back(DigestInfo{owner, std::move(p)});
+  for (const ProfilePtr* p : stored) {
+    proposals.push_back(DigestInfo{(*p)->owner(), *p});
   }
   proposals.push_back(node.SelfDigest());
   return proposals;

@@ -717,7 +717,11 @@ int RunScenarioMode(const Options& opt) {
               << " MiB, random views "
               << TablePrinter::Fmt(m.random_view_bytes / 1024.0 / 1024.0, 1)
               << " MiB; peak " << m.peak_in_flight_messages
-              << " messages in flight\n";
+              << " messages in flight; heap "
+              << TablePrinter::Fmt(m.heap_in_use_bytes / 1024.0 / 1024.0, 1)
+              << "/"
+              << TablePrinter::Fmt(m.heap_held_bytes / 1024.0 / 1024.0, 1)
+              << " MiB in use/held\n";
   }
 
   if (!opt.json_path.empty() &&
