@@ -6,6 +6,14 @@
 // highest similarity scores. This module computes those lists exactly with
 // an inverted index over tagging actions (far cheaper than the naive
 // all-pairs intersection for long-tailed traces).
+//
+// The index is flat: the distinct actions are sorted once, each user's
+// actions become ids into them, and each action's postings (its users, in
+// ascending order) sit in one CSR array. Every list is copied out at its
+// exact length, so capacity() == size(), and the index is freed before
+// the lists are returned. Callers keep the lists for a whole run (the
+// scenario runner's success ratio), so they are measuring apparatus, not
+// simulated state; MemoryReport::ideal_network_bytes names their bytes.
 #ifndef P3Q_BASELINE_IDEAL_NETWORK_H_
 #define P3Q_BASELINE_IDEAL_NETWORK_H_
 
@@ -40,14 +48,18 @@ IdealNetworks ComputeIdealNetworks(
 /// sample of `sample_size` users only (drawn from `seed`, independent of
 /// the system's rng streams) and leaves every other user's list empty —
 /// AverageSuccessRatio skips empty lists, so the success ratio becomes a
-/// sampled estimate. Scoring runs through the batched block-bitmap kernel
-/// instead of the inverted index, whose postings map is what blows up at
-/// million-user scale. Falls back to the exact computation when
+/// sampled estimate. Scoring runs through the batched block-bitmap kernel,
+/// O(sample_size × users) pair scores, instead of scoring every user
+/// through the inverted index; the sampled lists take the same top-s step
+/// and exact capacity. Falls back to the exact computation when
 /// sample_size >= NumUsers().
 IdealNetworks ComputeIdealNetworksSampled(
     const ProfileStore& store, int network_size, std::size_t sample_size,
     std::uint64_t seed,
     SimilarityMetric metric = SimilarityMetric::kCommonActions);
+
+/// Capacity bytes of the lists and of the outer vector that holds them.
+std::uint64_t IdealNetworkBytes(const IdealNetworks& ideal);
 
 }  // namespace p3q
 

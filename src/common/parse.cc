@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <system_error>
 
 namespace p3q {
@@ -42,6 +43,17 @@ bool ParseStrictInt64(const std::string& s, std::int64_t* out) {
 bool ParseStrictUint64(const std::string& s, std::uint64_t* out) {
   if (!s.empty() && s[0] == '-') return false;
   return ParseWhole(s, out);
+}
+
+std::string FormatStrictDouble(double value) {
+  char buf[32];
+  for (int precision = 6;; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    double back = 0;
+    if (precision == 17 || (ParseStrictDouble(buf, &back) && back == value)) {
+      return buf;
+    }
+  }
 }
 
 }  // namespace p3q

@@ -5,6 +5,7 @@
 // different experiment. Every parser here consumes the WHOLE string via
 // std::from_chars and rejects empty input, trailing garbage, overflow and
 // non-finite values, so a bad flag is an error instead of a silent default.
+// FormatStrictDouble is the inverse that spec names print numbers with.
 #ifndef P3Q_COMMON_PARSE_H_
 #define P3Q_COMMON_PARSE_H_
 
@@ -25,6 +26,12 @@ bool ParseStrictInt64(const std::string& s, std::int64_t* out);
 
 /// Parses a decimal uint64; a leading '-' is rejected rather than wrapped.
 bool ParseStrictUint64(const std::string& s, std::uint64_t* out);
+
+/// Formats a finite double as the shortest "%.Ng" text, N from 6 (%g's
+/// default) up to 17, that ParseStrictDouble reads back as the same value,
+/// so a spec's Name() parses back to the same spec. A value that %g renders
+/// exactly keeps %g's text ("0.1", "2.5", "1e-07").
+std::string FormatStrictDouble(double value);
 
 }  // namespace p3q
 

@@ -1,6 +1,7 @@
 #include "common/random.h"
 
 #include <cmath>
+#include <limits>
 
 namespace p3q {
 namespace {
@@ -80,7 +81,13 @@ int Rng::NextPoisson(double lambda) {
   const double z =
       std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   const double value = lambda + std::sqrt(lambda) * z + 0.5;
-  return value < 0 ? 0 : static_cast<int>(value);
+  // Casting a value outside int's range is undefined behaviour; the
+  // negated test also catches NaN.
+  if (!(value >= 0)) return 0;
+  if (value >= static_cast<double>(std::numeric_limits<int>::max())) {
+    return std::numeric_limits<int>::max();
+  }
+  return static_cast<int>(value);
 }
 
 int Rng::NextBinomial(int n, double p) {

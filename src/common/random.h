@@ -49,7 +49,10 @@ class Rng {
   bool NextBool(double p);
 
   /// Poisson-distributed integer with mean lambda (Knuth for small lambda,
-  /// normal approximation above 64).
+  /// normal approximation above 64). A draw past INT_MAX saturates there
+  /// (the approximation's draw is at most lambda + 37.2 * sqrt(lambda) +
+  /// 0.5, so only lambda above about 2.1e9 can reach it); a draw that is
+  /// not a number (a NaN lambda) returns 0.
   int NextPoisson(double lambda);
 
   /// Binomial(n, p) draw (exact Bernoulli loop for small n, normal

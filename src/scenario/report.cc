@@ -90,6 +90,7 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
        << ", \"personal_network_bytes\": " << m.personal_network_bytes
        << ", \"random_view_bytes\": " << m.random_view_bytes
        << ", \"peak_in_flight_messages\": " << m.peak_in_flight_messages
+       << ", \"ideal_network_bytes\": " << m.ideal_network_bytes
        << ", \"peak_rss_mb\": " << Num(m.peak_rss_mb, 1)
        << ", \"heap_held_bytes\": " << m.heap_held_bytes
        << ", \"heap_in_use_bytes\": " << m.heap_in_use_bytes << "}";

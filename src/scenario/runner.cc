@@ -151,6 +151,9 @@ LatencySpec ReadLatencySpec(CheckpointReader* in) {
   spec.hi = in->U64();
   spec.loss = in->F64();
   spec.max_delay = in->U64();
+  if (const std::string problem = spec.Validate(); !problem.empty()) {
+    throw CheckpointError("checkpoint latency model: " + problem);
+  }
   return spec;
 }
 
@@ -177,6 +180,9 @@ ArrivalSpec ReadArrivalSpec(CheckpointReader* in) {
   for (std::uint64_t r = 0; r < num_rates; ++r) spec.trace.push_back(in->F64());
   spec.slo_cycles = in->U64();
   spec.recall_target = in->F64();
+  if (const std::string problem = spec.Validate(); !problem.empty()) {
+    throw CheckpointError("checkpoint arrival process: " + problem);
+  }
   return spec;
 }
 
@@ -478,6 +484,12 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   if (options.threads < 0) {
     throw std::invalid_argument(
         "ScenarioRunnerOptions: threads must be >= 0 (0 = inherit)");
+  }
+  if (options.arrivals.has_value()) {
+    if (const std::string problem = options.arrivals->Validate();
+        !problem.empty()) {
+      throw std::invalid_argument("ScenarioRunnerOptions: " + problem);
+    }
   }
 
   P3QConfig config;
@@ -1013,6 +1025,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.personal_network_bytes = mem.personal_network_bytes;
   report.memory.random_view_bytes = mem.random_view_bytes;
   report.memory.peak_in_flight_messages = mem.peak_in_flight_messages;
+  report.memory.ideal_network_bytes = IdealNetworkBytes(ideal);
   report.memory.peak_rss_mb = PeakRssMb();
   ReadHeapStats(&report.memory);
 

@@ -143,6 +143,11 @@ struct MemoryReport {
   std::uint64_t personal_network_bytes = 0;
   std::uint64_t random_view_bytes = 0;
   std::uint64_t peak_in_flight_messages = 0;
+  /// Capacity bytes of the runner's ideal networks, the success ratio's
+  /// baseline (IdealNetworkBytes: the lists and their outer vector). They
+  /// are measuring apparatus, kept for the whole run; 0 when no phase read
+  /// the success ratio.
+  std::uint64_t ideal_network_bytes = 0;
   /// The process's peak RSS at the end of the run, in MiB: VmHWM on
   /// Linux, getrusage's ru_maxrss elsewhere (0 where unavailable).
   double peak_rss_mb = 0;

@@ -1,7 +1,5 @@
 #include "serving/arrival.h"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/parse.h"
@@ -9,12 +7,10 @@
 namespace p3q {
 namespace {
 
-/// %g keeps the shortest faithful form, so Name() round-trips through
-/// ParseArrivalSpec to the same process (the LatencySpec convention).
-std::string FormatRate(double rate) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", rate);
-  return buf;
+/// Validate()'s message for a rate above kMaxArrivalRate.
+std::string RateTooHigh() {
+  return "arrival process: rate must be <= " +
+         FormatStrictDouble(kMaxArrivalRate);
 }
 
 std::vector<std::string> SplitOn(const std::string& text, char sep) {
@@ -38,12 +34,12 @@ std::string ArrivalSpec::Name() const {
     case ArrivalKind::kNone:
       return "none";
     case ArrivalKind::kPoisson:
-      return "poisson:" + FormatRate(rate);
+      return "poisson:" + FormatStrictDouble(rate);
     case ArrivalKind::kTrace: {
       std::string out = "trace:";
       for (std::size_t i = 0; i < trace.size(); ++i) {
         if (i > 0) out += ",";
-        out += FormatRate(trace[i]);
+        out += FormatStrictDouble(trace[i]);
       }
       return out;
     }
@@ -58,11 +54,13 @@ std::string ArrivalSpec::Validate() const {
     case ArrivalKind::kPoisson:
       // The negated forms also reject NaN (every comparison false).
       if (!(rate >= 0.0)) return "arrival process: rate must be >= 0";
+      if (rate > kMaxArrivalRate) return RateTooHigh();
       break;
     case ArrivalKind::kTrace:
       if (trace.empty()) return "arrival process: trace has no rates";
       for (double r : trace) {
         if (!(r >= 0.0)) return "arrival process: trace rate must be >= 0";
+        if (r > kMaxArrivalRate) return RateTooHigh();
       }
       break;
   }

@@ -35,6 +35,12 @@ namespace p3q {
 /// The built-in arrival-process families.
 enum class ArrivalKind { kNone, kPoisson, kTrace };
 
+/// Largest rate a poisson or trace spec accepts, in mean arrivals per
+/// cycle. It keeps every draw far inside `int`: a Poisson(R) draw above
+/// R = 64 is at most R + 37.2 * sqrt(R) + 0.5, about 1.04e6 here, and
+/// Rng::NextPoisson saturates only past INT_MAX.
+inline constexpr double kMaxArrivalRate = 1e6;
+
 /// Declarative description of an open-loop arrival process — what scenarios
 /// embed (Scenario::arrivals / ScenarioPhase::arrivals) and the
 /// --arrival-rate / --arrival-sweep CLI flags construct.
@@ -57,6 +63,7 @@ struct ArrivalSpec {
   std::string Name() const;
 
   /// Empty when well formed, else a description of the first problem.
+  /// Every rate must be finite and within [0, kMaxArrivalRate].
   std::string Validate() const;
 };
 

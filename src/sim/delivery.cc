@@ -1,7 +1,6 @@
 #include "sim/delivery.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -10,14 +9,6 @@
 
 namespace p3q {
 namespace {
-
-/// %g keeps the shortest faithful form ("0.1", "0.105", "1e-07"), so a
-/// spec's Name() round-trips through ParseLatencySpec to the same model.
-std::string FormatLoss(double p) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", p);
-  return buf;
-}
 
 /// Splits "a:b:c" into pieces.
 std::vector<std::string> SplitColon(const std::string& text) {
@@ -32,6 +23,12 @@ std::vector<std::string> SplitColon(const std::string& text) {
     parts.push_back(text.substr(start, colon - start));
     start = colon + 1;
   }
+}
+
+/// Validate()'s message for a delay above kMaxLatencyCycles.
+std::string DelayTooLong(const char* family) {
+  return std::string(family) + " latency: delay above " +
+         std::to_string(kMaxLatencyCycles) + " cycles";
 }
 
 bool ParseU64(const std::string& s, std::uint64_t* out) {
@@ -50,7 +47,8 @@ std::string LatencySpec::Name() const {
     case LatencyKind::kUniform:
       return "uniform:" + std::to_string(lo) + ":" + std::to_string(hi);
     case LatencyKind::kLossy:
-      return "lossy:" + FormatLoss(loss) + ":" + std::to_string(max_delay);
+      return "lossy:" + FormatStrictDouble(loss) + ":" +
+             std::to_string(max_delay);
   }
   return "unknown";
 }
@@ -58,16 +56,20 @@ std::string LatencySpec::Name() const {
 std::string LatencySpec::Validate() const {
   switch (kind) {
     case LatencyKind::kZero:
+      return "";
     case LatencyKind::kFixed:
+      if (fixed > kMaxLatencyCycles) return DelayTooLong("fixed");
       return "";
     case LatencyKind::kUniform:
       if (lo > hi) return "uniform latency: lo > hi";
+      if (hi > kMaxLatencyCycles) return DelayTooLong("uniform");
       return "";
     case LatencyKind::kLossy:
       // The negated form also rejects NaN (every comparison false).
       if (!(loss >= 0.0 && loss <= 1.0)) {
         return "lossy latency: loss probability outside [0, 1]";
       }
+      if (max_delay > kMaxLatencyCycles) return DelayTooLong("lossy");
       return "";
   }
   return "unknown latency kind";
@@ -116,7 +118,8 @@ std::string UniformLatency::Name() const {
 }
 
 std::string LossyLatency::Name() const {
-  return "lossy:" + FormatLoss(p_) + ":" + std::to_string(max_delay_);
+  return "lossy:" + FormatStrictDouble(p_) + ":" +
+         std::to_string(max_delay_);
 }
 
 std::unique_ptr<const LatencyModel> MakeLatencyModel(const LatencySpec& spec) {

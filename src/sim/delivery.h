@@ -47,6 +47,11 @@ namespace p3q {
 /// The built-in latency model families.
 enum class LatencyKind { kZero, kFixed, kUniform, kLossy };
 
+/// Longest delay a latency spec accepts, in cycles. It keeps a message's
+/// due cycle (send cycle + delay) from wrapping, and a uniform draw's range
+/// (hi - lo + 1) from wrapping to 0.
+inline constexpr std::uint64_t kMaxLatencyCycles = 1'000'000'000;
+
 /// Declarative description of a latency model — what scenarios embed and
 /// the --latency/--loss CLI flags parse into.
 struct LatencySpec {
@@ -64,6 +69,7 @@ struct LatencySpec {
   std::string Name() const;
 
   /// Empty when well formed, else a description of the first problem.
+  /// Every delay must be at most kMaxLatencyCycles.
   std::string Validate() const;
 };
 

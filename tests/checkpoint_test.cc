@@ -935,6 +935,59 @@ std::string MutatePayload(std::vector<std::uint8_t>* payload, Rng* rng) {
   }
 }
 
+TEST(CheckpointHostileTest, HeaderSpecsOutsideTheirLimitsAreRejected) {
+  // The run header stores the arrival override's rate and the latency
+  // model's delay as raw numbers; values the spec parsers refuse must not
+  // come back through a checkpoint either.
+  const Scenario scenario = MakeScenario("open-loop-steady");
+  const std::string source = TempPath("header_specs_source.ckpt");
+  ScenarioRunnerOptions options = CorruptionRunOptions();
+  options.arrivals = scenario.arrivals;
+  options.arrivals->rate = 2.718281828;
+  options.latency = LatencySpec{LatencyKind::kFixed, /*fixed=*/3};
+  options.checkpoint_at = 3;
+  options.checkpoint_path = source;
+  RunScenario(scenario, options);
+  const std::vector<std::uint8_t> pristine = ReadCheckpointPayload(source);
+  std::remove(source.c_str());
+
+  // Offset of the first u64 field equal to `value` that follows `prefix`
+  // bytes matching `tag` (a u32; no tag when prefix is 0).
+  const auto find = [&](std::uint64_t value, std::size_t prefix,
+                        std::uint32_t tag) {
+    for (std::size_t p = 0; p + prefix + 8 <= pristine.size(); ++p) {
+      if ((prefix == 0 || PeekU32(pristine, p) == tag) &&
+          PeekU64(pristine, p + prefix) == value) {
+        return p + prefix;
+      }
+    }
+    return std::size_t{0};
+  };
+  const auto expect_rejected = [&](std::size_t at, std::uint64_t value) {
+    ASSERT_NE(at, 0u) << "field not located";
+    std::vector<std::uint8_t> payload = pristine;
+    for (std::size_t i = 0; i < 8; ++i) {
+      payload[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    const std::string path = TempPath("header_specs_case.ckpt");
+    CheckpointWriter framed;
+    framed.Bytes(payload.data(), payload.size());
+    WriteCheckpointFile(path, framed);
+    EXPECT_THROW(ReadScenarioCheckpointInfo(path), CheckpointError);
+    std::remove(path.c_str());
+  };
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  expect_rejected(find(bits(2.718281828), 0, 0), bits(1e10));
+  // The latency block starts (u32 kind, u64 fixed delay).
+  expect_rejected(
+      find(3, 4, static_cast<std::uint32_t>(LatencyKind::kFixed)),
+      kMaxLatencyCycles + 1);
+}
+
 TEST(CheckpointHostileTest, SeededMutationsFailCleanly) {
   // Each case mangles the corruption suites' snapshot, re-frames it with a
   // valid checksum and resumes. The decoder must reject it with a

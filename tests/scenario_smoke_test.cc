@@ -77,7 +77,8 @@ INSTANTIATE_TEST_SUITE_P(
 // p3q_sim CLI end to end.
 // ---------------------------------------------------------------------------
 
-int RunCli(const std::string& args) {
+int RunCli(const std::string& args,
+           const std::string& redirect = " > /dev/null 2>&1") {
   // Quote the binary path: the build dir may contain spaces.
   // Appended piecewise: GCC 12 misreports a -Wrestrict overlap for the
   // equivalent `"literal" + std::string(...)` chain.
@@ -85,7 +86,7 @@ int RunCli(const std::string& args) {
   cmd += P3Q_BIN_DIR;
   cmd += "/p3q_sim\" ";
   cmd += args;
-  cmd += " > /dev/null 2>&1";
+  cmd += redirect;
   const int status = std::system(cmd.c_str());
   EXPECT_NE(status, -1);
   EXPECT_TRUE(WIFEXITED(status)) << cmd << " killed by signal";
@@ -97,6 +98,21 @@ std::string ReadFileOrEmpty(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// Runs p3q_sim expecting a clean refusal: a non-zero exit whose stderr
+/// contains `message`.
+void ExpectRefusal(const std::string& args, const std::string& message) {
+  // ctest runs tests in parallel processes: one stderr file per test.
+  const std::string err_path =
+      ::testing::TempDir() + "/p3q_refusal_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
+  const int status = RunCli(args, " > /dev/null 2> \"" + err_path + "\"");
+  const std::string err = ReadFileOrEmpty(err_path);
+  std::remove(err_path.c_str());
+  EXPECT_NE(status, 0) << args;
+  EXPECT_NE(err.find(message), std::string::npos)
+      << args << " printed: " << err;
 }
 
 TEST(P3qSimScenarioCli, ListScenariosExitsCleanly) {
@@ -262,6 +278,36 @@ TEST(P3qSimScenarioCli, ArrivalFlagsAreValidated) {
   EXPECT_NE(RunCli("--scenario=open-loop-steady --arrival-sweep=1:4"), 0);
   EXPECT_NE(RunCli("--scenario=open-loop-steady --arrival-sweep=4:1:1"), 0);
   EXPECT_NE(RunCli("--scenario=open-loop-steady --arrival-sweep=1:4:0"), 0);
+}
+
+TEST(P3qSimScenarioCli, ArrivalRateAboveTheMaximumIsRefused) {
+  // Poisson(1e10) used to cast past INT_MAX (INT_MIN on x86), so the run
+  // exited 0 having issued no query.
+  const std::string run =
+      "--scenario=open-loop-steady --users=60 --cycle-scale=0.1 ";
+  ExpectRefusal(run + "--arrival-rate=1e10", "--arrival-rate must be in");
+  ExpectRefusal(run + "--arrival-rate=1000000.5", "--arrival-rate must be in");
+}
+
+TEST(P3qSimScenarioCli, SweepThatCannotEndIsRefused) {
+  // 1e17 + 1 == 1e17 in double: `rate += step` never advanced, and the
+  // sweep ran forever.
+  const std::string run = "--scenario=open-loop-saturation --users=60 ";
+  ExpectRefusal(run + "--arrival-sweep=1e17:2e17:1", "HI must be <=");
+  ExpectRefusal(run + "--arrival-sweep=1e5:1e6:1e-12",
+                "does not advance the rate");
+  ExpectRefusal(run + "--arrival-sweep=0:1000:0.5", "more than 1000 rates");
+}
+
+TEST(P3qSimScenarioCli, TraceNodeIdsThatDoNotFitAUserIdAreRefused) {
+  // 4294967296 used to wrap to node 0 through static_cast<UserId>.
+  const std::string trace = ::testing::TempDir() + "/p3q_trace_nodes.jsonl";
+  const std::string run = "--scenario=steady-state --users=60 "
+                          "--cycle-scale=0.1 --trace=\"" + trace + "\" ";
+  ExpectRefusal(run + "--trace-nodes=4294967296", "does not fit a user id");
+  ExpectRefusal(run + "--trace-nodes=1,18446744073709551615",
+                "does not fit a user id");
+  std::remove(trace.c_str());
 }
 
 TEST(P3qSimScenarioCli, ArrivalRateRunEmitsDeterministicQueryLatency) {

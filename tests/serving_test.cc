@@ -6,6 +6,8 @@
 // across thread counts under every latency model, the latency stats match a
 // pinned golden, the saturation scenario's tail latency grows with the
 // arrival rate, and per-phase Since() deltas sum to the run totals.
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,6 +47,53 @@ TEST(ArrivalSpecParse, RejectsMalformedSpecs) {
         "none:1"}) {
     ArrivalSpec spec;
     EXPECT_NE(ParseArrivalSpec(text, &spec), "") << text;
+  }
+}
+
+TEST(ArrivalSpecValidate, RejectsRatesAboveTheMaximum) {
+  ArrivalSpec spec;
+  spec.kind = ArrivalKind::kPoisson;
+  spec.rate = kMaxArrivalRate;
+  EXPECT_EQ(spec.Validate(), "");
+  for (double rate : {std::nextafter(kMaxArrivalRate, 2 * kMaxArrivalRate),
+                      1e10, 1e308}) {
+    spec.rate = rate;
+    EXPECT_NE(spec.Validate(), "") << rate;
+  }
+  spec.kind = ArrivalKind::kTrace;
+  spec.trace = {1.0, 1e10};
+  EXPECT_NE(spec.Validate(), "");
+  for (const char* text : {"poisson:1e10", "trace:1,2e6", "poisson:1e308"}) {
+    EXPECT_NE(ParseArrivalSpec(text, &spec), "") << text;
+  }
+  // The runner refuses such an override before the first cycle.
+  ScenarioRunnerOptions options;
+  options.users = 40;
+  options.arrivals = ArrivalSpec{};
+  options.arrivals->kind = ArrivalKind::kPoisson;
+  options.arrivals->rate = 1e10;
+  EXPECT_THROW(RunScenario(MakeScenario("open-loop-steady"), options),
+               std::invalid_argument);
+}
+
+TEST(ArrivalProcess, DrawsAtTheMaximumRateStayInRangeAndHugeRatesSaturate) {
+  // At the largest accepted rate every draw is a count near the rate.
+  ArrivalSpec spec;
+  spec.kind = ArrivalKind::kPoisson;
+  spec.rate = kMaxArrivalRate;
+  ArrivalProcess process(spec, 3);
+  const double spread = 37.2 * std::sqrt(kMaxArrivalRate) + 1;
+  for (std::uint64_t cycle = 0; cycle < 256; ++cycle) {
+    const int n = process.ArrivalsAt(cycle);
+    EXPECT_GE(n, kMaxArrivalRate - spread);
+    EXPECT_LE(n, kMaxArrivalRate + spread);
+  }
+  // Past INT_MAX the draw saturates instead of casting out of range (which
+  // read INT_MIN on x86); a NaN mean draws nothing.
+  Rng rng(5);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(rng.NextPoisson(1e10), std::numeric_limits<int>::max());
+    EXPECT_EQ(rng.NextPoisson(std::numeric_limits<double>::quiet_NaN()), 0);
   }
 }
 

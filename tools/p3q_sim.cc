@@ -49,21 +49,28 @@
 
 #include "common/parse.h"
 #include "common/table_printer.h"
+#include "common/types.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
+#include "serving/arrival.h"
 #include "sim/checkpoint.h"
 #include "sim/delivery.h"
 
 namespace {
+
+/// Most rates one --arrival-sweep may run.
+constexpr std::size_t kMaxSweepRates = 1000;
 
 /// An --arrival-sweep=lo:hi:step saturation sweep.
 struct SweepSpec {
   double lo = 0;
   double hi = 0;
   double step = 0;
+  /// lo, lo + step, ... while <= hi (1e-9 absorbs accumulated rounding).
+  std::vector<double> rates;
 };
 
 struct Options {
@@ -147,7 +154,8 @@ void PrintUsage() {
       "                     saturation sweep: run the scenario once per\n"
       "                     rate in [LO, HI] and print latency percentiles\n"
       "                     and goodput per rate (--json writes the sweep\n"
-      "                     as a JSON array)\n"
+      "                     as a JSON array); at most 1000 rates\n"
+      "                     (R and HI at most 1e6)\n"
       "\nObservability (deterministic traces and wall-clock profiles):\n"
       "  --trace=FILE       write a deterministic, cycle-stamped event trace\n"
       "                     (gossip, delivery, query lifecycle, liveness);\n"
@@ -250,6 +258,25 @@ bool ParseSweepSpec(const std::string& value, SweepSpec* out) {
     std::cerr << "--arrival-sweep: need 0 <= LO <= HI and STEP > 0\n";
     return false;
   }
+  if (out->hi > p3q::kMaxArrivalRate) {
+    std::cerr << "--arrival-sweep: HI must be <= " << p3q::kMaxArrivalRate
+              << "\n";
+    return false;
+  }
+  out->rates.clear();
+  for (double rate = out->lo; rate <= out->hi + 1e-9; rate += out->step) {
+    if (out->rates.size() == kMaxSweepRates) {
+      std::cerr << "--arrival-sweep: more than " << kMaxSweepRates
+                << " rates; raise STEP\n";
+      return false;
+    }
+    if (rate + out->step == rate) {
+      std::cerr << "--arrival-sweep: STEP " << out->step
+                << " does not advance the rate past " << rate << "\n";
+      return false;
+    }
+    out->rates.push_back(rate);
+  }
   return true;
 }
 
@@ -332,6 +359,12 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
         if (!p3q::ParseStrictUint64(token, &id)) {
           std::cerr << "--trace-nodes: cannot parse '" << token
                     << "' as a node id\n";
+          return std::nullopt;
+        }
+        if (id >= p3q::kInvalidUser) {
+          std::cerr << "--trace-nodes: node id " << id
+                    << " does not fit a user id (at most "
+                    << p3q::kInvalidUser - 1 << ")\n";
           return std::nullopt;
         }
         opt.trace_nodes.push_back(static_cast<p3q::UserId>(id));
@@ -423,8 +456,10 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
                  "exclusive\n";
     return std::nullopt;
   }
-  if (opt.arrival_rate.has_value() && !(*opt.arrival_rate >= 0)) {
-    std::cerr << "--arrival-rate must be >= 0\n";
+  if (opt.arrival_rate.has_value() &&
+      !(*opt.arrival_rate >= 0 && *opt.arrival_rate <= p3q::kMaxArrivalRate)) {
+    std::cerr << "--arrival-rate must be in [0, " << p3q::kMaxArrivalRate
+              << "]\n";
     return std::nullopt;
   }
   if (opt.trace_format != "jsonl" && opt.trace_format != "chrome") {
@@ -717,7 +752,9 @@ int RunScenarioMode(const Options& opt) {
               << " MiB, random views "
               << TablePrinter::Fmt(m.random_view_bytes / 1024.0 / 1024.0, 1)
               << " MiB; peak " << m.peak_in_flight_messages
-              << " messages in flight; heap "
+              << " messages in flight; ideal networks "
+              << TablePrinter::Fmt(m.ideal_network_bytes / 1024.0 / 1024.0, 1)
+              << " MiB; heap "
               << TablePrinter::Fmt(m.heap_in_use_bytes / 1024.0 / 1024.0, 1)
               << "/"
               << TablePrinter::Fmt(m.heap_held_bytes / 1024.0 / 1024.0, 1)
@@ -775,7 +812,7 @@ int RunSweepMode(const Options& opt) {
          "p99_lower_bound,first_result_p50,goodput_per_cycle\n";
 
   bool first = true;
-  for (double rate = sweep.lo; rate <= sweep.hi + 1e-9; rate += sweep.step) {
+  for (double rate : sweep.rates) {
     ScenarioRunnerOptions options = MakeRunnerOptions(opt);
     options.arrivals = OverrideArrivals(scenario, rate);
     ScenarioReport report;
