@@ -1,6 +1,8 @@
 // Micro benchmarks: incremental NRA vs a full merge, at the list counts a
 // querier sees per query (the paper measures ~70-228 partial result lists).
+#include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include <benchmark/benchmark.h>
 
@@ -60,6 +62,30 @@ void BM_NraDrainAll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * num_lists);
 }
 BENCHMARK(BM_NraDrainAll)->Arg(16)->Arg(70)->Arg(228);
+
+void BM_NraQuerySized(benchmark::State& state) {
+  // Builds and frees one accumulator the size of a serving query at its
+  // end (94 lists, about 200 candidates, ten cycles of arrivals), as
+  // IssueQuery, the close-outs and ForgetQuery do over a query's life.
+  const auto lists = MakeLists(94, 12, 200, 19);
+  for (auto _ : state) {
+    p3q::IncrementalNra nra(10);
+    std::size_t next = 0;
+    for (int cycle = 0; cycle < 10; ++cycle) {
+      const std::size_t end = cycle == 9 ? lists.size() : next + 9;
+      std::size_t entries = 0;
+      for (std::size_t i = next; i < end; ++i) entries += lists[i].size();
+      nra.Reserve(end - next, entries);
+      for (; next < end; ++next) nra.AddList(lists[next]);
+      nra.Process();
+      benchmark::DoNotOptimize(nra.TopK());
+    }
+    nra.DrainAll();
+    benchmark::DoNotOptimize(nra.TopK());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NraQuerySized);
 
 void BM_FullMergeBaseline(benchmark::State& state) {
   // The naive alternative: hash-merge everything, sort, take k.

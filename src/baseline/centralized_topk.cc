@@ -1,29 +1,21 @@
 #include "baseline/centralized_topk.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace p3q {
 
 std::vector<std::pair<ItemId, std::uint64_t>> CentralizedTopK(
     const std::vector<ProfilePtr>& profiles, const std::vector<TagId>& tags,
     int k) {
-  std::unordered_map<ItemId, std::uint64_t> scores;
-  for (const ProfilePtr& profile : profiles) {
-    for (const auto& [item, score] : profile->ScoreQuery(tags)) {
-      scores[item] += score;
-    }
-  }
-  std::vector<std::pair<ItemId, std::uint64_t>> ranked(scores.begin(),
-                                                       scores.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (ranked.size() > static_cast<std::size_t>(k)) {
-    ranked.resize(static_cast<std::size_t>(k));
-  }
-  return ranked;
+  std::vector<const Profile*> borrowed;
+  borrowed.reserve(profiles.size());
+  for (const ProfilePtr& profile : profiles) borrowed.push_back(profile.get());
+  std::vector<ItemScore> hits;
+  const std::vector<ItemScore> ranked =
+      RankQueryScores(borrowed, QueryTags(tags), &hits);
+  const std::size_t n = std::min(ranked.size(), static_cast<std::size_t>(k));
+  return std::vector<std::pair<ItemId, std::uint64_t>>(
+      ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 std::vector<ItemId> ReferenceTopK(const P3QSystem& system,

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace p3q {
 
@@ -41,6 +42,10 @@ constexpr ItemId ActionItem(ActionKey a) { return static_cast<ItemId>(a >> 32); 
 constexpr TagId ActionTag(ActionKey a) {
   return static_cast<TagId>(a & 0xffffffffULL);
 }
+
+/// One scored item of a query: Score_{u,Q}(i) of one profile, or the sum of
+/// such scores over several profiles (a partial result list's entry).
+using ItemScore = std::pair<ItemId, std::uint32_t>;
 
 // ---------------------------------------------------------------------------
 // Wire-cost model (Section 3.3 of the paper). The paper computes bandwidth

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "core/p3q_system.h"
 #include "obs/trace.h"
@@ -25,22 +26,14 @@ std::size_t ForwardBytes(const EagerTask& task) {
 EagerProtocol::EagerProtocol(P3QSystem* system) : system_(system) {}
 
 PartialResultMessage EagerProtocol::BuildPartialResult(
-    const std::vector<const Profile*>& profiles,
-    const std::vector<UserId>& owners, const std::vector<TagId>& tags) {
-  std::unordered_map<ItemId, std::uint32_t> scores;
-  for (const Profile* profile : profiles) {
-    for (const auto& [item, score] : profile->ScoreQuery(tags)) {
-      scores[item] += score;
-    }
-  }
+    const std::vector<const Profile*>& profiles, std::vector<UserId> owners,
+    const std::vector<TagId>& tags) {
+  // One hit buffer per thread: plan workers build partial results at once,
+  // and the buffer keeps its capacity from one gossip to the next.
+  thread_local std::vector<ItemScore> hits;
   PartialResultMessage message;
-  message.entries.assign(scores.begin(), scores.end());
-  std::sort(message.entries.begin(), message.entries.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  message.used_profiles = owners;
+  message.entries = RankQueryScores(profiles, QueryTags(tags), &hits);
+  message.used_profiles = std::move(owners);
   return message;
 }
 
@@ -66,7 +59,7 @@ std::uint64_t EagerProtocol::IssueQuery(const QuerySpec& spec) {
       owners.push_back((*p)->owner());
     }
     state.query->DeliverPartialResult(
-        BuildPartialResult(profiles, owners, spec.tags));
+        BuildPartialResult(profiles, std::move(owners), spec.tags));
   }
 
   // Remaining list: network members whose profiles are not stored.
@@ -159,7 +152,8 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
     }
   }
   if (!found_owners.empty()) {
-    g.partial = BuildPartialResult(found_profiles, found_owners, task.tags);
+    g.partial =
+        BuildPartialResult(found_profiles, std::move(found_owners), task.tags);
     g.has_partial = true;
   }
 

@@ -28,6 +28,13 @@
 // query's ActiveQuery, so the engine may run it on a plan worker beside
 // the wave.
 //
+// A partial result comes from RankQueryScores (profile/profile.h): a
+// screened scan of each profile into a hit buffer the plan thread keeps,
+// one sort-and-sum merge, and a ranked list of exact capacity, which the
+// querier's flat NRA (core/topk.h) copies at close-out. The "Query path"
+// section of docs/ARCHITECTURE.md says which thread allocates and frees
+// what.
+//
 // Under a lagging or lossy latency model a task's gossip can be in flight
 // for several cycles, so each task gossips at most once concurrently: the
 // owner marks it in flight at plan time and waits eager_retry_cycles for
@@ -201,10 +208,10 @@ class EagerProtocol : public CycleProtocol {
   const QueryState& StateOrThrow(std::uint64_t id) const;
 
   /// Sums Score_{u,Q}(i) over the given (borrowed) profiles into a ranked
-  /// list.
+  /// list of exact capacity (RankQueryScores, profile/profile.h).
   static PartialResultMessage BuildPartialResult(
-      const std::vector<const Profile*>& profiles,
-      const std::vector<UserId>& owners, const std::vector<TagId>& tags);
+      const std::vector<const Profile*>& profiles, std::vector<UserId> owners,
+      const std::vector<TagId>& tags);
 
   P3QSystem* system_;
   std::unordered_map<std::uint64_t, QueryState> state_;

@@ -26,9 +26,14 @@ void ActiveQuery::DeliverPartialResult(PartialResultMessage message) {
 }
 
 void ActiveQuery::EndOfCycle(bool complete) {
-  for (auto& message : inbox_) {
+  std::size_t entries = 0;
+  for (const PartialResultMessage& message : inbox_) {
+    entries += message.entries.size();
+  }
+  nra_.Reserve(inbox_.size(), entries);
+  for (const PartialResultMessage& message : inbox_) {
     for (UserId u : message.used_profiles) used_profiles_.insert(u);
-    nra_.AddList(std::move(message.entries));
+    nra_.AddList(message.entries);
   }
   inbox_.clear();
   if (complete) {

@@ -1,17 +1,34 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <map>
+#include <numeric>
 
 #include "sim/checkpoint.h"
 
 namespace p3q {
+namespace {
+
+/// The ranking order: worst case descending, then best case descending,
+/// then item ascending. Items are unique, so the order is total and every
+/// prefix of it is independent of the candidates' storage order.
+bool RankedBefore(const RankedItem& a, const RankedItem& b) {
+  if (a.worst != b.worst) return a.worst > b.worst;
+  if (a.best != b.best) return a.best > b.best;
+  return a.item < b.item;
+}
+
+}  // namespace
 
 IncrementalNra::IncrementalNra(int k) : k_(k < 1 ? 1 : k) {}
 
-void IncrementalNra::AddList(
-    std::vector<std::pair<ItemId, std::uint32_t>> entries) {
+void IncrementalNra::Reserve(std::size_t lists, std::size_t entries) {
+  lists_.reserve(lists_.size() + lists);
+  entries_.reserve(entries_.size() + entries);
+}
+
+void IncrementalNra::AddList(std::span<const ItemScore> entries) {
 #ifndef NDEBUG
   // Precondition: scores descending, items unique within a list.
   for (std::size_t i = 1; i < entries.size(); ++i) {
@@ -19,18 +36,50 @@ void IncrementalNra::AddList(
   }
 #endif
   List list;
-  list.entries = std::move(entries);
-  lists_.push_back(std::move(list));
+  list.begin = entries_.size();
+  entries_.insert(entries_.end(), entries.begin(), entries.end());
+  list.end = entries_.size();
+  list.next = list.begin;
+  lists_.push_back(list);
 }
 
-void IncrementalNra::ConsumeEntry(std::uint32_t idx, std::size_t pos) {
+std::size_t IncrementalNra::Probe(ItemId item) const {
+  // Fibonacci hashing, as in UserMap (common/user_map.h).
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(item) * 0x9e3779b97f4a7c15ull) >>
+      index_shift_);
+  while (index_[i] != kNoCandidate && candidates_[index_[i]].item != item) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+std::uint32_t IncrementalNra::CandidateOf(ItemId item) {
+  if (2 * (candidates_.size() + 1) > index_.size()) {
+    const std::size_t slots = index_.empty() ? 16 : 2 * index_.size();
+    index_.assign(slots, kNoCandidate);
+    index_shift_ = 64 - std::countr_zero(slots);
+    for (std::uint32_t c = 0; c < candidates_.size(); ++c) {
+      index_[Probe(candidates_[c].item)] = c;
+    }
+  }
+  std::uint32_t& slot = index_[Probe(item)];
+  if (slot == kNoCandidate) {
+    slot = static_cast<std::uint32_t>(candidates_.size());
+    candidates_.push_back(Candidate{item, 0});
+  }
+  return slot;
+}
+
+void IncrementalNra::ConsumeEntry(std::uint32_t idx) {
   List& list = lists_[idx];
-  const auto& [item, score] = list.entries[pos];
+  const auto [item, score] = entries_[list.next];
   list.last_seen = score;
-  list.next_pos = pos + 1;
-  Candidate& cand = candidates_[item];
-  cand.worst += score;
-  cand.seen_lists.push_back(idx);
+  ++list.next;
+  const std::uint32_t c = CandidateOf(item);
+  candidates_[c].worst += score;
+  seen_.push_back(Seen{c, idx});
   ++total_scanned_;
 }
 
@@ -44,51 +93,40 @@ std::uint64_t IncrementalNra::ActiveTail() const {
   return tail;
 }
 
-std::uint64_t IncrementalNra::BestCase(const Candidate& c,
-                                       std::uint64_t tail) const {
+std::vector<RankedItem> IncrementalNra::Ranked(std::uint64_t tail) const {
   // best = worst + (bound of every active list the item was NOT seen in)
   //      = worst + tail - sum(last_seen of active lists it WAS seen in).
-  std::uint64_t best = c.worst + tail;
-  for (std::uint32_t idx : c.seen_lists) {
-    const List& list = lists_[idx];
-    if (!list.Exhausted()) best -= list.last_seen;
+  std::vector<RankedItem> ranked(candidates_.size());
+  for (std::size_t c = 0; c < candidates_.size(); ++c) {
+    ranked[c] = RankedItem{candidates_[c].item, candidates_[c].worst,
+                           candidates_[c].worst + tail};
   }
-  return best;
+  for (const Seen& seen : seen_) {
+    const List& list = lists_[seen.list];
+    if (!list.Exhausted()) ranked[seen.candidate].best -= list.last_seen;
+  }
+  return ranked;
 }
 
 bool IncrementalNra::StopConditionHolds() const {
   const std::uint64_t tail = ActiveTail();
   if (tail == kUnknown) return false;  // an unscanned list bounds nothing
-  if (candidates_.empty()) return tail == 0;
   if (candidates_.size() <= static_cast<std::size_t>(k_)) {
     // Fewer candidates than k: final only when no list can produce more.
     return tail == 0;
   }
-  struct Entry {
-    ItemId item;
-    std::uint64_t worst;
-    std::uint64_t best;
-  };
-  std::vector<Entry> all;
-  all.reserve(candidates_.size());
-  for (const auto& [item, cand] : candidates_) {
-    all.push_back(Entry{item, cand.worst, BestCase(cand, tail)});
-  }
-  auto before = [](const Entry& a, const Entry& b) {
-    if (a.worst != b.worst) return a.worst > b.worst;
-    if (a.best != b.best) return a.best > b.best;
-    return a.item < b.item;
-  };
-  std::nth_element(all.begin(), all.begin() + (k_ - 1), all.end(), before);
-  const std::uint64_t kth_worst = all[static_cast<std::size_t>(k_) - 1].worst;
-  std::uint64_t max_other_best = 0;
-  for (std::size_t i = static_cast<std::size_t>(k_); i < all.size(); ++i) {
-    max_other_best = std::max(max_other_best, all[i].best);
-  }
+  // Only the k-th worst case and the best case of the rest matter, and
+  // the total order fixes both.
+  std::vector<RankedItem> all = Ranked(tail);
+  const auto kth = all.begin() + (k_ - 1);
+  std::nth_element(all.begin(), kth, all.end(), RankedBefore);
   // `tail` also upper-bounds any item never seen in any list (Fagin's
   // threshold); the paper's heap-only condition implicitly relies on it.
-  max_other_best = std::max(max_other_best, tail);
-  return kth_worst >= max_other_best;
+  std::uint64_t max_other_best = tail;
+  for (auto it = kth + 1; it != all.end(); ++it) {
+    max_other_best = std::max(max_other_best, it->best);
+  }
+  return kth->worst >= max_other_best;
 }
 
 bool IncrementalNra::Converged() const { return StopConditionHolds(); }
@@ -97,25 +135,41 @@ std::size_t IncrementalNra::Process() {
   const std::size_t before = total_scanned_;
   if (StopConditionHolds()) return 0;
 
-  // Cohorts of non-exhausted lists grouped by their next position. The
-  // paper's global cursor rule — new lists scan from rank 1, parked lists
-  // rejoin when the cursor reaches where they stopped — is exactly
-  // "always advance the cohort with the smallest next position".
-  std::map<std::size_t, std::vector<std::uint32_t>> pending;
+  // The paper's global cursor rule — new lists scan from rank 1, parked
+  // lists rejoin when the cursor reaches where they stopped — advances, at
+  // each position, the cohort of non-exhausted lists that started at or
+  // before it. A list joins the front of the cohort at its start position
+  // and survivors keep their order, so a cohort is ordered by start
+  // position descending, then list index: `order`'s order. The lists that
+  // joined and survived are the window [first, last) of `order`.
+  auto start = [this](std::uint32_t idx) {
+    return lists_[idx].next - lists_[idx].begin;
+  };
+  std::vector<std::uint32_t> order;
   for (std::uint32_t idx = 0; idx < lists_.size(); ++idx) {
-    if (!lists_[idx].Exhausted()) pending[lists_[idx].next_pos].push_back(idx);
+    if (!lists_[idx].Exhausted()) order.push_back(idx);
   }
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const std::size_t sa = start(a), sb = start(b);
+              if (sa != sb) return sa > sb;
+              return a < b;
+            });
+  std::size_t first = order.size();
+  std::size_t last = order.size();
+  std::size_t pos = 0;
   std::size_t sweeps = 0;
   std::size_t next_check = 1;
-  while (!pending.empty()) {
-    auto it = pending.begin();
-    const std::size_t pos = it->first;
-    std::vector<std::uint32_t> cohort = std::move(it->second);
-    pending.erase(it);
-    for (std::uint32_t idx : cohort) {
-      ConsumeEntry(idx, pos);
-      if (!lists_[idx].Exhausted()) pending[pos + 1].push_back(idx);
+  while (first > 0 || last > first) {
+    // Without survivors the cursor jumps to the next parked list's start.
+    if (last == first) pos = start(order[first - 1]);
+    while (first > 0 && start(order[first - 1]) <= pos) --first;
+    std::size_t kept = first;
+    for (std::size_t i = first; i < last; ++i) {
+      ConsumeEntry(order[i]);
+      if (!lists_[order[i]].Exhausted()) order[kept++] = order[i];
     }
+    last = kept;
     ++sweeps;
     // Algorithm 4 re-evaluates the stop condition after every position; we
     // check at geometrically spaced sweeps (1, 2, 4, ...), which bounds the
@@ -124,6 +178,7 @@ std::size_t IncrementalNra::Process() {
       next_check *= 2;
       if (StopConditionHolds()) break;
     }
+    ++pos;
   }
   return total_scanned_ - before;
 }
@@ -131,9 +186,7 @@ std::size_t IncrementalNra::Process() {
 std::size_t IncrementalNra::DrainAll() {
   const std::size_t before = total_scanned_;
   for (std::uint32_t idx = 0; idx < lists_.size(); ++idx) {
-    while (!lists_[idx].Exhausted()) {
-      ConsumeEntry(idx, lists_[idx].next_pos);
-    }
+    while (!lists_[idx].Exhausted()) ConsumeEntry(idx);
   }
   return total_scanned_ - before;
 }
@@ -143,27 +196,39 @@ void IncrementalNra::SaveState(CheckpointWriter* out) const {
   out->U64(total_scanned_);
   out->U64(lists_.size());
   for (const List& list : lists_) {
-    out->U64(list.entries.size());
-    for (const auto& [item, score] : list.entries) {
-      out->U32(item);
-      out->U32(score);
+    out->U64(list.end - list.begin);
+    for (std::size_t e = list.begin; e < list.end; ++e) {
+      out->U32(entries_[e].first);
+      out->U32(entries_[e].second);
     }
-    out->U64(list.next_pos);
+    out->U64(list.next - list.begin);
     out->U64(list.last_seen);
   }
+  // Each candidate's seen lists in consumption order: the log bucketed by
+  // candidate (a stable counting sort).
+  const std::size_t n = candidates_.size();
+  std::vector<std::size_t> offset(n + 1, 0);
+  for (const Seen& seen : seen_) ++offset[seen.candidate + 1];
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<std::uint32_t> seen_lists(seen_.size());
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (const Seen& seen : seen_) seen_lists[fill[seen.candidate]++] = seen.list;
   // Candidates in ascending item order so the encoding is deterministic
-  // regardless of hash-map iteration order.
-  std::vector<ItemId> items;
-  items.reserve(candidates_.size());
-  for (const auto& [item, cand] : candidates_) items.push_back(item);
-  std::sort(items.begin(), items.end());
-  out->U64(items.size());
-  for (ItemId item : items) {
-    const Candidate& cand = candidates_.at(item);
-    out->U32(item);
-    out->U64(cand.worst);
-    out->U64(cand.seen_lists.size());
-    for (std::uint32_t idx : cand.seen_lists) out->U32(idx);
+  // regardless of the order they were first seen in.
+  std::vector<std::uint32_t> by_item(n);
+  std::iota(by_item.begin(), by_item.end(), 0u);
+  std::sort(by_item.begin(), by_item.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return candidates_[a].item < candidates_[b].item;
+            });
+  out->U64(n);
+  for (std::uint32_t c : by_item) {
+    out->U32(candidates_[c].item);
+    out->U64(candidates_[c].worst);
+    out->U64(offset[c + 1] - offset[c]);
+    for (std::size_t s = offset[c]; s < offset[c + 1]; ++s) {
+      out->U32(seen_lists[s]);
+    }
   }
 }
 
@@ -174,37 +239,42 @@ IncrementalNra IncrementalNra::LoadState(CheckpointReader* in) {
   nra.lists_.reserve(static_cast<std::size_t>(num_lists));
   for (std::uint64_t i = 0; i < num_lists; ++i) {
     List list;
+    list.begin = nra.entries_.size();
     const std::uint64_t num_entries = in->Count(8);
-    list.entries.reserve(static_cast<std::size_t>(num_entries));
     for (std::uint64_t e = 0; e < num_entries; ++e) {
       const ItemId item = in->U32();
       const std::uint32_t score = in->U32();
-      list.entries.emplace_back(item, score);
+      nra.entries_.emplace_back(item, score);
     }
-    list.next_pos = static_cast<std::size_t>(in->U64());
+    list.end = nra.entries_.size();
+    const std::uint64_t next_pos = in->U64();
     list.last_seen = in->U64();
-    if (list.next_pos > list.entries.size()) {
+    if (next_pos > num_entries) {
       throw CheckpointError(
           "corrupt checkpoint: NRA list cursor past the list's end");
     }
-    nra.lists_.push_back(std::move(list));
+    list.next = list.begin + static_cast<std::size_t>(next_pos);
+    nra.lists_.push_back(list);
   }
+  nra.entries_.shrink_to_fit();
   const std::uint64_t num_candidates = in->Count(20);
+  nra.candidates_.reserve(static_cast<std::size_t>(num_candidates));
   for (std::uint64_t c = 0; c < num_candidates; ++c) {
     const ItemId item = in->U32();
-    Candidate cand;
-    cand.worst = in->U64();
+    const std::uint32_t cand = nra.CandidateOf(item);
+    if (cand != c) {
+      throw CheckpointError("corrupt checkpoint: NRA candidate listed twice");
+    }
+    nra.candidates_[cand].worst = in->U64();
     const std::uint64_t num_seen = in->Count(4);
-    cand.seen_lists.reserve(static_cast<std::size_t>(num_seen));
     for (std::uint64_t s = 0; s < num_seen; ++s) {
       const std::uint32_t idx = in->U32();
       if (idx >= nra.lists_.size()) {
         throw CheckpointError(
             "corrupt checkpoint: NRA candidate references an unknown list");
       }
-      cand.seen_lists.push_back(idx);
+      nra.seen_.push_back(Seen{cand, idx});
     }
-    nra.candidates_.emplace(item, std::move(cand));
   }
   return nra;
 }
@@ -216,21 +286,12 @@ std::vector<RankedItem> IncrementalNra::TopK() const {
   for (const List& list : lists_) {
     if (!list.Exhausted() && list.last_seen != kUnknown) tail += list.last_seen;
   }
-  std::vector<RankedItem> ranked;
-  ranked.reserve(candidates_.size());
-  for (const auto& [item, cand] : candidates_) {
-    ranked.push_back(RankedItem{item, cand.worst, BestCase(cand, tail)});
-  }
-  auto before = [](const RankedItem& a, const RankedItem& b) {
-    if (a.worst != b.worst) return a.worst > b.worst;
-    if (a.best != b.best) return a.best > b.best;
-    return a.item < b.item;
-  };
-  std::sort(ranked.begin(), ranked.end(), before);
-  if (ranked.size() > static_cast<std::size_t>(k_)) {
-    ranked.resize(static_cast<std::size_t>(k_));
-  }
-  return ranked;
+  std::vector<RankedItem> ranked = Ranked(tail);
+  const std::size_t n = std::min(ranked.size(), static_cast<std::size_t>(k_));
+  const auto top = ranked.begin() + static_cast<std::ptrdiff_t>(n);
+  std::partial_sort(ranked.begin(), top, ranked.end(), RankedBefore);
+  // Query snapshots keep the answer for the query's life: exact capacity.
+  return std::vector<RankedItem>(ranked.begin(), top);
 }
 
 }  // namespace p3q

@@ -11,12 +11,22 @@
 // a best-case score (worst case plus the last-seen value of every active
 // list the item has not appeared in); scanning stops when the k-th
 // worst-case dominates every other candidate's best case.
+//
+// Layout: a query's accumulator lives for the query's life and is freed on
+// the serial serving path, so it is flat. Every list's entries sit in one
+// buffer, grown to exact capacity once per batch of lists (Reserve). The
+// candidates are a dense array behind an open-addressing item index, and
+// every consumed entry appends one (candidate, list) pair to a single log,
+// in consumption order: a candidate's seen lists are its pairs in log
+// order, which is the order SaveState writes. Freeing an accumulator is
+// five frees, whatever its size. tests/query_path_oracle_test.cc keeps the
+// node-based accumulator this replaced as its oracle.
 #ifndef P3Q_CORE_TOPK_H_
 #define P3Q_CORE_TOPK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -36,14 +46,20 @@ struct RankedItem {
 /// Incremental NRA accumulator.
 ///
 /// Usage per gossip cycle: AddList() for every partial result received this
-/// cycle, then Process() once, then TopK() for the refreshed answer.
+/// cycle (after one Reserve() for all of them), then Process() once, then
+/// TopK() for the refreshed answer.
 class IncrementalNra {
  public:
   explicit IncrementalNra(int k);
 
+  /// Makes room for `lists` more lists holding `entries` entries in all, so
+  /// that the AddList calls that follow fill buffers of exact capacity.
+  void Reserve(std::size_t lists, std::size_t entries);
+
   /// Registers a partial result list: (item, score) pairs sorted by score
-  /// descending. The list is scanned lazily by Process().
-  void AddList(std::vector<std::pair<ItemId, std::uint32_t>> entries);
+  /// descending, items unique. The entries are copied; the list is scanned
+  /// lazily by Process().
+  void AddList(std::span<const ItemScore> entries);
 
   /// Runs Algorithm 4: sweeps positions until the stop condition holds or
   /// every known list is exhausted. Returns the number of list entries
@@ -73,41 +89,64 @@ class IncrementalNra {
   void SaveState(CheckpointWriter* out) const;
 
   /// Reconstructs an accumulator saved with SaveState. Throws
-  /// CheckpointError on malformed input.
+  /// CheckpointError on malformed input: a list cursor past its list's end,
+  /// a seen-list id past the list count, or an item listed twice.
   static IncrementalNra LoadState(CheckpointReader* in);
 
  private:
+  /// One list: the entries [begin, end) of entries_, consumed up to next.
   struct List {
-    std::vector<std::pair<ItemId, std::uint32_t>> entries;
-    std::size_t next_pos = 0;  ///< entries consumed so far
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t next = 0;
     /// Score of the last consumed entry; kUnknown until the first
     /// consumption (an unscanned list bounds nothing).
     std::uint64_t last_seen = kUnknown;
-    bool Exhausted() const { return next_pos >= entries.size(); }
+    bool Exhausted() const { return next >= end; }
   };
   struct Candidate {
-    std::uint64_t worst = 0;
-    std::vector<std::uint32_t> seen_lists;  ///< list ids item appeared in
+    ItemId item = kInvalidItem;
+    std::uint64_t worst = 0;  ///< sum of the scores seen
+  };
+  /// One consumed entry: its candidate and the list it came from.
+  struct Seen {
+    std::uint32_t candidate = 0;
+    std::uint32_t list = 0;
   };
 
   static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoCandidate = 0xffffffffu;
 
   /// Sum of last_seen over active (scanned, non-exhausted) lists; kUnknown
   /// when some non-exhausted list has not been scanned yet.
   std::uint64_t ActiveTail() const;
 
-  /// Exact best-case score of a candidate given the current tail sum.
-  std::uint64_t BestCase(const Candidate& c, std::uint64_t tail) const;
+  /// Every candidate with its worst case and its exact best case given
+  /// `tail`: worst + tail minus the last_seen of each active list it was
+  /// seen in.
+  std::vector<RankedItem> Ranked(std::uint64_t tail) const;
 
   /// Evaluates the stop condition (worst of k-th >= every non-top-k best).
   bool StopConditionHolds() const;
 
-  /// Consumes entry `pos` of list `idx`.
-  void ConsumeEntry(std::uint32_t idx, std::size_t pos);
+  /// Consumes the next entry of list `idx`.
+  void ConsumeEntry(std::uint32_t idx);
+
+  /// The candidate of `item`, added with worst 0 when new.
+  std::uint32_t CandidateOf(ItemId item);
+
+  /// Slot of `item` in index_, or the empty slot that ends its probe run.
+  std::size_t Probe(ItemId item) const;
 
   int k_;
+  std::vector<ItemScore> entries_;
   std::vector<List> lists_;
-  std::unordered_map<ItemId, Candidate> candidates_;
+  std::vector<Candidate> candidates_;
+  std::vector<Seen> seen_;
+  /// Open addressing over a power-of-two table of candidate numbers
+  /// (kNoCandidate when empty), at most half full.
+  std::vector<std::uint32_t> index_;
+  int index_shift_ = 64;  ///< 64 - log2(index_.size())
   std::size_t total_scanned_ = 0;
 };
 

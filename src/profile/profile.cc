@@ -244,25 +244,55 @@ PairSimilarity ComputePairSimilarity(const Profile& a, const Profile& b) {
   return sim;
 }
 
-std::vector<std::pair<ItemId, std::uint32_t>> Profile::ScoreQuery(
-    const std::vector<TagId>& sorted_query_tags) const {
-  std::vector<std::pair<ItemId, std::uint32_t>> scores;
+QueryTags::QueryTags(std::span<const TagId> sorted_tags) : tags_(sorted_tags) {
+  for (TagId tag : sorted_tags) mask_[(tag >> 6) & 3] |= 1ull << (tag & 63);
+}
+
+void Profile::ScoreQuery(const QueryTags& query,
+                         std::vector<ItemScore>* out) const {
+  // Actions are sorted by (item, tag), so one item's hits are adjacent.
   ItemId current = kInvalidItem;
   std::uint32_t count = 0;
   for (ActionKey a : actions_) {
+    if (!query.Contains(ActionTag(a))) continue;
     const ItemId item = ActionItem(a);
     if (item != current) {
-      if (count > 0) scores.emplace_back(current, count);
+      if (count > 0) out->emplace_back(current, count);
       current = item;
       count = 0;
     }
-    if (std::binary_search(sorted_query_tags.begin(), sorted_query_tags.end(),
-                           ActionTag(a))) {
-      ++count;
+    ++count;
+  }
+  if (count > 0) out->emplace_back(current, count);
+}
+
+std::vector<ItemScore> RankQueryScores(std::span<const Profile* const> profiles,
+                                       const QueryTags& query,
+                                       std::vector<ItemScore>* scratch) {
+  std::vector<ItemScore>& hits = *scratch;
+  hits.clear();
+  for (const Profile* profile : profiles) profile->ScoreQuery(query, &hits);
+  // Sum each item's hits in place: after the sort they are adjacent.
+  std::sort(hits.begin(), hits.end(),
+            [](const ItemScore& a, const ItemScore& b) {
+              return a.first < b.first;
+            });
+  std::size_t n = 0;
+  for (const ItemScore& hit : hits) {
+    if (n > 0 && hits[n - 1].first == hit.first) {
+      hits[n - 1].second += hit.second;
+    } else {
+      hits[n++] = hit;
     }
   }
-  if (count > 0) scores.emplace_back(current, count);
-  return scores;
+  std::vector<ItemScore> ranked(hits.begin(),
+                                hits.begin() + static_cast<std::ptrdiff_t>(n));
+  std::sort(ranked.begin(), ranked.end(),
+            [](const ItemScore& a, const ItemScore& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return a.first < b.first;
+            });
+  return ranked;
 }
 
 }  // namespace p3q

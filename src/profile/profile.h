@@ -6,6 +6,18 @@
 // and the per-item relevance of a profile for a query Q = {t1..tn} is
 //   Score_{u,Q}(i) = |{ t ∈ Q : Tagged_u(i, t) }|.
 //
+// Query scoring (Algorithm 3's per-profile share, summed by the eager
+// mode's partial results and the centralized reference): QueryTags screens
+// each action's tag against a 256-bit mask of the query's tags, so a profile
+// that holds none of them (most profiles a query meets) costs one AND per
+// action, and only mask hits reach the exact search. Profile::ScoreQuery
+// appends a profile's hits to a buffer the caller owns, and RankQueryScores
+// is the one merge: it sorts the appended hits by item, sums them, and
+// ranks the sums into a list of exact capacity (the querier's NRA keeps
+// every list for the query's life).
+// tests/query_path_oracle_test.cc keeps the per-action binary-search scan
+// and the hash-map merge this replaced as its oracles.
+//
 // Profiles are immutable snapshots: updating a user's profile creates a new
 // snapshot with a bumped version. Replicas held by other users are
 // shared_ptr's to snapshots, so a replica is stale exactly when its version
@@ -26,6 +38,8 @@
 #ifndef P3Q_PROFILE_PROFILE_H_
 #define P3Q_PROFILE_PROFILE_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,6 +51,26 @@
 #include "profile/score_kernel.h"
 
 namespace p3q {
+
+/// A query's tags with a 256-bit screen: bit (tag mod 256) is set for every
+/// query tag, so a tag whose bit is clear is not in the query. Borrows the
+/// tags, which must outlive it.
+class QueryTags {
+ public:
+  /// `sorted_tags` ascending, as QuerySpec keeps them (the exact search is
+  /// a binary search).
+  explicit QueryTags(std::span<const TagId> sorted_tags);
+
+  /// True when `tag` is one of the query's tags.
+  bool Contains(TagId tag) const {
+    return ((mask_[(tag >> 6) & 3] >> (tag & 63)) & 1) != 0 &&
+           std::binary_search(tags_.begin(), tags_.end(), tag);
+  }
+
+ private:
+  std::span<const TagId> tags_;
+  std::array<std::uint64_t, 4> mask_{};
+};
 
 /// An immutable snapshot of one user's tagging profile.
 class Profile {
@@ -102,10 +136,9 @@ class Profile {
   /// for the common items".
   std::vector<ActionKey> ActionsOnItems(const std::vector<ItemId>& items) const;
 
-  /// Per-item query scores Score_{u,Q}(i) for every item with positive score,
-  /// as (item, score) pairs sorted by item id ascending.
-  std::vector<std::pair<ItemId, std::uint32_t>> ScoreQuery(
-      const std::vector<TagId>& sorted_query_tags) const;
+  /// Appends the per-item query scores Score_{u,Q}(i) of every item with a
+  /// positive score to `out`, as (item, score) pairs ascending by item.
+  void ScoreQuery(const QueryTags& query, std::vector<ItemScore>* out) const;
 
   /// Wire cost of shipping the full profile (36 B per action, Section 3.3).
   std::size_t WireBytes() const {
@@ -143,6 +176,14 @@ using ProfilePtr = std::shared_ptr<const Profile>;
 /// (profile/score_kernel.h) is differential-tested against.
 std::size_t CountCommonActions(std::span<const ActionKey> a,
                                std::span<const ActionKey> b);
+
+/// Score(Q, i) summed over `profiles` for every item with a positive sum,
+/// ordered by score descending, then item ascending, in a vector whose
+/// capacity equals its size. The per-profile hits are appended to
+/// `scratch`, a buffer the caller owns and may reuse across calls.
+std::vector<ItemScore> RankQueryScores(std::span<const Profile* const> profiles,
+                                       const QueryTags& query,
+                                       std::vector<ItemScore>* scratch);
 
 /// Computes PairSimilarity (profile/score_kernel.h) for two profiles with
 /// the scalar reference merge. Production scoring goes through

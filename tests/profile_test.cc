@@ -67,7 +67,8 @@ TEST(ProfileTest, ScoreQueryCountsMatchingTags) {
   const Profile p =
       MakeProfile(1, {{10, 1}, {10, 2}, {10, 3}, {20, 2}, {30, 7}});
   const std::vector<TagId> query{1, 2};  // sorted
-  const auto scores = p.ScoreQuery(query);
+  std::vector<ItemScore> scores;
+  p.ScoreQuery(QueryTags(query), &scores);
   ASSERT_EQ(scores.size(), 2u);
   EXPECT_EQ(scores[0], (std::pair<ItemId, std::uint32_t>{10, 2}));
   EXPECT_EQ(scores[1], (std::pair<ItemId, std::uint32_t>{20, 1}));
@@ -75,8 +76,11 @@ TEST(ProfileTest, ScoreQueryCountsMatchingTags) {
 
 TEST(ProfileTest, ScoreQueryEmptyWhenNoMatch) {
   const Profile p = MakeProfile(1, {{10, 1}});
-  EXPECT_TRUE(p.ScoreQuery({5, 6}).empty());
-  EXPECT_TRUE(p.ScoreQuery({}).empty());
+  const std::vector<TagId> miss{5, 6};
+  std::vector<ItemScore> scores;
+  p.ScoreQuery(QueryTags(miss), &scores);
+  p.ScoreQuery(QueryTags({}), &scores);
+  EXPECT_TRUE(scores.empty());
 }
 
 TEST(ProfileTest, DigestCoversItems) {

@@ -310,6 +310,29 @@ TEST(P3qSimScenarioCli, TraceNodeIdsThatDoNotFitAUserIdAreRefused) {
   std::remove(trace.c_str());
 }
 
+TEST(P3qSimScenarioCli, TraceNodeIdsPastTheRunsUsersAreRefused) {
+  // An id at or past --users used to run and write an empty trace.
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "/p3q_trace_nodes_bound.jsonl";
+  const std::string ckpt = dir + "/p3q_trace_nodes_bound.ckpt";
+  const std::string run = "--scenario=steady-state --users=60 "
+                          "--cycle-scale=0.1 --trace=\"" + trace + "\" ";
+  ExpectRefusal(run + "--trace-nodes=100", "must be below 60");
+  ExpectRefusal(run + "--trace-nodes=3,60", "must be below 60");
+  ASSERT_EQ(RunCli(run + "--trace-nodes=59"), 0);
+  EXPECT_FALSE(ReadFileOrEmpty(trace).empty());
+  // On --resume the bound is the checkpoint's population.
+  ASSERT_EQ(RunCli("--scenario=steady-state --users=60 --cycle-scale=0.1 "
+                   "--checkpoint-at=2 --checkpoint=\"" + ckpt + "\""),
+            0);
+  const std::string resume =
+      "--resume=\"" + ckpt + "\" --trace=\"" + trace + "\" ";
+  ExpectRefusal(resume + "--trace-nodes=60", "must be below 60");
+  EXPECT_EQ(RunCli(resume + "--trace-nodes=59"), 0);
+  std::remove(trace.c_str());
+  std::remove(ckpt.c_str());
+}
+
 TEST(P3qSimScenarioCli, ArrivalRateRunEmitsDeterministicQueryLatency) {
   const std::string dir = ::testing::TempDir();
   const std::string path_a = dir + "/p3q_openloop_a.json";
@@ -415,10 +438,37 @@ TEST(P3qSimScenarioCli, ArrivalSweepWritesTheSweepReport) {
   const std::string json = ReadFileOrEmpty(path);
   ASSERT_FALSE(json.empty());
   EXPECT_NE(json.find("\"sweep\""), std::string::npos);
-  EXPECT_NE(json.find("\"rate\": 1.00"), std::string::npos);
-  EXPECT_NE(json.find("\"rate\": 3.00"), std::string::npos);
+  EXPECT_NE(json.find("\"rate\": 1,"), std::string::npos);
+  EXPECT_NE(json.find("\"rate\": 3,"), std::string::npos);
   EXPECT_NE(json.find("\"goodput_per_cycle\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(P3qSimScenarioCli, FineArrivalSweepKeepsItsRatesApart) {
+  // Rates used to print with two decimals, so 0.001 ... 0.004 all read
+  // "0.00" in the JSON, the CSV and the table.
+  const std::string dir = ::testing::TempDir();
+  const std::string json_path = dir + "/p3q_fine_sweep.json";
+  const std::string csv_path = dir + "/p3q_fine_sweep.csv";
+  ASSERT_EQ(RunCli("--scenario=open-loop-saturation --users=40 "
+                   "--cycle-scale=0.1 --arrival-sweep=0.001:0.004:0.001 "
+                   "--json=\"" + json_path + "\" --csv=\"" + csv_path + "\""),
+            0);
+  const std::string json = ReadFileOrEmpty(json_path);
+  std::vector<double> rates;
+  for (std::size_t at = json.find("\"rate\": "); at != std::string::npos;
+       at = json.find("\"rate\": ", at + 1)) {
+    rates.push_back(std::stod(json.substr(at + 8)));
+  }
+  ASSERT_EQ(rates.size(), 4u) << json;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_NEAR(rates[static_cast<std::size_t>(i)], 0.001 * (i + 1), 1e-12);
+  }
+  const std::string csv = ReadFileOrEmpty(csv_path);
+  EXPECT_NE(csv.find("\n0.001,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\n0.004,"), std::string::npos) << csv;
+  std::remove(json_path.c_str());
+  std::remove(csv_path.c_str());
 }
 
 // --resume reads the run's shape from the snapshot: it runs with the

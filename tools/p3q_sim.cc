@@ -166,8 +166,9 @@ void PrintUsage() {
       "  --trace-filter=KINDS\n"
       "                     comma-separated event kinds to keep (default:\n"
       "                     all), e.g. query_issued,query_completed\n"
-      "  --trace-nodes=IDS  comma-separated node ids: keep only events whose\n"
-      "                     node or peer is listed (default: all nodes)\n"
+      "  --trace-nodes=IDS  comma-separated node ids, each below the run's\n"
+      "                     user count: keep only events whose node or peer\n"
+      "                     is listed (default: all nodes)\n"
       "  --trace-ring=N     flight-recorder mode: keep only the last N\n"
       "                     accepted events and dump them at exit or when an\n"
       "                     invariant throws (default: stream everything)\n"
@@ -796,9 +797,12 @@ int RunSweepMode(const Options& opt) {
     return std::string(buf);
   };
 
+  // Rates print in full (the shortest text that parses back to the rate),
+  // so a fine sweep's rows stay distinct.
   std::cout << "scenario: " << scenario.name << " — saturation sweep, rate "
-            << num(sweep.lo, 2) << " to " << num(sweep.hi, 2) << " step "
-            << num(sweep.step, 2) << "\nusers: " << opt.users
+            << FormatStrictDouble(sweep.lo) << " to "
+            << FormatStrictDouble(sweep.hi) << " step "
+            << FormatStrictDouble(sweep.step) << "\nusers: " << opt.users
             << ", seed: " << opt.seed << "\n\n";
 
   TablePrinter table({"rate", "issued", "completed", "in_slo", "abandoned",
@@ -833,7 +837,8 @@ int RunSweepMode(const Options& opt) {
             : static_cast<double>(q.completed_within_slo) /
                   static_cast<double>(report.total_cycles);
 
-    table.AddRow({num(rate, 2), TablePrinter::Fmt(q.issued),
+    const std::string rate_text = FormatStrictDouble(rate);
+    table.AddRow({rate_text, TablePrinter::Fmt(q.issued),
                   TablePrinter::Fmt(q.completed),
                   TablePrinter::Fmt(q.completed_within_slo),
                   TablePrinter::Fmt(q.abandoned),
@@ -841,7 +846,7 @@ int RunSweepMode(const Options& opt) {
                   num(p99.value, 1) + (p99.lower_bound ? "+" : ""),
                   num(goodput, 3)});
 
-    json << (first ? "" : ",\n") << "    {\"rate\": " << num(rate, 2)
+    json << (first ? "" : ",\n") << "    {\"rate\": " << rate_text
          << ", \"issued\": " << q.issued << ", \"completed\": " << q.completed
          << ", \"completed_within_slo\": " << q.completed_within_slo
          << ", \"abandoned\": " << q.abandoned
@@ -851,7 +856,7 @@ int RunSweepMode(const Options& opt) {
     if (p99.lower_bound) json << ", \"p99_lower_bound\": true";
     json << ", \"first_result_p50\": " << num(fr50.value, 2)
          << ", \"goodput_per_cycle\": " << num(goodput, 4) << "}";
-    csv << num(rate, 2) << "," << q.issued << "," << q.completed << ","
+    csv << rate_text << "," << q.issued << "," << q.completed << ","
         << q.completed_within_slo << "," << q.abandoned << ","
         << num(p50.value, 2) << "," << num(p95.value, 2) << ","
         << num(p99.value, 2) << "," << (p99.lower_bound ? 1 : 0) << ","
@@ -878,6 +883,20 @@ int RunSweepMode(const Options& opt) {
     std::cout << "CSV report: " << opt.csv_path << "\n";
   }
   return 0;
+}
+
+/// Refuses --trace-nodes ids at or past the run's population; on --resume
+/// the population comes from the checkpoint header.
+bool TraceNodesFitTheRun(const Options& opt) {
+  for (const p3q::UserId id : opt.trace_nodes) {
+    if (static_cast<std::int64_t>(id) >= opt.users) {
+      std::cerr << "--trace-nodes: node id " << id
+                << " is not a user of this run (ids must be below "
+                << opt.users << ")\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -925,8 +944,10 @@ int main(int argc, char** argv) {
       std::cerr << "cannot resume: " << e.what() << "\n";
       return 1;
     }
+    if (!TraceNodesFitTheRun(opt)) return 1;
     return RunScenarioMode(opt);
   }
+  if (!TraceNodesFitTheRun(opt)) return 1;
   return opt.arrival_sweep.has_value() ? RunSweepMode(opt)
                                        : RunScenarioMode(opt);
 }
