@@ -3,8 +3,8 @@
 // perf-trajectory harness records as pairs/sec: one node's profile scored
 // against a gossip-sized batch of candidates drawn from a delicious-like
 // trace — exactly the shape of the batched kernel call in ScreenProposals.
-// The "Skewed*" pair isolates the pair kernel's galloping fallback on
-// skewed pairs.
+// The "Skewed*" pair records what one skewed pair (12 vs 5,000 items) costs
+// through the pair kernel's block merge.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -96,7 +96,7 @@ void BM_PaperBatchedPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperBatchedPairs);
 
-/// Skewed pairs (tiny vs huge profile): the galloping fallback's territory.
+/// Skewed pairs (tiny vs huge profile): the block merge walks both sides.
 void BM_SkewedScalar(benchmark::State& state) {
   const p3q::Profile small = RandomProfile(1, 12, 100000, 3);
   const p3q::Profile large = RandomProfile(2, 5000, 100000, 4);

@@ -33,7 +33,7 @@ int main() {
   const double lazy_bits_per_user_cycle =
       8.0 * static_cast<double>(lazy.TotalBytes()) /
       static_cast<double>(system->network().NumOnline()) / lazy_cycles;
-  const double lazy_bps = lazy_bits_per_user_cycle / config.lazy_period_seconds;
+  const double lazy_bps = lazy_bits_per_user_cycle / kLazyPeriodSeconds;
 
   // --- eager per-query cost and latency ---
   const int num_queries =
@@ -53,7 +53,7 @@ int main() {
   }
   const double avg_query_kb = query_bytes / stats.size() / 1024.0;
   const double avg_cycles = completed ? cycles_sum / completed : -1;
-  const double answer_seconds = avg_cycles * config.eager_period_seconds;
+  const double answer_seconds = avg_cycles * kEagerPeriodSeconds;
   const double query_bps = avg_query_kb * 1024.0 * 8.0 /
                            (answer_seconds > 0 ? answer_seconds : 1);
 

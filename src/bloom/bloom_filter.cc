@@ -50,10 +50,6 @@ bool BloomFilter::MayContain(std::uint64_t key) const {
   return true;
 }
 
-void BloomFilter::Clear() {
-  for (auto& w : words_) w = 0;
-}
-
 std::size_t BloomFilter::CountOnes() const {
   std::size_t ones = 0;
   for (auto w : words_) ones += static_cast<std::size_t>(std::popcount(w));
@@ -66,38 +62,6 @@ double BloomFilter::FillRatio() const {
 
 double BloomFilter::EstimatedFpp() const {
   return std::pow(FillRatio(), num_hashes_);
-}
-
-bool BloomFilter::Empty() const {
-  for (auto w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-bool BloomFilter::SubsetOf(const BloomFilter& other) const {
-  if (other.num_bits_ != num_bits_) return false;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
-  }
-  return true;
-}
-
-bool BloomFilter::SameBits(const BloomFilter& other) const {
-  return num_bits_ == other.num_bits_ && words_ == other.words_;
-}
-
-bool BloomFilter::IntersectsWith(const BloomFilter& other) const {
-  if (other.num_bits_ != num_bits_) return false;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
-int BloomFilter::OptimalNumHashes(double bits_per_key) {
-  const int k = static_cast<int>(std::lround(bits_per_key * 0.6931471805599453));
-  return k < 1 ? 1 : k;
 }
 
 BloomFilter MakeItemDigest(const std::vector<ActionKey>& actions,

@@ -35,9 +35,6 @@ class BloomFilter {
   /// false negatives impossible).
   bool MayContain(std::uint64_t key) const;
 
-  /// Removes all entries.
-  void Clear();
-
   /// Number of bits set to one.
   std::size_t CountOnes() const;
 
@@ -48,30 +45,11 @@ class BloomFilter {
   /// (ones/m)^k.
   double EstimatedFpp() const;
 
-  /// True when no bit is set.
-  bool Empty() const;
-
-  /// True when other has every bit of *this set (so every key inserted here
-  /// may also be in other). Requires equal geometry.
-  bool SubsetOf(const BloomFilter& other) const;
-
-  /// True iff both filters have identical bit patterns. Used by Algorithm 1
-  /// to detect "Digest(ul) does not change".
-  bool SameBits(const BloomFilter& other) const;
-
-  /// Returns true when the two filters share at least one set bit; a cheap
-  /// necessary condition for a common item.
-  bool IntersectsWith(const BloomFilter& other) const;
-
   std::size_t num_bits() const { return num_bits_; }
   int num_hashes() const { return num_hashes_; }
 
   /// Wire size in bytes (the paper accounts 2500 B for a 20 Kbit digest).
   std::size_t SizeBytes() const { return num_bits_ / 8; }
-
-  /// Optimal number of hash functions for the given bits-per-key budget:
-  /// round(ln 2 * bits/key).
-  static int OptimalNumHashes(double bits_per_key);
 
  private:
   void Probe(std::uint64_t key, std::uint64_t* h1, std::uint64_t* h2) const;

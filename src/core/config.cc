@@ -13,11 +13,7 @@ std::string P3QConfig::Validate() const {
   if (alpha < 0.0 || alpha > 1.0) return "alpha must be in [0, 1]";
   if (top_k <= 0) return "top_k must be positive";
   if (digest_bits < 64) return "digest_bits must be at least 64";
-  if (offline_retry < 0) return "offline_retry must be non-negative";
-  if (eager_retry_cycles < 1) return "eager_retry_cycles must be positive";
   if (eager_gossip_budget < 0) return "eager_gossip_budget must be non-negative";
-  if (lazy_period_seconds <= 0) return "lazy_period_seconds must be positive";
-  if (eager_period_seconds <= 0) return "eager_period_seconds must be positive";
   return "";
 }
 

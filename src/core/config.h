@@ -10,6 +10,19 @@
 
 namespace p3q {
 
+/// Attempts to find an online gossip partner before skipping a cycle.
+inline constexpr int kOfflineRetry = 3;
+/// Cycles an eager task waits for an in-flight gossip's reply before it
+/// assumes the message lost and re-issues (superseding the old one). It
+/// exceeds the built-in scenarios' typical delays, so a hop is not re-sent
+/// while still in flight.
+inline constexpr int kEagerRetryCycles = 4;
+/// Lazy-mode period in seconds (paper: 60 s) — used only to convert cycle
+/// counts into wall-clock/bandwidth figures.
+inline constexpr double kLazyPeriodSeconds = 60.0;
+/// Eager-mode period in seconds (paper: 5 s).
+inline constexpr double kEagerPeriodSeconds = 5.0;
+
 /// All tunables of the P3Q protocol. Defaults follow the paper's evaluation
 /// (scaled values are chosen by the caller; the paper runs s=1000, r=10,
 /// 50-digest fanout, α=0.5, top-10 on 10,000 users).
@@ -31,24 +44,12 @@ struct P3QConfig {
   int top_k = 10;
   /// Bloom digest size in bits (paper: 20 Kbit).
   std::size_t digest_bits = kDefaultDigestBits;
-  /// Attempts to find an online gossip partner before skipping a cycle.
-  int offline_retry = 3;
-  /// Cycles an eager task waits for an in-flight gossip's reply before it
-  /// assumes the message lost and re-issues (superseding the old one).
-  /// Should exceed the latency model's typical delay, or every hop is
-  /// re-sent while still in flight.
-  int eager_retry_cycles = 4;
   /// Per-node per-cycle cap on planned eager task gossips; 0 = unlimited
   /// (the paper's model: every task gossips once per cycle). A finite
   /// budget makes per-node query capacity real — tasks beyond the budget
   /// wait for a later cycle — so open-loop saturation sweeps can push the
   /// system past its service rate and watch latency percentiles grow.
   int eager_gossip_budget = 0;
-  /// Lazy-mode period in seconds (paper: 60 s) — used only to convert cycle
-  /// counts into wall-clock/bandwidth figures.
-  double lazy_period_seconds = 60.0;
-  /// Eager-mode period in seconds (paper: 5 s).
-  double eager_period_seconds = 5.0;
   /// Distance between users ("application-specific; P3Q is independent of
   /// the way similarity is defined" — Section 2.1). Default: the paper's
   /// common-tagging-action count.

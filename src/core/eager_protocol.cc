@@ -110,7 +110,7 @@ UserId EagerProtocol::SelectDestination(const P3QNode* initiator,
             });
   rng->Shuffle(&others);
 
-  int attempts_left = system_->config().offline_retry + 1;
+  int attempts_left = kOfflineRetry + 1;
   for (const Scored& s : neighbours) {
     if (net.IsOnline(s.user)) return s.user;
     if (--attempts_left <= 0) return kInvalidUser;
@@ -250,9 +250,8 @@ void EagerProtocol::PlanCycle(UserId node_id, const PlanContext& ctx) {
     if (PlanGossip(&node, task, ctx, message.get())) {
       ++planned;
       task.in_flight = true;
-      task.in_flight_until = ctx.cycle + 1 +
-                             static_cast<std::uint64_t>(
-                                 system_->config().eager_retry_cycles);
+      task.in_flight_until =
+          ctx.cycle + 1 + static_cast<std::uint64_t>(kEagerRetryCycles);
     }
   }
   if (message->gossips.size() > 1) {
@@ -448,8 +447,12 @@ void EagerProtocol::Forget(std::uint64_t id) {
   QueryState& state = StateOrThrow(id);
   // Keep the drop total monotone across Forget (phase deltas subtract).
   forgotten_late_results_ += state.query->late_results_dropped();
-  for (UserId u : state.reached) {
-    system_->node(u).tasks().erase(id);
+  // active_tasks counts the nodes holding the query's task, and only
+  // reached nodes can hold one; a finished query has none to erase.
+  if (state.active_tasks > 0) {
+    for (UserId u : state.reached) {
+      system_->node(u).tasks().erase(id);
+    }
   }
   state_.erase(id);
 }
@@ -581,6 +584,12 @@ void EagerProtocol::SaveState(CheckpointWriter* out) const {
 void EagerProtocol::LoadState(CheckpointReader* in) {
   // Participants and shard mailboxes are intra-cycle scratch — empty at
   // every barrier, so a freshly constructed protocol starts them empty.
+  // The nodes, and so their tasks, are already loaded: count each query's
+  // holders to check the restored active-task counts against.
+  std::unordered_map<std::uint64_t, std::int64_t> holders;
+  for (UserId u = 0; u < static_cast<UserId>(system_->NumUsers()); ++u) {
+    for (const auto& [qid, task] : system_->node(u).tasks()) ++holders[qid];
+  }
   std::unordered_map<std::uint64_t, QueryState> loaded;
   const std::uint64_t num_queries = in->Count(64);
   std::uint64_t max_id = 0;
@@ -605,6 +614,14 @@ void EagerProtocol::LoadState(CheckpointReader* in) {
       throw CheckpointError("eager query " + std::to_string(id) +
                             " has a negative active task count");
     }
+    const auto held = holders.find(id);
+    const std::int64_t holding = held == holders.end() ? 0 : held->second;
+    if (active_tasks != holding) {
+      throw CheckpointError(
+          "eager query " + std::to_string(id) + " counts " +
+          std::to_string(active_tasks) + " active tasks but " +
+          std::to_string(holding) + " nodes hold its task");
+    }
     state.active_tasks = static_cast<int>(active_tasks);
     state.finalized = in->U8() != 0;
     loaded.emplace(id, std::move(state));
@@ -615,6 +632,13 @@ void EagerProtocol::LoadState(CheckpointReader* in) {
   const std::uint64_t next_id = in->U64();
   const std::uint64_t next_epoch = in->U64();
   in->Sentinel("eager protocol");
+  for (const auto& [qid, holding] : holders) {
+    if (!loaded.contains(qid)) {
+      throw CheckpointError("eager query " + std::to_string(qid) +
+                            " is not in the checkpoint but " +
+                            std::to_string(holding) + " nodes hold its task");
+    }
+  }
   if (num_queries > 0 && max_id >= next_id) {
     throw CheckpointError("eager query id " + std::to_string(max_id) +
                           " collides with the next-id allocator (" +

@@ -37,7 +37,7 @@
 //
 // Under a lagging or lossy latency model a task's gossip can be in flight
 // for several cycles, so each task gossips at most once concurrently: the
-// owner marks it in flight at plan time and waits eager_retry_cycles for
+// owner marks it in flight at plan time and waits kEagerRetryCycles for
 // the reply; past that deadline it bumps the task's generation (stamped
 // into every planned gossip) and re-issues from the current list. A
 // superseded or orphaned message that still arrives is counted and dropped

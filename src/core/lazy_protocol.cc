@@ -231,7 +231,7 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   const std::vector<DigestInfo>& view = node->random_view().entries();
   std::vector<std::uint32_t> pool(view.size());
   std::iota(pool.begin(), pool.end(), 0u);
-  for (int attempt = 0; attempt < system_->config().offline_retry; ++attempt) {
+  for (int attempt = 0; attempt < kOfflineRetry; ++attempt) {
     if (pool.empty()) break;
     const std::size_t pick =
         static_cast<std::size_t>(ctx.rng->NextUint64(pool.size()));
@@ -299,7 +299,7 @@ void LazyProtocol::PlanTopLayer(P3QNode* node, const PlanContext& ctx,
                                 GossipMessage* plan) {
   const Network& net = system_->network();
   std::vector<UserId> skip;
-  for (int attempt = 0; attempt <= system_->config().offline_retry; ++attempt) {
+  for (int attempt = 0; attempt <= kOfflineRetry; ++attempt) {
     const UserId dest = node->network().OldestNeighbour(skip);
     if (dest == kInvalidUser) return;
     if (!net.IsOnline(dest)) {

@@ -82,7 +82,7 @@ class LazyProtocol : public CycleProtocol {
   void EndPlan(std::uint64_t cycle) override;
 
   /// Commit of one delivered gossip message (view merges, offers, replica
-  /// fills, timestamps). Under the default ZeroLatency the message arrives
+  /// fills, timestamps). Under the default zero latency the message arrives
   /// at the same cycle's barrier — the classic semantics. Step-3 traffic
   /// goes to the worker's lane, Network::ShardTraffic(ctx.worker).
   void CommitMessage(UserId sender, DeliveryMessage& message,

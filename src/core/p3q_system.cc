@@ -68,10 +68,9 @@ void P3QSystem::SetLatency(const LatencySpec& spec) {
     throw std::invalid_argument("LatencySpec: " + problem);
   }
   latency_spec_ = spec;
-  // One shared model drives both engines; each engine keeps its own queue.
-  std::shared_ptr<const LatencyModel> model = MakeLatencyModel(spec);
-  engine_.SetLatencyModel(model);
-  eager_engine_.SetLatencyModel(std::move(model));
+  // Both engines deliver under the one spec; each keeps its own queue.
+  engine_.SetLatency(spec);
+  eager_engine_.SetLatency(spec);
 }
 
 DeliveryStats P3QSystem::DeliveryStatsTotal() const {
@@ -338,9 +337,9 @@ void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
 }
 
 void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
-  // Passing the store lets the loader share still-live snapshots (same
-  // owner/version/actions) through the snapshot pool and land rebuilt ones
-  // back on the store's arena shards.
+  // Passing the store lets the loader share the store's current snapshots
+  // (same owner/version/actions) and land rebuilt ones back on the store's
+  // arena shards.
   const ProfileTable profiles =
       ProfileTable::Deserialize(in, config_.digest_bits, &store_);
 

@@ -106,7 +106,7 @@ class P3QSystem {
   int threads() const { return engine_.threads(); }
 
   /// Installs the latency model governing message delivery on both engines
-  /// (sim/delivery.h). The default ZeroLatency commits every planned effect
+  /// (sim/engine.h). The default, zero latency, commits every planned effect
   /// at its own cycle's barrier, byte-identical to the synchronous engine;
   /// non-zero models put planned effects in flight for whole cycles.
   /// Results stay byte-identical across thread counts for every model.
@@ -264,7 +264,7 @@ class P3QSystem {
   Engine engine_;        ///< drives the lazy protocol's cycles
   Engine eager_engine_;  ///< drives the eager protocol's cycles
   std::vector<std::unique_ptr<P3QNode>> nodes_;
-  LatencySpec latency_spec_;  ///< default: ZeroLatency
+  LatencySpec latency_spec_;  ///< default: zero latency
   Tracer* tracer_ = nullptr;
 };
 

@@ -4,13 +4,6 @@
 #include <cassert>
 
 namespace p3q {
-namespace {
-
-std::uint64_t PoolKey(UserId owner, std::uint32_t version) {
-  return (static_cast<std::uint64_t>(owner) << 32) | version;
-}
-
-}  // namespace
 
 ProfileStore::ProfileStore() {
   arenas_.reserve(kArenaShards);
@@ -19,15 +12,6 @@ ProfileStore::ProfileStore() {
   }
 }
 
-ProfileStore::ProfileStore(ProfileStore&& other) noexcept
-    : current_(std::move(other.current_)),
-      arenas_(std::move(other.arenas_)),
-      retain_originals_(other.retain_originals_),
-      originals_(std::move(other.originals_)),
-      pool_(std::move(other.pool_)),
-      pool_hits_(other.pool_hits_),
-      pool_misses_(other.pool_misses_) {}
-
 void ProfileStore::AddUser(UserId user, std::vector<ActionKey> actions,
                            std::size_t digest_bits) {
   assert(user == current_.size() && "users must be added in id order");
@@ -35,7 +19,6 @@ void ProfileStore::AddUser(UserId user, std::vector<ActionKey> actions,
   const UserId id = static_cast<UserId>(current_.size());
   current_.push_back(std::make_shared<Profile>(id, std::move(actions), 0,
                                                digest_bits, ArenaOf(id)));
-  PoolRegister(current_.back());
 }
 
 ProfilePtr ProfileStore::ApplyUpdate(UserId user,
@@ -53,7 +36,6 @@ ProfilePtr ProfileStore::ApplyUpdate(UserId user,
   current_[user] = std::make_shared<Profile>(
       user, std::move(actions), old->version() + 1, old->DigestBytes() * 8,
       ArenaOf(user));
-  PoolRegister(current_[user]);
   return current_[user];
 }
 
@@ -74,7 +56,6 @@ void ProfileStore::RestoreSnapshots(std::vector<ProfilePtr> snapshots) {
     }
   }
   current_ = std::move(snapshots);
-  for (const ProfilePtr& p : current_) PoolRegister(p);
 }
 
 std::size_t ProfileStore::TotalActions() const {
@@ -93,46 +74,22 @@ std::span<const ActionKey> ProfileStore::OriginalActionsOf(UserId user) const {
 
 ProfilePtr ProfileStore::PoolFind(UserId owner, std::uint32_t version,
                                   std::span<const ActionKey> actions) const {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  const auto it = pool_.find(PoolKey(owner, version));
-  if (it != pool_.end()) {
-    if (ProfilePtr live = it->second.lock()) {
-      const std::span<const ActionKey> have = live->actions();
-      if (have.size() == actions.size() &&
-          std::equal(have.begin(), have.end(), actions.begin())) {
-        ++pool_hits_;
-        return live;
-      }
-    }
+  const ProfilePtr& live = current_[owner];
+  const std::span<const ActionKey> have = live->actions();
+  if (live->version() == version && have.size() == actions.size() &&
+      std::equal(have.begin(), have.end(), actions.begin())) {
+    ++pool_hits_;
+    return live;
   }
   ++pool_misses_;
   return nullptr;
 }
 
-void ProfileStore::PoolRegister(const ProfilePtr& snapshot) {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  pool_[PoolKey(snapshot->owner(), snapshot->version())] = snapshot;
-  // Sweep expired entries once the tombstones outnumber the population —
-  // keeps the pool O(live snapshots) under long update churn.
-  if (pool_.size() > 2 * current_.size() + 16) {
-    for (auto it = pool_.begin(); it != pool_.end();) {
-      if (it->second.expired()) {
-        it = pool_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
 ProfileStoreMemoryStats ProfileStore::MemoryStats() const {
   ProfileStoreMemoryStats stats;
   for (const auto& arena : arenas_) stats.arena += arena->Stats();
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    stats.pool_hits = pool_hits_;
-    stats.pool_misses = pool_misses_;
-  }
+  stats.pool_hits = pool_hits_;
+  stats.pool_misses = pool_misses_;
   for (const auto& [user, actions] : originals_) {
     stats.original_bytes += actions.size() * sizeof(ActionKey);
   }

@@ -12,11 +12,10 @@
 //    publishing concurrently don't contend on one allocator lock.
 //  - An update builds the next snapshot through the one Profile
 //    constructor, over the old actions plus the new ones.
-//  - A deduplicating snapshot pool maps (owner, version) to live snapshots
-//    so a checkpoint restore can reuse snapshots that already exist (e.g.
-//    the version-0 profiles of a freshly built system) instead of
-//    rebuilding digest + index; hits and misses are counted for
-//    MemoryStats.
+//  - A checkpoint restore reuses a user's current snapshot when the
+//    checkpoint holds the same version and actions (in a freshly built
+//    system, every user still at version 0), instead of rebuilding digest
+//    + index; hits and misses are counted for MemoryStats.
 //  - When told to (streaming traces), the store retains each updated
 //    user's original version-0 actions so workload generation can keep
 //    drawing against the original dataset without materializing it.
@@ -25,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -40,7 +38,7 @@ namespace p3q {
 struct ProfileStoreMemoryStats {
   /// Summed over the store's arena shards.
   ArenaStats arena;
-  /// Snapshot-pool reuse counters (checkpoint restore).
+  /// Checkpoint-restore reuse counters (ProfileStore::PoolFind).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   /// Bytes of retained original action vectors (streaming mode).
@@ -55,10 +53,9 @@ class ProfileStore {
 
   ProfileStore();
 
-  /// Movable (the builder paths return stores by value; P3QSystem adopts
-  /// one); the pool mutex is freshly constructed in the destination.
-  /// Not for concurrent use: nothing may probe the source mid-move.
-  ProfileStore(ProfileStore&& other) noexcept;
+  /// Movable: the builder paths return stores by value, and P3QSystem
+  /// adopts one.
+  ProfileStore(ProfileStore&&) noexcept = default;
   ProfileStore& operator=(ProfileStore&&) = delete;
   ProfileStore(const ProfileStore&) = delete;
   ProfileStore& operator=(const ProfileStore&) = delete;
@@ -106,9 +103,9 @@ class ProfileStore {
   /// an un-updated user.
   std::span<const ActionKey> OriginalActionsOf(UserId user) const;
 
-  /// Live snapshot with this exact (owner, version) and action set, if the
-  /// pool still holds one — the checkpoint codec's dedup path. Counts a hit
-  /// or miss.
+  /// The owner's current snapshot when it has exactly this version and
+  /// action set, else null — the checkpoint codec's dedup path. Counts a
+  /// hit or miss. Not for use while snapshots are being published.
   ProfilePtr PoolFind(UserId owner, std::uint32_t version,
                       std::span<const ActionKey> actions) const;
 
@@ -121,8 +118,6 @@ class ProfileStore {
   ProfileStoreMemoryStats MemoryStats() const;
 
  private:
-  void PoolRegister(const ProfilePtr& snapshot);
-
   std::vector<ProfilePtr> current_;
   std::vector<std::shared_ptr<SlabArena>> arenas_;
 
@@ -130,11 +125,6 @@ class ProfileStore {
   bool retain_originals_ = false;
   std::unordered_map<UserId, std::vector<ActionKey>> originals_;
 
-  /// (owner << 32 | version) -> live snapshot. Guarded by pool_mu_ so the
-  /// checkpoint codec can probe while snapshots are being published.
-  mutable std::mutex pool_mu_;
-  mutable std::unordered_map<std::uint64_t, std::weak_ptr<const Profile>>
-      pool_;
   mutable std::uint64_t pool_hits_ = 0;
   mutable std::uint64_t pool_misses_ = 0;
 };

@@ -1,7 +1,7 @@
 #include "profile/score_kernel.h"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "profile/profile.h"
 #include "profile/score_kernel_internal.h"
@@ -11,7 +11,6 @@ namespace p3q {
 namespace {
 
 using kernel_detail::AccumulateBlock;
-using kernel_detail::GallopTo;
 
 /// Open-addressing hash of the base profile's item blocks, built once per
 /// batch: block id -> index into the base's item bitmap. Power-of-two
@@ -146,25 +145,12 @@ ScoreIndexData ScoreIndexData::Build(std::span<const ActionKey> sorted_actions) 
 bool KernelSharesItem(const Profile& a, const Profile& b) {
   const BitmapView& x = a.index().items;
   const BitmapView& y = b.index().items;
-  const BitmapView& small = x.size() <= y.size() ? x : y;
-  const BitmapView& large = x.size() <= y.size() ? y : x;
-  if (small.size() * kGallopSkewRatio < large.size()) {
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < small.size() && j < large.size(); ++i) {
-      j = GallopTo(large.blocks.data(), large.size(), j, small.blocks[i]);
-      if (j < large.size() && large.blocks[j] == small.blocks[i] &&
-          (small.words[i] & large.words[j]) != 0) {
-        return true;
-      }
-    }
-    return false;
-  }
   std::size_t i = 0, j = 0;
-  while (i < small.size() && j < large.size()) {
-    const std::uint64_t bx = small.blocks[i];
-    const std::uint64_t by = large.blocks[j];
+  while (i < x.size() && j < y.size()) {
+    const std::uint64_t bx = x.blocks[i];
+    const std::uint64_t by = y.blocks[j];
     if (bx == by) {
-      if ((small.words[i] & large.words[j]) != 0) return true;
+      if ((x.words[i] & y.words[j]) != 0) return true;
       ++i;
       ++j;
     } else {
@@ -181,31 +167,6 @@ PairSimilarity KernelPairSimilarity(const Profile& a, const Profile& b) {
   const ScoreIndex& ib = b.index();
   const std::size_t na = ia.items.size();
   const std::size_t nb = ib.items.size();
-
-  if (std::min(na, nb) * kGallopSkewRatio < std::max(na, nb)) {
-    // Galloping fallback: walk the smaller side's item blocks, locating
-    // each in the larger side.
-    const bool a_small = na <= nb;
-    const ScoreIndex& s = a_small ? ia : ib;
-    const ScoreIndex& l = a_small ? ib : ia;
-    const std::span<const ActionKey> vs = a_small ? a.actions() : b.actions();
-    const std::span<const ActionKey> vl = a_small ? b.actions() : a.actions();
-    PairSimilarity oriented;  // oriented to (small, large)
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < s.items.size() && j < l.items.size(); ++i) {
-      j = GallopTo(l.items.blocks.data(), l.items.size(), j,
-                   s.items.blocks[i]);
-      if (j < l.items.size() && l.items.blocks[j] == s.items.blocks[i]) {
-        AccumulateBlock(s, vs, i, l, vl, j, &oriented);
-      }
-    }
-    sim = oriented;
-    if (!a_small) {
-      std::swap(sim.a_actions_on_common, sim.b_actions_on_common);
-    }
-    return sim;
-  }
-
   std::size_t i = 0, j = 0;
   while (i < na && j < nb) {
     const std::uint64_t x = ia.items.blocks[i];
@@ -250,12 +211,6 @@ void KernelPairSimilarityBatch(const Profile& base,
   for (std::size_t c = 0; c < n; ++c) {
     const Profile& cand = *candidates[c];
     const ScoreIndex& ic = cand.index();
-    // A candidate far larger than the base would pay O(candidate blocks)
-    // probes for nothing; the pair kernel's galloping path handles it.
-    if (ic.items.size() > ib.items.size() * kGallopSkewRatio) {
-      out[c] = KernelPairSimilarity(base, cand);
-      continue;
-    }
     PairSimilarity sim;  // oriented to (candidate, base) while probing
     for (std::size_t i = 0; i < ic.items.size(); ++i) {
       const std::size_t j = hash.Find(ic.items.blocks[i]);

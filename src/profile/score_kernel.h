@@ -19,10 +19,10 @@
 // per-batch amortization is where the pairs/sec multiple over the scalar
 // path comes from (bench/bench_micro_similarity.cc measures it).
 //
-// For very skewed pairs (one side much smaller than the other) a merge is
-// the wrong shape: the kernels fall back to galloping (exponential probe +
-// binary search) over the sorted block array of the larger side, which is
-// O(small * log(large)) instead of O(small + large).
+// A very skewed pair (one side far smaller than the other) takes the same
+// block merge, in O(small + large) steps: gossip traffic holds almost no
+// such pairs (docs/kernel.md has the counts), so no separate path serves
+// them.
 //
 // Every kernel returns *exact* intersection counts — bit-for-bit equal to
 // the scalar reference merges in profile.cc — so all four SimilarityMetrics
@@ -96,10 +96,6 @@ struct BitmapView {
 
   std::size_t size() const { return blocks.size(); }
 };
-
-/// Size ratio past which the kernels switch from the block-merge to
-/// galloping lookups of the smaller side in the larger one.
-inline constexpr std::size_t kGallopSkewRatio = 16;
 
 /// Batch size below which KernelPairSimilarityBatch skips building the
 /// per-batch hash of the base's item blocks and scores pair-by-pair — for

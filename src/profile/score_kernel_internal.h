@@ -7,7 +7,6 @@
 #ifndef P3Q_PROFILE_SCORE_KERNEL_INTERNAL_H_
 #define P3Q_PROFILE_SCORE_KERNEL_INTERNAL_H_
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -18,21 +17,6 @@
 
 namespace p3q {
 namespace kernel_detail {
-
-/// First index >= `from` with arr[index] >= target, by exponential probe +
-/// binary search. O(log distance) instead of O(distance).
-inline std::size_t GallopTo(const std::uint64_t* arr, std::size_t n,
-                            std::size_t from, std::uint64_t target) {
-  std::size_t step = 1;
-  std::size_t lo = from;
-  while (lo + step < n && arr[lo + step] < target) {
-    lo += step;
-    step <<= 1;
-  }
-  const std::size_t hi = std::min(n, lo + step + 1);
-  return static_cast<std::size_t>(
-      std::lower_bound(arr + lo, arr + hi, target) - arr);
-}
 
 /// Exact number of equal keys in two sorted unique action runs (the runs of
 /// one common item — typically a handful of actions each).

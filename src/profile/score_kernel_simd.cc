@@ -92,7 +92,8 @@ SimdLane SetSimdLane(SimdLane lane) {
 // Phase 1 streams every candidate's block array through the vector lanes —
 // range-check, gather, AND, zero-test, four blocks per step — and
 // compress-stores the packed (candidate << 32 | block index) of each block
-// whose AND survived into a flat survivor list. No scalar work
+// whose AND survived into a flat survivor list. Every candidate takes the
+// sweep, however much larger than the base it is. No scalar work
 // happens inside the sweep, so the branch predictor sees one tight
 // loop regardless of where the matches fall.
 //
@@ -155,26 +156,16 @@ bool BuildDenseTable(const ScoreIndex& ib, std::uint64_t* bmin_out,
   return true;
 }
 
-/// Flattens the batch into t_dense.tab and returns the total candidate
-/// block count (the survivor list's capacity bound). Skewed candidates are
-/// scored right here through the pair kernel's galloping path — a candidate
-/// far larger than the base would pay O(candidate blocks) sweep lanes for
-/// nothing — and pre-swapped so the batch-wide final swap restores them.
-std::size_t FlattenBatch(const Profile& base, const Profile* const* candidates,
-                         std::size_t n, PairSimilarity* out) {
-  const ScoreIndex& ib = base.index();
+/// Flattens the batch into t_dense.tab, zeroes `out`, and returns the total
+/// candidate block count (the survivor list's capacity bound).
+std::size_t FlattenBatch(const Profile* const* candidates, std::size_t n,
+                         PairSimilarity* out) {
   t_dense.tab.resize(n);
   std::size_t total = 0;
   for (std::size_t c = 0; c < n; ++c) {
     const Profile& cand = *candidates[c];
     const ScoreIndex& ic = cand.index();
     out[c] = PairSimilarity{};
-    if (ic.items.size() > ib.items.size() * kGallopSkewRatio) {
-      out[c] = KernelPairSimilarity(base, cand);
-      std::swap(out[c].a_actions_on_common, out[c].b_actions_on_common);
-      t_dense.tab[c].nblocks = 0;
-      continue;
-    }
     t_dense.tab[c] =
         CandRef{ic.items.blocks.data(),  ic.items.words.data(),
                 ic.item_rank.data(),     ic.item_counts.data(),
@@ -280,7 +271,7 @@ __attribute__((target("avx2"))) bool Avx2PairSimilarityBatch(
   const ScoreIndex& ib = base.index();
   std::uint64_t bmin = 0, span = 0;
   if (!BuildDenseTable(ib, &bmin, &span)) return false;
-  const std::size_t total = FlattenBatch(base, candidates, n, out);
+  const std::size_t total = FlattenBatch(candidates, n, out);
   // The compressed store writes a full vector; headroom past `total` keeps
   // the overshoot in bounds.
   t_dense.survivors.resize(total + 4);

@@ -236,7 +236,7 @@ ProfileRollup RollupProfile(
 std::string ScenarioReportToJson(const ScenarioReport& report,
                                  bool include_timing) {
   // The delivery block appears only under a non-zero latency model, so
-  // ZeroLatency reports stay byte-identical to the synchronous engine's.
+  // zero-latency reports stay byte-identical to the synchronous engine's.
   const bool include_delivery = !report.latency.IsZero();
   // Trace/profile blocks require BOTH the opt-in timing gate and an actually
   // observed run, so a traced run's default report stays byte-identical to
@@ -343,7 +343,7 @@ std::string ScenarioReportToJson(const ScenarioReport& report,
 std::string ScenarioReportToCsv(const ScenarioReport& report,
                                 bool include_timing) {
   // Delivery columns appear only under a non-zero latency model (the same
-  // gating as the JSON emitter) so ZeroLatency CSV stays byte-identical.
+  // gating as the JSON emitter) so zero-latency CSV stays byte-identical.
   const bool include_delivery = !report.latency.IsZero();
   // Same double gate as the JSON emitter: trace/profile columns need both
   // the timing opt-in and an observed run.

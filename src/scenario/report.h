@@ -9,7 +9,7 @@
 // identically by default. Runs under a non-zero latency model additionally
 // carry a (deterministic) delivery block — enqueued/delivered/dropped
 // counts, in-flight depth and delivery-lag percentiles, plus the lag
-// histogram in the totals; under the default ZeroLatency the block is
+// histogram in the totals; under the default zero latency the block is
 // omitted entirely so output stays byte-identical to the synchronous
 // engine's. Open-loop runs (any phase with an arrival process) likewise
 // carry a query_latency block per phase and in the totals — issue counts,

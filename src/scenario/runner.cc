@@ -532,7 +532,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   };
   if (options.threads > 0) system.SetThreads(options.threads);
   // The CLI override wins over the scenario's own latency block; the
-  // default is ZeroLatency (byte-identical to the synchronous engine).
+  // default is zero latency (byte-identical to the synchronous engine).
   const LatencySpec latency = options.latency.value_or(scenario.latency);
   system.SetLatency(latency);
   system.SetTracer(options.tracer);

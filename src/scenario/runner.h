@@ -133,8 +133,8 @@ struct MemoryReport {
   std::uint64_t arena_slabs = 0;
   std::uint64_t arena_live_blocks = 0;
   std::uint64_t arena_recycled_slabs = 0;
-  /// Snapshot-pool dedup counters (checkpoint restores reuse live
-  /// snapshots instead of rebuilding them).
+  /// Checkpoint-restore counters: snapshots that reused the store's
+  /// current snapshot, and snapshots that had to be rebuilt.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   /// Probe-memo tables, personal-network storage and random views, summed
@@ -180,8 +180,8 @@ struct PhaseReport {
   double success_ratio = 0;
   /// Traffic of this phase only, per MessageType.
   Metrics traffic;
-  /// Delivery-layer counters of this phase only (zero under ZeroLatency
-  /// lag-wise: everything delivers with lag 0).
+  /// Delivery-layer counters of this phase only (zero lag-wise under zero
+  /// latency: everything delivers with lag 0).
   DeliveryStats delivery;
   /// Messages still in flight when the phase ended.
   std::size_t in_flight_at_end = 0;
@@ -214,7 +214,7 @@ struct ScenarioReport {
   double alpha = 0;
   /// The latency model the run used (scenario's own, or the CLI override).
   /// Reports serialize a delivery block only when this is non-zero, so
-  /// ZeroLatency output stays byte-identical to the synchronous engine's.
+  /// zero-latency output stays byte-identical to the synchronous engine's.
   LatencySpec latency;
   std::vector<PhaseReport> phases;
 

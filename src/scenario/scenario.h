@@ -95,7 +95,7 @@ struct Scenario {
   std::string name;
   std::string description;
   /// Message-delivery latency model the whole timeline runs under
-  /// (sim/delivery.h). The default ZeroLatency reproduces the synchronous
+  /// (sim/engine.h). The default, zero latency, reproduces the synchronous
   /// engine byte for byte; non-zero models put every planned gossip effect
   /// in flight for whole cycles and surface delivery-lag statistics in the
   /// reports.

@@ -146,11 +146,11 @@ class ProfilePool {
 /// Profile constructor deterministically rebuilds digest and score index)
 /// and resolves pool ids back to shared ProfilePtr handles.
 ///
-/// When `reuse` is given, each pooled entry is first looked up in the
-/// store's snapshot pool: a live snapshot with the same (owner, version)
-/// and byte-identical action set is shared instead of rebuilt, and cache
-/// misses rebuild into the store's arena shard for that owner — so a
-/// restored system's profile memory lands back on the slab arenas.
+/// When `reuse` is given, each pooled entry is first compared with the
+/// store's current snapshot of its owner (ProfileStore::PoolFind): one with
+/// the same version and byte-identical action set is shared instead of
+/// rebuilt, and misses rebuild into the store's arena shard for that owner
+/// — so a restored system's profile memory lands back on the slab arenas.
 class ProfileTable {
  public:
   static ProfileTable Deserialize(CheckpointReader* in,

@@ -38,6 +38,21 @@ bool ParseU64(const std::string& s, std::uint64_t* out) {
 
 }  // namespace
 
+std::optional<std::uint64_t> LatencySpec::Delay(Rng* rng) const {
+  switch (kind) {
+    case LatencyKind::kZero:
+      return 0;
+    case LatencyKind::kFixed:
+      return fixed;
+    case LatencyKind::kUniform:
+      return lo + rng->NextUint64(hi - lo + 1);
+    case LatencyKind::kLossy:
+      if (rng->NextBool(loss)) return std::nullopt;
+      return rng->NextUint64(max_delay + 1);
+  }
+  return 0;
+}
+
 std::string LatencySpec::Name() const {
   switch (kind) {
     case LatencyKind::kZero:
@@ -107,33 +122,6 @@ std::string ParseLatencySpec(const std::string& text, LatencySpec* spec) {
   }
   *spec = parsed;
   return "";
-}
-
-std::string FixedLatency::Name() const {
-  return "fixed:" + std::to_string(k_);
-}
-
-std::string UniformLatency::Name() const {
-  return "uniform:" + std::to_string(lo_) + ":" + std::to_string(hi_);
-}
-
-std::string LossyLatency::Name() const {
-  return "lossy:" + FormatStrictDouble(p_) + ":" +
-         std::to_string(max_delay_);
-}
-
-std::unique_ptr<const LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
-  switch (spec.kind) {
-    case LatencyKind::kZero:
-      return std::make_unique<ZeroLatency>();
-    case LatencyKind::kFixed:
-      return std::make_unique<FixedLatency>(spec.fixed);
-    case LatencyKind::kUniform:
-      return std::make_unique<UniformLatency>(spec.lo, spec.hi);
-    case LatencyKind::kLossy:
-      return std::make_unique<LossyLatency>(spec.loss, spec.max_delay);
-  }
-  return std::make_unique<ZeroLatency>();
 }
 
 void DeliveryQueue::EnqueuePending(std::size_t shard, UserId sender,

@@ -354,8 +354,7 @@ std::unique_ptr<DeliveryMessage> CycleProtocol::DecodeMessage(
 void PlanContext::Send(std::unique_ptr<DeliveryMessage> message) const {
   std::uint64_t delay = 0;
   if (latency != nullptr) {
-    const std::optional<std::uint64_t> d =
-        latency->Delay(cycle, node, delivery_rng);
+    const std::optional<std::uint64_t> d = latency->Delay(delivery_rng);
     if (!d.has_value()) {
       queue->RecordPlannedDrop(shard, node, cycle);
       return;
@@ -376,10 +375,6 @@ Engine::Engine(std::size_t num_nodes, std::uint64_t seed,
       alive_(num_nodes, 1) {}
 
 Engine::~Engine() = default;
-
-void Engine::SetLatencyModel(std::shared_ptr<const LatencyModel> model) {
-  latency_ = std::move(model);
-}
 
 void Engine::SetTracer(Tracer* tracer) {
   tracer_ = tracer;
@@ -428,10 +423,9 @@ void Engine::SnapshotLiveness() {
 }
 
 void Engine::RunPlanPhase() {
-  // ZeroLatency (or no model) takes the fast path: no model consultation,
-  // no delivery-stream forks, every message due this cycle.
-  const LatencyModel* latency =
-      (latency_ != nullptr && !latency_->IsZero()) ? latency_.get() : nullptr;
+  // Zero latency takes the fast path: no spec consultation, no
+  // delivery-stream forks, every message due this cycle.
+  const LatencySpec* latency = latency_.IsZero() ? nullptr : &latency_;
   // Per-shard wall-clock is only tracked while profiling; each slot is
   // written by the one thread that planned the shard, so no synchronization
   // is needed beyond the pool's barrier.

@@ -41,12 +41,12 @@
 //
 // Asynchronous delivery (sim/delivery.h) sits between the two phases: a
 // protocol's plan code packages its buffered effects as a self-contained
-// DeliveryMessage and hands it to PlanContext::Send. A pluggable
-// LatencyModel decides at send time when the message commits (the default
-// ZeroLatency commits it in the drain of the cycle that sent it); the engine
-// drains every due message during the commit phase in (due cycle, sender,
-// seq) order, invoking the protocol's CommitMessage with a per-(cycle,
-// sender) forked stream.
+// DeliveryMessage and hands it to PlanContext::Send. The engine's
+// LatencySpec decides at send time when the message commits (the default,
+// zero latency, commits it in the drain of the cycle that sent it); the
+// engine drains every due message during the commit phase in (due cycle,
+// sender, seq) order, invoking the protocol's CommitMessage with a
+// per-(cycle, sender) forked stream.
 //
 // The drain is sequential unless the protocol declares commit footprints
 // (CycleProtocol::DeclaresCommitFootprints): the users whose state each
@@ -75,6 +75,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,7 +88,6 @@ namespace p3q {
 
 class PlanWorkerPool;    // persistent plan-phase workers (engine.cc)
 class DeliveryQueue;     // timestamped in-flight messages (sim/delivery.h)
-class LatencyModel;      // pluggable delay/loss policy (sim/delivery.h)
 class Tracer;            // deterministic event tracing (obs/trace.h)
 struct TraceEvent;       // one trace record (obs/trace.h)
 class PhaseProfiler;     // wall-clock phase profiling (obs/profiler.h)
@@ -109,6 +109,44 @@ struct DeliveryMessage {
 /// thread count, so shard-indexed mailboxes merge identically for every N.
 inline constexpr std::size_t kEngineShards = 64;
 
+/// The built-in latency model families.
+enum class LatencyKind { kZero, kFixed, kUniform, kLossy };
+
+/// Longest delay a latency spec accepts, in cycles. It keeps a message's
+/// due cycle (send cycle + delay) from wrapping, and a uniform draw's range
+/// (hi - lo + 1) from wrapping to 0.
+inline constexpr std::uint64_t kMaxLatencyCycles = 1'000'000'000;
+
+/// The latency model an engine delivers messages under — what scenarios
+/// embed and the --latency/--loss CLI flags parse into (ParseLatencySpec in
+/// sim/delivery.h; sim/delivery.cc defines these members).
+struct LatencySpec {
+  LatencyKind kind = LatencyKind::kZero;
+  std::uint64_t fixed = 0;      ///< kFixed: the delay in cycles
+  std::uint64_t lo = 0;         ///< kUniform: minimum delay
+  std::uint64_t hi = 0;         ///< kUniform: maximum delay
+  double loss = 0.0;            ///< kLossy: per-message drop probability
+  std::uint64_t max_delay = 0;  ///< kLossy: survivors delayed in [0, this]
+
+  bool IsZero() const { return kind == LatencyKind::kZero; }
+
+  /// Delay in cycles for one message, or std::nullopt when it is lost.
+  /// `rng` is the sender's dedicated per-(cycle, node) delivery stream, the
+  /// only randomness allowed: uniform draws one NextUint64(hi - lo + 1);
+  /// lossy draws one NextBool(loss), then one NextUint64(max_delay + 1) for
+  /// a survivor; zero and fixed draw nothing (a null rng is safe). The spec
+  /// must pass Validate().
+  std::optional<std::uint64_t> Delay(Rng* rng) const;
+
+  /// Canonical compact form: "zero", "fixed:2", "uniform:1:3",
+  /// "lossy:0.1:4". Round-trips through ParseLatencySpec.
+  std::string Name() const;
+
+  /// Empty when well formed, else a description of the first problem.
+  /// Every delay must be at most kMaxLatencyCycles.
+  std::string Validate() const;
+};
+
 /// Everything a plan-phase callback may use besides the node id.
 struct PlanContext {
   std::uint64_t cycle = 0;
@@ -123,18 +161,19 @@ struct PlanContext {
   Rng* rng = nullptr;
 
   /// Puts a self-contained planned effect on the wire: the engine's latency
-  /// model picks the delivery cycle (or drops the message), and the
+  /// spec picks the delivery cycle (or drops the message), and the
   /// protocol's CommitMessage is invoked when it arrives. Race-free from
   /// plan threads (per-shard pending lists).
   void Send(std::unique_ptr<DeliveryMessage> message) const;
 
   // Engine-internal delivery wiring (set up per node by the plan phase).
   DeliveryQueue* queue = nullptr;
-  /// Null for ZeroLatency — the fast path skips the model entirely.
-  const LatencyModel* latency = nullptr;
+  /// The engine's spec; null for zero latency, whose fast path consults
+  /// nothing and delivers every message this cycle.
+  const LatencySpec* latency = nullptr;
   /// Dedicated per-(cycle, node) stream for delay/loss draws (kDeliverySalt),
   /// so the latency model never perturbs the protocol's own plan stream.
-  /// Null for ZeroLatency.
+  /// Null for zero latency.
   Rng* delivery_rng = nullptr;
 };
 
@@ -306,12 +345,11 @@ class Engine {
   void SetThreads(int threads);
   int threads() const { return threads_; }
 
-  /// Installs the latency model governing message delivery (shared so both
-  /// of a system's engines can use one model). Null or ZeroLatency selects
-  /// the zero-latency fast path — byte-identical to the synchronous engine.
-  /// Messages already in flight keep their delivery cycles.
-  void SetLatencyModel(std::shared_ptr<const LatencyModel> model);
-  const LatencyModel* latency_model() const { return latency_.get(); }
+  /// Sets the latency model governing message delivery; the spec must pass
+  /// Validate(). Zero latency (the default) is the fast path —
+  /// byte-identical to the synchronous engine. Messages already in flight
+  /// keep their delivery cycles.
+  void SetLatency(const LatencySpec& spec) { latency_ = spec; }
 
   /// Attaches a deterministic event tracer (obs/trace.h): the engine folds
   /// its per-shard plan buffers at every cycle barrier (so traces are
@@ -395,7 +433,7 @@ class Engine {
 
   CycleProtocol* protocol_;
   std::unique_ptr<DeliveryQueue> queue_;  ///< the protocol's messages
-  std::shared_ptr<const LatencyModel> latency_;
+  LatencySpec latency_;
   std::function<bool(UserId)> liveness_;
   std::size_t num_nodes_;
   std::uint64_t seed_;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include "core/eager_protocol.h"
 #include "core/p3q_system.h"
 #include "core/query.h"
+#include "dataset/update_batch.h"
 #include "obs/trace.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
@@ -289,6 +291,95 @@ TEST(CheckpointSystemTest, EmptyEagerTaskIsRejected) {
   task.tags = {1};
   env.system->node(3).tasks().emplace(task.query_id, task);
   ExpectLoadRejected(env, "user 3 holds an empty task for query 7");
+}
+
+TEST(CheckpointSystemTest, ActiveTaskCountOtherThanTheHoldersIsRejected) {
+  // The eager section counts, per query, the nodes holding its task, and
+  // Forget trusts that count. A query whose restored nodes disagree with
+  // it is refused: a holder missing, one too many, or a task of a query
+  // the section does not hold.
+  {
+    test::TestSystem env({.users = 40});
+    const std::uint64_t qid = env.system->IssueQuery(env.QueryOf(0));
+    ASSERT_FALSE(env.system->QueryComplete(qid));
+    env.system->node(0).tasks().erase(qid);
+    ExpectLoadRejected(env, "eager query " + std::to_string(qid) +
+                                " counts 1 active tasks but 0 nodes hold "
+                                "its task");
+  }
+  {
+    test::TestSystem env({.users = 40});
+    const std::uint64_t qid = env.system->IssueQuery(env.QueryOf(0));
+    ASSERT_FALSE(env.system->QueryComplete(qid));
+    env.system->node(5).tasks().emplace(qid,
+                                        env.system->node(0).tasks().at(qid));
+    ExpectLoadRejected(env, "eager query " + std::to_string(qid) +
+                                " counts 1 active tasks but 2 nodes hold "
+                                "its task");
+  }
+  {
+    test::TestSystem env({.users = 40});
+    const std::uint64_t qid = env.system->IssueQuery(env.QueryOf(0));
+    ASSERT_FALSE(env.system->QueryComplete(qid));
+    EagerTask orphan = env.system->node(0).tasks().at(qid);
+    orphan.query_id = qid + 100;
+    env.system->node(5).tasks().emplace(orphan.query_id, orphan);
+    ExpectLoadRejected(env, "eager query " + std::to_string(qid + 100) +
+                                " is not in the checkpoint but 1 nodes "
+                                "hold its task");
+  }
+}
+
+TEST(CheckpointSystemTest, RestoreSharesTheFreshStoresUnchangedSnapshots) {
+  // A checkpoint restores into a freshly built system, whose only live
+  // snapshots are its store's version-0 ones. Every version-0 snapshot in
+  // the checkpoint must share the fresh store's object and count as a hit;
+  // the updated users' new snapshots must be rebuilt and count as misses.
+  constexpr UserId kUsers = 40;
+  test::TestSystem env({.users = kUsers});
+  env.system->RunLazyCycles(2);
+  UpdateBatch batch;
+  std::vector<std::weak_ptr<const Profile>> replaced;
+  for (UserId u = 0; u < kUsers; u += 3) {
+    batch.updates.push_back(
+        ProfileUpdate{u, {MakeAction(1'000'000 + u, 1), MakeAction(7, 2)}});
+    replaced.push_back(env.system->profile_store().Get(u));
+  }
+  env.system->ApplyUpdateBatch(batch);
+  // Replicas and random views may still hold an updated user's version 0,
+  // which the checkpoint then carries too.
+  const std::size_t held_originals = static_cast<std::size_t>(
+      std::count_if(replaced.begin(), replaced.end(),
+                    [](const auto& weak) { return !weak.expired(); }));
+  CheckpointWriter out;
+  env.system->SaveCheckpoint(&out);
+
+  test::TestSystem fresh({.users = kUsers});
+  const ProfileStore& store = fresh.system->profile_store();
+  std::vector<const Profile*> originals;
+  for (UserId u = 0; u < kUsers; ++u) originals.push_back(store.Get(u).get());
+  const ProfileStoreMemoryStats before = store.MemoryStats();
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  fresh.system->LoadCheckpoint(&in);
+  in.ExpectEnd();
+
+  const ProfileStoreMemoryStats after = store.MemoryStats();
+  for (UserId u = 0; u < kUsers; ++u) {
+    const Profile& restored = *store.Get(u);
+    if (u % 3 == 0) {
+      EXPECT_NE(&restored, originals[u]) << "user " << u;
+      EXPECT_EQ(restored.version(), 1u) << "user " << u;
+      EXPECT_TRUE(std::ranges::equal(
+          restored.actions(), env.system->profile_store().Get(u)->actions()))
+          << "user " << u;
+    } else {
+      EXPECT_EQ(&restored, originals[u]) << "user " << u;
+    }
+    EXPECT_EQ(fresh.system->node(u).profile().get(), &restored);
+  }
+  EXPECT_EQ(after.pool_misses - before.pool_misses, batch.updates.size());
+  EXPECT_EQ(after.pool_hits - before.pool_hits,
+            kUsers - batch.updates.size() + held_originals);
 }
 
 TEST(CheckpointSystemTest, ProbedUserPastThePopulationIsRejected) {

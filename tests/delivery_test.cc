@@ -69,47 +69,45 @@ TEST(LatencySpecParse, ValidateCatchesBadRanges) {
 }
 
 // ---------------------------------------------------------------------------
-// Latency models.
+// Latency models: LatencySpec::Delay.
 // ---------------------------------------------------------------------------
 
 TEST(LatencyModels, ZeroIsInstantAndDrawsNothing) {
-  ZeroLatency model;
-  EXPECT_TRUE(model.IsZero());
+  const LatencySpec spec;
+  EXPECT_TRUE(spec.IsZero());
   // Delay never touches the rng: a null stream must be safe (this is the
   // engine's fast path, which skips forking delivery streams entirely).
-  EXPECT_EQ(model.Delay(5, 3, nullptr), 0u);
+  EXPECT_EQ(spec.Delay(nullptr), 0u);
 }
 
 TEST(LatencyModels, FixedAlwaysReturnsK) {
-  FixedLatency model(4);
+  const LatencySpec spec = test::Latency("fixed:4");
   Rng rng(1);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(model.Delay(static_cast<std::uint64_t>(i), 7, &rng), 4u);
-  }
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(spec.Delay(&rng), 4u);
 }
 
 TEST(LatencyModels, UniformStaysInRangeAndIsStreamDeterministic) {
-  UniformLatency model(1, 3);
+  const LatencySpec spec = test::Latency("uniform:1:3");
   std::set<std::uint64_t> seen;
   Rng a(42), b(42);
   for (int i = 0; i < 200; ++i) {
-    const auto d = model.Delay(0, 0, &a);
+    const auto d = spec.Delay(&a);
     ASSERT_TRUE(d.has_value());
     EXPECT_GE(*d, 1u);
     EXPECT_LE(*d, 3u);
     seen.insert(*d);
-    EXPECT_EQ(model.Delay(0, 0, &b), d);  // equal streams, equal draws
+    EXPECT_EQ(spec.Delay(&b), d);  // equal streams, equal draws
   }
   EXPECT_EQ(seen.size(), 3u);  // every value of the range appears
 }
 
 TEST(LatencyModels, LossyDropsAtRoughlyTheConfiguredRate) {
-  LossyLatency model(0.3, 2);
+  const LatencySpec spec = test::Latency("lossy:0.3:2");
   Rng rng(9);
   int dropped = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    const auto d = model.Delay(0, 0, &rng);
+    const auto d = spec.Delay(&rng);
     if (!d.has_value()) {
       ++dropped;
     } else {
@@ -120,11 +118,38 @@ TEST(LatencyModels, LossyDropsAtRoughlyTheConfiguredRate) {
   EXPECT_LT(dropped, n * 3 * 2 / 10);
 }
 
-TEST(LatencyModels, FactoryBuildsTheSpecifiedModel) {
-  for (const char* text : {"zero", "fixed:2", "uniform:1:3", "lossy:0.1:4"}) {
+TEST(LatencyModels, ParsedSpecsDrawThePinnedSequences) {
+  // Each kind's first 16 delays off Rng(0x5eed) and the stream's next raw
+  // draw, recorded from the per-kind model classes LatencySpec replaced
+  // (kLost marks a dropped message). A change in what or how often Delay
+  // draws would change every lagged run's output; this pins both.
+  constexpr std::uint64_t kLost = ~std::uint64_t{0};
+  const struct {
+    const char* text;
+    std::vector<std::uint64_t> delays;
+    std::uint64_t next_raw;
+  } kCases[] = {
+      {"zero", std::vector<std::uint64_t>(16, 0), 17236385663644093300u},
+      {"fixed:2", std::vector<std::uint64_t>(16, 2), 17236385663644093300u},
+      {"uniform:1:3",
+       {3, 3, 3, 3, 3, 2, 1, 2, 3, 3, 1, 3, 2, 1, 2, 1},
+       10335051860934049125u},
+      {"lossy:0.1:4",
+       {4, 4, 2, 2, 3, 3, 1, 1, 2, 3, 2, kLost, 0, 4, 1, 3},
+       11267681626329181556u},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.text);
     LatencySpec spec;
-    ASSERT_EQ(ParseLatencySpec(text, &spec), "");
-    EXPECT_EQ(MakeLatencyModel(spec)->Name(), text);
+    ASSERT_EQ(ParseLatencySpec(c.text, &spec), "");
+    EXPECT_EQ(spec.Name(), c.text);
+    Rng rng(0x5eed);
+    std::vector<std::uint64_t> delays;
+    for (int i = 0; i < 16; ++i) {
+      delays.push_back(spec.Delay(&rng).value_or(kLost));
+    }
+    EXPECT_EQ(delays, c.delays);
+    EXPECT_EQ(rng(), c.next_raw);
   }
 }
 
@@ -249,7 +274,7 @@ TEST(EngineDelivery, FixedLatencyDeliversExactlyKCyclesLater) {
   constexpr std::size_t kNodes = 6;
   SendingProtocol protocol;
   Engine engine(kNodes, /*seed=*/11, &protocol);
-  engine.SetLatencyModel(std::make_shared<FixedLatency>(2));
+  engine.SetLatency(test::Latency("fixed:2"));
   engine.RunCycles(5);
 
   // Sent in cycles 0..4; only those sent by cycle 2 have arrived.
@@ -275,7 +300,7 @@ TEST(EngineDelivery, FixedLatencyDeliversExactlyKCyclesLater) {
 
 TEST(EngineDelivery, ZeroLatencyDeliversSameCycleWithNothingInFlight) {
   SendingProtocol protocol;
-  Engine engine(4, /*seed=*/11, &protocol);  // no model set = ZeroLatency
+  Engine engine(4, /*seed=*/11, &protocol);  // no spec set = zero latency
   engine.RunCycles(3);
   EXPECT_EQ(protocol.deliveries.size(), 12u);
   for (const auto& d : protocol.deliveries) EXPECT_EQ(d.arrived, d.sent);
@@ -288,7 +313,7 @@ TEST(EngineDelivery, DeliverySequenceIsThreadCountInvariant) {
     SendingProtocol protocol;
     Engine engine(40, /*seed=*/7, &protocol);
     engine.SetThreads(threads);
-    engine.SetLatencyModel(std::make_shared<UniformLatency>(0, 3));
+    engine.SetLatency(test::Latency("uniform:0:3"));
     engine.RunCycles(8);
     return protocol.deliveries;
   };
@@ -308,7 +333,7 @@ TEST(EngineDelivery, DeliverySequenceIsThreadCountInvariant) {
 TEST(EngineDelivery, LossyModelCountsDrops) {
   SendingProtocol protocol;
   Engine engine(10, /*seed=*/23, &protocol);
-  engine.SetLatencyModel(std::make_shared<LossyLatency>(0.5, 0));
+  engine.SetLatency(test::Latency("lossy:0.5:0"));
   engine.RunCycles(20);
   const DeliveryStats stats = engine.DeliveryStatsTotal();
   EXPECT_GT(stats.dropped, 40u);  // ~100 of 200 at p=0.5
@@ -396,7 +421,7 @@ TEST(EagerUnderLatency, LossyDeliverySurvivesThroughTimeoutReissues) {
 }
 
 // Regression for the task-incarnation (epoch) guard: when delays can
-// exceed the re-issue deadline (uniform 0..8 vs eager_retry_cycles = 4),
+// exceed the re-issue deadline (uniform 0..8 vs kEagerRetryCycles = 4),
 // a gossip of a dead task incarnation may arrive after the task was
 // erased and recreated from another sender's kept portion. Without the
 // epoch stamp the stale gossip matched the fresh task (generation reset

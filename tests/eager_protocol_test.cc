@@ -143,6 +143,41 @@ TEST(EagerProtocolTest, ForgetReleasesState) {
   EXPECT_TRUE(env.system->AllQueryIds().empty());
 }
 
+/// Nodes holding a task of query `qid`.
+std::size_t NodesHoldingTask(const P3QSystem& system, std::uint64_t qid) {
+  std::size_t holders = 0;
+  for (UserId u = 0; u < system.NumUsers(); ++u) {
+    holders += system.node(u).tasks().contains(qid) ? 1 : 0;
+  }
+  return holders;
+}
+
+TEST(EagerProtocolTest, ForgettingACompletedQueryLeavesNoTask) {
+  Env env;
+  const std::uint64_t qid = env.system->IssueQuery(env.QueryOf(2));
+  env.system->RunEagerCycles(15);
+  ASSERT_TRUE(env.system->QueryComplete(qid));
+  env.system->ForgetQuery(qid);
+  EXPECT_EQ(NodesHoldingTask(*env.system, qid), 0u);
+}
+
+TEST(EagerProtocolTest, ForgettingAnOpenQueryErasesEveryTask) {
+  Env env;
+  const std::uint64_t qid = env.system->IssueQuery(env.QueryOf(2));
+  const std::uint64_t other = env.system->IssueQuery(env.QueryOf(7));
+  env.system->RunEagerCycles(2);
+  ASSERT_FALSE(env.system->QueryComplete(qid));
+  ASSERT_GT(NodesHoldingTask(*env.system, qid), 1u)
+      << "the query's gossip should have reached past the querier";
+  const std::size_t other_holders = NodesHoldingTask(*env.system, other);
+  ASSERT_GT(other_holders, 0u);
+  env.system->ForgetQuery(qid);
+  EXPECT_EQ(NodesHoldingTask(*env.system, qid), 0u);
+  EXPECT_EQ(NodesHoldingTask(*env.system, other), other_holders);
+  env.system->RunEagerCycles(15);
+  EXPECT_TRUE(env.system->QueryComplete(other));
+}
+
 TEST(EagerProtocolTest, MultipleConcurrentQueriesStayIndependent) {
   Env env;
   std::vector<std::uint64_t> ids;

@@ -40,6 +40,7 @@
 #include "sim/delivery.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "test_util.h"
 
 namespace p3q {
 namespace {
@@ -469,15 +470,14 @@ struct DrainRun {
   PhaseBreakdown profile;
 };
 
-/// 600 nodes, so every drain holds at least 500 messages under ZeroLatency
-/// and its wide levels go to the pool.
-DrainRun RunFootprints(int threads,
-                       std::shared_ptr<const LatencyModel> latency) {
+/// 600 nodes, so every drain holds at least 500 messages under zero
+/// latency and its wide levels go to the pool.
+DrainRun RunFootprints(int threads, const LatencySpec& latency) {
   constexpr std::size_t kNodes = 600;
   FootprintProtocol protocol(kNodes);
   Engine engine(kNodes, /*seed=*/83, &protocol);
   engine.SetThreads(threads);
-  engine.SetLatencyModel(std::move(latency));
+  engine.SetLatency(latency);
   VectorTraceSink sink;
   Tracer tracer(&sink);
   engine.SetTracer(&tracer);
@@ -516,8 +516,7 @@ std::size_t SendersWithSeveralDueMessages(const DrainRun& run) {
   return count;
 }
 
-void ExpectLevelDrainMatchesSequential(
-    const std::shared_ptr<const LatencyModel>& latency) {
+void ExpectLevelDrainMatchesSequential(const LatencySpec& latency) {
   const DrainRun base = RunFootprints(1, latency);
   EXPECT_EQ(base.profile.drain_levels, 0u) << "1 thread drains sequentially";
   EXPECT_EQ(base.profile.drain_pooled_messages, 0u);
@@ -538,11 +537,11 @@ void ExpectLevelDrainMatchesSequential(
 }
 
 TEST(LevelDrainTest, MatchesTheSequentialDrainUnderZeroLatency) {
-  ExpectLevelDrainMatchesSequential(nullptr);
+  ExpectLevelDrainMatchesSequential(LatencySpec{});
 }
 
 TEST(LevelDrainTest, MatchesTheSequentialDrainWhenSendersHaveSeveralDue) {
-  const auto lagged = std::make_shared<UniformLatency>(0, 3);
+  const LatencySpec lagged = test::Latency("uniform:0:3");
   EXPECT_GT(SendersWithSeveralDueMessages(RunFootprints(1, lagged)), 0u);
   ExpectLevelDrainMatchesSequential(lagged);
 }
@@ -566,7 +565,7 @@ TEST(LevelDrainTest, ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
     OrderProtocol protocol;
     Engine engine(600, /*seed=*/89, &protocol);
     engine.SetThreads(threads);
-    engine.SetLatencyModel(std::make_shared<UniformLatency>(0, 3));
+    engine.SetLatency(test::Latency("uniform:0:3"));
     engine.RunCycles(6);
     for (const std::thread::id& id : protocol.threads) {
       EXPECT_EQ(id, std::this_thread::get_id());

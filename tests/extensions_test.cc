@@ -1,11 +1,9 @@
 // Tests for the paper-suggested extensions: alternative similarity metrics,
-// explicit social networks, personalized query expansion, and the
-// bottom-layer ablation switch.
+// explicit social networks, and the bottom-layer ablation switch.
 #include <gtest/gtest.h>
 
 #include "baseline/ideal_network.h"
 #include "core/p3q_system.h"
-#include "core/query_expansion.h"
 #include "dataset/generator.h"
 #include "eval/metrics_eval.h"
 #include "profile/similarity.h"
@@ -15,7 +13,6 @@ namespace p3q {
 namespace {
 
 using test::MakeProfile;
-using test::MakeProfilePtr;
 
 TEST(SimilarityMetricTest, CommonActionsIsIdentity) {
   EXPECT_EQ(SimilarityScore(SimilarityMetric::kCommonActions, 7, 100, 50), 7u);
@@ -148,58 +145,6 @@ TEST(ExplicitNetworkTest, EagerModeAloneSuffices) {
   EXPECT_TRUE(system.QueryComplete(qid));
   const ActiveQuery& q = system.query(qid);
   EXPECT_EQ(q.NumUsedProfiles(), q.expected_profiles());
-}
-
-TEST(QueryExpansionTest, RanksCoOccurringTags) {
-  // Item 1 carries query tag 10 together with tags 20 and 30; item 2
-  // carries tag 10 with 20 again; item 3 has no query tag.
-  const std::vector<ProfilePtr> profiles = {
-      MakeProfilePtr(1, {{1, 10}, {1, 20}, {1, 30}, {2, 10}, {2, 20}}),
-      MakeProfilePtr(2, {{3, 40}, {3, 50}})};
-  const auto ranked = RankExpansionTags(profiles, {10});
-  ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0].tag, 20u);
-  EXPECT_EQ(ranked[0].weight, 2u);
-  EXPECT_EQ(ranked[1].tag, 30u);
-  EXPECT_EQ(ranked[1].weight, 1u);
-}
-
-TEST(QueryExpansionTest, WeightsByQueryTagHits) {
-  // Item 1 is hit by BOTH query tags -> its co-tag gets weight 2.
-  const std::vector<ProfilePtr> profiles = {
-      MakeProfilePtr(1, {{1, 10}, {1, 11}, {1, 20}, {2, 10}, {2, 30}})};
-  const auto ranked = RankExpansionTags(profiles, {10, 11});
-  ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0].tag, 20u);
-  EXPECT_EQ(ranked[0].weight, 2u);
-  EXPECT_EQ(ranked[1].tag, 30u);
-  EXPECT_EQ(ranked[1].weight, 1u);
-}
-
-TEST(QueryExpansionTest, ExpandRespectsLimitAndExcludesQueryTags) {
-  const std::vector<ProfilePtr> profiles = {MakeProfilePtr(
-      1, {{1, 10}, {1, 20}, {1, 30}, {1, 40}, {2, 10}, {2, 20}})};
-  const std::vector<TagId> expanded = ExpandQueryTags(profiles, {10}, 2);
-  // Original tag + top-2 co-tags (20 twice, then 30/40 tie -> 30).
-  EXPECT_EQ(expanded, (std::vector<TagId>{10, 20, 30}));
-  EXPECT_EQ(ExpandQueryTags(profiles, {10}, 0), (std::vector<TagId>{10}));
-}
-
-TEST(QueryExpansionTest, EmptyProfilesNoExpansion) {
-  EXPECT_EQ(ExpandQueryTags({}, {5}, 3), (std::vector<TagId>{5}));
-}
-
-TEST(QueryExpansionTest, PersonalizedExpansionDisambiguates) {
-  // Two communities use tag 10 on different items with different co-tags;
-  // expansion from each user's acquaintances picks her community's co-tag.
-  const std::vector<ProfilePtr> math = {
-      MakeProfilePtr(1, {{100, 10}, {100, 21}}),
-      MakeProfilePtr(2, {{100, 10}, {100, 21}, {101, 21}})};
-  const std::vector<ProfilePtr> movie = {
-      MakeProfilePtr(3, {{200, 10}, {200, 42}}),
-      MakeProfilePtr(4, {{200, 10}, {200, 42}})};
-  EXPECT_EQ(ExpandQueryTags(math, {10}, 1), (std::vector<TagId>{10, 21}));
-  EXPECT_EQ(ExpandQueryTags(movie, {10}, 1), (std::vector<TagId>{10, 42}));
 }
 
 TEST(BottomLayerAblationTest, DisablingSlowsDiscovery) {

@@ -9,8 +9,7 @@
 // user already has. The suite drives random update interleavings against a
 // shadow rebuilt-from-scratch profile, and additionally proves the
 // checkpoint codec restores arena-backed snapshots byte-identically
-// (deduplicating through the store's snapshot pool when a live twin
-// exists).
+// (sharing the store's current snapshot when it is the same one).
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -201,8 +200,8 @@ TEST(IndexFoldCheckpointTest, ArenaSnapshotsRestoreByteIdentically) {
   CheckpointWriter w;
   pool.Serialize(&w);
 
-  // Restore WITH the live store: every snapshot must dedup through the
-  // snapshot pool — same object, zero rebuilds.
+  // Restore WITH the live store: every snapshot is the store's current
+  // one, so each must be shared — same object, zero rebuilds.
   {
     const std::uint64_t hits_before = store.MemoryStats().pool_hits;
     CheckpointReader r(w.buffer().data(), w.buffer().size());

@@ -183,13 +183,13 @@ TEST(ScoreKernelTest, RandomizedDifferentialSweep) {
   RunRandomizedDifferentialSweep();
 }
 
-TEST(ScoreKernelTest, SkewedPairsTakeTheGallopingPathExactly) {
-  // Far past kGallopSkewRatio in both orientations, plus block-sparse
-  // profiles (items spread over a huge universe: one item per block).
+TEST(ScoreKernelTest, SkewedPairsScoreExactly) {
+  // One side with more than 16x the other's item blocks, in both
+  // orientations, plus block-sparse profiles (items spread over a huge
+  // universe: one item per block).
   const Profile tiny = RandomProfile(1, 5, 1 << 20, 8, 21);
   const Profile huge = RandomProfile(2, 4000, 1 << 20, 8, 22);
-  ASSERT_GT(huge.index().items.size(),
-            tiny.index().items.size() * kGallopSkewRatio);
+  ASSERT_GT(huge.index().items.size(), tiny.index().items.size() * 16);
   ExpectSameAsScalar(tiny, huge);
   ExpectSameAsScalar(huge, tiny);
 
@@ -225,13 +225,18 @@ void RunBatchMatchesPerPairKernel() {
   std::vector<std::unique_ptr<Profile>> owned;
   std::vector<const Profile*> candidates;
   for (int i = 0; i < 40; ++i) {
-    // Mix of regular, empty, disjoint and skew-triggering candidates.
+    // Mix of regular, empty, disjoint and skewed (4000-action) candidates.
     const int n = i % 7 == 0 ? 0 : (i % 5 == 0 ? 4000 : 80);
     owned.push_back(std::make_unique<Profile>(RandomProfile(
         static_cast<UserId>(i + 2), n, i % 3 == 0 ? 1 << 18 : 300, 40,
         rng.NextUint64(1u << 30))));
     candidates.push_back(owned.back().get());
   }
+  // Some candidates have more than 16x the base's item blocks.
+  EXPECT_TRUE(std::any_of(
+      candidates.begin(), candidates.end(), [&base](const Profile* c) {
+        return c->index().items.size() > base.index().items.size() * 16;
+      }));
   ExpectBatchMatchesScalar(base, candidates);
 }
 

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "dataset/query_gen.h"
 #include "gossip/view.h"
 #include "profile/profile.h"
+#include "sim/delivery.h"
 
 namespace p3q::test {
 
@@ -93,6 +96,16 @@ inline DigestInfo MakeDigest(UserId owner, std::vector<ItemId> items,
 inline DigestInfo MakeDisjointDigest(UserId owner, std::uint32_t version = 0,
                                      std::size_t num_actions = 4) {
   return DigestInfo{owner, MakeDisjointSnapshot(owner, num_actions, version)};
+}
+
+/// The latency spec `text` names ("uniform:0:3"); throws on a bad one.
+inline LatencySpec Latency(const std::string& text) {
+  LatencySpec spec;
+  if (const std::string error = ParseLatencySpec(text, &spec);
+      !error.empty()) {
+    throw std::invalid_argument(error);
+  }
+  return spec;
 }
 
 /// One personal-network entry as the thread-determinism suites compare it:
