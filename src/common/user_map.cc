@@ -6,66 +6,104 @@
 
 namespace p3q {
 
-std::pair<std::uint32_t*, bool> UserMap::Emplace(UserId user,
-                                                 std::uint32_t value) {
-  assert(user != kInvalidUser);
-  std::size_t i = 0;
-  if (!slots_.empty()) {
-    i = Probe(user);
-    if (slots_[i].user == user) return {&slots_[i].value, false};
-  }
-  if ((size_ + 1) * 2 > slots_.size()) {
-    Grow();
-    i = Probe(user);
-  }
-  slots_[i] = Slot{user, value};
-  ++size_;
-  return {&slots_[i].value, true};
-}
-
-void UserMap::Erase(UserId user) {
-  if (slots_.empty()) return;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t hole = Probe(user);
-  if (slots_[hole].user != user) return;
-  // Backward-shift deletion: pull each later slot of the probe run into the
-  // hole unless its home lies cyclically in (hole, j], so every remaining
-  // key stays reachable from its home without tombstones.
-  for (std::size_t j = (hole + 1) & mask; slots_[j].user != kInvalidUser;
-       j = (j + 1) & mask) {
-    const std::size_t home = Home(slots_[j].user);
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
+template <typename Value>
+std::size_t UserTable<Value>::Seek(UserId user) const {
+  const UserId* users = users_.data();
+  const std::size_t mask = users_.size() - 1;
+  std::size_t i = Home(user);
+  for (std::size_t dist = 0;; ++dist, i = (i + 1) & mask) {
+    const UserId resident = users[i];
+    if (resident == user || resident == kInvalidUser ||
+        ((i - Home(resident)) & mask) < dist) {
+      return i;
     }
   }
-  slots_[hole] = Slot{};
+}
+
+template <typename Value>
+void UserTable<Value>::ShiftInsert(std::size_t i, UserId user, Value value) {
+  // Each resident moved one slot on keeps every earlier-homed resident
+  // ahead of it, so the run stays ordered by home slot.
+  const std::size_t mask = users_.size() - 1;
+  while (users_[i] != kInvalidUser) {
+    std::swap(user, users_[i]);
+    std::swap(value, values_[i]);
+    i = (i + 1) & mask;
+  }
+  users_[i] = user;
+  values_[i] = value;
+}
+
+template <typename Value>
+std::pair<Value*, bool> UserTable<Value>::Emplace(UserId user, Value value) {
+  assert(user != kInvalidUser);
+  std::size_t i = 0;
+  if (!users_.empty()) {
+    i = Seek(user);
+    if (users_[i] == user) return {&values_[i], false};
+  }
+  // Grow before the insertion that would pass 7/8 load.
+  if ((size_ + 1) * 8 > users_.size() * 7) {
+    Grow();
+    i = Seek(user);
+  }
+  ShiftInsert(i, user, value);
+  ++size_;
+  return {&values_[i], true};
+}
+
+template <typename Value>
+void UserTable<Value>::Erase(UserId user) {
+  std::size_t hole = Lookup(user);
+  if (hole == kNone) return;
+  // Backward-shift deletion: pull the rest of the run back one slot until
+  // an empty slot or a resident at her home, so no tombstone is left and
+  // the run stays ordered by home slot.
+  const std::size_t mask = users_.size() - 1;
+  for (std::size_t next = (hole + 1) & mask;
+       users_[next] != kInvalidUser && Home(users_[next]) != next;
+       next = (next + 1) & mask) {
+    users_[hole] = users_[next];
+    values_[hole] = values_[next];
+    hole = next;
+  }
+  users_[hole] = kInvalidUser;
   --size_;
 }
 
-void UserMap::Clear() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
+template <typename Value>
+void UserTable<Value>::Clear() {
+  std::fill(users_.begin(), users_.end(), kInvalidUser);
   size_ = 0;
 }
 
-std::vector<std::pair<UserId, std::uint32_t>> UserMap::Sorted() const {
-  std::vector<std::pair<UserId, std::uint32_t>> out;
+template <typename Value>
+std::vector<std::pair<UserId, Value>> UserTable<Value>::Sorted() const {
+  std::vector<std::pair<UserId, Value>> out;
   out.reserve(size_);
-  for (const Slot& slot : slots_) {
-    if (slot.user != kInvalidUser) out.emplace_back(slot.user, slot.value);
+  for (std::size_t i = 0; i < users_.size(); ++i) {
+    if (users_[i] != kInvalidUser) out.emplace_back(users_[i], values_[i]);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-void UserMap::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  const std::size_t capacity = old.empty() ? 16 : old.size() * 2;
-  slots_.assign(capacity, Slot{});
+template <typename Value>
+void UserTable<Value>::Grow() {
+  std::vector<UserId> old_users = std::move(users_);
+  std::vector<Value> old_values = std::move(values_);
+  const std::size_t capacity = old_users.empty() ? 16 : old_users.size() * 2;
+  users_.assign(capacity, kInvalidUser);
+  values_.assign(capacity, Value{});
   shift_ = 64 - std::countr_zero(capacity);
-  for (const Slot& slot : old) {
-    if (slot.user != kInvalidUser) slots_[Probe(slot.user)] = slot;
+  for (std::size_t i = 0; i < old_users.size(); ++i) {
+    if (old_users[i] != kInvalidUser) {
+      ShiftInsert(Seek(old_users[i]), old_users[i], old_values[i]);
+    }
   }
 }
+
+template class UserTable<std::uint32_t>;
+template class UserTable<std::uint8_t>;
 
 }  // namespace p3q

@@ -16,14 +16,4 @@ const ProfilePtr& P3QNode::FindUsableProfile(UserId user) const {
   return network_.StoredProfileOf(user);
 }
 
-bool P3QNode::ShouldProbe(UserId user, std::uint32_t version) {
-  auto [probed, inserted] = probed_versions_.Emplace(user, version);
-  if (inserted) return true;
-  if (version > *probed) {
-    *probed = version;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace p3q

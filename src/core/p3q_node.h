@@ -6,9 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/user_map.h"
 #include "core/config.h"
 #include "core/personal_network.h"
+#include "core/probe_memo.h"
 #include "gossip/peer_sampling.h"
 #include "profile/profile.h"
 
@@ -77,7 +77,9 @@ class P3QNode {
   /// every cycle (behaviourally equivalent to the paper's per-cycle
   /// re-scoring, since a re-probe of an unchanged digest cannot change the
   /// outcome). Older and equal versions answer false.
-  bool ShouldProbe(UserId user, std::uint32_t version);
+  bool ShouldProbe(UserId user, std::uint32_t version) {
+    return probed_versions_.ShouldProbe(user, version);
+  }
 
   /// Active query shares keyed by query id.
   std::unordered_map<std::uint64_t, EagerTask>& tasks() { return tasks_; }
@@ -87,8 +89,8 @@ class P3QNode {
 
   /// Probe memo of ShouldProbe, user -> last probed version (checkpoint
   /// access and memory accounting).
-  UserMap& probed_versions() { return probed_versions_; }
-  const UserMap& probed_versions() const { return probed_versions_; }
+  ProbeMemo& probed_versions() { return probed_versions_; }
+  const ProbeMemo& probed_versions() const { return probed_versions_; }
 
  private:
   UserId self_;
@@ -97,7 +99,7 @@ class P3QNode {
   PersonalNetwork network_;
   RandomView random_view_;
   Rng rng_;
-  UserMap probed_versions_;
+  ProbeMemo probed_versions_;
   std::unordered_map<std::uint64_t, EagerTask> tasks_;
 };
 

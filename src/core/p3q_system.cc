@@ -93,7 +93,9 @@ SystemMemoryStats P3QSystem::MemoryStats() const {
   stats.store = store_.MemoryStats();
   for (const std::unique_ptr<P3QNode>& n : nodes_) {
     stats.probe_memo_bytes += n->probed_versions().MemoryBytes();
+    stats.probe_memo_entries += n->probed_versions().size();
     stats.personal_network_bytes += n->network().MemoryBytes();
+    stats.network_index_bytes += n->network().IndexBytes();
     stats.random_view_bytes += n->random_view().MemoryBytes();
   }
   stats.peak_in_flight_messages =
@@ -415,10 +417,19 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
     }
     n.random_view().Init(std::move(view));
 
+    // SaveCheckpoint writes the memo sorted, each user once; a repeated or
+    // descending user would let a later entry silently replace an earlier.
     n.probed_versions().Clear();
     const std::uint64_t num_probed = in->Count(8);
-    for (std::uint64_t p = 0; p < num_probed; ++p) {
+    for (std::uint64_t p = 0, previous = 0; p < num_probed; ++p) {
       const UserId user = ReadUserId(in, NumUsers(), "probed user");
+      if (p > 0 && user <= previous) {
+        throw CheckpointError("probe memo of user " + std::to_string(u) +
+                              " lists user " + std::to_string(user) +
+                              " after user " + std::to_string(previous) +
+                              ": probed users out of order in checkpoint");
+      }
+      previous = user;
       const std::uint32_t version = in->U32();
       n.probed_versions().Set(user, version);
     }

@@ -50,9 +50,14 @@ struct SystemMemoryStats {
   ProfileStoreMemoryStats store;
   /// Table bytes of every node's probe memo (P3QNode::probed_versions).
   std::size_t probe_memo_bytes = 0;
+  /// Entries of every probe memo: with probe_memo_bytes, the memos' load.
+  std::size_t probe_memo_entries = 0;
   /// Capacity bytes of every personal network's entry slots, rank keys,
   /// replica array, free lists and index (PersonalNetwork::MemoryBytes).
   std::size_t personal_network_bytes = 0;
+  /// The indexes' share of personal_network_bytes
+  /// (PersonalNetwork::IndexBytes).
+  std::size_t network_index_bytes = 0;
   /// Capacity bytes of every random view (RandomView::MemoryBytes).
   std::size_t random_view_bytes = 0;
   /// Largest number of delivery messages queued after one plan barrier,

@@ -258,6 +258,9 @@ class PersonalNetwork {
   /// replicas' snapshots.
   std::size_t MemoryBytes() const;
 
+  /// The index's share of MemoryBytes.
+  std::size_t IndexBytes() const { return index_.MemoryBytes(); }
+
   /// Describes the first violated structural invariant, or returns an empty
   /// string when the network is sound: keys strictly ordered by (score
   /// desc, id asc), each mirroring its slot's entry; index, keys and slots

@@ -53,6 +53,8 @@ void PhaseBreakdown::MergeFrom(const PhaseBreakdown& other) {
   plan_seconds += other.plan_seconds;
   barrier_seconds += other.barrier_seconds;
   drain_seconds += other.drain_seconds;
+  drain_take_seconds += other.drain_take_seconds;
+  drain_teardown_seconds += other.drain_teardown_seconds;
   drain_levels += other.drain_levels;
   drain_pooled_messages += other.drain_pooled_messages;
   drain_inline_messages += other.drain_inline_messages;
@@ -74,6 +76,9 @@ PhaseBreakdown PhaseBreakdown::Since(const PhaseBreakdown& earlier) const {
   delta.plan_seconds = plan_seconds - earlier.plan_seconds;
   delta.barrier_seconds = barrier_seconds - earlier.barrier_seconds;
   delta.drain_seconds = drain_seconds - earlier.drain_seconds;
+  delta.drain_take_seconds = drain_take_seconds - earlier.drain_take_seconds;
+  delta.drain_teardown_seconds =
+      drain_teardown_seconds - earlier.drain_teardown_seconds;
   delta.drain_levels = drain_levels - earlier.drain_levels;
   delta.drain_pooled_messages =
       drain_pooled_messages - earlier.drain_pooled_messages;
@@ -104,6 +109,9 @@ std::string PhaseBreakdownToJson(const PhaseBreakdown& breakdown) {
   out += ", \"plan_seconds\": " + Num(breakdown.plan_seconds);
   out += ", \"barrier_seconds\": " + Num(breakdown.barrier_seconds);
   out += ", \"drain_seconds\": " + Num(breakdown.drain_seconds);
+  out += ", \"drain_take_seconds\": " + Num(breakdown.drain_take_seconds);
+  out += ", \"drain_teardown_seconds\": " +
+         Num(breakdown.drain_teardown_seconds);
   out += ", \"drain_levels\": " + std::to_string(breakdown.drain_levels);
   out += ", \"drain_pooled_messages\": " +
          std::to_string(breakdown.drain_pooled_messages);

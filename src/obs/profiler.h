@@ -28,6 +28,11 @@ struct PhaseBreakdown {
   double plan_seconds = 0.0;           ///< parallel plan phase
   double barrier_seconds = 0.0;        ///< EndPlan + trace/queue folds
   double drain_seconds = 0.0;          ///< delivery drain + message commits
+  /// Two sub-spans of drain_seconds (not added to TotalSeconds): taking the
+  /// due messages off the delivery queue, and destroying them once all
+  /// have committed.
+  double drain_take_seconds = 0.0;
+  double drain_teardown_seconds = 0.0;
   /// Levels the level-parallel drain ran (sim/engine.h); a sequential drain
   /// adds none. Long level chains come from users many others gossip with.
   std::uint64_t drain_levels = 0;

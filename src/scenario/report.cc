@@ -87,7 +87,9 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
        << ", \"pool_hits\": " << m.pool_hits
        << ", \"pool_misses\": " << m.pool_misses
        << ", \"probe_memo_bytes\": " << m.probe_memo_bytes
+       << ", \"probe_memo_entries\": " << m.probe_memo_entries
        << ", \"personal_network_bytes\": " << m.personal_network_bytes
+       << ", \"network_index_bytes\": " << m.network_index_bytes
        << ", \"random_view_bytes\": " << m.random_view_bytes
        << ", \"peak_in_flight_messages\": " << m.peak_in_flight_messages
        << ", \"ideal_network_bytes\": " << m.ideal_network_bytes

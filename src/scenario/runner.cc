@@ -1022,7 +1022,9 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   report.memory.pool_hits = mem.store.pool_hits;
   report.memory.pool_misses = mem.store.pool_misses;
   report.memory.probe_memo_bytes = mem.probe_memo_bytes;
+  report.memory.probe_memo_entries = mem.probe_memo_entries;
   report.memory.personal_network_bytes = mem.personal_network_bytes;
+  report.memory.network_index_bytes = mem.network_index_bytes;
   report.memory.random_view_bytes = mem.random_view_bytes;
   report.memory.peak_in_flight_messages = mem.peak_in_flight_messages;
   report.memory.ideal_network_bytes = IdealNetworkBytes(ideal);

@@ -137,10 +137,13 @@ struct MemoryReport {
   /// current snapshot, and snapshots that had to be rebuilt.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Probe-memo tables, personal-network storage and random views, summed
-  /// over all nodes, and the in-flight message peak (SystemMemoryStats).
+  /// Probe-memo tables and entries, personal-network storage (and its
+  /// indexes' share) and random views, summed over all nodes, and the
+  /// in-flight message peak (SystemMemoryStats).
   std::uint64_t probe_memo_bytes = 0;
+  std::uint64_t probe_memo_entries = 0;
   std::uint64_t personal_network_bytes = 0;
+  std::uint64_t network_index_bytes = 0;
   std::uint64_t random_view_bytes = 0;
   std::uint64_t peak_in_flight_messages = 0;
   /// Capacity bytes of the runner's ideal networks, the success ratio's

@@ -390,6 +390,94 @@ TEST(CheckpointSystemTest, ProbedUserPastThePopulationIsRejected) {
   ExpectLoadRejected(env, "probed user 40 out of range");
 }
 
+TEST(CheckpointSystemTest, ProbedUsersOutOfOrderAreRejected) {
+  // SaveCheckpoint writes each memo sorted, every user once. A repeated or
+  // descending user would let a later entry replace an earlier one on
+  // restore, so the restored memo would differ from what the file lists.
+  test::TestSystem env({.users = 40});
+  ProbeMemo& memo = env.system->node(2).probed_versions();
+  memo.Clear();
+  memo.Set(11, 0x5eed0b0bu);
+  memo.Set(13, 0x5eed0d0du);
+  CheckpointWriter out;
+  env.system->SaveCheckpoint(&out);
+  const std::vector<std::uint8_t>& pristine = out.buffer();
+  // The memo section: u64 count 2, then (u32 user, u32 version) pairs.
+  const std::vector<std::uint32_t> section = {2, 0, 11, 0x5eed0b0bu,
+                                              13, 0x5eed0d0du};
+  std::vector<std::size_t> found;
+  for (std::size_t p = 0; p + 4 * section.size() <= pristine.size(); ++p) {
+    bool match = true;
+    for (std::size_t w = 0; w < section.size() && match; ++w) {
+      std::uint32_t word = 0;
+      std::memcpy(&word, pristine.data() + p + 4 * w, 4);
+      match = word == section[w];
+    }
+    if (match) found.push_back(p);
+  }
+  ASSERT_EQ(found.size(), 1u) << "probe memo section not located";
+
+  const auto expect_rejected = [&](UserId first, UserId second) {
+    std::vector<std::uint8_t> bytes = pristine;
+    std::memcpy(bytes.data() + found[0] + 8, &first, 4);
+    std::memcpy(bytes.data() + found[0] + 16, &second, 4);
+    test::TestSystem fresh({.users = 40});
+    CheckpointReader in(bytes.data(), bytes.size());
+    try {
+      fresh.system->LoadCheckpoint(&in);
+      ADD_FAILURE() << "accepted probed users " << first << ", " << second;
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("probed users out of order"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(13, 11);  // descending
+  expect_rejected(11, 11);  // repeated
+
+  // The untouched bytes still load, and the memo comes back as listed.
+  test::TestSystem fresh({.users = 40});
+  CheckpointReader in(pristine.data(), pristine.size());
+  fresh.system->LoadCheckpoint(&in);
+  EXPECT_EQ(fresh.system->node(2).probed_versions().Sorted(), memo.Sorted());
+}
+
+TEST(CheckpointSystemTest, ProbeVersionsPastAByteRoundTrip) {
+  // Versions of 255 and above live in the memo's side map; a checkpoint
+  // writes and restores them exactly, and the restored memo answers alike.
+  test::TestSystem env({.users = 40, .seed_ideal = false});
+  env.system->RunLazyCycles(3);
+  ProbeMemo& memo = env.system->node(3).probed_versions();
+  const std::vector<std::uint32_t> versions = {254, 255, 256, 70000,
+                                               0xffffffffu};
+  for (std::size_t i = 0; i < versions.size(); ++i) {
+    memo.Set(static_cast<UserId>(20 + i), versions[i]);
+  }
+  CheckpointWriter first;
+  env.system->SaveCheckpoint(&first);
+
+  test::TestSystem fresh({.users = 40, .seed_ideal = false});
+  CheckpointReader in(first.buffer().data(), first.buffer().size());
+  fresh.system->LoadCheckpoint(&in);
+  in.ExpectEnd();
+  ProbeMemo& restored = fresh.system->node(3).probed_versions();
+  EXPECT_EQ(restored.Sorted(), memo.Sorted());
+  EXPECT_EQ(restored.MemoryBytes(), memo.MemoryBytes());
+  CheckpointWriter second;
+  fresh.system->SaveCheckpoint(&second);
+  EXPECT_EQ(first.buffer(), second.buffer());
+
+  for (std::size_t i = 0; i < versions.size(); ++i) {
+    const UserId user = static_cast<UserId>(20 + i);
+    for (const std::uint32_t offer : {versions[i] - 1, versions[i],
+                                      versions[i] + 1}) {
+      EXPECT_EQ(restored.ShouldProbe(user, offer), memo.ShouldProbe(user, offer))
+          << "user " << user << " offered " << offer;
+    }
+  }
+  EXPECT_EQ(restored.Sorted(), memo.Sorted());
+}
+
 TEST(CheckpointSystemTest, ReachedUserPastThePopulationIsRejected) {
   // An eager-state section whose one query lists user 40 as reached, in a
   // 40-user system: Forget would later index the node array with it.

@@ -236,10 +236,21 @@ TEST(LazyProtocolTest, MemoryStatsAttributeProbeMemosAndNetworks) {
   EXPECT_GT(stats.probe_memo_bytes, 0u);
   EXPECT_GT(stats.personal_network_bytes, 0u);
   std::size_t memo_slots = 0;
+  std::size_t memo_entries = 0;
+  std::size_t index_bytes = 0;
   for (UserId u = 0; u < static_cast<UserId>(system.NumUsers()); ++u) {
     memo_slots += system.node(u).probed_versions().slot_count();
+    memo_entries += system.node(u).probed_versions().size();
+    index_bytes += system.node(u).network().IndexBytes();
   }
-  EXPECT_EQ(stats.probe_memo_bytes, memo_slots * 8);
+  // Five bytes a slot: every version is below 255, so no side map.
+  EXPECT_EQ(stats.probe_memo_bytes, memo_slots * 5);
+  EXPECT_GT(memo_entries, 0u);
+  EXPECT_EQ(stats.probe_memo_entries, memo_entries);
+  EXPECT_LE(memo_entries * 8, memo_slots * 7);
+  EXPECT_GT(index_bytes, 0u);
+  EXPECT_EQ(stats.network_index_bytes, index_bytes);
+  EXPECT_LT(stats.network_index_bytes, stats.personal_network_bytes);
 }
 
 TEST(LazyProtocolTest, MemoryStatsAttributeViewsAndInFlightMessages) {

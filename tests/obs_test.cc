@@ -329,9 +329,22 @@ TEST(TraceDeterminismTest, ProfilerMeasuresEveryEnginePhase) {
       EXPECT_GE(b.MeanImbalance(), 1.0) << label;
       EXPECT_GE(b.max_imbalance, 1.0) << label;
     }
+    // TakeDue and the message teardown are measured inside the drain span.
+    EXPECT_GT(b.drain_take_seconds, 0.0) << label;
+    EXPECT_GT(b.drain_teardown_seconds, 0.0) << label;
+    EXPECT_LE(b.drain_take_seconds + b.drain_teardown_seconds,
+              b.drain_seconds)
+        << label;
+    PhaseBreakdown twice = b;
+    twice.MergeFrom(b);
+    EXPECT_DOUBLE_EQ(twice.drain_take_seconds, 2 * b.drain_take_seconds);
+    EXPECT_DOUBLE_EQ(twice.Since(b).drain_teardown_seconds,
+                     b.drain_teardown_seconds);
   }
   const std::string json = PhaseProfilerToJson(profiler);
   EXPECT_NE(json.find("\"plan_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"drain_take_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"drain_teardown_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"imbalance_histogram\""), std::string::npos);
 }
 

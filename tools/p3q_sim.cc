@@ -747,10 +747,13 @@ int RunScenarioMode(const Options& opt) {
               << m.pool_hits << " hits / " << m.pool_misses << " misses; "
               << "probe memos "
               << TablePrinter::Fmt(m.probe_memo_bytes / 1024.0 / 1024.0, 1)
-              << " MiB, personal networks "
+              << " MiB for " << m.probe_memo_entries
+              << " entries, personal networks "
               << TablePrinter::Fmt(m.personal_network_bytes / 1024.0 / 1024.0,
                                    1)
-              << " MiB, random views "
+              << " MiB ("
+              << TablePrinter::Fmt(m.network_index_bytes / 1024.0 / 1024.0, 1)
+              << " MiB index), random views "
               << TablePrinter::Fmt(m.random_view_bytes / 1024.0 / 1024.0, 1)
               << " MiB; peak " << m.peak_in_flight_messages
               << " messages in flight; ideal networks "
