@@ -37,15 +37,15 @@ int main(int argc, char** argv) {
     const ScenarioReport report = RunScenario(MakeScenario(name), options);
     const PhaseReport& last = report.phases.back();
     std::cout << std::left << std::setw(18) << name << " "
-              << report.total_cycles << " cycles, " << std::setw(3)
-              << report.total_queries_issued << " queries, recall "
+              << report.totals.cycles << " cycles, " << std::setw(3)
+              << report.totals.queries_issued << " queries, recall "
               << std::fixed << std::setprecision(3) << last.avg_recall
               << ", success " << last.success_ratio << ", "
-              << report.total_departures << " dep / " << report.total_rejoins
+              << report.totals.departures << " dep / " << report.totals.rejoins
               << " rejoins, " << std::setprecision(2)
-              << report.total_traffic.TotalBytes() / 1024.0 / 1024.0
+              << report.totals.traffic.TotalBytes() / 1024.0 / 1024.0
               << " MiB, " << std::setprecision(0)
-              << report.total_timing.cycles_per_sec << " cyc/s\n";
+              << report.totals.timing.cycles_per_sec << " cyc/s\n";
   }
   std::cout << "\nRun `p3q_sim --scenario=NAME --json=out.json` for the full "
                "per-phase report.\n";

@@ -36,10 +36,6 @@ bool ParseStrictInt(const std::string& s, int* out) {
   return ParseWhole(s, out);
 }
 
-bool ParseStrictInt64(const std::string& s, std::int64_t* out) {
-  return ParseWhole(s, out);
-}
-
 bool ParseStrictUint64(const std::string& s, std::uint64_t* out) {
   if (!s.empty() && s[0] == '-') return false;
   return ParseWhole(s, out);
@@ -54,6 +50,12 @@ std::string FormatStrictDouble(double value) {
       return buf;
     }
   }
+}
+
+std::string FormatFixed(double value, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  return buf;
 }
 
 }  // namespace p3q

@@ -5,7 +5,8 @@
 // different experiment. Every parser here consumes the WHOLE string via
 // std::from_chars and rejects empty input, trailing garbage, overflow and
 // non-finite values, so a bad flag is an error instead of a silent default.
-// FormatStrictDouble is the inverse that spec names print numbers with.
+// FormatStrictDouble is the inverse that spec names print numbers with;
+// FormatFixed is the fixed-point form of reports.
 #ifndef P3Q_COMMON_PARSE_H_
 #define P3Q_COMMON_PARSE_H_
 
@@ -21,9 +22,6 @@ bool ParseStrictDouble(const std::string& s, double* out);
 /// Parses a decimal int ("-3", "42"). Rejects "", "1.5", "7x", overflow.
 bool ParseStrictInt(const std::string& s, int* out);
 
-/// Parses a decimal int64.
-bool ParseStrictInt64(const std::string& s, std::int64_t* out);
-
 /// Parses a decimal uint64; a leading '-' is rejected rather than wrapped.
 bool ParseStrictUint64(const std::string& s, std::uint64_t* out);
 
@@ -32,6 +30,10 @@ bool ParseStrictUint64(const std::string& s, std::uint64_t* out);
 /// so a spec's Name() parses back to the same spec. A value that %g renders
 /// exactly keeps %g's text ("0.1", "2.5", "1e-07").
 std::string FormatStrictDouble(double value);
+
+/// Formats a double with `precision` digits after the point ("%.*f": no
+/// exponent, no locale), the fixed-width form reports print numbers with.
+std::string FormatFixed(double value, int precision = 6);
 
 }  // namespace p3q
 

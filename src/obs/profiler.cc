@@ -1,20 +1,11 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
+#include "common/parse.h"
+
 namespace p3q {
-
-namespace {
-
-std::string Num(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  return buffer;
-}
-
-}  // namespace
 
 double PhaseBreakdown::MeanImbalance() const {
   if (cycles == 0 || shards_per_cycle == 0) return 0.0;
@@ -106,12 +97,13 @@ PhaseBreakdown PhaseBreakdown::Since(const PhaseBreakdown& earlier) const {
 
 std::string PhaseBreakdownToJson(const PhaseBreakdown& breakdown) {
   std::string out = "{\"cycles\": " + std::to_string(breakdown.cycles);
-  out += ", \"plan_seconds\": " + Num(breakdown.plan_seconds);
-  out += ", \"barrier_seconds\": " + Num(breakdown.barrier_seconds);
-  out += ", \"drain_seconds\": " + Num(breakdown.drain_seconds);
-  out += ", \"drain_take_seconds\": " + Num(breakdown.drain_take_seconds);
+  out += ", \"plan_seconds\": " + FormatFixed(breakdown.plan_seconds);
+  out += ", \"barrier_seconds\": " + FormatFixed(breakdown.barrier_seconds);
+  out += ", \"drain_seconds\": " + FormatFixed(breakdown.drain_seconds);
+  out += ", \"drain_take_seconds\": " +
+         FormatFixed(breakdown.drain_take_seconds);
   out += ", \"drain_teardown_seconds\": " +
-         Num(breakdown.drain_teardown_seconds);
+         FormatFixed(breakdown.drain_teardown_seconds);
   out += ", \"drain_levels\": " + std::to_string(breakdown.drain_levels);
   out += ", \"drain_pooled_messages\": " +
          std::to_string(breakdown.drain_pooled_messages);
@@ -121,15 +113,17 @@ std::string PhaseBreakdownToJson(const PhaseBreakdown& breakdown) {
          std::to_string(breakdown.closeout_pooled_items);
   out += ", \"closeout_inline_items\": " +
          std::to_string(breakdown.closeout_inline_items);
-  out += ", \"end_cycle_seconds\": " + Num(breakdown.end_cycle_seconds);
-  out += ", \"total_seconds\": " + Num(breakdown.TotalSeconds());
+  out += ", \"end_cycle_seconds\": " +
+         FormatFixed(breakdown.end_cycle_seconds);
+  out += ", \"total_seconds\": " + FormatFixed(breakdown.TotalSeconds());
   out += ", \"shard_plan_max_seconds\": " +
-         Num(breakdown.shard_plan_max_seconds);
+         FormatFixed(breakdown.shard_plan_max_seconds);
   out += ", \"shard_plan_sum_seconds\": " +
-         Num(breakdown.shard_plan_sum_seconds);
+         FormatFixed(breakdown.shard_plan_sum_seconds);
   out += ", \"active_shards\": " + std::to_string(breakdown.shards_per_cycle);
-  out += ", \"mean_imbalance\": " + Num(breakdown.MeanImbalance(), 3);
-  out += ", \"max_imbalance\": " + Num(breakdown.max_imbalance, 3);
+  out += ", \"mean_imbalance\": " +
+         FormatFixed(breakdown.MeanImbalance(), 3);
+  out += ", \"max_imbalance\": " + FormatFixed(breakdown.max_imbalance, 3);
   out += ", \"imbalance_histogram\": [";
   for (std::size_t i = 0; i < kImbalanceBuckets; ++i) {
     if (i > 0) out += ", ";

@@ -52,7 +52,6 @@ Profile::Profile(Profile&& other) noexcept
       num_items_(other.num_items_), digest_fpp_(other.digest_fpp_),
       digest_bytes_(other.digest_bytes_), arena_(std::move(other.arena_)),
       block_(other.block_), heap_(std::move(other.heap_)),
-      packed_bytes_(other.packed_bytes_),
       actions_(other.actions_), index_(other.index_) {
   other.block_ = nullptr;
   other.actions_ = {};
@@ -102,7 +101,6 @@ void Profile::Pack(std::span<const ActionKey> sorted_actions,
     heap_.resize(total);
     base = heap_.data();
   }
-  packed_bytes_ = total * sizeof(std::uint64_t);
 
   auto copy64 = [&](int slot, const std::uint64_t* src, std::size_t n) {
     if (n != 0) std::memcpy(base + off[slot], src, n * sizeof(std::uint64_t));

@@ -114,9 +114,6 @@ class Profile {
   /// snapshot construction; what the batched similarity kernels run on.
   const ScoreIndex& index() const { return index_; }
 
-  /// Bytes of the packed snapshot block (actions + index), as allocated.
-  std::size_t PackedBytes() const { return packed_bytes_; }
-
   /// True when the action Tagged(item, tag) is present.
   bool Contains(ItemId item, TagId tag) const;
 
@@ -161,7 +158,6 @@ class Profile {
   std::shared_ptr<SlabArena> arena_;
   void* block_ = nullptr;
   AlignedVector<std::uint64_t> heap_;
-  std::size_t packed_bytes_ = 0;
 
   std::span<const ActionKey> actions_;
   ScoreIndex index_;

@@ -4,16 +4,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/parse.h"
+
 namespace p3q {
 namespace {
-
-/// Fixed-precision double rendering (no locale, no exponent) so reports are
-/// byte-stable across platforms.
-std::string Num(double v, int precision = 6) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -66,12 +60,14 @@ void AppendTrafficJson(const Metrics& traffic, const std::string& indent,
 void AppendTimingJson(const PhaseTiming& timing, bool open_loop,
                       std::ostringstream* out) {
   *out << "{\"threads\": " << timing.threads
-       << ", \"wall_seconds\": " << Num(timing.wall_seconds)
-       << ", \"cycles_per_sec\": " << Num(timing.cycles_per_sec, 1)
-       << ", \"user_cycles_per_sec\": " << Num(timing.user_cycles_per_sec, 1);
+       << ", \"wall_seconds\": " << FormatFixed(timing.wall_seconds)
+       << ", \"cycles_per_sec\": " << FormatFixed(timing.cycles_per_sec, 1)
+       << ", \"user_cycles_per_sec\": "
+       << FormatFixed(timing.user_cycles_per_sec, 1);
   if (open_loop) {
-    *out << ", \"queries_per_sec\": " << Num(timing.queries_per_sec, 1)
-         << ", \"slo_queries_per_sec\": " << Num(timing.slo_queries_per_sec, 1);
+    *out << ", \"queries_per_sec\": " << FormatFixed(timing.queries_per_sec, 1)
+         << ", \"slo_queries_per_sec\": "
+         << FormatFixed(timing.slo_queries_per_sec, 1);
   }
   *out << "}";
 }
@@ -79,21 +75,22 @@ void AppendTimingJson(const PhaseTiming& timing, bool open_loop,
 /// End-of-run memory footprint. Rides the timing opt-in gate (peak RSS is
 /// process-wide and non-deterministic) and appears only in the totals.
 void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
-  *out << "{\"arena_reserved_bytes\": " << m.arena_reserved_bytes
-       << ", \"arena_used_bytes\": " << m.arena_used_bytes
-       << ", \"arena_slabs\": " << m.arena_slabs
-       << ", \"arena_live_blocks\": " << m.arena_live_blocks
-       << ", \"arena_recycled_slabs\": " << m.arena_recycled_slabs
-       << ", \"pool_hits\": " << m.pool_hits
-       << ", \"pool_misses\": " << m.pool_misses
-       << ", \"probe_memo_bytes\": " << m.probe_memo_bytes
-       << ", \"probe_memo_entries\": " << m.probe_memo_entries
-       << ", \"personal_network_bytes\": " << m.personal_network_bytes
-       << ", \"network_index_bytes\": " << m.network_index_bytes
-       << ", \"random_view_bytes\": " << m.random_view_bytes
-       << ", \"peak_in_flight_messages\": " << m.peak_in_flight_messages
+  const SystemMemoryStats& sys = m.system;
+  *out << "{\"arena_reserved_bytes\": " << sys.store.arena.reserved_bytes
+       << ", \"arena_used_bytes\": " << sys.store.arena.used_bytes
+       << ", \"arena_slabs\": " << sys.store.arena.slabs
+       << ", \"arena_live_blocks\": " << sys.store.arena.live_blocks
+       << ", \"arena_recycled_slabs\": " << sys.store.arena.recycled_slabs
+       << ", \"pool_hits\": " << sys.store.pool_hits
+       << ", \"pool_misses\": " << sys.store.pool_misses
+       << ", \"probe_memo_bytes\": " << sys.probe_memo_bytes
+       << ", \"probe_memo_entries\": " << sys.probe_memo_entries
+       << ", \"personal_network_bytes\": " << sys.personal_network_bytes
+       << ", \"network_index_bytes\": " << sys.network_index_bytes
+       << ", \"random_view_bytes\": " << sys.random_view_bytes
+       << ", \"peak_in_flight_messages\": " << sys.peak_in_flight_messages
        << ", \"ideal_network_bytes\": " << m.ideal_network_bytes
-       << ", \"peak_rss_mb\": " << Num(m.peak_rss_mb, 1)
+       << ", \"peak_rss_mb\": " << FormatFixed(m.peak_rss_mb, 1)
        << ", \"heap_held_bytes\": " << m.heap_held_bytes
        << ", \"heap_in_use_bytes\": " << m.heap_in_use_bytes << "}";
 }
@@ -104,7 +101,7 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
 /// unclamped histograms, so existing reports serialize unchanged.
 void AppendPercentileJson(const char* key, const PercentileValue& p,
                           std::ostringstream* out) {
-  *out << "\"" << key << "\": " << Num(p.value, 2);
+  *out << "\"" << key << "\": " << FormatFixed(p.value, 2);
   if (p.lower_bound) *out << ", \"" << key << "_lower_bound\": true";
 }
 
@@ -253,8 +250,8 @@ std::string ScenarioReportToJson(const ScenarioReport& report,
       << "  \"users\": " << report.users << ",\n"
       << "  \"config\": {\"network_size\": " << report.network_size
       << ", \"stored_profiles\": " << report.stored_profiles
-      << ", \"top_k\": " << report.top_k << ", \"alpha\": " << Num(report.alpha)
-      << "},\n";
+      << ", \"top_k\": " << report.top_k
+      << ", \"alpha\": " << FormatFixed(report.alpha) << "},\n";
   if (include_delivery) {
     out << "  \"latency\": \"" << JsonEscape(report.latency.Name())
         << "\",\n";
@@ -274,9 +271,9 @@ std::string ScenarioReportToJson(const ScenarioReport& report,
         << "      \"rejoins\": " << p.rejoins << ",\n"
         << "      \"queries\": {\"issued\": " << p.queries_issued
         << ", \"completed\": " << p.queries_completed
-        << ", \"avg_recall\": " << Num(p.avg_recall)
-        << ", \"avg_coverage\": " << Num(p.avg_coverage) << "},\n"
-        << "      \"success_ratio\": " << Num(p.success_ratio) << ",\n"
+        << ", \"avg_recall\": " << FormatFixed(p.avg_recall)
+        << ", \"avg_coverage\": " << FormatFixed(p.avg_coverage) << "},\n"
+        << "      \"success_ratio\": " << FormatFixed(p.success_ratio) << ",\n"
         << "      \"traffic\": ";
     AppendTrafficJson(p.traffic, "      ", &out);
     if (include_delivery) {
@@ -303,40 +300,37 @@ std::string ScenarioReportToJson(const ScenarioReport& report,
     }
     out << "\n    }" << (i + 1 < report.phases.size() ? "," : "") << "\n";
   }
+  const PhaseReport& t = report.totals;
   out << "  ],\n"
       << "  \"totals\": {\n"
-      << "    \"cycles\": " << report.total_cycles << ",\n"
-      << "    \"departures\": " << report.total_departures << ",\n"
-      << "    \"rejoins\": " << report.total_rejoins << ",\n"
-      << "    \"queries\": {\"issued\": " << report.total_queries_issued
-      << ", \"completed\": " << report.total_queries_completed << "},\n"
+      << "    \"cycles\": " << t.cycles << ",\n"
+      << "    \"departures\": " << t.departures << ",\n"
+      << "    \"rejoins\": " << t.rejoins << ",\n"
+      << "    \"queries\": {\"issued\": " << t.queries_issued
+      << ", \"completed\": " << t.queries_completed << "},\n"
       << "    \"traffic\": ";
-  AppendTrafficJson(report.total_traffic, "    ", &out);
+  AppendTrafficJson(t.traffic, "    ", &out);
   if (include_delivery) {
-    const std::size_t in_flight_at_end =
-        report.phases.empty() ? 0 : report.phases.back().in_flight_at_end;
     out << ",\n    \"delivery\": ";
-    AppendDeliveryJson(report.total_delivery, in_flight_at_end,
-                       /*totals=*/true, &out);
+    AppendDeliveryJson(t.delivery, t.in_flight_at_end, /*totals=*/true, &out);
   }
   if (report.open_loop) {
     out << ",\n    \"query_latency\": ";
-    AppendQueryLatencyJson(report.total_query_latency, "", 0, /*totals=*/true,
-                           &out);
+    AppendQueryLatencyJson(t.query_latency, "", 0, /*totals=*/true, &out);
   }
   if (include_timing) {
     out << ",\n    \"timing\": ";
-    AppendTimingJson(report.total_timing, report.open_loop, &out);
+    AppendTimingJson(t.timing, report.open_loop, &out);
     out << ",\n    \"memory\": ";
     AppendMemoryJson(report.memory, &out);
   }
   if (include_trace) {
     out << ",\n    \"trace_events\": ";
-    AppendTraceEventsJson(report.total_trace_events, &out);
+    AppendTraceEventsJson(t.trace_events, &out);
   }
   if (include_profile) {
     out << ",\n    \"profile\": ";
-    AppendProfileJson(report.total_profile, &out);
+    AppendProfileJson(t.profile, &out);
   }
   out << "\n  }\n}\n";
   return out.str();
@@ -384,86 +378,62 @@ std::string ScenarioReportToCsv(const ScenarioReport& report,
   }
   out << "\n";
 
-  auto row = [&](const std::string& phase_name, const std::string& mode,
-                 std::uint64_t cycles, std::size_t online_at_end,
-                 std::size_t departures, std::size_t rejoins, int issued,
-                 int completed, double recall, double coverage, double success,
-                 const Metrics& traffic, const DeliveryStats& delivery,
-                 std::size_t in_flight_at_end, const std::string& arrivals,
-                 const QueryLatencyStats& query_latency,
-                 std::size_t open_queries_at_end, const PhaseTiming& timing,
-                 const Tracer::KindCounts& trace_events,
-                 const std::map<std::string, PhaseBreakdown>& profile) {
-    out << report.scenario << "," << phase_name << "," << mode << "," << cycles
-        << "," << online_at_end << "," << departures << "," << rejoins << ","
-        << issued << "," << completed << "," << Num(recall) << ","
-        << Num(coverage) << "," << Num(success) << ","
-        << traffic.TotalMessages() << "," << traffic.TotalBytes();
+  const auto row = [&](const PhaseReport& p) {
+    out << report.scenario << "," << p.name << "," << p.mode << ","
+        << p.cycles << "," << p.online_at_end << "," << p.departures << ","
+        << p.rejoins << "," << p.queries_issued << "," << p.queries_completed
+        << "," << FormatFixed(p.avg_recall) << ","
+        << FormatFixed(p.avg_coverage) << "," << FormatFixed(p.success_ratio)
+        << "," << p.traffic.TotalMessages() << "," << p.traffic.TotalBytes();
     for (int i = 0; i < static_cast<int>(MessageType::kCount); ++i) {
-      const MessageStats& s = traffic.Of(static_cast<MessageType>(i));
+      const MessageStats& s = p.traffic.Of(static_cast<MessageType>(i));
       out << "," << s.messages << "," << s.bytes;
     }
     if (include_delivery) {
-      out << "," << report.latency.Name() << "," << delivery.enqueued << ","
-          << delivery.delivered << "," << delivery.dropped << ","
-          << delivery.stale_dropped << "," << in_flight_at_end << ","
-          << Num(delivery.LagPercentile(0.50), 2) << ","
-          << Num(delivery.LagPercentile(0.95), 2);
+      const DeliveryStats& d = p.delivery;
+      out << "," << report.latency.Name() << "," << d.enqueued << ","
+          << d.delivered << "," << d.dropped << "," << d.stale_dropped << ","
+          << p.in_flight_at_end << "," << FormatFixed(d.LagPercentile(0.50), 2)
+          << "," << FormatFixed(d.LagPercentile(0.95), 2);
     }
     if (report.open_loop) {
-      const PercentileValue p99 = query_latency.CompletionPercentile(0.99);
-      out << "," << (arrivals.empty() ? "none" : arrivals) << ","
-          << query_latency.issued << "," << query_latency.completed << ","
-          << query_latency.completed_within_slo << ","
-          << query_latency.first_results << "," << query_latency.abandoned
-          << "," << open_queries_at_end << ","
-          << Num(query_latency.CompletionPercentile(0.50).value, 2) << ","
-          << Num(query_latency.CompletionPercentile(0.95).value, 2) << ","
-          << Num(p99.value, 2) << "," << (p99.lower_bound ? 1 : 0) << ","
-          << Num(query_latency.FirstResultPercentile(0.50).value, 2);
+      const QueryLatencyStats& q = p.query_latency;
+      const PercentileValue p99 = q.CompletionPercentile(0.99);
+      out << "," << (p.arrivals.empty() ? "none" : p.arrivals) << ","
+          << q.issued << "," << q.completed << "," << q.completed_within_slo
+          << "," << q.first_results << "," << q.abandoned << ","
+          << p.open_queries_at_end << ","
+          << FormatFixed(q.CompletionPercentile(0.50).value, 2) << ","
+          << FormatFixed(q.CompletionPercentile(0.95).value, 2) << ","
+          << FormatFixed(p99.value, 2) << "," << (p99.lower_bound ? 1 : 0)
+          << "," << FormatFixed(q.FirstResultPercentile(0.50).value, 2);
     }
     if (include_timing) {
-      out << "," << timing.threads << "," << Num(timing.wall_seconds) << ","
-          << Num(timing.cycles_per_sec, 1) << ","
-          << Num(timing.user_cycles_per_sec, 1);
+      const PhaseTiming& timing = p.timing;
+      out << "," << timing.threads << "," << FormatFixed(timing.wall_seconds)
+          << "," << FormatFixed(timing.cycles_per_sec, 1) << ","
+          << FormatFixed(timing.user_cycles_per_sec, 1);
       if (report.open_loop) {
-        out << "," << Num(timing.queries_per_sec, 1) << ","
-            << Num(timing.slo_queries_per_sec, 1);
+        out << "," << FormatFixed(timing.queries_per_sec, 1) << ","
+            << FormatFixed(timing.slo_queries_per_sec, 1);
       }
     }
     if (include_trace) {
       for (int i = 0; i < kNumTraceEventKinds; ++i) {
-        out << "," << trace_events[i];
+        out << "," << p.trace_events[i];
       }
     }
     if (include_profile) {
-      const ProfileRollup r = RollupProfile(profile);
-      out << "," << Num(r.plan) << "," << Num(r.barrier) << ","
-          << Num(r.drain) << "," << Num(r.end_cycle) << ","
-          << Num(r.imbalance, 3);
+      const ProfileRollup r = RollupProfile(p.profile);
+      out << "," << FormatFixed(r.plan) << "," << FormatFixed(r.barrier) << ","
+          << FormatFixed(r.drain) << "," << FormatFixed(r.end_cycle) << ","
+          << FormatFixed(r.imbalance, 3);
     }
     out << "\n";
   };
 
-  for (const PhaseReport& p : report.phases) {
-    row(p.name, p.mode, p.cycles, p.online_at_end, p.departures, p.rejoins,
-        p.queries_issued, p.queries_completed, p.avg_recall, p.avg_coverage,
-        p.success_ratio, p.traffic, p.delivery, p.in_flight_at_end, p.arrivals,
-        p.query_latency, p.open_queries_at_end, p.timing, p.trace_events,
-        p.profile);
-  }
-  const PhaseReport* last = report.phases.empty() ? nullptr : &report.phases.back();
-  row("total", "-", report.total_cycles,
-      last != nullptr ? last->online_at_end : 0, report.total_departures,
-      report.total_rejoins, report.total_queries_issued,
-      report.total_queries_completed,
-      last != nullptr ? last->avg_recall : -1,
-      last != nullptr ? last->avg_coverage : 0,
-      last != nullptr ? last->success_ratio : 0, report.total_traffic,
-      report.total_delivery,
-      last != nullptr ? last->in_flight_at_end : 0, "-",
-      report.total_query_latency, 0, report.total_timing,
-      report.total_trace_events, report.total_profile);
+  for (const PhaseReport& p : report.phases) row(p);
+  row(report.totals);
   return out.str();
 }
 

@@ -186,11 +186,6 @@ ArrivalSpec ReadArrivalSpec(CheckpointReader* in) {
   return spec;
 }
 
-bool SameArrivalSpec(const ArrivalSpec& a, const ArrivalSpec& b) {
-  return a.kind == b.kind && a.rate == b.rate && a.trace == b.trace &&
-         a.slo_cycles == b.slo_cycles && a.recall_target == b.recall_target;
-}
-
 void WriteKindCounts(CheckpointWriter* out, const Tracer::KindCounts& counts) {
   for (std::uint64_t c : counts) out->U64(c);
 }
@@ -261,9 +256,9 @@ PhaseReport ReadPhaseReport(CheckpointReader* in) {
   return pr;
 }
 
-/// Writes the identity header: which scenario and result-affecting options
-/// produced this snapshot (threads/tracer/profiler excluded — they never
-/// change results).
+/// Writes the identity header: which scenario and run shape produced this
+/// snapshot (threads/tracer/profiler excluded — they never change results),
+/// with the run's effective latency model.
 void WriteRunHeader(CheckpointWriter* out, const std::string& scenario_name,
                     const ScenarioRunnerOptions& options,
                     const LatencySpec& latency) {
@@ -282,160 +277,221 @@ void WriteRunHeader(CheckpointWriter* out, const std::string& scenario_name,
   out->Sentinel();
 }
 
-CheckpointRunInfo ReadRunHeader(CheckpointReader* in) {
-  CheckpointRunInfo info;
-  info.scenario = in->Str();
-  info.users = static_cast<int>(in->I64());
-  info.seed = in->U64();
-  info.cycle_scale = in->F64();
-  info.network_size = static_cast<int>(in->I64());
-  info.stored_profiles = static_cast<int>(in->I64());
-  info.alpha = in->F64();
-  info.top_k = static_cast<int>(in->I64());
+/// Reads the identity header: returns the scenario name and sets the
+/// run-shape fields of `shape`, its latency to the run's effective model.
+std::string ReadRunHeader(CheckpointReader* in, ScenarioRunnerOptions* shape) {
+  std::string scenario = in->Str();
+  shape->users = static_cast<int>(in->I64());
+  shape->seed = in->U64();
+  shape->cycle_scale = in->F64();
+  shape->network_size = static_cast<int>(in->I64());
+  shape->stored_profiles = static_cast<int>(in->I64());
+  shape->alpha = in->F64();
+  shape->top_k = static_cast<int>(in->I64());
   const std::uint32_t similarity = in->U32();
   if (similarity > static_cast<std::uint32_t>(SimilarityMetric::kOverlap)) {
     throw CheckpointError("unknown similarity metric " +
                           std::to_string(similarity) + " in checkpoint");
   }
-  info.similarity = static_cast<SimilarityMetric>(similarity);
-  info.latency = ReadLatencySpec(in);
-  if (in->U8() != 0) info.arrivals = ReadArrivalSpec(in);
+  shape->similarity = static_cast<SimilarityMetric>(similarity);
+  shape->latency = ReadLatencySpec(in);
+  shape->arrivals.reset();
+  if (in->U8() != 0) shape->arrivals = ReadArrivalSpec(in);
   in->Sentinel("run header");
-  return info;
+  return scenario;
 }
 
-/// Throws a CheckpointError naming the first option the resuming run sets
-/// differently from what the snapshot was written with.
-void VerifyResumeHeader(const CheckpointRunInfo& info, const Scenario& scenario,
+/// Throws a CheckpointError naming the first run-shape field the resuming
+/// run sets differently from the snapshot's header (`saved_scenario` and
+/// `saved`, as ReadRunHeader decoded them). `latency` is the resuming run's
+/// effective model.
+void VerifyResumeHeader(const std::string& saved_scenario,
+                        const ScenarioRunnerOptions& saved,
+                        const Scenario& scenario,
                         const ScenarioRunnerOptions& options,
                         const LatencySpec& latency) {
-  const auto mismatch = [](const std::string& what, const std::string& saved,
-                           const std::string& now) {
-    throw CheckpointError("checkpoint was written with " + what + " = " +
-                          saved + " but this run uses " + now +
+  const auto check = [](bool same, const std::string& what,
+                        const std::string& was, const std::string& now) {
+    if (same) return;
+    throw CheckpointError("checkpoint was written with " + what + " = " + was +
+                          " but this run uses " + now +
                           "; resume with matching options");
   };
-  if (info.scenario != scenario.name) {
-    mismatch("scenario", info.scenario, scenario.name);
-  }
-  if (info.users != options.users) {
-    mismatch("users", std::to_string(info.users),
-             std::to_string(options.users));
-  }
-  if (info.seed != options.seed) {
-    mismatch("seed", std::to_string(info.seed), std::to_string(options.seed));
-  }
-  if (info.cycle_scale != options.cycle_scale) {
-    mismatch("cycle_scale", std::to_string(info.cycle_scale),
-             std::to_string(options.cycle_scale));
-  }
-  if (info.network_size != options.network_size) {
-    mismatch("network_size", std::to_string(info.network_size),
-             std::to_string(options.network_size));
-  }
-  if (info.stored_profiles != options.stored_profiles) {
-    mismatch("stored_profiles", std::to_string(info.stored_profiles),
-             std::to_string(options.stored_profiles));
-  }
-  if (info.alpha != options.alpha) {
-    mismatch("alpha", std::to_string(info.alpha),
-             std::to_string(options.alpha));
-  }
-  if (info.top_k != options.top_k) {
-    mismatch("top_k", std::to_string(info.top_k),
-             std::to_string(options.top_k));
-  }
-  if (info.similarity != options.similarity) {
-    mismatch("similarity", SimilarityMetricName(info.similarity),
-             SimilarityMetricName(options.similarity));
-  }
-  if (info.latency.Name() != latency.Name()) {
-    mismatch("latency", info.latency.Name(), latency.Name());
-  }
-  if (info.arrivals.has_value() != options.arrivals.has_value() ||
-      (info.arrivals.has_value() &&
-       !SameArrivalSpec(*info.arrivals, *options.arrivals))) {
-    mismatch("arrivals",
-             info.arrivals.has_value() ? info.arrivals->Name() : "none",
-             options.arrivals.has_value() ? options.arrivals->Name() : "none");
-  }
+  const auto arrivals_name = [](const std::optional<ArrivalSpec>& arrivals) {
+    return arrivals.has_value() ? arrivals->Name() : std::string("none");
+  };
+  check(saved_scenario == scenario.name, "scenario", saved_scenario,
+        scenario.name);
+  check(saved.users == options.users, "users", std::to_string(saved.users),
+        std::to_string(options.users));
+  check(saved.seed == options.seed, "seed", std::to_string(saved.seed),
+        std::to_string(options.seed));
+  check(saved.cycle_scale == options.cycle_scale, "cycle_scale",
+        std::to_string(saved.cycle_scale), std::to_string(options.cycle_scale));
+  check(saved.network_size == options.network_size, "network_size",
+        std::to_string(saved.network_size),
+        std::to_string(options.network_size));
+  check(saved.stored_profiles == options.stored_profiles, "stored_profiles",
+        std::to_string(saved.stored_profiles),
+        std::to_string(options.stored_profiles));
+  check(saved.alpha == options.alpha, "alpha", std::to_string(saved.alpha),
+        std::to_string(options.alpha));
+  check(saved.top_k == options.top_k, "top_k", std::to_string(saved.top_k),
+        std::to_string(options.top_k));
+  check(saved.similarity == options.similarity, "similarity",
+        SimilarityMetricName(saved.similarity),
+        SimilarityMetricName(options.similarity));
+  check(saved.latency->Name() == latency.Name(), "latency",
+        saved.latency->Name(), latency.Name());
+  check(saved.arrivals == options.arrivals, "arrivals",
+        arrivals_name(saved.arrivals), arrivals_name(options.arrivals));
 }
 
-/// Everything the runner section restores: the resume position, the
-/// workload state, the closed phase reports, and the in-progress phase's
-/// partial accumulators and before-snapshots.
-struct RunnerResumeState {
-  std::size_t phase_index = 0;
-  std::uint64_t cycle = 0;  ///< within the resumed phase
+/// The runner's own state at the top of a timeline cycle: the report so
+/// far, the timeline position, the workload streams, the serving lifecycle
+/// and the open phase's counters and baselines. With the system it is the
+/// whole run: a checkpoint's runner section is this struct, written by
+/// WriteRunnerState and read back by ReadRunnerState.
+struct RunnerState {
+  /// The closed phases, open_loop and slo_cycles travel in the section;
+  /// the report's header fields come from the options.
+  ScenarioReport report;
+  /// The open phase is report.phases.size(); this is the cycle within it.
+  std::uint64_t cycle = 0;
+  /// Global timeline cycle, across phases.
   std::uint64_t serving_cycle = 0;
-  bool has_tracker = false;
-  bool open_loop = false;
-  std::uint64_t slo_cycles = 0;
+  /// Workload randomness (querier choice, duty sampling, update batches)
+  /// and the open-loop querier choices: two streams forked off the master
+  /// seed, so enabling the serving harness never perturbs the closed-loop
+  /// workload (arrival counts have yet another, inside ArrivalProcess).
+  Rng workload_rng;
+  Rng serving_rng;
+  /// Open-loop lifecycle, created at the first arrival phase, and the
+  /// whole run's serving stats.
+  std::optional<ServingTracker> tracker;
   QueryLatencyStats serving_stats;
-  bool arrival_active = false;
-  std::array<std::uint64_t, 4> arrival_rng{};
-  std::vector<PhaseReport> completed;
-  std::uint64_t pr_departures = 0;
-  std::uint64_t pr_rejoins = 0;
-  std::int64_t pr_queries_issued = 0;
-  Metrics before;
+  /// The open phase's open-loop arrival process (kNone when it serves
+  /// none, and then it never arrives).
+  ArrivalProcess arrivals{ArrivalSpec{}, 0};
+  /// The open phase's report: its departures, rejoins and queries issued
+  /// count up cycle by cycle; the rest is filled when the phase closes.
+  PhaseReport phase;
+  /// What the phase's deltas close against: the counters at its start.
+  Metrics traffic_before;
   DeliveryStats delivery_before;
   QueryLatencyStats serving_before;
-  bool traced = false;
-  std::uint64_t trace_next_seq = 0;
-  Tracer::KindCounts trace_counts{};
   Tracer::KindCounts trace_before{};
+  /// Σ over the phase's cycles of online users (its work rate).
   double online_cycle_sum = 0;
+  /// The phase's closed-loop queries, sampled and released at its end.
   std::vector<OpenQuery> open;
 };
 
-/// Reads the runner section of a checkpoint into a RunnerResumeState.
-/// `system` is already restored: every open query id, closed-loop or
-/// tracked, must name one of its live queries, else CheckpointError.
-RunnerResumeState ReadRunnerSection(CheckpointReader* in,
-                                    const P3QSystem& system, Rng* workload_rng,
-                                    Rng* serving_rng,
-                                    std::optional<ServingTracker>* tracker) {
-  RunnerResumeState s;
+/// Writes the runner section. A traced run also writes the trace cursor
+/// (the tracer's next sequence number and counts).
+void WriteRunnerState(CheckpointWriter* out, const RunnerState& s,
+                      const Tracer* tracer) {
+  out->U64(s.report.phases.size());
+  for (const PhaseReport& done : s.report.phases) WritePhaseReport(out, done);
+  out->U64(s.cycle);
+  out->U64(s.serving_cycle);
+  WriteRngState(out, s.workload_rng);
+  WriteRngState(out, s.serving_rng);
+  out->U8(s.tracker.has_value() ? 1 : 0);
+  if (s.tracker.has_value()) s.tracker->SaveState(out);
+  out->U8(s.report.open_loop ? 1 : 0);
+  out->U64(s.report.slo_cycles);
+  WriteQueryLatencyStats(out, s.serving_stats);
+  const bool serving = !s.arrivals.spec().IsNone();
+  out->U8(serving ? 1 : 0);
+  if (serving) WriteRngState(out, s.arrivals.rng());
+  out->U64(s.phase.departures);
+  out->U64(s.phase.rejoins);
+  out->I64(s.phase.queries_issued);
+  WriteMetrics(out, s.traffic_before);
+  WriteDeliveryStats(out, s.delivery_before);
+  WriteQueryLatencyStats(out, s.serving_before);
+  out->U8(tracer != nullptr ? 1 : 0);
+  if (tracer != nullptr) {
+    out->U64(tracer->accepted());
+    WriteKindCounts(out, tracer->counts());
+    WriteKindCounts(out, s.trace_before);
+  }
+  out->F64(s.online_cycle_sum);
+  out->U64(s.open.size());
+  for (const OpenQuery& q : s.open) {
+    out->U64(q.id);
+    out->U64(q.reference.size());
+    for (ItemId item : q.reference) out->U32(item);
+  }
+  out->Sentinel();
+}
+
+/// Reads what WriteRunnerState wrote into `s`, whose report header is
+/// already set, and checks it against the run: the open phase and cycle
+/// must lie inside the scaled timeline, the arrival state must match the
+/// phase's, and every open query id, closed-loop or tracked, must name one
+/// of `system`'s live queries (the system is already restored). A traced
+/// resume of a traced run continues its trace cursor; an untraced
+/// snapshot's phase baseline is the resuming tracer's counts. Throws
+/// CheckpointError.
+void ReadRunnerState(CheckpointReader* in, const P3QSystem& system,
+                     const Scenario& scenario,
+                     const ScenarioRunnerOptions& options, RunnerState* s) {
   const std::uint64_t num_completed = in->Count(64);
-  s.completed.reserve(static_cast<std::size_t>(num_completed));
+  s->report.phases.reserve(static_cast<std::size_t>(num_completed));
   for (std::uint64_t p = 0; p < num_completed; ++p) {
-    s.completed.push_back(ReadPhaseReport(in));
+    s->report.phases.push_back(ReadPhaseReport(in));
   }
-  s.phase_index = s.completed.size();
-  s.cycle = in->U64();
-  s.serving_cycle = in->U64();
-  ReadRngState(in, workload_rng);
-  ReadRngState(in, serving_rng);
-  s.has_tracker = in->U8() != 0;
-  if (s.has_tracker) {
-    tracker->emplace(0, 0.0);  // overwritten entirely by LoadState
-    (*tracker)->LoadState(in, system);
+  const std::size_t phase_index = s->report.phases.size();
+  if (phase_index >= scenario.phases.size()) {
+    throw CheckpointError(
+        "checkpoint resume position is past the end of the timeline");
   }
-  s.open_loop = in->U8() != 0;
-  s.slo_cycles = in->U64();
-  s.serving_stats = ReadQueryLatencyStats(in);
-  s.arrival_active = in->U8() != 0;
-  if (s.arrival_active) {
-    Rng scratch(0);
-    ReadRngState(in, &scratch);
-    s.arrival_rng = scratch.State();
+  const ScenarioPhase& phase = scenario.phases[phase_index];
+  s->cycle = in->U64();
+  if (s->cycle >= ScaledCycles(phase, options.cycle_scale)) {
+    throw CheckpointError("checkpoint resume position is past the phase end");
   }
-  s.pr_departures = in->U64();
-  s.pr_rejoins = in->U64();
-  s.pr_queries_issued = in->I64();
-  s.before = ReadMetrics(in);
-  s.delivery_before = ReadDeliveryStats(in);
-  s.serving_before = ReadQueryLatencyStats(in);
-  s.traced = in->U8() != 0;
-  if (s.traced) {
-    s.trace_next_seq = in->U64();
-    s.trace_counts = ReadKindCounts(in);
-    s.trace_before = ReadKindCounts(in);
+  s->serving_cycle = in->U64();
+  ReadRngState(in, &s->workload_rng);
+  ReadRngState(in, &s->serving_rng);
+  if (in->U8() != 0) {
+    s->tracker.emplace(0, 0.0);  // overwritten entirely by LoadState
+    s->tracker->LoadState(in, system);
   }
-  s.online_cycle_sum = in->F64();
+  s->report.open_loop = in->U8() != 0;
+  s->report.slo_cycles = in->U64();
+  s->serving_stats = ReadQueryLatencyStats(in);
+  const ArrivalSpec& arrivals = EffectiveArrivals(scenario, phase, options);
+  if ((in->U8() != 0) == arrivals.IsNone()) {
+    throw CheckpointError(
+        "checkpoint arrival-process state does not match the scenario's "
+        "phase");
+  }
+  s->arrivals = ArrivalProcess(arrivals, options.seed + phase_index);
+  if (!arrivals.IsNone()) ReadRngState(in, &s->arrivals.rng());
+  s->phase.departures = static_cast<std::size_t>(in->U64());
+  s->phase.rejoins = static_cast<std::size_t>(in->U64());
+  s->phase.queries_issued = static_cast<int>(in->I64());
+  s->traffic_before = ReadMetrics(in);
+  s->delivery_before = ReadDeliveryStats(in);
+  s->serving_before = ReadQueryLatencyStats(in);
+  if (in->U8() != 0) {
+    const std::uint64_t next_seq = in->U64();
+    const Tracer::KindCounts counts = ReadKindCounts(in);
+    s->trace_before = ReadKindCounts(in);
+    // Continue the straight run's event numbering: the resumed JSONL is a
+    // byte-suffix of the full trace.
+    if (options.tracer != nullptr) {
+      options.tracer->RestoreCursor(next_seq, counts);
+    }
+  } else if (options.tracer != nullptr) {
+    s->trace_before = options.tracer->counts();
+  }
+  s->online_cycle_sum = in->F64();
   const std::uint64_t num_open = in->Count(16);
-  s.open.reserve(static_cast<std::size_t>(num_open));
+  s->open.reserve(static_cast<std::size_t>(num_open));
   for (std::uint64_t q = 0; q < num_open; ++q) {
     OpenQuery query;
     query.id = in->U64();
@@ -448,10 +504,9 @@ RunnerResumeState ReadRunnerSection(CheckpointReader* in,
     for (std::uint64_t r = 0; r < num_reference; ++r) {
       query.reference.push_back(in->U32());
     }
-    s.open.push_back(std::move(query));
+    s->open.push_back(std::move(query));
   }
   in->Sentinel("runner");
-  return s;
 }
 
 /// Emits one node_departed / node_rejoined event per user at the timeline
@@ -541,18 +596,13 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   // A resumed run restores every view/network/rng below, so the bootstrap
   // draws would be overwritten anyway — skip the work.
   if (!resuming) system.BootstrapRandomViews();
-  // Workload randomness (querier choice, duty sampling, update batches) is
-  // forked off the master seed, decorrelated from the system's own stream.
-  Rng workload_rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
-  // Open-loop serving draws querier choices from its own forked stream so
-  // enabling the harness never perturbs the closed-loop workload stream
-  // (arrival counts have yet another, inside ArrivalProcess).
-  Rng serving_rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x8a5cd789635d2dffULL);
-  std::optional<ServingTracker> tracker;  // created at the first arrival phase
-  QueryLatencyStats serving_stats;
-  std::uint64_t serving_cycle = 0;  // global timeline cycle, across phases
+  RunnerState state;
+  state.workload_rng =
+      Rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
+  state.serving_rng =
+      Rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x8a5cd789635d2dffULL);
 
-  ScenarioReport report;
+  ScenarioReport& report = state.report;
   report.scenario = scenario.name;
   report.description = scenario.description;
   report.seed = options.seed;
@@ -614,175 +664,85 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   }
   bool checkpoint_written = false;
 
-  RunnerResumeState resume;
   if (resuming) {
     const std::vector<std::uint8_t> payload =
         ReadCheckpointPayload(options.resume_path);
     CheckpointReader in(payload.data(), payload.size());
-    VerifyResumeHeader(ReadRunHeader(&in), scenario, options, latency);
+    ScenarioRunnerOptions saved;
+    const std::string saved_scenario = ReadRunHeader(&in, &saved);
+    VerifyResumeHeader(saved_scenario, saved, scenario, options, latency);
     system.LoadCheckpoint(&in);
-    resume =
-        ReadRunnerSection(&in, system, &workload_rng, &serving_rng, &tracker);
+    ReadRunnerState(&in, system, scenario, options, &state);
     in.ExpectEnd();
-    if (resume.phase_index >= scenario.phases.size()) {
-      throw CheckpointError(
-          "checkpoint resume position is past the end of the timeline");
-    }
-    serving_cycle = resume.serving_cycle;
-    serving_stats = resume.serving_stats;
-    report.open_loop = resume.open_loop;
-    report.slo_cycles = resume.slo_cycles;
-    if (options.tracer != nullptr && resume.traced) {
-      // Continue the straight run's event numbering: the resumed JSONL is a
-      // byte-suffix of the full trace.
-      options.tracer->RestoreCursor(resume.trace_next_seq,
-                                    resume.trace_counts);
-    }
-    for (PhaseReport& done : resume.completed) {
-      report.total_cycles += done.cycles;
-      report.total_departures += done.departures;
-      report.total_rejoins += done.rejoins;
-      report.total_queries_issued += done.queries_issued;
-      report.total_queries_completed += done.queries_completed;
-      report.total_timing.wall_seconds += done.timing.wall_seconds;
-      report.phases.push_back(std::move(done));
-    }
-    if (want_checkpoint && *options.checkpoint_at < serving_cycle) {
+    if (want_checkpoint && *options.checkpoint_at < state.serving_cycle) {
       throw std::invalid_argument(
           "ScenarioRunnerOptions: checkpoint_at " +
           std::to_string(*options.checkpoint_at) +
-          " is before the resume position (" + std::to_string(serving_cycle) +
-          ")");
+          " is before the resume position (" +
+          std::to_string(state.serving_cycle) + ")");
     }
   }
 
-  for (std::size_t phase_index = 0; phase_index < scenario.phases.size();
-       ++phase_index) {
-    if (resuming && phase_index < resume.phase_index) continue;
-    const bool resumed_phase = resuming && phase_index == resume.phase_index;
+  // A resumed run starts at the checkpoint's open phase, which keeps the
+  // counters and baselines ReadRunnerState restored.
+  bool resumed_phase = resuming;
+  for (std::size_t phase_index = report.phases.size();
+       phase_index < scenario.phases.size(); ++phase_index) {
     const ScenarioPhase& phase = scenario.phases[phase_index];
     const std::uint64_t cycles = ScaledCycles(phase, options.cycle_scale);
-
-    PhaseReport pr;
+    const ArrivalSpec& phase_arrivals =
+        EffectiveArrivals(scenario, phase, options);
+    if (!phase_arrivals.IsNone() && !state.tracker.has_value()) {
+      // The SLO/recall target of the run come from the first serving
+      // phase; later phases may change the rate but not the target.
+      state.tracker.emplace(phase_arrivals.slo_cycles,
+                            phase_arrivals.recall_target);
+      report.open_loop = true;
+      report.slo_cycles = phase_arrivals.slo_cycles;
+    }
+    if (!resumed_phase) {
+      // A fresh phase zeroes its counters and takes its baselines.
+      state.cycle = 0;
+      state.phase = PhaseReport{};
+      state.arrivals =
+          ArrivalProcess(phase_arrivals, options.seed + phase_index);
+      state.traffic_before = system.metrics().Snapshot();
+      state.delivery_before = system.DeliveryStatsTotal();
+      state.serving_before = state.serving_stats;
+      if (options.tracer != nullptr) {
+        state.trace_before = options.tracer->counts();
+      }
+      state.online_cycle_sum = 0;
+    }
+    resumed_phase = false;
+    PhaseReport& pr = state.phase;
     pr.name = phase.name;
     pr.mode = PhaseModeName(phase.mode);
     pr.cycles = cycles;
-
-    const ArrivalSpec& phase_arrivals =
-        EffectiveArrivals(scenario, phase, options);
-    std::optional<ArrivalProcess> arrival_process;
-    if (!phase_arrivals.IsNone()) {
-      if (!tracker.has_value()) {
-        // The SLO/recall target of the run come from the first serving
-        // phase; later phases may change the rate but not the target.
-        tracker.emplace(phase_arrivals.slo_cycles,
-                        phase_arrivals.recall_target);
-        report.open_loop = true;
-        report.slo_cycles = phase_arrivals.slo_cycles;
-      }
-      arrival_process.emplace(phase_arrivals,
-                              options.seed + report.phases.size());
-      pr.arrivals = phase_arrivals.Name();
-    }
-    if (resumed_phase) {
-      if (resume.cycle >= cycles) {
-        throw CheckpointError(
-            "checkpoint resume position is past the phase end");
-      }
-      if (resume.arrival_active != arrival_process.has_value()) {
-        throw CheckpointError(
-            "checkpoint arrival-process state does not match the scenario's "
-            "phase");
-      }
-      if (arrival_process.has_value()) {
-        arrival_process->rng().SetState(resume.arrival_rng);
-      }
-      pr.departures = static_cast<std::size_t>(resume.pr_departures);
-      pr.rejoins = static_cast<std::size_t>(resume.pr_rejoins);
-      pr.queries_issued = static_cast<int>(resume.pr_queries_issued);
-    }
-    const QueryLatencyStats serving_before =
-        resumed_phase ? resume.serving_before : serving_stats;
-
-    std::vector<OpenQuery> open =
-        resumed_phase ? std::move(resume.open) : std::vector<OpenQuery>{};
-    const Metrics before =
-        resumed_phase ? resume.before : system.metrics().Snapshot();
-    const DeliveryStats delivery_before =
-        resumed_phase ? resume.delivery_before : system.DeliveryStatsTotal();
-    Tracer::KindCounts trace_before{};
-    if (options.tracer != nullptr) {
-      trace_before = resumed_phase && resume.traced ? resume.trace_before
-                                                    : options.tracer->counts();
-    }
+    if (!phase_arrivals.IsNone()) pr.arrivals = phase_arrivals.Name();
     std::map<std::string, PhaseBreakdown> profile_before;
     if (options.profiler != nullptr) {
       profile_before = options.profiler->Snapshot();
     }
-    double online_cycle_sum =
-        resumed_phase ? resume.online_cycle_sum
-                      : 0;  // Σ over cycles of online users (work rate)
 
-    // Snapshots the whole run — identity header, system, runner position —
-    // into options.checkpoint_path. Everything captured lives above.
-    const auto save_checkpoint = [&](std::uint64_t cycle_in_phase) {
-      CheckpointWriter payload;
-      WriteRunHeader(&payload, scenario.name, options, latency);
-      system.SaveCheckpoint(&payload);
-      payload.U64(report.phases.size());
-      for (const PhaseReport& done : report.phases) {
-        WritePhaseReport(&payload, done);
-      }
-      payload.U64(cycle_in_phase);
-      payload.U64(serving_cycle);
-      WriteRngState(&payload, workload_rng);
-      WriteRngState(&payload, serving_rng);
-      payload.U8(tracker.has_value() ? 1 : 0);
-      if (tracker.has_value()) tracker->SaveState(&payload);
-      payload.U8(report.open_loop ? 1 : 0);
-      payload.U64(report.slo_cycles);
-      WriteQueryLatencyStats(&payload, serving_stats);
-      payload.U8(arrival_process.has_value() ? 1 : 0);
-      if (arrival_process.has_value()) {
-        WriteRngState(&payload, arrival_process->rng());
-      }
-      payload.U64(pr.departures);
-      payload.U64(pr.rejoins);
-      payload.I64(pr.queries_issued);
-      WriteMetrics(&payload, before);
-      WriteDeliveryStats(&payload, delivery_before);
-      WriteQueryLatencyStats(&payload, serving_before);
-      payload.U8(options.tracer != nullptr ? 1 : 0);
-      if (options.tracer != nullptr) {
-        payload.U64(options.tracer->accepted());
-        WriteKindCounts(&payload, options.tracer->counts());
-        WriteKindCounts(&payload, trace_before);
-      }
-      payload.F64(online_cycle_sum);
-      payload.U64(open.size());
-      for (const OpenQuery& q : open) {
-        payload.U64(q.id);
-        payload.U64(q.reference.size());
-        for (ItemId item : q.reference) payload.U32(item);
-      }
-      payload.Sentinel();
-      WriteCheckpointFile(options.checkpoint_path, payload);
-    };
-
-    const std::uint64_t start_cycle = resumed_phase ? resume.cycle : 0;
     const auto wall_start = std::chrono::steady_clock::now();
-    for (std::uint64_t cycle = start_cycle; cycle < cycles; ++cycle) {
+    for (; state.cycle < cycles; ++state.cycle) {
       // 0. Checkpoint — taken at the top of the timeline cycle, BEFORE this
       // cycle's events fire, so the resumed run fires them exactly once.
       if (want_checkpoint && !checkpoint_written &&
-          serving_cycle == *options.checkpoint_at) {
-        save_checkpoint(cycle);
+          state.serving_cycle == *options.checkpoint_at) {
+        CheckpointWriter payload;
+        WriteRunHeader(&payload, scenario.name, options, latency);
+        system.SaveCheckpoint(&payload);
+        WriteRunnerState(&payload, state, options.tracer);
+        WriteCheckpointFile(options.checkpoint_path, payload);
         checkpoint_written = true;
       }
 
       // 1. Scheduled events.
       for (const ScenarioEvent& event : phase.events) {
-        if (ScaleOffset(event.at_cycle, options.cycle_scale, cycles) != cycle) {
+        if (ScaleOffset(event.at_cycle, options.cycle_scale, cycles) !=
+            state.cycle) {
           continue;
         }
         switch (event.kind) {
@@ -791,7 +751,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
                 system.FailRandomFraction(event.fraction);
             pr.departures += departed.size();
             TraceLiveness(options.tracer, TraceEventKind::kNodeDeparted,
-                          serving_cycle, departed);
+                          state.serving_cycle, departed);
             break;
           }
           case EventKind::kRejoin: {
@@ -799,14 +759,15 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
                 system.RejoinRandomFraction(event.fraction);
             pr.rejoins += rejoined.size();
             TraceLiveness(options.tracer, TraceEventKind::kNodeRejoined,
-                          serving_cycle, rejoined);
+                          state.serving_cycle, rejoined);
             break;
           }
           case EventKind::kQueryBurst: {
             const std::vector<UserId> online = system.network().OnlineUsers();
             for (int i = 0; i < event.count; ++i) {
-              if (auto q = IssueRandomQuery(&system, online, &workload_rng)) {
-                open.push_back(std::move(*q));
+              if (auto q =
+                      IssueRandomQuery(&system, online, &state.workload_rng)) {
+                state.open.push_back(std::move(*q));
                 ++pr.queries_issued;
               }
             }
@@ -814,7 +775,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
           }
           case EventKind::kUpdateStorm: {
             const UpdateBatch batch = stream.MakeUpdateBatch(
-                event.update, &workload_rng, original_actions);
+                event.update, &state.workload_rng, original_actions);
             system.ApplyUpdateBatch(batch);
             ideal_dirty = true;
             break;
@@ -826,26 +787,27 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       // online fraction.
       if (phase.duty) {
         const double target =
-            std::clamp(phase.duty(cycle, cycles), 0.0, 1.0);
+            std::clamp(phase.duty(state.cycle, cycles), 0.0, 1.0);
         const auto target_online = static_cast<std::size_t>(std::llround(
             target * static_cast<double>(system.NumUsers())));
         const std::size_t current = system.network().NumOnline();
         if (current > target_online) {
           const std::vector<UserId> leaving =
-              workload_rng.SampleWithoutReplacement(
+              state.workload_rng.SampleWithoutReplacement(
                   system.network().OnlineUsers(), current - target_online);
           for (UserId u : leaving) system.FailUser(u);
           pr.departures += leaving.size();
           TraceLiveness(options.tracer, TraceEventKind::kNodeDeparted,
-                        serving_cycle, leaving);
+                        state.serving_cycle, leaving);
         } else if (current < target_online) {
-          std::vector<UserId> back = workload_rng.SampleWithoutReplacement(
-              system.network().OfflineUsers(), target_online - current);
+          std::vector<UserId> back =
+              state.workload_rng.SampleWithoutReplacement(
+                  system.network().OfflineUsers(), target_online - current);
           std::sort(back.begin(), back.end());
           for (UserId u : back) system.RejoinUser(u);
           pr.rejoins += back.size();
           TraceLiveness(options.tracer, TraceEventKind::kNodeRejoined,
-                        serving_cycle, back);
+                        state.serving_cycle, back);
         }
       }
 
@@ -853,8 +815,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       if (phase.queries_per_cycle > 0) {
         const std::vector<UserId> online = system.network().OnlineUsers();
         for (int i = 0; i < phase.queries_per_cycle; ++i) {
-          if (auto q = IssueRandomQuery(&system, online, &workload_rng)) {
-            open.push_back(std::move(*q));
+          if (auto q = IssueRandomQuery(&system, online, &state.workload_rng)) {
+            state.open.push_back(std::move(*q));
             ++pr.queries_issued;
           }
         }
@@ -862,21 +824,20 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
 
       // 4. Open-loop arrivals (the serving workload rides the same cycle as
       // the closed-loop background queries, but is tracked to completion).
-      if (arrival_process.has_value()) {
-        const int n = arrival_process->ArrivalsAt(cycle);
-        if (n > 0) {
-          const std::vector<UserId> online = system.network().OnlineUsers();
-          for (int i = 0; i < n; ++i) {
-            if (auto q = IssueRandomQuery(&system, online, &serving_rng)) {
-              tracker->Track(&system, q->id, serving_cycle,
-                             std::move(q->reference), &serving_stats);
-            }
+      if (const int n = state.arrivals.ArrivalsAt(state.cycle); n > 0) {
+        const std::vector<UserId> online = system.network().OnlineUsers();
+        for (int i = 0; i < n; ++i) {
+          if (auto q = IssueRandomQuery(&system, online, &state.serving_rng)) {
+            state.tracker->Track(&system, q->id, state.serving_cycle,
+                                 std::move(q->reference),
+                                 &state.serving_stats);
           }
         }
       }
 
       // 5. Protocol cycles.
-      online_cycle_sum += static_cast<double>(system.network().NumOnline());
+      state.online_cycle_sum +=
+          static_cast<double>(system.network().NumOnline());
       switch (phase.mode) {
         case PhaseMode::kLazy:
           system.RunLazyCycles(1);
@@ -894,30 +855,32 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       // completions (a query issued this cycle completing right after its
       // first eager cycle scores latency 1; latency 0 is issue-time-local
       // completion inside Track).
-      ++serving_cycle;
-      if (tracker.has_value() && tracker->open() > 0) {
-        tracker->Poll(&system, serving_cycle, &serving_stats);
+      ++state.serving_cycle;
+      if (state.tracker.has_value() && state.tracker->open() > 0) {
+        state.tracker->Poll(&system, state.serving_cycle,
+                            &state.serving_stats);
       }
 
       // 7. Progress heartbeat (stderr only; stdout reports are sacred).
       if (options.progress_every > 0 &&
-          serving_cycle % options.progress_every == 0) {
-        std::fprintf(stderr,
-                     "p3q_sim: phase %s cycle %llu/%llu (timeline %llu), "
-                     "%zu queries open, %zu messages in flight\n",
-                     phase.name.c_str(),
-                     static_cast<unsigned long long>(cycle + 1),
-                     static_cast<unsigned long long>(cycles),
-                     static_cast<unsigned long long>(serving_cycle),
-                     tracker.has_value() ? tracker->open() : std::size_t{0},
-                     system.MessagesInFlight());
+          state.serving_cycle % options.progress_every == 0) {
+        std::fprintf(
+            stderr,
+            "p3q_sim: phase %s cycle %llu/%llu (timeline %llu), "
+            "%zu queries open, %zu messages in flight\n",
+            phase.name.c_str(),
+            static_cast<unsigned long long>(state.cycle + 1),
+            static_cast<unsigned long long>(cycles),
+            static_cast<unsigned long long>(state.serving_cycle),
+            state.tracker.has_value() ? state.tracker->open() : std::size_t{0},
+            system.MessagesInFlight());
       }
 
       // 8. Stop condition: the phase ends as soon as the networks reach its
       // success-ratio target.
       if (phase.stop_at_success_ratio > 0 &&
           success_ratio() >= phase.stop_at_success_ratio) {
-        pr.cycles = cycle + 1;
+        pr.cycles = state.cycle + 1;
         break;
       }
     }
@@ -926,7 +889,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     // Phase boundary: sample every query issued during the phase against
     // its centralized reference, then release it.
     double recall_sum = 0, coverage_sum = 0;
-    for (const OpenQuery& q : open) {
+    for (const OpenQuery& q : state.open) {
       const ActiveQuery& query = system.query(q.id);
       recall_sum += RecallAtK(query.CurrentTopKItems(), q.reference);
       coverage_sum +=
@@ -945,15 +908,16 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
 
     pr.success_ratio = success_ratio();
     pr.online_at_end = system.network().NumOnline();
-    pr.traffic = system.metrics().Since(before);
-    pr.delivery = system.DeliveryStatsTotal().Since(delivery_before);
+    pr.traffic = system.metrics().Since(state.traffic_before);
+    pr.delivery = system.DeliveryStatsTotal().Since(state.delivery_before);
     pr.in_flight_at_end = system.MessagesInFlight();
-    pr.query_latency = serving_stats.Since(serving_before);
-    pr.open_queries_at_end = tracker.has_value() ? tracker->open() : 0;
+    pr.query_latency = state.serving_stats.Since(state.serving_before);
+    pr.open_queries_at_end =
+        state.tracker.has_value() ? state.tracker->open() : 0;
     if (options.tracer != nullptr) {
       const Tracer::KindCounts& now = options.tracer->counts();
       for (std::size_t i = 0; i < now.size(); ++i) {
-        pr.trace_events[i] = MonotoneDelta(now[i], trace_before[i]);
+        pr.trace_events[i] = MonotoneDelta(now[i], state.trace_before[i]);
       }
     }
     if (options.profiler != nullptr) {
@@ -969,7 +933,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       pr.timing.cycles_per_sec =
           static_cast<double>(pr.cycles) / pr.timing.wall_seconds;
       pr.timing.user_cycles_per_sec =
-          online_cycle_sum / pr.timing.wall_seconds;
+          state.online_cycle_sum / pr.timing.wall_seconds;
       pr.timing.queries_per_sec =
           static_cast<double>(pr.query_latency.completed) /
           pr.timing.wall_seconds;
@@ -977,14 +941,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
           static_cast<double>(pr.query_latency.completed_within_slo) /
           pr.timing.wall_seconds;
     }
-
-    report.total_cycles += pr.cycles;
-    report.total_departures += pr.departures;
-    report.total_rejoins += pr.rejoins;
-    report.total_queries_issued += pr.queries_issued;
-    report.total_queries_completed += pr.queries_completed;
-    report.total_timing.wall_seconds += pr.timing.wall_seconds;
     report.phases.push_back(std::move(pr));
+    state.open = std::vector<OpenQuery>();
   }
   // A phase that met its stop target shortens the timeline, which can skip
   // the checkpoint cycle; fail rather than silently write no snapshot.
@@ -992,72 +950,75 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     throw std::invalid_argument(
         "checkpoint_at " + std::to_string(*options.checkpoint_at) +
         " was never reached: the timeline ended at cycle " +
-        std::to_string(serving_cycle));
+        std::to_string(state.serving_cycle));
   }
 
   // Queries still open when the timeline ends never completed: count them
   // as abandoned in the run totals (the per-phase deltas are already
   // closed, so no phase claims them as completions).
-  if (tracker.has_value()) {
-    tracker->Abandon(&system, serving_cycle, &serving_stats);
+  if (state.tracker.has_value()) {
+    state.tracker->Abandon(&system, state.serving_cycle, &state.serving_stats);
   }
-  report.total_query_latency = serving_stats;
 
-  report.total_traffic = system.metrics().Snapshot();
-  report.total_delivery = system.DeliveryStatsTotal();
+  PhaseReport& totals = report.totals;
+  totals.name = "total";
+  totals.mode = "-";
+  totals.arrivals = "-";
+  const PhaseReport& last = report.phases.back();
+  totals.online_at_end = last.online_at_end;
+  totals.avg_recall = last.avg_recall;
+  totals.avg_coverage = last.avg_coverage;
+  totals.success_ratio = last.success_ratio;
+  totals.in_flight_at_end = last.in_flight_at_end;
+  double online_weighted = 0;
+  for (const PhaseReport& pr : report.phases) {
+    totals.cycles += pr.cycles;
+    totals.departures += pr.departures;
+    totals.rejoins += pr.rejoins;
+    totals.queries_issued += pr.queries_issued;
+    totals.queries_completed += pr.queries_completed;
+    totals.timing.wall_seconds += pr.timing.wall_seconds;
+    online_weighted += pr.timing.user_cycles_per_sec * pr.timing.wall_seconds;
+  }
+  totals.traffic = system.metrics().Snapshot();
+  totals.delivery = system.DeliveryStatsTotal();
+  totals.query_latency = state.serving_stats;
   // Whole-run rollups are read AFTER Abandon so end-of-run query_abandoned
   // events are included (they land past the last phase's delta).
   if (options.tracer != nullptr) {
-    report.total_trace_events = options.tracer->counts();
+    totals.trace_events = options.tracer->counts();
   }
   if (options.profiler != nullptr) {
-    report.total_profile = options.profiler->Snapshot();
+    totals.profile = options.profiler->Snapshot();
   }
-  const SystemMemoryStats mem = system.MemoryStats();
-  report.memory.arena_reserved_bytes = mem.store.arena.reserved_bytes;
-  report.memory.arena_used_bytes = mem.store.arena.used_bytes;
-  report.memory.arena_slabs = mem.store.arena.slabs;
-  report.memory.arena_live_blocks = mem.store.arena.live_blocks;
-  report.memory.arena_recycled_slabs = mem.store.arena.recycled_slabs;
-  report.memory.pool_hits = mem.store.pool_hits;
-  report.memory.pool_misses = mem.store.pool_misses;
-  report.memory.probe_memo_bytes = mem.probe_memo_bytes;
-  report.memory.probe_memo_entries = mem.probe_memo_entries;
-  report.memory.personal_network_bytes = mem.personal_network_bytes;
-  report.memory.network_index_bytes = mem.network_index_bytes;
-  report.memory.random_view_bytes = mem.random_view_bytes;
-  report.memory.peak_in_flight_messages = mem.peak_in_flight_messages;
+  report.memory.system = system.MemoryStats();
   report.memory.ideal_network_bytes = IdealNetworkBytes(ideal);
   report.memory.peak_rss_mb = PeakRssMb();
   ReadHeapStats(&report.memory);
-
-  report.total_timing.threads = system.threads();
-  if (report.total_timing.wall_seconds > 0) {
-    double online_weighted = 0;
-    for (const PhaseReport& pr : report.phases) {
-      online_weighted += pr.timing.user_cycles_per_sec * pr.timing.wall_seconds;
-    }
-    report.total_timing.cycles_per_sec =
-        static_cast<double>(report.total_cycles) /
-        report.total_timing.wall_seconds;
-    report.total_timing.user_cycles_per_sec =
-        online_weighted / report.total_timing.wall_seconds;
-    report.total_timing.queries_per_sec =
-        static_cast<double>(report.total_query_latency.completed) /
-        report.total_timing.wall_seconds;
-    report.total_timing.slo_queries_per_sec =
-        static_cast<double>(report.total_query_latency.completed_within_slo) /
-        report.total_timing.wall_seconds;
+  totals.timing.threads = system.threads();
+  if (totals.timing.wall_seconds > 0) {
+    totals.timing.cycles_per_sec =
+        static_cast<double>(totals.cycles) / totals.timing.wall_seconds;
+    totals.timing.user_cycles_per_sec =
+        online_weighted / totals.timing.wall_seconds;
+    totals.timing.queries_per_sec =
+        static_cast<double>(totals.query_latency.completed) /
+        totals.timing.wall_seconds;
+    totals.timing.slo_queries_per_sec =
+        static_cast<double>(totals.query_latency.completed_within_slo) /
+        totals.timing.wall_seconds;
   }
-  return report;
+
+  return std::move(state.report);
 }
 
 }  // namespace
 
-CheckpointRunInfo ReadScenarioCheckpointInfo(const std::string& path) {
+std::string ReadScenarioCheckpointInfo(const std::string& path,
+                                       ScenarioRunnerOptions* run_shape) {
   const std::vector<std::uint8_t> payload = ReadCheckpointPayload(path);
   CheckpointReader in(payload.data(), payload.size());
-  return ReadRunHeader(&in);
+  return ReadRunHeader(&in, run_shape);
 }
 
 ScenarioReport RunScenario(const Scenario& scenario,

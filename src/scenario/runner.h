@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/p3q_system.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "profile/similarity.h"
@@ -27,7 +28,10 @@
 
 namespace p3q {
 
-/// Scale and protocol knobs for one scenario run.
+/// Scale and protocol knobs for one scenario run. The run shape — users
+/// through similarity, plus latency and arrivals — decides the results, and
+/// a checkpoint's header records it; the other fields never change a
+/// report.
 struct ScenarioRunnerOptions {
   /// Population size of the generated delicious-like trace.
   int users = 400;
@@ -84,29 +88,16 @@ struct ScenarioRunnerOptions {
   std::string resume_path;
 };
 
-/// Identity of a checkpoint: the scenario and result-affecting options it
-/// was written with. Lets a CLI reconstruct a matching run from the file
-/// alone (p3q_sim --resume=FILE).
-struct CheckpointRunInfo {
-  std::string scenario;
-  int users = 0;
-  std::uint64_t seed = 0;
-  double cycle_scale = 1.0;
-  int network_size = 0;
-  int stored_profiles = 0;
-  double alpha = 0.5;
-  int top_k = 0;
-  SimilarityMetric similarity = SimilarityMetric::kCommonActions;
-  /// The EFFECTIVE latency model of the run (scenario's own or the CLI
-  /// override) — set it as the options override when resuming.
-  LatencySpec latency;
-  /// The run's arrival-process override, when one was set.
-  std::optional<ArrivalSpec> arrivals;
-};
-
-/// Reads a checkpoint's identity header (validating magic/version/CRC).
-/// Throws CheckpointError on any problem.
-CheckpointRunInfo ReadScenarioCheckpointInfo(const std::string& path);
+/// Reads a checkpoint's identity header (validating magic/version/CRC):
+/// returns the scenario it was written with and sets the run-shape fields of
+/// `run_shape` (users, seed, cycle_scale, network_size, stored_profiles,
+/// alpha, top_k, similarity, latency and arrivals) to the run's. `latency`
+/// is the run's EFFECTIVE model (the scenario's own or the override), so
+/// the options resume the run as they stand; the other fields are left
+/// alone. Lets a CLI reconstruct a matching run from the file alone
+/// (p3q_sim --resume=FILE). Throws CheckpointError on any problem.
+std::string ReadScenarioCheckpointInfo(const std::string& path,
+                                       ScenarioRunnerOptions* run_shape);
 
 /// Wall-clock throughput of a phase (the only thread-count-dependent part
 /// of a report; serialization excludes it unless asked, so reports from
@@ -122,30 +113,14 @@ struct PhaseTiming {
   int threads = 1;                 ///< plan-phase worker threads of the run
 };
 
-/// End-of-run memory footprint (P3QSystem::MemoryStats rollup plus the
-/// process peak RSS). Serialized only with the opt-in timing block:
-/// peak_rss_mb is process-wide wall-clock territory, and keeping the whole
-/// block there leaves default reports byte-identical across builds.
+/// End-of-run memory footprint: the system's own rollup plus what only the
+/// runner and the process know. Serialized only with the opt-in timing
+/// block: peak_rss_mb is process-wide wall-clock territory, and keeping the
+/// whole block there leaves default reports byte-identical across builds.
 struct MemoryReport {
-  /// Slab-arena footprint summed over the profile store's shards.
-  std::uint64_t arena_reserved_bytes = 0;
-  std::uint64_t arena_used_bytes = 0;
-  std::uint64_t arena_slabs = 0;
-  std::uint64_t arena_live_blocks = 0;
-  std::uint64_t arena_recycled_slabs = 0;
-  /// Checkpoint-restore counters: snapshots that reused the store's
-  /// current snapshot, and snapshots that had to be rebuilt.
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  /// Probe-memo tables and entries, personal-network storage (and its
-  /// indexes' share) and random views, summed over all nodes, and the
-  /// in-flight message peak (SystemMemoryStats).
-  std::uint64_t probe_memo_bytes = 0;
-  std::uint64_t probe_memo_entries = 0;
-  std::uint64_t personal_network_bytes = 0;
-  std::uint64_t network_index_bytes = 0;
-  std::uint64_t random_view_bytes = 0;
-  std::uint64_t peak_in_flight_messages = 0;
+  /// Slab arenas, checkpoint-restore pool counters, probe memos, personal
+  /// networks, random views and the in-flight message peak.
+  SystemMemoryStats system;
   /// Capacity bytes of the runner's ideal networks, the success ratio's
   /// baseline (IdealNetworkBytes: the lists and their outer vector). They
   /// are measuring apparatus, kept for the whole run; 0 when no phase read
@@ -220,14 +195,14 @@ struct ScenarioReport {
   /// zero-latency output stays byte-identical to the synchronous engine's.
   LatencySpec latency;
   std::vector<PhaseReport> phases;
-
-  std::uint64_t total_cycles = 0;
-  std::size_t total_departures = 0;
-  std::size_t total_rejoins = 0;
-  int total_queries_issued = 0;
-  int total_queries_completed = 0;
-  Metrics total_traffic;
-  DeliveryStats total_delivery;
+  /// The whole run as one more row: cycles, liveness churn, query counts
+  /// and wall seconds summed over the phases; traffic, delivery, serving,
+  /// trace and profile figures read at the end of the run (the serving
+  /// stats count the queries still open then as abandoned, and the trace
+  /// rollup includes those end-of-run abandon events). Online count,
+  /// recall, coverage, success ratio and in-flight count are the last
+  /// phase's; name, mode and arrivals read "total", "-" and "-".
+  PhaseReport totals;
   /// True when any phase ran an open-loop arrival process; reports
   /// serialize query-latency blocks only then, so closed-loop output stays
   /// byte-identical to pre-serving builds.
@@ -235,18 +210,10 @@ struct ScenarioReport {
   /// Completion-latency SLO the run used (cycles; the effective arrival
   /// spec's slo_cycles) — the "within SLO" threshold of the goodput fields.
   std::uint64_t slo_cycles = 0;
-  /// Whole-run serving stats; unlike the per-phase deltas this includes the
-  /// queries still open at the end of the timeline (counted as abandoned).
-  QueryLatencyStats total_query_latency;
-  PhaseTiming total_timing;
   /// True when the run had a tracer / profiler attached; gates the trace
   /// rollup / profile blocks of the serialized report.
   bool traced = false;
   bool profiled = false;
-  /// Whole-run trace rollup (includes end-of-run abandon events, which land
-  /// after the last phase's delta closes).
-  Tracer::KindCounts total_trace_events{};
-  std::map<std::string, PhaseBreakdown> total_profile;
   /// End-of-run memory footprint (opt-in timing block only).
   MemoryReport memory;
 };

@@ -58,6 +58,8 @@ struct ArrivalSpec {
 
   bool IsNone() const { return kind == ArrivalKind::kNone; }
 
+  bool operator==(const ArrivalSpec&) const = default;
+
   /// Canonical compact form: "none", "poisson:3", "trace:1,4,2".
   /// Round-trips through ParseArrivalSpec (SLO/recall knobs excluded).
   std::string Name() const;

@@ -46,11 +46,6 @@ class Network {
   /// clamped to [0, 1]. Returns the users that left.
   std::vector<UserId> FailRandomFraction(double fraction, Rng* rng);
 
-  /// Records a message on the wire.
-  void RecordMessage(MessageType type, std::uint64_t bytes) {
-    metrics_.Record(type, bytes);
-  }
-
   /// Traffic mailbox `slot`. The plan phase records into its shard's
   /// mailbox (one shard is planned by a single thread) and a level-parallel
   /// commit drain into its worker's (CommitContext::worker, always below

@@ -63,12 +63,16 @@ void WriteFileBytes(const std::string& path,
 
 /// The runner's phase scaling, replicated so tests can pick K values that
 /// hit exact phase boundaries and the last cycle.
+std::uint64_t ScaledPhaseCycles(const ScenarioPhase& phase, double scale) {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::llround(static_cast<double>(phase.cycles) * scale)));
+}
+
 std::uint64_t TotalScaledCycles(const Scenario& scenario, double scale) {
   std::uint64_t total = 0;
   for (const ScenarioPhase& phase : scenario.phases) {
-    total += std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(std::llround(
-               static_cast<double>(phase.cycles) * scale)));
+    total += ScaledPhaseCycles(phase, scale);
   }
   return total;
 }
@@ -615,10 +619,8 @@ TEST(CheckpointResumeTest, DiurnalEveryInterestingK) {
   const RunConfig cfg{"diurnal"};
   const Scenario scenario = MakeScenario(cfg.scenario);
   const std::uint64_t total = TotalScaledCycles(scenario, cfg.cycle_scale);
-  const std::uint64_t first_phase = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::llround(
-             static_cast<double>(scenario.phases[0].cycles) *
-             cfg.cycle_scale)));
+  const std::uint64_t first_phase =
+      ScaledPhaseCycles(scenario.phases[0], cfg.cycle_scale);
   const Rendered straight = StraightRun(cfg);
   // K = 0 (before anything), 1, a phase boundary, mid-phase, last cycle.
   for (const std::uint64_t k :
@@ -724,6 +726,44 @@ TEST(CheckpointResumeTest, ResumedTraceIsByteSuffixOfStraightTrace) {
   std::remove(path.c_str());
 }
 
+// A chained run resumes from one checkpoint and writes the next one during
+// the resumed run; resuming from that second file must still land on the
+// straight run's bytes. The second checkpoint falls once inside the resumed
+// phase and once in a later phase.
+TEST(CheckpointResumeTest, ChainedResumeMatchesStraightRun) {
+  for (const std::string name : {"diurnal", "open-loop-steady"}) {
+    const RunConfig cfg{name};
+    const Scenario scenario = MakeScenario(name);
+    const std::uint64_t first_phase =
+        ScaledPhaseCycles(scenario.phases[0], cfg.cycle_scale);
+    ASSERT_GE(first_phase, 4u) << name;
+    const Rendered straight = StraightRun(cfg);
+    const std::string first = TempPath("chain_first_" + name + ".ckpt");
+    const std::string second = TempPath("chain_second_" + name + ".ckpt");
+    ScenarioRunnerOptions writer = BaseOptions(cfg);
+    writer.checkpoint_at = 2;
+    writer.checkpoint_path = first;
+    RunScenario(scenario, writer);
+
+    for (const std::uint64_t k : {std::uint64_t{3}, first_phase + 2}) {
+      SCOPED_TRACE(name + " 2 -> " + std::to_string(k));
+      ScenarioRunnerOptions relay = BaseOptions(cfg);
+      relay.resume_path = first;
+      relay.checkpoint_at = k;
+      relay.checkpoint_path = second;
+      EXPECT_EQ(RenderReport(RunScenario(scenario, relay)).json, straight.json);
+
+      ScenarioRunnerOptions reader = BaseOptions(cfg);
+      reader.resume_path = second;
+      const Rendered resumed = RenderReport(RunScenario(scenario, reader));
+      EXPECT_EQ(resumed.json, straight.json);
+      EXPECT_EQ(resumed.csv, straight.csv);
+      std::remove(second.c_str());
+    }
+    std::remove(first.c_str());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Resuming exactly on an event cycle must fire the event exactly once, and
 // earlier events must never re-fire (regression: duty-cycle targets re-arm
@@ -826,7 +866,8 @@ class CheckpointCorruptionTest : public ::testing::Test {
     const std::string path = TempPath("corrupt_case.ckpt");
     WriteFileBytes(path, bytes);
     try {
-      ReadScenarioCheckpointInfo(path);
+      ScenarioRunnerOptions shape;
+      ReadScenarioCheckpointInfo(path, &shape);
       FAIL() << "corrupt snapshot was accepted";
     } catch (const CheckpointError& e) {
       if (!expect_substring.empty()) {
@@ -851,15 +892,17 @@ std::string* CheckpointCorruptionTest::path_ = nullptr;
 std::vector<std::uint8_t>* CheckpointCorruptionTest::bytes_ = nullptr;
 
 TEST_F(CheckpointCorruptionTest, IntactSnapshotLoads) {
-  const CheckpointRunInfo info = ReadScenarioCheckpointInfo(*path_);
-  EXPECT_EQ(info.scenario, "diurnal");
-  EXPECT_EQ(info.users, 100);
-  EXPECT_EQ(info.seed, 5u);
+  ScenarioRunnerOptions shape;
+  EXPECT_EQ(ReadScenarioCheckpointInfo(*path_, &shape), "diurnal");
+  EXPECT_EQ(shape.users, 100);
+  EXPECT_EQ(shape.seed, 5u);
 }
 
 TEST_F(CheckpointCorruptionTest, MissingFileRejected) {
-  EXPECT_THROW(ReadScenarioCheckpointInfo(TempPath("no_such_file.ckpt")),
-               CheckpointError);
+  ScenarioRunnerOptions shape;
+  EXPECT_THROW(
+      ReadScenarioCheckpointInfo(TempPath("no_such_file.ckpt"), &shape),
+      CheckpointError);
 }
 
 TEST_F(CheckpointCorruptionTest, TruncationsRejected) {
@@ -907,18 +950,112 @@ TEST_F(CheckpointCorruptionTest, BitFlipsRejectedByChecksum) {
 }
 
 TEST_F(CheckpointCorruptionTest, ResumeWithMismatchedOptionsRejected) {
-  ScenarioRunnerOptions options;
-  options.users = 100;
-  options.seed = 6;  // snapshot was written with seed 5
-  options.cycle_scale = 0.2;
+  // The snapshot was written by CorruptionRunOptions(): diurnal, 100 users,
+  // seed 5, cycle scale 0.2 and every other run-shape field at its default.
+  // Each case resumes with one field changed and must be refused by name.
+  using Mutation = std::function<void(ScenarioRunnerOptions*)>;
+  const std::vector<std::pair<std::string, Mutation>> cases = {
+      {"users", [](ScenarioRunnerOptions* o) { o->users = 101; }},
+      {"seed", [](ScenarioRunnerOptions* o) { o->seed = 6; }},
+      {"cycle_scale", [](ScenarioRunnerOptions* o) { o->cycle_scale = 0.25; }},
+      {"network_size", [](ScenarioRunnerOptions* o) { o->network_size = 12; }},
+      {"stored_profiles",
+       [](ScenarioRunnerOptions* o) { o->stored_profiles = 8; }},
+      {"alpha", [](ScenarioRunnerOptions* o) { o->alpha = 0.3; }},
+      {"top_k", [](ScenarioRunnerOptions* o) { o->top_k = 5; }},
+      {"similarity",
+       [](ScenarioRunnerOptions* o) {
+         o->similarity = SimilarityMetric::kJaccard;
+       }},
+      {"latency",
+       [](ScenarioRunnerOptions* o) {
+         o->latency = LatencySpec{LatencyKind::kFixed, /*fixed=*/2};
+       }},
+      {"arrivals",
+       [](ScenarioRunnerOptions* o) {
+         o->arrivals = ArrivalSpec{};
+         o->arrivals->kind = ArrivalKind::kPoisson;
+         o->arrivals->rate = 2.0;
+       }},
+  };
+  for (const auto& [field, mutate] : cases) {
+    SCOPED_TRACE(field);
+    ScenarioRunnerOptions options = CorruptionRunOptions();
+    mutate(&options);
+    options.resume_path = *path_;
+    try {
+      RunScenario(*scenario_, options);
+      ADD_FAILURE() << field << " mismatch was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("written with " + field + " = "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The scenario itself is part of the identity too.
+  ScenarioRunnerOptions options = CorruptionRunOptions();
   options.resume_path = *path_;
   try {
-    RunScenario(*scenario_, options);
-    FAIL() << "seed mismatch was accepted";
+    RunScenario(MakeScenario("steady-state"), options);
+    ADD_FAILURE() << "scenario mismatch was accepted";
   } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("seed"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("written with scenario = diurnal"),
+              std::string::npos)
         << e.what();
   }
+}
+
+TEST(CheckpointHeaderTest, EveryRunShapeFieldRoundTrips) {
+  // Every run-shape field off its default; the header must hand each back,
+  // and the decoded options must resume the run to the straight report.
+  const Scenario scenario = MakeScenario("open-loop-steady");
+  ScenarioRunnerOptions written;
+  written.users = 90;
+  written.seed = 17;
+  written.cycle_scale = 0.15;
+  written.network_size = 12;
+  written.stored_profiles = 6;
+  written.alpha = 0.3;
+  written.top_k = 7;
+  written.similarity = SimilarityMetric::kJaccard;
+  written.latency = LatencySpec{LatencyKind::kUniform, /*fixed=*/0, /*lo=*/1,
+                                /*hi=*/3};
+  written.arrivals = ArrivalSpec{};
+  written.arrivals->kind = ArrivalKind::kTrace;
+  written.arrivals->trace = {1.5, 0.0, 3.0};
+  written.arrivals->slo_cycles = 5;
+  written.arrivals->recall_target = 0.8;
+  const Rendered straight = RenderReport(RunScenario(scenario, written));
+
+  const std::string path = TempPath("header_round_trip.ckpt");
+  ScenarioRunnerOptions writer = written;
+  writer.checkpoint_at = 5;
+  writer.checkpoint_path = path;
+  RunScenario(scenario, writer);
+
+  ScenarioRunnerOptions read;
+  EXPECT_EQ(ReadScenarioCheckpointInfo(path, &read), scenario.name);
+  EXPECT_EQ(read.users, written.users);
+  EXPECT_EQ(read.seed, written.seed);
+  EXPECT_EQ(read.cycle_scale, written.cycle_scale);
+  EXPECT_EQ(read.network_size, written.network_size);
+  EXPECT_EQ(read.stored_profiles, written.stored_profiles);
+  EXPECT_EQ(read.alpha, written.alpha);
+  EXPECT_EQ(read.top_k, written.top_k);
+  EXPECT_EQ(read.similarity, written.similarity);
+  ASSERT_TRUE(read.latency.has_value());
+  EXPECT_EQ(read.latency->Name(), written.latency->Name());
+  EXPECT_EQ(read.arrivals, written.arrivals);
+  // Only the run shape is decoded.
+  EXPECT_EQ(read.threads, 0);
+  EXPECT_FALSE(read.checkpoint_at.has_value());
+  EXPECT_TRUE(read.resume_path.empty());
+
+  read.resume_path = path;
+  const Rendered resumed = RenderReport(RunScenario(scenario, read));
+  EXPECT_EQ(resumed.json, straight.json);
+  EXPECT_EQ(resumed.csv, straight.csv);
+  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointCorruptionTest, CheckpointPastTimelineRejected) {
@@ -1152,7 +1289,8 @@ TEST(CheckpointHostileTest, HeaderSpecsOutsideTheirLimitsAreRejected) {
     CheckpointWriter framed;
     framed.Bytes(payload.data(), payload.size());
     WriteCheckpointFile(path, framed);
-    EXPECT_THROW(ReadScenarioCheckpointInfo(path), CheckpointError);
+    ScenarioRunnerOptions shape;
+    EXPECT_THROW(ReadScenarioCheckpointInfo(path, &shape), CheckpointError);
     std::remove(path.c_str());
   };
   const auto bits = [](double v) {
@@ -1218,24 +1356,14 @@ TEST(CheckpointHostileTest, SeededMutationsFailCleanly) {
 TEST(CheckpointGoldenTest, V2SnapshotStillResumesByteIdentically) {
   const std::string golden =
       std::string(P3Q_SOURCE_DIR) + "/tests/golden/checkpoint_v2.ckpt";
-  const CheckpointRunInfo info = ReadScenarioCheckpointInfo(golden);
-  EXPECT_EQ(info.scenario, "diurnal");
-  EXPECT_EQ(info.users, 120);
-  EXPECT_EQ(info.seed, 3u);
-  ASSERT_TRUE(HasScenario(info.scenario));
-
-  const Scenario scenario = MakeScenario(info.scenario);
   ScenarioRunnerOptions options;
-  options.users = info.users;
-  options.seed = info.seed;
-  options.cycle_scale = info.cycle_scale;
-  options.network_size = info.network_size;
-  options.stored_profiles = info.stored_profiles;
-  options.alpha = info.alpha;
-  options.top_k = info.top_k;
-  options.similarity = info.similarity;
-  options.latency = info.latency;
-  options.arrivals = info.arrivals;
+  const std::string name = ReadScenarioCheckpointInfo(golden, &options);
+  EXPECT_EQ(name, "diurnal");
+  EXPECT_EQ(options.users, 120);
+  EXPECT_EQ(options.seed, 3u);
+  ASSERT_TRUE(HasScenario(name));
+
+  const Scenario scenario = MakeScenario(name);
   const Rendered straight = RenderReport(RunScenario(scenario, options));
 
   ScenarioRunnerOptions reader = options;

@@ -303,10 +303,10 @@ TEST(TraceDeterminismTest, TracingIsObservationOnly) {
     for (int i = 0; i < kNumTraceEventKinds; ++i) phase_sum += p.trace_events[i];
   }
   for (int i = 0; i < kNumTraceEventKinds; ++i) {
-    total_sum += traced.total_trace_events[i];
+    total_sum += traced.totals.trace_events[i];
   }
   EXPECT_EQ(phase_sum +
-                traced.total_trace_events[static_cast<int>(
+                traced.totals.trace_events[static_cast<int>(
                     TraceEventKind::kQueryAbandoned)],
             total_sum);
 }

@@ -43,8 +43,8 @@ TEST_P(ScenarioSmoke, RunsCleanAtTinyScale) {
   ASSERT_EQ(report.phases.size(), scenario.phases.size());
   EXPECT_EQ(report.scenario, scenario.name);
   EXPECT_EQ(report.users, 60u);
-  EXPECT_GT(report.total_cycles, 0u);
-  EXPECT_GT(report.total_traffic.TotalMessages(), 0u);
+  EXPECT_GT(report.totals.cycles, 0u);
+  EXPECT_GT(report.totals.traffic.TotalMessages(), 0u);
   for (const PhaseReport& p : report.phases) {
     EXPECT_GE(p.cycles, 1u);
     EXPECT_LE(p.online_at_end, report.users);

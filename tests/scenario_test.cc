@@ -2,11 +2,14 @@
 // re-entry (rejoin) semantics, runner determinism and report serialization.
 #include <algorithm>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
@@ -331,7 +334,7 @@ TEST(ScenarioReportWriter, DeliveryBlockGatedOnNonZeroLatency) {
   EXPECT_NE(lagged_json.find("\"lag_histogram\""), std::string::npos);
   EXPECT_NE(lagged_csv.find("delivery_enqueued"), std::string::npos);
   EXPECT_NE(lagged_csv.find("fixed:2"), std::string::npos);
-  EXPECT_GT(lagged.total_delivery.delivered, 0u);
+  EXPECT_GT(lagged.totals.delivery.delivered, 0u);
 }
 
 // The CLI/options latency override wins over the scenario's own block.
@@ -345,8 +348,8 @@ TEST(ScenarioRunner, OptionsLatencyOverridesTheScenario) {
       RunScenario(MakeScenario("lagged-steady"), options);
   EXPECT_EQ(report.latency.Name(), "fixed:1");
   // Every delivered message lagged exactly one cycle.
-  EXPECT_EQ(report.total_delivery.lag_histogram[1],
-            report.total_delivery.delivered);
+  EXPECT_EQ(report.totals.delivery.lag_histogram[1],
+            report.totals.delivery.delivered);
 }
 
 // Golden delivery-lag histograms: any change to the delivery queue, the
@@ -357,7 +360,7 @@ TEST(ScenarioRunner, OptionsLatencyOverridesTheScenario) {
 TEST(ScenarioGoldenReport, LaggedSteadyLagHistogramMatchesGolden) {
   const ScenarioReport report =
       RunScenario(MakeScenario("lagged-steady"), TinyOptions());
-  const DeliveryStats& d = report.total_delivery;
+  const DeliveryStats& d = report.totals.delivery;
   EXPECT_EQ(d.enqueued, 660u);
   EXPECT_EQ(d.delivered, 540u);
   EXPECT_EQ(d.dropped, 0u);
@@ -375,7 +378,7 @@ TEST(ScenarioGoldenReport, LaggedSteadyLagHistogramMatchesGolden) {
 TEST(ScenarioGoldenReport, LossyFlashCrowdLagHistogramMatchesGolden) {
   const ScenarioReport report =
       RunScenario(MakeScenario("lossy-flash-crowd"), TinyOptions());
-  const DeliveryStats& d = report.total_delivery;
+  const DeliveryStats& d = report.totals.delivery;
   EXPECT_EQ(d.enqueued, 540u);
   EXPECT_EQ(d.delivered, 461u);
   EXPECT_EQ(d.dropped, 60u);
@@ -405,7 +408,7 @@ TEST(ScenarioRunner, ThreadCountAnnotatedOnlyInTimingBlock) {
   options.threads = 2;
   const ScenarioReport report =
       RunScenario(MakeScenario("steady-state"), options);
-  EXPECT_EQ(report.total_timing.threads, 2);
+  EXPECT_EQ(report.totals.timing.threads, 2);
   const std::string without = ScenarioReportToJson(report);
   EXPECT_EQ(without.find("\"threads\""), std::string::npos);
   const std::string with = ScenarioReportToJson(report, /*include_timing=*/true);
@@ -426,8 +429,8 @@ TEST(ScenarioRunner, DiurnalTimelineDepartsAndRejoins) {
   options.cycle_scale = 0.5;
   const ScenarioReport report =
       RunScenario(MakeScenario("diurnal"), options);
-  EXPECT_GT(report.total_departures, 0u);
-  EXPECT_GT(report.total_rejoins, 0u);
+  EXPECT_GT(report.totals.departures, 0u);
+  EXPECT_GT(report.totals.rejoins, 0u);
   // The duty cycle returns to 1.0: everyone is back at the end.
   EXPECT_EQ(report.phases.back().online_at_end, report.users);
 }
@@ -449,8 +452,8 @@ TEST(ScenarioRunner, PerPhaseTrafficSumsToTheTotal) {
     messages += p.traffic.TotalMessages();
     bytes += p.traffic.TotalBytes();
   }
-  EXPECT_EQ(messages, report.total_traffic.TotalMessages());
-  EXPECT_EQ(bytes, report.total_traffic.TotalBytes());
+  EXPECT_EQ(messages, report.totals.traffic.TotalMessages());
+  EXPECT_EQ(bytes, report.totals.traffic.TotalBytes());
   EXPECT_GT(messages, 0u);
 }
 
@@ -465,7 +468,7 @@ TEST(ScenarioRunner, ConvergenceScenarioPinsTheCiGate) {
   ASSERT_EQ(zero.phases.size(), 1u);
   EXPECT_EQ(zero.phases[0].cycles, 46u);
   EXPECT_NEAR(zero.phases[0].success_ratio, 0.901574, 1e-6);
-  EXPECT_EQ(zero.total_cycles, 46u);
+  EXPECT_EQ(zero.totals.cycles, 46u);
 
   options.latency = LatencySpec{LatencyKind::kFixed, /*fixed=*/2};
   const ScenarioReport lagged = RunScenario(scenario, options);
@@ -517,7 +520,7 @@ TEST(ScenarioRunner, ReachedStopTargetSkipsTheRestOfThePhase) {
   EXPECT_GE(report.phases[0].success_ratio, 0.5);
   EXPECT_EQ(report.phases[0].departures, 0u);
   EXPECT_EQ(report.phases[1].cycles, 3u);
-  EXPECT_EQ(report.total_cycles, report.phases[0].cycles + 3);
+  EXPECT_EQ(report.totals.cycles, report.phases[0].cycles + 3);
 }
 
 TEST(ScenarioRunner, InvalidScenarioOrOptionsThrow) {
@@ -562,6 +565,118 @@ TEST(ScenarioReportWriter, CsvHasHeaderPhaseAndTotalRows) {
   EXPECT_NE(csv.find(",total,-,"), std::string::npos)
       << "totals row missing";
   EXPECT_NE(csv.find("random_view_gossip_messages"), std::string::npos);
+}
+
+/// The comma-separated fields of one CSV line.
+std::vector<std::string> CsvFields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::stringstream ss(line);
+  for (std::string field; std::getline(ss, field, ',');) {
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+TEST(ScenarioReportWriter, TimingMemoryBlockListsItsKeysInOrder) {
+  const ScenarioReport report =
+      RunScenario(MakeScenario("steady-state"), TinyOptions());
+  const std::string json =
+      ScenarioReportToJson(report, /*include_timing=*/true);
+  const std::size_t open = json.find("\"memory\": {");
+  ASSERT_NE(open, std::string::npos);
+  const std::size_t close = json.find('}', open);
+  ASSERT_NE(close, std::string::npos);
+  // Every value in the block is a number, so the quoted strings after the
+  // opening brace are its keys.
+  std::vector<std::string> keys;
+  for (std::size_t at = json.find('"', json.find('{', open));
+       at != std::string::npos && at < close;
+       at = json.find('"', json.find('"', at + 1) + 1)) {
+    keys.push_back(json.substr(at + 1, json.find('"', at + 1) - at - 1));
+  }
+  const std::vector<std::string> expected = {
+      "arena_reserved_bytes",   "arena_used_bytes",
+      "arena_slabs",            "arena_live_blocks",
+      "arena_recycled_slabs",   "pool_hits",
+      "pool_misses",            "probe_memo_bytes",
+      "probe_memo_entries",     "personal_network_bytes",
+      "network_index_bytes",    "random_view_bytes",
+      "peak_in_flight_messages", "ideal_network_bytes",
+      "peak_rss_mb",            "heap_held_bytes",
+      "heap_in_use_bytes"};
+  EXPECT_EQ(keys, expected);
+  EXPECT_NE(json.find("\"arena_reserved_bytes\": " +
+                      std::to_string(
+                          report.memory.system.store.arena.reserved_bytes)),
+            std::string::npos);
+  EXPECT_GT(report.memory.system.store.arena.reserved_bytes, 0u);
+}
+
+TEST(ScenarioReportWriter, TimingCsvHeaderAndTotalRowAreUnchanged) {
+  // An open-loop run under latency, traced and profiled: every optional
+  // column group is on.
+  std::ostringstream trace;
+  JsonlTraceSink sink(&trace);
+  Tracer tracer(&sink);
+  PhaseProfiler profiler;
+  ScenarioRunnerOptions options = TinyOptions();
+  options.cycle_scale = 0.1;
+  options.latency = LatencySpec{LatencyKind::kFixed, /*fixed=*/1};
+  options.tracer = &tracer;
+  options.profiler = &profiler;
+  const ScenarioReport report =
+      RunScenario(MakeScenario("open-loop-steady"), options);
+  const std::string csv = ScenarioReportToCsv(report, /*include_timing=*/true);
+
+  std::vector<std::string> lines;
+  std::stringstream ss(csv);
+  for (std::string line; std::getline(ss, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), report.phases.size() + 2);
+  EXPECT_EQ(
+      lines.front(),
+      "scenario,phase,mode,cycles,online_at_end,departures,rejoins,"
+      "queries_issued,queries_completed,avg_recall,avg_coverage,"
+      "success_ratio,total_messages,total_bytes,random_view_gossip_messages,"
+      "random_view_gossip_bytes,lazy_digest_proposal_messages,"
+      "lazy_digest_proposal_bytes,lazy_common_items_messages,"
+      "lazy_common_items_bytes,lazy_full_profile_messages,"
+      "lazy_full_profile_bytes,direct_profile_fetch_messages,"
+      "direct_profile_fetch_bytes,eager_query_forward_messages,"
+      "eager_query_forward_bytes,eager_query_return_messages,"
+      "eager_query_return_bytes,partial_result_messages,"
+      "partial_result_bytes,latency_model,delivery_enqueued,"
+      "delivery_delivered,delivery_dropped,delivery_stale_dropped,"
+      "in_flight_at_end,lag_p50,lag_p95,arrivals,ql_issued,ql_completed,"
+      "ql_within_slo,ql_first_results,ql_abandoned,ql_open_at_end,ql_p50,"
+      "ql_p95,ql_p99,ql_p99_lower_bound,ql_first_result_p50,threads,"
+      "wall_seconds,cycles_per_sec,user_cycles_per_sec,queries_per_sec,"
+      "slo_queries_per_sec,ev_gossip_planned,ev_gossip_committed,"
+      "ev_message_enqueued,ev_message_delivered,ev_message_dropped,"
+      "ev_message_stale,ev_query_issued,ev_query_first_result,"
+      "ev_query_completed,ev_query_abandoned,ev_node_departed,"
+      "ev_node_rejoined,prof_plan_s,prof_barrier_s,prof_drain_s,prof_end_s,"
+      "prof_shard_imbalance");
+
+  // The total row: its labels, the run's sums, and the last phase's
+  // end-of-run columns.
+  const std::vector<std::string> header = CsvFields(lines.front());
+  const std::vector<std::string> last = CsvFields(lines[lines.size() - 2]);
+  const std::vector<std::string> total = CsvFields(lines.back());
+  ASSERT_EQ(total.size(), header.size());
+  ASSERT_EQ(last.size(), header.size());
+  const auto column = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin());
+  };
+  EXPECT_EQ(total[column("phase")], "total");
+  EXPECT_EQ(total[column("mode")], "-");
+  EXPECT_EQ(total[column("arrivals")], "-");
+  EXPECT_EQ(total[column("ql_open_at_end")], "0");
+  EXPECT_EQ(total[column("cycles")], std::to_string(report.totals.cycles));
+  for (const char* name : {"online_at_end", "avg_recall", "avg_coverage",
+                           "success_ratio", "in_flight_at_end"}) {
+    EXPECT_EQ(total[column(name)], last[column(name)]) << name;
+  }
 }
 
 // A hand-built miniature timeline pinning the whole pipeline end to end:

@@ -330,7 +330,7 @@ TEST(OpenLoopSteady, ByteIdenticalAcrossThreadsUnderEveryLatencyModel) {
       options.latency = spec;
       const ScenarioReport report = RunScenario(scenario, options);
       EXPECT_TRUE(report.open_loop);
-      EXPECT_GT(report.total_query_latency.issued, 0u) << latency;
+      EXPECT_GT(report.totals.query_latency.issued, 0u) << latency;
       const std::string json = ScenarioReportToJson(report);
       const std::string csv = ScenarioReportToCsv(report);
       if (threads == 1) {
@@ -357,7 +357,7 @@ TEST(OpenLoopSteady, LatencyStatsMatchGolden) {
   options.cycle_scale = 0.5;
   const ScenarioReport report =
       RunScenario(MakeScenario("open-loop-steady"), options);
-  const QueryLatencyStats& q = report.total_query_latency;
+  const QueryLatencyStats& q = report.totals.query_latency;
   EXPECT_EQ(report.slo_cycles, 8u);
   EXPECT_EQ(q.issued, 37u);
   EXPECT_EQ(q.completed, 37u);
@@ -388,13 +388,13 @@ TEST(OpenLoopSaturation, TailLatencyGrowsWithTheArrivalRate) {
   };
   const ScenarioReport low = run_at_rate(0.5);
   const ScenarioReport high = run_at_rate(8.0);
-  EXPECT_GT(high.total_query_latency.issued, low.total_query_latency.issued);
+  EXPECT_GT(high.totals.query_latency.issued, low.totals.query_latency.issued);
   // Past the capacity knee queries queue behind the per-node gossip budget,
   // so the tail latency must not improve as load rises.
-  EXPECT_GE(high.total_query_latency.CompletionPercentile(0.99).value,
-            low.total_query_latency.CompletionPercentile(0.99).value);
-  EXPECT_GE(high.total_query_latency.abandoned,
-            low.total_query_latency.abandoned);
+  EXPECT_GE(high.totals.query_latency.CompletionPercentile(0.99).value,
+            low.totals.query_latency.CompletionPercentile(0.99).value);
+  EXPECT_GE(high.totals.query_latency.abandoned,
+            low.totals.query_latency.abandoned);
 }
 
 TEST(OpenLoopServing, PhaseDeltasSumToRunTotals) {
@@ -413,7 +413,7 @@ TEST(OpenLoopServing, PhaseDeltasSumToRunTotals) {
   ASSERT_EQ(report.phases.size(), 3u);
   QueryLatencyStats summed;
   for (const PhaseReport& p : report.phases) summed.MergeFrom(p.query_latency);
-  const QueryLatencyStats& total = report.total_query_latency;
+  const QueryLatencyStats& total = report.totals.query_latency;
   EXPECT_EQ(summed.issued, total.issued);
   EXPECT_EQ(summed.completed, total.completed);
   EXPECT_EQ(summed.completed_within_slo, total.completed_within_slo);

@@ -37,7 +37,6 @@
 //   p3q_sim --scenario=diurnal --checkpoint-at=200 --checkpoint=run.ckpt
 //   p3q_sim --resume=run.ckpt --json=out.json
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -74,21 +73,13 @@ struct SweepSpec {
 };
 
 struct Options {
-  int users = 1000;
-  int network_size = -1;  // default: users/10, at most 500
-  int stored = 10;
-  double alpha = 0.5;
-  int top_k = 10;
-  p3q::SimilarityMetric similarity = p3q::SimilarityMetric::kCommonActions;
-  std::uint64_t seed = 1;
-  int threads = 0;  // 0 = inherit the P3Q_THREADS environment default
-  bool help = false;
-  // Delivery layer.
-  std::optional<p3q::LatencySpec> latency;
-  // Scenario engine.
+  /// The run the flags describe, parsed in place; --resume replaces its
+  /// run-shape fields with the snapshot's.
+  p3q::ScenarioRunnerOptions run;
   std::string scenario;
+  bool help = false;
   bool list_scenarios = false;
-  double cycle_scale = 1.0;
+  // Reports.
   std::string json_path;
   std::string csv_path;
   bool timing = false;
@@ -102,17 +93,9 @@ struct Options {
   std::vector<p3q::UserId> trace_nodes;    // empty = every node
   int trace_ring = 0;                      // 0 = stream every event
   std::string profile_path;                // --profile=FILE
-  std::uint64_t progress_every = 0;        // 0 = no heartbeat
-  // Checkpoint/resume.
-  std::optional<std::uint64_t> checkpoint_at;  // --checkpoint-at=CYCLE
-  std::string checkpoint_path;                 // --checkpoint=FILE
-  std::string resume_path;                     // --resume=FILE
   // Run-shape flags given on the command line; --resume reads the run's
   // shape from the snapshot and rejects them.
   std::vector<std::string> run_shape_flags;
-  // The arrival override the snapshot was written with (filled from the
-  // checkpoint header when resuming, never from a flag).
-  std::optional<p3q::ArrivalSpec> resume_arrivals;
 };
 
 void PrintUsage() {
@@ -283,6 +266,11 @@ bool ParseSweepSpec(const std::string& value, SweepSpec* out) {
 
 std::optional<Options> ParseArgs(int argc, char** argv) {
   Options opt;
+  // p3q_sim's defaults where they differ from the runner's: 1000 users, and
+  // a network size of -1 (users/10, at most 500, as the runner's 0 is; a
+  // checkpoint records the value as given).
+  opt.run.users = 1000;
+  opt.run.network_size = -1;
   std::string latency_text;
   std::optional<double> loss;
   for (int i = 1; i < argc; ++i) {
@@ -294,25 +282,35 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     if (ParseFlag(argv[i], "--help", &value)) {
       opt.help = true;
     } else if (ParseFlag(argv[i], "--users", &value)) {
-      if (!ParseIntFlag("--users", value, &opt.users)) return std::nullopt;
+      if (!ParseIntFlag("--users", value, &opt.run.users)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--s", &value)) {
-      if (!ParseIntFlag("--s", value, &opt.network_size)) return std::nullopt;
+      if (!ParseIntFlag("--s", value, &opt.run.network_size)) {
+        return std::nullopt;
+      }
     } else if (ParseFlag(argv[i], "--c", &value)) {
-      if (!ParseIntFlag("--c", value, &opt.stored)) return std::nullopt;
+      if (!ParseIntFlag("--c", value, &opt.run.stored_profiles)) {
+        return std::nullopt;
+      }
     } else if (ParseFlag(argv[i], "--alpha", &value)) {
-      if (!ParseDoubleFlag("--alpha", value, &opt.alpha)) return std::nullopt;
+      if (!ParseDoubleFlag("--alpha", value, &opt.run.alpha)) {
+        return std::nullopt;
+      }
     } else if (ParseFlag(argv[i], "--k", &value)) {
-      if (!ParseIntFlag("--k", value, &opt.top_k)) return std::nullopt;
+      if (!ParseIntFlag("--k", value, &opt.run.top_k)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--similarity", &value)) {
-      if (!p3q::ParseSimilarityMetric(value, &opt.similarity)) {
+      if (!p3q::ParseSimilarityMetric(value, &opt.run.similarity)) {
         std::cerr << "--similarity: unknown metric '" << value
                   << "' (expected common|jaccard|cosine|overlap)\n";
         return std::nullopt;
       }
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      if (!ParseUint64Flag("--seed", value, &opt.seed)) return std::nullopt;
+      if (!ParseUint64Flag("--seed", value, &opt.run.seed)) {
+        return std::nullopt;
+      }
     } else if (ParseFlag(argv[i], "--threads", &value)) {
-      if (!ParseIntFlag("--threads", value, &opt.threads)) return std::nullopt;
+      if (!ParseIntFlag("--threads", value, &opt.run.threads)) {
+        return std::nullopt;
+      }
     } else if (ParseFlag(argv[i], "--latency", &value)) {
       latency_text = value;
     } else if (ParseFlag(argv[i], "--loss", &value)) {
@@ -324,7 +322,7 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--list-scenarios", &value)) {
       opt.list_scenarios = true;
     } else if (ParseFlag(argv[i], "--cycle-scale", &value)) {
-      if (!ParseDoubleFlag("--cycle-scale", value, &opt.cycle_scale)) {
+      if (!ParseDoubleFlag("--cycle-scale", value, &opt.run.cycle_scale)) {
         return std::nullopt;
       }
     } else if (ParseFlag(argv[i], "--arrival-rate", &value)) {
@@ -383,17 +381,17 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--checkpoint-at", &value)) {
       std::uint64_t at = 0;
       if (!ParseUint64Flag("--checkpoint-at", value, &at)) return std::nullopt;
-      opt.checkpoint_at = at;
+      opt.run.checkpoint_at = at;
     } else if (ParseFlag(argv[i], "--checkpoint", &value)) {
-      opt.checkpoint_path = value;
+      opt.run.checkpoint_path = value;
     } else if (ParseFlag(argv[i], "--resume", &value)) {
-      opt.resume_path = value;
+      opt.run.resume_path = value;
     } else if (ParseFlag(argv[i], "--profile", &value)) {
       opt.profile_path = value;
     } else if (ParseFlag(argv[i], "--progress", &value)) {
-      opt.progress_every = 100;  // bare --progress: a sensible default K
+      opt.run.progress_every = 100;  // bare --progress: a sensible default K
       if (!value.empty() &&
-          !ParseUint64Flag("--progress", value, &opt.progress_every)) {
+          !ParseUint64Flag("--progress", value, &opt.run.progress_every)) {
         return std::nullopt;
       }
     } else {
@@ -401,19 +399,19 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (opt.users < 1) {
+  if (opt.run.users < 1) {
     std::cerr << "--users must be >= 1\n";
     return std::nullopt;
   }
-  if (!(opt.cycle_scale > 0)) {
+  if (!(opt.run.cycle_scale > 0)) {
     std::cerr << "--cycle-scale must be > 0\n";
     return std::nullopt;
   }
-  if (opt.threads < 0) {
+  if (opt.run.threads < 0) {
     std::cerr << "--threads must be >= 0 (0 = inherit P3Q_THREADS)\n";
     return std::nullopt;
   }
-  if (opt.scenario.empty() && opt.resume_path.empty() && !opt.help &&
+  if (opt.scenario.empty() && opt.run.resume_path.empty() && !opt.help &&
       !opt.list_scenarios) {
     std::cerr << "p3q_sim runs a scenario: pass --scenario=NAME (see "
                  "--list-scenarios) or --resume=FILE\n";
@@ -431,26 +429,25 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       std::cerr << "--latency: " << problem << "\n";
       return std::nullopt;
     }
-    opt.latency = spec;
+    opt.run.latency = spec;
   }
   if (loss.has_value()) {
     if (*loss < 0.0 || *loss > 1.0) {
       std::cerr << "--loss must be in [0, 1]\n";
       return std::nullopt;
     }
-    if (opt.latency.has_value() &&
-        opt.latency->kind != p3q::LatencyKind::kLossy) {
+    if (opt.run.latency.has_value() &&
+        opt.run.latency->kind != p3q::LatencyKind::kLossy) {
       std::cerr << "--loss only combines with --latency=lossy:P:MAX (use "
                    "that form directly)\n";
       return std::nullopt;
     }
-    p3q::LatencySpec spec =
-        opt.latency.value_or(p3q::LatencySpec{p3q::LatencyKind::kLossy,
-                                              /*fixed=*/0, /*lo=*/0, /*hi=*/0,
-                                              /*loss=*/0.0, /*max_delay=*/2});
+    p3q::LatencySpec spec = opt.run.latency.value_or(
+        p3q::LatencySpec{p3q::LatencyKind::kLossy, /*fixed=*/0, /*lo=*/0,
+                         /*hi=*/0, /*loss=*/0.0, /*max_delay=*/2});
     spec.kind = p3q::LatencyKind::kLossy;
     spec.loss = *loss;
-    opt.latency = spec;
+    opt.run.latency = spec;
   }
   if (opt.arrival_rate.has_value() && opt.arrival_sweep.has_value()) {
     std::cerr << "--arrival-rate and --arrival-sweep are mutually "
@@ -485,20 +482,20 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
                  "combined with --arrival-sweep\n";
     return std::nullopt;
   }
-  if (opt.checkpoint_at.has_value() && opt.checkpoint_path.empty()) {
+  if (opt.run.checkpoint_at.has_value() && opt.run.checkpoint_path.empty()) {
     std::cerr << "--checkpoint-at requires --checkpoint=FILE\n";
     return std::nullopt;
   }
-  if (!opt.checkpoint_path.empty() && !opt.checkpoint_at.has_value()) {
+  if (!opt.run.checkpoint_path.empty() && !opt.run.checkpoint_at.has_value()) {
     std::cerr << "--checkpoint requires --checkpoint-at=CYCLE\n";
     return std::nullopt;
   }
-  if (opt.checkpoint_at.has_value() && opt.arrival_sweep.has_value()) {
+  if (opt.run.checkpoint_at.has_value() && opt.arrival_sweep.has_value()) {
     std::cerr << "--checkpoint-at covers a single run; it cannot be combined "
                  "with --arrival-sweep\n";
     return std::nullopt;
   }
-  if (!opt.resume_path.empty()) {
+  if (!opt.run.resume_path.empty()) {
     if (!opt.scenario.empty()) {
       std::cerr << "--resume reads the scenario from the snapshot; drop "
                    "--scenario\n";
@@ -509,7 +506,7 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
                    "snapshot; drop --arrival-rate/--arrival-sweep\n";
       return std::nullopt;
     }
-    if (opt.latency.has_value()) {
+    if (opt.run.latency.has_value()) {
       std::cerr << "--resume restores the run's latency model from the "
                    "snapshot; drop --latency/--loss\n";
       return std::nullopt;
@@ -535,27 +532,6 @@ p3q::ArrivalSpec OverrideArrivals(const p3q::Scenario& scenario, double rate) {
   spec.rate = rate;
   spec.trace.clear();
   return spec;
-}
-
-/// The runner options a CLI invocation maps to (shared between the single
-/// run and the sweep).
-p3q::ScenarioRunnerOptions MakeRunnerOptions(const Options& opt) {
-  p3q::ScenarioRunnerOptions options;
-  options.users = opt.users;
-  options.seed = opt.seed;
-  options.cycle_scale = opt.cycle_scale;
-  options.network_size = opt.network_size;  // <= 0 => users/10 default
-  options.stored_profiles = opt.stored;
-  options.alpha = opt.alpha;
-  options.top_k = opt.top_k;
-  options.similarity = opt.similarity;
-  options.threads = opt.threads;
-  options.latency = opt.latency;  // unset = the scenario's own model
-  options.progress_every = opt.progress_every;
-  options.checkpoint_at = opt.checkpoint_at;
-  options.checkpoint_path = opt.checkpoint_path;
-  options.resume_path = opt.resume_path;
-  return options;
 }
 
 /// One run's observability attachments: the trace file/sink/tracer chain
@@ -628,7 +604,7 @@ bool CloseObsSession(const Options& opt, ObsSession* obs) {
 /// Runs a named scenario timeline and prints/writes its report.
 int RunScenarioMode(const Options& opt) {
   using namespace p3q;
-  ScenarioRunnerOptions options = MakeRunnerOptions(opt);
+  ScenarioRunnerOptions options = opt.run;
 
   ObsSession obs;
   if (!OpenObsSession(opt, &obs)) return 1;
@@ -639,22 +615,20 @@ int RunScenarioMode(const Options& opt) {
   if (opt.arrival_rate.has_value()) {
     options.arrivals = OverrideArrivals(scenario, *opt.arrival_rate);
   }
-  if (!opt.resume_path.empty()) {
-    // The arrival override of the original run, read from the snapshot.
-    options.arrivals = opt.resume_arrivals;
-    std::cout << "resuming from: " << opt.resume_path << "\n";
+  if (!options.resume_path.empty()) {
+    std::cout << "resuming from: " << options.resume_path << "\n";
   }
   std::cout << "scenario: " << scenario.name << " — " << scenario.description
-            << "\nusers: " << opt.users << ", seed: " << opt.seed
-            << ", cycle scale: " << opt.cycle_scale;
+            << "\nusers: " << options.users << ", seed: " << options.seed
+            << ", cycle scale: " << options.cycle_scale;
   if (options.arrivals.has_value()) {
     std::cout << ", arrivals: " << options.arrivals->Name();
   }
-  if (opt.similarity != SimilarityMetric::kCommonActions) {
-    std::cout << ", similarity: " << SimilarityMetricName(opt.similarity);
+  if (options.similarity != SimilarityMetric::kCommonActions) {
+    std::cout << ", similarity: " << SimilarityMetricName(options.similarity);
   }
   const LatencySpec effective_latency =
-      opt.latency.value_or(scenario.latency);
+      options.latency.value_or(scenario.latency);
   if (!effective_latency.IsZero()) {
     std::cout << ", latency: " << effective_latency.Name();
   }
@@ -687,19 +661,18 @@ int RunScenarioMode(const Options& opt) {
                   TablePrinter::Fmt(p.timing.cycles_per_sec, 1)});
   }
   table.Print(std::cout);
-  std::cout << "\ntotals: " << report.total_cycles << " cycles, "
-            << report.total_queries_issued << " queries ("
-            << report.total_queries_completed << " completed), "
-            << report.total_departures << " departures, "
-            << report.total_rejoins << " rejoins, "
-            << report.total_traffic.TotalBytes() / 1024.0 / 1024.0
+  const PhaseReport& totals = report.totals;
+  std::cout << "\ntotals: " << totals.cycles << " cycles, "
+            << totals.queries_issued << " queries ("
+            << totals.queries_completed << " completed), "
+            << totals.departures << " departures, " << totals.rejoins
+            << " rejoins, " << totals.traffic.TotalBytes() / 1024.0 / 1024.0
             << " MiB\nthroughput: "
-            << TablePrinter::Fmt(report.total_timing.cycles_per_sec, 1)
+            << TablePrinter::Fmt(totals.timing.cycles_per_sec, 1)
             << " cycles/s, "
-            << TablePrinter::Fmt(report.total_timing.user_cycles_per_sec, 1)
+            << TablePrinter::Fmt(totals.timing.user_cycles_per_sec, 1)
             << " user-cycles/s (wall "
-            << TablePrinter::Fmt(report.total_timing.wall_seconds, 3)
-            << " s)\n";
+            << TablePrinter::Fmt(totals.timing.wall_seconds, 3) << " s)\n";
   for (std::size_t i = 0; i < report.phases.size(); ++i) {
     const double target = scenario.phases[i].stop_at_success_ratio;
     if (target <= 0) continue;
@@ -712,7 +685,7 @@ int RunScenarioMode(const Options& opt) {
               << ", target " << target << ")\n";
   }
   if (!effective_latency.IsZero()) {
-    const DeliveryStats& d = report.total_delivery;
+    const DeliveryStats& d = totals.delivery;
     std::cout << "delivery: " << d.enqueued << " sent, " << d.delivered
               << " delivered, " << d.dropped << " dropped, "
               << d.stale_dropped << " stale, lag p50/p95 "
@@ -721,7 +694,7 @@ int RunScenarioMode(const Options& opt) {
               << " cycles, peak in flight " << d.max_in_flight << "\n";
   }
   if (report.open_loop) {
-    const QueryLatencyStats& q = report.total_query_latency;
+    const QueryLatencyStats& q = totals.query_latency;
     const PercentileValue p99 = q.CompletionPercentile(0.99);
     std::cout << "serving: " << q.issued << " issued, " << q.completed
               << " completed (" << q.completed_within_slo << " within SLO of "
@@ -736,32 +709,27 @@ int RunScenarioMode(const Options& opt) {
   }
   if (opt.timing) {
     const MemoryReport& m = report.memory;
+    const SystemMemoryStats& sys = m.system;
+    const auto mib = [](double bytes) {
+      return TablePrinter::Fmt(bytes / 1024.0 / 1024.0, 1);
+    };
     std::cout << "memory: peak RSS " << TablePrinter::Fmt(m.peak_rss_mb, 1)
-              << " MiB; arenas "
-              << TablePrinter::Fmt(m.arena_used_bytes / 1024.0 / 1024.0, 1)
-              << "/"
-              << TablePrinter::Fmt(m.arena_reserved_bytes / 1024.0 / 1024.0, 1)
-              << " MiB used/reserved in " << m.arena_slabs << " slabs ("
-              << m.arena_live_blocks << " snapshots, "
-              << m.arena_recycled_slabs << " recycled); pool "
-              << m.pool_hits << " hits / " << m.pool_misses << " misses; "
-              << "probe memos "
-              << TablePrinter::Fmt(m.probe_memo_bytes / 1024.0 / 1024.0, 1)
-              << " MiB for " << m.probe_memo_entries
+              << " MiB; arenas " << mib(sys.store.arena.used_bytes) << "/"
+              << mib(sys.store.arena.reserved_bytes) << " MiB used/reserved in "
+              << sys.store.arena.slabs << " slabs ("
+              << sys.store.arena.live_blocks << " snapshots, "
+              << sys.store.arena.recycled_slabs << " recycled); pool "
+              << sys.store.pool_hits << " hits / " << sys.store.pool_misses
+              << " misses; probe memos " << mib(sys.probe_memo_bytes)
+              << " MiB for " << sys.probe_memo_entries
               << " entries, personal networks "
-              << TablePrinter::Fmt(m.personal_network_bytes / 1024.0 / 1024.0,
-                                   1)
-              << " MiB ("
-              << TablePrinter::Fmt(m.network_index_bytes / 1024.0 / 1024.0, 1)
-              << " MiB index), random views "
-              << TablePrinter::Fmt(m.random_view_bytes / 1024.0 / 1024.0, 1)
-              << " MiB; peak " << m.peak_in_flight_messages
+              << mib(sys.personal_network_bytes) << " MiB ("
+              << mib(sys.network_index_bytes) << " MiB index), random views "
+              << mib(sys.random_view_bytes) << " MiB; peak "
+              << sys.peak_in_flight_messages
               << " messages in flight; ideal networks "
-              << TablePrinter::Fmt(m.ideal_network_bytes / 1024.0 / 1024.0, 1)
-              << " MiB; heap "
-              << TablePrinter::Fmt(m.heap_in_use_bytes / 1024.0 / 1024.0, 1)
-              << "/"
-              << TablePrinter::Fmt(m.heap_held_bytes / 1024.0 / 1024.0, 1)
+              << mib(m.ideal_network_bytes) << " MiB; heap "
+              << mib(m.heap_in_use_bytes) << "/" << mib(m.heap_held_bytes)
               << " MiB in use/held\n";
   }
 
@@ -794,33 +762,28 @@ int RunSweepMode(const Options& opt) {
   const Scenario scenario = MakeScenario(opt.scenario);
   const SweepSpec sweep = *opt.arrival_sweep;
 
-  const auto num = [](double v, int precision) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    return std::string(buf);
-  };
-
   // Rates print in full (the shortest text that parses back to the rate),
   // so a fine sweep's rows stay distinct.
   std::cout << "scenario: " << scenario.name << " — saturation sweep, rate "
             << FormatStrictDouble(sweep.lo) << " to "
             << FormatStrictDouble(sweep.hi) << " step "
-            << FormatStrictDouble(sweep.step) << "\nusers: " << opt.users
-            << ", seed: " << opt.seed << "\n\n";
+            << FormatStrictDouble(sweep.step) << "\nusers: " << opt.run.users
+            << ", seed: " << opt.run.seed << "\n\n";
 
   TablePrinter table({"rate", "issued", "completed", "in_slo", "abandoned",
                       "p50", "p95", "p99", "goodput/cyc"});
   std::ostringstream json;
   std::ostringstream csv;
   json << "{\n  \"scenario\": \"" << scenario.name
-       << "\",\n  \"seed\": " << opt.seed << ",\n  \"users\": " << opt.users
+       << "\",\n  \"seed\": " << opt.run.seed
+       << ",\n  \"users\": " << opt.run.users
        << ",\n  \"sweep\": [\n";
   csv << "rate,issued,completed,completed_within_slo,abandoned,p50,p95,p99,"
          "p99_lower_bound,first_result_p50,goodput_per_cycle\n";
 
   bool first = true;
   for (double rate : sweep.rates) {
-    ScenarioRunnerOptions options = MakeRunnerOptions(opt);
+    ScenarioRunnerOptions options = opt.run;
     options.arrivals = OverrideArrivals(scenario, rate);
     ScenarioReport report;
     try {
@@ -829,41 +792,41 @@ int RunSweepMode(const Options& opt) {
       std::cerr << "invalid configuration: " << e.what() << "\n";
       return 1;
     }
-    const QueryLatencyStats& q = report.total_query_latency;
+    const QueryLatencyStats& q = report.totals.query_latency;
     const PercentileValue p50 = q.CompletionPercentile(0.50);
     const PercentileValue p95 = q.CompletionPercentile(0.95);
     const PercentileValue p99 = q.CompletionPercentile(0.99);
     const PercentileValue fr50 = q.FirstResultPercentile(0.50);
     const double goodput =
-        report.total_cycles == 0
+        report.totals.cycles == 0
             ? 0.0
             : static_cast<double>(q.completed_within_slo) /
-                  static_cast<double>(report.total_cycles);
+                  static_cast<double>(report.totals.cycles);
 
     const std::string rate_text = FormatStrictDouble(rate);
     table.AddRow({rate_text, TablePrinter::Fmt(q.issued),
                   TablePrinter::Fmt(q.completed),
                   TablePrinter::Fmt(q.completed_within_slo),
                   TablePrinter::Fmt(q.abandoned),
-                  num(p50.value, 1), num(p95.value, 1),
-                  num(p99.value, 1) + (p99.lower_bound ? "+" : ""),
-                  num(goodput, 3)});
+                  FormatFixed(p50.value, 1), FormatFixed(p95.value, 1),
+                  FormatFixed(p99.value, 1) + (p99.lower_bound ? "+" : ""),
+                  FormatFixed(goodput, 3)});
 
     json << (first ? "" : ",\n") << "    {\"rate\": " << rate_text
          << ", \"issued\": " << q.issued << ", \"completed\": " << q.completed
          << ", \"completed_within_slo\": " << q.completed_within_slo
          << ", \"abandoned\": " << q.abandoned
-         << ", \"p50\": " << num(p50.value, 2)
-         << ", \"p95\": " << num(p95.value, 2)
-         << ", \"p99\": " << num(p99.value, 2);
+         << ", \"p50\": " << FormatFixed(p50.value, 2)
+         << ", \"p95\": " << FormatFixed(p95.value, 2)
+         << ", \"p99\": " << FormatFixed(p99.value, 2);
     if (p99.lower_bound) json << ", \"p99_lower_bound\": true";
-    json << ", \"first_result_p50\": " << num(fr50.value, 2)
-         << ", \"goodput_per_cycle\": " << num(goodput, 4) << "}";
+    json << ", \"first_result_p50\": " << FormatFixed(fr50.value, 2)
+         << ", \"goodput_per_cycle\": " << FormatFixed(goodput, 4) << "}";
     csv << rate_text << "," << q.issued << "," << q.completed << ","
         << q.completed_within_slo << "," << q.abandoned << ","
-        << num(p50.value, 2) << "," << num(p95.value, 2) << ","
-        << num(p99.value, 2) << "," << (p99.lower_bound ? 1 : 0) << ","
-        << num(fr50.value, 2) << "," << num(goodput, 4) << "\n";
+        << FormatFixed(p50.value, 2) << "," << FormatFixed(p95.value, 2) << ","
+        << FormatFixed(p99.value, 2) << "," << (p99.lower_bound ? 1 : 0) << ","
+        << FormatFixed(fr50.value, 2) << "," << FormatFixed(goodput, 4) << "\n";
     first = false;
   }
   json << "\n  ]\n}\n";
@@ -892,10 +855,10 @@ int RunSweepMode(const Options& opt) {
 /// the population comes from the checkpoint header.
 bool TraceNodesFitTheRun(const Options& opt) {
   for (const p3q::UserId id : opt.trace_nodes) {
-    if (static_cast<std::int64_t>(id) >= opt.users) {
+    if (static_cast<std::int64_t>(id) >= opt.run.users) {
       std::cerr << "--trace-nodes: node id " << id
                 << " is not a user of this run (ids must be below "
-                << opt.users << ")\n";
+                << opt.run.users << ")\n";
       return false;
     }
   }
@@ -921,30 +884,19 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (!opt.resume_path.empty()) {
+  if (!opt.run.resume_path.empty()) {
     // Reconstruct the original run from the snapshot's identity header; the
     // runner re-verifies every field against the payload it restores.
     try {
-      const p3q::CheckpointRunInfo info =
-          p3q::ReadScenarioCheckpointInfo(opt.resume_path);
-      if (!p3q::HasScenario(info.scenario)) {
-        std::cerr << "cannot resume: checkpoint names unknown scenario '"
-                  << info.scenario << "' (see --list-scenarios)\n";
-        return 1;
-      }
-      opt.scenario = info.scenario;
-      opt.users = info.users;
-      opt.seed = info.seed;
-      opt.cycle_scale = info.cycle_scale;
-      opt.network_size = info.network_size;
-      opt.stored = info.stored_profiles;
-      opt.alpha = info.alpha;
-      opt.top_k = info.top_k;
-      opt.similarity = info.similarity;
-      opt.latency = info.latency;
-      opt.resume_arrivals = info.arrivals;
+      opt.scenario =
+          p3q::ReadScenarioCheckpointInfo(opt.run.resume_path, &opt.run);
     } catch (const p3q::CheckpointError& e) {
       std::cerr << "cannot resume: " << e.what() << "\n";
+      return 1;
+    }
+    if (!p3q::HasScenario(opt.scenario)) {
+      std::cerr << "cannot resume: checkpoint names unknown scenario '"
+                << opt.scenario << "' (see --list-scenarios)\n";
       return 1;
     }
     if (!TraceNodesFitTheRun(opt)) return 1;
