@@ -471,187 +471,111 @@ const EagerProtocol::QueryState& EagerProtocol::StateOrThrow(
   return const_cast<EagerProtocol*>(this)->StateOrThrow(id);
 }
 
-namespace {
-
-void WritePartialResult(CheckpointWriter* out,
-                        const PartialResultMessage& message) {
-  out->U64(message.entries.size());
-  for (const auto& [item, score] : message.entries) {
-    out->U32(item);
-    out->U32(score);
-  }
-  out->U64(message.used_profiles.size());
-  for (UserId u : message.used_profiles) out->U32(u);
+template <class Io, class Message>
+void EagerProtocol::TransferMessage(Io& io, Message& message) {
+  io.Vector(message.gossips, 48, [&](auto& g) {
+    io.U64(g.query_id);
+    io.User(g.dest, "gossip destination");
+    io.U64(g.epoch);
+    io.U32(g.generation);
+    io.U64(g.consumed);
+    io.U64(g.fwd_bytes);
+    io.Bool(g.has_partial);
+    if (g.has_partial) TransferPartialResult(io, g.partial);
+    io.Users(g.returned, "returned-list user");
+    io.Users(g.kept, "kept-list user");
+    TransferExchangePlan(io, g.exchange);
+  });
 }
-
-PartialResultMessage ReadPartialResult(CheckpointReader* in) {
-  PartialResultMessage message;
-  const std::uint64_t num_entries = in->Count(8);
-  message.entries.reserve(static_cast<std::size_t>(num_entries));
-  for (std::uint64_t e = 0; e < num_entries; ++e) {
-    const ItemId item = in->U32();
-    const std::uint32_t score = in->U32();
-    message.entries.emplace_back(item, score);
-  }
-  const std::uint64_t num_used = in->Count(4);
-  message.used_profiles.reserve(static_cast<std::size_t>(num_used));
-  for (std::uint64_t u = 0; u < num_used; ++u) {
-    message.used_profiles.push_back(in->U32());
-  }
-  return message;
-}
-
-}  // namespace
 
 void EagerProtocol::EncodeMessage(const DeliveryMessage& message,
-                                  CheckpointWriter* out,
-                                  ProfilePool* pool) const {
-  const auto& gossip = static_cast<const TaskGossipMessage&>(message);
-  out->U64(gossip.gossips.size());
-  for (const PlannedGossip& g : gossip.gossips) {
-    out->U64(g.query_id);
-    out->U32(g.dest);
-    out->U64(g.epoch);
-    out->U32(g.generation);
-    out->U64(g.consumed);
-    out->U64(g.fwd_bytes);
-    out->U8(g.has_partial ? 1 : 0);
-    if (g.has_partial) WritePartialResult(out, g.partial);
-    out->U64(g.returned.size());
-    for (UserId u : g.returned) out->U32(u);
-    out->U64(g.kept.size());
-    for (UserId u : g.kept) out->U32(u);
-    LazyProtocol::EncodeExchangePlan(g.exchange, out, pool);
-  }
+                                  CheckpointWriter* out) const {
+  TransferMessage(*out, static_cast<const TaskGossipMessage&>(message));
 }
 
 std::unique_ptr<DeliveryMessage> EagerProtocol::DecodeMessage(
-    CheckpointReader* in, const ProfileTable& profiles) const {
-  const std::size_t num_users = system_->NumUsers();
+    CheckpointReader* in) const {
   auto message = std::make_unique<TaskGossipMessage>();
-  const std::uint64_t num_gossips = in->Count(48);
-  message->gossips.reserve(static_cast<std::size_t>(num_gossips));
-  for (std::uint64_t i = 0; i < num_gossips; ++i) {
-    PlannedGossip g;
-    g.query_id = in->U64();
-    g.dest = ReadUserId(in, num_users, "gossip destination");
-    g.epoch = in->U64();
-    g.generation = in->U32();
-    g.consumed = static_cast<std::size_t>(in->U64());
-    g.fwd_bytes = static_cast<std::size_t>(in->U64());
-    g.has_partial = in->U8() != 0;
-    if (g.has_partial) g.partial = ReadPartialResult(in);
-    const std::uint64_t num_returned = in->Count(4);
-    g.returned.reserve(static_cast<std::size_t>(num_returned));
-    for (std::uint64_t r = 0; r < num_returned; ++r) {
-      g.returned.push_back(ReadUserId(in, num_users, "returned-list user"));
-    }
-    const std::uint64_t num_kept = in->Count(4);
-    g.kept.reserve(static_cast<std::size_t>(num_kept));
-    for (std::uint64_t k = 0; k < num_kept; ++k) {
-      g.kept.push_back(ReadUserId(in, num_users, "kept-list user"));
-    }
-    g.exchange = LazyProtocol::DecodeExchangePlan(in, profiles, num_users);
-    message->gossips.push_back(std::move(g));
-  }
+  TransferMessage(*in, *message);
   return message;
 }
 
-void EagerProtocol::SaveState(CheckpointWriter* out) const {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(state_.size());
-  for (const auto& [id, state] : state_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  out->U64(ids.size());
-  for (std::uint64_t id : ids) {
-    const QueryState& state = state_.at(id);
-    state.query->SaveState(out);
-    std::vector<UserId> reached(state.reached.begin(), state.reached.end());
-    std::sort(reached.begin(), reached.end());
-    out->U64(reached.size());
-    for (UserId u : reached) out->U32(u);
-    out->I64(state.active_tasks);
-    out->U8(state.finalized ? 1 : 0);
+template <class Io, class Self>
+void EagerProtocol::Transfer(Io& io, Self& self) {
+  // The nodes, and so their tasks, are loaded first: a load counts each
+  // query's holders to check the restored active-task counts against.
+  std::unordered_map<std::uint64_t, std::int64_t> holders;
+  if constexpr (Io::kLoading) {
+    for (UserId u = 0; u < static_cast<UserId>(self.system_->NumUsers());
+         ++u) {
+      for (const auto& [qid, task] : self.system_->node(u).tasks()) {
+        ++holders[qid];
+      }
+    }
   }
-  out->U64(timeout_reissues_);
-  out->U64(stale_messages_dropped_);
-  out->U64(forgotten_late_results_);
-  out->U64(next_id_);
-  out->U64(next_epoch_);
-  out->Sentinel();
+  std::uint64_t max_id = 0;
+  io.SortedValues(self.state_, 64, [&](auto& state) {
+    if constexpr (Io::kLoading) {
+      state.query = std::make_unique<ActiveQuery>(0, QuerySpec{}, 1, 0);
+    }
+    TransferState(io, *state.query);
+    io.UserSet(state.reached, "reached user");
+    std::int64_t active_tasks = state.active_tasks;
+    io.I64(active_tasks);
+    io.Bool(state.finalized);
+    const std::uint64_t id = state.query->id();
+    if constexpr (Io::kLoading) {
+      if (!self.state_.empty() && id <= max_id) {
+        throw CheckpointError("eager query ids out of order in checkpoint");
+      }
+      if (active_tasks < 0) {
+        throw CheckpointError("eager query " + std::to_string(id) +
+                              " has a negative active task count");
+      }
+      const auto held = holders.find(id);
+      const std::int64_t holding = held == holders.end() ? 0 : held->second;
+      if (active_tasks != holding) {
+        throw CheckpointError(
+            "eager query " + std::to_string(id) + " counts " +
+            std::to_string(active_tasks) + " active tasks but " +
+            std::to_string(holding) + " nodes hold its task");
+      }
+      state.active_tasks = static_cast<int>(active_tasks);
+    }
+    max_id = id;
+    return id;
+  });
+  io.U64(self.timeout_reissues_);
+  io.U64(self.stale_messages_dropped_);
+  io.U64(self.forgotten_late_results_);
+  io.U64(self.next_id_);
+  io.U64(self.next_epoch_);
+  io.Sentinel("eager protocol");
+  if constexpr (Io::kLoading) {
+    for (const auto& [qid, holding] : holders) {
+      if (!self.state_.contains(qid)) {
+        throw CheckpointError("eager query " + std::to_string(qid) +
+                              " is not in the checkpoint but " +
+                              std::to_string(holding) +
+                              " nodes hold its task");
+      }
+    }
+    if (!self.state_.empty() && max_id >= self.next_id_) {
+      throw CheckpointError("eager query id " + std::to_string(max_id) +
+                            " collides with the next-id allocator (" +
+                            std::to_string(self.next_id_) + ")");
+    }
+    // Participants and shard mailboxes are intra-cycle scratch, empty at
+    // every barrier.
+    self.participants_.clear();
+    self.shard_reissues_.fill(0);
+  }
 }
 
-void EagerProtocol::LoadState(CheckpointReader* in) {
-  // Participants and shard mailboxes are intra-cycle scratch — empty at
-  // every barrier, so a freshly constructed protocol starts them empty.
-  // The nodes, and so their tasks, are already loaded: count each query's
-  // holders to check the restored active-task counts against.
-  std::unordered_map<std::uint64_t, std::int64_t> holders;
-  for (UserId u = 0; u < static_cast<UserId>(system_->NumUsers()); ++u) {
-    for (const auto& [qid, task] : system_->node(u).tasks()) ++holders[qid];
-  }
-  std::unordered_map<std::uint64_t, QueryState> loaded;
-  const std::uint64_t num_queries = in->Count(64);
-  std::uint64_t max_id = 0;
-  std::uint64_t prev_id = 0;
-  for (std::uint64_t q = 0; q < num_queries; ++q) {
-    auto query = std::make_unique<ActiveQuery>(ActiveQuery::LoadState(in));
-    const std::uint64_t id = query->id();
-    if (q > 0 && id <= prev_id) {
-      throw CheckpointError("eager query ids out of order in checkpoint");
-    }
-    prev_id = id;
-    max_id = id;
-    QueryState state;
-    state.query = std::move(query);
-    const std::uint64_t num_reached = in->Count(4);
-    for (std::uint64_t r = 0; r < num_reached; ++r) {
-      state.reached.insert(
-          ReadUserId(in, system_->NumUsers(), "reached user"));
-    }
-    const std::int64_t active_tasks = in->I64();
-    if (active_tasks < 0) {
-      throw CheckpointError("eager query " + std::to_string(id) +
-                            " has a negative active task count");
-    }
-    const auto held = holders.find(id);
-    const std::int64_t holding = held == holders.end() ? 0 : held->second;
-    if (active_tasks != holding) {
-      throw CheckpointError(
-          "eager query " + std::to_string(id) + " counts " +
-          std::to_string(active_tasks) + " active tasks but " +
-          std::to_string(holding) + " nodes hold its task");
-    }
-    state.active_tasks = static_cast<int>(active_tasks);
-    state.finalized = in->U8() != 0;
-    loaded.emplace(id, std::move(state));
-  }
-  const std::uint64_t timeout_reissues = in->U64();
-  const std::uint64_t stale_dropped = in->U64();
-  const std::uint64_t forgotten_late = in->U64();
-  const std::uint64_t next_id = in->U64();
-  const std::uint64_t next_epoch = in->U64();
-  in->Sentinel("eager protocol");
-  for (const auto& [qid, holding] : holders) {
-    if (!loaded.contains(qid)) {
-      throw CheckpointError("eager query " + std::to_string(qid) +
-                            " is not in the checkpoint but " +
-                            std::to_string(holding) + " nodes hold its task");
-    }
-  }
-  if (num_queries > 0 && max_id >= next_id) {
-    throw CheckpointError("eager query id " + std::to_string(max_id) +
-                          " collides with the next-id allocator (" +
-                          std::to_string(next_id) + ")");
-  }
-  state_ = std::move(loaded);
-  participants_.clear();
-  shard_reissues_.fill(0);
-  timeout_reissues_ = timeout_reissues;
-  stale_messages_dropped_ = stale_dropped;
-  forgotten_late_results_ = forgotten_late;
-  next_id_ = next_id;
-  next_epoch_ = next_epoch;
+void EagerProtocol::SaveState(CheckpointWriter* out) const {
+  Transfer(*out, *this);
 }
+
+void EagerProtocol::LoadState(CheckpointReader* in) { Transfer(*in, *this); }
 
 }  // namespace p3q

@@ -135,10 +135,10 @@ class EagerProtocol : public CycleProtocol {
   std::uint64_t late_partial_results_dropped() const;
 
   /// Checkpoint codec for in-flight task gossip messages.
-  void EncodeMessage(const DeliveryMessage& message, CheckpointWriter* out,
-                     ProfilePool* pool) const override;
+  void EncodeMessage(const DeliveryMessage& message,
+                     CheckpointWriter* out) const override;
   std::unique_ptr<DeliveryMessage> DecodeMessage(
-      CheckpointReader* in, const ProfileTable& profiles) const override;
+      CheckpointReader* in) const override;
 
   /// Serializes the protocol-level query state: per-query ActiveQuery +
   /// reach/task bookkeeping, the counters, and the id/epoch allocators.
@@ -212,6 +212,13 @@ class EagerProtocol : public CycleProtocol {
   static PartialResultMessage BuildPartialResult(
       const std::vector<const Profile*>& profiles, std::vector<UserId> owners,
       const std::vector<TagId>& tags);
+
+  /// The EncodeMessage/DecodeMessage and SaveState/LoadState layouts; the
+  /// message and `self` are const when saving.
+  template <class Io, class Message>
+  static void TransferMessage(Io& io, Message& message);
+  template <class Io, class Self>
+  static void Transfer(Io& io, Self& self);
 
   P3QSystem* system_;
   std::unordered_map<std::uint64_t, QueryState> state_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/p3q_system.h"
@@ -356,104 +358,80 @@ void LazyProtocol::CommitFootprintOf(UserId /*sender*/,
   footprint->Add(plan.exchange.b);
 }
 
-void LazyProtocol::EncodeExchangePlan(const ProfileExchangePlan& plan,
-                                      CheckpointWriter* out,
-                                      ProfilePool* pool) {
-  out->U32(plan.a);
-  out->U32(plan.b);
-  for (const std::vector<ProfileExchangeOffer>* offers :
-       {&plan.offers_to_b, &plan.offers_to_a}) {
-    out->U64(offers->size());
-    for (const ProfileExchangeOffer& offer : *offers) {
-      out->U64(offer.score);
-      WriteDigestInfo(out, pool, offer.digest);
-      out->U64(offer.rest_bytes);
-    }
+namespace {
+
+/// A screened score: a u64 on disk, but a personal network keeps 32 bits
+/// (PersonalNetwork::Consider refuses more at commit).
+template <class Io, class Score>
+void TransferScore(Io& io, Score& score) {
+  io.U64(score);
+  if (Io::kLoading && score > std::numeric_limits<std::uint32_t>::max()) {
+    throw CheckpointError("corrupt checkpoint: score " +
+                          std::to_string(score) + " does not fit in 32 bits");
   }
 }
 
-ProfileExchangePlan LazyProtocol::DecodeExchangePlan(
-    CheckpointReader* in, const ProfileTable& profiles,
-    std::size_t num_users) {
-  ProfileExchangePlan plan;
-  plan.a = in->U32();
-  plan.b = in->U32();
-  // A planned exchange has two real endpoints; an unplanned one has none.
-  if (plan.Planned() ? plan.a >= num_users || plan.b >= num_users
-                     : plan.b != kInvalidUser) {
-    throw CheckpointError("corrupt checkpoint: profile exchange endpoints " +
-                          std::to_string(plan.a) + ", " +
-                          std::to_string(plan.b) + " invalid for " +
-                          std::to_string(num_users) + " users");
-  }
-  for (std::vector<ProfileExchangeOffer>* offers :
-       {&plan.offers_to_b, &plan.offers_to_a}) {
-    const std::uint64_t count = in->Count(24);
-    offers->reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ProfileExchangeOffer offer;
-      offer.score = in->U64();
-      offer.digest = ReadDigestInfo(in, profiles, num_users);
-      offer.rest_bytes = in->U64();
-      offers->push_back(std::move(offer));
+}  // namespace
+
+template <class Io, class Plan>
+void TransferExchangePlan(Io& io, Plan& plan) {
+  io.U32(plan.a);
+  io.U32(plan.b);
+  if constexpr (Io::kLoading) {
+    // A planned exchange has two real endpoints; an unplanned one has none.
+    const std::size_t num_users = io.population();
+    if (plan.Planned() ? plan.a >= num_users || plan.b >= num_users
+                       : plan.b != kInvalidUser) {
+      throw CheckpointError("corrupt checkpoint: profile exchange endpoints " +
+                            std::to_string(plan.a) + ", " +
+                            std::to_string(plan.b) + " invalid for " +
+                            std::to_string(num_users) + " users");
     }
   }
-  return plan;
+  for (auto* offers : {&plan.offers_to_b, &plan.offers_to_a}) {
+    io.Vector(*offers, 24, [&](auto& offer) {
+      TransferScore(io, offer.score);
+      io.Digest(offer.digest);
+      io.U64(offer.rest_bytes);
+    });
+  }
+}
+
+template void TransferExchangePlan(CheckpointWriter&,
+                                   const ProfileExchangePlan&);
+template void TransferExchangePlan(CheckpointReader&, ProfileExchangePlan&);
+
+template <class Io, class Message>
+void LazyProtocol::TransferMessage(Io& io, Message& plan) {
+  io.Users(plan.view_removals, "random-view removal");
+  io.U32(plan.bottom_peer);
+  if constexpr (Io::kLoading) {
+    if (plan.bottom_peer != kInvalidUser &&
+        plan.bottom_peer >= io.population()) {
+      throw CheckpointError("corrupt checkpoint: bottom-layer peer " +
+                            std::to_string(plan.bottom_peer) +
+                            " out of range");
+    }
+  }
+  for (auto* payload : {&plan.send_payload, &plan.recv_payload}) {
+    io.Vector(*payload, 8, [&](auto& digest) { io.Digest(digest); });
+  }
+  io.Vector(plan.probes, 16, [&](auto& probe) {
+    TransferScore(io, probe.score);
+    io.Digest(probe.digest);
+  });
+  TransferExchangePlan(io, plan.exchange);
 }
 
 void LazyProtocol::EncodeMessage(const DeliveryMessage& message,
-                                 CheckpointWriter* out,
-                                 ProfilePool* pool) const {
-  const auto& plan = static_cast<const GossipMessage&>(message);
-  out->U64(plan.view_removals.size());
-  for (UserId u : plan.view_removals) out->U32(u);
-  out->U32(plan.bottom_peer);
-  for (const std::vector<DigestInfo>* payload :
-       {&plan.send_payload, &plan.recv_payload}) {
-    out->U64(payload->size());
-    for (const DigestInfo& d : *payload) WriteDigestInfo(out, pool, d);
-  }
-  out->U64(plan.probes.size());
-  for (const PlannedProbe& probe : plan.probes) {
-    out->U64(probe.score);
-    WriteDigestInfo(out, pool, probe.digest);
-  }
-  EncodeExchangePlan(plan.exchange, out, pool);
+                                 CheckpointWriter* out) const {
+  TransferMessage(*out, static_cast<const GossipMessage&>(message));
 }
 
 std::unique_ptr<DeliveryMessage> LazyProtocol::DecodeMessage(
-    CheckpointReader* in, const ProfileTable& profiles) const {
-  const std::size_t num_users = system_->NumUsers();
+    CheckpointReader* in) const {
   auto plan = std::make_unique<GossipMessage>();
-  const std::uint64_t num_removals = in->Count(4);
-  plan->view_removals.reserve(static_cast<std::size_t>(num_removals));
-  for (std::uint64_t i = 0; i < num_removals; ++i) {
-    plan->view_removals.push_back(
-        ReadUserId(in, num_users, "random-view removal"));
-  }
-  plan->bottom_peer = in->U32();
-  if (plan->bottom_peer != kInvalidUser && plan->bottom_peer >= num_users) {
-    throw CheckpointError("corrupt checkpoint: bottom-layer peer " +
-                          std::to_string(plan->bottom_peer) +
-                          " out of range");
-  }
-  for (std::vector<DigestInfo>* payload :
-       {&plan->send_payload, &plan->recv_payload}) {
-    const std::uint64_t count = in->Count(8);
-    payload->reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      payload->push_back(ReadDigestInfo(in, profiles, num_users));
-    }
-  }
-  const std::uint64_t num_probes = in->Count(16);
-  plan->probes.reserve(static_cast<std::size_t>(num_probes));
-  for (std::uint64_t i = 0; i < num_probes; ++i) {
-    PlannedProbe probe;
-    probe.score = in->U64();
-    probe.digest = ReadDigestInfo(in, profiles, num_users);
-    plan->probes.push_back(std::move(probe));
-  }
-  plan->exchange = DecodeExchangePlan(in, profiles, num_users);
+  TransferMessage(*in, *plan);
   return plan;
 }
 

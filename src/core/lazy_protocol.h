@@ -67,6 +67,13 @@ struct ProfileExchangePlan {
   bool Planned() const { return a != kInvalidUser; }
 };
 
+/// Checkpoint layout of a planned exchange, saved through a
+/// CheckpointWriter (`plan` const) and loaded through a CheckpointReader
+/// (sim/checkpoint.h); the eager mode's gossips piggyback the same
+/// structure.
+template <class Io, class Plan>
+void TransferExchangePlan(Io& io, Plan& plan);
+
 /// Cycle-driven lazy-mode protocol.
 class LazyProtocol : public CycleProtocol {
  public:
@@ -122,18 +129,10 @@ class LazyProtocol : public CycleProtocol {
                                     Metrics* traffic);
 
   /// Checkpoint codec for in-flight gossip messages.
-  void EncodeMessage(const DeliveryMessage& message, CheckpointWriter* out,
-                     ProfilePool* pool) const override;
+  void EncodeMessage(const DeliveryMessage& message,
+                     CheckpointWriter* out) const override;
   std::unique_ptr<DeliveryMessage> DecodeMessage(
-      CheckpointReader* in, const ProfileTable& profiles) const override;
-
-  /// Checkpoint codec for a planned profile exchange — shared with the
-  /// eager mode, whose gossips piggyback the same structure.
-  static void EncodeExchangePlan(const ProfileExchangePlan& plan,
-                                 CheckpointWriter* out, ProfilePool* pool);
-  static ProfileExchangePlan DecodeExchangePlan(CheckpointReader* in,
-                                                const ProfileTable& profiles,
-                                                std::size_t num_users);
+      CheckpointReader* in) const override;
 
  private:
   /// A probed random-view digest whose full profile will be offered.
@@ -164,6 +163,9 @@ class LazyProtocol : public CycleProtocol {
                        GossipMessage* plan);
   void PlanTopLayer(P3QNode* node, const PlanContext& ctx,
                     GossipMessage* plan);
+  /// The EncodeMessage/DecodeMessage layout; `plan` is const when saving.
+  template <class Io, class Message>
+  static void TransferMessage(Io& io, Message& plan);
 
   P3QSystem* system_;
 };

@@ -264,77 +264,156 @@ std::vector<UserId> P3QSystem::RejoinRandomFraction(double fraction) {
   return back;
 }
 
-void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
-  // The body is written to a scratch buffer while interning profiles; the
-  // pool must precede the body on disk so the loader can resolve refs.
-  ProfilePool pool;
-  CheckpointWriter body;
-
-  const UserId num_users = static_cast<UserId>(NumUsers());
-  body.U64(num_users);
-  for (UserId u = 0; u < num_users; ++u) {
-    body.U32(pool.Intern(store_.Get(u)));
+template <class Io, class Self>
+void P3QSystem::Transfer(Io& io, Self& self) {
+  std::uint64_t num_users = self.NumUsers();
+  io.U64(num_users);
+  if (num_users != self.NumUsers()) {
+    throw CheckpointError("checkpoint has " + std::to_string(num_users) +
+                          " users but this system has " +
+                          std::to_string(self.NumUsers()) +
+                          " (different dataset or scenario)");
   }
-  for (UserId u = 0; u < num_users; ++u) {
-    body.U8(network_.IsOnline(u) ? 1 : 0);
+  // The store's current snapshots, which a load restores all at once.
+  std::vector<ProfilePtr> snapshots(static_cast<std::size_t>(num_users));
+  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
+    snapshots[u] = self.store_.Get(u);
+    io.Profile(snapshots[u]);
+    if (Io::kLoading &&
+        (snapshots[u] == nullptr || snapshots[u]->owner() != u)) {
+      throw CheckpointError("store snapshot for user " + std::to_string(u) +
+                            " is missing or owned by someone else");
+    }
   }
-  WriteMetrics(&body, network_.metrics());
-  WriteRngState(&body, rng_);
-  body.Sentinel();
+  if constexpr (Io::kLoading) {
+    self.store_.RestoreSnapshots(std::move(snapshots));
+  }
+  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
+    bool online = self.network_.IsOnline(u);
+    io.Bool(online);
+    if constexpr (Io::kLoading) self.network_.SetOnline(u, online);
+  }
+  p3q::Transfer(io, self.network_.metrics());
+  p3q::Transfer(io, self.rng_);
+  io.Sentinel("system header");
 
-  for (UserId u = 0; u < num_users; ++u) {
-    const P3QNode& n = node(u);
-    body.U32(pool.Intern(n.profile()));
-    WriteRngState(&body, n.rng());
+  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
+    auto& n = self.node(u);
+    ProfilePtr own = n.profile();
+    io.Profile(own);
+    if (Io::kLoading && (own == nullptr || own->owner() != u)) {
+      throw CheckpointError("own profile of user " + std::to_string(u) +
+                            " is missing or owned by someone else");
+    }
+    if constexpr (Io::kLoading) n.SetOwnProfile(std::move(own));
+    p3q::Transfer(io, n.rng());
 
-    const PersonalNetwork& network = n.network();
-    body.U64(network.size());
-    for (const NetworkEntry& e : network.entries()) {
-      body.U32(e.user);
-      body.U32(e.score);
-      body.U32(e.digest_version);
-      body.U32(network.Timestamp(e));
-      body.U32(pool.Intern(network.StoredProfileOf(e)));
+    // The personal network: each entry with its timestamp and stored
+    // replica, from which a load rebuilds the network.
+    auto& network = n.network();
+    std::vector<NetworkEntry> entries;
+    std::vector<std::uint32_t> timestamps;
+    std::vector<ProfilePtr> replicas;
+    if constexpr (!Io::kLoading) {
+      for (const NetworkEntry& e : network.entries()) {
+        entries.push_back(e);
+        timestamps.push_back(network.Timestamp(e));
+        replicas.push_back(network.StoredProfileOf(e));
+      }
+    }
+    std::uint64_t num_entries = entries.size();
+    io.Count(num_entries, 20);
+    entries.resize(static_cast<std::size_t>(num_entries));
+    timestamps.resize(entries.size());
+    replicas.resize(entries.size());
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      io.User(entries[e].user, "network entry user");
+      io.U32(entries[e].score);
+      io.U32(entries[e].digest_version);
+      io.U32(timestamps[e]);
+      io.Profile(replicas[e]);
+      if (Io::kLoading && replicas[e] != nullptr &&
+          replicas[e]->owner() != entries[e].user) {
+        throw CheckpointError("personal-network entry of user " +
+                              std::to_string(u) +
+                              " carries another user's profile");
+      }
+    }
+    if constexpr (Io::kLoading) {
+      network.RestoreEntries(entries, std::move(replicas), timestamps);
+      if (const std::string broken = network.CheckInvariants();
+          !broken.empty()) {
+        throw CheckpointError("personal network of user " +
+                              std::to_string(u) + ": " + broken);
+      }
     }
 
-    const std::vector<DigestInfo>& view = n.random_view().entries();
-    body.U64(view.size());
-    for (const DigestInfo& d : view) WriteDigestInfo(&body, &pool, d);
+    std::vector<DigestInfo> view = n.random_view().entries();
+    io.Vector(view, 8, [&](auto& digest) { io.Digest(digest); });
+    if constexpr (Io::kLoading) n.random_view().Init(std::move(view));
 
-    const std::vector<std::pair<UserId, std::uint32_t>> probed =
+    // Each memo user once, ascending: a repeated or descending user would
+    // let a later entry silently replace an earlier one.
+    std::vector<std::pair<UserId, std::uint32_t>> probed =
         n.probed_versions().Sorted();
-    body.U64(probed.size());
-    for (const auto& [user, version] : probed) {
-      body.U32(user);
-      body.U32(version);
+    io.Vector(probed, 8, [&](auto& entry) {
+      io.User(entry.first, "probed user");
+      io.U32(entry.second);
+    });
+    if constexpr (Io::kLoading) {
+      n.probed_versions().Clear();
+      for (std::size_t p = 0; p < probed.size(); ++p) {
+        if (p > 0 && probed[p].first <= probed[p - 1].first) {
+          throw CheckpointError(
+              "probe memo of user " + std::to_string(u) + " lists user " +
+              std::to_string(probed[p].first) + " after user " +
+              std::to_string(probed[p - 1].first) +
+              ": probed users out of order in checkpoint");
+        }
+        n.probed_versions().Set(probed[p].first, probed[p].second);
+      }
     }
 
-    std::vector<std::uint64_t> task_ids;
-    task_ids.reserve(n.tasks().size());
-    for (const auto& [id, task] : n.tasks()) task_ids.push_back(id);
-    std::sort(task_ids.begin(), task_ids.end());
-    body.U64(task_ids.size());
-    for (std::uint64_t id : task_ids) {
-      const EagerTask& task = n.tasks().at(id);
-      body.U64(task.query_id);
-      body.U32(task.querier);
-      body.U64(task.tags.size());
-      for (TagId tag : task.tags) body.U32(tag);
-      body.U64(task.remaining.size());
-      for (UserId r : task.remaining) body.U32(r);
-      body.U64(task.epoch);
-      body.U32(task.generation);
-      body.U8(task.in_flight ? 1 : 0);
-      body.U64(task.in_flight_until);
-    }
+    io.SortedValues(n.tasks(), 45, [&](auto& task) {
+      io.U64(task.query_id);
+      io.User(task.querier, "querier");
+      io.Vector(task.tags, 4, [&](auto& tag) { io.U32(tag); });
+      io.Users(task.remaining, "remaining-list user");
+      io.U64(task.epoch);
+      io.U32(task.generation);
+      io.Bool(task.in_flight);
+      io.U64(task.in_flight_until);
+      if constexpr (Io::kLoading) {
+        // The protocol erases a task whose list empties; a restored empty
+        // one would make the budgeted eager plan rotate over zero query
+        // ids.
+        if (task.remaining.empty()) {
+          throw CheckpointError("user " + std::to_string(u) +
+                                " holds an empty task for query " +
+                                std::to_string(task.query_id));
+        }
+        if (n.tasks().contains(task.query_id)) {
+          throw CheckpointError("user " + std::to_string(u) +
+                                " holds two tasks for query " +
+                                std::to_string(task.query_id));
+        }
+      }
+      return task.query_id;
+    });
   }
-  body.Sentinel();
+  io.Sentinel("nodes");
 
-  engine_.SaveState(&body, &pool);
-  eager_engine_.SaveState(&body, &pool);
-  eager_->SaveState(&body);
+  TransferState(io, self.engine_);
+  TransferState(io, self.eager_engine_);
+  TransferState(io, *self.eager_);
+}
 
-  pool.Serialize(out);
+void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
+  // The body interns profiles as it goes; the pool must precede the body on
+  // disk so the loader can resolve references.
+  CheckpointWriter body;
+  Transfer(body, *this);
+  body.pool().Serialize(out);
   out->Append(body);
 }
 
@@ -342,139 +421,9 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
   // Passing the store lets the loader share the store's current snapshots
   // (same owner/version/actions) and land rebuilt ones back on the store's
   // arena shards.
-  const ProfileTable profiles =
-      ProfileTable::Deserialize(in, config_.digest_bits, &store_);
-
-  const std::uint64_t num_users = in->U64();
-  if (num_users != NumUsers()) {
-    throw CheckpointError("checkpoint has " + std::to_string(num_users) +
-                          " users but this system has " +
-                          std::to_string(NumUsers()) +
-                          " (different dataset or scenario)");
-  }
-  std::vector<ProfilePtr> snapshots;
-  snapshots.reserve(static_cast<std::size_t>(num_users));
-  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-    const ProfilePtr& snapshot = profiles.Get(in->U32());
-    if (snapshot == nullptr || snapshot->owner() != u) {
-      throw CheckpointError("store snapshot for user " + std::to_string(u) +
-                            " is missing or owned by someone else");
-    }
-    snapshots.push_back(snapshot);
-  }
-  store_.RestoreSnapshots(std::move(snapshots));
-  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-    network_.SetOnline(u, in->U8() != 0);
-  }
-  network_.metrics() = ReadMetrics(in);
-  ReadRngState(in, &rng_);
-  in->Sentinel("system header");
-
-  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-    P3QNode& n = node(u);
-    const ProfilePtr& own = profiles.Get(in->U32());
-    if (own == nullptr || own->owner() != u) {
-      throw CheckpointError("own profile of user " + std::to_string(u) +
-                            " is missing or owned by someone else");
-    }
-    n.SetOwnProfile(own);
-    ReadRngState(in, &n.rng());
-
-    const std::uint64_t num_entries = in->Count(20);
-    std::vector<NetworkEntry> entries;
-    std::vector<ProfilePtr> replicas;
-    std::vector<std::uint32_t> timestamps;
-    entries.reserve(static_cast<std::size_t>(num_entries));
-    replicas.reserve(static_cast<std::size_t>(num_entries));
-    timestamps.reserve(static_cast<std::size_t>(num_entries));
-    for (std::uint64_t e = 0; e < num_entries; ++e) {
-      NetworkEntry entry;
-      entry.user = ReadUserId(in, NumUsers(), "network entry user");
-      entry.score = in->U32();
-      entry.digest_version = in->U32();
-      timestamps.push_back(in->U32());
-      const ProfilePtr& replica = profiles.Get(in->U32());
-      if (replica != nullptr && replica->owner() != entry.user) {
-        throw CheckpointError("personal-network entry of user " +
-                              std::to_string(u) +
-                              " carries another user's profile");
-      }
-      entries.push_back(entry);
-      replicas.push_back(replica);
-    }
-    n.network().RestoreEntries(entries, std::move(replicas), timestamps);
-    if (const std::string broken = n.network().CheckInvariants();
-        !broken.empty()) {
-      throw CheckpointError("personal network of user " + std::to_string(u) +
-                            ": " + broken);
-    }
-
-    const std::uint64_t num_view = in->Count(8);
-    std::vector<DigestInfo> view;
-    view.reserve(static_cast<std::size_t>(num_view));
-    for (std::uint64_t v = 0; v < num_view; ++v) {
-      view.push_back(ReadDigestInfo(in, profiles, NumUsers()));
-    }
-    n.random_view().Init(std::move(view));
-
-    // SaveCheckpoint writes the memo sorted, each user once; a repeated or
-    // descending user would let a later entry silently replace an earlier.
-    n.probed_versions().Clear();
-    const std::uint64_t num_probed = in->Count(8);
-    for (std::uint64_t p = 0, previous = 0; p < num_probed; ++p) {
-      const UserId user = ReadUserId(in, NumUsers(), "probed user");
-      if (p > 0 && user <= previous) {
-        throw CheckpointError("probe memo of user " + std::to_string(u) +
-                              " lists user " + std::to_string(user) +
-                              " after user " + std::to_string(previous) +
-                              ": probed users out of order in checkpoint");
-      }
-      previous = user;
-      const std::uint32_t version = in->U32();
-      n.probed_versions().Set(user, version);
-    }
-
-    n.tasks().clear();
-    const std::uint64_t num_tasks = in->Count(45);
-    for (std::uint64_t t = 0; t < num_tasks; ++t) {
-      EagerTask task;
-      task.query_id = in->U64();
-      task.querier = ReadUserId(in, NumUsers(), "querier");
-      const std::uint64_t num_tags = in->Count(4);
-      task.tags.reserve(static_cast<std::size_t>(num_tags));
-      for (std::uint64_t g = 0; g < num_tags; ++g) {
-        task.tags.push_back(in->U32());
-      }
-      const std::uint64_t num_remaining = in->Count(4);
-      task.remaining.reserve(static_cast<std::size_t>(num_remaining));
-      for (std::uint64_t r = 0; r < num_remaining; ++r) {
-        task.remaining.push_back(
-            ReadUserId(in, NumUsers(), "remaining-list user"));
-      }
-      // The protocol erases a task whose list empties; a restored empty one
-      // would make the budgeted eager plan rotate over zero query ids.
-      if (task.remaining.empty()) {
-        throw CheckpointError("user " + std::to_string(u) +
-                              " holds an empty task for query " +
-                              std::to_string(task.query_id));
-      }
-      task.epoch = in->U64();
-      task.generation = in->U32();
-      task.in_flight = in->U8() != 0;
-      task.in_flight_until = in->U64();
-      const std::uint64_t id = task.query_id;
-      if (!n.tasks().emplace(id, std::move(task)).second) {
-        throw CheckpointError("user " + std::to_string(u) +
-                              " holds two tasks for query " +
-                              std::to_string(id));
-      }
-    }
-  }
-  in->Sentinel("nodes");
-
-  engine_.LoadState(in, profiles);
-  eager_engine_.LoadState(in, profiles);
-  eager_->LoadState(in);
+  in->SetProfiles(ProfileTable::Deserialize(in, config_.digest_bits, &store_));
+  in->SetPopulation(NumUsers());
+  Transfer(*in, *this);
 }
 
 }  // namespace p3q

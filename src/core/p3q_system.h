@@ -259,6 +259,11 @@ class P3QSystem {
   void LoadCheckpoint(CheckpointReader* in);
 
  private:
+  /// The checkpoint layout of the system section; `self` is const when
+  /// saving.
+  template <class Io, class Self>
+  static void Transfer(Io& io, Self& self);
+
   P3QConfig config_;
   Rng rng_;
   ProfileStore store_;

@@ -1,7 +1,5 @@
 #include "core/query.h"
 
-#include <algorithm>
-
 #include "sim/checkpoint.h"
 
 namespace p3q {
@@ -51,114 +49,61 @@ void ActiveQuery::EndOfCycle(bool complete) {
   if (complete) finalized_ = true;
 }
 
-void ActiveQuery::SaveState(CheckpointWriter* out) const {
-  out->U64(id_);
-  out->U32(spec_.querier);
-  out->U64(spec_.tags.size());
-  for (TagId tag : spec_.tags) out->U32(tag);
-  out->U32(spec_.source_item);
-  out->U64(expected_);
-  nra_.SaveState(out);
+template <class Io, class Message>
+void TransferPartialResult(Io& io, Message& message) {
+  io.Vector(message.entries, 8, [&](auto& entry) {
+    io.U32(entry.first);
+    io.U32(entry.second);
+  });
+  io.Users(message.used_profiles, "used-profile owner");
+}
+
+template void TransferPartialResult(CheckpointWriter&,
+                                    const PartialResultMessage&);
+template void TransferPartialResult(CheckpointReader&, PartialResultMessage&);
+
+template <class Io, class Self>
+void ActiveQuery::Transfer(Io& io, Self& self) {
+  io.U64(self.id_);
+  io.User(self.spec_.querier, "querier");
+  io.Vector(self.spec_.tags, 4, [&](auto& tag) { io.U32(tag); });
+  io.U32(self.spec_.source_item);
+  io.U64(self.expected_);
+  if constexpr (Io::kLoading) {
+    self.nra_ = IncrementalNra::LoadState(&io);
+  } else {
+    self.nra_.SaveState(&io);
+  }
   // The inbox is drained by every EndOfCycle, so at a cycle barrier it is
   // empty — serialized anyway so the codec is total over the object.
-  out->U64(inbox_.size());
-  for (const PartialResultMessage& message : inbox_) {
-    out->U64(message.entries.size());
-    for (const auto& [item, score] : message.entries) {
-      out->U32(item);
-      out->U32(score);
-    }
-    out->U64(message.used_profiles.size());
-    for (UserId u : message.used_profiles) out->U32(u);
-  }
-  std::vector<UserId> used(used_profiles_.begin(), used_profiles_.end());
-  std::sort(used.begin(), used.end());
-  out->U64(used.size());
-  for (UserId u : used) out->U32(u);
-  out->U64(history_.size());
-  for (const QueryCycleSnapshot& snapshot : history_) {
-    out->U64(snapshot.top_k.size());
-    for (const RankedItem& r : snapshot.top_k) {
-      out->U32(r.item);
-      out->U64(r.worst);
-      out->U64(r.best);
-    }
-    out->U64(snapshot.used_profiles);
-    out->U8(snapshot.complete ? 1 : 0);
-  }
-  out->U64(traffic_.forwarded_list_bytes);
-  out->U64(traffic_.returned_list_bytes);
-  out->U64(traffic_.partial_result_bytes);
-  out->U64(traffic_.forward_messages);
-  out->U64(traffic_.return_messages);
-  out->U64(traffic_.partial_result_messages);
-  out->U8(finalized_ ? 1 : 0);
-  out->U64(late_results_dropped_);
-  out->I64(first_result_cycle_);
+  io.Vector(self.inbox_, 16,
+            [&](auto& message) { TransferPartialResult(io, message); });
+  io.UserSet(self.used_profiles_, "used-profile owner");
+  io.Vector(self.history_, 17, [&](auto& snapshot) {
+    io.Vector(snapshot.top_k, 20, [&](auto& ranked) {
+      io.U32(ranked.item);
+      io.U64(ranked.worst);
+      io.U64(ranked.best);
+    });
+    io.U64(snapshot.used_profiles);
+    io.Bool(snapshot.complete);
+  });
+  io.U64(self.traffic_.forwarded_list_bytes);
+  io.U64(self.traffic_.returned_list_bytes);
+  io.U64(self.traffic_.partial_result_bytes);
+  io.U64(self.traffic_.forward_messages);
+  io.U64(self.traffic_.return_messages);
+  io.U64(self.traffic_.partial_result_messages);
+  io.Bool(self.finalized_);
+  io.U64(self.late_results_dropped_);
+  io.I64(self.first_result_cycle_);
 }
 
-ActiveQuery ActiveQuery::LoadState(CheckpointReader* in) {
-  const std::uint64_t id = in->U64();
-  QuerySpec spec;
-  spec.querier = in->U32();
-  const std::uint64_t num_tags = in->Count(4);
-  spec.tags.reserve(static_cast<std::size_t>(num_tags));
-  for (std::uint64_t t = 0; t < num_tags; ++t) spec.tags.push_back(in->U32());
-  spec.source_item = in->U32();
-  const std::size_t expected = static_cast<std::size_t>(in->U64());
-  IncrementalNra nra = IncrementalNra::LoadState(in);
-
-  ActiveQuery query(id, std::move(spec), nra.k(), expected);
-  query.nra_ = std::move(nra);
-  const std::uint64_t num_inbox = in->Count(16);
-  for (std::uint64_t m = 0; m < num_inbox; ++m) {
-    PartialResultMessage message;
-    const std::uint64_t num_entries = in->Count(8);
-    message.entries.reserve(static_cast<std::size_t>(num_entries));
-    for (std::uint64_t e = 0; e < num_entries; ++e) {
-      const ItemId item = in->U32();
-      const std::uint32_t score = in->U32();
-      message.entries.emplace_back(item, score);
-    }
-    const std::uint64_t num_used = in->Count(4);
-    message.used_profiles.reserve(static_cast<std::size_t>(num_used));
-    for (std::uint64_t u = 0; u < num_used; ++u) {
-      message.used_profiles.push_back(in->U32());
-    }
-    query.inbox_.push_back(std::move(message));
-  }
-  const std::uint64_t num_used = in->Count(4);
-  for (std::uint64_t u = 0; u < num_used; ++u) {
-    query.used_profiles_.insert(in->U32());
-  }
-  const std::uint64_t num_snapshots = in->Count(17);
-  query.history_.reserve(static_cast<std::size_t>(num_snapshots));
-  for (std::uint64_t s = 0; s < num_snapshots; ++s) {
-    QueryCycleSnapshot snapshot;
-    const std::uint64_t num_ranked = in->Count(20);
-    snapshot.top_k.reserve(static_cast<std::size_t>(num_ranked));
-    for (std::uint64_t r = 0; r < num_ranked; ++r) {
-      RankedItem ranked;
-      ranked.item = in->U32();
-      ranked.worst = in->U64();
-      ranked.best = in->U64();
-      snapshot.top_k.push_back(ranked);
-    }
-    snapshot.used_profiles = static_cast<std::size_t>(in->U64());
-    snapshot.complete = in->U8() != 0;
-    query.history_.push_back(std::move(snapshot));
-  }
-  query.traffic_.forwarded_list_bytes = in->U64();
-  query.traffic_.returned_list_bytes = in->U64();
-  query.traffic_.partial_result_bytes = in->U64();
-  query.traffic_.forward_messages = in->U64();
-  query.traffic_.return_messages = in->U64();
-  query.traffic_.partial_result_messages = in->U64();
-  query.finalized_ = in->U8() != 0;
-  query.late_results_dropped_ = in->U64();
-  query.first_result_cycle_ = in->I64();
-  return query;
+void ActiveQuery::SaveState(CheckpointWriter* out) const {
+  Transfer(*out, *this);
 }
+
+void ActiveQuery::LoadState(CheckpointReader* in) { Transfer(*in, *this); }
 
 std::vector<ItemId> ActiveQuery::CurrentTopKItems() const {
   std::vector<ItemId> items;

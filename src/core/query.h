@@ -35,6 +35,12 @@ struct PartialResultMessage {
   }
 };
 
+/// Checkpoint layout of a partial result, saved through a CheckpointWriter
+/// (`message` const) and loaded through a CheckpointReader
+/// (sim/checkpoint.h). Querier inboxes and eager gossips both carry one.
+template <class Io, class Message>
+void TransferPartialResult(Io& io, Message& message);
+
 /// Per-query traffic accounting (the three byte series of Figure 6).
 struct QueryTraffic {
   std::uint64_t forwarded_list_bytes = 0;
@@ -120,11 +126,15 @@ class ActiveQuery {
   /// Serializes the full querier-side state into a checkpoint.
   void SaveState(CheckpointWriter* out) const;
 
-  /// Reconstructs a query saved with SaveState. Throws CheckpointError on
-  /// malformed input.
-  static ActiveQuery LoadState(CheckpointReader* in);
+  /// Replaces this query's whole state with one saved by SaveState. Throws
+  /// CheckpointError on malformed input.
+  void LoadState(CheckpointReader* in);
 
  private:
+  /// The SaveState/LoadState layout; `self` is const when saving.
+  template <class Io, class Self>
+  static void Transfer(Io& io, Self& self);
+
   std::uint64_t id_;
   QuerySpec spec_;
   std::size_t expected_;

@@ -127,184 +127,120 @@ std::uint64_t ScaledCycles(const ScenarioPhase& phase, double cycle_scale) {
              static_cast<double>(phase.cycles) * cycle_scale)));
 }
 
-// -- Checkpoint codecs of the runner-owned structures ------------------------
+// -- Checkpoint layouts of the runner-owned structures -----------------------
 
-void WriteLatencySpec(CheckpointWriter* out, const LatencySpec& spec) {
-  out->U32(static_cast<std::uint32_t>(spec.kind));
-  out->U64(spec.fixed);
-  out->U64(spec.lo);
-  out->U64(spec.hi);
-  out->F64(spec.loss);
-  out->U64(spec.max_delay);
-}
-
-LatencySpec ReadLatencySpec(CheckpointReader* in) {
-  LatencySpec spec;
-  const std::uint32_t kind = in->U32();
+template <class Io>
+void Transfer(Io& io, Transferred<Io, LatencySpec>& spec) {
+  auto kind = static_cast<std::uint32_t>(spec.kind);
+  io.U32(kind);
   if (kind > static_cast<std::uint32_t>(LatencyKind::kLossy)) {
     throw CheckpointError("unknown latency model kind " + std::to_string(kind) +
                           " in checkpoint");
   }
-  spec.kind = static_cast<LatencyKind>(kind);
-  spec.fixed = in->U64();
-  spec.lo = in->U64();
-  spec.hi = in->U64();
-  spec.loss = in->F64();
-  spec.max_delay = in->U64();
-  if (const std::string problem = spec.Validate(); !problem.empty()) {
-    throw CheckpointError("checkpoint latency model: " + problem);
+  if constexpr (Io::kLoading) spec.kind = static_cast<LatencyKind>(kind);
+  io.U64(spec.fixed);
+  io.U64(spec.lo);
+  io.U64(spec.hi);
+  io.F64(spec.loss);
+  io.U64(spec.max_delay);
+  if constexpr (Io::kLoading) {
+    if (const std::string problem = spec.Validate(); !problem.empty()) {
+      throw CheckpointError("checkpoint latency model: " + problem);
+    }
   }
-  return spec;
 }
 
-void WriteArrivalSpec(CheckpointWriter* out, const ArrivalSpec& spec) {
-  out->U32(static_cast<std::uint32_t>(spec.kind));
-  out->F64(spec.rate);
-  out->U64(spec.trace.size());
-  for (double r : spec.trace) out->F64(r);
-  out->U64(spec.slo_cycles);
-  out->F64(spec.recall_target);
-}
-
-ArrivalSpec ReadArrivalSpec(CheckpointReader* in) {
-  ArrivalSpec spec;
-  const std::uint32_t kind = in->U32();
+template <class Io>
+void Transfer(Io& io, Transferred<Io, ArrivalSpec>& spec) {
+  auto kind = static_cast<std::uint32_t>(spec.kind);
+  io.U32(kind);
   if (kind > static_cast<std::uint32_t>(ArrivalKind::kTrace)) {
     throw CheckpointError("unknown arrival-process kind " +
                           std::to_string(kind) + " in checkpoint");
   }
-  spec.kind = static_cast<ArrivalKind>(kind);
-  spec.rate = in->F64();
-  const std::uint64_t num_rates = in->Count(8);
-  spec.trace.reserve(static_cast<std::size_t>(num_rates));
-  for (std::uint64_t r = 0; r < num_rates; ++r) spec.trace.push_back(in->F64());
-  spec.slo_cycles = in->U64();
-  spec.recall_target = in->F64();
-  if (const std::string problem = spec.Validate(); !problem.empty()) {
-    throw CheckpointError("checkpoint arrival process: " + problem);
+  if constexpr (Io::kLoading) spec.kind = static_cast<ArrivalKind>(kind);
+  io.F64(spec.rate);
+  io.Vector(spec.trace, 8, [&](auto& rate) { io.F64(rate); });
+  io.U64(spec.slo_cycles);
+  io.F64(spec.recall_target);
+  if constexpr (Io::kLoading) {
+    if (const std::string problem = spec.Validate(); !problem.empty()) {
+      throw CheckpointError("checkpoint arrival process: " + problem);
+    }
   }
-  return spec;
 }
 
-void WriteKindCounts(CheckpointWriter* out, const Tracer::KindCounts& counts) {
-  for (std::uint64_t c : counts) out->U64(c);
+/// A closed PhaseReport. The wall-clock timing block travels as F64 bit
+/// patterns so a resumed report reproduces the straight run's opt-in timing
+/// fields for already-finished phases; the per-engine profile breakdown
+/// (pure wall clock, opt-in only) is intentionally dropped.
+template <class Io>
+void Transfer(Io& io, Transferred<Io, PhaseReport>& pr) {
+  io.Str(pr.name);
+  io.Str(pr.mode);
+  io.U64(pr.cycles);
+  io.U64(pr.online_at_end);
+  io.U64(pr.departures);
+  io.U64(pr.rejoins);
+  io.I64(pr.queries_issued);
+  io.I64(pr.queries_completed);
+  io.F64(pr.avg_recall);
+  io.F64(pr.avg_coverage);
+  io.F64(pr.success_ratio);
+  Transfer(io, pr.traffic);
+  Transfer(io, pr.delivery);
+  io.U64(pr.in_flight_at_end);
+  io.Str(pr.arrivals);
+  Transfer(io, pr.query_latency);
+  io.U64(pr.open_queries_at_end);
+  io.F64(pr.timing.wall_seconds);
+  io.F64(pr.timing.cycles_per_sec);
+  io.F64(pr.timing.user_cycles_per_sec);
+  io.F64(pr.timing.queries_per_sec);
+  io.F64(pr.timing.slo_queries_per_sec);
+  io.I64(pr.timing.threads);
+  for (auto& count : pr.trace_events) io.U64(count);
 }
 
-Tracer::KindCounts ReadKindCounts(CheckpointReader* in) {
-  Tracer::KindCounts counts{};
-  for (std::uint64_t& c : counts) c = in->U64();
-  return counts;
-}
-
-/// Serializes a closed PhaseReport. The wall-clock timing block travels as
-/// F64 bit patterns so a resumed report reproduces the straight run's
-/// opt-in timing fields for already-finished phases; the per-engine profile
-/// breakdown (pure wall clock, opt-in only) is intentionally dropped.
-void WritePhaseReport(CheckpointWriter* out, const PhaseReport& pr) {
-  out->Str(pr.name);
-  out->Str(pr.mode);
-  out->U64(pr.cycles);
-  out->U64(pr.online_at_end);
-  out->U64(pr.departures);
-  out->U64(pr.rejoins);
-  out->I64(pr.queries_issued);
-  out->I64(pr.queries_completed);
-  out->F64(pr.avg_recall);
-  out->F64(pr.avg_coverage);
-  out->F64(pr.success_ratio);
-  WriteMetrics(out, pr.traffic);
-  WriteDeliveryStats(out, pr.delivery);
-  out->U64(pr.in_flight_at_end);
-  out->Str(pr.arrivals);
-  WriteQueryLatencyStats(out, pr.query_latency);
-  out->U64(pr.open_queries_at_end);
-  out->F64(pr.timing.wall_seconds);
-  out->F64(pr.timing.cycles_per_sec);
-  out->F64(pr.timing.user_cycles_per_sec);
-  out->F64(pr.timing.queries_per_sec);
-  out->F64(pr.timing.slo_queries_per_sec);
-  out->I64(pr.timing.threads);
-  WriteKindCounts(out, pr.trace_events);
-}
-
-PhaseReport ReadPhaseReport(CheckpointReader* in) {
-  PhaseReport pr;
-  pr.name = in->Str();
-  pr.mode = in->Str();
-  pr.cycles = in->U64();
-  pr.online_at_end = static_cast<std::size_t>(in->U64());
-  pr.departures = static_cast<std::size_t>(in->U64());
-  pr.rejoins = static_cast<std::size_t>(in->U64());
-  pr.queries_issued = static_cast<int>(in->I64());
-  pr.queries_completed = static_cast<int>(in->I64());
-  pr.avg_recall = in->F64();
-  pr.avg_coverage = in->F64();
-  pr.success_ratio = in->F64();
-  pr.traffic = ReadMetrics(in);
-  pr.delivery = ReadDeliveryStats(in);
-  pr.in_flight_at_end = static_cast<std::size_t>(in->U64());
-  pr.arrivals = in->Str();
-  pr.query_latency = ReadQueryLatencyStats(in);
-  pr.open_queries_at_end = static_cast<std::size_t>(in->U64());
-  pr.timing.wall_seconds = in->F64();
-  pr.timing.cycles_per_sec = in->F64();
-  pr.timing.user_cycles_per_sec = in->F64();
-  pr.timing.queries_per_sec = in->F64();
-  pr.timing.slo_queries_per_sec = in->F64();
-  pr.timing.threads = static_cast<int>(in->I64());
-  pr.trace_events = ReadKindCounts(in);
-  return pr;
-}
-
-/// Writes the identity header: which scenario and run shape produced this
-/// snapshot (threads/tracer/profiler excluded — they never change results),
-/// with the run's effective latency model.
-void WriteRunHeader(CheckpointWriter* out, const std::string& scenario_name,
-                    const ScenarioRunnerOptions& options,
-                    const LatencySpec& latency) {
-  out->Str(scenario_name);
-  out->I64(options.users);
-  out->U64(options.seed);
-  out->F64(options.cycle_scale);
-  out->I64(options.network_size);
-  out->I64(options.stored_profiles);
-  out->F64(options.alpha);
-  out->I64(options.top_k);
-  out->U32(static_cast<std::uint32_t>(options.similarity));
-  WriteLatencySpec(out, latency);
-  out->U8(options.arrivals.has_value() ? 1 : 0);
-  if (options.arrivals.has_value()) WriteArrivalSpec(out, *options.arrivals);
-  out->Sentinel();
-}
-
-/// Reads the identity header: returns the scenario name and sets the
-/// run-shape fields of `shape`, its latency to the run's effective model.
-std::string ReadRunHeader(CheckpointReader* in, ScenarioRunnerOptions* shape) {
-  std::string scenario = in->Str();
-  shape->users = static_cast<int>(in->I64());
-  shape->seed = in->U64();
-  shape->cycle_scale = in->F64();
-  shape->network_size = static_cast<int>(in->I64());
-  shape->stored_profiles = static_cast<int>(in->I64());
-  shape->alpha = in->F64();
-  shape->top_k = static_cast<int>(in->I64());
-  const std::uint32_t similarity = in->U32();
+/// The identity header: which scenario and run shape produced this
+/// snapshot (threads/tracer/profiler excluded — they never change results).
+/// `shape.latency` holds the run's effective latency model.
+template <class Io>
+void TransferRunHeader(Io& io, Transferred<Io, std::string>& scenario_name,
+                       Transferred<Io, ScenarioRunnerOptions>& shape) {
+  io.Str(scenario_name);
+  io.I64(shape.users);
+  io.U64(shape.seed);
+  io.F64(shape.cycle_scale);
+  io.I64(shape.network_size);
+  io.I64(shape.stored_profiles);
+  io.F64(shape.alpha);
+  io.I64(shape.top_k);
+  auto similarity = static_cast<std::uint32_t>(shape.similarity);
+  io.U32(similarity);
   if (similarity > static_cast<std::uint32_t>(SimilarityMetric::kOverlap)) {
     throw CheckpointError("unknown similarity metric " +
                           std::to_string(similarity) + " in checkpoint");
   }
-  shape->similarity = static_cast<SimilarityMetric>(similarity);
-  shape->latency = ReadLatencySpec(in);
-  shape->arrivals.reset();
-  if (in->U8() != 0) shape->arrivals = ReadArrivalSpec(in);
-  in->Sentinel("run header");
-  return scenario;
+  bool has_arrivals = shape.arrivals.has_value();
+  if constexpr (Io::kLoading) {
+    shape.similarity = static_cast<SimilarityMetric>(similarity);
+    shape.latency.emplace();
+  }
+  Transfer(io, *shape.latency);
+  io.Bool(has_arrivals);
+  if constexpr (Io::kLoading) {
+    shape.arrivals.reset();
+    if (has_arrivals) shape.arrivals.emplace();
+  }
+  if (has_arrivals) Transfer(io, *shape.arrivals);
+  io.Sentinel("run header");
 }
 
 /// Throws a CheckpointError naming the first run-shape field the resuming
 /// run sets differently from the snapshot's header (`saved_scenario` and
-/// `saved`, as ReadRunHeader decoded them). `latency` is the resuming run's
-/// effective model.
+/// `saved`, as TransferRunHeader decoded them). `latency` is the resuming
+/// run's effective model.
 void VerifyResumeHeader(const std::string& saved_scenario,
                         const ScenarioRunnerOptions& saved,
                         const Scenario& scenario,
@@ -328,7 +264,10 @@ void VerifyResumeHeader(const std::string& saved_scenario,
         std::to_string(options.seed));
   check(saved.cycle_scale == options.cycle_scale, "cycle_scale",
         std::to_string(saved.cycle_scale), std::to_string(options.cycle_scale));
-  check(saved.network_size == options.network_size, "network_size",
+  // Every size <= 0 means the same default (users / 10, at most 500).
+  check(saved.network_size == options.network_size ||
+            (saved.network_size <= 0 && options.network_size <= 0),
+        "network_size",
         std::to_string(saved.network_size),
         std::to_string(options.network_size));
   check(saved.stored_profiles == options.stored_profiles, "stored_profiles",
@@ -350,8 +289,8 @@ void VerifyResumeHeader(const std::string& saved_scenario,
 /// The runner's own state at the top of a timeline cycle: the report so
 /// far, the timeline position, the workload streams, the serving lifecycle
 /// and the open phase's counters and baselines. With the system it is the
-/// whole run: a checkpoint's runner section is this struct, written by
-/// WriteRunnerState and read back by ReadRunnerState.
+/// whole run: a checkpoint's runner section is this struct, saved and
+/// loaded by TransferRunnerState.
 struct RunnerState {
   /// The closed phases, open_loop and slo_cycles travel in the section;
   /// the report's header fields come from the options.
@@ -387,126 +326,102 @@ struct RunnerState {
   std::vector<OpenQuery> open;
 };
 
-/// Writes the runner section. A traced run also writes the trace cursor
-/// (the tracer's next sequence number and counts).
-void WriteRunnerState(CheckpointWriter* out, const RunnerState& s,
-                      const Tracer* tracer) {
-  out->U64(s.report.phases.size());
-  for (const PhaseReport& done : s.report.phases) WritePhaseReport(out, done);
-  out->U64(s.cycle);
-  out->U64(s.serving_cycle);
-  WriteRngState(out, s.workload_rng);
-  WriteRngState(out, s.serving_rng);
-  out->U8(s.tracker.has_value() ? 1 : 0);
-  if (s.tracker.has_value()) s.tracker->SaveState(out);
-  out->U8(s.report.open_loop ? 1 : 0);
-  out->U64(s.report.slo_cycles);
-  WriteQueryLatencyStats(out, s.serving_stats);
-  const bool serving = !s.arrivals.spec().IsNone();
-  out->U8(serving ? 1 : 0);
-  if (serving) WriteRngState(out, s.arrivals.rng());
-  out->U64(s.phase.departures);
-  out->U64(s.phase.rejoins);
-  out->I64(s.phase.queries_issued);
-  WriteMetrics(out, s.traffic_before);
-  WriteDeliveryStats(out, s.delivery_before);
-  WriteQueryLatencyStats(out, s.serving_before);
-  out->U8(tracer != nullptr ? 1 : 0);
-  if (tracer != nullptr) {
-    out->U64(tracer->accepted());
-    WriteKindCounts(out, tracer->counts());
-    WriteKindCounts(out, s.trace_before);
-  }
-  out->F64(s.online_cycle_sum);
-  out->U64(s.open.size());
-  for (const OpenQuery& q : s.open) {
-    out->U64(q.id);
-    out->U64(q.reference.size());
-    for (ItemId item : q.reference) out->U32(item);
-  }
-  out->Sentinel();
-}
-
-/// Reads what WriteRunnerState wrote into `s`, whose report header is
-/// already set, and checks it against the run: the open phase and cycle
-/// must lie inside the scaled timeline, the arrival state must match the
-/// phase's, and every open query id, closed-loop or tracked, must name one
-/// of `system`'s live queries (the system is already restored). A traced
-/// resume of a traced run continues its trace cursor; an untraced
-/// snapshot's phase baseline is the resuming tracer's counts. Throws
-/// CheckpointError.
-void ReadRunnerState(CheckpointReader* in, const P3QSystem& system,
-                     const Scenario& scenario,
-                     const ScenarioRunnerOptions& options, RunnerState* s) {
-  const std::uint64_t num_completed = in->Count(64);
-  s->report.phases.reserve(static_cast<std::size_t>(num_completed));
-  for (std::uint64_t p = 0; p < num_completed; ++p) {
-    s->report.phases.push_back(ReadPhaseReport(in));
-  }
-  const std::size_t phase_index = s->report.phases.size();
-  if (phase_index >= scenario.phases.size()) {
+/// The runner section, with the trace cursor (the tracer's next sequence
+/// number and counts) when the run is traced. A load checks it against the
+/// run: the open phase and cycle must lie inside the scaled timeline, the
+/// arrival state must match the phase's, and every open query id,
+/// closed-loop or tracked, must name one of `system`'s live queries (the
+/// system is already restored), and no phase baseline may exceed the
+/// counters it closes against. A traced resume of a traced run continues
+/// its trace cursor; an untraced snapshot's phase baseline is the resuming
+/// tracer's counts. A load into `s` expects its report header set.
+template <class Io>
+void TransferRunnerState(Io& io, Transferred<Io, RunnerState>& s,
+                         const P3QSystem& system, const Scenario& scenario,
+                         const ScenarioRunnerOptions& options) {
+  constexpr bool kLoading = Io::kLoading;
+  io.Vector(s.report.phases, 64, [&](auto& done) { Transfer(io, done); });
+  const std::size_t phase_index = s.report.phases.size();
+  if (kLoading && phase_index >= scenario.phases.size()) {
     throw CheckpointError(
         "checkpoint resume position is past the end of the timeline");
   }
   const ScenarioPhase& phase = scenario.phases[phase_index];
-  s->cycle = in->U64();
-  if (s->cycle >= ScaledCycles(phase, options.cycle_scale)) {
+  io.U64(s.cycle);
+  if (kLoading && s.cycle >= ScaledCycles(phase, options.cycle_scale)) {
     throw CheckpointError("checkpoint resume position is past the phase end");
   }
-  s->serving_cycle = in->U64();
-  ReadRngState(in, &s->workload_rng);
-  ReadRngState(in, &s->serving_rng);
-  if (in->U8() != 0) {
-    s->tracker.emplace(0, 0.0);  // overwritten entirely by LoadState
-    s->tracker->LoadState(in, system);
+  io.U64(s.serving_cycle);
+  Transfer(io, s.workload_rng);
+  Transfer(io, s.serving_rng);
+  bool tracking = s.tracker.has_value();
+  io.Bool(tracking);
+  if constexpr (kLoading) {
+    if (tracking) {
+      s.tracker.emplace(0, 0.0);  // overwritten entirely by LoadState
+      s.tracker->LoadState(&io, system);
+    }
+  } else if (tracking) {
+    s.tracker->SaveState(&io);
   }
-  s->report.open_loop = in->U8() != 0;
-  s->report.slo_cycles = in->U64();
-  s->serving_stats = ReadQueryLatencyStats(in);
+  io.Bool(s.report.open_loop);
+  io.U64(s.report.slo_cycles);
+  Transfer(io, s.serving_stats);
   const ArrivalSpec& arrivals = EffectiveArrivals(scenario, phase, options);
-  if ((in->U8() != 0) == arrivals.IsNone()) {
+  bool serving = !s.arrivals.spec().IsNone();
+  io.Bool(serving);
+  if (kLoading && serving == arrivals.IsNone()) {
     throw CheckpointError(
         "checkpoint arrival-process state does not match the scenario's "
         "phase");
   }
-  s->arrivals = ArrivalProcess(arrivals, options.seed + phase_index);
-  if (!arrivals.IsNone()) ReadRngState(in, &s->arrivals.rng());
-  s->phase.departures = static_cast<std::size_t>(in->U64());
-  s->phase.rejoins = static_cast<std::size_t>(in->U64());
-  s->phase.queries_issued = static_cast<int>(in->I64());
-  s->traffic_before = ReadMetrics(in);
-  s->delivery_before = ReadDeliveryStats(in);
-  s->serving_before = ReadQueryLatencyStats(in);
-  if (in->U8() != 0) {
-    const std::uint64_t next_seq = in->U64();
-    const Tracer::KindCounts counts = ReadKindCounts(in);
-    s->trace_before = ReadKindCounts(in);
+  if constexpr (kLoading) {
+    s.arrivals = ArrivalProcess(arrivals, options.seed + phase_index);
+  }
+  if (serving) Transfer(io, s.arrivals.rng());
+  io.U64(s.phase.departures);
+  io.U64(s.phase.rejoins);
+  io.I64(s.phase.queries_issued);
+  Transfer(io, s.traffic_before);
+  Transfer(io, s.delivery_before);
+  Transfer(io, s.serving_before);
+  Tracer* tracer = options.tracer;
+  bool traced = tracer != nullptr;
+  io.Bool(traced);
+  if (traced) {
+    std::uint64_t next_seq = tracer != nullptr ? tracer->accepted() : 0;
+    Tracer::KindCounts counts{};
+    if (tracer != nullptr) counts = tracer->counts();
+    io.U64(next_seq);
+    for (auto& count : counts) io.U64(count);
+    for (auto& count : s.trace_before) io.U64(count);
     // Continue the straight run's event numbering: the resumed JSONL is a
     // byte-suffix of the full trace.
-    if (options.tracer != nullptr) {
-      options.tracer->RestoreCursor(next_seq, counts);
-    }
-  } else if (options.tracer != nullptr) {
-    s->trace_before = options.tracer->counts();
+    if (kLoading && tracer != nullptr) tracer->RestoreCursor(next_seq, counts);
+  } else if constexpr (kLoading) {
+    if (tracer != nullptr) s.trace_before = tracer->counts();
   }
-  s->online_cycle_sum = in->F64();
-  const std::uint64_t num_open = in->Count(16);
-  s->open.reserve(static_cast<std::size_t>(num_open));
-  for (std::uint64_t q = 0; q < num_open; ++q) {
-    OpenQuery query;
-    query.id = in->U64();
-    if (!system.HasQuery(query.id)) {
+  io.F64(s.online_cycle_sum);
+  io.Vector(s.open, 16, [&](auto& query) {
+    io.U64(query.id);
+    if (kLoading && !system.HasQuery(query.id)) {
       throw CheckpointError("runner open query id " +
                             std::to_string(query.id) + " names no live query");
     }
-    const std::uint64_t num_reference = in->Count(4);
-    query.reference.reserve(static_cast<std::size_t>(num_reference));
-    for (std::uint64_t r = 0; r < num_reference; ++r) {
-      query.reference.push_back(in->U32());
+    io.Vector(query.reference, 4, [&](auto& item) { io.U32(item); });
+  });
+  io.Sentinel("runner");
+  if constexpr (kLoading) {
+    // The phase's close subtracts each baseline from counters that only
+    // grow, so no baseline may run ahead of the restored counters.
+    if (!Precedes(s.traffic_before, system.network().metrics()) ||
+        !Precedes(s.delivery_before, system.DeliveryStatsTotal()) ||
+        !Precedes(s.serving_before, s.serving_stats) ||
+        (tracer != nullptr && !Precedes(s.trace_before, tracer->counts()))) {
+      throw CheckpointError(
+          "checkpoint phase baselines run ahead of the restored counters");
     }
-    s->open.push_back(std::move(query));
   }
-  in->Sentinel("runner");
 }
 
 /// Emits one node_departed / node_rejoined event per user at the timeline
@@ -668,11 +583,12 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     const std::vector<std::uint8_t> payload =
         ReadCheckpointPayload(options.resume_path);
     CheckpointReader in(payload.data(), payload.size());
+    std::string saved_scenario;
     ScenarioRunnerOptions saved;
-    const std::string saved_scenario = ReadRunHeader(&in, &saved);
+    TransferRunHeader(in, saved_scenario, saved);
     VerifyResumeHeader(saved_scenario, saved, scenario, options, latency);
     system.LoadCheckpoint(&in);
-    ReadRunnerState(&in, system, scenario, options, &state);
+    TransferRunnerState(in, state, system, scenario, options);
     in.ExpectEnd();
     if (want_checkpoint && *options.checkpoint_at < state.serving_cycle) {
       throw std::invalid_argument(
@@ -684,7 +600,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   }
 
   // A resumed run starts at the checkpoint's open phase, which keeps the
-  // counters and baselines ReadRunnerState restored.
+  // counters and baselines TransferRunnerState restored.
   bool resumed_phase = resuming;
   for (std::size_t phase_index = report.phases.size();
        phase_index < scenario.phases.size(); ++phase_index) {
@@ -731,10 +647,12 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       // cycle's events fire, so the resumed run fires them exactly once.
       if (want_checkpoint && !checkpoint_written &&
           state.serving_cycle == *options.checkpoint_at) {
+        ScenarioRunnerOptions shape = options;
+        shape.latency = latency;
         CheckpointWriter payload;
-        WriteRunHeader(&payload, scenario.name, options, latency);
+        TransferRunHeader(payload, scenario.name, shape);
         system.SaveCheckpoint(&payload);
-        WriteRunnerState(&payload, state, options.tracer);
+        TransferRunnerState(payload, state, system, scenario, options);
         WriteCheckpointFile(options.checkpoint_path, payload);
         checkpoint_written = true;
       }
@@ -1018,7 +936,9 @@ std::string ReadScenarioCheckpointInfo(const std::string& path,
                                        ScenarioRunnerOptions* run_shape) {
   const std::vector<std::uint8_t> payload = ReadCheckpointPayload(path);
   CheckpointReader in(payload.data(), payload.size());
-  return ReadRunHeader(&in, run_shape);
+  std::string scenario;
+  TransferRunHeader(in, scenario, *run_shape);
+  return scenario;
 }
 
 ScenarioReport RunScenario(const Scenario& scenario,

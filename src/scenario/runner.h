@@ -130,8 +130,11 @@ struct MemoryReport {
   /// Linux, getrusage's ru_maxrss elsewhere (0 where unavailable).
   double peak_rss_mb = 0;
   /// The allocator's heap at the end of the run (glibc mallinfo2; 0
-  /// elsewhere): bytes held from the system (arena + hblkhd) and bytes in
-  /// live allocations (uordblks + hblkhd). Observation only.
+  /// elsewhere): bytes held from the system (arena + hblkhd) and bytes the
+  /// allocator counts as allocated (uordblks + hblkhd). The second is not
+  /// exactly the live set: the same live set reads up to ~2 KB apart
+  /// depending on the order of earlier frees, so it cannot detect leaks.
+  /// Observation only.
   std::uint64_t heap_held_bytes = 0;
   std::uint64_t heap_in_use_bytes = 0;
 };

@@ -90,53 +90,33 @@ void ServingTracker::Poll(P3QSystem* system, std::uint64_t cycle,
   }
 }
 
+template <class Io, class Self>
+void ServingTracker::Transfer(Io& io, Self& self, const P3QSystem* system) {
+  io.U64(self.slo_cycles_);
+  io.F64(self.recall_target_);
+  io.Map(self.open_, 29, "serving tracker query ids out of order",
+         [&](std::uint64_t query_id, auto& open) {
+           if constexpr (Io::kLoading) {
+             if (!system->HasQuery(query_id)) {
+               throw CheckpointError("serving tracker query id " +
+                                     std::to_string(query_id) +
+                                     " names no live query");
+             }
+           }
+           io.U64(open.issue_cycle);
+           io.User(open.querier, "querier");
+           io.Bool(open.first_result_recorded);
+           io.Vector(open.reference, 4, [&](auto& item) { io.U32(item); });
+         });
+  io.Sentinel("serving tracker");
+}
+
 void ServingTracker::SaveState(CheckpointWriter* out) const {
-  out->U64(slo_cycles_);
-  out->F64(recall_target_);
-  out->U64(open_.size());
-  for (const auto& [query_id, open] : open_) {
-    out->U64(query_id);
-    out->U64(open.issue_cycle);
-    out->U32(open.querier);
-    out->U8(open.first_result_recorded ? 1 : 0);
-    out->U64(open.reference.size());
-    for (ItemId item : open.reference) out->U32(item);
-  }
-  out->Sentinel();
+  Transfer(*out, *this, nullptr);
 }
 
 void ServingTracker::LoadState(CheckpointReader* in, const P3QSystem& system) {
-  const std::uint64_t slo_cycles = in->U64();
-  const double recall_target = in->F64();
-  std::map<std::uint64_t, OpenQuery> loaded;
-  const std::uint64_t num_open = in->Count(29);
-  std::uint64_t prev_id = 0;
-  for (std::uint64_t q = 0; q < num_open; ++q) {
-    const std::uint64_t query_id = in->U64();
-    if (q > 0 && query_id <= prev_id) {
-      throw CheckpointError("serving tracker query ids out of order");
-    }
-    if (!system.HasQuery(query_id)) {
-      throw CheckpointError("serving tracker query id " +
-                            std::to_string(query_id) +
-                            " names no live query");
-    }
-    prev_id = query_id;
-    OpenQuery open;
-    open.issue_cycle = in->U64();
-    open.querier = in->U32();
-    open.first_result_recorded = in->U8() != 0;
-    const std::uint64_t num_reference = in->Count(4);
-    open.reference.reserve(static_cast<std::size_t>(num_reference));
-    for (std::uint64_t r = 0; r < num_reference; ++r) {
-      open.reference.push_back(in->U32());
-    }
-    loaded.emplace_hint(loaded.end(), query_id, std::move(open));
-  }
-  in->Sentinel("serving tracker");
-  slo_cycles_ = slo_cycles;
-  recall_target_ = recall_target;
-  open_ = std::move(loaded);
+  Transfer(*in, *this, &system);
 }
 
 void ServingTracker::Abandon(P3QSystem* system, std::uint64_t cycle,

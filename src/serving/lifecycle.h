@@ -66,7 +66,8 @@ class ServingTracker {
 
   /// Restores state written by SaveState, replacing current contents.
   /// `system` is the already restored system: an open query id it holds no
-  /// live query for throws a CheckpointError.
+  /// live query for throws a CheckpointError, and so does a querier outside
+  /// the reader's population.
   void LoadState(CheckpointReader* in, const P3QSystem& system);
 
  private:
@@ -76,6 +77,11 @@ class ServingTracker {
     bool first_result_recorded = false;
     std::vector<ItemId> reference;
   };
+
+  /// The SaveState/LoadState layout; `self` is const when saving, and
+  /// `system` (the restored system) is given when loading.
+  template <class Io, class Self>
+  static void Transfer(Io& io, Self& self, const P3QSystem* system);
 
   /// True when the query's latest top-k reaches the recall target.
   bool MeetsRecallTarget(const P3QSystem& system, std::uint64_t query_id,

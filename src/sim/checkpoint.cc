@@ -73,7 +73,9 @@ void CheckpointWriter::Bytes(const void* data, std::size_t size) {
   buf_.insert(buf_.end(), bytes, bytes + size);
 }
 
-void CheckpointWriter::Sentinel() { U32(kSectionSentinel); }
+void CheckpointWriter::Sentinel(const char* /*section*/) {
+  U32(kSectionSentinel);
+}
 
 void CheckpointWriter::Append(const CheckpointWriter& other) {
   buf_.insert(buf_.end(), other.buf_.begin(), other.buf_.end());
@@ -141,6 +143,31 @@ std::uint64_t CheckpointReader::Count(std::size_t min_elem_size) {
         " could hold");
   }
   return count;
+}
+
+UserId CheckpointReader::User(const char* what) {
+  const UserId user = U32();
+  if (user >= num_users_) {
+    throw CheckpointError("corrupt checkpoint: " + std::string(what) + " " +
+                          std::to_string(user) + " out of range (" +
+                          Plural(num_users_, "user") + ")");
+  }
+  return user;
+}
+
+void CheckpointReader::Digest(DigestInfo& digest) {
+  digest.user = User("digest user");
+  digest.snapshot = profiles_.Get(U32());
+  if (digest.snapshot == nullptr) {
+    throw CheckpointError(
+        "corrupt checkpoint: digest descriptor without a profile snapshot");
+  }
+  if (digest.snapshot->owner() != digest.user) {
+    throw CheckpointError("corrupt checkpoint: digest of user " +
+                          std::to_string(digest.user) +
+                          " carries a profile of user " +
+                          std::to_string(digest.snapshot->owner()));
+  }
 }
 
 void CheckpointReader::Sentinel(const char* section) {
@@ -222,140 +249,28 @@ const ProfilePtr& ProfileTable::Get(std::uint32_t id) const {
 }
 
 // ---------------------------------------------------------------------------
-// Shared small-structure codecs
-// ---------------------------------------------------------------------------
-
-void WriteDigestInfo(CheckpointWriter* out, ProfilePool* pool,
-                     const DigestInfo& digest) {
-  out->U32(digest.user);
-  out->U32(pool->Intern(digest.snapshot));
-}
-
-DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles,
-                          std::size_t num_users) {
-  DigestInfo digest;
-  digest.user = ReadUserId(in, num_users, "digest user");
-  digest.snapshot = profiles.Get(in->U32());
-  if (digest.snapshot == nullptr) {
-    throw CheckpointError(
-        "corrupt checkpoint: digest descriptor without a profile snapshot");
-  }
-  if (digest.snapshot->owner() != digest.user) {
-    throw CheckpointError("corrupt checkpoint: digest of user " +
-                          std::to_string(digest.user) +
-                          " carries a profile of user " +
-                          std::to_string(digest.snapshot->owner()));
-  }
-  return digest;
-}
-
-UserId ReadUserId(CheckpointReader* in, std::size_t num_users,
-                  const char* what) {
-  const UserId user = in->U32();
-  if (user >= num_users) {
-    throw CheckpointError("corrupt checkpoint: " + std::string(what) + " " +
-                          std::to_string(user) + " out of range (" +
-                          Plural(num_users, "user") + ")");
-  }
-  return user;
-}
-
-void WriteRngState(CheckpointWriter* out, const Rng& rng) {
-  for (std::uint64_t word : rng.State()) out->U64(word);
-}
-
-void ReadRngState(CheckpointReader* in, Rng* rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = in->U64();
-  rng->SetState(state);
-}
-
-void WriteMetrics(CheckpointWriter* out, const Metrics& metrics) {
-  constexpr int kNumTypes = static_cast<int>(MessageType::kCount);
-  for (int t = 0; t < kNumTypes; ++t) {
-    const MessageStats& s = metrics.Of(static_cast<MessageType>(t));
-    out->U64(s.messages);
-    out->U64(s.bytes);
-  }
-}
-
-Metrics ReadMetrics(CheckpointReader* in) {
-  Metrics metrics;
-  constexpr int kNumTypes = static_cast<int>(MessageType::kCount);
-  for (int t = 0; t < kNumTypes; ++t) {
-    MessageStats s;
-    s.messages = in->U64();
-    s.bytes = in->U64();
-    metrics.Restore(static_cast<MessageType>(t), s);
-  }
-  return metrics;
-}
-
-void WriteDeliveryStats(CheckpointWriter* out, const DeliveryStats& stats) {
-  out->U64(stats.enqueued);
-  out->U64(stats.dropped);
-  out->U64(stats.delivered);
-  out->U64(stats.stale_dropped);
-  out->U64(stats.max_in_flight);
-  for (std::uint64_t bucket : stats.lag_histogram) out->U64(bucket);
-}
-
-DeliveryStats ReadDeliveryStats(CheckpointReader* in) {
-  DeliveryStats stats;
-  stats.enqueued = in->U64();
-  stats.dropped = in->U64();
-  stats.delivered = in->U64();
-  stats.stale_dropped = in->U64();
-  stats.max_in_flight = in->U64();
-  for (std::uint64_t& bucket : stats.lag_histogram) bucket = in->U64();
-  return stats;
-}
-
-void WriteQueryLatencyStats(CheckpointWriter* out,
-                            const QueryLatencyStats& stats) {
-  out->U64(stats.issued);
-  out->U64(stats.completed);
-  out->U64(stats.completed_within_slo);
-  out->U64(stats.first_results);
-  out->U64(stats.abandoned);
-  for (std::uint64_t bucket : stats.completion_histogram) out->U64(bucket);
-  for (std::uint64_t bucket : stats.first_result_histogram) out->U64(bucket);
-}
-
-QueryLatencyStats ReadQueryLatencyStats(CheckpointReader* in) {
-  QueryLatencyStats stats;
-  stats.issued = in->U64();
-  stats.completed = in->U64();
-  stats.completed_within_slo = in->U64();
-  stats.first_results = in->U64();
-  stats.abandoned = in->U64();
-  for (std::uint64_t& bucket : stats.completion_histogram) bucket = in->U64();
-  for (std::uint64_t& bucket : stats.first_result_histogram) bucket = in->U64();
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
 // File framing
 // ---------------------------------------------------------------------------
 
 void WriteCheckpointFile(const std::string& path,
                          const CheckpointWriter& payload) {
   const std::vector<std::uint8_t>& body = payload.buffer();
-  CheckpointWriter frame;
-  frame.Bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
-  frame.U32(kCheckpointVersion);
-  frame.U32(Crc32(body.data(), body.size()));
-  frame.Append(payload);
+  CheckpointWriter header;
+  for (const unsigned char c : kCheckpointMagic) header.U8(c);
+  header.U32(kCheckpointVersion);
+  header.U32(Crc32(body.data(), body.size()));
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     throw CheckpointError("cannot open checkpoint file for writing: " + path);
   }
-  const std::vector<std::uint8_t>& bytes = frame.buffer();
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool ok = written == bytes.size() && std::fclose(f) == 0;
-  if (!ok) {
+  const auto write_all = [f](const std::vector<std::uint8_t>& bytes) {
+    return bytes.empty() ||
+           std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  };
+  const bool written = write_all(header.buffer()) && write_all(body);
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
     throw CheckpointError("short write to checkpoint file: " + path);
   }
 }

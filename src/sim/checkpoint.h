@@ -24,11 +24,17 @@
 #ifndef P3Q_SIM_CHECKPOINT_H_
 #define P3Q_SIM_CHECKPOINT_H_
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -66,66 +72,13 @@ inline constexpr std::uint32_t kNullProfileRef = 0xffffffffu;
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over a byte range.
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
 
-/// Little-endian append-only byte sink for checkpoint payloads.
-class CheckpointWriter {
- public:
-  void U8(std::uint8_t v) { buf_.push_back(v); }
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  /// Doubles travel as their IEEE-754 bit pattern — exact round-trip.
-  void F64(double v);
-  /// Length-prefixed (u64) byte string.
-  void Str(const std::string& s);
-  void Bytes(const void* data, std::size_t size);
-  /// Writes a section-boundary sentinel; readers verify it by name.
-  void Sentinel();
-  /// Appends another writer's buffer verbatim (used to order the profile
-  /// pool ahead of the body that interned into it).
-  void Append(const CheckpointWriter& other);
-
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked little-endian reader over a checkpoint payload. Every
-/// primitive read throws CheckpointError instead of running off the end.
-class CheckpointReader {
- public:
-  CheckpointReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t U8();
-  std::uint32_t U32();
-  std::uint64_t U64();
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  double F64();
-  std::string Str();
-  /// Reads an element count and validates it against the bytes actually
-  /// remaining (each element needs at least `min_elem_size` bytes), so a
-  /// corrupted count can never trigger a huge allocation.
-  std::uint64_t Count(std::size_t min_elem_size);
-  /// Verifies a section-boundary sentinel; `section` names it in errors.
-  void Sentinel(const char* section);
-
-  std::size_t Remaining() const { return size_ - pos_; }
-  /// Throws unless the payload was consumed exactly.
-  void ExpectEnd() const;
-
- private:
-  void Need(std::size_t n) const;
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+class CheckpointWriter;
+class CheckpointReader;
 
 /// Interns every distinct profile snapshot referenced by a checkpoint so
 /// replicas that share a snapshot in memory share one pool entry on disk.
-/// Write the body into a scratch writer (interning as you go), then
-/// serialize the pool ahead of the body.
+/// A CheckpointWriter interns into its own pool as it writes; the pool is
+/// then serialized ahead of the body that referenced it.
 class ProfilePool {
  public:
   /// Returns the pool id of `profile`, interning it on first sight.
@@ -168,35 +121,268 @@ class ProfileTable {
   ProfilePtr null_;
 };
 
-// Shared small-structure codecs used by several checkpoint sections.
+// A record's on-disk layout is one function template over `Io`, instantiated
+// with CheckpointWriter to save it and with CheckpointReader to load it. The
+// two classes offer the same primitives under the same names: the writer
+// takes values (the record is const, see Transferred), the reader fills
+// references and checks each field it can check alone (sizes, user ids,
+// profile and digest references). `Io::kLoading` marks the code only a load
+// runs: rebuilding what cannot be read in place, and the checks across
+// fields, which run after the fields they compare.
 
-/// Writes a (user, profile snapshot) descriptor as user id + pool ref.
-void WriteDigestInfo(CheckpointWriter* out, ProfilePool* pool,
-                     const DigestInfo& digest);
+/// The record a transfer writes from (const) or reads into.
+template <class Io, class T>
+using Transferred = std::conditional_t<Io::kLoading, T, const T>;
 
-/// Reads a descriptor; throws when the user is not below `num_users`, when
-/// the snapshot reference is null or out of range (a digest always carries
-/// a snapshot), or when the snapshot belongs to another user.
-DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles,
-                          std::size_t num_users);
+/// Little-endian append-only byte sink for checkpoint payloads.
+class CheckpointWriter {
+ public:
+  static constexpr bool kLoading = false;
 
-/// Reads a user id; throws unless it is below `num_users`. `what` names the
-/// field in the error.
-UserId ReadUserId(CheckpointReader* in, std::size_t num_users,
-                  const char* what);
+  void U8(std::uint8_t v) { buf_.push_back(v); }
+  void U32(std::uint32_t v);
+  void U64(std::uint64_t v);
+  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
+  /// Doubles travel as their IEEE-754 bit pattern — exact round-trip.
+  void F64(double v);
+  void Bool(bool v) { U8(v ? 1 : 0); }
+  /// Length-prefixed (u64) byte string.
+  void Str(const std::string& s);
+  /// An element count (u64); see CheckpointReader::Count.
+  void Count(std::uint64_t n, std::size_t /*min_elem_size*/) { U64(n); }
+  /// The element count, then `elem(element)` for each element.
+  template <class T, class F>
+  void Vector(const std::vector<T>& v, std::size_t min_elem_size, F&& elem) {
+    Count(v.size(), min_elem_size);
+    for (const T& e : v) elem(e);
+  }
+  /// The entry count, then per entry in key order its key (u64) and
+  /// `entry(key, value)`.
+  template <class V, class F>
+  void Map(const std::map<std::uint64_t, V>& map, std::size_t min_entry_size,
+           const char* /*disorder*/, F&& entry) {
+    Count(map.size(), min_entry_size);
+    for (const auto& [key, value] : map) {
+      U64(key);
+      entry(key, value);
+    }
+  }
+  /// The entry count, then `entry(value)` per entry in ascending key
+  /// order. Each value holds its own key, so keys are not written.
+  template <class V, class F>
+  void SortedValues(const std::unordered_map<std::uint64_t, V>& map,
+                    std::size_t min_entry_size, F&& entry) {
+    std::vector<const std::pair<const std::uint64_t, V>*> sorted;
+    sorted.reserve(map.size());
+    for (const auto& kv : map) sorted.push_back(&kv);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    Count(sorted.size(), min_entry_size);
+    for (const auto* kv : sorted) entry(kv->second);
+  }
+  void User(UserId user, const char* /*what*/) { U32(user); }
+  void Users(const std::vector<UserId>& users, const char* what) {
+    Vector(users, 4, [&](UserId user) { User(user, what); });
+  }
+  /// A set of user ids as its ascending list.
+  void UserSet(const std::unordered_set<UserId>& users, const char* what) {
+    std::vector<UserId> sorted(users.begin(), users.end());
+    std::sort(sorted.begin(), sorted.end());
+    Users(sorted, what);
+  }
+  /// A profile snapshot as its pool reference, interning it in pool().
+  void Profile(const ProfilePtr& profile) { U32(pool_.Intern(profile)); }
+  /// A (user, profile snapshot) descriptor as user id + pool reference.
+  void Digest(const DigestInfo& digest) {
+    User(digest.user, "digest user");
+    Profile(digest.snapshot);
+  }
+  /// Writes a section-boundary sentinel; readers verify it by name.
+  void Sentinel(const char* /*section*/ = nullptr);
+  void Bytes(const void* data, std::size_t size);
+  /// Appends another writer's buffer verbatim (used to order the profile
+  /// pool ahead of the body that interned into it).
+  void Append(const CheckpointWriter& other);
 
-void WriteRngState(CheckpointWriter* out, const Rng& rng);
-void ReadRngState(CheckpointReader* in, Rng* rng);
+  const std::vector<std::uint8_t>& buffer() const { return buf_; }
+  /// Every snapshot Profile() and Digest() referenced.
+  const ProfilePool& pool() const { return pool_; }
 
-void WriteMetrics(CheckpointWriter* out, const Metrics& metrics);
-Metrics ReadMetrics(CheckpointReader* in);
+ private:
+  std::vector<std::uint8_t> buf_;
+  ProfilePool pool_;
+};
 
-void WriteDeliveryStats(CheckpointWriter* out, const DeliveryStats& stats);
-DeliveryStats ReadDeliveryStats(CheckpointReader* in);
+/// Bounds-checked little-endian reader over a checkpoint payload. Every
+/// primitive read throws CheckpointError instead of running off the end.
+/// Besides the writer's primitives it returns plain values, for framing
+/// and tests.
+class CheckpointReader {
+ public:
+  static constexpr bool kLoading = true;
 
-void WriteQueryLatencyStats(CheckpointWriter* out,
-                            const QueryLatencyStats& stats);
-QueryLatencyStats ReadQueryLatencyStats(CheckpointReader* in);
+  CheckpointReader(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  std::uint8_t U8();
+  std::uint32_t U32();
+  std::uint64_t U64();
+  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
+  double F64();
+  std::string Str();
+  /// Reads an element count and validates it against the bytes actually
+  /// remaining (each element needs at least `min_elem_size` bytes), so a
+  /// corrupted count can never trigger a huge allocation.
+  std::uint64_t Count(std::size_t min_elem_size);
+  /// Reads a user id; throws unless it is below the population. `what`
+  /// names the field in the error.
+  UserId User(const char* what);
+
+  // The writer's primitives, each reading into its argument.
+  template <class T>
+  void U32(T& v) {
+    v = static_cast<T>(U32());
+  }
+  template <class T>
+  void U64(T& v) {
+    v = static_cast<T>(U64());
+  }
+  template <class T>
+  void I64(T& v) {
+    v = static_cast<T>(I64());
+  }
+  void F64(double& v) { v = F64(); }
+  void Bool(bool& v) { v = U8() != 0; }
+  void Str(std::string& s) { s = Str(); }
+  void Count(std::uint64_t& n, std::size_t min_elem_size) {
+    n = Count(min_elem_size);
+  }
+  template <class T, class F>
+  void Vector(std::vector<T>& v, std::size_t min_elem_size, F&& elem) {
+    v = std::vector<T>(static_cast<std::size_t>(Count(min_elem_size)));
+    for (T& e : v) elem(e);
+  }
+  /// Throws CheckpointError(`disorder`) unless the keys ascend strictly.
+  template <class V, class F>
+  void Map(std::map<std::uint64_t, V>& map, std::size_t min_entry_size,
+           const char* disorder, F&& entry) {
+    map.clear();
+    const std::uint64_t count = Count(min_entry_size);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t key = U64();
+      if (!map.empty() && key <= map.rbegin()->first) {
+        throw CheckpointError(disorder);
+      }
+      entry(key, map.emplace_hint(map.end(), key, V{})->second);
+    }
+  }
+  /// Loads each value into a fresh V; `entry` returns the value's key,
+  /// which it has checked is new.
+  template <class V, class F>
+  void SortedValues(std::unordered_map<std::uint64_t, V>& map,
+                    std::size_t min_entry_size, F&& entry) {
+    map.clear();
+    const std::uint64_t count = Count(min_entry_size);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      V value{};
+      const std::uint64_t key = entry(value);
+      map.emplace(key, std::move(value));
+    }
+  }
+  void User(UserId& user, const char* what) { user = User(what); }
+  void Users(std::vector<UserId>& users, const char* what) {
+    Vector(users, 4, [&](UserId& user) { User(user, what); });
+  }
+  void UserSet(std::unordered_set<UserId>& users, const char* what) {
+    std::vector<UserId> sorted;
+    Users(sorted, what);
+    users.clear();
+    for (UserId user : sorted) users.insert(user);
+  }
+  /// Resolves a pool reference (see ProfileTable::Get).
+  void Profile(ProfilePtr& profile) { profile = profiles_.Get(U32()); }
+  /// Throws when the user is out of range, when the snapshot reference is
+  /// null or out of range (a digest always carries a snapshot), or when the
+  /// snapshot belongs to another user.
+  void Digest(DigestInfo& digest);
+  /// Verifies a section-boundary sentinel; `section` names it in errors.
+  void Sentinel(const char* section);
+
+  /// The population user ids are checked against: until it is set, every
+  /// user id is refused. P3QSystem::LoadCheckpoint sets it.
+  void SetPopulation(std::size_t num_users) { num_users_ = num_users; }
+  std::size_t population() const { return num_users_; }
+  /// The pool that Profile() and Digest() resolve references against:
+  /// until it is set, every reference but kNullProfileRef is refused.
+  /// P3QSystem::LoadCheckpoint sets it from the payload's pool section.
+  void SetProfiles(ProfileTable profiles) { profiles_ = std::move(profiles); }
+
+  std::size_t Remaining() const { return size_ - pos_; }
+  /// Throws unless the payload was consumed exactly.
+  void ExpectEnd() const;
+
+ private:
+  void Need(std::size_t n) const;
+
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  std::size_t num_users_ = 0;
+  ProfileTable profiles_;
+};
+
+/// Nests a record that keeps its layout private: saves it through
+/// SaveState(CheckpointWriter*, args...) or loads it through
+/// LoadState(CheckpointReader*, args...).
+template <class Io, class Record, class... Args>
+void TransferState(Io& io, Record& record, const Args&... args) {
+  if constexpr (Io::kLoading) {
+    record.LoadState(&io, args...);
+  } else {
+    record.SaveState(&io, args...);
+  }
+}
+
+// Layouts of the small records several sections share.
+
+template <class Io>
+void Transfer(Io& io, Transferred<Io, Rng>& rng) {
+  std::array<std::uint64_t, 4> state = rng.State();
+  for (std::uint64_t& word : state) io.U64(word);
+  if constexpr (Io::kLoading) rng.SetState(state);
+}
+
+template <class Io>
+void Transfer(Io& io, Transferred<Io, Metrics>& metrics) {
+  for (int t = 0; t < static_cast<int>(MessageType::kCount); ++t) {
+    const auto type = static_cast<MessageType>(t);
+    MessageStats stats = metrics.Of(type);
+    io.U64(stats.messages);
+    io.U64(stats.bytes);
+    if constexpr (Io::kLoading) metrics.Restore(type, stats);
+  }
+}
+
+template <class Io>
+void Transfer(Io& io, Transferred<Io, DeliveryStats>& stats) {
+  io.U64(stats.enqueued);
+  io.U64(stats.dropped);
+  io.U64(stats.delivered);
+  io.U64(stats.stale_dropped);
+  io.U64(stats.max_in_flight);
+  for (auto& bucket : stats.lag_histogram) io.U64(bucket);
+}
+
+template <class Io>
+void Transfer(Io& io, Transferred<Io, QueryLatencyStats>& stats) {
+  io.U64(stats.issued);
+  io.U64(stats.completed);
+  io.U64(stats.completed_within_slo);
+  io.U64(stats.first_results);
+  io.U64(stats.abandoned);
+  for (auto& bucket : stats.completion_histogram) io.U64(bucket);
+  for (auto& bucket : stats.first_result_histogram) io.U64(bucket);
+}
 
 /// Frames `payload` (magic, version, CRC) and writes it to `path`.
 /// Throws CheckpointError on I/O failure.

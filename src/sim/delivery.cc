@@ -203,62 +203,48 @@ std::vector<DeliveryQueue::InFlight> DeliveryQueue::TakeDue(
   return out;
 }
 
-void DeliveryQueue::SaveState(const CycleProtocol& protocol,
-                              CheckpointWriter* out,
-                              ProfilePool* pool) const {
-  out->U64(next_seq_);
-  WriteDeliveryStats(out, stats_);
-  out->U64(due_.size());
-  for (const auto& [due_cycle, bucket] : due_) {
-    out->U64(due_cycle);
-    out->U64(bucket.size());
-    for (const InFlight& message : bucket) {
-      out->U32(message.sender);
-      out->U64(message.send_cycle);
-      out->U64(message.seq);
-      protocol.EncodeMessage(*message.payload, out, pool);
+template <class Io, class Self>
+void DeliveryQueue::Transfer(Io& io, Self& self,
+                             const CycleProtocol& protocol) {
+  io.U64(self.next_seq_);
+  p3q::Transfer(io, self.stats_);
+  io.Map(self.due_, 16, "corrupt checkpoint: delivery due cycles out of order",
+         [&](std::uint64_t due_cycle, auto& bucket) {
+           io.Vector(bucket, 20, [&](auto& message) {
+             io.User(message.sender, "in-flight message sender");
+             io.U64(message.send_cycle);
+             io.U64(message.seq);
+             if constexpr (Io::kLoading) {
+               message.due_cycle = due_cycle;
+               if (message.seq >= self.next_seq_ ||
+                   message.send_cycle > due_cycle) {
+                 throw CheckpointError(
+                     "corrupt checkpoint: in-flight message with "
+                     "inconsistent sequence number or cycles");
+               }
+               message.payload = protocol.DecodeMessage(&io);
+             } else {
+               protocol.EncodeMessage(*message.payload, &io);
+             }
+           });
+         });
+  if constexpr (Io::kLoading) {
+    self.in_flight_ = 0;
+    for (const auto& [due_cycle, bucket] : self.due_) {
+      self.in_flight_ += bucket.size();
     }
   }
-  out->Sentinel();
+  io.Sentinel("delivery queue");
 }
 
-void DeliveryQueue::LoadState(const CycleProtocol& protocol,
-                              CheckpointReader* in,
-                              const ProfileTable& profiles,
-                              std::size_t num_users) {
-  next_seq_ = in->U64();
-  stats_ = ReadDeliveryStats(in);
-  due_.clear();
-  in_flight_ = 0;
-  const std::uint64_t num_buckets = in->Count(16);
-  std::uint64_t prev_due = 0;
-  for (std::uint64_t b = 0; b < num_buckets; ++b) {
-    const std::uint64_t due_cycle = in->U64();
-    if (b > 0 && due_cycle <= prev_due) {
-      throw CheckpointError(
-          "corrupt checkpoint: delivery due cycles out of order");
-    }
-    prev_due = due_cycle;
-    const std::uint64_t num_messages = in->Count(20);
-    std::vector<InFlight>& bucket = due_[due_cycle];
-    bucket.reserve(static_cast<std::size_t>(num_messages));
-    for (std::uint64_t m = 0; m < num_messages; ++m) {
-      InFlight message;
-      message.sender = ReadUserId(in, num_users, "in-flight message sender");
-      message.send_cycle = in->U64();
-      message.due_cycle = due_cycle;
-      message.seq = in->U64();
-      if (message.seq >= next_seq_ || message.send_cycle > due_cycle) {
-        throw CheckpointError(
-            "corrupt checkpoint: in-flight message with inconsistent "
-            "sequence number or cycles");
-      }
-      message.payload = protocol.DecodeMessage(in, profiles);
-      bucket.push_back(std::move(message));
-      ++in_flight_;
-    }
-  }
-  in->Sentinel("delivery queue");
+void DeliveryQueue::SaveState(CheckpointWriter* out,
+                              const CycleProtocol& protocol) const {
+  Transfer(*out, *this, protocol);
+}
+
+void DeliveryQueue::LoadState(CheckpointReader* in,
+                              const CycleProtocol& protocol) {
+  Transfer(*in, *this, protocol);
 }
 
 }  // namespace p3q

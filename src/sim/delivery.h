@@ -93,16 +93,18 @@ class DeliveryQueue {
   /// Serializes the between-cycle state — the seq counter, the stats, and
   /// every in-flight message (payloads encoded by `protocol`). Only valid
   /// at a cycle barrier: the per-shard pending lists must be empty.
-  void SaveState(const CycleProtocol& protocol, CheckpointWriter* out,
-                 ProfilePool* pool) const;
+  void SaveState(CheckpointWriter* out, const CycleProtocol& protocol) const;
 
   /// Restores state written by SaveState, replacing any current contents.
-  /// Throws CheckpointError on malformed input, including a sender not
-  /// below `num_users`.
-  void LoadState(const CycleProtocol& protocol, CheckpointReader* in,
-                 const ProfileTable& profiles, std::size_t num_users);
+  /// Throws CheckpointError on malformed input, including a sender outside
+  /// the reader's population.
+  void LoadState(CheckpointReader* in, const CycleProtocol& protocol);
 
  private:
+  /// The SaveState/LoadState layout; `self` is const when saving.
+  template <class Io, class Self>
+  static void Transfer(Io& io, Self& self, const CycleProtocol& protocol);
+
   std::array<std::vector<InFlight>, kEngineShards> pending_;
   std::array<std::uint64_t, kEngineShards> pending_drops_{};
   std::map<std::uint64_t, std::vector<InFlight>> due_;  ///< due cycle -> msgs

@@ -337,15 +337,15 @@ void Engine::LevelDrain::Run(Engine* engine,
   }
 }
 
-void CycleProtocol::EncodeMessage(const DeliveryMessage&, CheckpointWriter*,
-                                  ProfilePool*) const {
+void CycleProtocol::EncodeMessage(const DeliveryMessage&,
+                                  CheckpointWriter*) const {
   throw CheckpointError(
       "protocol cannot encode delivery messages (EncodeMessage not "
       "overridden)");
 }
 
 std::unique_ptr<DeliveryMessage> CycleProtocol::DecodeMessage(
-    CheckpointReader*, const ProfileTable&) const {
+    CheckpointReader*) const {
   throw CheckpointError(
       "protocol cannot decode delivery messages (DecodeMessage not "
       "overridden)");
@@ -582,31 +582,30 @@ void Engine::RunOneCycle() {
   ++cycle_;
 }
 
-void Engine::SaveState(CheckpointWriter* out, ProfilePool* pool) const {
-  out->U64(seed_);
-  out->U64(cycle_);
-  out->U64(1);  // queue count, a format field since v1
-  queue_->SaveState(*protocol_, out, pool);
-  out->Sentinel();
-}
-
-void Engine::LoadState(CheckpointReader* in, const ProfileTable& profiles) {
-  const std::uint64_t seed = in->U64();
-  if (seed != seed_) {
+template <class Io, class Self>
+void Engine::Transfer(Io& io, Self& self) {
+  std::uint64_t seed = self.seed_;
+  io.U64(seed);
+  if (seed != self.seed_) {
     throw CheckpointError(
         "checkpoint engine seed does not match this run (different master "
         "seed or engine construction order)");
   }
-  cycle_ = in->U64();
-  const std::uint64_t num_queues = in->U64();
+  io.U64(self.cycle_);
+  std::uint64_t num_queues = 1;  // a format field since v1
+  io.U64(num_queues);
   if (num_queues != 1) {
     throw CheckpointError("checkpoint engine has " +
                           std::to_string(num_queues) +
                           " protocol queues; an engine runs exactly one");
   }
-  queue_->LoadState(*protocol_, in, profiles, num_nodes_);
-  in->Sentinel("engine");
+  TransferState(io, *self.queue_, *self.protocol_);
+  io.Sentinel("engine");
 }
+
+void Engine::SaveState(CheckpointWriter* out) const { Transfer(*out, *this); }
+
+void Engine::LoadState(CheckpointReader* in) { Transfer(*in, *this); }
 
 void Engine::RunCycles(std::uint64_t n) {
   for (std::uint64_t i = 0; i < n; ++i) {

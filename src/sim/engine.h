@@ -94,8 +94,6 @@ class PhaseProfiler;     // wall-clock phase profiling (obs/profiler.h)
 struct PhaseBreakdown;   // one engine's profile slot (obs/profiler.h)
 class CheckpointWriter;  // snapshot byte sink (sim/checkpoint.h)
 class CheckpointReader;  // snapshot byte source (sim/checkpoint.h)
-class ProfilePool;       // profile interning on save (sim/checkpoint.h)
-class ProfileTable;      // profile resolution on load (sim/checkpoint.h)
 class CommitEventStage;  // staged commit trace events (engine.cc)
 
 /// Base of every self-contained planned effect a protocol sends through the
@@ -312,12 +310,12 @@ class CycleProtocol {
   /// codec hooks; the defaults throw CheckpointError (a protocol that never
   /// sends is never asked to encode).
   virtual void EncodeMessage(const DeliveryMessage& message,
-                             CheckpointWriter* out, ProfilePool* pool) const;
+                             CheckpointWriter* out) const;
 
   /// Reconstructs a payload previously written by EncodeMessage. Must throw
   /// CheckpointError (never crash) on malformed input.
   virtual std::unique_ptr<DeliveryMessage> DecodeMessage(
-      CheckpointReader* in, const ProfileTable& profiles) const;
+      CheckpointReader* in) const;
 };
 
 /// Deterministic sharded cycle scheduler.
@@ -383,12 +381,12 @@ class Engine {
   /// counter, a queue count (always 1) and the delivery queue (payloads
   /// encoded by the protocol). Only valid at a cycle barrier, where no
   /// per-shard pending state exists.
-  void SaveState(CheckpointWriter* out, ProfilePool* pool) const;
+  void SaveState(CheckpointWriter* out) const;
 
   /// Restores state written by SaveState. The engine must have the saving
   /// engine's seed and protocol; a different seed or a queue count other
   /// than 1 throws CheckpointError.
-  void LoadState(CheckpointReader* in, const ProfileTable& profiles);
+  void LoadState(CheckpointReader* in);
 
   /// Shard of `node` in a population of `num_nodes`: contiguous ranges, so
   /// ascending node order equals (shard, node-within-shard) order.
@@ -430,6 +428,9 @@ class Engine {
   /// Step e: the protocol's EndCycle and its close-out items.
   void CloseCycle();
   void RunOneCycle();
+  /// The SaveState/LoadState layout; `self` is const when saving.
+  template <class Io, class Self>
+  static void Transfer(Io& io, Self& self);
 
   CycleProtocol* protocol_;
   std::unique_ptr<DeliveryQueue> queue_;  ///< the protocol's messages

@@ -150,4 +150,30 @@ QueryLatencyStats QueryLatencyStats::Since(
   return delta;
 }
 
+bool Precedes(const Metrics& earlier, const Metrics& now) {
+  for (int t = 0; t < static_cast<int>(MessageType::kCount); ++t) {
+    const MessageStats& e = earlier.Of(static_cast<MessageType>(t));
+    const MessageStats& n = now.Of(static_cast<MessageType>(t));
+    if (e.messages > n.messages || e.bytes > n.bytes) return false;
+  }
+  return true;
+}
+
+bool Precedes(const DeliveryStats& earlier, const DeliveryStats& now) {
+  return earlier.enqueued <= now.enqueued && earlier.dropped <= now.dropped &&
+         earlier.delivered <= now.delivered &&
+         earlier.stale_dropped <= now.stale_dropped &&
+         Precedes(earlier.lag_histogram, now.lag_histogram);
+}
+
+bool Precedes(const QueryLatencyStats& earlier, const QueryLatencyStats& now) {
+  return earlier.issued <= now.issued && earlier.completed <= now.completed &&
+         earlier.completed_within_slo <= now.completed_within_slo &&
+         earlier.first_results <= now.first_results &&
+         earlier.abandoned <= now.abandoned &&
+         Precedes(earlier.completion_histogram, now.completion_histogram) &&
+         Precedes(earlier.first_result_histogram,
+                  now.first_result_histogram);
+}
+
 }  // namespace p3q

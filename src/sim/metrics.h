@@ -204,6 +204,21 @@ struct QueryLatencyStats {
   QueryLatencyStats Since(const QueryLatencyStats& earlier) const;
 };
 
+/// True when no counter of `earlier` exceeds its match in `now`, as holds
+/// for a snapshot the counters `now` grew from: what `now.Since(earlier)`
+/// requires (a checkpoint load checks its restored baselines with it).
+bool Precedes(const Metrics& earlier, const Metrics& now);
+bool Precedes(const DeliveryStats& earlier, const DeliveryStats& now);
+bool Precedes(const QueryLatencyStats& earlier, const QueryLatencyStats& now);
+template <std::size_t N>
+bool Precedes(const std::array<std::uint64_t, N>& earlier,
+              const std::array<std::uint64_t, N>& now) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (earlier[i] > now[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace p3q
 
 #endif  // P3Q_SIM_METRICS_H_

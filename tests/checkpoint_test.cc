@@ -2,8 +2,9 @@
 // the differential replay matrix (straight-through vs checkpoint-at-K +
 // resume must produce byte-identical reports for every K, thread count and
 // latency model), corrupt-input robustness (including seeded mutations of
-// a real snapshot), and the checked-in golden v2 snapshot that pins the
-// on-disk format.
+// a real snapshot), the writer's bytes for one snapshot of every record
+// kind, and the checked-in golden v2 snapshot that pins what the reader
+// accepts.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -23,6 +25,7 @@
 
 #include "common/random.h"
 #include "core/eager_protocol.h"
+#include "core/lazy_protocol.h"
 #include "core/p3q_system.h"
 #include "core/query.h"
 #include "dataset/update_batch.h"
@@ -31,6 +34,7 @@
 #include "scenario/report.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "serving/lifecycle.h"
 #include "sim/checkpoint.h"
 #include "sim/delivery.h"
 #include "sim/engine.h"
@@ -123,10 +127,10 @@ TEST(CheckpointCodecTest, RngStateRoundTrip) {
   Rng a(12345);
   for (int i = 0; i < 17; ++i) a.NextUint64(1000);
   CheckpointWriter w;
-  WriteRngState(&w, a);
+  Transfer(w, a);
   Rng b(999);  // different seed; state restore must overwrite it fully
   CheckpointReader r(w.buffer().data(), w.buffer().size());
-  ReadRngState(&r, &b);
+  Transfer(r, b);
   r.ExpectEnd();
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(a.NextUint64(1u << 30), b.NextUint64(1u << 30)) << i;
@@ -138,12 +142,13 @@ TEST(CheckpointCodecTest, StatsRoundTripBytes) {
   m.Record(MessageType::kLazyDigestProposal, 321);
   m.Record(MessageType::kPartialResult, 77);
   CheckpointWriter w;
-  WriteMetrics(&w, m);
+  Transfer(w, m);
   CheckpointReader r(w.buffer().data(), w.buffer().size());
-  const Metrics back = ReadMetrics(&r);
+  Metrics back;
+  Transfer(r, back);
   r.ExpectEnd();
   CheckpointWriter w2;
-  WriteMetrics(&w2, back);
+  Transfer(w2, back);
   EXPECT_EQ(w.buffer(), w2.buffer());
 
   DeliveryStats d;
@@ -152,12 +157,13 @@ TEST(CheckpointCodecTest, StatsRoundTripBytes) {
   d.dropped = 1;
   d.RecordDelivery(3);
   CheckpointWriter dw;
-  WriteDeliveryStats(&dw, d);
+  Transfer(dw, d);
   CheckpointReader dr(dw.buffer().data(), dw.buffer().size());
-  const DeliveryStats dback = ReadDeliveryStats(&dr);
+  DeliveryStats dback;
+  Transfer(dr, dback);
   dr.ExpectEnd();
   CheckpointWriter dw2;
-  WriteDeliveryStats(&dw2, dback);
+  Transfer(dw2, dback);
   EXPECT_EQ(dw.buffer(), dw2.buffer());
 }
 
@@ -503,6 +509,7 @@ TEST(CheckpointSystemTest, ReachedUserPastThePopulationIsRejected) {
   out.U64(1);  // next task epoch
   out.Sentinel();
   CheckpointReader in(out.buffer().data(), out.buffer().size());
+  in.SetPopulation(40);
   try {
     env.system->eager().LoadState(&in);
     FAIL() << "a reached user past the population was accepted";
@@ -519,9 +526,87 @@ TEST(CheckpointSystemTest, ReadUserIdRejectsIdsPastThePopulation) {
   out.U32(40);
   out.U32(kInvalidUser);
   CheckpointReader in(out.buffer().data(), out.buffer().size());
-  EXPECT_EQ(ReadUserId(&in, 40, "sender"), 39u);
-  EXPECT_THROW(ReadUserId(&in, 40, "sender"), CheckpointError);
-  EXPECT_THROW(ReadUserId(&in, 40, "sender"), CheckpointError);
+  in.SetPopulation(40);
+  EXPECT_EQ(in.User("sender"), 39u);
+  EXPECT_THROW(in.User("sender"), CheckpointError);
+  EXPECT_THROW(in.User("sender"), CheckpointError);
+}
+
+TEST(CheckpointSystemTest, QueryUsersPastThePopulationAreRejected) {
+  // An active query's querier and used-profile owners index the user
+  // arrays like every other id a checkpoint holds.
+  test::TestSystem env({.users = 40});
+  QuerySpec spec = env.QueryOf(0);
+  spec.querier = 40;
+  CheckpointWriter out;
+  ActiveQuery(/*id=*/1, spec, /*k=*/10, /*expected=*/20).SaveState(&out);
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  in.SetPopulation(40);
+  ActiveQuery loaded(/*id=*/0, QuerySpec{}, /*k=*/1, /*expected=*/0);
+  try {
+    loaded.LoadState(&in);
+    FAIL() << "a querier past the population was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("querier 40 out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointSystemTest, TrackerQuerierPastThePopulationIsRejected) {
+  // A serving-tracker section whose one open query names a live query but
+  // a querier far past the population of 40.
+  test::TestSystem env({.users = 40});
+  const std::uint64_t qid = env.system->IssueQuery(env.QueryOf(0));
+  CheckpointWriter out;
+  out.U64(5);      // slo cycles
+  out.F64(0.9);    // recall target
+  out.U64(1);      // open queries
+  out.U64(qid);    // query id
+  out.U64(0);      // issue cycle
+  out.U32(0x0ffffff0u);  // querier
+  out.U8(0);       // first result recorded
+  out.U64(0);      // reference items
+  out.Sentinel();
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  in.SetPopulation(40);
+  ServingTracker tracker(/*slo_cycles=*/0, /*recall_target=*/0.0);
+  try {
+    tracker.LoadState(&in, *env.system);
+    FAIL() << "a tracked querier past the population was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("querier 268435440 out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointSystemTest, ExchangeScoreWiderThan32BitsIsRejected) {
+  // A personal network keeps 32-bit scores, and the commit of an offer
+  // with a wider one would throw outside the loader.
+  ProfileExchangePlan plan;
+  plan.a = 0;
+  plan.b = 1;
+  const DigestInfo digest = test::MakeDisjointDigest(2);
+  plan.offers_to_b.push_back(ProfileExchangeOffer{1ull << 32, digest, 0});
+  CheckpointWriter body;
+  TransferExchangePlan(body, std::as_const(plan));
+  CheckpointWriter out;
+  body.pool().Serialize(&out);
+  out.Append(body);
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  in.SetProfiles(
+      ProfileTable::Deserialize(&in, digest.snapshot->DigestBytes() * 8));
+  in.SetPopulation(40);
+  ProfileExchangePlan loaded;
+  try {
+    TransferExchangePlan(in, loaded);
+    FAIL() << "a score wider than 32 bits was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("score 4294967296 does not fit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointSystemTest, EngineQueueCountOtherThanOneIsRejected) {
@@ -532,7 +617,6 @@ TEST(CheckpointSystemTest, EngineQueueCountOtherThanOneIsRejected) {
   IdleProtocol protocol;
   constexpr std::uint64_t kSeed = 11;
   Engine engine(/*num_nodes=*/4, kSeed, &protocol);
-  const ProfileTable profiles;
   for (const std::uint64_t count : {0u, 2u}) {
     CheckpointWriter out;
     out.U64(kSeed);  // seed echo
@@ -540,7 +624,7 @@ TEST(CheckpointSystemTest, EngineQueueCountOtherThanOneIsRejected) {
     out.U64(count);  // queue count
     CheckpointReader in(out.buffer().data(), out.buffer().size());
     try {
-      engine.LoadState(&in, profiles);
+      engine.LoadState(&in);
       FAIL() << "an engine section with " << count << " queues was accepted";
     } catch (const CheckpointError& e) {
       EXPECT_NE(std::string(e.what()).find(std::to_string(count) +
@@ -1058,6 +1142,34 @@ TEST(CheckpointHeaderTest, EveryRunShapeFieldRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointHeaderTest, NonPositiveNetworkSizesAreOneDefault) {
+  // Every network size <= 0 means users / 10 (at most 500). A file written
+  // with -1 resumes under 0 and the other way round, to the straight
+  // report; a positive size must still match exactly (see
+  // ResumeWithMismatchedOptionsRejected).
+  const Scenario scenario = MakeScenario("diurnal");
+  ScenarioRunnerOptions base = CorruptionRunOptions();
+  const Rendered straight = RenderReport(RunScenario(scenario, base));
+  for (const int written : {-1, 0}) {
+    const int resumed_with = written == 0 ? -1 : 0;
+    SCOPED_TRACE("written " + std::to_string(written) + ", resumed with " +
+                 std::to_string(resumed_with));
+    const std::string path = TempPath("network_size_default.ckpt");
+    ScenarioRunnerOptions writer = base;
+    writer.network_size = written;
+    writer.checkpoint_at = 3;
+    writer.checkpoint_path = path;
+    RunScenario(scenario, writer);
+    ScenarioRunnerOptions reader = base;
+    reader.network_size = resumed_with;
+    reader.resume_path = path;
+    const Rendered resumed = RenderReport(RunScenario(scenario, reader));
+    EXPECT_EQ(resumed.json, straight.json);
+    EXPECT_EQ(resumed.csv, straight.csv);
+    std::remove(path.c_str());
+  }
+}
+
 TEST_F(CheckpointCorruptionTest, CheckpointPastTimelineRejected) {
   ScenarioRunnerOptions options;
   options.users = 100;
@@ -1216,6 +1328,45 @@ TEST(CheckpointHostileTest, DeadClosedLoopQueryIdIsRejected) {
   });
 }
 
+TEST(CheckpointHostileTest, PhaseBaselineAheadOfTheCountersIsRejected) {
+  // At the top of a phase's first cycle its traffic baseline equals the
+  // restored traffic counters, and the runner section ends with the three
+  // baselines (traffic, delivery, serving), the untraced flag, the phase's
+  // online-cycle sum, an empty open-query list and the section marker. A
+  // baseline counter past the counters would make the phase's close
+  // subtract a larger snapshot from a smaller one.
+  const Scenario scenario = MakeScenario("diurnal");
+  const std::string path = TempPath("baseline_ahead.ckpt");
+  ScenarioRunnerOptions writer = CorruptionRunOptions();
+  writer.checkpoint_at = ScaledPhaseCycles(scenario.phases[0], 0.2);
+  writer.checkpoint_path = path;
+  RunScenario(scenario, writer);
+  std::vector<std::uint8_t> payload = ReadCheckpointPayload(path);
+  ASSERT_EQ(PeekU32(payload, payload.size() - 4), kSectionMarker);
+  ASSERT_EQ(PeekU64(payload, payload.size() - 12), 0u);  // open queries
+  const std::size_t traffic =
+      payload.size() - 4 - 8 - 8 - 1 -
+      8 * (5 + 2 * kQueryLatencyBuckets) - 8 * (5 + kDeliveryLagBuckets) -
+      16 * static_cast<std::size_t>(MessageType::kCount);
+  // The first message type's count, raised by 2^48.
+  payload[traffic + 6] += 1;
+  CheckpointWriter framed;
+  framed.Bytes(payload.data(), payload.size());
+  WriteCheckpointFile(path, framed);
+
+  ScenarioRunnerOptions reader = CorruptionRunOptions();
+  reader.resume_path = path;
+  try {
+    RunScenario(scenario, reader);
+    ADD_FAILURE() << "a baseline ahead of the counters was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("baselines run ahead"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 /// One seeded mangling of a checkpoint payload: overwrite 1-8 bytes,
 /// truncate, or duplicate a span in place. Returns what it did.
 std::string MutatePayload(std::vector<std::uint8_t>* payload, Rng* rng) {
@@ -1345,12 +1496,116 @@ TEST(CheckpointHostileTest, SeededMutationsFailCleanly) {
   EXPECT_GT(resumed, 0);
 }
 
+TEST(CheckpointHostileTest, SeededMutationsOfMessagesInFlightFailCleanly) {
+  // The corruption suites' snapshot holds no message in flight. This one
+  // (cold-start-query under uniform:1:3 latency, with open-loop arrivals,
+  // checkpointed at cycle 4) holds lazy and eager messages on the wire.
+  // Each case overwrites 1-4 bytes past the profile pool, where the nodes,
+  // the queued messages, the queries and the runner state live.
+  constexpr int kCases = 64;
+  const Scenario scenario = MakeScenario("cold-start-query");
+  ScenarioRunnerOptions base;
+  base.users = 100;
+  base.seed = 5;
+  base.cycle_scale = 0.5;
+  base.latency = LatencySpec{LatencyKind::kUniform, /*fixed=*/0, /*lo=*/1,
+                             /*hi=*/3};
+  base.arrivals = scenario.arrivals;
+  base.arrivals->kind = ArrivalKind::kPoisson;
+  base.arrivals->rate = 3;
+  const std::string source = TempPath("in_flight_source.ckpt");
+  ScenarioRunnerOptions writer = base;
+  writer.checkpoint_at = 4;
+  writer.checkpoint_path = source;
+  RunScenario(scenario, writer);
+  const std::vector<std::uint8_t> pristine = ReadCheckpointPayload(source);
+  std::remove(source.c_str());
+  // The payload opens with the run header and the profile pool, each
+  // closed by a section marker.
+  std::size_t body = 0;
+  for (int closed = 0; closed < 2; ++body) {
+    ASSERT_LT(body + 4, pristine.size());
+    if (PeekU32(pristine, body) == kSectionMarker) {
+      ++closed;
+      body += 3;
+    }
+  }
+  const std::string path = TempPath("in_flight_case.ckpt");
+  int rejected = 0;
+  int resumed = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Rng rng(0x696e666c69676874ULL + static_cast<std::uint64_t>(c));
+    std::vector<std::uint8_t> payload = pristine;
+    std::string what = "overwrite";
+    for (std::uint64_t n = 1 + rng.NextUint64(4); n > 0; --n) {
+      const std::size_t at = body + static_cast<std::size_t>(
+                                        rng.NextUint64(payload.size() - body));
+      payload[at] ^= static_cast<std::uint8_t>(1 + rng.NextUint64(255));
+      what += " @" + std::to_string(at);
+    }
+    SCOPED_TRACE("case " + std::to_string(c) + ": " + what);
+    CheckpointWriter framed;
+    framed.Bytes(payload.data(), payload.size());
+    WriteCheckpointFile(path, framed);
+    ScenarioRunnerOptions options = base;
+    options.resume_path = path;
+    try {
+      RunScenario(scenario, options);
+      ++resumed;
+    } catch (const CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a CheckpointError: " << e.what();
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(resumed, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The writer's bytes, pinned: a first-phase checkpoint holds no closed phase
+// and so no wall-clock figure. cold-start-query under uniform:1:3 latency,
+// with an open-loop arrival override and a tracer, checkpointed at cycle 8,
+// holds every record kind: lazy and eager messages in flight, closed-loop
+// and tracked queries, and the trace cursor. Any change to the size or the
+// CRC-32 is a format change: bump kCheckpointVersion and record them anew.
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointWriterTest, FirstPhaseSnapshotOfEveryRecordKindIsPinned) {
+  const Scenario scenario = MakeScenario("cold-start-query");
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::string path = TempPath("pinned.ckpt");
+    ScenarioRunnerOptions options;
+    options.users = 150;
+    options.seed = 5;
+    options.threads = threads;
+    options.latency = LatencySpec{LatencyKind::kUniform, /*fixed=*/0,
+                                  /*lo=*/1, /*hi=*/3};
+    options.arrivals = scenario.arrivals;
+    options.arrivals->kind = ArrivalKind::kPoisson;
+    options.arrivals->rate = 3;
+    options.checkpoint_at = 8;
+    options.checkpoint_path = path;
+    std::ostringstream trace;
+    JsonlTraceSink sink(&trace);
+    Tracer tracer(&sink);
+    options.tracer = &tracer;
+    RunScenario(scenario, options);
+    const std::vector<std::uint8_t> bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(bytes.size(), 581918u);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x5939ef57u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden v2 snapshot: a checked-in file written by the version-2 codec
 // (diurnal, 120 users, seed 3, cycle scale 0.2, checkpointed at cycle 7).
 // Future builds must keep reading it (or bump kCheckpointVersion and
-// regenerate it in a documented commit); a byte-level drift in the writer
-// shows up here too.
+// regenerate it in a documented commit). It only reads: drift in the
+// writer's bytes shows up in CheckpointWriterTest above.
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointGoldenTest, V2SnapshotStillResumesByteIdentically) {

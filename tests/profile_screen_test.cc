@@ -156,7 +156,7 @@ ProfileExchangePlan ReferencePlan(const P3QSystem& system, UserId a, UserId b,
 
 std::vector<std::uint8_t> RngState(const Rng& rng) {
   CheckpointWriter out;
-  WriteRngState(&out, rng);
+  Transfer(out, rng);
   return out.buffer();
 }
 

@@ -499,5 +499,29 @@ TEST(P3qSimScenarioCli, ResumeRejectsRunShapeFlags) {
   std::remove(resumed.c_str());
 }
 
+// p3q_sim and a RunScenario caller write the same header for the same
+// run, so either resumes the other's checkpoint: a default-size run records
+// network size 0, as the runner's default does.
+TEST(P3qSimScenarioCli, DefaultRunCheckpointResumesThroughTheRunner) {
+  const std::string ckpt = ::testing::TempDir() + "/p3q_cli_default_size.ckpt";
+  ASSERT_EQ(RunCli("--scenario=diurnal --users=100 --cycle-scale=0.2 "
+                   "--checkpoint-at=3 --checkpoint=\"" +
+                   ckpt + "\""),
+            0);
+  ScenarioRunnerOptions saved;
+  ReadScenarioCheckpointInfo(ckpt, &saved);
+  EXPECT_EQ(saved.network_size, 0);
+
+  const Scenario scenario = MakeScenario("diurnal");
+  ScenarioRunnerOptions options;
+  options.users = 100;
+  options.cycle_scale = 0.2;
+  const std::string straight =
+      ScenarioReportToJson(RunScenario(scenario, options));
+  options.resume_path = ckpt;
+  EXPECT_EQ(ScenarioReportToJson(RunScenario(scenario, options)), straight);
+  std::remove(ckpt.c_str());
+}
+
 }  // namespace
 }  // namespace p3q

@@ -266,11 +266,8 @@ bool ParseSweepSpec(const std::string& value, SweepSpec* out) {
 
 std::optional<Options> ParseArgs(int argc, char** argv) {
   Options opt;
-  // p3q_sim's defaults where they differ from the runner's: 1000 users, and
-  // a network size of -1 (users/10, at most 500, as the runner's 0 is; a
-  // checkpoint records the value as given).
+  // p3q_sim's one default that differs from the runner's: 1000 users.
   opt.run.users = 1000;
-  opt.run.network_size = -1;
   std::string latency_text;
   std::optional<double> loss;
   for (int i = 1; i < argc; ++i) {
