@@ -170,8 +170,8 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
   // The piggybacked lazy-style maintenance (Algorithm 3 lines 6, 12, 24):
   // planned here (the expensive screening), committed with the gossip.
   Metrics& traffic = system_->network().ShardTraffic(ctx.shard);
-  g.exchange = LazyProtocol::PlanProfileExchange(system_, node->id(), dest_id,
-                                                ctx.rng, &traffic);
+  LazyProtocol::PlanProfileExchange(system_, node->id(), dest_id, ctx.rng,
+                                    &traffic, &g.exchange);
 
   // Wire costs are recorded at SEND time, like all plan-phase traffic: a
   // message that is later dropped or discarded as stale still burned the
@@ -384,7 +384,10 @@ void EagerProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
                                   const CommitContext& ctx) {
   auto& msg = static_cast<TaskGossipMessage&>(message);
   P3QNode* node = &system_->node(sender);
-  for (PlannedGossip& g : msg.gossips) CommitGossip(node, ctx, &g);
+  for (PlannedGossip& g : msg.gossips) {
+    CommitGossip(node, ctx, &g);
+    g.exchange.DropSnapshots();  // sim/engine.h: a commit drops its handles
+  }
 }
 
 void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {

@@ -57,7 +57,7 @@ std::size_t ProposalWireBytes(const std::vector<const ProfilePtr*>& proposals) {
 void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
                      const std::vector<const ProfilePtr*>& proposals, Rng* rng,
                      Metrics* traffic,
-                     std::vector<ProfileExchangeOffer>* offers) {
+                     std::pmr::vector<ProfileExchangeOffer>* offers) {
   const Profile& mine = *receiver->profile();
 
   // Pass 0 (no rng): the step-1 screens that need no randomness, then the
@@ -84,6 +84,12 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
   }
   std::vector<PairSimilarity> sims(batch.size());
   KernelPairSimilarityBatch(mine, batch.data(), batch.size(), sims.data());
+
+  // Exactly the candidates with a positive score become offers (one that
+  // shares no item scores 0), so the offers are reserved once.
+  offers->reserve(static_cast<std::size_t>(
+      std::count_if(sims.begin(), sims.end(),
+                    [](const PairSimilarity& sim) { return sim.score > 0; })));
 
   // Pass 1 — replay with exactly the scalar path's rng draws: a genuine
   // common item passes the Bloom screen without a draw; otherwise one
@@ -132,7 +138,7 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
 /// the receiver's personal network; when the entry lands in the stored
 /// top-c, the rest of the profile is transferred (step 3).
 void CommitOffers(P3QNode* receiver,
-                  const std::vector<ProfileExchangeOffer>& offers,
+                  const std::pmr::vector<ProfileExchangeOffer>& offers,
                   Metrics* traffic) {
   for (const ProfileExchangeOffer& offer : offers) {
     ConsiderOutcome outcome = receiver->network().Consider(
@@ -182,24 +188,21 @@ void CommitReplicaFill(const P3QSystem* system, P3QNode* receiver,
 
 LazyProtocol::LazyProtocol(P3QSystem* system) : system_(system) {}
 
-ProfileExchangePlan LazyProtocol::PlanProfileExchange(P3QSystem* system,
-                                                      UserId a, UserId b,
-                                                      Rng* rng,
-                                                      Metrics* traffic) {
+void LazyProtocol::PlanProfileExchange(P3QSystem* system, UserId a, UserId b,
+                                       Rng* rng, Metrics* traffic,
+                                       ProfileExchangePlan* plan) {
   const P3QNode* na = &system->node(a);
   const P3QNode* nb = &system->node(b);
   const int fanout = system->config().gossip_profile_fanout;
 
-  ProfileExchangePlan plan;
-  plan.a = a;
-  plan.b = b;
+  plan->a = a;
+  plan->b = b;
   const std::vector<const ProfilePtr*> from_a = MakeProposals(na, fanout, rng);
   const std::vector<const ProfilePtr*> from_b = MakeProposals(nb, fanout, rng);
   traffic->Record(MessageType::kLazyDigestProposal, ProposalWireBytes(from_a));
   traffic->Record(MessageType::kLazyDigestProposal, ProposalWireBytes(from_b));
-  ScreenProposals(system, nb, from_a, rng, traffic, &plan.offers_to_b);
-  ScreenProposals(system, na, from_b, rng, traffic, &plan.offers_to_a);
-  return plan;
+  ScreenProposals(system, nb, from_a, rng, traffic, &plan->offers_to_b);
+  ScreenProposals(system, na, from_b, rng, traffic, &plan->offers_to_a);
 }
 
 void LazyProtocol::CommitProfileExchange(P3QSystem* system,
@@ -216,8 +219,8 @@ void LazyProtocol::CommitProfileExchange(P3QSystem* system,
 void LazyProtocol::RunProfileExchange(P3QSystem* system, UserId a, UserId b,
                                       Rng* rng) {
   Metrics* traffic = &system->network().metrics();
-  const ProfileExchangePlan plan =
-      PlanProfileExchange(system, a, b, rng, traffic);
+  ProfileExchangePlan plan;
+  PlanProfileExchange(system, a, b, rng, traffic, &plan);
   CommitProfileExchange(system, plan, traffic);
 }
 
@@ -248,8 +251,8 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
     plan->send_payload.reserve(pool.size() + 1);
     for (std::uint32_t i : pool) plan->send_payload.push_back(view[i]);
     plan->send_payload.push_back(node->SelfDigest());
-    plan->recv_payload =
-        pn->random_view().MakeExchangePayload(pn->SelfDigest());
+    pn->random_view().MakeExchangePayload(pn->SelfDigest(),
+                                          &plan->recv_payload);
     std::size_t bytes_mine = 0, bytes_theirs = 0;
     for (const auto& d : plan->send_payload) bytes_mine += d.WireBytes();
     for (const auto& d : plan->recv_payload) bytes_theirs += d.WireBytes();
@@ -287,6 +290,7 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   std::vector<PairSimilarity> sims(candidates.size());
   KernelPairSimilarityBatch(mine, candidates.data(), candidates.size(),
                             sims.data());
+  plan->probes.reserve(fetched.size());
   for (std::size_t i = 0; i < fetched.size(); ++i) {
     const std::uint64_t score =
         SimilarityScore(system_->config().similarity, sims[i].score,
@@ -308,15 +312,15 @@ void LazyProtocol::PlanTopLayer(P3QNode* node, const PlanContext& ctx,
       skip.push_back(dest);
       continue;
     }
-    plan->exchange =
-        PlanProfileExchange(system_, node->id(), dest, ctx.rng,
-                            &system_->network().ShardTraffic(ctx.shard));
+    PlanProfileExchange(system_, node->id(), dest, ctx.rng,
+                        &system_->network().ShardTraffic(ctx.shard),
+                        &plan->exchange);
     return;
   }
 }
 
 void LazyProtocol::PlanCycle(UserId node_id, const PlanContext& ctx) {
-  auto plan = std::make_unique<GossipMessage>();
+  auto plan = std::make_unique<GossipMessage>(ctx.arena());
   P3QNode* node = &system_->node(node_id);
   if (system_->config().enable_bottom_layer) {
     PlanBottomLayer(node, ctx, plan.get());
@@ -475,6 +479,13 @@ void LazyProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
       ctx.Emit(event);
     }
   }
+
+  // The snapshot handles go here, on the committing thread (sim/engine.h),
+  // so the teardown frees only the message object.
+  plan.send_payload.clear();
+  plan.recv_payload.clear();
+  plan.probes.clear();
+  plan.exchange.DropSnapshots();
 }
 
 }  // namespace p3q

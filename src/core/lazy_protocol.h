@@ -28,10 +28,20 @@
 // The profile exchange is factored into Plan/CommitProfileExchange so the
 // eager mode can piggyback the same maintenance on query gossip (Algorithm
 // 3's "maintain personal network as in lazy mode") under the same contract.
+//
+// A gossip message is one heap object whose vectors live on the planning
+// shard's arena for the send cycle (PlanContext::arena). The payloads, the
+// probes and the offers are each reserved once before they fill, so the
+// bump arena wastes nothing on their growth. The commit drops the message's snapshot handles (its digests and
+// offers) before it returns, on the thread that commits it; the engine's
+// teardown then frees only the message object, and the arena goes whole
+// once the cycle's messages are all delivered. A message decoded from a
+// checkpoint, the eager piggyback and the wave keep heap-backed vectors.
 #ifndef P3Q_CORE_LAZY_PROTOCOL_H_
 #define P3Q_CORE_LAZY_PROTOCOL_H_
 
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "common/types.h"
@@ -59,12 +69,23 @@ struct ProfileExchangeOffer {
 /// recorded at plan time; the offers and the replica fill are committed
 /// later, touching only a's and b's state.
 struct ProfileExchangePlan {
+  /// The offers live on `arena` (by default, the heap).
+  explicit ProfileExchangePlan(
+      std::pmr::memory_resource* arena = std::pmr::get_default_resource())
+      : offers_to_b(arena), offers_to_a(arena) {}
+
   UserId a = kInvalidUser;
   UserId b = kInvalidUser;
-  std::vector<ProfileExchangeOffer> offers_to_b;  ///< candidates b screens in
-  std::vector<ProfileExchangeOffer> offers_to_a;  ///< candidates a screens in
+  std::pmr::vector<ProfileExchangeOffer> offers_to_b;  ///< b screens them in
+  std::pmr::vector<ProfileExchangeOffer> offers_to_a;  ///< a screens them in
 
   bool Planned() const { return a != kInvalidUser; }
+
+  /// Drops the offers' snapshot handles once the exchange has committed.
+  void DropSnapshots() {
+    offers_to_b.clear();
+    offers_to_a.clear();
+  }
 };
 
 /// Checkpoint layout of a planned exchange, saved through a
@@ -91,7 +112,8 @@ class LazyProtocol : public CycleProtocol {
   /// Commit of one delivered gossip message (view merges, offers, replica
   /// fills, timestamps). Under the default zero latency the message arrives
   /// at the same cycle's barrier — the classic semantics. Step-3 traffic
-  /// goes to the worker's lane, Network::ShardTraffic(ctx.worker).
+  /// goes to the worker's lane, Network::ShardTraffic(ctx.worker). Drops
+  /// the message's snapshot handles before it returns.
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
 
@@ -112,12 +134,13 @@ class LazyProtocol : public CycleProtocol {
   static void RunProfileExchange(P3QSystem* system, UserId a, UserId b,
                                  Rng* rng);
 
-  /// Plans the exchange against frozen state: samples the proposals, runs
-  /// the digest screen and similarity scoring for both directions, records
-  /// step-1/step-2 traffic into `traffic`.
-  static ProfileExchangePlan PlanProfileExchange(P3QSystem* system, UserId a,
-                                                 UserId b, Rng* rng,
-                                                 Metrics* traffic);
+  /// Plans the exchange into `plan`, which arrives unplanned, against frozen
+  /// state: samples the proposals, runs the digest screen and similarity
+  /// scoring for both directions, records step-1/step-2 traffic into
+  /// `traffic`. The offers go to `plan`'s own allocator.
+  static void PlanProfileExchange(P3QSystem* system, UserId a, UserId b,
+                                  Rng* rng, Metrics* traffic,
+                                  ProfileExchangePlan* plan);
 
   /// Applies a planned exchange: offers both directions (conditionally
   /// recording step-3 traffic into `traffic`), then serves entries entitled
@@ -142,14 +165,25 @@ class LazyProtocol : public CycleProtocol {
   };
 
   /// One cycle's planned effects of one node, travelling as a
-  /// self-contained message through the delivery layer.
+  /// self-contained message through the delivery layer. Its vectors live
+  /// on `arena`: the shard's send-cycle arena when planned, the heap when
+  /// decoded from a checkpoint.
   struct GossipMessage : DeliveryMessage {
+    explicit GossipMessage(
+        std::pmr::memory_resource* arena = std::pmr::get_default_resource())
+        : view_removals(arena),
+          send_payload(arena),
+          recv_payload(arena),
+          probes(arena),
+          exchange(arena) {}
+
     // Bottom layer.
-    std::vector<UserId> view_removals;  ///< unresponsive peers to drop
+    std::pmr::vector<UserId> view_removals;  ///< unresponsive peers to drop
     UserId bottom_peer = kInvalidUser;
-    std::vector<DigestInfo> send_payload;  ///< merged into the peer's view
-    std::vector<DigestInfo> recv_payload;  ///< merged into this node's view
-    std::vector<PlannedProbe> probes;
+    /// Merged into the peer's view, and into this node's.
+    std::pmr::vector<DigestInfo> send_payload;
+    std::pmr::vector<DigestInfo> recv_payload;
+    std::pmr::vector<PlannedProbe> probes;
     // Top layer.
     ProfileExchangePlan exchange;
 

@@ -7,6 +7,7 @@
 #include "core/eager_protocol.h"
 #include "core/lazy_protocol.h"
 #include "sim/checkpoint.h"
+#include "sim/delivery.h"
 
 namespace p3q {
 
@@ -101,6 +102,10 @@ SystemMemoryStats P3QSystem::MemoryStats() const {
   stats.peak_in_flight_messages =
       engine_.DeliveryStatsTotal().max_in_flight +
       eager_engine_.DeliveryStatsTotal().max_in_flight;
+  stats.peak_message_arena_bytes = engine_.message_arenas().peak_bytes() +
+                                   eager_engine_.message_arenas().peak_bytes();
+  stats.message_arena_bytes = engine_.message_arenas().held_bytes() +
+                              eager_engine_.message_arenas().held_bytes();
   return stats;
 }
 
@@ -409,12 +414,16 @@ void P3QSystem::Transfer(Io& io, Self& self) {
 }
 
 void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
-  // The body interns profiles as it goes; the pool must precede the body on
-  // disk so the loader can resolve references.
-  CheckpointWriter body;
+  // The pool must precede the body on disk, but only the body knows which
+  // profiles it references. A measuring pass interns them and counts the
+  // body's bytes; then `out` grows once, takes the pool and the body.
+  CheckpointWriter body = CheckpointWriter::Measuring();
   Transfer(body, *this);
-  body.pool().Serialize(out);
-  out->Append(body);
+  CheckpointWriter pool = CheckpointWriter::Measuring();
+  body.pool().Serialize(&pool);
+  out->Reserve(pool.size() + body.size());
+  out->WritePool(body.TakePool());
+  Transfer(*out, *this);
 }
 
 void P3QSystem::LoadCheckpoint(CheckpointReader* in) {

@@ -65,6 +65,14 @@ struct SystemMemoryStats {
   /// max_in_flight of each): a bound on the messages, and the snapshots
   /// they carry, held at once.
   std::uint64_t peak_in_flight_messages = 0;
+  /// Heap bytes the engines' message arenas (sim/delivery.h) reserved at
+  /// most, read after each plan phase, summed over the lazy and the eager
+  /// engine: the payloads of every message in flight then, plus the
+  /// arenas' slack.
+  std::size_t peak_message_arena_bytes = 0;
+  /// The bytes they hold now, at a barrier: the arenas of the send cycles
+  /// that still have a message in flight (0 under zero latency).
+  std::size_t message_arena_bytes = 0;
   /// Always 0: pairs are scored by the kernel directly, with no memo cache.
   /// Kept only because the end-to-end benchmark (bench/e2e/p3q_bench.cc)
   /// still reports it as mem.pair_cache_entries; the next change to that

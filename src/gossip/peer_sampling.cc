@@ -32,16 +32,15 @@ UserId RandomView::SelectRandomPeer(Rng* rng) const {
   return entries_[rng->NextUint64(entries_.size())].user;
 }
 
-std::vector<DigestInfo> RandomView::MakeExchangePayload(
-    const DigestInfo& self_digest) const {
-  std::vector<DigestInfo> payload;
-  payload.reserve(entries_.size() + 1);
-  payload.assign(entries_.begin(), entries_.end());
-  payload.push_back(self_digest);
-  return payload;
+void RandomView::MakeExchangePayload(
+    const DigestInfo& self_digest,
+    std::pmr::vector<DigestInfo>* payload) const {
+  payload->reserve(entries_.size() + 1);
+  payload->assign(entries_.begin(), entries_.end());
+  payload->push_back(self_digest);
 }
 
-void RandomView::Merge(const std::vector<DigestInfo>& received, Rng* rng) {
+void RandomView::Merge(std::span<const DigestInfo> received, Rng* rng) {
   alignas(std::max_align_t) std::array<std::byte, kMergeStackBytes> stack;
   std::pmr::monotonic_buffer_resource arena(stack.data(), stack.size(),
                                             std::pmr::new_delete_resource());

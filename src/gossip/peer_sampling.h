@@ -11,10 +11,14 @@
 // from. A merge reads the two digest lists through pointers, in a hash
 // table that lives on the stack, and copies only the <= r survivors into
 // the view, so the lazy commit's two merges allocate nothing once the view
-// is full.
+// is full. It reads the received digests as a span, wherever they live (a
+// lazy message keeps them on its send cycle's arena), and an exchange
+// payload is filled into the caller's vector, reserved once.
 #ifndef P3Q_GOSSIP_PEER_SAMPLING_H_
 #define P3Q_GOSSIP_PEER_SAMPLING_H_
 
+#include <memory_resource>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -38,16 +42,18 @@ class RandomView {
   /// Uniformly random peer id from the view; kInvalidUser when empty.
   UserId SelectRandomPeer(Rng* rng) const;
 
-  /// The digests this node sends in one exchange: its whole view plus its
-  /// own fresh descriptor (standard peer-sampling push so newcomers spread).
-  std::vector<DigestInfo> MakeExchangePayload(const DigestInfo& self_digest) const;
+  /// Fills `payload` with the digests this node sends in one exchange: its
+  /// whole view plus its own fresh descriptor (standard peer-sampling push
+  /// so newcomers spread). `payload` arrives empty and is reserved once.
+  void MakeExchangePayload(const DigestInfo& self_digest,
+                           std::pmr::vector<DigestInfo>* payload) const;
 
   /// Merges received digests: union of current view and received entries
   /// (deduplicated by user keeping the newest version, never containing
   /// self), then keeps `capacity` uniformly random survivors. The union's
   /// order, and so which survivors the rng picks, is libstdc++'s
   /// unordered_map iteration order (see peer_sampling.cc).
-  void Merge(const std::vector<DigestInfo>& received, Rng* rng);
+  void Merge(std::span<const DigestInfo> received, Rng* rng);
 
   /// Drops a user from the view (e.g. detected offline).
   void Remove(UserId user);

@@ -89,6 +89,8 @@ void AppendMemoryJson(const MemoryReport& m, std::ostringstream* out) {
        << ", \"network_index_bytes\": " << sys.network_index_bytes
        << ", \"random_view_bytes\": " << sys.random_view_bytes
        << ", \"peak_in_flight_messages\": " << sys.peak_in_flight_messages
+       << ", \"peak_message_arena_bytes\": " << sys.peak_message_arena_bytes
+       << ", \"message_arena_bytes\": " << sys.message_arena_bytes
        << ", \"ideal_network_bytes\": " << m.ideal_network_bytes
        << ", \"peak_rss_mb\": " << FormatFixed(m.peak_rss_mb, 1)
        << ", \"heap_held_bytes\": " << m.heap_held_bytes

@@ -649,7 +649,13 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
           state.serving_cycle == *options.checkpoint_at) {
         ScenarioRunnerOptions shape = options;
         shape.latency = latency;
+        // The runner's own sections are measured first, and SaveCheckpoint
+        // measures the system's, so the payload is allocated once.
+        CheckpointWriter own = CheckpointWriter::Measuring();
+        TransferRunHeader(own, scenario.name, shape);
+        TransferRunnerState(own, state, system, scenario, options);
         CheckpointWriter payload;
+        payload.Reserve(own.size());
         TransferRunHeader(payload, scenario.name, shape);
         system.SaveCheckpoint(&payload);
         TransferRunnerState(payload, state, system, scenario, options);

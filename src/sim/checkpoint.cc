@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #include "profile/profile_store.h"
 
@@ -44,16 +46,19 @@ std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
 // ---------------------------------------------------------------------------
 
 void CheckpointWriter::U32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
+  std::uint8_t bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  Bytes(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::U64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
+  Bytes(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::F64(double v) {
@@ -69,6 +74,10 @@ void CheckpointWriter::Str(const std::string& s) {
 }
 
 void CheckpointWriter::Bytes(const void* data, std::size_t size) {
+  if (measuring_) {
+    measured_ += size;
+    return;
+  }
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), bytes, bytes + size);
 }
@@ -77,8 +86,9 @@ void CheckpointWriter::Sentinel(const char* /*section*/) {
   U32(kSectionSentinel);
 }
 
-void CheckpointWriter::Append(const CheckpointWriter& other) {
-  buf_.insert(buf_.end(), other.buf_.begin(), other.buf_.end());
+void CheckpointWriter::WritePool(ProfilePool pool) {
+  pool.Serialize(this);
+  pool_ = std::move(pool);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +290,11 @@ std::vector<std::uint8_t> ReadCheckpointPayload(const std::string& path) {
   if (f == nullptr) {
     throw CheckpointError("cannot open checkpoint file: " + path);
   }
+  // Sized from the file, so the buffer is allocated once.
   std::vector<std::uint8_t> bytes;
+  std::error_code size_error;
+  const std::uintmax_t file_size = std::filesystem::file_size(path, size_error);
+  if (!size_error) bytes.reserve(static_cast<std::size_t>(file_size));
   std::uint8_t chunk[65536];
   std::size_t n;
   while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
@@ -310,13 +324,14 @@ std::vector<std::uint8_t> ReadCheckpointPayload(const std::string& path) {
         "): " + path);
   }
   const std::uint32_t stored_crc = header.U32();
-  const std::uint8_t* payload = bytes.data() + kHeaderSize;
-  const std::size_t payload_size = bytes.size() - kHeaderSize;
-  const std::uint32_t actual_crc = Crc32(payload, payload_size);
+  const std::uint32_t actual_crc =
+      Crc32(bytes.data() + kHeaderSize, bytes.size() - kHeaderSize);
   if (stored_crc != actual_crc) {
     throw CheckpointError("corrupt checkpoint: checksum mismatch in " + path);
   }
-  return std::vector<std::uint8_t>(payload, payload + payload_size);
+  // The payload moves to the front in place rather than into a copy.
+  bytes.erase(bytes.begin(), bytes.begin() + kHeaderSize);
+  return bytes;
 }
 
 }  // namespace p3q

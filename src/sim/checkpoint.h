@@ -134,12 +134,22 @@ class ProfileTable {
 template <class Io, class T>
 using Transferred = std::conditional_t<Io::kLoading, T, const T>;
 
-/// Little-endian append-only byte sink for checkpoint payloads.
+/// Little-endian append-only byte sink for checkpoint payloads. A measuring
+/// writer (Measuring()) runs the same layouts, interning every profile they
+/// reference, but only counts the bytes, so a payload can be sized before it
+/// is written.
 class CheckpointWriter {
  public:
   static constexpr bool kLoading = false;
 
-  void U8(std::uint8_t v) { buf_.push_back(v); }
+  /// A writer that stores nothing: size() counts what it was given.
+  static CheckpointWriter Measuring() {
+    CheckpointWriter w;
+    w.measuring_ = true;
+    return w;
+  }
+
+  void U8(std::uint8_t v) { Bytes(&v, 1); }
   void U32(std::uint32_t v);
   void U64(std::uint64_t v);
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
@@ -151,8 +161,9 @@ class CheckpointWriter {
   /// An element count (u64); see CheckpointReader::Count.
   void Count(std::uint64_t n, std::size_t /*min_elem_size*/) { U64(n); }
   /// The element count, then `elem(element)` for each element.
-  template <class T, class F>
-  void Vector(const std::vector<T>& v, std::size_t min_elem_size, F&& elem) {
+  template <class T, class A, class F>
+  void Vector(const std::vector<T, A>& v, std::size_t min_elem_size,
+              F&& elem) {
     Count(v.size(), min_elem_size);
     for (const T& e : v) elem(e);
   }
@@ -181,7 +192,8 @@ class CheckpointWriter {
     for (const auto* kv : sorted) entry(kv->second);
   }
   void User(UserId user, const char* /*what*/) { U32(user); }
-  void Users(const std::vector<UserId>& users, const char* what) {
+  template <class A>
+  void Users(const std::vector<UserId, A>& users, const char* what) {
     Vector(users, 4, [&](UserId user) { User(user, what); });
   }
   /// A set of user ids as its ascending list.
@@ -200,17 +212,28 @@ class CheckpointWriter {
   /// Writes a section-boundary sentinel; readers verify it by name.
   void Sentinel(const char* /*section*/ = nullptr);
   void Bytes(const void* data, std::size_t size);
-  /// Appends another writer's buffer verbatim (used to order the profile
-  /// pool ahead of the body that interned into it).
-  void Append(const CheckpointWriter& other);
+  /// Writes `pool`, then interns into it: a body measured with `pool` and
+  /// written after it references the ids the pool was written with. This
+  /// writer must not have interned a profile yet.
+  void WritePool(ProfilePool pool);
+  /// Grows the buffer's capacity by `bytes`, so the writers of one
+  /// payload's parts, each reserving its own part, share one allocation.
+  void Reserve(std::size_t bytes) {
+    if (!measuring_) buf_.reserve(buf_.capacity() + bytes);
+  }
 
+  /// The bytes written, or measured, so far.
+  std::size_t size() const { return measuring_ ? measured_ : buf_.size(); }
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
   /// Every snapshot Profile() and Digest() referenced.
   const ProfilePool& pool() const { return pool_; }
+  ProfilePool TakePool() { return std::move(pool_); }
 
  private:
   std::vector<std::uint8_t> buf_;
   ProfilePool pool_;
+  bool measuring_ = false;
+  std::size_t measured_ = 0;
 };
 
 /// Bounds-checked little-endian reader over a checkpoint payload. Every
@@ -257,9 +280,11 @@ class CheckpointReader {
   void Count(std::uint64_t& n, std::size_t min_elem_size) {
     n = Count(min_elem_size);
   }
-  template <class T, class F>
-  void Vector(std::vector<T>& v, std::size_t min_elem_size, F&& elem) {
-    v = std::vector<T>(static_cast<std::size_t>(Count(min_elem_size)));
+  /// Replaces `v` with the read elements, keeping its allocator.
+  template <class T, class A, class F>
+  void Vector(std::vector<T, A>& v, std::size_t min_elem_size, F&& elem) {
+    v = std::vector<T, A>(static_cast<std::size_t>(Count(min_elem_size)),
+                          v.get_allocator());
     for (T& e : v) elem(e);
   }
   /// Throws CheckpointError(`disorder`) unless the keys ascend strictly.
@@ -290,7 +315,8 @@ class CheckpointReader {
     }
   }
   void User(UserId& user, const char* what) { user = User(what); }
-  void Users(std::vector<UserId>& users, const char* what) {
+  template <class A>
+  void Users(std::vector<UserId, A>& users, const char* what) {
     Vector(users, 4, [&](UserId& user) { User(user, what); });
   }
   void UserSet(std::unordered_set<UserId>& users, const char* what) {

@@ -1,7 +1,10 @@
 #include "sim/delivery.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "obs/trace.h"
@@ -148,7 +151,8 @@ void DeliveryQueue::RecordPlannedDrop(std::size_t shard, UserId sender,
   }
 }
 
-void DeliveryQueue::Fold() {
+std::size_t DeliveryQueue::Fold() {
+  const std::uint64_t enqueued = stats_.enqueued;
   for (std::size_t shard = 0; shard < kEngineShards; ++shard) {
     for (InFlight& message : pending_[shard]) {
       message.seq = next_seq_++;
@@ -171,6 +175,7 @@ void DeliveryQueue::Fold() {
     pending_drops_[shard] = 0;
   }
   if (in_flight_ > stats_.max_in_flight) stats_.max_in_flight = in_flight_;
+  return static_cast<std::size_t>(stats_.enqueued - enqueued);
 }
 
 std::vector<DeliveryQueue::InFlight> DeliveryQueue::TakeDue(
@@ -245,6 +250,126 @@ void DeliveryQueue::SaveState(CheckpointWriter* out,
 void DeliveryQueue::LoadState(CheckpointReader* in,
                               const CycleProtocol& protocol) {
   Transfer(*in, *this, protocol);
+}
+
+/// One shard's arena for one send cycle (see MessageArenas). It counts what
+/// it hands out, alignment padding included: the first block of the
+/// shard's next arena.
+class MessageArenas::Arena final : public std::pmr::memory_resource {
+ public:
+  explicit Arena(std::size_t first_block)
+      : next_block_(std::max(first_block, kMinBlock)) {}
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+
+  ~Arena() override {
+    while (blocks_ != nullptr) {
+      Block* next = blocks_->next;
+      ::operator delete(blocks_);
+      blocks_ = next;
+    }
+  }
+
+  std::size_t used() const { return used_; }
+  std::size_t reserved() const { return reserved_; }
+
+ private:
+  static constexpr std::size_t kMinBlock = 4096;
+
+  /// A block's header; its bytes follow.
+  struct alignas(std::max_align_t) Block {
+    Block* next;
+  };
+
+  void* do_allocate(std::size_t bytes, std::size_t alignment) override {
+    void* at = cursor_;
+    std::size_t room = room_;
+    if (std::align(alignment, bytes, at, room) == nullptr) {
+      const std::size_t size = std::max(next_block_, bytes + alignment);
+      next_block_ = kMinBlock;
+      auto* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
+      block->next = blocks_;
+      blocks_ = block;
+      reserved_ += sizeof(Block) + size;
+      at = block + 1;
+      room = size;
+      room_ = size;
+      std::align(alignment, bytes, at, room);  // size >= bytes + alignment
+    }
+    // What the request took, its alignment padding included.
+    used_ += room_ - room + bytes;
+    cursor_ = static_cast<std::byte*>(at) + bytes;
+    room_ = room - bytes;
+    return at;
+  }
+
+  void do_deallocate(void*, std::size_t, std::size_t) override {}
+
+  bool do_is_equal(const memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+
+  Block* blocks_ = nullptr;  ///< newest first
+  void* cursor_ = nullptr;
+  std::size_t room_ = 0;
+  std::size_t next_block_;
+  std::size_t used_ = 0;
+  std::size_t reserved_ = 0;
+};
+
+MessageArenas::MessageArenas() = default;
+
+MessageArenas::~MessageArenas() = default;
+
+std::pmr::memory_resource* MessageArenas::Open(std::size_t shard) {
+  std::unique_ptr<Arena>& arena = open_[shard];
+  if (arena == nullptr) arena = std::make_unique<Arena>(last_used_[shard]);
+  return arena.get();
+}
+
+void MessageArenas::Seal(std::uint64_t send_cycle, std::size_t sent) {
+  SendCycle* cycle = nullptr;
+  for (std::size_t shard = 0; shard < kEngineShards; ++shard) {
+    std::unique_ptr<Arena>& arena = open_[shard];
+    last_used_[shard] = arena != nullptr ? arena->used() : 0;
+    if (arena == nullptr) continue;
+    // A cycle that failed after its seal and runs again seals twice.
+    if (cycle == nullptr) {
+      cycle = &sealed_[send_cycle];
+      cycle->in_flight += sent;
+    }
+    held_bytes_ += arena->reserved();
+    cycle->arenas.push_back(std::move(arena));
+  }
+  peak_bytes_ = std::max(peak_bytes_, held_bytes_);
+}
+
+void MessageArenas::Delivered(std::uint64_t send_cycle) {
+  const auto it = sealed_.find(send_cycle);
+  if (it != sealed_.end()) --it->second.in_flight;
+}
+
+void MessageArenas::Release(SendCycle& cycle) {
+  for (const std::unique_ptr<Arena>& arena : cycle.arenas) {
+    held_bytes_ -= arena->reserved();
+  }
+  cycle.arenas.clear();
+}
+
+void MessageArenas::ReleaseDelivered() {
+  for (auto it = sealed_.begin(); it != sealed_.end();) {
+    if (it->second.in_flight > 0) {
+      ++it;
+      continue;
+    }
+    Release(it->second);
+    it = sealed_.erase(it);
+  }
+}
+
+void MessageArenas::ReleaseAll() {
+  for (auto& [send_cycle, cycle] : sealed_) Release(cycle);
+  sealed_.clear();
 }
 
 }  // namespace p3q

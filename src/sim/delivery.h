@@ -25,6 +25,16 @@
 // node order); the barrier folds the lists in shard order, assigning
 // monotone sequence numbers; the drain at cycle C hands back every message
 // with due cycle <= C ordered by (due cycle, sender, seq).
+//
+// Where a message lives. The message object is one heap block, owned by its
+// InFlight entry. What its payload points to may live in the engine's
+// MessageArenas: one monotonic arena per (send cycle, plan shard), which the
+// shard's thread makes on first use (PlanContext::arena) and which the
+// engine releases whole once every message sent in that cycle has been
+// delivered, or lost at send time, and the drain after its last delivery
+// has destroyed it. Plan code therefore allocates payloads by bumping a
+// pointer, and the teardown frees one block per message. A message decoded
+// from a checkpoint keeps heap-backed vectors, so a resume needs no arena.
 #ifndef P3Q_SIM_DELIVERY_H_
 #define P3Q_SIM_DELIVERY_H_
 
@@ -32,6 +42,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -73,8 +84,8 @@ class DeliveryQueue {
 
   /// Barrier step: folds every per-shard pending list (in shard order) into
   /// the due buckets, assigning sequence numbers, and folds the pending
-  /// drop counters into the stats.
-  void Fold();
+  /// drop counters into the stats. Returns the messages it folded.
+  std::size_t Fold();
 
   /// Removes and returns every message with due_cycle <= cycle, ordered by
   /// (due cycle, sender, seq); records each message's delivery lag.
@@ -112,6 +123,69 @@ class DeliveryQueue {
   std::size_t in_flight_ = 0;
   DeliveryStats stats_;
   Tracer* tracer_ = nullptr;
+};
+
+/// The arenas behind one engine's message payloads: one per (send cycle,
+/// plan shard). Only the shard's plan thread opens its arena; everything
+/// else runs on the calling thread between phases. Each arena bumps a
+/// pointer through heap blocks and frees nothing until it is released
+/// whole. Its first block takes its size from the bytes the same shard's
+/// arena handed out in the previous send cycle, and a request that does
+/// not fit takes a block of its own size, at least 4 KiB, so a steady run
+/// reserves about what it uses. (A std::pmr::monotonic_buffer_resource
+/// would make its second block 1.5 times the first.)
+class MessageArenas {
+ public:
+  MessageArenas();
+  ~MessageArenas();
+  MessageArenas(const MessageArenas&) = delete;
+  MessageArenas& operator=(const MessageArenas&) = delete;
+
+  /// Plan phase, from `shard`'s thread: the shard's arena for the current
+  /// send cycle, made on first use.
+  std::pmr::memory_resource* Open(std::size_t shard);
+
+  /// Barrier, after DeliveryQueue::Fold: the arenas opened since the last
+  /// seal back the `sent` messages just folded, all sent in `send_cycle`.
+  void Seal(std::uint64_t send_cycle, std::size_t sent);
+
+  /// One message sent in `send_cycle` left the queue for a drain. Its
+  /// object still uses the arena until the drain's teardown destroys it.
+  void Delivered(std::uint64_t send_cycle);
+
+  /// After a drain's teardown: releases the arenas of every send cycle with
+  /// no message left in flight.
+  void ReleaseDelivered();
+
+  /// Releases every sealed arena: no message is left that points into one
+  /// (a checkpoint load at a barrier replaced the queue's contents).
+  void ReleaseAll();
+
+  /// Bytes the arenas' blocks reserve from the heap, at the last barrier.
+  std::size_t held_bytes() const { return held_bytes_; }
+  /// The most held_bytes() read at any barrier, right after the plan phase.
+  std::size_t peak_bytes() const { return peak_bytes_; }
+  /// Send cycles whose arenas are held.
+  std::size_t held_cycles() const { return sealed_.size(); }
+
+ private:
+  class Arena;  // one shard's arena for one send cycle (delivery.cc)
+
+  /// The arenas of one send cycle and the messages still in flight from it.
+  struct SendCycle {
+    std::size_t in_flight = 0;
+    std::vector<std::unique_ptr<Arena>> arenas;
+  };
+
+  void Release(SendCycle& cycle);
+
+  std::array<std::unique_ptr<Arena>, kEngineShards> open_;
+  /// Bytes each shard's arena handed out in the last send cycle: the size
+  /// of its next arena's first block.
+  std::array<std::size_t, kEngineShards> last_used_{};
+  std::map<std::uint64_t, SendCycle> sealed_;  ///< send cycle -> arenas
+  std::size_t held_bytes_ = 0;
+  std::size_t peak_bytes_ = 0;
 };
 
 }  // namespace p3q

@@ -365,9 +365,14 @@ void PlanContext::Send(std::unique_ptr<DeliveryMessage> message) const {
                         std::move(message));
 }
 
+std::pmr::memory_resource* PlanContext::arena() const {
+  return arenas->Open(shard);
+}
+
 Engine::Engine(std::size_t num_nodes, std::uint64_t seed,
                CycleProtocol* protocol)
     : protocol_(protocol),
+      arenas_(std::make_unique<MessageArenas>()),
       queue_(std::make_unique<DeliveryQueue>()),
       num_nodes_(num_nodes),
       seed_(seed),
@@ -444,6 +449,7 @@ void Engine::RunPlanPhase() {
       ctx.cycle = cycle_;
       ctx.shard = s;
       ctx.queue = queue_.get();
+      ctx.arenas = arenas_.get();
       ctx.latency = latency;
       for (UserId u = first; u < last; ++u) {
         if (!alive_[u] || !protocol_->ActiveInCycle(u)) continue;
@@ -482,6 +488,9 @@ void Engine::DrainDueMessages() {
   const bool profiled = profile_ != nullptr;
   const auto t0 = profiled ? Clock::now() : Clock::time_point();
   std::vector<DeliveryQueue::InFlight> due = queue_->TakeDue(cycle_);
+  for (const DeliveryQueue::InFlight& message : due) {
+    arenas_->Delivered(message.send_cycle);
+  }
   const auto t1 = profiled ? Clock::now() : Clock::time_point();
   if (threads_ > 1 && !due.empty() && protocol_->DeclaresCommitFootprints()) {
     if (level_drain_ == nullptr) {
@@ -508,11 +517,13 @@ void Engine::DrainDueMessages() {
     }
     if (profiled) profile_->drain_inline_messages += due.size();
   }
+  // The teardown: the calling thread destroys every committed message (each
+  // commit already dropped its snapshot handles), then releases the arenas
+  // of the send cycles that have nothing left in flight.
+  const auto t2 = profiled ? Clock::now() : Clock::time_point();
+  due.clear();
+  arenas_->ReleaseDelivered();
   if (!profiled) return;
-  // The teardown: the calling thread destroys every committed message, and
-  // with them the snapshots only they still held.
-  const auto t2 = Clock::now();
-  { const std::vector<DeliveryQueue::InFlight> committed = std::move(due); }
   const auto sec = [](Clock::time_point from, Clock::time_point to) {
     return std::chrono::duration<double>(to - from).count();
   };
@@ -556,7 +567,7 @@ void Engine::RunOneCycle() {
   // queue fold, so the accept order is (shard, emit order) — independent of
   // the thread count, like every other folded structure.
   if (tracer_ != nullptr) tracer_->FoldShards();
-  queue_->Fold();
+  arenas_->Seal(cycle_, queue_->Fold());
   const auto t2 = profiled ? Clock::now() : Clock::time_point();
   DrainDueMessages();
   const auto t3 = profiled ? Clock::now() : Clock::time_point();
@@ -605,7 +616,12 @@ void Engine::Transfer(Io& io, Self& self) {
 
 void Engine::SaveState(CheckpointWriter* out) const { Transfer(*out, *this); }
 
-void Engine::LoadState(CheckpointReader* in) { Transfer(*in, *this); }
+void Engine::LoadState(CheckpointReader* in) {
+  Transfer(*in, *this);
+  // The messages the load replaced are gone; the decoded ones are
+  // heap-backed.
+  arenas_->ReleaseAll();
+}
 
 void Engine::RunCycles(std::uint64_t n) {
   for (std::uint64_t i = 0; i < n; ++i) {

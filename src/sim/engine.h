@@ -48,6 +48,14 @@
 // sender, seq) order, invoking the protocol's CommitMessage with a
 // per-(cycle, sender) forked stream.
 //
+// A message's lifetime. Plan code may put what a message points to on
+// PlanContext::arena, the planning shard's arena for the current send cycle.
+// CommitMessage drops its message's snapshot handles before it returns, so
+// in the level drain those drops run in parallel on the workers. After the
+// drain the calling thread destroys the committed messages (the teardown),
+// and the engine then releases the arenas of every send cycle that has no
+// message left in flight (sim/delivery.h).
+//
 // The drain is sequential unless the protocol declares commit footprints
 // (CycleProtocol::DeclaresCommitFootprints): the users whose state each
 // message's commit reads or writes. Then, with more than one thread, every
@@ -75,6 +83,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <utility>
@@ -88,6 +97,7 @@ namespace p3q {
 
 class PlanWorkerPool;    // persistent plan-phase workers (engine.cc)
 class DeliveryQueue;     // timestamped in-flight messages (sim/delivery.h)
+class MessageArenas;     // per-(send cycle, shard) payload arenas (ditto)
 class Tracer;            // deterministic event tracing (obs/trace.h)
 struct TraceEvent;       // one trace record (obs/trace.h)
 class PhaseProfiler;     // wall-clock phase profiling (obs/profiler.h)
@@ -164,8 +174,15 @@ struct PlanContext {
   /// plan threads (per-shard pending lists).
   void Send(std::unique_ptr<DeliveryMessage> message) const;
 
+  /// This shard's arena for the current send cycle, made on first use:
+  /// where the cycle's messages keep what they point to. The engine releases
+  /// it whole once every message sent this cycle has been delivered or lost
+  /// and destroyed, so nothing on it may outlive the message that holds it.
+  std::pmr::memory_resource* arena() const;
+
   // Engine-internal delivery wiring (set up per node by the plan phase).
   DeliveryQueue* queue = nullptr;
+  MessageArenas* arenas = nullptr;
   /// The engine's spec; null for zero latency, whose fast path consults
   /// nothing and delivers every message this cycle.
   const LatencySpec* latency = nullptr;
@@ -254,7 +271,9 @@ class CycleProtocol {
   /// `ctx.send_cycle`, arriving in `ctx.cycle`. It may mutate any node's
   /// state. Every commit sees the state the sequential (due cycle, sender,
   /// seq) order gives it; `ctx.rng` is the per-(cycle, sender) commit
-  /// stream, shared by all of a sender's messages arriving this cycle.
+  /// stream, shared by all of a sender's messages arriving this cycle. It
+  /// drops the message's snapshot handles before it returns, so the
+  /// teardown after the drain only frees the message.
   virtual void CommitMessage(UserId sender, DeliveryMessage& message,
                              const CommitContext& ctx) {
     (void)sender;
@@ -369,6 +388,9 @@ class Engine {
   /// Messages currently in flight.
   std::size_t MessagesInFlight() const;
 
+  /// The arenas behind the messages' payloads (sim/delivery.h).
+  const MessageArenas& message_arenas() const { return *arenas_; }
+
   std::size_t num_nodes() const { return num_nodes_; }
 
   /// Runs n cycles.
@@ -433,6 +455,9 @@ class Engine {
   static void Transfer(Io& io, Self& self);
 
   CycleProtocol* protocol_;
+  /// Declared before queue_, so in-flight messages are destroyed before
+  /// the arenas that back them.
+  std::unique_ptr<MessageArenas> arenas_;
   std::unique_ptr<DeliveryQueue> queue_;  ///< the protocol's messages
   LatencySpec latency_;
   std::function<bool(UserId)> liveness_;

@@ -589,11 +589,11 @@ TEST(CheckpointSystemTest, ExchangeScoreWiderThan32BitsIsRejected) {
   plan.b = 1;
   const DigestInfo digest = test::MakeDisjointDigest(2);
   plan.offers_to_b.push_back(ProfileExchangeOffer{1ull << 32, digest, 0});
-  CheckpointWriter body;
+  CheckpointWriter body = CheckpointWriter::Measuring();
   TransferExchangePlan(body, std::as_const(plan));
   CheckpointWriter out;
-  body.pool().Serialize(&out);
-  out.Append(body);
+  out.WritePool(body.TakePool());
+  TransferExchangePlan(out, std::as_const(plan));
   CheckpointReader in(out.buffer().data(), out.buffer().size());
   in.SetProfiles(
       ProfileTable::Deserialize(&in, digest.snapshot->DigestBytes() * 8));

@@ -13,6 +13,8 @@
 //    state, with the stream draws, lane totals and trace order of the
 //    sequential drain, and a protocol without commit footprints keeps the
 //    sequential drain on the calling thread;
+//  - the message arenas behind the payloads are sized from the last cycle
+//    and held exactly while their send cycle has a message in flight;
 //  - every close-out item runs exactly once per cycle: beside EndCycle on
 //    the worker pool with more than one thread and at least
 //    kInlineLevelSize items, else on the calling thread after EndCycle.
@@ -24,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -398,8 +401,14 @@ class FootprintProtocol : public CycleProtocol {
     std::uint64_t seen;  ///< the touched users' states before this commit
     bool operator==(const Touch&) const = default;
   };
+  /// Lives on the shard's send-cycle arena, reserved to the most users a
+  /// message names, so every message holds arena memory.
   struct Payload : DeliveryMessage {
-    std::vector<UserId> others;
+    static constexpr std::size_t kMaxOthers = 2;
+    explicit Payload(std::pmr::memory_resource* arena) : others(arena) {
+      others.reserve(kMaxOthers);
+    }
+    std::pmr::vector<UserId> others;
   };
 
   explicit FootprintProtocol(std::size_t num_nodes)
@@ -408,8 +417,9 @@ class FootprintProtocol : public CycleProtocol {
   bool DeclaresCommitFootprints() const override { return true; }
 
   void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
-    auto payload = std::make_unique<Payload>();
-    const std::uint64_t others = ctx.rng->NextUint64(3);
+    auto payload = std::make_unique<Payload>(ctx.arena());
+    const std::uint64_t others =
+        ctx.rng->NextUint64(Payload::kMaxOthers + 1);
     for (std::uint64_t i = 0; i < others; ++i) {
       payload->others.push_back(
           static_cast<UserId>(ctx.rng->NextUint64(num_nodes_)));
@@ -462,30 +472,71 @@ class FootprintProtocol : public CycleProtocol {
 };
 
 struct DrainRun {
+  static constexpr std::uint64_t kCycles = 6;
+
   std::vector<std::vector<FootprintProtocol::Touch>> logs;
   /// (cycle, node, id, value) of every accepted trace event, in order.
   std::vector<std::tuple<std::uint64_t, UserId, std::uint64_t, std::int64_t>>
       trace;
   std::uint64_t lane_total = 0;
   PhaseBreakdown profile;
+  // At each cycle's end: the send cycles with a message in flight, read
+  // off the trace's wire events, and the engine's arenas.
+  std::array<std::size_t, kCycles> cycles_in_flight{};
+  std::array<std::size_t, kCycles> arena_cycles{};
+  std::array<std::size_t, kCycles> arena_bytes{};
 };
+
+/// Send cycles up to `cycle` with a message still in flight at its end,
+/// read off the wire events: enqueued at the send cycle, delivered with
+/// their lag.
+std::size_t SendCyclesInFlight(const std::vector<TraceEvent>& events,
+                               std::uint64_t cycle) {
+  std::map<std::uint64_t, std::int64_t> in_flight;  // send cycle -> count
+  for (const TraceEvent& e : events) {
+    if (e.kind == TraceEventKind::kMessageEnqueued && e.cycle <= cycle) {
+      ++in_flight[e.cycle];
+    }
+    if (e.kind == TraceEventKind::kMessageDelivered && e.cycle <= cycle) {
+      --in_flight[e.cycle - static_cast<std::uint64_t>(e.value)];
+    }
+  }
+  return static_cast<std::size_t>(
+      std::count_if(in_flight.begin(), in_flight.end(),
+                    [](const auto& entry) { return entry.second > 0; }));
+}
 
 /// 600 nodes, so every drain holds at least 500 messages under zero
 /// latency and its wide levels go to the pool.
 DrainRun RunFootprints(int threads, const LatencySpec& latency) {
   constexpr std::size_t kNodes = 600;
   FootprintProtocol protocol(kNodes);
-  Engine engine(kNodes, /*seed=*/83, &protocol);
-  engine.SetThreads(threads);
-  engine.SetLatency(latency);
+  auto engine = std::make_unique<Engine>(kNodes, /*seed=*/83, &protocol);
+  engine->SetThreads(threads);
+  engine->SetLatency(latency);
   VectorTraceSink sink;
   Tracer tracer(&sink);
-  engine.SetTracer(&tracer);
+  engine->SetTracer(&tracer);
   PhaseProfiler profiler;
-  engine.SetProfiler(&profiler, "drain");
-  engine.RunCycles(6);
-
+  engine->SetProfiler(&profiler, "drain");
   DrainRun run;
+  for (std::uint64_t c = 0; c < DrainRun::kCycles; ++c) {
+    engine->RunCycles(1);
+    run.cycles_in_flight[c] = SendCyclesInFlight(sink.events(), c);
+    run.arena_cycles[c] = engine->message_arenas().held_cycles();
+    run.arena_bytes[c] = engine->message_arenas().held_bytes();
+    if (run.arena_cycles[c] < run.cycles_in_flight[c]) {
+      // Messages still in flight point into a released arena: neither
+      // commit nor destroy them.
+      ADD_FAILURE() << "cycle " << c << ": arenas of "
+                    << run.arena_cycles[c] << " send cycles held, "
+                    << run.cycles_in_flight[c] << " have messages in flight";
+      static_cast<void>(engine.release());
+      break;
+    }
+  }
+  run.profile = profiler.breakdowns().at("drain");
+
   run.logs = protocol.logs;
   for (const TraceEvent& e : sink.events()) {
     if (e.kind != TraceEventKind::kGossipCommitted) continue;
@@ -494,7 +545,6 @@ DrainRun RunFootprints(int threads, const LatencySpec& latency) {
   run.lane_total =
       std::accumulate(protocol.lanes.begin(), protocol.lanes.end(),
                       std::uint64_t{0});
-  run.profile = profiler.breakdowns().at("drain");
   return run;
 }
 
@@ -615,6 +665,81 @@ TEST(LevelDrainTest, FootprintNamingAnUnknownUserIsRejected) {
   Engine engine(600, /*seed=*/101, &protocol);
   engine.SetThreads(2);
   EXPECT_THROW(engine.RunCycles(1), std::out_of_range);
+}
+
+TEST(MessageArenaTest, HeldWhileTheirSendCycleHasAMessageInFlight) {
+  for (const char* spec : {"zero", "fixed:2", "uniform:0:3", "lossy:0.3:2"}) {
+    SCOPED_TRACE(spec);
+    const LatencySpec latency = test::Latency(spec);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const DrainRun run = RunFootprints(threads, latency);
+      // Released after the drain that delivers a send cycle's last
+      // message, and not before.
+      ASSERT_EQ(run.arena_cycles, run.cycles_in_flight);
+      for (std::uint64_t c = 0; c < DrainRun::kCycles; ++c) {
+        EXPECT_EQ(run.arena_bytes[c] == 0, run.cycles_in_flight[c] == 0)
+            << "cycle " << c;
+      }
+      if (!latency.IsZero()) {
+        EXPECT_GT(*std::max_element(run.cycles_in_flight.begin(),
+                                    run.cycles_in_flight.end()),
+                  0u);
+      }
+    }
+    ExpectLevelDrainMatchesSequential(latency);
+  }
+}
+
+TEST(MessageArenaTest, FirstBlockHoldsWhatTheShardsLastArenaHandedOut) {
+  MessageArenas arenas;
+  const auto fill = [&](std::size_t shard, std::size_t pieces) {
+    std::pmr::memory_resource* arena = arenas.Open(shard);
+    for (std::size_t i = 0; i < pieces; ++i) {
+      static_cast<void>(arena->allocate(104, 8));
+    }
+  };
+  fill(3, 200);  // 20,800 bytes in the shard's first arena
+  arenas.Seal(/*send_cycle=*/0, /*sent=*/1);
+  const std::size_t first = arenas.held_bytes();
+  EXPECT_GT(first, 20'800u);
+  arenas.Delivered(0);
+  arenas.ReleaseDelivered();
+  EXPECT_EQ(arenas.held_bytes(), 0u);
+  EXPECT_EQ(arenas.held_cycles(), 0u);
+
+  // The next arena's first block takes the 20,800 bytes whole, and a cycle
+  // that hands out a little more adds a small block, not a second copy.
+  fill(3, 200);
+  arenas.Seal(1, 1);
+  const std::size_t one_block = arenas.held_bytes();
+  EXPECT_LT(one_block, 20'800u + 64);
+  arenas.Delivered(1);
+  arenas.ReleaseDelivered();
+  fill(3, 210);
+  arenas.Seal(2, 1);
+  EXPECT_LT(arenas.held_bytes(), one_block + 5'000);
+  EXPECT_EQ(arenas.peak_bytes(), std::max(first, arenas.held_bytes()));
+
+  // A sent message that is not yet delivered holds its cycle's arenas.
+  arenas.ReleaseDelivered();
+  EXPECT_EQ(arenas.held_cycles(), 1u);
+  fill(5, 1);
+  arenas.Seal(3, 2);
+  arenas.Delivered(2);
+  arenas.Delivered(3);
+  arenas.ReleaseDelivered();
+  EXPECT_EQ(arenas.held_cycles(), 1u);
+  arenas.Delivered(3);
+  arenas.ReleaseDelivered();
+  EXPECT_EQ(arenas.held_cycles(), 0u);
+  EXPECT_EQ(arenas.held_bytes(), 0u);
+
+  // A cycle whose messages were all lost at send time holds nothing.
+  fill(5, 1);
+  arenas.Seal(4, 0);
+  arenas.ReleaseDelivered();
+  EXPECT_EQ(arenas.held_cycles(), 0u);
 }
 
 TEST(LevelDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {

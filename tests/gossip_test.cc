@@ -1,6 +1,7 @@
 // Unit tests for gossip/: random peer sampling views and digest semantics.
 #include <array>
 #include <cstddef>
+#include <memory_resource>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -76,7 +77,8 @@ TEST(RandomViewTest, EmptyViewSelectsInvalid) {
 TEST(RandomViewTest, PayloadIncludesSelfDescriptor) {
   RandomView view(0, 2);
   view.Init({MakeDigest(1, {1})});
-  const auto payload = view.MakeExchangePayload(MakeDigest(0, {9}));
+  std::pmr::vector<DigestInfo> payload;
+  view.MakeExchangePayload(MakeDigest(0, {9}), &payload);
   EXPECT_EQ(payload.size(), 2u);
   EXPECT_EQ(payload.back().user, 0u);
 }
@@ -84,7 +86,8 @@ TEST(RandomViewTest, PayloadIncludesSelfDescriptor) {
 TEST(RandomViewTest, MergeExcludesSelfAndDeduplicates) {
   RandomView view(0, 10);
   view.Init({MakeDigest(1, {1})});
-  view.Merge({MakeDigest(0, {0}), MakeDigest(1, {1}), MakeDigest(2, {2})},
+  view.Merge(std::vector<DigestInfo>{MakeDigest(0, {0}), MakeDigest(1, {1}),
+                                     MakeDigest(2, {2})},
              nullptr);
   std::set<UserId> users;
   for (const auto& e : view.entries()) users.insert(e.user);
@@ -94,11 +97,11 @@ TEST(RandomViewTest, MergeExcludesSelfAndDeduplicates) {
 TEST(RandomViewTest, MergeKeepsNewestVersion) {
   RandomView view(0, 10);
   view.Init({MakeDigest(1, {1}, 0)});
-  view.Merge({MakeDigest(1, {1, 2}, 3)}, nullptr);
+  view.Merge(std::vector<DigestInfo>{MakeDigest(1, {1, 2}, 3)}, nullptr);
   ASSERT_EQ(view.entries().size(), 1u);
   EXPECT_EQ(view.entries()[0].version(), 3u);
   // An older digest never downgrades the view.
-  view.Merge({MakeDigest(1, {1}, 1)}, nullptr);
+  view.Merge(std::vector<DigestInfo>{MakeDigest(1, {1}, 1)}, nullptr);
   EXPECT_EQ(view.entries()[0].version(), 3u);
 }
 
@@ -106,7 +109,8 @@ TEST(RandomViewTest, MergeRespectsCapacity) {
   RandomView view(0, 3);
   view.Init({MakeDigest(1, {1}), MakeDigest(2, {2})});
   Rng rng(5);
-  view.Merge({MakeDigest(3, {3}), MakeDigest(4, {4}), MakeDigest(5, {5})},
+  view.Merge(std::vector<DigestInfo>{MakeDigest(3, {3}), MakeDigest(4, {4}),
+                                     MakeDigest(5, {5})},
              &rng);
   EXPECT_EQ(view.entries().size(), 3u);
 }
@@ -118,7 +122,8 @@ TEST(RandomViewTest, MergeSamplesUniformlyFromUnion) {
     RandomView view(0, 3);
     view.Init({MakeDigest(1, {1}), MakeDigest(2, {2}), MakeDigest(3, {3})});
     Rng rng(1000 + trial);
-    view.Merge({MakeDigest(4, {4}), MakeDigest(5, {5}), MakeDigest(6, {6})},
+    view.Merge(std::vector<DigestInfo>{MakeDigest(4, {4}), MakeDigest(5, {5}),
+                                       MakeDigest(6, {6})},
                &rng);
     for (const auto& e : view.entries()) ++survivals[e.user];
   }

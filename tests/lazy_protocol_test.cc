@@ -1,6 +1,9 @@
 // Integration tests for the lazy mode: convergence, the 3-step exchange's
-// traffic accounting, storage bounds and update dissemination.
+// traffic accounting, storage bounds, update dissemination, and how long
+// its messages hold their snapshots.
+#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +15,8 @@
 #include "core/p3q_system.h"
 #include "dataset/generator.h"
 #include "eval/metrics_eval.h"
+#include "sim/checkpoint.h"
+#include "sim/engine.h"
 #include "test_util.h"
 
 namespace p3q {
@@ -190,8 +195,8 @@ TEST(LazyProtocolTest, OffersOwnTheirSnapshotsWhileProposalsBorrow) {
 
   Rng rng(47);
   Metrics traffic;
-  const ProfileExchangePlan plan =
-      LazyProtocol::PlanProfileExchange(&system, a, b, &rng, &traffic);
+  ProfileExchangePlan plan;
+  LazyProtocol::PlanProfileExchange(&system, a, b, &rng, &traffic, &plan);
   // b knows nobody, so each replica a proposes survives b's screens.
   ASSERT_GE(plan.offers_to_b.size(), 3u);
 
@@ -269,6 +274,153 @@ TEST(LazyProtocolTest, MemoryStatsAttributeViewsAndInFlightMessages) {
   EXPECT_GT(stats.peak_in_flight_messages, 0u);
   EXPECT_EQ(stats.peak_in_flight_messages,
             system.DeliveryStatsTotal().max_in_flight);
+  // Zero latency: a cycle's payload arenas go back to the heap in the
+  // cycle that fills them.
+  EXPECT_GT(stats.peak_message_arena_bytes, 0u);
+  EXPECT_EQ(stats.message_arena_bytes, 0u);
+
+  // Under fixed:2 the last two send cycles' arenas are held at a barrier.
+  P3QSystem lagged(trace.dataset(), SmallConfig(), {}, 17);
+  lagged.SetLatency(test::Latency("fixed:2"));
+  lagged.BootstrapRandomViews();
+  lagged.RunLazyCycles(3);
+  const SystemMemoryStats held = lagged.MemoryStats();
+  EXPECT_GT(held.message_arena_bytes, 0u);
+  EXPECT_LE(held.message_arena_bytes, held.peak_message_arena_bytes);
+}
+
+/// Every snapshot the system's state holds between cycles: the store's
+/// current ones, each node's own, and those in random views and stored
+/// replicas.
+std::set<const Profile*> HeldByState(const P3QSystem& system) {
+  std::set<const Profile*> held;
+  for (UserId u = 0; u < static_cast<UserId>(system.NumUsers()); ++u) {
+    const P3QNode& node = system.node(u);
+    held.insert(system.profile_store().Get(u).get());
+    held.insert(node.profile().get());
+    for (const DigestInfo& d : node.random_view().entries()) {
+      held.insert(d.snapshot.get());
+    }
+    for (const ProfilePtr* replica : node.network().StoredProfiles()) {
+      held.insert(replica->get());
+    }
+  }
+  return held;
+}
+
+/// Publishes a new profile for every user; returns the replaced snapshots.
+std::vector<std::weak_ptr<const Profile>> UpdateEveryone(P3QSystem* system) {
+  std::vector<std::weak_ptr<const Profile>> old;
+  UpdateBatch batch;
+  for (UserId u = 0; u < static_cast<UserId>(system->NumUsers()); ++u) {
+    old.emplace_back(system->profile_store().Get(u));
+    batch.updates.push_back(ProfileUpdate{u, {}});
+  }
+  system->ApplyUpdateBatch(batch);
+  return old;
+}
+
+/// How many of `snapshots` are gone; every live one must be held by the
+/// system's state.
+std::size_t FreedOrHeldByState(
+    const P3QSystem& system,
+    const std::vector<std::weak_ptr<const Profile>>& snapshots) {
+  const std::set<const Profile*> held = HeldByState(system);
+  std::size_t freed = 0;
+  for (const std::weak_ptr<const Profile>& weak : snapshots) {
+    const ProfilePtr snapshot = weak.lock();
+    if (snapshot == nullptr) {
+      ++freed;
+      continue;
+    }
+    EXPECT_TRUE(held.contains(snapshot.get()))
+        << "user " << snapshot->owner() << " version " << snapshot->version()
+        << " outlived the messages that carried it";
+  }
+  return freed;
+}
+
+TEST(LazyProtocolTest, ACycleFreesTheSnapshotsOnlyItsMessagesHeld) {
+  const SyntheticTrace trace = SmallTrace();
+  P3QSystem system(trace.dataset(), SmallConfig(), {}, 53);
+  system.SetThreads(4);
+  system.BootstrapRandomViews();
+  system.RunLazyCycles(3);
+  // Each replaced snapshot lives on only where a view, a replica or one of
+  // the next cycle's messages holds it.
+  const std::vector<std::weak_ptr<const Profile>> old = UpdateEveryone(&system);
+  system.RunLazyCycles(1);
+  EXPECT_GT(FreedOrHeldByState(system, old), 0u);
+}
+
+TEST(LazyProtocolTest, InFlightMessagesPinTheirSnapshotsUntilTheyLand) {
+  const SyntheticTrace trace = SmallTrace();
+  P3QSystem system(trace.dataset(), SmallConfig(), {}, 59);
+  system.SetThreads(4);
+  system.BootstrapRandomViews();
+  system.RunLazyCycles(3);
+  system.SetLatency(test::Latency("fixed:2"));
+  system.RunLazyCycles(1);  // cycle 3's messages land in cycle 5
+  system.SetLatency(test::Latency("fixed:3"));
+  system.RunLazyCycles(1);  // cycle 4's land in cycle 7
+  system.SetLatency(LatencySpec{});
+  system.RunLazyCycles(1);  // cycle 5's land at once, and so do cycle 3's
+
+  // Cycle 4's messages, now the only ones in flight, are all that hold
+  // these.
+  const std::vector<std::weak_ptr<const Profile>> old = UpdateEveryone(&system);
+  const std::set<const Profile*> held = HeldByState(system);
+  std::vector<std::weak_ptr<const Profile>> pinned;
+  for (const std::weak_ptr<const Profile>& weak : old) {
+    const ProfilePtr snapshot = weak.lock();
+    if (snapshot != nullptr && !held.contains(snapshot.get())) {
+      pinned.push_back(weak);
+    }
+  }
+  ASSERT_FALSE(pinned.empty());
+  system.RunLazyCycles(1);  // cycle 6: they stay in flight
+  for (const std::weak_ptr<const Profile>& weak : pinned) {
+    EXPECT_FALSE(weak.expired());
+  }
+  system.RunLazyCycles(1);  // cycle 7: they land
+  EXPECT_EQ(system.MessagesInFlight(), 0u);
+  EXPECT_GT(FreedOrHeldByState(system, pinned), 0u);
+}
+
+/// The lazy protocol, checking that each commit leaves its message holding
+/// no snapshot: the message's encoding then references no profile.
+class HandleCountingProtocol : public LazyProtocol {
+ public:
+  using LazyProtocol::LazyProtocol;
+
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override {
+    referenced_before += ReferencedProfiles(message);
+    LazyProtocol::CommitMessage(sender, message, ctx);
+    referenced_after += ReferencedProfiles(message);
+  }
+
+  std::atomic<std::size_t> referenced_before{0};
+  std::atomic<std::size_t> referenced_after{0};
+
+ private:
+  std::size_t ReferencedProfiles(const DeliveryMessage& message) const {
+    CheckpointWriter out = CheckpointWriter::Measuring();
+    EncodeMessage(message, &out);
+    return out.pool().size();
+  }
+};
+
+TEST(LazyProtocolTest, CommitDropsTheMessageSnapshotHandles) {
+  const SyntheticTrace trace = SmallTrace();
+  P3QSystem system(trace.dataset(), SmallConfig(), {}, 61);
+  system.BootstrapRandomViews();
+  HandleCountingProtocol protocol(&system);
+  Engine engine(system.NumUsers(), /*seed=*/61, &protocol);
+  engine.SetThreads(4);  // the level drain: commits on the workers
+  engine.RunCycles(3);
+  EXPECT_GT(protocol.referenced_before.load(), 0u);
+  EXPECT_EQ(protocol.referenced_after.load(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // of a 400-user system with small digests, both must plan the same offers,
 // record the same traffic and leave the rng in the same state.
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ std::vector<DigestInfo> ReferenceProposals(const P3QNode& node, int fanout,
 void ReferenceScreen(const P3QSystem& system, const P3QNode& receiver,
                      const std::vector<DigestInfo>& proposals, Rng* rng,
                      Metrics* traffic,
-                     std::vector<ProfileExchangeOffer>* offers,
+                     std::pmr::vector<ProfileExchangeOffer>* offers,
                      ScreenCases* cases) {
   const Profile& mine = *receiver.profile();
   enum : signed char { kSkip = 0, kShares = 1, kNoShare = 2 };
@@ -134,8 +135,8 @@ ProfileExchangePlan ReferencePlan(const P3QSystem& system, UserId a, UserId b,
 }
 
 ::testing::AssertionResult SameOffers(
-    const std::vector<ProfileExchangeOffer>& got,
-    const std::vector<ProfileExchangeOffer>& want) {
+    const std::pmr::vector<ProfileExchangeOffer>& got,
+    const std::pmr::vector<ProfileExchangeOffer>& want) {
   if (got.size() != want.size()) {
     return ::testing::AssertionFailure()
            << got.size() << " offers vs " << want.size() << " in the reference";
@@ -185,8 +186,8 @@ TEST(ProfileScreenTest, OnePassScreenMatchesTwoPassReference) {
     Rng reference_rng(1000 + pair);
     Metrics traffic;
     Metrics reference_traffic;
-    const ProfileExchangePlan plan =
-        LazyProtocol::PlanProfileExchange(&system, a, b, &rng, &traffic);
+    ProfileExchangePlan plan;
+    LazyProtocol::PlanProfileExchange(&system, a, b, &rng, &traffic, &plan);
     const ProfileExchangePlan want = ReferencePlan(
         system, a, b, &reference_rng, &reference_traffic, &cases);
     ASSERT_EQ(plan.a, want.a);

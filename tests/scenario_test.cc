@@ -601,7 +601,8 @@ TEST(ScenarioReportWriter, TimingMemoryBlockListsItsKeysInOrder) {
       "pool_misses",            "probe_memo_bytes",
       "probe_memo_entries",     "personal_network_bytes",
       "network_index_bytes",    "random_view_bytes",
-      "peak_in_flight_messages", "ideal_network_bytes",
+      "peak_in_flight_messages", "peak_message_arena_bytes",
+      "message_arena_bytes",    "ideal_network_bytes",
       "peak_rss_mb",            "heap_held_bytes",
       "heap_in_use_bytes"};
   EXPECT_EQ(keys, expected);

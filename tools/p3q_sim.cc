@@ -724,7 +724,10 @@ int RunScenarioMode(const Options& opt) {
               << mib(sys.network_index_bytes) << " MiB index), random views "
               << mib(sys.random_view_bytes) << " MiB; peak "
               << sys.peak_in_flight_messages
-              << " messages in flight; ideal networks "
+              << " messages in flight; message arenas "
+              << mib(sys.peak_message_arena_bytes) << " MiB peak, "
+              << mib(sys.message_arena_bytes)
+              << " MiB held; ideal networks "
               << mib(m.ideal_network_bytes) << " MiB; heap "
               << mib(m.heap_in_use_bytes) << "/" << mib(m.heap_held_bytes)
               << " MiB in use/held\n";
