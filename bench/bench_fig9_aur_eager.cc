@@ -7,8 +7,11 @@
 // with s would leave almost no stored replicas to refresh, so this bench
 // keeps the paper's *absolute* dominant storage class: uniform c = 10 with
 // the ungated 50-digest proposal fanout.
+#include <algorithm>
 #include <iostream>
+#include <iterator>
 #include <unordered_set>
+#include <vector>
 
 #include "bench_common.h"
 #include "eval/experiment.h"
@@ -40,7 +43,7 @@ int main() {
   // cycles) before the next, mimicking "a series of queries ... before the
   // next cycle of lazy gossip begins".
   const UserId querier = env.queries().front().querier;
-  std::unordered_set<UserId> reached_union;
+  std::vector<UserId> reached_union;  // ascending
   TablePrinter table({"queries issued", "users reached (cum.)",
                       "AUR over reached", "replicas refreshed"});
   auto micro = [&](const std::vector<UserId>& over) {
@@ -64,15 +67,17 @@ int main() {
     if (spec.tags.empty()) continue;
     const std::uint64_t qid = system->IssueQuery(spec);
     system->RunEagerCycles(15);
-    for (UserId u : system->QueryReached(qid)) reached_union.insert(u);
+    const std::vector<UserId>& reached = system->QueryReached(qid);
+    std::vector<UserId> merged;
+    std::set_union(reached_union.begin(), reached_union.end(),
+                   reached.begin(), reached.end(), std::back_inserter(merged));
+    reached_union = std::move(merged);
     system->ForgetQuery(qid);
     if (q == checkpoint || q == max_queries) {
-      const std::vector<UserId> over(reached_union.begin(),
-                                     reached_union.end());
-      table.AddRow({TablePrinter::Fmt(q),
-                    TablePrinter::Fmt(reached_union.size()),
-                    TablePrinter::Fmt(AverageUpdateRate(*system, changed, over)),
-                    micro(over)});
+      table.AddRow(
+          {TablePrinter::Fmt(q), TablePrinter::Fmt(reached_union.size()),
+           TablePrinter::Fmt(AverageUpdateRate(*system, changed, reached_union)),
+           micro(reached_union)});
       checkpoint = checkpoint < 16 ? checkpoint * 2 : checkpoint + 24;
     }
   }

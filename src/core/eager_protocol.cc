@@ -23,7 +23,95 @@ std::size_t ForwardBytes(const EagerTask& task) {
 
 }  // namespace
 
-EagerProtocol::EagerProtocol(P3QSystem* system) : system_(system) {}
+void RefreshWave::Add(UserId user) {
+  if (user >= listed_.size()) listed_.resize(system_->NumUsers(), 0);
+  if (listed_[user] != 0) return;
+  listed_[user] = 1;
+  participants_.push_back(user);
+}
+
+std::size_t RefreshWave::Prepare() {
+  std::sort(participants_.begin(), participants_.end());
+  for (const UserId u : participants_) listed_[u] = 0;
+  for (ScreenedProposals& lane : lanes_) lane.clear();
+  screens_.resize(participants_.size());
+  return participants_.size();
+}
+
+void RefreshWave::Screen(std::size_t item, std::size_t worker) {
+  const Network& net = system_->network();
+  const UserId u = participants_[item];
+  Screened& screened = screens_[item];
+  screened = Screened{};
+  if (!net.IsOnline(u)) return;
+  const PersonalNetwork& network = system_->node(u).network();
+  screened.kind = Screened::Kind::kNoPartner;
+  screened.revision = network.Revision();
+  screened.partner = network.OldestNeighbour();
+  if (screened.partner == kInvalidUser) return;
+  screened.partner_timestamp =
+      network.Timestamp(*network.Find(screened.partner));
+  screened.partner_revision =
+      system_->node(screened.partner).network().Revision();
+  if (!net.IsOnline(screened.partner)) return;
+  screened.lane = static_cast<std::uint8_t>(worker);
+  screened.kind = LazyProtocol::ScreenProfileExchange(
+                      system_, u, screened.partner, &lanes_.at(worker),
+                      &screened.exchange)
+                      ? Screened::Kind::kScreened
+                      : Screened::Kind::kSampled;
+}
+
+bool RefreshWave::Reusable(const Screened& screened,
+                           const PersonalNetwork& network) const {
+  if (screened.kind == Screened::Kind::kSampled ||
+      network.Revision() != screened.revision) {
+    return false;
+  }
+  if (screened.partner == kInvalidUser) return true;
+  const NetworkEntry* entry = network.Find(screened.partner);
+  return system_->node(screened.partner).network().Revision() ==
+             screened.partner_revision &&
+         entry != nullptr &&
+         network.Timestamp(*entry) == screened.partner_timestamp;
+}
+
+void RefreshWave::Run(Rng* rng) {
+  const Network& net = system_->network();
+  Metrics* traffic = &system_->network().metrics();
+  ProfileExchangePlan plan;
+  for (std::size_t i = 0; i < participants_.size(); ++i) {
+    const Screened& screened = screens_[i];
+    if (screened.kind == Screened::Kind::kOffline) continue;
+    const UserId u = participants_[i];
+    PersonalNetwork& network = system_->node(u).network();
+    if (Reusable(screened, network)) {
+      if (screened.kind == Screened::Kind::kNoPartner) continue;
+      LazyProtocol::DrawProfileExchange(system_, screened.exchange,
+                                        lanes_[screened.lane], rng, traffic,
+                                        &plan);
+    } else {
+      ++replans_;
+      const UserId partner = network.OldestNeighbour();
+      if (partner == kInvalidUser || !net.IsOnline(partner)) continue;
+      LazyProtocol::PlanProfileExchange(system_, u, partner, rng, traffic,
+                                        &plan);
+    }
+    LazyProtocol::CommitProfileExchange(system_, plan, traffic);
+    plan.DropSnapshots();
+    network.TouchGossiped(plan.b);
+    system_->node(plan.b).network().ResetTimestamp(u);
+  }
+  participants_.clear();
+}
+
+void RefreshWave::Clear() {
+  for (const UserId u : participants_) listed_[u] = 0;
+  participants_.clear();
+}
+
+EagerProtocol::EagerProtocol(P3QSystem* system)
+    : system_(system), wave_(system) {}
 
 PartialResultMessage EagerProtocol::BuildPartialResult(
     const std::vector<const Profile*>& profiles, std::vector<UserId> owners,
@@ -44,7 +132,7 @@ std::uint64_t EagerProtocol::IssueQuery(const QuerySpec& spec) {
   QueryState state;
   state.query = std::make_unique<ActiveQuery>(
       id, spec, system_->config().top_k, querier.network().size());
-  state.reached.insert(spec.querier);
+  state.reached.push_back(spec.querier);
 
   // Algorithm 2 line 3: process Q with the locally stored profiles first.
   const std::vector<const ProfilePtr*> stored =
@@ -197,9 +285,7 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
   return true;
 }
 
-void EagerProtocol::BeginCycle(std::uint64_t /*cycle*/) {
-  participants_.clear();
-}
+void EagerProtocol::BeginCycle(std::uint64_t /*cycle*/) { wave_.Clear(); }
 
 bool EagerProtocol::ActiveInCycle(UserId node) const {
   // Read-only probe, safe from plan threads; a task can appear on a node
@@ -308,13 +394,17 @@ void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
   task.in_flight = false;  // the reply arrived; the task may gossip again
   QueryState& state = state_it->second;
 
-  participants_.insert(node->id());
-  participants_.insert(g->dest);
+  wave_.Add(node->id());
+  wave_.Add(g->dest);
 
   // Forward Q and the remaining list (wire cost was paid at send time).
   state.query->traffic().forwarded_list_bytes += g->fwd_bytes;
   state.query->traffic().forward_messages += 1;
-  state.reached.insert(g->dest);
+  const auto reached =
+      std::lower_bound(state.reached.begin(), state.reached.end(), g->dest);
+  if (reached == state.reached.end() || *reached != g->dest) {
+    state.reached.insert(reached, g->dest);
+  }
 
   // The destination's share of the query.
   if (g->has_partial) {
@@ -390,26 +480,21 @@ void EagerProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
   }
 }
 
+std::size_t EagerProtocol::PrepareEndCycle(std::uint64_t /*cycle*/) {
+  return wave_.Prepare();
+}
+
+void EagerProtocol::PlanEndCycle(std::size_t item, std::size_t worker) {
+  wave_.Screen(item, worker);
+}
+
 void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {
   // The "wave of refreshments": every user who took part in query gossip
   // this cycle also runs one lazy-style top-layer maintenance exchange at
   // the eager frequency ("maintain personal network as in lazy mode",
   // Algorithm 3 lines 12/24) — this is what makes the eager mode refresh
-  // the querier's neighbourhood so effectively (Figure 9). Sequential, in
-  // ascending user order, off the cycle's dedicated stream.
-  std::vector<UserId> wave(participants_.begin(), participants_.end());
-  std::sort(wave.begin(), wave.end());
-  for (UserId u : wave) {
-    if (!system_->network().IsOnline(u)) continue;
-    P3QNode& node = system_->node(u);
-    const UserId partner = node.network().OldestNeighbour();
-    if (partner == kInvalidUser || !system_->network().IsOnline(partner)) {
-      continue;
-    }
-    LazyProtocol::RunProfileExchange(system_, u, partner, rng);
-    node.network().TouchGossiped(partner);
-    system_->node(partner).network().ResetTimestamp(u);
-  }
+  // the querier's neighbourhood so effectively (Figure 9).
+  wave_.Run(rng);
 }
 
 std::size_t EagerProtocol::PrepareCloseouts(std::uint64_t /*cycle*/) {
@@ -522,7 +607,7 @@ void EagerProtocol::Transfer(Io& io, Self& self) {
       state.query = std::make_unique<ActiveQuery>(0, QuerySpec{}, 1, 0);
     }
     TransferState(io, *state.query);
-    io.UserSet(state.reached, "reached user");
+    io.AscendingUsers(state.reached, "reached user");
     std::int64_t active_tasks = state.active_tasks;
     io.I64(active_tasks);
     io.Bool(state.finalized);
@@ -570,7 +655,7 @@ void EagerProtocol::Transfer(Io& io, Self& self) {
     }
     // Participants and shard mailboxes are intra-cycle scratch, empty at
     // every barrier.
-    self.participants_.clear();
+    self.wave_.Clear();
     self.shard_reissues_.fill(0);
   }
 }

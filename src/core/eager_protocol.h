@@ -22,11 +22,13 @@
 // CommitMessage (sequential, delivery order) applies the
 // task/traffic/query-state effects when the message arrives, merge-aware so
 // a list portion another commit appended to this node's task after planning
-// is never lost. EndCycle runs the wave of refreshments over this cycle's
-// participants. Each open query's end-of-cycle NRA pass and snapshot is a
-// close-out item (PrepareCloseouts / Closeout): it touches only that
-// query's ActiveQuery, so the engine may run it on a plan worker beside
-// the wave.
+// is never lost. After the drain the cycle's participants run the wave of
+// refreshments (RefreshWave below): each participant's exchange is one
+// PrepareEndCycle / PlanEndCycle item, screened on the worker pool, and
+// EndCycle then runs the exchanges in order. Each open query's end-of-cycle
+// NRA pass and snapshot is a close-out item (PrepareCloseouts / Closeout):
+// it touches only that query's ActiveQuery, so the engine may run it on a
+// plan worker beside the wave.
 //
 // A partial result comes from RankQueryScores (profile/profile.h): a
 // screened scan of each profile into a hit buffer the plan thread keeps,
@@ -50,7 +52,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/lazy_protocol.h"
@@ -61,6 +62,84 @@
 namespace p3q {
 
 class P3QSystem;
+
+/// The wave of refreshments (Algorithm 3, lines 12/24): every user who took
+/// part in query gossip this cycle runs one lazy-style exchange with her
+/// oldest neighbour, in ascending id, each seeing the previous exchanges'
+/// commits, all drawing from the cycle's one stream.
+///
+/// The exchanges' screens (LazyProtocol::ScreenProfileExchange) draw
+/// nothing, so they run first, one per participant, possibly on the worker
+/// pool, against the state the drain left. Run then walks the participants
+/// in order and reuses a participant's screen when it is exactly what the
+/// serial plan would compute at her turn: when her network's Revision(),
+/// her partner's Revision() and the partner's timestamp in her network are
+/// the ones the screen read. Until her own turn only her other neighbours'
+/// timestamps can change, and only to "just gossiped", so the screened
+/// partner is still her oldest neighbour unless it was itself reset.
+/// Otherwise, and when a side stores more than gossip_profile_fanout
+/// profiles (its proposals are a sample drawn from the stream), the
+/// exchange is re-planned serially (LazyProtocol::PlanProfileExchange).
+/// The draws stay on the one stream in the same order, so every outcome is
+/// the serial wave's.
+class RefreshWave {
+ public:
+  explicit RefreshWave(P3QSystem* system) : system_(system) {}
+
+  /// Adds `user` to this cycle's participants; a repeat is a no-op.
+  void Add(UserId user);
+
+  /// Sorts the participants and makes room for their screens; returns how
+  /// many there are. Sequential, after the last Add of the cycle.
+  std::size_t Prepare();
+
+  /// Screens participant `item`'s exchange against the current state; it
+  /// writes only the item's screen and `worker`'s survivor lane, so items
+  /// on different workers may run concurrently (worker < kEngineShards).
+  void Screen(std::size_t item, std::size_t worker);
+
+  /// Runs every participant's exchange in ascending order, all drawing from
+  /// `rng`, then forgets the participants.
+  void Run(Rng* rng);
+
+  /// Forgets the participants without running their exchanges.
+  void Clear();
+
+  /// Exchanges planned serially rather than from their screen, over the
+  /// wave's lifetime (not checkpointed).
+  std::uint64_t replans() const { return replans_; }
+
+ private:
+  /// What Screen found for one participant.
+  struct Screened {
+    enum class Kind : std::uint8_t {
+      kOffline,     ///< the participant is offline: no exchange
+      kNoPartner,   ///< no neighbour, or the oldest one is offline
+      kScreened,    ///< `exchange` holds the screen
+      kSampled,     ///< a side samples its proposals: re-plan serially
+    };
+    Kind kind = Kind::kOffline;
+    std::uint8_t lane = 0;  ///< the worker whose lane holds the survivors
+    UserId partner = kInvalidUser;
+    std::uint32_t partner_timestamp = 0;  ///< in the participant's network
+    std::uint64_t revision = 0;           ///< the participant's network
+    std::uint64_t partner_revision = 0;
+    ExchangeScreen exchange;
+  };
+
+  /// True when `screened` is what the serial plan would find now.
+  bool Reusable(const Screened& screened,
+                const PersonalNetwork& network) const;
+
+  P3QSystem* system_;
+  /// Per user: listed in participants_ (sized on first use).
+  std::vector<std::uint8_t> listed_;
+  std::vector<UserId> participants_;
+  std::vector<Screened> screens_;  ///< one per participant
+  /// The survivors of every screen a worker ran this cycle.
+  std::array<ScreenedProposals, kEngineShards> lanes_;
+  std::uint64_t replans_ = 0;
+};
 
 /// Query-processing protocol; one instance per system, driven by the
 /// eager cycle engine.
@@ -81,10 +160,14 @@ class EagerProtocol : public CycleProtocol {
   bool ActiveInCycle(UserId node) const override;
   void PlanCycle(UserId node, const PlanContext& ctx) override;
   void EndPlan(std::uint64_t cycle) override;
-  /// Sequential: commits share per-query state, participants_ and the
-  /// epoch counter, so the protocol declares no commit footprints.
+  /// Sequential: commits share per-query state, the wave's participants
+  /// and the epoch counter, so the protocol declares no commit footprints.
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
+  /// Each of the cycle's wave participants is one item.
+  std::size_t PrepareEndCycle(std::uint64_t cycle) override;
+  /// Screens one participant's wave exchange (RefreshWave::Screen).
+  void PlanEndCycle(std::size_t item, std::size_t worker) override;
   /// Collects the queries not yet finalized; each is one close-out item.
   std::size_t PrepareCloseouts(std::uint64_t cycle) override;
   /// Algorithm 4 at the querier: folds the cycle's partial results into the
@@ -106,8 +189,9 @@ class EagerProtocol : public CycleProtocol {
     return StateOrThrow(id).active_tasks == 0;
   }
 
-  /// Users the query's gossip has reached (includes the querier).
-  const std::unordered_set<UserId>& Reached(std::uint64_t id) const {
+  /// Users the query's gossip has reached (includes the querier), in
+  /// ascending id.
+  const std::vector<UserId>& Reached(std::uint64_t id) const {
     return StateOrThrow(id).reached;
   }
 
@@ -134,6 +218,10 @@ class EagerProtocol : public CycleProtocol {
   /// were dropped, summed over live and forgotten queries (monotone).
   std::uint64_t late_partial_results_dropped() const;
 
+  /// Wave exchanges re-planned serially instead of taken from their
+  /// screen (RefreshWave::replans); the same for every thread count.
+  std::uint64_t wave_replans() const { return wave_.replans(); }
+
   /// Checkpoint codec for in-flight task gossip messages.
   void EncodeMessage(const DeliveryMessage& message,
                      CheckpointWriter* out) const override;
@@ -151,7 +239,7 @@ class EagerProtocol : public CycleProtocol {
  private:
   struct QueryState {
     std::unique_ptr<ActiveQuery> query;
-    std::unordered_set<UserId> reached;
+    std::vector<UserId> reached;  ///< ascending
     int active_tasks = 0;     ///< nodes currently holding a non-empty list
     bool finalized = false;   ///< completion snapshot already recorded
   };
@@ -227,7 +315,7 @@ class EagerProtocol : public CycleProtocol {
   std::vector<QueryState*> closeouts_;
   /// Users who took part in query gossip during the current cycle; each
   /// runs one maintenance exchange at the end of the cycle.
-  std::unordered_set<UserId> participants_;
+  RefreshWave wave_;
   /// Timeout re-issues decided on plan threads, folded at the barrier (the
   /// same per-shard mailbox discipline as Network::ShardTraffic).
   std::array<std::uint64_t, kEngineShards> shard_reissues_{};

@@ -20,7 +20,8 @@ namespace {
 /// random ones are exchanged") plus the node's own fresh digest, so a user's
 /// own updates disseminate. Borrowed from the node's frozen state: each
 /// proposal is a snapshot's owner and version, so no handle is copied until
-/// an offer survives the screen.
+/// an offer survives the screen. Only the subset draws from `rng`; a node
+/// storing at most `fanout` profiles proposes them all and draws nothing.
 std::vector<const ProfilePtr*> MakeProposals(const P3QNode* node, int fanout,
                                              Rng* rng) {
   std::vector<const ProfilePtr*> proposals = node->network().StoredProfiles();
@@ -41,63 +42,64 @@ std::size_t ProposalWireBytes(const std::vector<const ProfilePtr*>& proposals) {
   return bytes;
 }
 
-/// Algorithm 1 steps 1-2 at the receiving side, against frozen state:
-/// screens each proposed digest, accounts the actions-on-common-items
-/// traffic, and emits an offer (with precomputed similarity score) for every
-/// survivor. Step 3 — offering to the personal network and the conditional
-/// full-profile transfer — happens at commit time.
-///
-/// Each candidate takes one kernel pass: a first rng-free pass runs the
-/// known-version screen and hands every surviving candidate to ONE
-/// KernelPairSimilarityBatch sweep; a second pass then replays the
-/// proposals drawing exactly the random values the per-pair scalar path
-/// drew (Bloom false-positive Bernoulli, spurious-common binomial), so the
-/// batched plan phase stays byte-identical to the sequential one. The
-/// proposals are borrowed; only an offer copies its snapshot's handle.
-void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
-                     const std::vector<const ProfilePtr*>& proposals, Rng* rng,
-                     Metrics* traffic,
-                     std::pmr::vector<ProfileExchangeOffer>* offers) {
-  const Profile& mine = *receiver->profile();
-
-  // Pass 0 (no rng): the step-1 screens that need no randomness, then the
-  // one batched kernel call over every survivor. The kernel's exact
-  // common_items count answers "shares an item" (both intersect the same
-  // item bitmaps), and a candidate sharing no item comes back with an
-  // all-zero PairSimilarity.
-  std::vector<const ProfilePtr*> screened;
-  std::vector<const Profile*> batch;
-  screened.reserve(proposals.size());
-  batch.reserve(proposals.size());
+/// Algorithm 1 step 1 at the receiving side, the part that draws nothing:
+/// drops each proposed digest the receiver already knows at that version or
+/// newer, and scores every survivor in ONE KernelPairSimilarityBatch sweep,
+/// appending them to `survivors`. The kernel's exact common_items count
+/// answers "shares an item" (both intersect the same item bitmaps), and a
+/// candidate sharing no item comes back with an all-zero PairSimilarity.
+/// Returns how many survived.
+std::uint32_t ScreenProposals(const P3QNode& receiver,
+                              const std::vector<const ProfilePtr*>& proposals,
+                              ScreenedProposals* survivors) {
+  // The kernel's input, kept per thread from one screen to the next.
+  thread_local std::vector<const Profile*> batch;
+  batch.clear();
+  const std::size_t first = survivors->size();
   for (const ProfilePtr* proposal : proposals) {
     const Profile& theirs = **proposal;
-    if (theirs.owner() == receiver->id()) continue;
-    // Step 1 — digest screen: drop when we already hold this (or a newer)
-    // digest of the user.
+    if (theirs.owner() == receiver.id()) continue;
     const std::uint32_t known =
-        receiver->network().KnownVersion(theirs.owner());
+        receiver.network().KnownVersion(theirs.owner());
     if (known != PersonalNetwork::kNoVersion && theirs.version() <= known) {
       continue;
     }
-    screened.push_back(proposal);
+    survivors->proposals.push_back(proposal);
     batch.push_back(&theirs);
   }
-  std::vector<PairSimilarity> sims(batch.size());
-  KernelPairSimilarityBatch(mine, batch.data(), batch.size(), sims.data());
+  survivors->sims.resize(survivors->size());
+  KernelPairSimilarityBatch(*receiver.profile(), batch.data(), batch.size(),
+                            survivors->sims.data() + first);
+  return static_cast<std::uint32_t>(batch.size());
+}
 
+/// Algorithm 1 steps 1-2 at the receiving side, the draws, over the `count`
+/// survivors from `first` that `mine`'s owner screened: replays them drawing
+/// exactly the random values the per-pair scalar path drew (Bloom
+/// false-positive Bernoulli, spurious-common binomial), accounts the
+/// actions-on-common-items traffic, and emits an offer (with its
+/// precomputed similarity score) for every survivor scoring above 0. Step
+/// 3 — offering to the personal network and the conditional full-profile
+/// transfer — happens at commit time. Only an offer copies its snapshot's
+/// handle.
+void DrawOffers(const P3QSystem* system, const Profile& mine,
+                const ScreenedProposals& survivors, std::size_t first,
+                std::size_t count, Rng* rng, Metrics* traffic,
+                std::pmr::vector<ProfileExchangeOffer>* offers) {
+  const std::size_t end = first + count;
   // Exactly the candidates with a positive score become offers (one that
   // shares no item scores 0), so the offers are reserved once.
-  offers->reserve(static_cast<std::size_t>(
-      std::count_if(sims.begin(), sims.end(),
-                    [](const PairSimilarity& sim) { return sim.score > 0; })));
+  offers->reserve(static_cast<std::size_t>(std::count_if(
+      survivors.sims.begin() + static_cast<std::ptrdiff_t>(first),
+      survivors.sims.begin() + static_cast<std::ptrdiff_t>(end),
+      [](const PairSimilarity& sim) { return sim.score > 0; })));
 
-  // Pass 1 — replay with exactly the scalar path's rng draws: a genuine
-  // common item passes the Bloom screen without a draw; otherwise one
-  // Bernoulli decides the false positive, and every survivor draws the
+  // A genuine common item passes the Bloom screen without a draw; otherwise
+  // one Bernoulli decides the false positive, and every survivor draws the
   // spurious-common binomial below.
-  for (std::size_t k = 0; k < screened.size(); ++k) {
-    const Profile& theirs = *batch[k];
-    const PairSimilarity& sim = sims[k];
+  for (std::size_t k = first; k < end; ++k) {
+    const Profile& theirs = **survivors.proposals[k];
+    const PairSimilarity& sim = survivors.sims[k];
     if (sim.common_items == 0 && !DigestFalsePositive(mine, theirs, rng)) {
       continue;
     }
@@ -126,12 +128,27 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
     // The offer outlives the plan phase, so it owns its snapshot.
     ProfileExchangeOffer offer;
     offer.score = score;
-    offer.digest = DigestInfo{theirs.owner(), *screened[k]};
+    offer.digest = DigestInfo{theirs.owner(), *survivors.proposals[k]};
     offer.rest_bytes =
         static_cast<std::uint64_t>(theirs.Length() - sim.b_actions_on_common) *
         kBytesPerTaggingAction;
     offers->push_back(std::move(offer));
   }
+}
+
+/// Screens the exchange a <-> b given both sides' proposals: a's screened
+/// by b, then b's screened by a.
+void ScreenExchange(const P3QNode& a, const P3QNode& b,
+                    const std::vector<const ProfilePtr*>& from_a,
+                    const std::vector<const ProfilePtr*>& from_b,
+                    ScreenedProposals* survivors, ExchangeScreen* screen) {
+  screen->a = a.id();
+  screen->b = b.id();
+  screen->a_proposal_bytes = ProposalWireBytes(from_a);
+  screen->b_proposal_bytes = ProposalWireBytes(from_b);
+  screen->first = static_cast<std::uint32_t>(survivors->size());
+  screen->to_b = ScreenProposals(b, from_a, survivors);
+  screen->to_a = ScreenProposals(a, from_b, survivors);
 }
 
 /// Commit half of an exchange direction: offer each screened candidate to
@@ -191,18 +208,51 @@ LazyProtocol::LazyProtocol(P3QSystem* system) : system_(system) {}
 void LazyProtocol::PlanProfileExchange(P3QSystem* system, UserId a, UserId b,
                                        Rng* rng, Metrics* traffic,
                                        ProfileExchangePlan* plan) {
-  const P3QNode* na = &system->node(a);
-  const P3QNode* nb = &system->node(b);
+  const P3QNode& na = system->node(a);
+  const P3QNode& nb = system->node(b);
   const int fanout = system->config().gossip_profile_fanout;
+  // The proposal samples draw first; the screen draws nothing, so the draws
+  // continue the stream where the samples left it.
+  const std::vector<const ProfilePtr*> from_a = MakeProposals(&na, fanout, rng);
+  const std::vector<const ProfilePtr*> from_b = MakeProposals(&nb, fanout, rng);
+  thread_local ScreenedProposals survivors;
+  survivors.clear();
+  ExchangeScreen screen;
+  ScreenExchange(na, nb, from_a, from_b, &survivors, &screen);
+  DrawProfileExchange(system, screen, survivors, rng, traffic, plan);
+}
 
-  plan->a = a;
-  plan->b = b;
-  const std::vector<const ProfilePtr*> from_a = MakeProposals(na, fanout, rng);
-  const std::vector<const ProfilePtr*> from_b = MakeProposals(nb, fanout, rng);
-  traffic->Record(MessageType::kLazyDigestProposal, ProposalWireBytes(from_a));
-  traffic->Record(MessageType::kLazyDigestProposal, ProposalWireBytes(from_b));
-  ScreenProposals(system, nb, from_a, rng, traffic, &plan->offers_to_b);
-  ScreenProposals(system, na, from_b, rng, traffic, &plan->offers_to_a);
+bool LazyProtocol::ScreenProfileExchange(const P3QSystem* system, UserId a,
+                                         UserId b,
+                                         ScreenedProposals* survivors,
+                                         ExchangeScreen* screen) {
+  const P3QNode& na = system->node(a);
+  const P3QNode& nb = system->node(b);
+  const std::size_t fanout =
+      static_cast<std::size_t>(system->config().gossip_profile_fanout);
+  std::vector<const ProfilePtr*> from_a = na.network().StoredProfiles();
+  std::vector<const ProfilePtr*> from_b = nb.network().StoredProfiles();
+  if (from_a.size() > fanout || from_b.size() > fanout) return false;
+  from_a.push_back(&na.profile());
+  from_b.push_back(&nb.profile());
+  ScreenExchange(na, nb, from_a, from_b, survivors, screen);
+  return true;
+}
+
+void LazyProtocol::DrawProfileExchange(const P3QSystem* system,
+                                       const ExchangeScreen& screen,
+                                       const ScreenedProposals& survivors,
+                                       Rng* rng, Metrics* traffic,
+                                       ProfileExchangePlan* plan) {
+  plan->a = screen.a;
+  plan->b = screen.b;
+  traffic->Record(MessageType::kLazyDigestProposal, screen.a_proposal_bytes);
+  traffic->Record(MessageType::kLazyDigestProposal, screen.b_proposal_bytes);
+  DrawOffers(system, *system->node(screen.b).profile(), survivors,
+             screen.first, screen.to_b, rng, traffic, &plan->offers_to_b);
+  DrawOffers(system, *system->node(screen.a).profile(), survivors,
+             screen.first + screen.to_b, screen.to_a, rng, traffic,
+             &plan->offers_to_a);
 }
 
 void LazyProtocol::CommitProfileExchange(P3QSystem* system,
@@ -214,14 +264,6 @@ void LazyProtocol::CommitProfileExchange(P3QSystem* system,
   CommitReplicaFill(system, nb, na, traffic);
   CommitOffers(na, plan.offers_to_a, traffic);
   CommitReplicaFill(system, na, nb, traffic);
-}
-
-void LazyProtocol::RunProfileExchange(P3QSystem* system, UserId a, UserId b,
-                                      Rng* rng) {
-  Metrics* traffic = &system->network().metrics();
-  ProfileExchangePlan plan;
-  PlanProfileExchange(system, a, b, rng, traffic, &plan);
-  CommitProfileExchange(system, plan, traffic);
 }
 
 void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,

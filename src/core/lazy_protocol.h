@@ -28,6 +28,12 @@
 // The profile exchange is factored into Plan/CommitProfileExchange so the
 // eager mode can piggyback the same maintenance on query gossip (Algorithm
 // 3's "maintain personal network as in lazy mode") under the same contract.
+// Its plan is two passes: a screen that draws nothing (the proposal lists,
+// the known-version screen and one kernel batch per direction) and the
+// draws (the false-positive and spurious-common draws, the step-1/step-2
+// traffic and the offers). PlanProfileExchange runs them back to back; the
+// eager mode's wave of refreshments screens on the worker pool and draws on
+// the calling thread (core/eager_protocol.h).
 //
 // A gossip message is one heap object whose vectors live on the planning
 // shard's arena for the send cycle (PlanContext::arena). The payloads, the
@@ -46,6 +52,7 @@
 
 #include "common/types.h"
 #include "gossip/view.h"
+#include "profile/score_kernel.h"
 #include "sim/engine.h"
 #include "sim/metrics.h"
 
@@ -88,6 +95,37 @@ struct ProfileExchangePlan {
   }
 };
 
+/// The proposals that passed exchange screens, as two parallel lists: each
+/// survivor's proposed snapshot, borrowed from the proposer's network (valid
+/// while its PersonalNetwork::Revision() holds), and its kernel similarity
+/// to the receiver's profile. One list collects many screens.
+struct ScreenedProposals {
+  std::vector<const ProfilePtr*> proposals;
+  std::vector<PairSimilarity> sims;
+
+  std::size_t size() const { return proposals.size(); }
+  void clear() {
+    proposals.clear();
+    sims.clear();
+  }
+};
+
+/// The rng-free part of planning one exchange a <-> b
+/// (LazyProtocol::ScreenProfileExchange): the wire size of each side's
+/// proposals, and where each direction's survivors sit in the
+/// ScreenedProposals the screen appended them to.
+struct ExchangeScreen {
+  UserId a = kInvalidUser;
+  UserId b = kInvalidUser;
+  std::uint64_t a_proposal_bytes = 0;
+  std::uint64_t b_proposal_bytes = 0;
+  /// a's proposals that b keeps are survivors [first, first + to_b); b's
+  /// proposals that a keeps follow them, to_a of them.
+  std::uint32_t first = 0;
+  std::uint32_t to_b = 0;
+  std::uint32_t to_a = 0;
+};
+
 /// Checkpoint layout of a planned exchange, saved through a
 /// CheckpointWriter (`plan` const) and loaded through a CheckpointReader
 /// (sim/checkpoint.h); the eager mode's gossips piggyback the same
@@ -126,19 +164,36 @@ class LazyProtocol : public CycleProtocol {
   /// After the drain: folds the commit traffic lanes into the metrics.
   void EndCycle(std::uint64_t cycle, Rng* rng) override;
 
-  /// The top-layer profile exchange between two online users a and b (both
-  /// directions), planned and committed immediately — the sequential
-  /// convenience used by the eager mode's wave of refreshments and by
-  /// tests. All randomness (proposal sampling, digest screening) is drawn
-  /// from `rng`.
-  static void RunProfileExchange(P3QSystem* system, UserId a, UserId b,
-                                 Rng* rng);
-
   /// Plans the exchange into `plan`, which arrives unplanned, against frozen
-  /// state: samples the proposals, runs the digest screen and similarity
-  /// scoring for both directions, records step-1/step-2 traffic into
-  /// `traffic`. The offers go to `plan`'s own allocator.
+  /// state: draws the proposal samples (a's, then b's, only for a side that
+  /// stores more than gossip_profile_fanout profiles), screens both
+  /// directions (ScreenProfileExchange's work), then draws
+  /// (DrawProfileExchange), all from `rng`. Step-1/step-2 traffic goes to
+  /// `traffic`, the offers to `plan`'s own allocator.
   static void PlanProfileExchange(P3QSystem* system, UserId a, UserId b,
+                                  Rng* rng, Metrics* traffic,
+                                  ProfileExchangePlan* plan);
+
+  /// The screen of PlanProfileExchange on its own, which draws nothing:
+  /// builds both proposal lists, drops the proposals each receiver already
+  /// knows at the proposed version or newer, and scores each direction's
+  /// survivors in one kernel batch, appending them to `survivors`. Returns
+  /// false, screening nothing, when a side stores more than
+  /// gossip_profile_fanout profiles: its proposals are then a random sample,
+  /// so only PlanProfileExchange can plan the exchange. Reads the two
+  /// users' networks and profiles and writes only `survivors` and `screen`.
+  static bool ScreenProfileExchange(const P3QSystem* system, UserId a,
+                                    UserId b, ScreenedProposals* survivors,
+                                    ExchangeScreen* screen);
+
+  /// The draws of a screened exchange, against the state the screen read:
+  /// records both sides' proposals into `traffic`, then for b's direction
+  /// and then a's draws the false-positive and spurious-common values from
+  /// `rng`, records the step-2 traffic and builds the offers into `plan`,
+  /// which arrives unplanned.
+  static void DrawProfileExchange(const P3QSystem* system,
+                                  const ExchangeScreen& screen,
+                                  const ScreenedProposals& survivors,
                                   Rng* rng, Metrics* traffic,
                                   ProfileExchangePlan* plan);
 

@@ -213,7 +213,7 @@ bool P3QSystem::QueryComplete(std::uint64_t query_id) const {
   return eager_->Complete(query_id);
 }
 
-const std::unordered_set<UserId>& P3QSystem::QueryReached(
+const std::vector<UserId>& P3QSystem::QueryReached(
     std::uint64_t query_id) const {
   return eager_->Reached(query_id);
 }

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
@@ -197,8 +196,9 @@ class P3QSystem {
   /// True when no remaining list for the query exists anywhere.
   bool QueryComplete(std::uint64_t query_id) const;
 
-  /// Users reached by the query's gossip so far (includes the querier).
-  const std::unordered_set<UserId>& QueryReached(std::uint64_t query_id) const;
+  /// Users reached by the query's gossip so far (includes the querier), in
+  /// ascending id.
+  const std::vector<UserId>& QueryReached(std::uint64_t query_id) const;
 
   /// True when the query was issued and not yet forgotten.
   bool HasQuery(std::uint64_t query_id) const;

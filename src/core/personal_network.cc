@@ -106,6 +106,7 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
     NetworkEntry& entry = slots_[slot];
     // Refresh only when the offered digest is at least as new as ours.
     if (version < entry.digest_version) return outcome;
+    ++revision_;
     const ProfilePtr& held = StoredProfileOf(entry);
     const std::uint32_t old_stored_version =
         held != nullptr ? held->version() : kNoVersion;
@@ -144,6 +145,7 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
     GrowForOneMore(&slots_, static_cast<std::size_t>(s_));
     slots_.emplace_back();
   }
+  ++revision_;
   NetworkEntry& entry = slots_[free_slot];
   entry.user = user;
   entry.score = score32;
@@ -239,6 +241,7 @@ std::vector<UserId> PersonalNetwork::MembersWithoutProfile() const {
 void PersonalNetwork::Remove(UserId user) {
   const std::uint32_t slot = index_.Find(user);
   if (slot == UserMap::kAbsent) return;
+  ++revision_;
   // The keys behind move up one rank; the one reaching rank c-1 had no
   // replica and simply joins EntriesNeedingProfile.
   keys_.erase(keys_.begin() +
@@ -252,6 +255,7 @@ void PersonalNetwork::Remove(UserId user) {
 void PersonalNetwork::RestoreEntries(
     const std::vector<NetworkEntry>& entries, std::vector<ProfilePtr> replicas,
     const std::vector<std::uint32_t>& timestamps) {
+  ++revision_;
   clock_ = timestamps.empty()
                ? 0
                : *std::max_element(timestamps.begin(), timestamps.end());

@@ -28,6 +28,14 @@
 // sampling proposals or answering a query costs no refcount traffic. A
 // caller copies a ProfilePtr only into what outlives the read (a message,
 // an offer, another network's replica).
+//
+// Revision() counts the changes to what an exchange screen reads: every
+// change of membership, score, digest version or replica bumps it, and
+// timestamps do not. A reader that saw revision r may trust what it read,
+// and the pointers it borrowed, while the revision is still r. The eager
+// mode's wave of refreshments reuses its exchange screens on that basis
+// (core/eager_protocol.h). The counter lives only within a run: it is not
+// checkpointed, and a restore bumps it.
 #ifndef P3Q_CORE_PERSONAL_NETWORK_H_
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
@@ -161,6 +169,12 @@ class PersonalNetwork {
 
   int capacity() const { return s_; }
   int storage_capacity() const { return c_; }
+
+  /// Bumped by every change of membership, score, digest version or
+  /// replica: an accepted Consider, a Remove that removes, RestoreEntries.
+  /// Timestamps do not move it (see the file comment).
+  std::uint64_t Revision() const { return revision_; }
+
   std::size_t size() const { return keys_.size(); }
   bool Empty() const { return keys_.empty(); }
 
@@ -299,6 +313,7 @@ class PersonalNetwork {
   int s_;
   int c_;
   std::uint32_t clock_ = 0;  ///< gossip clock: ticks once per TouchGossiped
+  std::uint64_t revision_ = 0;  ///< see Revision()
   std::vector<NetworkEntry> slots_;           // stable; free ones are empty
   std::vector<std::uint32_t> free_slots_;     // slots of removed entries
   std::vector<Key> keys_;                     // sorted: score desc, id asc

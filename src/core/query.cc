@@ -1,5 +1,7 @@
 #include "core/query.h"
 
+#include <algorithm>
+
 #include "sim/checkpoint.h"
 
 namespace p3q {
@@ -29,10 +31,19 @@ void ActiveQuery::EndOfCycle(bool complete) {
     entries += message.entries.size();
   }
   nra_.Reserve(inbox_.size(), entries);
+  // The cycle's owners join the used set in one merge.
+  const auto used = static_cast<std::ptrdiff_t>(used_profiles_.size());
   for (const PartialResultMessage& message : inbox_) {
-    for (UserId u : message.used_profiles) used_profiles_.insert(u);
+    used_profiles_.insert(used_profiles_.end(), message.used_profiles.begin(),
+                          message.used_profiles.end());
     nra_.AddList(message.entries);
   }
+  std::sort(used_profiles_.begin() + used, used_profiles_.end());
+  std::inplace_merge(used_profiles_.begin(), used_profiles_.begin() + used,
+                     used_profiles_.end());
+  used_profiles_.erase(
+      std::unique(used_profiles_.begin(), used_profiles_.end()),
+      used_profiles_.end());
   inbox_.clear();
   if (complete) {
     // All partial lists have arrived: drain so worst == best == exact and
@@ -78,7 +89,7 @@ void ActiveQuery::Transfer(Io& io, Self& self) {
   // empty — serialized anyway so the codec is total over the object.
   io.Vector(self.inbox_, 16,
             [&](auto& message) { TransferPartialResult(io, message); });
-  io.UserSet(self.used_profiles_, "used-profile owner");
+  io.AscendingUsers(self.used_profiles_, "used-profile owner");
   io.Vector(self.history_, 17, [&](auto& snapshot) {
     io.Vector(snapshot.top_k, 20, [&](auto& ranked) {
       io.U32(ranked.item);

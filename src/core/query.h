@@ -10,7 +10,6 @@
 #define P3Q_CORE_QUERY_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -108,11 +107,10 @@ class ActiveQuery {
   /// Latest snapshot's top-k item ids.
   std::vector<ItemId> CurrentTopKItems() const;
 
-  /// Distinct users whose profiles have contributed so far.
+  /// Distinct users whose profiles have contributed so far, in ascending
+  /// id; EndOfCycle merges in the cycle's partial results.
   std::size_t NumUsedProfiles() const { return used_profiles_.size(); }
-  const std::unordered_set<UserId>& used_profiles() const {
-    return used_profiles_;
-  }
+  const std::vector<UserId>& used_profiles() const { return used_profiles_; }
 
   /// Profiles a complete processing must use (= |Network(querier)|).
   std::size_t expected_profiles() const { return expected_; }
@@ -140,7 +138,7 @@ class ActiveQuery {
   std::size_t expected_;
   IncrementalNra nra_;
   std::vector<PartialResultMessage> inbox_;
-  std::unordered_set<UserId> used_profiles_;
+  std::vector<UserId> used_profiles_;  ///< ascending
   std::vector<QueryCycleSnapshot> history_;
   QueryTraffic traffic_;
   bool finalized_ = false;

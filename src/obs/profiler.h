@@ -46,7 +46,8 @@ struct PhaseBreakdown {
   /// Close-out items run on the calling thread after EndCycle: all of them
   /// at one thread, and every close-out too small to be worth the pool.
   std::uint64_t closeout_inline_items = 0;
-  double end_cycle_seconds = 0.0;      ///< EndCycle + the close-out
+  /// The end-of-cycle plan, EndCycle and the close-out.
+  double end_cycle_seconds = 0.0;
   double shard_plan_max_seconds = 0.0; ///< sum over cycles of max shard time
   double shard_plan_sum_seconds = 0.0; ///< sum over cycles of all shard times
   std::uint64_t shards_per_cycle = 0;  ///< active (non-empty) shards

@@ -165,6 +165,19 @@ UserId CheckpointReader::User(const char* what) {
   return user;
 }
 
+void CheckpointReader::AscendingUsers(std::vector<UserId>& users,
+                                      const char* what) {
+  Users(users, what);
+  for (std::size_t i = 1; i < users.size(); ++i) {
+    if (users[i] <= users[i - 1]) {
+      throw CheckpointError("corrupt checkpoint: " + std::string(what) +
+                            " list not strictly ascending (" +
+                            std::to_string(users[i]) + " after " +
+                            std::to_string(users[i - 1]) + ")");
+    }
+  }
+}
+
 void CheckpointReader::Digest(DigestInfo& digest) {
   digest.user = User("digest user");
   digest.snapshot = profiles_.Get(U32());

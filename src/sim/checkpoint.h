@@ -33,7 +33,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -196,11 +195,9 @@ class CheckpointWriter {
   void Users(const std::vector<UserId, A>& users, const char* what) {
     Vector(users, 4, [&](UserId user) { User(user, what); });
   }
-  /// A set of user ids as its ascending list.
-  void UserSet(const std::unordered_set<UserId>& users, const char* what) {
-    std::vector<UserId> sorted(users.begin(), users.end());
-    std::sort(sorted.begin(), sorted.end());
-    Users(sorted, what);
+  /// A strictly ascending user list (a set of users), written as Users.
+  void AscendingUsers(const std::vector<UserId>& users, const char* what) {
+    Users(users, what);
   }
   /// A profile snapshot as its pool reference, interning it in pool().
   void Profile(const ProfilePtr& profile) { U32(pool_.Intern(profile)); }
@@ -319,12 +316,9 @@ class CheckpointReader {
   void Users(std::vector<UserId, A>& users, const char* what) {
     Vector(users, 4, [&](UserId& user) { User(user, what); });
   }
-  void UserSet(std::unordered_set<UserId>& users, const char* what) {
-    std::vector<UserId> sorted;
-    Users(sorted, what);
-    users.clear();
-    for (UserId user : sorted) users.insert(user);
-  }
+  /// Reads a Users list and throws CheckpointError naming it (`what`)
+  /// unless it ascends strictly: a repeated or descending id.
+  void AscendingUsers(std::vector<UserId>& users, const char* what);
   /// Resolves a pool reference (see ProfileTable::Get).
   void Profile(ProfilePtr& profile) { profile = profiles_.Get(U32()); }
   /// Throws when the user is out of range, when the snapshot reference is

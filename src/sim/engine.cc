@@ -35,13 +35,13 @@ int ClampThreads(std::int64_t threads) {
 }  // namespace
 
 /// Persistent plan-phase workers: spawned once and fed one job per plan
-/// phase (or drain level, or close-out) through an epoch counter, so a run
-/// pays the thread spawn cost once instead of once per cycle (idle workers
-/// block on the condition variable between jobs). Run() returns only after
-/// every worker finished the job — the cycle barrier — even when the job
-/// throws: exceptions from any thread are captured and the first one is
-/// rethrown on the calling thread after the barrier, matching threads=1
-/// semantics.
+/// phase (or drain level, end-of-cycle plan, or close-out) through an epoch
+/// counter, so a run pays the thread spawn cost once instead of once per
+/// cycle (idle workers block on the condition variable between jobs).
+/// Run() returns only after every worker finished the job — the cycle
+/// barrier — even when the job throws: exceptions from any thread are
+/// captured and the first one is rethrown on the calling thread after the
+/// barrier, matching threads=1 semantics.
 class PlanWorkerPool {
  public:
   /// A job receives its worker index: 0 on the calling thread, 1..workers
@@ -223,6 +223,22 @@ class Engine::LevelDrain {
   CommitEventStage stage_;
 };
 
+template <class Fn>
+bool Engine::ForEachItem(std::size_t n, const Fn& fn) {
+  if (threads_ <= 1 || n < kInlineLevelSize) {
+    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+    return false;
+  }
+  std::atomic<std::size_t> next{0};
+  Workers().Run([&](std::size_t worker) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i, worker);
+    }
+  });
+  return true;
+}
+
 void Engine::LevelDrain::ClearMarks(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const CommitFootprint& footprint = footprints_[i];
@@ -311,18 +327,12 @@ void Engine::LevelDrain::Run(Engine* engine,
     for (std::size_t l = 0; l < num_levels; ++l) {
       const std::size_t begin = l == 0 ? 0 : level_end_[l - 1];
       const std::size_t end = level_end_[l];
-      if (end - begin < kInlineLevelSize) {
-        for (std::size_t k = begin; k < end; ++k) commit(order_[k], 0);
-        continue;
+      if (engine->ForEachItem(end - begin, [&](std::size_t k,
+                                               std::size_t worker) {
+            commit(order_[begin + k], worker);
+          })) {
+        pooled += end - begin;
       }
-      pooled += end - begin;
-      std::atomic<std::size_t> next{begin};
-      engine->Workers().Run([&](std::size_t worker) {
-        for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-             k < end; k = next.fetch_add(1, std::memory_order_relaxed)) {
-          commit(order_[k], worker);
-        }
-      });
     }
   } catch (...) {
     // Best effort for the flight recorder: keep what did commit.
@@ -532,6 +542,10 @@ void Engine::DrainDueMessages() {
 }
 
 void Engine::CloseCycle() {
+  ForEachItem(protocol_->PrepareEndCycle(cycle_),
+              [&](std::size_t item, std::size_t worker) {
+                protocol_->PlanEndCycle(item, worker);
+              });
   const std::size_t items = protocol_->PrepareCloseouts(cycle_);
   Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt);
   const bool pooled = threads_ > 1 && items >= kInlineLevelSize;

@@ -24,7 +24,14 @@
 //           per-shard mailboxes in shard order.
 //        d. The delivery drain — the COMMIT phase: CommitMessage for every
 //           due message (see below), which may mutate any node's state.
-//        e. The close-out. PrepareCloseouts(cycle), a sequential hook,
+//        e. The end-of-cycle plan. PrepareEndCycle(cycle), a sequential
+//           hook, names the cycle's read-only items (e.g. the screens of
+//           the eager mode's wave of refreshments), and
+//           PlanEndCycle(item, worker) runs once per item: on the plan
+//           workers with more than one thread and at least
+//           kInlineLevelSize items, else on the calling thread. All of
+//           them finish before step f.
+//        f. The close-out. PrepareCloseouts(cycle), a sequential hook,
 //           names the cycle's independent close-out items (e.g. the eager
 //           mode's open queries). EndCycle(cycle, rng) is the sequential
 //           tear-down hook (e.g. the eager mode's wave of refreshments),
@@ -70,12 +77,15 @@
 // through CommitContext::Emit, which stages them and accepts them in
 // message order after the drain.
 //
-// A close-out item may run on any thread, concurrently with EndCycle and
-// with the other items, so Closeout touches only that item's own state: it
-// draws no randomness, emits no trace events, writes no shared counters,
-// and reads or writes nothing EndCycle does. Every item then does the same
-// work whichever thread runs it and in whatever order, and EndCycle sees
-// the state it sees at one thread.
+// An end-of-cycle plan item may run on any thread, concurrently with the
+// other items, so PlanEndCycle may read any state but writes only its own
+// scratch: it draws no randomness, emits no trace events and writes no
+// shared counters. A close-out item may run on any thread, concurrently
+// with EndCycle and with the other items, so Closeout touches only that
+// item's own state: it draws no randomness, emits no trace events, writes
+// no shared counters, and reads or writes nothing EndCycle does. Every
+// item then does the same work whichever thread runs it and in whatever
+// order, and EndCycle sees the state it sees at one thread.
 #ifndef P3Q_SIM_ENGINE_H_
 #define P3Q_SIM_ENGINE_H_
 
@@ -303,9 +313,27 @@ class CycleProtocol {
     (void)footprint;
   }
 
-  /// Sequential hook after the cycle's drain, before EndCycle; returns how
-  /// many close-out items the cycle has. The engine closes item i out with
-  /// Closeout(i), possibly beside EndCycle (see the file comment).
+  /// Sequential hook after the cycle's drain; returns how many read-only
+  /// end-of-cycle items the cycle has. The engine runs PlanEndCycle once per
+  /// item before PrepareCloseouts (see the file comment).
+  virtual std::size_t PrepareEndCycle(std::uint64_t cycle) {
+    (void)cycle;
+    return 0;
+  }
+
+  /// Plans one item named by PrepareEndCycle; called once per item. May run
+  /// on a plan worker concurrently with other items — `worker`, in
+  /// [0, threads), names the running thread (0: the calling thread) — so
+  /// it may read any state but write only its own scratch: no randomness,
+  /// no trace events, no shared counters.
+  virtual void PlanEndCycle(std::size_t item, std::size_t worker) {
+    (void)item;
+    (void)worker;
+  }
+
+  /// Sequential hook after the end-of-cycle plan, before EndCycle; returns
+  /// how many close-out items the cycle has. The engine closes item i out
+  /// with Closeout(i), possibly beside EndCycle (see the file comment).
   virtual std::size_t PrepareCloseouts(std::uint64_t cycle) {
     (void)cycle;
     return 0;
@@ -429,8 +457,8 @@ class Engine {
   static constexpr std::uint64_t kDeliverySalt = 0x64656c76ULL;  // "delv"
 
   /// Levels of the level-parallel drain with fewer messages than this, and
-  /// close-outs with fewer items, run on the calling thread: waking the
-  /// workers costs more than they save.
+  /// end-of-cycle plans and close-outs with fewer items, run on the calling
+  /// thread: waking the workers costs more than they save.
   static constexpr std::size_t kInlineLevelSize = 16;
 
  private:
@@ -447,7 +475,13 @@ class Engine {
   /// The persistent worker pool, spawned on first use.
   PlanWorkerPool& Workers();
   void DrainDueMessages();
-  /// Step e: the protocol's EndCycle and its close-out items.
+  /// Runs fn(i, worker) once for every i in [0, n): on the worker pool with
+  /// more than one thread and at least kInlineLevelSize items, else on the
+  /// calling thread (worker 0). Returns whether the pool ran them.
+  template <class Fn>
+  bool ForEachItem(std::size_t n, const Fn& fn);
+  /// Steps e and f: the end-of-cycle plan, then the protocol's EndCycle
+  /// and its close-out items.
   void CloseCycle();
   void RunOneCycle();
   /// The SaveState/LoadState layout; `self` is const when saving.

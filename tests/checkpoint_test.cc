@@ -1456,6 +1456,102 @@ TEST(CheckpointHostileTest, HeaderSpecsOutsideTheirLimitsAreRejected) {
       kMaxLatencyCycles + 1);
 }
 
+/// Loads, into a 40-user system, an eager-state section whose one query
+/// lists `reached` as its reached users; returns the CheckpointError's
+/// message, or an empty string when the load succeeded.
+std::string LoadEagerStateReaching(const std::vector<UserId>& reached) {
+  test::TestSystem env({.users = 40});
+  CheckpointWriter out;
+  out.U64(1);  // queries
+  ActiveQuery(/*id=*/1, env.QueryOf(0), /*k=*/10, /*expected=*/20)
+      .SaveState(&out);
+  out.Users(reached, "reached user");
+  out.I64(0);  // active tasks
+  out.U8(0);   // finalized
+  out.U64(0);  // timeout re-issues
+  out.U64(0);  // stale messages dropped
+  out.U64(0);  // late results of forgotten queries
+  out.U64(2);  // next query id
+  out.U64(1);  // next task epoch
+  out.Sentinel();
+  CheckpointReader in(out.buffer().data(), out.buffer().size());
+  in.SetPopulation(40);
+  try {
+    env.system->eager().LoadState(&in);
+  } catch (const CheckpointError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CheckpointHostileTest, ReachedUsersOutOfOrderAreRejected) {
+  // The writer lists each query's reached users strictly ascending, and the
+  // protocol keeps them as that list; a repeated or descending id would
+  // break its binary searches.
+  ASSERT_EQ(LoadEagerStateReaching({0, 5, 9}), "");
+  for (const std::vector<UserId>& reached :
+       {std::vector<UserId>{0, 5, 5}, std::vector<UserId>{0, 9, 5}}) {
+    EXPECT_NE(LoadEagerStateReaching(reached).find(
+                  "reached user list not strictly ascending"),
+              std::string::npos)
+        << reached[1] << ", " << reached[2];
+  }
+}
+
+TEST(CheckpointHostileTest, UsedProfileOwnersOutOfOrderAreRejected) {
+  // A query's used-profile owners, saved strictly ascending after its inbox;
+  // close-outs merge new owners into that list.
+  test::TestSystem env({.users = 40});
+  ActiveQuery query(/*id=*/1, env.QueryOf(0), /*k=*/10, /*expected=*/20);
+  PartialResultMessage partial;
+  partial.entries = {{7, 3}};
+  partial.used_profiles = {31, 13, 23};
+  query.DeliverPartialResult(std::move(partial));
+  query.EndOfCycle(/*complete=*/false);
+  ASSERT_EQ(query.used_profiles(), (std::vector<UserId>{13, 23, 31}));
+  CheckpointWriter out;
+  query.SaveState(&out);
+  const std::vector<std::uint8_t>& pristine = out.buffer();
+  // The list: u64 count 3, then the three u32 owners.
+  const std::vector<std::uint32_t> list = {3, 0, 13, 23, 31};
+  std::vector<std::size_t> found;
+  for (std::size_t p = 0; p + 4 * list.size() <= pristine.size(); ++p) {
+    bool match = true;
+    for (std::size_t w = 0; w < list.size() && match; ++w) {
+      std::uint32_t word = 0;
+      std::memcpy(&word, pristine.data() + p + 4 * w, 4);
+      match = word == list[w];
+    }
+    if (match) found.push_back(p);
+  }
+  ASSERT_EQ(found.size(), 1u) << "used-profile list not located";
+
+  const auto load = [&](const std::vector<std::uint8_t>& bytes) {
+    CheckpointReader in(bytes.data(), bytes.size());
+    in.SetPopulation(40);
+    ActiveQuery loaded(/*id=*/0, QuerySpec{}, /*k=*/1, /*expected=*/0);
+    loaded.LoadState(&in);
+    return loaded.used_profiles();
+  };
+  EXPECT_EQ(load(pristine), query.used_profiles());
+  for (const auto& [second, third] :
+       {std::pair<UserId, UserId>{23, 23}, std::pair<UserId, UserId>{31, 23}}) {
+    std::vector<std::uint8_t> bytes = pristine;
+    std::memcpy(bytes.data() + found[0] + 12, &second, 4);
+    std::memcpy(bytes.data() + found[0] + 16, &third, 4);
+    try {
+      load(bytes);
+      ADD_FAILURE() << "accepted used-profile owners 13, " << second << ", "
+                    << third;
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "used-profile owner list not strictly ascending"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CheckpointHostileTest, SeededMutationsFailCleanly) {
   // Each case mangles the corruption suites' snapshot, re-frames it with a
   // valid checksum and resumes. The decoder must reject it with a

@@ -1,10 +1,11 @@
 // The eager mode's close-out at system scale: 600 users on seeded personal
 // networks, with a steady stream of new queries so that at least 64 stay
-// open in every eager cycle, and each cycle's NRA close-outs run on the
-// worker pool beside the wave of refreshments. At 1, 2 and 8 threads,
-// under zero, fixed and lossy latency, every query's full history, the
-// personal networks, the traffic and protocol counters and the JSONL trace
-// must be identical.
+// open in every eager cycle, each cycle's wave screens run on the worker
+// pool, and its NRA close-outs run there beside the wave of refreshments.
+// At 1, 2, 4 and 8 threads, under zero, fixed and lossy latency, every
+// query's full history, the personal networks, the traffic and protocol
+// counters (the wave's serial re-plans among them) and the JSONL trace must
+// be identical.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -45,8 +46,8 @@ struct EagerRun {
   std::vector<std::vector<test::NetworkRow>> networks;
   /// (messages, bytes) per message type.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> traffic;
-  /// Stale drops and timeout re-issues.
-  std::pair<std::uint64_t, std::uint64_t> protocol_counters;
+  /// Stale drops, timeout re-issues and the wave's serial re-plans.
+  std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> protocol_counters;
   std::string trace;
   /// Queries finalized by the end (their close-out drained the NRA).
   std::size_t completed = 0;
@@ -125,7 +126,8 @@ EagerRun RunEager(const Deployment& deployment, const std::string& latency,
   run.networks = test::NetworkRows(system);
   run.traffic = test::TrafficRows(system.network().metrics());
   run.protocol_counters = {system.eager().stale_messages_dropped(),
-                           system.eager().timeout_reissues()};
+                           system.eager().timeout_reissues(),
+                           system.eager().wave_replans()};
   tracer.Finish();
   run.trace = jsonl.str();
   const PhaseBreakdown& eager = profiler.breakdowns().at("eager");
@@ -144,7 +146,7 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
   EXPECT_GT(base.completed, 0u);
   EXPECT_EQ(base.pooled_closeouts, 0u);
   EXPECT_GE(base.inline_closeouts, kCycles * kMinOpenQueries);
-  for (const int threads : {2, 8}) {
+  for (const int threads : {2, 4, 8}) {
     const EagerRun run = RunEager(deployment, GetParam(), threads);
     EXPECT_EQ(run.histories, base.histories) << threads << " threads";
     EXPECT_EQ(run.queries, base.queries) << threads << " threads";

@@ -1,5 +1,9 @@
 // Integration tests for the eager mode: collaborative query processing,
 // the α remaining-list split, partition soundness, traffic and churn.
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baseline/centralized_topk.h"
@@ -100,9 +104,13 @@ TEST(EagerProtocolTest, TracksTrafficAndReach) {
   EXPECT_GT(q.traffic().partial_result_bytes, 0u);
   EXPECT_GT(q.traffic().forward_messages, 0u);
   EXPECT_EQ(q.traffic().forward_messages, q.traffic().return_messages);
-  const auto& reached = env.system->QueryReached(qid);
+  const std::vector<UserId>& reached = env.system->QueryReached(qid);
   EXPECT_GE(reached.size(), 2u);
-  EXPECT_TRUE(reached.count(7) == 1);  // querier included
+  EXPECT_TRUE(std::binary_search(reached.begin(), reached.end(), 7u));
+  // A set of users: strictly ascending.
+  EXPECT_TRUE(std::adjacent_find(reached.begin(), reached.end(),
+                                 std::greater_equal<UserId>()) ==
+              reached.end());
 }
 
 TEST(EagerProtocolTest, UsedProfilesGrowMonotonically) {

@@ -15,6 +15,10 @@
 //    sequential drain on the calling thread;
 //  - the message arenas behind the payloads are sized from the last cycle
 //    and held exactly while their send cycle has a message in flight;
+//  - every end-of-cycle plan item runs exactly once per cycle, before
+//    EndCycle and every close-out item: on the worker pool with more than
+//    one thread and at least kInlineLevelSize items, else on the calling
+//    thread;
 //  - every close-out item runs exactly once per cycle: beside EndCycle on
 //    the worker pool with more than one thread and at least
 //    kInlineLevelSize items, else on the calling thread after EndCycle.
@@ -918,6 +922,120 @@ TEST(CloseoutTest, ItemExceptionOnAWorkerLeavesRunCyclesAfterTheBarrier) {
   EXPECT_NE(protocol.thrower_thread, std::this_thread::get_id());
   EXPECT_EQ(protocol.runs.load(), ThrowingCloseouts::kItems - 1)
       << "RunCycles rethrew before every other item ran";
+}
+
+// ---------------------------------------------------------------------------
+// The end-of-cycle plan before the close-out.
+// ---------------------------------------------------------------------------
+
+/// Cycle c has kItemsPerCycle[c] end-of-cycle plan items and as many
+/// close-out items. Every plan item counts its runs and records its thread,
+/// its worker index and whether EndCycle or a close-out had started. When
+/// the engine should pool the items, the first item the calling thread
+/// takes waits until every other item ran, so the others must run on the
+/// workers.
+class EndCyclePlanProtocol : public CycleProtocol {
+ public:
+  static constexpr std::array<std::size_t, 7> kItemsPerCycle = {
+      0, 1, 15, 16, 17, 64, 300};
+
+  explicit EndCyclePlanProtocol(int threads)
+      : threads_(threads), caller_(std::this_thread::get_id()) {}
+
+  bool Pooled(std::size_t items) const {
+    return threads_ > 1 && items >= Engine::kInlineLevelSize;
+  }
+
+  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
+
+  std::size_t PrepareEndCycle(std::uint64_t cycle) override {
+    EXPECT_EQ(std::this_thread::get_id(), caller_);
+    runs_ = std::vector<ItemRun>(kItemsPerCycle.at(cycle));
+    done_.store(0);
+    caller_waited_ = false;
+    closing_.store(false);
+    return runs_.size();
+  }
+
+  void PlanEndCycle(std::size_t item, std::size_t worker) override {
+    ItemRun& run = runs_.at(item);
+    run.runs.fetch_add(1);
+    run.thread = std::this_thread::get_id();
+    run.worker = worker;
+    run.after_close = closing_.load();
+    if (Pooled(runs_.size()) && run.thread == caller_ && !caller_waited_) {
+      caller_waited_ = true;
+      WaitBriefly([&] { return done_.load() + 1 == runs_.size(); });
+    }
+    done_.fetch_add(1);
+  }
+
+  std::size_t PrepareCloseouts(std::uint64_t /*cycle*/) override {
+    EXPECT_EQ(done_.load(), runs_.size());
+    return runs_.size();
+  }
+  void Closeout(std::size_t /*item*/) override { closing_.store(true); }
+  void EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) override {
+    closing_.store(true);
+  }
+
+  /// Checks the cycle's items once the cycle is over.
+  void CheckCycle(std::uint64_t cycle) const {
+    const bool pooled = Pooled(runs_.size());
+    std::size_t on_workers = 0;
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      const ItemRun& run = runs_[i];
+      EXPECT_EQ(run.runs.load(), 1) << "cycle " << cycle << " item " << i;
+      EXPECT_FALSE(run.after_close) << "cycle " << cycle << " item " << i;
+      EXPECT_LT(run.worker, static_cast<std::size_t>(threads_));
+      EXPECT_EQ(run.worker == 0, run.thread == caller_)
+          << "cycle " << cycle << " item " << i;
+      if (run.thread != caller_) ++on_workers;
+    }
+    if (pooled) {
+      EXPECT_GE(on_workers + 1, runs_.size()) << "cycle " << cycle;
+    } else {
+      EXPECT_EQ(on_workers, 0u) << "cycle " << cycle;
+    }
+  }
+
+ private:
+  struct ItemRun {
+    std::atomic<int> runs{0};
+    std::thread::id thread;
+    std::size_t worker = 0;
+    bool after_close = false;
+  };
+
+  int threads_;
+  std::thread::id caller_;
+  std::vector<ItemRun> runs_;
+  std::atomic<std::size_t> done_{0};
+  bool caller_waited_ = false;  ///< touched only by the calling thread
+  std::atomic<bool> closing_{false};
+};
+
+void ExpectEndCyclePlansAt(int threads) {
+  EndCyclePlanProtocol protocol(threads);
+  Engine engine(64, /*seed=*/109, &protocol);
+  engine.SetThreads(threads);
+  for (std::uint64_t cycle = 0;
+       cycle < EndCyclePlanProtocol::kItemsPerCycle.size(); ++cycle) {
+    engine.RunCycles(1);
+    protocol.CheckCycle(cycle);
+  }
+}
+
+TEST(EndCyclePlanTest, RunsOnTheCallingThreadAtOneThread) {
+  ExpectEndCyclePlansAt(1);
+}
+
+TEST(EndCyclePlanTest, GoesToThePoolFromTheInlineSizeAtTwoThreads) {
+  ExpectEndCyclePlansAt(2);
+}
+
+TEST(EndCyclePlanTest, GoesToThePoolFromTheInlineSizeAtEightThreads) {
+  ExpectEndCyclePlansAt(8);
 }
 
 }  // namespace

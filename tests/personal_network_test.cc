@@ -3,6 +3,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -263,6 +264,77 @@ TEST(PersonalNetworkTest, RefreshedOrEvictedSnapshotsAreFreed) {
   EXPECT_FALSE(full.Contains(2));
   EXPECT_TRUE(evicted.expired());
   EXPECT_EQ(full.CheckInvariants(), "");
+}
+
+/// Tracks a network's Revision() between steps.
+class RevisionWatch {
+ public:
+  explicit RevisionWatch(const PersonalNetwork& net)
+      : net_(net), seen_(net.Revision()) {}
+
+  /// True when the revision moved since the last call.
+  bool Moved() {
+    const bool moved = net_.Revision() != seen_;
+    seen_ = net_.Revision();
+    return moved;
+  }
+
+ private:
+  const PersonalNetwork& net_;
+  std::uint64_t seen_;
+};
+
+TEST(PersonalNetworkTest, RevisionMovesWithMembershipScoreVersionAndReplica) {
+  PersonalNetwork net(0, /*s=*/3, /*c=*/2);
+  RevisionWatch watch(net);
+  // Membership: joins, and a join that evicts the worst.
+  EXPECT_TRUE(net.Consider(1, 10, MakeDigest(1), MakeSnapshot(1, 4)).accepted);
+  EXPECT_TRUE(watch.Moved()) << "join";
+  net.Consider(2, 20, MakeDigest(2), MakeSnapshot(2, 4));
+  net.Consider(3, 30, MakeDigest(3), nullptr);
+  EXPECT_TRUE(watch.Moved()) << "joins";
+  EXPECT_TRUE(net.Consider(4, 15, MakeDigest(4), nullptr).accepted);
+  EXPECT_FALSE(net.Contains(1));
+  EXPECT_TRUE(watch.Moved()) << "join evicting the worst";
+  // Refreshes of an existing member: the score, the digest version, the
+  // replica, and a re-offer that changes nothing but is accepted.
+  EXPECT_TRUE(net.Consider(4, 25, MakeDigest(4), nullptr).accepted);
+  EXPECT_TRUE(watch.Moved()) << "score refresh";
+  EXPECT_TRUE(net.Consider(4, 25, MakeDigest(4, 1), nullptr).accepted);
+  EXPECT_TRUE(watch.Moved()) << "digest version refresh";
+  EXPECT_TRUE(
+      net.Consider(3, 30, MakeDigest(3), MakeSnapshot(3, 4)).stored_profile);
+  EXPECT_TRUE(watch.Moved()) << "replica stored";
+  EXPECT_TRUE(net.Consider(3, 30, MakeDigest(3), nullptr).accepted);
+  EXPECT_TRUE(watch.Moved()) << "accepted re-offer";
+  // Removal, and a restore.
+  net.Remove(2);
+  EXPECT_TRUE(watch.Moved()) << "remove";
+  const std::vector<NetworkEntry> entries(net.entries().begin(),
+                                          net.entries().end());
+  net.RestoreEntries(entries);
+  EXPECT_TRUE(watch.Moved()) << "restore";
+}
+
+TEST(PersonalNetworkTest, RevisionIgnoresRejectionsAndTimestamps) {
+  PersonalNetwork net(0, /*s=*/2, /*c=*/1);
+  net.Consider(1, 10, MakeDigest(1, 3), MakeSnapshot(1, 4, 3));
+  net.Consider(2, 20, MakeDigest(2), nullptr);
+  RevisionWatch watch(net);
+  EXPECT_FALSE(net.Consider(3, 5, MakeDigest(3), nullptr).accepted);
+  EXPECT_FALSE(watch.Moved()) << "below the worst of a full network";
+  EXPECT_FALSE(net.Consider(1, 40, MakeDigest(1, 2), nullptr).accepted);
+  EXPECT_FALSE(watch.Moved()) << "stale digest version";
+  EXPECT_FALSE(net.Consider(0, 40, MakeDigest(0), nullptr).accepted);
+  EXPECT_FALSE(net.Consider(4, 0, MakeDigest(4), nullptr).accepted);
+  EXPECT_FALSE(watch.Moved()) << "self, zero score";
+  net.Remove(9);
+  EXPECT_FALSE(watch.Moved()) << "removing a non-member";
+  net.TouchGossiped(1);
+  net.ResetTimestamp(2);
+  net.ResetTimestamp(9);
+  EXPECT_FALSE(watch.Moved()) << "timestamps";
+  EXPECT_EQ(net.Timestamp(*net.Find(2)), 0u);
 }
 
 }  // namespace
