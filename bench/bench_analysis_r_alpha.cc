@@ -40,10 +40,11 @@ int main() {
       reached_sum += static_cast<double>(s.users_reached);
       // X of the model: profiles found per gossip ~ expected-profiles /
       // partial result messages.
-      found_sum += s.partial_result_messages > 0
-                       ? static_cast<double>(scale.network_size - c) /
-                             static_cast<double>(s.partial_result_messages)
-                       : 0.0;
+      found_sum +=
+          s.traffic.partial_result_messages > 0
+              ? static_cast<double>(scale.network_size - c) /
+                    static_cast<double>(s.traffic.partial_result_messages)
+              : 0.0;
     }
     const double measured = completed ? cycles_sum / completed : -1;
     const double x = completed ? std::max(1.0, found_sum / completed) : 1.0;

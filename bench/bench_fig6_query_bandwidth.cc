@@ -31,7 +31,8 @@ void RunScenario(const ExperimentEnv& env, const BenchScale& scale,
   std::vector<QueryRunStats> ranked = stats;
   std::sort(ranked.begin(), ranked.end(),
             [](const QueryRunStats& a, const QueryRunStats& b) {
-              return a.partial_result_bytes < b.partial_result_bytes;
+              return a.traffic.partial_result_bytes <
+                     b.traffic.partial_result_bytes;
             });
   TablePrinter table({"query pctile", "partial results KB",
                       "returned lists KB", "forwarded lists KB"});
@@ -41,16 +42,15 @@ void RunScenario(const ExperimentEnv& env, const BenchScale& scale,
         static_cast<std::size_t>(pct / 100.0 * (ranked.size() - 1) + 0.5));
     const QueryRunStats& s = ranked[idx];
     table.AddRow({TablePrinter::Fmt(pct) + "%",
-                  TablePrinter::Fmt(s.partial_result_bytes / 1024.0, 2),
-                  TablePrinter::Fmt(s.returned_list_bytes / 1024.0, 2),
-                  TablePrinter::Fmt(s.forwarded_list_bytes / 1024.0, 2)});
+                  TablePrinter::Fmt(s.traffic.partial_result_bytes / 1024.0, 2),
+                  TablePrinter::Fmt(s.traffic.returned_list_bytes / 1024.0, 2),
+                  TablePrinter::Fmt(s.traffic.forwarded_list_bytes / 1024.0,
+                                    2)});
   }
   double total = 0, messages = 0;
   for (const QueryRunStats& s : stats) {
-    total += static_cast<double>(s.partial_result_bytes +
-                                 s.returned_list_bytes +
-                                 s.forwarded_list_bytes);
-    messages += static_cast<double>(s.partial_result_messages);
+    total += static_cast<double>(s.traffic.TotalBytes());
+    messages += static_cast<double>(s.traffic.partial_result_messages);
   }
   std::cout << "lambda=" << lambda << " (" << stats.size() << " queries)\n";
   Emit(table, scale);

@@ -44,8 +44,7 @@ int main() {
   double query_bytes = 0, cycles_sum = 0;
   std::size_t completed = 0;
   for (const QueryRunStats& s : stats) {
-    query_bytes += static_cast<double>(
-        s.partial_result_bytes + s.forwarded_list_bytes + s.returned_list_bytes);
+    query_bytes += static_cast<double>(s.traffic.TotalBytes());
     if (s.complete) {
       ++completed;
       cycles_sum += s.cycles_to_complete;

@@ -36,9 +36,7 @@ int main() {
     double cycles = 0, bytes = 0, reached = 0;
     int completed = 0;
     for (const auto& s : stats) {
-      bytes += static_cast<double>(s.partial_result_bytes +
-                                   s.forwarded_list_bytes +
-                                   s.returned_list_bytes);
+      bytes += static_cast<double>(s.traffic.TotalBytes());
       reached += static_cast<double>(s.users_reached);
       if (s.complete) {
         cycles += s.cycles_to_complete;

@@ -99,12 +99,7 @@ void ActiveQuery::Transfer(Io& io, Self& self) {
     io.U64(snapshot.used_profiles);
     io.Bool(snapshot.complete);
   });
-  io.U64(self.traffic_.forwarded_list_bytes);
-  io.U64(self.traffic_.returned_list_bytes);
-  io.U64(self.traffic_.partial_result_bytes);
-  io.U64(self.traffic_.forward_messages);
-  io.U64(self.traffic_.return_messages);
-  io.U64(self.traffic_.partial_result_messages);
+  p3q::Transfer(io, self.traffic_);
   io.Bool(self.finalized_);
   io.U64(self.late_results_dropped_);
   io.I64(self.first_result_cycle_);

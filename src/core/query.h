@@ -10,9 +10,11 @@
 #define P3Q_CORE_QUERY_H_
 
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/types.h"
 #include "core/topk.h"
 #include "dataset/query_gen.h"
@@ -48,6 +50,15 @@ struct QueryTraffic {
   std::uint64_t forward_messages = 0;
   std::uint64_t return_messages = 0;
   std::uint64_t partial_result_messages = 0;
+
+  static constexpr auto Counters() {
+    using T = QueryTraffic;
+    return std::tuple{Sum(&T::forwarded_list_bytes),
+                      Sum(&T::returned_list_bytes),
+                      Sum(&T::partial_result_bytes), Sum(&T::forward_messages),
+                      Sum(&T::return_messages),
+                      Sum(&T::partial_result_messages)};
+  }
 
   std::uint64_t TotalBytes() const {
     return forwarded_list_bytes + returned_list_bytes + partial_result_bytes;

@@ -130,10 +130,7 @@ std::vector<QueryRunStats> RunQueryBatch(P3QSystem* system,
       const ActiveQuery& q = system->query(ids[i]);
       QueryRunStats s;
       s.users_reached = system->QueryReached(ids[i]).size();
-      s.partial_result_messages = q.traffic().partial_result_messages;
-      s.forwarded_list_bytes = q.traffic().forwarded_list_bytes;
-      s.returned_list_bytes = q.traffic().returned_list_bytes;
-      s.partial_result_bytes = q.traffic().partial_result_bytes;
+      s.traffic = q.traffic();
       s.complete = system->QueryComplete(ids[i]);
       std::vector<ItemId> items;
       for (const RankedItem& r : q.history().back().top_k) {

@@ -13,6 +13,7 @@
 
 #include "baseline/ideal_network.h"
 #include "core/p3q_system.h"
+#include "core/query.h"
 #include "dataset/generator.h"
 #include "dataset/query_gen.h"
 #include "dataset/storage_dist.h"
@@ -79,10 +80,7 @@ std::vector<double> AverageRecallCurve(P3QSystem* system,
 /// Per-query statistics harvested by RunQueryBatch.
 struct QueryRunStats {
   std::size_t users_reached = 0;
-  std::uint64_t partial_result_messages = 0;
-  std::uint64_t forwarded_list_bytes = 0;
-  std::uint64_t returned_list_bytes = 0;
-  std::uint64_t partial_result_bytes = 0;
+  QueryTraffic traffic;
   bool complete = false;
   double final_recall = 0;
   int cycles_to_complete = -1;  // -1 when not complete within the run

@@ -7,6 +7,9 @@
 // the wall-clock go" questions the SIMD/NUMA and multi-process roadmap items
 // need, so it reports through the opt-in --timing gate and never perturbs
 // default byte-stable reports.
+//
+// PhaseBreakdown is a counter record (common/counters.h): MergeFrom, Since
+// and PhaseBreakdownToJson walk its Counters() list of folds and keys.
 #ifndef P3Q_OBS_PROFILER_H_
 #define P3Q_OBS_PROFILER_H_
 
@@ -14,6 +17,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
+
+#include "common/counters.h"
 
 namespace p3q {
 
@@ -54,6 +60,30 @@ struct PhaseBreakdown {
   double max_imbalance = 0.0;          ///< worst per-cycle max/mean ratio
   std::array<std::uint64_t, kImbalanceBuckets> imbalance_histogram{};
 
+  static constexpr auto Counters() {
+    using P = PhaseBreakdown;
+    return std::tuple{
+        Sum(&P::cycles, "cycles"),
+        Sum(&P::plan_seconds, "plan_seconds"),
+        Sum(&P::barrier_seconds, "barrier_seconds"),
+        Sum(&P::drain_seconds, "drain_seconds"),
+        Sum(&P::drain_take_seconds, "drain_take_seconds"),
+        Sum(&P::drain_teardown_seconds, "drain_teardown_seconds"),
+        Sum(&P::drain_levels, "drain_levels"),
+        Sum(&P::drain_pooled_messages, "drain_pooled_messages"),
+        Sum(&P::drain_inline_messages, "drain_inline_messages"),
+        Sum(&P::closeout_pooled_items, "closeout_pooled_items"),
+        Sum(&P::closeout_inline_items, "closeout_inline_items"),
+        Sum(&P::end_cycle_seconds, "end_cycle_seconds"),
+        Computed(&P::TotalSeconds, "total_seconds"),
+        Sum(&P::shard_plan_max_seconds, "shard_plan_max_seconds"),
+        Sum(&P::shard_plan_sum_seconds, "shard_plan_sum_seconds"),
+        Peak(&P::shards_per_cycle, "active_shards"),
+        Computed(&P::MeanImbalance, "mean_imbalance", 3),
+        Peak(&P::max_imbalance, "max_imbalance", 3),
+        Sum(&P::imbalance_histogram, "imbalance_histogram")};
+  }
+
   /// Total measured engine time.
   double TotalSeconds() const {
     return plan_seconds + barrier_seconds + drain_seconds + end_cycle_seconds;
@@ -70,10 +100,12 @@ struct PhaseBreakdown {
                 double shard_max, double shard_sum,
                 std::uint64_t active_shards);
 
-  void MergeFrom(const PhaseBreakdown& other);
+  void MergeFrom(const PhaseBreakdown& other) { MergeCounters(*this, other); }
 
-  /// Delta since an earlier snapshot of the same breakdown.
-  PhaseBreakdown Since(const PhaseBreakdown& earlier) const;
+  /// Delta since an earlier snapshot; the peaks keep the running maximum.
+  PhaseBreakdown Since(const PhaseBreakdown& earlier) const {
+    return CountersSince(*this, earlier);
+  }
 };
 
 /// Collects PhaseBreakdowns keyed by engine label ("lazy", "eager").
@@ -100,7 +132,7 @@ class PhaseProfiler {
   std::map<std::string, PhaseBreakdown> breakdowns_;
 };
 
-/// Renders one breakdown as a one-line JSON object:
+/// Renders one breakdown as a one-line JSON object, a key per list entry:
 /// {"cycles": .., "plan_seconds": .., ..., "imbalance_histogram": [..]}
 std::string PhaseBreakdownToJson(const PhaseBreakdown& breakdown);
 

@@ -90,9 +90,6 @@ ProfileStoreMemoryStats ProfileStore::MemoryStats() const {
   for (const auto& arena : arenas_) stats.arena += arena->Stats();
   stats.pool_hits = pool_hits_;
   stats.pool_misses = pool_misses_;
-  for (const auto& [user, actions] : originals_) {
-    stats.original_bytes += actions.size() * sizeof(ActionKey);
-  }
   return stats;
 }
 

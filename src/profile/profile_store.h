@@ -41,8 +41,6 @@ struct ProfileStoreMemoryStats {
   /// Checkpoint-restore reuse counters (ProfileStore::PoolFind).
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Bytes of retained original action vectors (streaming mode).
-  std::size_t original_bytes = 0;
 };
 
 /// Owns the current profile snapshot of every user.

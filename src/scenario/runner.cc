@@ -199,7 +199,7 @@ void Transfer(Io& io, Transferred<Io, PhaseReport>& pr) {
   io.F64(pr.timing.queries_per_sec);
   io.F64(pr.timing.slo_queries_per_sec);
   io.I64(pr.timing.threads);
-  for (auto& count : pr.trace_events) io.U64(count);
+  Transfer(io, pr.trace_events);
 }
 
 /// The identity header: which scenario and run shape produced this
@@ -393,8 +393,8 @@ void TransferRunnerState(Io& io, Transferred<Io, RunnerState>& s,
     Tracer::KindCounts counts{};
     if (tracer != nullptr) counts = tracer->counts();
     io.U64(next_seq);
-    for (auto& count : counts) io.U64(count);
-    for (auto& count : s.trace_before) io.U64(count);
+    Transfer(io, counts);
+    Transfer(io, s.trace_before);
     // Continue the straight run's event numbering: the resumed JSONL is a
     // byte-suffix of the full trace.
     if (kLoading && tracer != nullptr) tracer->RestoreCursor(next_seq, counts);
@@ -839,10 +839,8 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     pr.open_queries_at_end =
         state.tracker.has_value() ? state.tracker->open() : 0;
     if (options.tracer != nullptr) {
-      const Tracer::KindCounts& now = options.tracer->counts();
-      for (std::size_t i = 0; i < now.size(); ++i) {
-        pr.trace_events[i] = MonotoneDelta(now[i], state.trace_before[i]);
-      }
+      pr.trace_events =
+          CountersSince(options.tracer->counts(), state.trace_before);
     }
     if (options.profiler != nullptr) {
       for (const auto& [label, breakdown] : options.profiler->breakdowns()) {

@@ -36,10 +36,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/random.h"
 #include "gossip/view.h"
 #include "profile/profile.h"
-#include "sim/metrics.h"
 
 namespace p3q {
 
@@ -372,36 +372,20 @@ void Transfer(Io& io, Transferred<Io, Rng>& rng) {
   if constexpr (Io::kLoading) rng.SetState(state);
 }
 
-template <class Io>
-void Transfer(Io& io, Transferred<Io, Metrics>& metrics) {
-  for (int t = 0; t < static_cast<int>(MessageType::kCount); ++t) {
-    const auto type = static_cast<MessageType>(t);
-    MessageStats stats = metrics.Of(type);
-    io.U64(stats.messages);
-    io.U64(stats.bytes);
-    if constexpr (Io::kLoading) metrics.Restore(type, stats);
-  }
-}
-
-template <class Io>
-void Transfer(Io& io, Transferred<Io, DeliveryStats>& stats) {
-  io.U64(stats.enqueued);
-  io.U64(stats.dropped);
-  io.U64(stats.delivered);
-  io.U64(stats.stale_dropped);
-  io.U64(stats.max_in_flight);
-  for (auto& bucket : stats.lag_histogram) io.U64(bucket);
-}
-
-template <class Io>
-void Transfer(Io& io, Transferred<Io, QueryLatencyStats>& stats) {
-  io.U64(stats.issued);
-  io.U64(stats.completed);
-  io.U64(stats.completed_within_slo);
-  io.U64(stats.first_results);
-  io.U64(stats.abandoned);
-  for (auto& bucket : stats.completion_histogram) io.U64(bucket);
-  for (auto& bucket : stats.first_result_histogram) io.U64(bucket);
+/// A counter record's layout (common/counters.h) is its Counters() list:
+/// integers as U64 and doubles as F64, arrays element by element.
+template <class Io, class T>
+  requires CounterRecord<std::remove_const_t<T>>
+void Transfer(Io& io, T& counters) {
+  ForEachCounter(
+      [&](auto, auto& value) {
+        if constexpr (std::is_integral_v<std::decay_t<decltype(value)>>) {
+          io.U64(value);
+        } else {
+          io.F64(value);
+        }
+      },
+      counters);
 }
 
 /// Frames `payload` (magic, version, CRC) and writes it to `path`.

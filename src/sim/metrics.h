@@ -4,27 +4,19 @@
 // (computed from the paper's cost model in common/types.h). The bandwidth
 // figures of Section 3.3 — lazy-mode maintenance traffic, per-query traffic
 // split by message kind, messages per query — are all derived from these
-// counters.
+// counters. Each counter record here lists its fields once, in Counters()
+// (common/counters.h): a new counter is a member and one line in that list.
 #ifndef P3Q_SIM_METRICS_H_
 #define P3Q_SIM_METRICS_H_
 
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <tuple>
+
+#include "common/counters.h"
 
 namespace p3q {
-
-/// `now - earlier` for monotone counters. Every Since/operator- delta in
-/// this file goes through here: a misordered snapshot (subtracting a LATER
-/// snapshot from an earlier one) would otherwise silently wrap to ~2^64.
-/// Asserts the ordering in debug builds; clamps to zero in release.
-inline std::uint64_t MonotoneDelta(std::uint64_t now, std::uint64_t earlier) {
-  assert(now >= earlier &&
-         "monotone counter delta: 'earlier' snapshot is newer than 'now'");
-  return now >= earlier ? now - earlier : 0;
-}
 
 /// Every kind of message P3Q puts on the wire.
 enum class MessageType : int {
@@ -47,19 +39,22 @@ struct MessageStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
 
+  static constexpr auto Counters() {
+    return std::tuple{Sum(&MessageStats::messages),
+                      Sum(&MessageStats::bytes)};
+  }
+
   void Add(std::uint64_t b) {
     ++messages;
     bytes += b;
-  }
-  MessageStats operator-(const MessageStats& other) const {
-    return MessageStats{MonotoneDelta(messages, other.messages),
-                        MonotoneDelta(bytes, other.bytes)};
   }
 };
 
 /// Aggregated traffic counters, indexable by MessageType.
 class Metrics {
  public:
+  static constexpr auto Counters() { return std::tuple{Sum(&Metrics::stats_)}; }
+
   /// Records one message of `type` carrying `bytes` payload bytes.
   void Record(MessageType type, std::uint64_t bytes) {
     stats_[static_cast<int>(type)].Add(bytes);
@@ -79,21 +74,18 @@ class Metrics {
   Metrics Snapshot() const { return *this; }
 
   /// Per-type difference (this - earlier).
-  Metrics Since(const Metrics& earlier) const;
+  Metrics Since(const Metrics& earlier) const {
+    return CountersSince(*this, earlier);
+  }
 
   /// Adds every counter of `other` into this (per-shard mailbox folding).
-  void MergeFrom(const Metrics& other);
+  void MergeFrom(const Metrics& other) { MergeCounters(*this, other); }
 
   /// True when every counter is zero.
   bool Empty() const { return TotalMessages() == 0 && TotalBytes() == 0; }
 
   /// Zeroes every counter.
   void Reset();
-
-  /// Overwrites one counter pair (checkpoint restore).
-  void Restore(MessageType type, const MessageStats& stats) {
-    stats_[static_cast<int>(type)] = stats;
-  }
 
  private:
   std::array<MessageStats, static_cast<int>(MessageType::kCount)> stats_{};
@@ -125,6 +117,13 @@ struct DeliveryStats {
   /// delivered messages by lag = commit cycle - send cycle.
   std::array<std::uint64_t, kDeliveryLagBuckets> lag_histogram{};
 
+  static constexpr auto Counters() {
+    using D = DeliveryStats;
+    return std::tuple{Sum(&D::enqueued), Sum(&D::dropped), Sum(&D::delivered),
+                      Sum(&D::stale_dropped), Peak(&D::max_in_flight),
+                      Sum(&D::lag_histogram)};
+  }
+
   void RecordDelivery(std::uint64_t lag) {
     ++delivered;
     ++lag_histogram[lag < kDeliveryLagBuckets ? lag : kDeliveryLagBuckets - 1];
@@ -140,11 +139,13 @@ struct DeliveryStats {
   double LagPercentile(double p) const { return LagPercentileBound(p).value; }
 
   /// Adds every counter of `other`; max_in_flight takes the maximum.
-  void MergeFrom(const DeliveryStats& other);
+  void MergeFrom(const DeliveryStats& other) { MergeCounters(*this, other); }
 
   /// Per-counter difference (this - earlier) for phase deltas.
   /// max_in_flight keeps this side's running peak (peaks do not subtract).
-  DeliveryStats Since(const DeliveryStats& earlier) const;
+  DeliveryStats Since(const DeliveryStats& earlier) const {
+    return CountersSince(*this, earlier);
+  }
 };
 
 /// Query-completion-latency histogram resolution: latencies of
@@ -170,6 +171,14 @@ struct QueryLatencyStats {
   std::array<std::uint64_t, kQueryLatencyBuckets> completion_histogram{};
   /// first-result queries by latency = first-result cycle - issue cycle.
   std::array<std::uint64_t, kQueryLatencyBuckets> first_result_histogram{};
+
+  static constexpr auto Counters() {
+    using Q = QueryLatencyStats;
+    return std::tuple{Sum(&Q::issued), Sum(&Q::completed),
+                      Sum(&Q::completed_within_slo), Sum(&Q::first_results),
+                      Sum(&Q::abandoned), Sum(&Q::completion_histogram),
+                      Sum(&Q::first_result_histogram)};
+  }
 
   void RecordCompletion(std::uint64_t latency, std::uint64_t slo_cycles) {
     ++completed;
@@ -198,26 +207,15 @@ struct QueryLatencyStats {
   bool Empty() const { return issued == 0; }
 
   /// Adds every counter of `other`.
-  void MergeFrom(const QueryLatencyStats& other);
+  void MergeFrom(const QueryLatencyStats& other) {
+    MergeCounters(*this, other);
+  }
 
   /// Per-counter difference (this - earlier) for phase deltas.
-  QueryLatencyStats Since(const QueryLatencyStats& earlier) const;
-};
-
-/// True when no counter of `earlier` exceeds its match in `now`, as holds
-/// for a snapshot the counters `now` grew from: what `now.Since(earlier)`
-/// requires (a checkpoint load checks its restored baselines with it).
-bool Precedes(const Metrics& earlier, const Metrics& now);
-bool Precedes(const DeliveryStats& earlier, const DeliveryStats& now);
-bool Precedes(const QueryLatencyStats& earlier, const QueryLatencyStats& now);
-template <std::size_t N>
-bool Precedes(const std::array<std::uint64_t, N>& earlier,
-              const std::array<std::uint64_t, N>& now) {
-  for (std::size_t i = 0; i < N; ++i) {
-    if (earlier[i] > now[i]) return false;
+  QueryLatencyStats Since(const QueryLatencyStats& earlier) const {
+    return CountersSince(*this, earlier);
   }
-  return true;
-}
+};
 
 }  // namespace p3q
 

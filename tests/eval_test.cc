@@ -181,7 +181,8 @@ TEST(ExperimentRunnerTest, QueryBatchStatsAreConsistent) {
     EXPECT_DOUBLE_EQ(s.final_recall, 1.0);
     EXPECT_GE(s.cycles_to_complete, 0);
     EXPECT_LE(s.cycles_to_complete, 25);
-    EXPECT_GT(s.partial_result_bytes + s.forwarded_list_bytes, 0u);
+    EXPECT_GT(s.traffic.partial_result_bytes + s.traffic.forwarded_list_bytes,
+              0u);
   }
   // All query state was forgotten.
   EXPECT_TRUE(system->AllQueryIds().empty());
