@@ -164,7 +164,6 @@ std::uint64_t EagerProtocol::IssueQuery(const QuerySpec& spec) {
     state.active_tasks = 1;
   }
   state.query->EndOfCycle(complete);  // cycle-0 snapshot (local result)
-  state.finalized = complete;
   state_.emplace(id, std::move(state));
   return id;
 }
@@ -285,14 +284,14 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
   return true;
 }
 
-void EagerProtocol::BeginCycle(std::uint64_t /*cycle*/) { wave_.Clear(); }
-
 bool EagerProtocol::ActiveInCycle(UserId node) const {
-  // Read-only probe, safe from plan threads; a task can appear on a node
-  // only through a commit (sequential), never mid-plan, and only the
-  // node's own commit removes one — so the answer cannot flip to false
-  // between a node's plan and its commit.
-  return !system_->node(node).tasks().empty();
+  // Read-only probes, safe from plan threads: nothing changes liveness or
+  // tasks during the plan. A task can appear on a node only through a
+  // commit (sequential), and only the node's own commit removes one — so
+  // the task probe cannot flip to false between a node's plan and its
+  // commit.
+  return system_->network().IsOnline(node) &&
+         !system_->node(node).tasks().empty();
 }
 
 void EagerProtocol::PlanCycle(UserId node_id, const PlanContext& ctx) {
@@ -500,7 +499,7 @@ void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {
 std::size_t EagerProtocol::PrepareCloseouts(std::uint64_t /*cycle*/) {
   closeouts_.clear();
   for (auto& [qid, state] : state_) {
-    if (!state.finalized) closeouts_.push_back(&state);
+    if (!state.query->finalized()) closeouts_.push_back(&state);
   }
   return closeouts_.size();
 }
@@ -510,9 +509,7 @@ void EagerProtocol::Closeout(std::size_t item) {
   // during this cycle and refreshes the query's top-k. The wave reads no
   // query state, so this may run beside it.
   QueryState& state = *closeouts_[item];
-  const bool complete = state.active_tasks == 0;
-  state.query->EndOfCycle(complete);
-  state.finalized = complete;
+  state.query->EndOfCycle(state.active_tasks == 0);
 }
 
 std::vector<std::uint64_t> EagerProtocol::AllQueryIds() const {
@@ -610,7 +607,9 @@ void EagerProtocol::Transfer(Io& io, Self& self) {
     io.AscendingUsers(state.reached, "reached user");
     std::int64_t active_tasks = state.active_tasks;
     io.I64(active_tasks);
-    io.Bool(state.finalized);
+    // The query's own flag, kept in the layout a second time.
+    bool finalized = state.query->finalized();
+    io.Bool(finalized);
     const std::uint64_t id = state.query->id();
     if constexpr (Io::kLoading) {
       if (!self.state_.empty() && id <= max_id) {
@@ -619,6 +618,11 @@ void EagerProtocol::Transfer(Io& io, Self& self) {
       if (active_tasks < 0) {
         throw CheckpointError("eager query " + std::to_string(id) +
                               " has a negative active task count");
+      }
+      if (finalized != state.query->finalized()) {
+        throw CheckpointError(
+            "eager query " + std::to_string(id) +
+            "'s finalized byte disagrees with the query's own flag");
       }
       const auto held = holders.find(id);
       const std::int64_t holding = held == holders.end() ? 0 : held->second;

@@ -153,8 +153,7 @@ class EagerProtocol : public CycleProtocol {
   std::uint64_t IssueQuery(const QuerySpec& spec);
 
   // -- CycleProtocol ---------------------------------------------------------
-  void BeginCycle(std::uint64_t cycle) override;
-  /// Only nodes holding query tasks do eager work; everyone else is
+  /// Only online nodes holding query tasks do eager work; everyone else is
   /// filtered out before the engine forks their streams, keeping query
   /// cycles O(engaged nodes) on large, mostly-idle populations.
   bool ActiveInCycle(UserId node) const override;
@@ -240,8 +239,7 @@ class EagerProtocol : public CycleProtocol {
   struct QueryState {
     std::unique_ptr<ActiveQuery> query;
     std::vector<UserId> reached;  ///< ascending
-    int active_tasks = 0;     ///< nodes currently holding a non-empty list
-    bool finalized = false;   ///< completion snapshot already recorded
+    int active_tasks = 0;  ///< nodes currently holding a non-empty list
   };
 
   /// One planned gossip of a task (Algorithm 3 both roles, decided against

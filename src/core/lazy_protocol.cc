@@ -205,6 +205,10 @@ void CommitReplicaFill(const P3QSystem* system, P3QNode* receiver,
 
 LazyProtocol::LazyProtocol(P3QSystem* system) : system_(system) {}
 
+bool LazyProtocol::ActiveInCycle(UserId node) const {
+  return system_->network().IsOnline(node);
+}
+
 void LazyProtocol::PlanProfileExchange(P3QSystem* system, UserId a, UserId b,
                                        Rng* rng, Metrics* traffic,
                                        ProfileExchangePlan* plan) {

@@ -138,6 +138,9 @@ class LazyProtocol : public CycleProtocol {
  public:
   explicit LazyProtocol(P3QSystem* system);
 
+  /// Online users gossip; offline ones sit the cycle out.
+  bool ActiveInCycle(UserId node) const override;
+
   /// Parallel phase: bottom-layer peer choice + probing and top-layer
   /// screening/scoring against frozen state; the decisions are packaged as
   /// one self-contained message per node and handed to the delivery layer
@@ -155,7 +158,7 @@ class LazyProtocol : public CycleProtocol {
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
 
-  /// Commits run level-parallel: a message touches its sender, its
+  /// Commits run in levels: a message touches its sender, its
   /// bottom-layer peer and its exchange endpoints, nobody else.
   bool DeclaresCommitFootprints() const override { return true; }
   void CommitFootprintOf(UserId sender, const DeliveryMessage& message,

@@ -5,7 +5,6 @@ namespace p3q {
 P3QNode::P3QNode(UserId self, ProfilePtr profile, const P3QConfig& config,
                  int storage_capacity, Rng rng)
     : self_(self),
-      storage_capacity_(storage_capacity),
       profile_(std::move(profile)),
       network_(self, config.network_size, storage_capacity),
       random_view_(self, static_cast<std::size_t>(config.random_view_size)),

@@ -41,12 +41,12 @@ struct EagerTask {
 class P3QNode {
  public:
   /// self: user id; profile: current own profile snapshot; storage_capacity:
-  /// this user's c (from the storage distribution); rng: private stream.
+  /// this user's c (from the storage distribution), which her personal
+  /// network keeps; rng: private stream.
   P3QNode(UserId self, ProfilePtr profile, const P3QConfig& config,
           int storage_capacity, Rng rng);
 
   UserId id() const { return self_; }
-  int storage_capacity() const { return storage_capacity_; }
 
   const ProfilePtr& profile() const { return profile_; }
   /// Installs a new own-profile snapshot (the user tagged new items).
@@ -94,7 +94,6 @@ class P3QNode {
 
  private:
   UserId self_;
-  int storage_capacity_;
   ProfilePtr profile_;
   PersonalNetwork network_;
   RandomView random_view_;

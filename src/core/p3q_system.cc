@@ -43,9 +43,6 @@ P3QSystem::P3QSystem(ProfileStore&& store, const P3QConfig& config,
     nodes_.push_back(std::make_unique<P3QNode>(u, store_.Get(u), config_,
                                                std::max(1, c), rng_.Fork()));
   }
-  engine_.SetLivenessCheck([this](UserId u) { return network_.IsOnline(u); });
-  eager_engine_.SetLivenessCheck(
-      [this](UserId u) { return network_.IsOnline(u); });
 }
 
 void P3QSystem::SetThreads(int threads) {

@@ -1,7 +1,6 @@
 #include "dataset/dataset.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace p3q {
@@ -44,32 +43,6 @@ DatasetStats Dataset::ComputeStats() const {
         static_cast<double>(total_items_per_user) / stats.num_users;
   }
   return stats;
-}
-
-Dataset Dataset::Reduce(std::size_t min_users) const {
-  // Count, for every item and tag, how many distinct users employ it.
-  std::unordered_map<ItemId, std::size_t> item_users;
-  std::unordered_map<TagId, std::size_t> tag_users;
-  for (const auto& actions : user_actions_) {
-    std::unordered_set<ItemId> seen_items;
-    std::unordered_set<TagId> seen_tags;
-    for (ActionKey a : actions) {
-      seen_items.insert(ActionItem(a));
-      seen_tags.insert(ActionTag(a));
-    }
-    for (ItemId i : seen_items) ++item_users[i];
-    for (TagId t : seen_tags) ++tag_users[t];
-  }
-  std::vector<std::vector<ActionKey>> reduced(user_actions_.size());
-  for (std::size_t u = 0; u < user_actions_.size(); ++u) {
-    for (ActionKey a : user_actions_[u]) {
-      if (item_users[ActionItem(a)] >= min_users &&
-          tag_users[ActionTag(a)] >= min_users) {
-        reduced[u].push_back(a);
-      }
-    }
-  }
-  return Dataset(std::move(reduced));
 }
 
 ProfileStore Dataset::BuildProfileStore(std::size_t digest_bits) const {

@@ -2,9 +2,7 @@
 //
 // The paper evaluates on a delicious crawl (10,000 users, 101,144 items,
 // 31,899 tags, 9,536,635 actions after reduction). This class holds an
-// equivalent synthetic structure (dataset/generator.h) plus the reduction
-// operator the paper applies ("items and tags used by at least 10 distinct
-// users").
+// equivalent synthetic structure (dataset/generator.h).
 #ifndef P3Q_DATASET_DATASET_H_
 #define P3Q_DATASET_DATASET_H_
 
@@ -45,11 +43,6 @@ class Dataset {
 
   /// Computes distinct-item/tag/action statistics.
   DatasetStats ComputeStats() const;
-
-  /// The paper's dataset reduction: drops every action whose item or tag is
-  /// used by fewer than min_users distinct users. Returns the reduced
-  /// dataset (users keep their ids; some may end up with empty profiles).
-  Dataset Reduce(std::size_t min_users) const;
 
   /// Builds the authoritative profile store (version-0 snapshots).
   ProfileStore BuildProfileStore(std::size_t digest_bits = kDefaultDigestBits) const;

@@ -27,11 +27,6 @@ void RandomView::Init(std::vector<DigestInfo> entries) {
   if (entries_.size() > capacity_) entries_.resize(capacity_);
 }
 
-UserId RandomView::SelectRandomPeer(Rng* rng) const {
-  if (entries_.empty()) return kInvalidUser;
-  return entries_[rng->NextUint64(entries_.size())].user;
-}
-
 void RandomView::MakeExchangePayload(
     const DigestInfo& self_digest,
     std::pmr::vector<DigestInfo>* payload) const {

@@ -39,9 +39,6 @@ class RandomView {
   /// Replaces the view content (bootstrap).
   void Init(std::vector<DigestInfo> entries);
 
-  /// Uniformly random peer id from the view; kInvalidUser when empty.
-  UserId SelectRandomPeer(Rng* rng) const;
-
   /// Fills `payload` with the digests this node sends in one exchange: its
   /// whole view plus its own fresh descriptor (standard peer-sampling push
   /// so newcomers spread). `payload` arrives empty and is reserved once.

@@ -39,13 +39,13 @@ struct PhaseBreakdown {
   /// have committed.
   double drain_take_seconds = 0.0;
   double drain_teardown_seconds = 0.0;
-  /// Levels the level-parallel drain ran (sim/engine.h); a sequential drain
-  /// adds none. Long level chains come from users many others gossip with.
+  /// Levels the drain ran (sim/engine.h); a drain in message order adds
+  /// none. Long level chains come from users many others gossip with.
   std::uint64_t drain_levels = 0;
   /// Messages committed concurrently on the worker pool.
   std::uint64_t drain_pooled_messages = 0;
-  /// Messages committed on the calling thread: the whole sequential drain,
-  /// plus every level too small to be worth the pool.
+  /// Messages committed on the calling thread: every drain in message
+  /// order, plus every level too small to be worth the pool.
   std::uint64_t drain_inline_messages = 0;
   /// Close-out items (sim/engine.h) run on the worker pool beside EndCycle.
   std::uint64_t closeout_pooled_items = 0;

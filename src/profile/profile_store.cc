@@ -58,12 +58,6 @@ void ProfileStore::RestoreSnapshots(std::vector<ProfilePtr> snapshots) {
   current_ = std::move(snapshots);
 }
 
-std::size_t ProfileStore::TotalActions() const {
-  std::size_t total = 0;
-  for (const auto& p : current_) total += p->Length();
-  return total;
-}
-
 std::span<const ActionKey> ProfileStore::OriginalActionsOf(UserId user) const {
   const auto it = originals_.find(user);
   if (it != originals_.end()) return it->second;

@@ -74,18 +74,10 @@ class ProfileStore {
     return current_[user]->version();
   }
 
-  /// True when the replica is the newest snapshot of its owner.
-  bool IsFresh(const Profile& replica) const {
-    return replica.version() == CurrentVersion(replica.owner());
-  }
-
   /// Publishes a new snapshot for `user` containing her previous actions
   /// plus `new_actions`, built with the previous snapshot's digest size;
   /// bumps the version, even for an empty batch. Returns the new snapshot.
   ProfilePtr ApplyUpdate(UserId user, const std::vector<ActionKey>& new_actions);
-
-  /// Total number of tagging actions across all current snapshots.
-  std::size_t TotalActions() const;
 
   /// Replaces every user's current snapshot (checkpoint restore). The
   /// vector must hold one non-null snapshot per existing user, owners in

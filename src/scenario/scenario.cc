@@ -45,21 +45,6 @@ DutyCycleFn DiurnalDuty(double high, double low) {
   };
 }
 
-std::uint64_t Scenario::TotalCycles() const {
-  std::uint64_t total = 0;
-  for (const ScenarioPhase& phase : phases) total += phase.cycles;
-  return total;
-}
-
-bool Scenario::HasArrivals() const {
-  for (const ScenarioPhase& phase : phases) {
-    const ArrivalSpec& spec =
-        phase.arrivals.has_value() ? *phase.arrivals : arrivals;
-    if (!spec.IsNone() && phase.mode != PhaseMode::kLazy) return true;
-  }
-  return false;
-}
-
 std::string Scenario::Validate() const {
   if (name.empty()) return "scenario name is empty";
   if (phases.empty()) return "scenario has no phases";

@@ -111,12 +111,6 @@ struct Scenario {
   int eager_gossip_budget = 0;
   std::vector<ScenarioPhase> phases;
 
-  /// True when any phase runs an open-loop arrival process.
-  bool HasArrivals() const;
-
-  /// Sum of all phase cycle budgets.
-  std::uint64_t TotalCycles() const;
-
   /// Returns an empty string when the timeline is well formed, else a
   /// human-readable description of the first problem (empty phases, events
   /// scheduled past the phase end, fractions outside [0, 1], ...).

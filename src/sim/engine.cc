@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -32,12 +33,16 @@ int ClampThreads(std::int64_t threads) {
       threads, 1, static_cast<std::int64_t>(kEngineShards)));
 }
 
+/// The `beside` of a ForEachItem with nothing to run beside its items.
+constexpr auto kNothingBeside = [] {};
+
 }  // namespace
 
-/// Persistent plan-phase workers: spawned once and fed one job per plan
-/// phase (or drain level, end-of-cycle plan, or close-out) through an epoch
-/// counter, so a run pays the thread spawn cost once instead of once per
-/// cycle (idle workers block on the condition variable between jobs).
+/// Persistent plan-phase workers: spawned once and fed one job per
+/// Engine::ForEachItem call (a plan phase, drain level, end-of-cycle plan or
+/// close-out) through an epoch counter, so a run pays the thread spawn cost
+/// once instead of once per cycle (idle workers block on the condition
+/// variable between jobs).
 /// Run() returns only after every worker finished the job — the cycle
 /// barrier — even when the job throws: exceptions from any thread are
 /// captured and the first one is rethrown on the calling thread after the
@@ -130,8 +135,8 @@ class PlanWorkerPool {
   bool stop_ = false;
 };
 
-/// Commit trace events of a level-parallel drain: staged per worker with
-/// their message index, accepted in message order once the drain ends.
+/// Commit trace events of a drain in levels: staged per worker with their
+/// message index, accepted in message order once the drain ends.
 class CommitEventStage {
  public:
   /// Empties the stage and sizes it for `workers` committing threads.
@@ -189,33 +194,35 @@ void CommitContext::Emit(const TraceEvent& event) const {
   }
 }
 
-/// The level-parallel drain (see the file comment of engine.h). Its scratch
-/// is sized once and reused, so a steady-state drain allocates nothing.
-class Engine::LevelDrain {
+/// The delivery drain (see the file comment of engine.h). Its scratch is
+/// sized once and reused, so a steady-state drain allocates nothing.
+class Engine::Drain {
  public:
-  explicit LevelDrain(std::size_t num_nodes) : next_level_(num_nodes, 0) {}
-
-  /// Commits `due`, given in (due, sender, seq) order, level by level.
+  /// Commits `due`, given in (due, sender, seq) order: level by level when
+  /// the protocol declares commit footprints and the engine has more than
+  /// one thread, else in message order on the calling thread.
   void Run(Engine* engine, std::vector<DeliveryQueue::InFlight>& due);
 
  private:
-  /// Assigns every message its level and commit stream; returns the level
-  /// count.
+  /// Forks one commit stream per run of consecutive messages from one
+  /// sender and names every message's stream.
+  void AssignStreams(const Engine& engine,
+                     const std::vector<DeliveryQueue::InFlight>& due);
+  /// Assigns every message its level; returns the level count.
   std::size_t AssignLevels(const Engine& engine,
                            const std::vector<DeliveryQueue::InFlight>& due);
   /// Zeroes the next_level_ marks of the first `count` messages' footprints.
   void ClearMarks(std::size_t count);
 
   /// Per user: one past the level of the last message so far in this drain
-  /// whose footprint holds the user (0: none). All zero between drains.
+  /// whose footprint holds the user (0: none). All zero between drains, and
+  /// sized on the first drain that assigns levels.
   std::vector<std::uint32_t> next_level_;
   // Per due message.
   std::vector<CommitFootprint> footprints_;
   std::vector<std::uint32_t> level_of_;
   std::vector<std::uint32_t> stream_of_;
-  /// One commit stream per run of consecutive messages from one sender —
-  /// the streams the sequential drain forks.
-  std::vector<Rng> streams_;
+  std::vector<Rng> streams_;  ///< one per run of one sender's messages
   /// Message indices grouped by level, in message order within a level;
   /// level l occupies [l == 0 ? 0 : level_end_[l - 1], level_end_[l]).
   std::vector<std::uint32_t> order_;
@@ -223,14 +230,17 @@ class Engine::LevelDrain {
   CommitEventStage stage_;
 };
 
-template <class Fn>
-bool Engine::ForEachItem(std::size_t n, const Fn& fn) {
+template <class Fn, class Beside>
+bool Engine::ForEachItem(std::size_t n, const Fn& fn, const Beside& beside) {
   if (threads_ <= 1 || n < kInlineLevelSize) {
+    beside();
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return false;
   }
+  if (pool_ == nullptr) pool_ = std::make_unique<PlanWorkerPool>(threads_ - 1);
   std::atomic<std::size_t> next{0};
-  Workers().Run([&](std::size_t worker) {
+  pool_->Run([&](std::size_t worker) {
+    if (worker == 0) beside();
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
       fn(i, worker);
@@ -239,7 +249,7 @@ bool Engine::ForEachItem(std::size_t n, const Fn& fn) {
   return true;
 }
 
-void Engine::LevelDrain::ClearMarks(std::size_t count) {
+void Engine::Drain::ClearMarks(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const CommitFootprint& footprint = footprints_[i];
     for (std::size_t k = 0; k < footprint.size; ++k) {
@@ -248,13 +258,25 @@ void Engine::LevelDrain::ClearMarks(std::size_t count) {
   }
 }
 
-std::size_t Engine::LevelDrain::AssignLevels(
+void Engine::Drain::AssignStreams(
+    const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due) {
+  stream_of_.resize(due.size());
+  streams_.clear();
+  for (std::size_t i = 0; i < due.size(); ++i) {
+    if (i == 0 || due[i].sender != due[i - 1].sender) {
+      streams_.push_back(
+          ForkStream(engine.seed_, engine.cycle_, due[i].sender, kCommitSalt));
+    }
+    stream_of_[i] = static_cast<std::uint32_t>(streams_.size() - 1);
+  }
+}
+
+std::size_t Engine::Drain::AssignLevels(
     const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due) {
   const std::size_t n = due.size();
+  next_level_.resize(engine.num_nodes_);
   footprints_.assign(n, CommitFootprint{});
   level_of_.resize(n);
-  stream_of_.resize(n);
-  streams_.clear();
   std::uint32_t num_levels = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const DeliveryQueue::InFlight& message = due[i];
@@ -279,11 +301,6 @@ std::size_t Engine::LevelDrain::AssignLevels(
     }
     level_of_[i] = level;
     num_levels = std::max(num_levels, level + 1);
-    if (i == 0 || message.sender != due[i - 1].sender) {
-      streams_.push_back(
-          ForkStream(engine.seed_, engine.cycle_, message.sender, kCommitSalt));
-    }
-    stream_of_[i] = static_cast<std::uint32_t>(streams_.size() - 1);
   }
   ClearMarks(n);
 
@@ -303,12 +320,17 @@ std::size_t Engine::LevelDrain::AssignLevels(
   return num_levels;
 }
 
-void Engine::LevelDrain::Run(Engine* engine,
-                             std::vector<DeliveryQueue::InFlight>& due) {
-  const std::size_t num_levels = AssignLevels(*engine, due);
+void Engine::Drain::Run(Engine* engine,
+                        std::vector<DeliveryQueue::InFlight>& due) {
+  AssignStreams(*engine, due);
+  const bool in_levels =
+      engine->threads_ > 1 && engine->protocol_->DeclaresCommitFootprints();
+  const std::size_t num_levels = in_levels ? AssignLevels(*engine, due) : 0;
   Tracer* tracer = engine->tracer_;
-  if (tracer != nullptr) {
-    stage_.Reset(static_cast<std::size_t>(engine->threads_));
+  // The in-order drain hands its events to the tracer as they come.
+  CommitEventStage* stage = in_levels && tracer != nullptr ? &stage_ : nullptr;
+  if (stage != nullptr) {
+    stage->Reset(static_cast<std::size_t>(engine->threads_));
   }
   const auto commit = [&](std::size_t i, std::size_t worker) {
     DeliveryQueue::InFlight& message = due[i];
@@ -318,28 +340,33 @@ void Engine::LevelDrain::Run(Engine* engine,
     ctx.rng = &streams_[stream_of_[i]];
     ctx.worker = worker;
     ctx.tracer = tracer;
-    ctx.stage = tracer != nullptr ? &stage_ : nullptr;
+    ctx.stage = stage;
     ctx.message = i;
     engine->protocol_->CommitMessage(message.sender, *message.payload, ctx);
   };
   std::size_t pooled = 0;
   try {
+    if (!in_levels) {
+      for (std::size_t i = 0; i < due.size(); ++i) commit(i, 0);
+    }
     for (std::size_t l = 0; l < num_levels; ++l) {
       const std::size_t begin = l == 0 ? 0 : level_end_[l - 1];
       const std::size_t end = level_end_[l];
-      if (engine->ForEachItem(end - begin, [&](std::size_t k,
-                                               std::size_t worker) {
-            commit(order_[begin + k], worker);
-          })) {
+      if (engine->ForEachItem(
+              end - begin,
+              [&](std::size_t k, std::size_t worker) {
+                commit(order_[begin + k], worker);
+              },
+              kNothingBeside)) {
         pooled += end - begin;
       }
     }
   } catch (...) {
     // Best effort for the flight recorder: keep what did commit.
-    if (tracer != nullptr) stage_.AcceptInMessageOrder(tracer);
+    if (stage != nullptr) stage->AcceptInMessageOrder(tracer);
     throw;
   }
-  if (tracer != nullptr) stage_.AcceptInMessageOrder(tracer);
+  if (stage != nullptr) stage->AcceptInMessageOrder(tracer);
   if (PhaseBreakdown* profile = engine->profile_; profile != nullptr) {
     profile->drain_levels += num_levels;
     profile->drain_pooled_messages += pooled;
@@ -387,7 +414,7 @@ Engine::Engine(std::size_t num_nodes, std::uint64_t seed,
       num_nodes_(num_nodes),
       seed_(seed),
       threads_(ClampThreads(GetEnvInt("P3Q_THREADS", 1))),
-      alive_(num_nodes, 1) {}
+      drain_(std::make_unique<Drain>()) {}
 
 Engine::~Engine() = default;
 
@@ -427,16 +454,6 @@ std::pair<UserId, UserId> Engine::ShardRange(std::size_t shard) const {
   return {static_cast<UserId>(lo), static_cast<UserId>(hi)};
 }
 
-void Engine::SnapshotLiveness() {
-  if (!liveness_) {
-    std::fill(alive_.begin(), alive_.end(), char{1});
-    return;
-  }
-  for (UserId u = 0; u < static_cast<UserId>(num_nodes_); ++u) {
-    alive_[u] = liveness_(u) ? 1 : 0;
-  }
-}
-
 void Engine::RunPlanPhase() {
   // Zero latency takes the fast path: no spec consultation, no
   // delivery-stream forks, every message due this cycle.
@@ -446,51 +463,40 @@ void Engine::RunPlanPhase() {
   // is needed beyond the pool's barrier.
   const bool profiled = profile_ != nullptr;
   if (profiled) shard_plan_seconds_.fill(0.0);
-  std::atomic<std::size_t> next_shard{0};
-  const PlanWorkerPool::Job plan_shards = [&](std::size_t /*worker*/) {
-    for (std::size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
-         s < kEngineShards;
-         s = next_shard.fetch_add(1, std::memory_order_relaxed)) {
-      const auto shard_start = profiled
-                                   ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point();
-      const auto [first, last] = ShardRange(s);
-      PlanContext ctx;
-      ctx.cycle = cycle_;
-      ctx.shard = s;
-      ctx.queue = queue_.get();
-      ctx.arenas = arenas_.get();
-      ctx.latency = latency;
-      for (UserId u = first; u < last; ++u) {
-        if (!alive_[u] || !protocol_->ActiveInCycle(u)) continue;
-        Rng rng = ForkStream(seed_, cycle_, u, kPlanSalt);
-        Rng delivery_rng(0);
-        if (latency != nullptr) {
-          delivery_rng = ForkStream(seed_, cycle_, u, kDeliverySalt);
-          ctx.delivery_rng = &delivery_rng;
-        }
-        ctx.node = u;
-        ctx.rng = &rng;
-        protocol_->PlanCycle(u, ctx);
+  // So the shards go to the pool whenever the engine has more than one
+  // thread.
+  static_assert(kEngineShards >= kInlineLevelSize);
+  const auto plan_shard = [&](std::size_t s, std::size_t /*worker*/) {
+    const auto shard_start = profiled
+                                 ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point();
+    const auto [first, last] = ShardRange(s);
+    PlanContext ctx;
+    ctx.cycle = cycle_;
+    ctx.shard = s;
+    ctx.queue = queue_.get();
+    ctx.arenas = arenas_.get();
+    ctx.latency = latency;
+    for (UserId u = first; u < last; ++u) {
+      if (!protocol_->ActiveInCycle(u)) continue;
+      Rng rng = ForkStream(seed_, cycle_, u, kPlanSalt);
+      Rng delivery_rng(0);
+      if (latency != nullptr) {
+        delivery_rng = ForkStream(seed_, cycle_, u, kDeliverySalt);
+        ctx.delivery_rng = &delivery_rng;
       }
-      if (profiled) {
-        shard_plan_seconds_[s] =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          shard_start)
-                .count();
-      }
+      ctx.node = u;
+      ctx.rng = &rng;
+      protocol_->PlanCycle(u, ctx);
+    }
+    if (profiled) {
+      shard_plan_seconds_[s] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        shard_start)
+              .count();
     }
   };
-  if (threads_ <= 1) {
-    plan_shards(0);
-    return;
-  }
-  Workers().Run(plan_shards);
-}
-
-PlanWorkerPool& Engine::Workers() {
-  if (pool_ == nullptr) pool_ = std::make_unique<PlanWorkerPool>(threads_ - 1);
-  return *pool_;
+  ForEachItem(kEngineShards, plan_shard, kNothingBeside);
 }
 
 void Engine::DrainDueMessages() {
@@ -502,31 +508,7 @@ void Engine::DrainDueMessages() {
     arenas_->Delivered(message.send_cycle);
   }
   const auto t1 = profiled ? Clock::now() : Clock::time_point();
-  if (threads_ > 1 && !due.empty() && protocol_->DeclaresCommitFootprints()) {
-    if (level_drain_ == nullptr) {
-      level_drain_ = std::make_unique<LevelDrain>(num_nodes_);
-    }
-    level_drain_->Run(this, due);
-  } else {
-    // The sequential drain — the reference the level-parallel one
-    // reproduces. One commit stream per (cycle, sender), shared by every
-    // message of that sender arriving this cycle.
-    UserId current_sender = kInvalidUser;
-    Rng rng(0);
-    CommitContext ctx;
-    ctx.cycle = cycle_;
-    ctx.rng = &rng;
-    ctx.tracer = tracer_;
-    for (DeliveryQueue::InFlight& message : due) {
-      if (message.sender != current_sender) {
-        current_sender = message.sender;
-        rng = ForkStream(seed_, cycle_, message.sender, kCommitSalt);
-      }
-      ctx.send_cycle = message.send_cycle;
-      protocol_->CommitMessage(message.sender, *message.payload, ctx);
-    }
-    if (profiled) profile_->drain_inline_messages += due.size();
-  }
+  if (!due.empty()) drain_->Run(this, due);
   // The teardown: the calling thread destroys every committed message (each
   // commit already dropped its snapshot handles), then releases the arenas
   // of the send cycles that have nothing left in flight.
@@ -542,26 +524,20 @@ void Engine::DrainDueMessages() {
 }
 
 void Engine::CloseCycle() {
-  ForEachItem(protocol_->PrepareEndCycle(cycle_),
-              [&](std::size_t item, std::size_t worker) {
-                protocol_->PlanEndCycle(item, worker);
-              });
+  ForEachItem(
+      protocol_->PrepareEndCycle(cycle_),
+      [&](std::size_t item, std::size_t worker) {
+        protocol_->PlanEndCycle(item, worker);
+      },
+      kNothingBeside);
   const std::size_t items = protocol_->PrepareCloseouts(cycle_);
   Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt);
-  const bool pooled = threads_ > 1 && items >= kInlineLevelSize;
-  if (pooled) {
-    std::atomic<std::size_t> next{0};
-    Workers().Run([&](std::size_t worker) {
-      if (worker == 0) protocol_->EndCycle(cycle_, &end_rng);
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < items; i = next.fetch_add(1, std::memory_order_relaxed)) {
-        protocol_->Closeout(i);
-      }
-    });
-  } else {
-    protocol_->EndCycle(cycle_, &end_rng);
-    for (std::size_t i = 0; i < items; ++i) protocol_->Closeout(i);
-  }
+  const bool pooled = ForEachItem(
+      items,
+      [&](std::size_t item, std::size_t /*worker*/) {
+        protocol_->Closeout(item);
+      },
+      [&] { protocol_->EndCycle(cycle_, &end_rng); });
   if (profile_ != nullptr) {
     (pooled ? profile_->closeout_pooled_items
             : profile_->closeout_inline_items) += items;
@@ -571,8 +547,6 @@ void Engine::CloseCycle() {
 void Engine::RunOneCycle() {
   using Clock = std::chrono::steady_clock;
   const bool profiled = profile_ != nullptr;
-  SnapshotLiveness();
-  protocol_->BeginCycle(cycle_);
   const auto t0 = profiled ? Clock::now() : Clock::time_point();
   RunPlanPhase();
   const auto t1 = profiled ? Clock::now() : Clock::time_point();

@@ -6,12 +6,12 @@
 // node loop can run on several threads while producing byte-identical
 // results for every thread count (including 1):
 //
-//   1. Liveness is snapshotted ONCE per cycle. The whole cycle sees the same
-//      online set; a node failing mid-cycle (through a commit) only
-//      disappears from the next cycle.
+//   1. A node takes part in a cycle when CycleProtocol::ActiveInCycle says
+//      so. Only the plan phase asks, and nothing it reads changes during the
+//      plan, so a node going offline through a commit still commits what it
+//      planned and plans nothing from the next cycle on.
 //   2. The cycle then runs, in order:
-//        a. BeginCycle(cycle)          — sequential set-up hook.
-//        b. PlanCycle(node, ctx)       — the PARALLEL phase. Nodes are
+//        a. PlanCycle(node, ctx)       — the PARALLEL phase. Nodes are
 //           partitioned into kEngineShards fixed, contiguous shards; worker
 //           threads claim whole shards, so one shard is always planned by a
 //           single thread, in ascending node order. Plan code may only READ
@@ -20,26 +20,25 @@
 //           per-shard mailboxes (e.g. Network::ShardTraffic). All
 //           randomness comes from ctx.rng, a private stream forked from
 //           (seed, cycle, node), so no draw depends on interleaving.
-//        c. EndPlan(cycle)             — sequential barrier hook; merges the
+//        b. EndPlan(cycle)             — sequential barrier hook; merges the
 //           per-shard mailboxes in shard order.
-//        d. The delivery drain — the COMMIT phase: CommitMessage for every
+//        c. The delivery drain — the COMMIT phase: CommitMessage for every
 //           due message (see below), which may mutate any node's state.
-//        e. The end-of-cycle plan. PrepareEndCycle(cycle), a sequential
+//        d. The end-of-cycle plan. PrepareEndCycle(cycle), a sequential
 //           hook, names the cycle's read-only items (e.g. the screens of
 //           the eager mode's wave of refreshments), and
-//           PlanEndCycle(item, worker) runs once per item: on the plan
-//           workers with more than one thread and at least
-//           kInlineLevelSize items, else on the calling thread. All of
-//           them finish before step f.
-//        f. The close-out. PrepareCloseouts(cycle), a sequential hook,
+//           PlanEndCycle(item, worker) runs once per item. All of them
+//           finish before step e.
+//        e. The close-out. PrepareCloseouts(cycle), a sequential hook,
 //           names the cycle's independent close-out items (e.g. the eager
 //           mode's open queries). EndCycle(cycle, rng) is the sequential
 //           tear-down hook (e.g. the eager mode's wave of refreshments),
-//           and Closeout(item) runs once per item. With more than one
-//           thread and at least kInlineLevelSize items, EndCycle runs on
-//           the calling thread while the plan workers take the items, and
-//           the calling thread joins them once EndCycle returns. Otherwise
-//           the items run on the calling thread after EndCycle.
+//           and Closeout(item) runs once per item beside it.
+//
+// Every parallel step (the plan's shards, a drain level's messages, the
+// end-of-cycle plan and close-out items) runs through one worker loop,
+// Engine::ForEachItem: on the plan workers with more than one thread and at
+// least kInlineLevelSize items, else on the calling thread.
 //
 // Because plan reads only frozen state and every commit sees the state the
 // canonical commit order gives it, the node-visit multiset, every RNG
@@ -58,24 +57,27 @@
 // A message's lifetime. Plan code may put what a message points to on
 // PlanContext::arena, the planning shard's arena for the current send cycle.
 // CommitMessage drops its message's snapshot handles before it returns, so
-// in the level drain those drops run in parallel on the workers. After the
-// drain the calling thread destroys the committed messages (the teardown),
-// and the engine then releases the arenas of every send cycle that has no
-// message left in flight (sim/delivery.h).
+// in a parallel drain those drops run on the workers. After the drain the
+// calling thread destroys the committed messages (the teardown), and the
+// engine then releases the arenas of every send cycle that has no message
+// left in flight (sim/delivery.h).
 //
-// The drain is sequential unless the protocol declares commit footprints
-// (CycleProtocol::DeclaresCommitFootprints): the users whose state each
-// message's commit reads or writes. Then, with more than one thread, every
-// due message gets a level — one more than the highest level of any
-// earlier due message sharing a user with it — and the levels run in
-// order, the messages of one level concurrently on the plan workers. Two
-// messages sharing a user still commit in (due, sender, seq) order, and
-// one level's messages touch disjoint users, so every commit sees exactly
-// the state the sequential drain gives it. The rest of the contract a
-// footprint-declaring protocol keeps: shared counters are written only
-// through per-worker lanes (CommitContext::worker), and trace events only
-// through CommitContext::Emit, which stages them and accepts them in
-// message order after the drain.
+// One drain, two schedules. The drain forks one commit stream per run of
+// one sender's messages and commits every message through one function.
+// By default it commits them in message order on the calling thread. When
+// the protocol declares commit footprints
+// (CycleProtocol::DeclaresCommitFootprints: the users whose state each
+// message's commit reads or writes) and the engine has more than one
+// thread, every due message gets a level — one more than the highest level
+// of any earlier due message sharing a user with it — and the levels run in
+// order, the messages of one level concurrently. Two messages sharing a
+// user still commit in (due, sender, seq) order, and one level's messages
+// touch disjoint users, so every commit sees exactly the state message
+// order gives it. The rest of the contract a footprint-declaring protocol
+// keeps: shared counters are written only through per-worker lanes
+// (CommitContext::worker), and trace events only through
+// CommitContext::Emit, which stages them and accepts them in message order
+// after the drain.
 //
 // An end-of-cycle plan item may run on any thread, concurrently with the
 // other items, so PlanEndCycle may read any state but writes only its own
@@ -91,13 +93,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <memory_resource>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/random.h"
 #include "common/types.h"
@@ -212,22 +212,21 @@ struct CommitContext {
   /// sender arriving this cycle (see CycleProtocol::CommitMessage).
   Rng* rng = nullptr;
   /// The committing thread, in [0, threads): 0 is the calling thread, which
-  /// runs the whole sequential drain. Counters every commit writes live in
+  /// runs the whole in-order drain. Counters every commit writes live in
   /// one lane per worker, indexed by this, and are folded after the drain.
   std::size_t worker = 0;
 
   /// True when a tracer is attached (build trace events only then).
   bool tracing() const { return tracer != nullptr; }
 
-  /// Emits a trace event from the commit. The sequential drain accepts it
-  /// at once; the level-parallel drain stages it and accepts every staged
-  /// event in message order once the drain ends, so the trace stream is
-  /// the sequential drain's.
+  /// Emits a trace event from the commit. The in-order drain accepts it at
+  /// once; a drain in levels stages it and accepts every staged event in
+  /// message order once the drain ends, so the trace stream is the same.
   void Emit(const TraceEvent& event) const;
 
   // Engine-internal trace wiring.
   Tracer* tracer = nullptr;
-  /// Null in the sequential drain.
+  /// Null in the in-order drain.
   CommitEventStage* stage = nullptr;
   /// The message's index in the drain's (due, sender, seq) order.
   std::size_t message = 0;
@@ -256,20 +255,17 @@ class CycleProtocol {
  public:
   virtual ~CycleProtocol() = default;
 
-  /// Sequential hook before the plan phase of a cycle.
-  virtual void BeginCycle(std::uint64_t cycle) { (void)cycle; }
-
-  /// Cheap pre-filter consulted (from plan-phase threads — must be
-  /// read-only and race-free) before forking streams and invoking PlanCycle
-  /// for an online node. Protocols where most nodes idle most cycles (e.g.
-  /// eager query processing) override this so a mostly-idle population
-  /// costs one probe per node instead of a stream fork + callback.
+  /// The engine's only per-node filter: the plan phase skips a node for
+  /// which this returns false (an offline user initiates no gossip). It is
+  /// asked from plan-phase threads, so it must be read-only and race-free,
+  /// and it runs before the node's streams are forked, so a mostly-idle
+  /// population (e.g. eager query processing) costs one probe per node.
   virtual bool ActiveInCycle(UserId node) const {
     (void)node;
     return true;
   }
 
-  /// Parallel phase: invoked once per online node per cycle, possibly from
+  /// Parallel phase: invoked once per active node per cycle, possibly from
   /// several threads at once. Must not mutate shared state (see contract).
   virtual void PlanCycle(UserId node, const PlanContext& ctx) = 0;
 
@@ -279,11 +275,11 @@ class CycleProtocol {
 
   /// The commit: delivery of one message sent by `sender` in
   /// `ctx.send_cycle`, arriving in `ctx.cycle`. It may mutate any node's
-  /// state. Every commit sees the state the sequential (due cycle, sender,
-  /// seq) order gives it; `ctx.rng` is the per-(cycle, sender) commit
-  /// stream, shared by all of a sender's messages arriving this cycle. It
-  /// drops the message's snapshot handles before it returns, so the
-  /// teardown after the drain only frees the message.
+  /// state. Every commit sees the state the (due cycle, sender, seq) order
+  /// gives it; `ctx.rng` is the per-(cycle, sender) commit stream, shared
+  /// by all of a sender's messages arriving this cycle. It drops the
+  /// message's snapshot handles before it returns, so the teardown after
+  /// the drain only frees the message.
   virtual void CommitMessage(UserId sender, DeliveryMessage& message,
                              const CommitContext& ctx) {
     (void)sender;
@@ -291,9 +287,9 @@ class CycleProtocol {
     (void)ctx;
   }
 
-  /// Opts into the level-parallel drain (see the file comment). The engine
-  /// asks once per drain; the default — no footprints — drains
-  /// sequentially on the calling thread. A protocol returning true promises
+  /// Opts into the drain in levels (see the file comment). The engine asks
+  /// once per drain; the default — no footprints — commits in message order
+  /// on the calling thread. A protocol returning true promises
   /// that CommitFootprintOf names every user CommitMessage reads or writes,
   /// that CommitMessage writes shared counters only through per-worker
   /// lanes (CommitContext::worker), and that it emits trace events only
@@ -378,13 +374,6 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Optional liveness filter: nodes for which this returns false are
-  /// skipped (offline users do not initiate gossip). Snapshotted once per
-  /// cycle — the whole cycle sees the same online set.
-  void SetLivenessCheck(std::function<bool(UserId)> check) {
-    liveness_ = std::move(check);
-  }
-
   /// Worker threads for the plan phase (clamped to [1, kEngineShards]).
   /// Results are byte-identical for every value.
   void SetThreads(int threads);
@@ -456,13 +445,13 @@ class Engine {
   static constexpr std::uint64_t kCycleSalt = 0x6379636cULL;     // "cycl"
   static constexpr std::uint64_t kDeliverySalt = 0x64656c76ULL;  // "delv"
 
-  /// Levels of the level-parallel drain with fewer messages than this, and
-  /// end-of-cycle plans and close-outs with fewer items, run on the calling
-  /// thread: waking the workers costs more than they save.
+  /// ForEachItem runs fewer items than this on the calling thread (a drain
+  /// level's messages, end-of-cycle plan or close-out items): waking the
+  /// workers costs more than they save.
   static constexpr std::size_t kInlineLevelSize = 16;
 
  private:
-  class LevelDrain;  // scratch of the level-parallel drain (engine.cc)
+  class Drain;  // the delivery drain and its scratch (engine.cc)
 
   static std::size_t ShardWidth(std::size_t num_nodes) {
     return (num_nodes + kEngineShards - 1) / kEngineShards;
@@ -470,17 +459,18 @@ class Engine {
   /// [first, last) node range of `shard`.
   std::pair<UserId, UserId> ShardRange(std::size_t shard) const;
 
-  void SnapshotLiveness();
   void RunPlanPhase();
-  /// The persistent worker pool, spawned on first use.
-  PlanWorkerPool& Workers();
   void DrainDueMessages();
-  /// Runs fn(i, worker) once for every i in [0, n): on the worker pool with
-  /// more than one thread and at least kInlineLevelSize items, else on the
-  /// calling thread (worker 0). Returns whether the pool ran them.
-  template <class Fn>
-  bool ForEachItem(std::size_t n, const Fn& fn);
-  /// Steps e and f: the end-of-cycle plan, then the protocol's EndCycle
+  /// The one worker loop (the only caller of PlanWorkerPool::Run): runs
+  /// fn(i, worker) once for every i in [0, n) and beside() once on the
+  /// calling thread (worker 0). With more than one thread and at least
+  /// kInlineLevelSize items the pool takes the items and worker 0 runs
+  /// beside() first, then joins them; otherwise beside() runs first and
+  /// then the items, on the calling thread. Returns whether the pool ran
+  /// the items.
+  template <class Fn, class Beside>
+  bool ForEachItem(std::size_t n, const Fn& fn, const Beside& beside);
+  /// Steps d and e: the end-of-cycle plan, then the protocol's EndCycle
   /// and its close-out items.
   void CloseCycle();
   void RunOneCycle();
@@ -494,12 +484,10 @@ class Engine {
   std::unique_ptr<MessageArenas> arenas_;
   std::unique_ptr<DeliveryQueue> queue_;  ///< the protocol's messages
   LatencySpec latency_;
-  std::function<bool(UserId)> liveness_;
   std::size_t num_nodes_;
   std::uint64_t seed_;
   int threads_ = 1;
   std::uint64_t cycle_ = 0;
-  std::vector<char> alive_;  ///< per-cycle liveness snapshot
   Tracer* tracer_ = nullptr;
   /// Stable slot inside the attached profiler; null when not profiling.
   PhaseBreakdown* profile_ = nullptr;
@@ -507,13 +495,13 @@ class Engine {
   /// only by the thread that planned that shard (the mailbox discipline),
   /// read sequentially after the barrier. Only maintained while profiling.
   std::array<double, kEngineShards> shard_plan_seconds_{};
-  /// Persistent plan-phase workers; created lazily on the first parallel
-  /// plan phase (so drivers issuing RunCycles(1) per timeline event don't
-  /// respawn threads every cycle) and reset when SetThreads resizes.
+  /// Persistent plan-phase workers; created lazily by the first
+  /// ForEachItem that pools (so drivers issuing RunCycles(1) per timeline
+  /// event don't respawn threads every cycle) and reset when SetThreads
+  /// resizes.
   std::unique_ptr<PlanWorkerPool> pool_;
-  /// Created on the first level-parallel drain and reused by every later
-  /// one.
-  std::unique_ptr<LevelDrain> level_drain_;
+  /// Reused by every drain.
+  std::unique_ptr<Drain> drain_;
 };
 
 }  // namespace p3q

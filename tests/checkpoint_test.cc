@@ -520,6 +520,47 @@ TEST(CheckpointSystemTest, ReachedUserPastThePopulationIsRejected) {
   }
 }
 
+TEST(CheckpointSystemTest, FinalizedByteThatDisagreesWithItsQueryIsRejected) {
+  // An eager-state section of one query, open or finalized, whose
+  // finalized byte is written as `flag`: the byte repeats the query's own
+  // flag, so a byte that disagrees with it is refused.
+  const auto load = [](bool finalized, bool flag) {
+    test::TestSystem env({.users = 40});
+    CheckpointWriter out;
+    out.U64(1);  // queries
+    ActiveQuery query(/*id=*/1, env.QueryOf(0), /*k=*/10, /*expected=*/20);
+    if (finalized) query.EndOfCycle(/*complete=*/true);
+    query.SaveState(&out);
+    out.U64(1);  // reached users
+    out.U32(0);
+    out.I64(0);  // active tasks
+    out.U8(flag ? 1 : 0);
+    out.U64(0);  // timeout re-issues
+    out.U64(0);  // stale messages dropped
+    out.U64(0);  // late results of forgotten queries
+    out.U64(2);  // next query id
+    out.U64(1);  // next task epoch
+    out.Sentinel();
+    CheckpointReader in(out.buffer().data(), out.buffer().size());
+    in.SetPopulation(40);
+    env.system->eager().LoadState(&in);
+    EXPECT_EQ(env.system->query(1).finalized(), finalized);
+  };
+  for (const bool finalized : {false, true}) {
+    SCOPED_TRACE(finalized ? "finalized query" : "open query");
+    EXPECT_NO_THROW(load(finalized, finalized));
+    try {
+      load(finalized, !finalized);
+      FAIL() << "a finalized byte that disagrees with the query was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "eager query 1's finalized byte disagrees"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CheckpointSystemTest, ReadUserIdRejectsIdsPastThePopulation) {
   CheckpointWriter out;
   out.U32(39);

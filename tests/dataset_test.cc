@@ -39,31 +39,6 @@ TEST(DatasetTest, ConstructorSortsAndDedupes) {
   EXPECT_TRUE(std::is_sorted(d.ActionsOf(0).begin(), d.ActionsOf(0).end()));
 }
 
-TEST(DatasetTest, ReduceDropsRareItemsAndTags) {
-  // Item 1 / tag 1 used by 3 users; item 2 / tag 2 used by only one.
-  std::vector<std::vector<ActionKey>> actions(3);
-  actions[0] = {MakeAction(1, 1), MakeAction(2, 2)};
-  actions[1] = {MakeAction(1, 1)};
-  actions[2] = {MakeAction(1, 1)};
-  const Dataset d(std::move(actions));
-  const Dataset reduced = d.Reduce(2);
-  EXPECT_EQ(reduced.ActionsOf(0).size(), 1u);  // (2,2) dropped
-  EXPECT_EQ(reduced.ActionsOf(1).size(), 1u);
-  const DatasetStats s = reduced.ComputeStats();
-  EXPECT_EQ(s.num_items, 1u);
-  EXPECT_EQ(s.num_tags, 1u);
-}
-
-TEST(DatasetTest, ReduceDropsActionWithRareTagOnPopularItem) {
-  // Item 1 popular, but tag 7 used by a single user: (1,7) must go.
-  std::vector<std::vector<ActionKey>> actions(2);
-  actions[0] = {MakeAction(1, 1), MakeAction(1, 7)};
-  actions[1] = {MakeAction(1, 1)};
-  const Dataset d(std::move(actions));
-  const Dataset reduced = d.Reduce(2);
-  EXPECT_EQ(reduced.ActionsOf(0).size(), 1u);
-}
-
 TEST(DatasetTest, BuildProfileStore) {
   std::vector<std::vector<ActionKey>> actions(2);
   actions[0] = {MakeAction(1, 1)};

@@ -5,7 +5,7 @@
 // At 1, 2, 4 and 8 threads, under zero, fixed and lossy latency, every
 // query's full history, the personal networks, the traffic and protocol
 // counters (the wave's serial re-plans among them) and the JSONL trace must
-// be identical.
+// be identical, and where each commit and close-out ran is pinned.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -51,9 +51,22 @@ struct EagerRun {
   std::string trace;
   /// Queries finalized by the end (their close-out drained the NRA).
   std::size_t completed = 0;
-  std::uint64_t pooled_closeouts = 0;
-  std::uint64_t inline_closeouts = 0;
+  test::Schedule schedule{};
 };
+
+/// The eager engine's schedule ({levels, pooled messages, inline messages,
+/// pooled close-outs, inline close-outs}). The eager mode declares no
+/// commit footprints, so every drain runs in message order on the calling
+/// thread; from two threads on, every close-out goes to the pool.
+test::Schedule PinnedSchedule(const std::string& latency, int threads) {
+  const auto schedule = [&](std::uint64_t messages, std::uint64_t closeouts) {
+    return threads == 1 ? test::Schedule{0, 0, messages, 0, closeouts}
+                        : test::Schedule{0, 0, messages, closeouts, 0};
+  };
+  if (latency == "zero") return schedule(2668, 1392);
+  if (latency == "fixed:2") return schedule(1455, 3024);
+  return schedule(1259, 3180);
+}
 
 /// The trace, config and seeded networks every run starts from.
 struct Deployment {
@@ -130,9 +143,7 @@ EagerRun RunEager(const Deployment& deployment, const std::string& latency,
                            system.eager().wave_replans()};
   tracer.Finish();
   run.trace = jsonl.str();
-  const PhaseBreakdown& eager = profiler.breakdowns().at("eager");
-  run.pooled_closeouts = eager.closeout_pooled_items;
-  run.inline_closeouts = eager.closeout_inline_items;
+  run.schedule = test::ScheduleOf(profiler.breakdowns().at("eager"));
   return run;
 }
 
@@ -144,8 +155,8 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
   const EagerRun base = RunEager(deployment, GetParam(), 1);
   ASSERT_FALSE(base.trace.empty());
   EXPECT_GT(base.completed, 0u);
-  EXPECT_EQ(base.pooled_closeouts, 0u);
-  EXPECT_GE(base.inline_closeouts, kCycles * kMinOpenQueries);
+  EXPECT_EQ(base.schedule, PinnedSchedule(GetParam(), 1));
+  EXPECT_GE(base.schedule[4], kCycles * kMinOpenQueries);
   for (const int threads : {2, 4, 8}) {
     const EagerRun run = RunEager(deployment, GetParam(), threads);
     EXPECT_EQ(run.histories, base.histories) << threads << " threads";
@@ -157,9 +168,8 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.trace, base.trace) << threads << " threads";
     // Every cycle has at least kMinOpenQueries >= kInlineLevelSize items,
     // so every close-out goes to the pool.
-    EXPECT_EQ(run.pooled_closeouts, base.inline_closeouts)
+    EXPECT_EQ(run.schedule, PinnedSchedule(GetParam(), threads))
         << threads << " threads";
-    EXPECT_EQ(run.inline_closeouts, 0u) << threads << " threads";
   }
 }
 

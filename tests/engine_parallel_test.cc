@@ -1,18 +1,19 @@
 // Property/invariant suite for the deterministic sharded parallel engine's
 // execution contract (see sim/engine.h):
-//  - every online node is planned and committed exactly once per cycle;
-//    offline nodes are skipped entirely;
-//  - each cycle runs BeginCycle, the plan phase, the EndPlan barrier, the
-//    commits in ascending sender order, then EndCycle;
+//  - every active node is planned and committed exactly once per cycle;
+//    nodes ActiveInCycle turns away are skipped entirely;
+//  - each cycle runs the plan phase, the EndPlan barrier, the commits in
+//    ascending sender order, then EndCycle;
 //  - the per-cycle node-visit multiset, the per-node RNG streams and all
 //    committed effects are independent of the thread count (and of the
 //    shard count, which is fixed), and every plan, commit and EndCycle
-//    stream is the ForkStream of its (cycle, node) coordinates;
+//    stream is the ForkStream of its (cycle, node) coordinates: a sender's
+//    commits in one drain continue one stream in message order;
 //  - the per-shard mailboxes merge deterministically;
-//  - the level-parallel delivery drain commits every message against the
-//    state, with the stream draws, lane totals and trace order of the
-//    sequential drain, and a protocol without commit footprints keeps the
-//    sequential drain on the calling thread;
+//  - the delivery drain in levels commits every message against the state,
+//    with the stream draws, lane totals and trace order of the in-order
+//    drain at one thread, and a protocol without commit footprints drains
+//    in message order on the calling thread;
 //  - the message arenas behind the payloads are sized from the last cycle
 //    and held exactly while their send cycle has a message in flight;
 //  - every end-of-cycle plan item runs exactly once per cycle, before
@@ -54,8 +55,8 @@ namespace {
 
 /// Records everything the engine does, honouring the contract: plan writes
 /// only per-node slots (plus an atomic concurrency probe) and sends one
-/// message per node; the sequential drain appends each commit to shared
-/// logs.
+/// message per node; the in-order drain appends each commit to shared
+/// logs. When given, `active` names the nodes that take part in a cycle.
 class RecordingProtocol : public CycleProtocol {
  public:
   struct PlanRecord {
@@ -65,10 +66,12 @@ class RecordingProtocol : public CycleProtocol {
     int visits = 0;
   };
 
-  explicit RecordingProtocol(std::size_t num_nodes) : slots_(num_nodes) {}
+  explicit RecordingProtocol(std::size_t num_nodes,
+                             std::function<bool(UserId)> active = nullptr)
+      : slots_(num_nodes), active_(std::move(active)) {}
 
-  void BeginCycle(std::uint64_t cycle) override {
-    sequence.push_back({"begin", cycle, kInvalidUser});
+  bool ActiveInCycle(UserId node) const override {
+    return !active_ || active_(node);
   }
   void PlanCycle(UserId node, const PlanContext& ctx) override {
     PlanRecord& slot = slots_[node];
@@ -122,6 +125,7 @@ class RecordingProtocol : public CycleProtocol {
 
  private:
   std::vector<PlanRecord> slots_;
+  std::function<bool(UserId)> active_;
   std::atomic<int> in_plan_{0};
 };
 
@@ -135,11 +139,10 @@ struct RunResult {
 
 RunResult RunRecorded(std::size_t num_nodes, std::uint64_t seed, int threads,
                       std::uint64_t cycles,
-                      std::function<bool(UserId)> liveness = nullptr) {
-  RecordingProtocol protocol(num_nodes);
+                      std::function<bool(UserId)> active = nullptr) {
+  RecordingProtocol protocol(num_nodes, std::move(active));
   Engine engine(num_nodes, seed, &protocol);
   engine.SetThreads(threads);
-  if (liveness) engine.SetLivenessCheck(std::move(liveness));
   engine.RunCycles(cycles);
 
   RunResult result;
@@ -174,14 +177,14 @@ TEST(EngineParallelTest, EveryOnlineNodeRunsExactlyOncePerCyclePerProtocol) {
 
 TEST(EngineParallelTest, OfflineNodesAreSkippedInBothPhases) {
   constexpr std::size_t kNodes = 40;
-  auto liveness = [](UserId u) { return u % 3 != 0; };
-  const RunResult r = RunRecorded(kNodes, 43, /*threads=*/4, 3, liveness);
+  auto is_online = [](UserId u) { return u % 3 != 0; };
+  const RunResult r = RunRecorded(kNodes, 43, /*threads=*/4, 3, is_online);
   for (const auto& [key, value] : r.visits) {
     EXPECT_NE(key.first % 3, 0u);
   }
   for (const auto& c : r.commits) EXPECT_NE(c.node % 3, 0u);
   std::size_t online = 0;
-  for (UserId u = 0; u < kNodes; ++u) online += liveness(u) ? 1 : 0;
+  for (UserId u = 0; u < kNodes; ++u) online += is_online(u) ? 1 : 0;
   EXPECT_EQ(r.commits.size(), online * 3);
 }
 
@@ -222,18 +225,16 @@ TEST(EngineParallelTest, PhasesRunInContractOrderEveryCycle) {
   engine.SetThreads(4);
   engine.RunCycles(3);
 
-  // Sequence per cycle: begin, end_plan (the barrier), 10 commits,
-  // end_cycle.
-  ASSERT_EQ(protocol.sequence.size(), 3 * (3 + 10));
+  // Sequence per cycle: end_plan (the barrier), 10 commits, end_cycle.
+  ASSERT_EQ(protocol.sequence.size(), 3 * (2 + 10));
   for (std::uint64_t c = 0; c < 3; ++c) {
-    const std::size_t base = c * 13;
-    EXPECT_EQ(protocol.sequence[base].what, "begin");
-    EXPECT_EQ(protocol.sequence[base + 1].what, "end_plan");
+    const std::size_t base = c * 12;
+    EXPECT_EQ(protocol.sequence[base].what, "end_plan");
     for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(protocol.sequence[base + 2 + i].what, "commit");
-      EXPECT_EQ(protocol.sequence[base + 2 + i].node, static_cast<UserId>(i));
+      EXPECT_EQ(protocol.sequence[base + 1 + i].what, "commit");
+      EXPECT_EQ(protocol.sequence[base + 1 + i].node, static_cast<UserId>(i));
     }
-    EXPECT_EQ(protocol.sequence[base + 12].what, "end_cycle");
+    EXPECT_EQ(protocol.sequence[base + 11].what, "end_cycle");
   }
 }
 
@@ -262,17 +263,27 @@ TEST(EngineParallelTest, ForkStreamIsStableAndDecorrelated) {
   EXPECT_NE(Engine::ForkStream(1, 2, 3, Engine::kCommitSalt)(), base);
 }
 
-/// Records the first draw of every stream the engine hands out: each
-/// node's plan stream, each sender's commit stream and EndCycle's stream.
-/// Draws land in per-node slots, so the level-parallel drain may fill them
-/// concurrently.
+/// Records the draws of every stream the engine hands out: each node's
+/// plan stream, each commit's draw from its sender's commit stream and
+/// EndCycle's stream. Draws land in per-node slots, and a sender's commits
+/// never overlap (its footprint holds it), so a drain in levels may fill
+/// them concurrently.
 class StreamProtocol : public CycleProtocol {
  public:
+  /// One commit: the cycle it arrived in, the cycle it was sent in and the
+  /// value it drew.
+  struct CommitDraw {
+    std::uint64_t cycle;
+    std::uint64_t send_cycle;
+    std::uint64_t draw;
+  };
+
   StreamProtocol(std::size_t num_nodes, bool footprints)
       : plan_draws(num_nodes), commit_draws(num_nodes),
         footprints_(footprints) {}
 
-  /// The footprint is the sender alone, so a drain is one level.
+  /// The footprint is the sender alone, so a sender's messages due in one
+  /// drain take one level each.
   bool DeclaresCommitFootprints() const override { return footprints_; }
   void PlanCycle(UserId node, const PlanContext& ctx) override {
     plan_draws[node].push_back((*ctx.rng)());
@@ -280,56 +291,99 @@ class StreamProtocol : public CycleProtocol {
   }
   void CommitMessage(UserId sender, DeliveryMessage& /*message*/,
                      const CommitContext& ctx) override {
-    commit_draws[sender].push_back((*ctx.rng)());
+    commit_draws[sender].push_back(
+        CommitDraw{ctx.cycle, ctx.send_cycle, (*ctx.rng)()});
   }
   void EndCycle(std::uint64_t /*cycle*/, Rng* rng) override {
     end_draws.push_back((*rng)());
   }
 
-  std::vector<std::vector<std::uint64_t>> plan_draws;    ///< [node][cycle]
-  std::vector<std::vector<std::uint64_t>> commit_draws;  ///< [sender][cycle]
-  std::vector<std::uint64_t> end_draws;                  ///< [cycle]
+  std::vector<std::vector<std::uint64_t>> plan_draws;  ///< [node][cycle]
+  /// Per sender, in commit order.
+  std::vector<std::vector<CommitDraw>> commit_draws;
+  std::vector<std::uint64_t> end_draws;  ///< [cycle]
 
  private:
   bool footprints_;
 };
 
+/// Under uniform:0:3 latency senders have several messages due in one
+/// drain: their commits must continue the sender's one commit stream of
+/// that cycle, oldest message first.
 TEST(EngineParallelTest, StreamsAreForkedFromTheirCoordinates) {
   constexpr std::size_t kNodes = 100;
   constexpr std::uint64_t kSeed = 109;
-  constexpr std::uint64_t kCycles = 3;
-  for (const int threads : {1, 4}) {
-    for (const bool footprints : {false, true}) {
-      StreamProtocol protocol(kNodes, footprints);
-      Engine engine(kNodes, kSeed, &protocol);
-      engine.SetThreads(threads);
-      PhaseProfiler profiler;
-      engine.SetProfiler(&profiler, "streams");
-      engine.RunCycles(kCycles);
+  constexpr std::uint64_t kCycles = 6;
+  for (const char* spec : {"zero", "uniform:0:3"}) {
+    const LatencySpec latency = test::Latency(spec);
+    for (const int threads : {1, 4}) {
+      for (const bool footprints : {false, true}) {
+        SCOPED_TRACE(std::string(spec) + ", " + std::to_string(threads) +
+                     " threads, footprints " + (footprints ? "on" : "off"));
+        StreamProtocol protocol(kNodes, footprints);
+        Engine engine(kNodes, kSeed, &protocol);
+        engine.SetThreads(threads);
+        engine.SetLatency(latency);
+        PhaseProfiler profiler;
+        engine.SetProfiler(&profiler, "streams");
+        engine.RunCycles(kCycles);
 
-      const bool level_parallel = threads > 1 && footprints;
-      const PhaseBreakdown& profile = profiler.breakdowns().at("streams");
-      EXPECT_EQ(profile.drain_pooled_messages,
-                level_parallel ? kNodes * kCycles : 0u)
-          << threads << " threads, footprints " << footprints;
-      for (UserId u = 0; u < kNodes; ++u) {
-        ASSERT_EQ(protocol.plan_draws[u].size(), kCycles);
-        ASSERT_EQ(protocol.commit_draws[u].size(), kCycles);
-        for (std::uint64_t c = 0; c < kCycles; ++c) {
-          EXPECT_EQ(protocol.plan_draws[u][c],
-                    Engine::ForkStream(kSeed, c, u, Engine::kPlanSalt)())
-              << "node " << u << " cycle " << c;
-          EXPECT_EQ(protocol.commit_draws[u][c],
-                    Engine::ForkStream(kSeed, c, u, Engine::kCommitSalt)())
-              << "sender " << u << " cycle " << c << ", " << threads
-              << " threads, footprints " << footprints;
+        std::uint64_t commits = 0;
+        std::uint64_t continued = 0;  ///< commits after their stream's first
+        for (UserId u = 0; u < kNodes; ++u) {
+          ASSERT_EQ(protocol.plan_draws[u].size(), kCycles);
+          for (std::uint64_t c = 0; c < kCycles; ++c) {
+            EXPECT_EQ(protocol.plan_draws[u][c],
+                      Engine::ForkStream(kSeed, c, u, Engine::kPlanSalt)())
+                << "node " << u << " cycle " << c;
+          }
+          const std::vector<StreamProtocol::CommitDraw>& draws =
+              protocol.commit_draws[u];
+          commits += draws.size();
+          Rng stream(0);
+          for (std::size_t i = 0; i < draws.size(); ++i) {
+            if (i == 0 || draws[i].cycle != draws[i - 1].cycle) {
+              if (i > 0) {
+                EXPECT_GT(draws[i].cycle, draws[i - 1].cycle);
+              }
+              stream = Engine::ForkStream(kSeed, draws[i].cycle, u,
+                                          Engine::kCommitSalt);
+            } else {
+              EXPECT_GT(draws[i].send_cycle, draws[i - 1].send_cycle)
+                  << "sender " << u << " cycle " << draws[i].cycle;
+              ++continued;
+            }
+            EXPECT_EQ(draws[i].draw, stream())
+                << "sender " << u << " cycle " << draws[i].cycle
+                << " sent in " << draws[i].send_cycle;
+          }
         }
-      }
-      ASSERT_EQ(protocol.end_draws.size(), kCycles);
-      for (std::uint64_t c = 0; c < kCycles; ++c) {
-        EXPECT_EQ(protocol.end_draws[c],
-                  Engine::ForkStream(kSeed, c, 0, Engine::kCycleSalt)())
-            << "cycle " << c;
+        if (latency.IsZero()) {
+          EXPECT_EQ(commits, kNodes * kCycles);
+          EXPECT_EQ(continued, 0u);
+        } else {
+          EXPECT_GT(continued, 0u) << "no sender had several messages due";
+        }
+
+        const PhaseBreakdown& profile = profiler.breakdowns().at("streams");
+        EXPECT_EQ(profile.drain_pooled_messages + profile.drain_inline_messages,
+                  commits);
+        if (threads > 1 && footprints) {
+          EXPECT_GT(profile.drain_levels, 0u);
+          EXPECT_GT(profile.drain_pooled_messages, 0u);
+          if (latency.IsZero()) {
+            EXPECT_EQ(profile.drain_pooled_messages, kNodes * kCycles);
+          }
+        } else {
+          EXPECT_EQ(profile.drain_levels, 0u);
+          EXPECT_EQ(profile.drain_pooled_messages, 0u);
+        }
+        ASSERT_EQ(protocol.end_draws.size(), kCycles);
+        for (std::uint64_t c = 0; c < kCycles; ++c) {
+          EXPECT_EQ(protocol.end_draws[c],
+                    Engine::ForkStream(kSeed, c, 0, Engine::kCycleSalt)())
+              << "cycle " << c;
+        }
       }
     }
   }
@@ -383,7 +437,7 @@ TEST(EngineParallelTest, ShardTrafficMailboxesMergeDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// The level-parallel delivery drain.
+// The delivery drain in levels.
 // ---------------------------------------------------------------------------
 
 /// Every node sends one message per cycle whose commit touches the sender
@@ -572,7 +626,8 @@ std::size_t SendersWithSeveralDueMessages(const DrainRun& run) {
 
 void ExpectLevelDrainMatchesSequential(const LatencySpec& latency) {
   const DrainRun base = RunFootprints(1, latency);
-  EXPECT_EQ(base.profile.drain_levels, 0u) << "1 thread drains sequentially";
+  EXPECT_EQ(base.profile.drain_levels, 0u)
+      << "1 thread drains in message order";
   EXPECT_EQ(base.profile.drain_pooled_messages, 0u);
   EXPECT_EQ(base.profile.drain_inline_messages, base.lane_total);
   EXPECT_EQ(base.trace.size(), base.lane_total);

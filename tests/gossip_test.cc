@@ -58,22 +58,6 @@ TEST(RandomViewTest, InitTruncatesToCapacity) {
   EXPECT_EQ(view.entries().size(), 3u);
 }
 
-TEST(RandomViewTest, SelectRandomPeerReturnsMember) {
-  RandomView view(0, 4);
-  view.Init({MakeDigest(1, {1}), MakeDigest(2, {2})});
-  Rng rng(3);
-  for (int i = 0; i < 50; ++i) {
-    const UserId peer = view.SelectRandomPeer(&rng);
-    EXPECT_TRUE(peer == 1 || peer == 2);
-  }
-}
-
-TEST(RandomViewTest, EmptyViewSelectsInvalid) {
-  RandomView view(0, 4);
-  Rng rng(4);
-  EXPECT_EQ(view.SelectRandomPeer(&rng), kInvalidUser);
-}
-
 TEST(RandomViewTest, PayloadIncludesSelfDescriptor) {
   RandomView view(0, 2);
   view.Init({MakeDigest(1, {1})});

@@ -1,9 +1,9 @@
-// The lazy mode's level-parallel delivery drain at system scale: with 1000
-// users every drain holds ~1000 gossip messages, so most of them commit on
-// the worker pool. At 1, 2 and 8 threads, under zero, fixed and lossy
-// latency, the personal networks, random views, traffic counters and the
-// JSONL trace must be identical, and the structural invariants must hold
-// after every cycle.
+// The lazy mode's delivery drain in levels at system scale: with 1000 users
+// every drain holds ~1000 gossip messages, so most of them commit on the
+// worker pool. At 1, 2 and 8 threads, under zero, fixed and lossy latency,
+// the personal networks, random views, traffic counters and the JSONL trace
+// must be identical, the structural invariants must hold after every cycle,
+// and the drain's levels and where each commit ran are pinned.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -31,9 +31,25 @@ struct LazyRun {
   /// (messages, bytes) per message type.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> traffic;
   std::string trace;
-  /// Lazy messages the drain committed on the worker pool.
-  std::uint64_t pooled_messages = 0;
+  test::Schedule schedule{};
 };
+
+/// The lazy engine's schedule ({levels, pooled messages, inline messages,
+/// pooled close-outs, inline close-outs}); every thread count above one
+/// gives the same levels.
+test::Schedule PinnedSchedule(const std::string& latency, int threads) {
+  const bool one = threads == 1;
+  if (latency == "zero") {
+    return one ? test::Schedule{0, 0, 8000, 0, 0}
+               : test::Schedule{174, 7789, 211, 0, 0};
+  }
+  if (latency == "fixed:2") {
+    return one ? test::Schedule{0, 0, 6000, 0, 0}
+               : test::Schedule{87, 5891, 109, 0, 0};
+  }
+  return one ? test::Schedule{0, 0, 5093, 0, 0}
+             : test::Schedule{112, 4882, 211, 0, 0};
+}
 
 LazyRun RunLazy(const SyntheticTrace& trace, const std::string& latency,
                 int threads) {
@@ -78,8 +94,7 @@ LazyRun RunLazy(const SyntheticTrace& trace, const std::string& latency,
   run.traffic = test::TrafficRows(system.network().metrics());
   tracer.Finish();
   run.trace = jsonl.str();
-  run.pooled_messages =
-      profiler.breakdowns().at("lazy").drain_pooled_messages;
+  run.schedule = test::ScheduleOf(profiler.breakdowns().at("lazy"));
   return run;
 }
 
@@ -89,13 +104,15 @@ TEST_P(LazyDrainSystemTest, IdenticalAcrossThreadCountsWithInvariants) {
   const SyntheticTrace trace = test::SmallTrace(kUsers, /*seed=*/17);
   const LazyRun base = RunLazy(trace, GetParam(), 1);
   ASSERT_FALSE(base.trace.empty());
+  EXPECT_EQ(base.schedule, PinnedSchedule(GetParam(), 1));
   for (const int threads : {2, 8}) {
     const LazyRun run = RunLazy(trace, GetParam(), threads);
     EXPECT_EQ(run.networks, base.networks) << threads << " threads";
     EXPECT_EQ(run.views, base.views) << threads << " threads";
     EXPECT_EQ(run.traffic, base.traffic) << threads << " threads";
     EXPECT_EQ(run.trace, base.trace) << threads << " threads";
-    EXPECT_GT(run.pooled_messages, 0u) << threads << " threads";
+    EXPECT_EQ(run.schedule, PinnedSchedule(GetParam(), threads))
+        << threads << " threads";
   }
 }
 

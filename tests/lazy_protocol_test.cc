@@ -15,6 +15,7 @@
 #include "core/p3q_system.h"
 #include "dataset/generator.h"
 #include "eval/metrics_eval.h"
+#include "obs/trace.h"
 #include "sim/checkpoint.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -153,12 +154,26 @@ TEST(LazyProtocolTest, SurvivesOfflineMajority) {
   P3QSystem system(trace.dataset(), SmallConfig(), {}, 37);
   system.BootstrapRandomViews();
   system.RunLazyCycles(10);
-  system.FailRandomFraction(0.6);
-  // Gossip must keep running among survivors without touching the dead.
+  const std::vector<UserId> failed = system.FailRandomFraction(0.6);
+  const std::set<UserId> dead(failed.begin(), failed.end());
+  VectorTraceSink sink;
+  Tracer tracer(&sink);
+  system.SetTracer(&tracer);
+  // Gossip must keep running among survivors, and the dead plan nothing.
   const Metrics before = system.metrics().Snapshot();
   system.RunLazyCycles(10);
   const Metrics delta = system.metrics().Since(before);
   EXPECT_GT(delta.TotalMessages(), 0u);
+  tracer.Finish();
+  std::size_t planned = 0;
+  for (const TraceEvent& event : sink.events()) {
+    if (event.kind != TraceEventKind::kGossipPlanned) continue;
+    ++planned;
+    EXPECT_FALSE(dead.contains(event.node))
+        << "offline user " << event.node << " planned in cycle "
+        << event.cycle;
+  }
+  EXPECT_GT(planned, 0u);
 }
 
 TEST(LazyProtocolTest, DeterministicForSameSeed) {

@@ -146,8 +146,8 @@ TEST(ProfileStoreTest, VersioningOnUpdate) {
   EXPECT_EQ(store.Get(0)->Length(), 2u);
   // The old snapshot is untouched (replicas stay stable).
   EXPECT_EQ(old->Length(), 1u);
-  EXPECT_FALSE(store.IsFresh(*old));
-  EXPECT_TRUE(store.IsFresh(*store.Get(0)));
+  EXPECT_NE(old->version(), store.CurrentVersion(0));
+  EXPECT_EQ(store.Get(0)->version(), store.CurrentVersion(0));
 }
 
 TEST(ProfileStoreTest, UpdateMergesAndDeduplicates) {
@@ -155,13 +155,6 @@ TEST(ProfileStoreTest, UpdateMergesAndDeduplicates) {
   store.AddUser(0, {MakeAction(1, 1), MakeAction(2, 2)}, 1024);
   store.ApplyUpdate(0, {MakeAction(2, 2), MakeAction(4, 4)});
   EXPECT_EQ(store.Get(0)->Length(), 3u);
-}
-
-TEST(ProfileStoreTest, TotalActions) {
-  ProfileStore store;
-  store.AddUser(0, {MakeAction(1, 1)}, 1024);
-  store.AddUser(1, {MakeAction(1, 1), MakeAction(2, 1)}, 1024);
-  EXPECT_EQ(store.TotalActions(), 3u);
 }
 
 }  // namespace

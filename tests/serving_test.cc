@@ -283,10 +283,19 @@ TEST(QueryLookup, ForgottenQueryIdThrowsOnReuse) {
 // Scenario model: arrivals validation.
 // ---------------------------------------------------------------------------
 
+ScenarioRunnerOptions SmallRunnerOptions(int threads = 0) {
+  ScenarioRunnerOptions options;
+  options.users = 80;
+  options.seed = 7;
+  options.cycle_scale = 0.25;
+  options.threads = threads;
+  return options;
+}
+
 TEST(ScenarioArrivals, LazyPhaseWithExplicitArrivalsIsRejected) {
   Scenario s = MakeScenario("open-loop-steady");
   ASSERT_EQ(s.Validate(), "");
-  EXPECT_TRUE(s.HasArrivals());
+  EXPECT_TRUE(RunScenario(s, SmallRunnerOptions()).open_loop);
 
   ArrivalSpec arrivals;
   arrivals.kind = ArrivalKind::kPoisson;
@@ -303,21 +312,12 @@ TEST(ScenarioArrivals, PhaseOverrideSilencesScenarioDefault) {
   Scenario s = MakeScenario("open-loop-steady");
   s.phases[1].arrivals = ArrivalSpec{};  // kNone override on the serve phase
   ASSERT_EQ(s.Validate(), "");
-  EXPECT_FALSE(s.HasArrivals());
+  EXPECT_FALSE(RunScenario(s, SmallRunnerOptions()).open_loop);
 }
 
 // ---------------------------------------------------------------------------
 // Open-loop scenario runs.
 // ---------------------------------------------------------------------------
-
-ScenarioRunnerOptions SmallRunnerOptions(int threads = 0) {
-  ScenarioRunnerOptions options;
-  options.users = 80;
-  options.seed = 7;
-  options.cycle_scale = 0.25;
-  options.threads = threads;
-  return options;
-}
 
 TEST(OpenLoopSteady, ByteIdenticalAcrossThreadsUnderEveryLatencyModel) {
   const Scenario scenario = MakeScenario("open-loop-steady");

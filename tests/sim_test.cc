@@ -121,10 +121,17 @@ TEST(NetworkTest, FailRandomFractionOnlyHitsOnline) {
 
 // A plan/commit protocol recording both phases. Plan writes only the
 // node's private slot and sends one message (the engine contract); the
-// sequential drain appends each commit to the shared log.
+// in-order drain appends each commit to the shared log. When given, `online`
+// marks the nodes that take part in a cycle.
 class CountingProtocol : public CycleProtocol {
  public:
-  explicit CountingProtocol(std::size_t num_nodes) : planned_(num_nodes) {}
+  explicit CountingProtocol(std::size_t num_nodes,
+                            const std::vector<char>* online = nullptr)
+      : planned_(num_nodes), online_(online) {}
+
+  bool ActiveInCycle(UserId node) const override {
+    return online_ == nullptr || (*online_)[node] != 0;
+  }
 
   void PlanCycle(UserId node, const PlanContext& ctx) override {
     planned_[node].emplace_back(node, ctx.cycle);
@@ -148,6 +155,7 @@ class CountingProtocol : public CycleProtocol {
 
  private:
   std::vector<std::vector<std::pair<UserId, std::uint64_t>>> planned_;
+  const std::vector<char>* online_;
 };
 
 TEST(EngineTest, RunsEveryNodeEveryCycle) {
@@ -180,9 +188,9 @@ TEST(EngineTest, CommitsInAscendingNodeOrder) {
 }
 
 TEST(EngineTest, LivenessFilterSkipsNodes) {
-  CountingProtocol protocol(4);
+  const std::vector<char> online = {1, 1, 0, 1};
+  CountingProtocol protocol(4, &online);
   Engine engine(4, 17, &protocol);
-  engine.SetLivenessCheck([](UserId u) { return u != 2; });
   engine.RunCycles(2);
   for (const auto& [node, cycle] : protocol.Planned()) EXPECT_NE(node, 2u);
   for (const auto& [node, cycle] : protocol.commits) EXPECT_NE(node, 2u);
@@ -200,30 +208,31 @@ TEST(EngineTest, DeterministicForSameSeed) {
 }
 
 // A counting protocol whose commit of node 0's message flips a victim
-// offline, through the same backing store the engine's liveness callback
-// reads.
+// offline, through the same flags its ActiveInCycle reads.
 class MidCycleKiller : public CountingProtocol {
  public:
   MidCycleKiller(std::vector<char>* online, UserId victim)
-      : CountingProtocol(online->size()), online_(online), victim_(victim) {}
+      : CountingProtocol(online->size(), online),
+        flags_(online),
+        victim_(victim) {}
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override {
     CountingProtocol::CommitMessage(sender, message, ctx);
-    if (sender == 0) (*online_)[victim_] = 0;
+    if (sender == 0) (*flags_)[victim_] = 0;
   }
 
  private:
-  std::vector<char>* online_;
+  std::vector<char>* flags_;
   UserId victim_;
 };
 
-// Liveness is snapshotted ONCE per cycle: a node failing mid-cycle keeps
-// the cycle it was online for, and only disappears from the next one.
-TEST(EngineTest, LivenessIsSnapshottedOncePerCycle) {
+// Only the plan phase asks ActiveInCycle: a node going offline through a
+// commit keeps the cycle it planned in, and only disappears from the next
+// one.
+TEST(EngineTest, GoingOfflineInACommitTakesEffectNextCycle) {
   std::vector<char> online(4, 1);
   MidCycleKiller protocol(&online, /*victim=*/2);
   Engine engine(4, 23, &protocol);
-  engine.SetLivenessCheck([&online](UserId u) { return online[u] != 0; });
 
   engine.RunCycles(1);
   // The victim failed during sender 0's commit (0 < victim 2), yet its own

@@ -57,7 +57,7 @@ TEST(SystemTest, HeterogeneousStorageAssignmentRespected) {
   const std::vector<int> assigned = dist.AssignAll(50, &rng);
   P3QSystem system(trace.dataset(), config, assigned, 5);
   for (UserId u = 0; u < 50; ++u) {
-    EXPECT_EQ(system.node(u).storage_capacity(),
+    EXPECT_EQ(system.node(u).network().storage_capacity(),
               std::max(1, std::min(assigned[u], config.network_size)));
   }
 }

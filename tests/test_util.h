@@ -10,6 +10,7 @@
 #ifndef P3Q_TESTS_TEST_UTIL_H_
 #define P3Q_TESTS_TEST_UTIL_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include "dataset/generator.h"
 #include "dataset/query_gen.h"
 #include "gossip/view.h"
+#include "obs/profiler.h"
 #include "profile/profile.h"
 #include "sim/delivery.h"
 
@@ -140,6 +142,18 @@ inline std::vector<std::pair<std::uint64_t, std::uint64_t>> TrafficRows(
     rows.emplace_back(s.messages, s.bytes);
   }
   return rows;
+}
+
+/// Where an engine ran its commits and close-out items: its profile's
+/// drain_levels, drain_pooled_messages, drain_inline_messages,
+/// closeout_pooled_items and closeout_inline_items. Each is a pure function
+/// of the run and the thread count.
+using Schedule = std::array<std::uint64_t, 5>;
+
+inline Schedule ScheduleOf(const PhaseBreakdown& profile) {
+  return {profile.drain_levels, profile.drain_pooled_messages,
+          profile.drain_inline_messages, profile.closeout_pooled_items,
+          profile.closeout_inline_items};
 }
 
 /// A whole test deployment: trace + config + bootstrapped system.
