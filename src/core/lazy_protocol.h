@@ -158,8 +158,9 @@ class LazyProtocol : public CycleProtocol {
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
 
-  /// Commits run in levels: a message touches its sender, its
-  /// bottom-layer peer and its exchange endpoints, nobody else.
+  /// Commits run on the workers, each once the earlier messages sharing a
+  /// user with it have: a message touches its sender, its bottom-layer
+  /// peer and its exchange endpoints, nobody else.
   bool DeclaresCommitFootprints() const override { return true; }
   void CommitFootprintOf(UserId sender, const DeliveryMessage& message,
                          CommitFootprint* footprint) const override;

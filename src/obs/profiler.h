@@ -39,14 +39,20 @@ struct PhaseBreakdown {
   /// have committed.
   double drain_take_seconds = 0.0;
   double drain_teardown_seconds = 0.0;
-  /// Levels the drain ran (sim/engine.h); a drain in message order adds
-  /// none. Long level chains come from users many others gossip with.
+  /// The drains' critical paths (sim/engine.h): per drain on the workers,
+  /// the longest footprint chain, in messages, each waiting on the one
+  /// before; a drain in message order adds none. Long chains come from
+  /// users many others gossip with.
   std::uint64_t drain_levels = 0;
-  /// Messages committed concurrently on the worker pool.
+  /// Messages of the drains that ran on the worker pool.
   std::uint64_t drain_pooled_messages = 0;
   /// Messages committed on the calling thread: every drain in message
-  /// order, plus every level too small to be worth the pool.
+  /// order, plus every drain too small to be worth the pool.
   std::uint64_t drain_inline_messages = 0;
+  /// Worker-seconds the drains' workers spent waiting for a message to
+  /// become ready to commit, summed over the workers (a sub-span of their
+  /// share of drain_seconds).
+  double drain_wait_seconds = 0.0;
   /// Close-out items (sim/engine.h) run on the worker pool beside EndCycle.
   std::uint64_t closeout_pooled_items = 0;
   /// Close-out items run on the calling thread after EndCycle: all of them
@@ -72,6 +78,7 @@ struct PhaseBreakdown {
         Sum(&P::drain_levels, "drain_levels"),
         Sum(&P::drain_pooled_messages, "drain_pooled_messages"),
         Sum(&P::drain_inline_messages, "drain_inline_messages"),
+        Sum(&P::drain_wait_seconds, "drain_wait_seconds"),
         Sum(&P::closeout_pooled_items, "closeout_pooled_items"),
         Sum(&P::closeout_inline_items, "closeout_inline_items"),
         Sum(&P::end_cycle_seconds, "end_cycle_seconds"),

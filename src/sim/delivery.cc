@@ -180,15 +180,24 @@ std::size_t DeliveryQueue::Fold() {
 
 std::vector<DeliveryQueue::InFlight> DeliveryQueue::TakeDue(
     std::uint64_t cycle) {
+  std::size_t taken = 0;
+  for (auto it = due_.begin(); it != due_.end() && it->first <= cycle; ++it) {
+    taken += it->second.size();
+  }
   std::vector<InFlight> out;
+  out.reserve(taken);
+  const auto by_sender = [](const InFlight& a, const InFlight& b) {
+    return a.sender < b.sender;
+  };
   while (!due_.empty() && due_.begin()->first <= cycle) {
     std::vector<InFlight>& bucket = due_.begin()->second;
     // Within a bucket entries are already in seq order; a stable sort by
-    // sender yields the contract's (due cycle, sender, seq) order.
-    std::stable_sort(bucket.begin(), bucket.end(),
-                     [](const InFlight& a, const InFlight& b) {
-                       return a.sender < b.sender;
-                     });
+    // sender yields the contract's (due cycle, sender, seq) order. The fold
+    // appends the shards in node order, so only a bucket that mixes send
+    // cycles needs the sort.
+    if (!std::is_sorted(bucket.begin(), bucket.end(), by_sender)) {
+      std::stable_sort(bucket.begin(), bucket.end(), by_sender);
+    }
     for (InFlight& message : bucket) {
       stats_.RecordDelivery(cycle - message.send_cycle);
       if (tracer_ != nullptr) {

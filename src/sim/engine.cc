@@ -10,6 +10,10 @@
 #include <stdexcept>
 #include <thread>
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <immintrin.h>
+#endif
+
 #include "common/env.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -36,10 +40,14 @@ int ClampThreads(std::int64_t threads) {
 /// The `beside` of a ForEachItem with nothing to run beside its items.
 constexpr auto kNothingBeside = [] {};
 
+/// Spins a drain worker pauses for before it starts yielding its core, so
+/// more workers than cores still make progress.
+constexpr std::uint32_t kSpinsBeforeYield = 32;
+
 }  // namespace
 
 /// Persistent plan-phase workers: spawned once and fed one job per
-/// Engine::ForEachItem call (a plan phase, drain level, end-of-cycle plan or
+/// Engine::ForEachItem call (a plan phase, drain, end-of-cycle plan or
 /// close-out) through an epoch counter, so a run pays the thread spawn cost
 /// once instead of once per cycle (idle workers block on the condition
 /// variable between jobs).
@@ -135,8 +143,8 @@ class PlanWorkerPool {
   bool stop_ = false;
 };
 
-/// Commit trace events of a drain in levels: staged per worker with their
-/// message index, accepted in message order once the drain ends.
+/// Commit trace events of a drain on the workers: staged per worker with
+/// their message index, accepted in message order once the drain ends.
 class CommitEventStage {
  public:
   /// Empties the stage and sizes it for `workers` committing threads.
@@ -195,44 +203,77 @@ void CommitContext::Emit(const TraceEvent& event) const {
 }
 
 /// The delivery drain (see the file comment of engine.h). Its scratch is
-/// sized once and reused, so a steady-state drain allocates nothing.
+/// sized once and grown geometrically, so a steady-state drain allocates
+/// nothing.
 class Engine::Drain {
  public:
-  /// Commits `due`, given in (due, sender, seq) order: level by level when
-  /// the protocol declares commit footprints and the engine has more than
-  /// one thread, else in message order on the calling thread.
+  /// Commits `due`, given in (due, sender, seq) order: each message once
+  /// the earlier messages sharing a user with it have committed, on
+  /// whichever worker takes it, when the protocol declares commit
+  /// footprints and the engine has more than one thread; else in message
+  /// order on the calling thread.
   void Run(Engine* engine, std::vector<DeliveryQueue::InFlight>& due);
 
  private:
+  /// One due message's place among the drain's dependencies.
+  struct Link {
+    /// The later messages that wait on this one: at most the next message
+    /// of each user in its footprint.
+    std::array<std::uint32_t, CommitFootprint::kMaxUsers> successors;
+    std::uint32_t num_successors;
+    /// Messages in the longest footprint chain that ends with this one.
+    std::uint32_t depth;
+    /// Predecessors not yet committed.
+    std::atomic<std::uint32_t> waiting;
+  };
+
   /// Forks one commit stream per run of consecutive messages from one
   /// sender and names every message's stream.
   void AssignStreams(const Engine& engine,
                      const std::vector<DeliveryQueue::InFlight>& due);
-  /// Assigns every message its level; returns the level count.
-  std::size_t AssignLevels(const Engine& engine,
-                           const std::vector<DeliveryQueue::InFlight>& due);
-  /// Zeroes the next_level_ marks of the first `count` messages' footprints.
+  /// Makes every message wait on the previous message of each user in its
+  /// footprint, and publishes the messages with nothing to wait on into the
+  /// first ready slots, in message order. Returns the longest footprint
+  /// chain, in messages.
+  std::size_t AssignDependencies(
+      const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due);
+  /// Zeroes the last_message_ marks of the first `count` messages'
+  /// footprints.
   void ClearMarks(std::size_t count);
+  /// Waits until ready slot `k` is published and returns it (message + 1),
+  /// or returns 0 once a commit of the drain has failed. While profiling,
+  /// adds the time it waited to `worker`'s slot.
+  std::uint32_t AwaitReady(std::size_t k, std::size_t worker, bool profiled);
+  /// After message `i` committed: publishes every successor that waited on
+  /// it last.
+  void Release(std::size_t i);
 
-  /// Per user: one past the level of the last message so far in this drain
-  /// whose footprint holds the user (0: none). All zero between drains, and
-  /// sized on the first drain that assigns levels.
-  std::vector<std::uint32_t> next_level_;
+  /// Per user: one past the last message so far in this drain whose
+  /// footprint holds the user (0: none). All zero between drains, and sized
+  /// on the first drain that assigns dependencies.
+  std::vector<std::uint32_t> last_message_;
   // Per due message.
   std::vector<CommitFootprint> footprints_;
-  std::vector<std::uint32_t> level_of_;
   std::vector<std::uint32_t> stream_of_;
   std::vector<Rng> streams_;  ///< one per run of one sender's messages
-  /// Message indices grouped by level, in message order within a level;
-  /// level l occupies [l == 0 ? 0 : level_end_[l - 1], level_end_[l]).
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> level_end_;
+  // Per due message, made anew at twice the size when a drain outgrows
+  // them (atomics do not move).
+  std::vector<Link> links_;
+  /// The ready slots, filled in the order messages become ready: message
+  /// + 1, or 0 while unpublished. Slots [0, ready_end_) are taken.
+  std::vector<std::atomic<std::uint32_t>> ready_;
+  std::atomic<std::uint32_t> ready_end_{0};
+  /// Set by a commit that throws, so the workers waiting on its
+  /// successors give up instead of waiting forever.
+  std::atomic<bool> failed_{false};
+  /// Per worker, while profiling: the seconds it waited for a ready slot.
+  std::vector<double> wait_seconds_;
   CommitEventStage stage_;
 };
 
 template <class Fn, class Beside>
 bool Engine::ForEachItem(std::size_t n, const Fn& fn, const Beside& beside) {
-  if (threads_ <= 1 || n < kInlineLevelSize) {
+  if (threads_ <= 1 || n < kMinPooledItems) {
     beside();
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return false;
@@ -253,7 +294,7 @@ void Engine::Drain::ClearMarks(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const CommitFootprint& footprint = footprints_[i];
     for (std::size_t k = 0; k < footprint.size; ++k) {
-      next_level_[footprint.users[k]] = 0;
+      last_message_[footprint.users[k]] = 0;
     }
   }
 }
@@ -271,67 +312,123 @@ void Engine::Drain::AssignStreams(
   }
 }
 
-std::size_t Engine::Drain::AssignLevels(
+std::size_t Engine::Drain::AssignDependencies(
     const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due) {
   const std::size_t n = due.size();
-  next_level_.resize(engine.num_nodes_);
+  last_message_.resize(engine.num_nodes_);
   footprints_.assign(n, CommitFootprint{});
-  level_of_.resize(n);
-  std::uint32_t num_levels = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const DeliveryQueue::InFlight& message = due[i];
-    CommitFootprint& footprint = footprints_[i];
-    // The sender is always in the footprint: its messages share a stream.
-    footprint.Add(message.sender);
-    engine.protocol_->CommitFootprintOf(message.sender, *message.payload,
-                                        &footprint);
-    std::uint32_t level = 0;
-    for (std::size_t k = 0; k < footprint.size; ++k) {
-      const UserId user = footprint.users[k];
-      if (user >= next_level_.size()) {
-        ClearMarks(i);
-        throw std::out_of_range("commit footprint names user " +
-                                std::to_string(user) + " of " +
-                                std::to_string(next_level_.size()));
+  if (links_.size() < n) {
+    const std::size_t size = std::max(n, 2 * links_.size());
+    links_ = std::vector<Link>(size);
+    ready_ = std::vector<std::atomic<std::uint32_t>>(size);
+  }
+  std::uint32_t longest = 0;
+  std::uint32_t ready = 0;
+  std::size_t i = 0;
+  try {
+    for (; i < n; ++i) {
+      const DeliveryQueue::InFlight& message = due[i];
+      CommitFootprint& footprint = footprints_[i];
+      // The sender is always in the footprint: its messages share a stream.
+      footprint.Add(message.sender);
+      engine.protocol_->CommitFootprintOf(message.sender, *message.payload,
+                                          &footprint);
+      Link& link = links_[i];
+      link.num_successors = 0;
+      link.depth = 1;
+      std::uint32_t waiting = 0;
+      for (std::size_t k = 0; k < footprint.size; ++k) {
+        const UserId user = footprint.users[k];
+        if (user >= last_message_.size()) {
+          throw std::out_of_range("commit footprint names user " +
+                                  std::to_string(user) + " of " +
+                                  std::to_string(last_message_.size()));
+        }
+        if (last_message_[user] == 0) continue;
+        Link& previous = links_[last_message_[user] - 1];
+        // Two users of this message may share their previous message.
+        if (previous.num_successors > 0 &&
+            previous.successors[previous.num_successors - 1] == i) {
+          continue;
+        }
+        previous.successors[previous.num_successors++] =
+            static_cast<std::uint32_t>(i);
+        ++waiting;
+        link.depth = std::max(link.depth, previous.depth + 1);
       }
-      level = std::max(level, next_level_[user]);
+      for (std::size_t k = 0; k < footprint.size; ++k) {
+        last_message_[footprint.users[k]] = static_cast<std::uint32_t>(i + 1);
+      }
+      link.waiting.store(waiting, std::memory_order_relaxed);
+      if (waiting == 0) {
+        ready_[ready++].store(static_cast<std::uint32_t>(i + 1),
+                              std::memory_order_relaxed);
+      }
+      longest = std::max(longest, link.depth);
     }
-    for (std::size_t k = 0; k < footprint.size; ++k) {
-      next_level_[footprint.users[k]] = level + 1;
-    }
-    level_of_[i] = level;
-    num_levels = std::max(num_levels, level + 1);
+  } catch (...) {
+    ClearMarks(i);
+    throw;
   }
   ClearMarks(n);
+  for (std::size_t k = ready; k < n; ++k) {
+    ready_[k].store(0, std::memory_order_relaxed);
+  }
+  ready_end_.store(ready, std::memory_order_relaxed);
+  return longest;
+}
 
-  // Counting sort by level, stable in message order.
-  level_end_.assign(num_levels + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++level_end_[level_of_[i] + 1];
-  for (std::size_t l = 1; l <= num_levels; ++l) {
-    level_end_[l] += level_end_[l - 1];
+std::uint32_t Engine::Drain::AwaitReady(std::size_t k, std::size_t worker,
+                                        bool profiled) {
+  std::uint32_t ready = ready_[k].load(std::memory_order_acquire);
+  if (ready != 0) return ready;
+  using Clock = std::chrono::steady_clock;
+  const auto start = profiled ? Clock::now() : Clock::time_point();
+  for (std::uint32_t spins = 0; ready == 0;
+       ready = ready_[k].load(std::memory_order_acquire)) {
+    if (failed_.load(std::memory_order_relaxed)) break;
+    if (++spins > kSpinsBeforeYield) {
+      std::this_thread::yield();
+    } else {
+#if defined(__x86_64__) || defined(_M_X64)
+      _mm_pause();
+#endif
+    }
   }
-  order_.resize(n);
-  // Bumping each level's start as it fills leaves level_end_[l] at the end
-  // of level l.
-  for (std::size_t i = 0; i < n; ++i) {
-    order_[level_end_[level_of_[i]]++] = static_cast<std::uint32_t>(i);
+  if (profiled) {
+    wait_seconds_[worker] +=
+        std::chrono::duration<double>(Clock::now() - start).count();
   }
-  level_end_.pop_back();
-  return num_levels;
+  return ready;
+}
+
+void Engine::Drain::Release(std::size_t i) {
+  const Link& link = links_[i];
+  for (std::uint32_t s = 0; s < link.num_successors; ++s) {
+    const std::uint32_t next = link.successors[s];
+    // The last predecessor to commit acquires the others' commits with the
+    // count, and hands all of them on with the slot.
+    if (links_[next].waiting.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ready_[ready_end_.fetch_add(1, std::memory_order_relaxed)].store(
+          next + 1, std::memory_order_release);
+    }
+  }
 }
 
 void Engine::Drain::Run(Engine* engine,
                         std::vector<DeliveryQueue::InFlight>& due) {
   AssignStreams(*engine, due);
-  const bool in_levels =
-      engine->threads_ > 1 && engine->protocol_->DeclaresCommitFootprints();
-  const std::size_t num_levels = in_levels ? AssignLevels(*engine, due) : 0;
+  const std::size_t n = due.size();
+  const std::size_t threads = static_cast<std::size_t>(engine->threads_);
+  const bool released =
+      threads > 1 && engine->protocol_->DeclaresCommitFootprints();
+  const std::size_t longest = released ? AssignDependencies(*engine, due) : 0;
   Tracer* tracer = engine->tracer_;
   // The in-order drain hands its events to the tracer as they come.
-  CommitEventStage* stage = in_levels && tracer != nullptr ? &stage_ : nullptr;
-  if (stage != nullptr) {
-    stage->Reset(static_cast<std::size_t>(engine->threads_));
-  }
+  CommitEventStage* stage = released && tracer != nullptr ? &stage_ : nullptr;
+  if (stage != nullptr) stage->Reset(threads);
+  PhaseBreakdown* profile = engine->profile_;
+  if (profile != nullptr) wait_seconds_.assign(threads, 0.0);
   const auto commit = [&](std::size_t i, std::size_t worker) {
     DeliveryQueue::InFlight& message = due[i];
     CommitContext ctx;
@@ -344,22 +441,27 @@ void Engine::Drain::Run(Engine* engine,
     ctx.message = i;
     engine->protocol_->CommitMessage(message.sender, *message.payload, ctx);
   };
-  std::size_t pooled = 0;
+  bool pooled = false;
   try {
-    if (!in_levels) {
-      for (std::size_t i = 0; i < due.size(); ++i) commit(i, 0);
-    }
-    for (std::size_t l = 0; l < num_levels; ++l) {
-      const std::size_t begin = l == 0 ? 0 : level_end_[l - 1];
-      const std::size_t end = level_end_[l];
-      if (engine->ForEachItem(
-              end - begin,
-              [&](std::size_t k, std::size_t worker) {
-                commit(order_[begin + k], worker);
-              },
-              kNothingBeside)) {
-        pooled += end - begin;
-      }
+    if (!released) {
+      for (std::size_t i = 0; i < n; ++i) commit(i, 0);
+    } else {
+      failed_.store(false, std::memory_order_relaxed);
+      pooled = engine->ForEachItem(
+          n,
+          [&](std::size_t k, std::size_t worker) {
+            const std::uint32_t ready =
+                AwaitReady(k, worker, profile != nullptr);
+            if (ready == 0) return;  // a commit failed
+            try {
+              commit(ready - 1, worker);
+            } catch (...) {
+              failed_.store(true, std::memory_order_relaxed);
+              throw;
+            }
+            Release(ready - 1);
+          },
+          kNothingBeside);
     }
   } catch (...) {
     // Best effort for the flight recorder: keep what did commit.
@@ -367,10 +469,13 @@ void Engine::Drain::Run(Engine* engine,
     throw;
   }
   if (stage != nullptr) stage->AcceptInMessageOrder(tracer);
-  if (PhaseBreakdown* profile = engine->profile_; profile != nullptr) {
-    profile->drain_levels += num_levels;
-    profile->drain_pooled_messages += pooled;
-    profile->drain_inline_messages += due.size() - pooled;
+  if (profile != nullptr) {
+    profile->drain_levels += longest;
+    (pooled ? profile->drain_pooled_messages
+            : profile->drain_inline_messages) += n;
+    for (const double seconds : wait_seconds_) {
+      profile->drain_wait_seconds += seconds;
+    }
   }
 }
 
@@ -465,7 +570,7 @@ void Engine::RunPlanPhase() {
   if (profiled) shard_plan_seconds_.fill(0.0);
   // So the shards go to the pool whenever the engine has more than one
   // thread.
-  static_assert(kEngineShards >= kInlineLevelSize);
+  static_assert(kEngineShards >= kMinPooledItems);
   const auto plan_shard = [&](std::size_t s, std::size_t /*worker*/) {
     const auto shard_start = profiled
                                  ? std::chrono::steady_clock::now()

@@ -35,10 +35,10 @@
 //           tear-down hook (e.g. the eager mode's wave of refreshments),
 //           and Closeout(item) runs once per item beside it.
 //
-// Every parallel step (the plan's shards, a drain level's messages, the
+// Every parallel step (the plan's shards, a drain's messages, the
 // end-of-cycle plan and close-out items) runs through one worker loop,
 // Engine::ForEachItem: on the plan workers with more than one thread and at
-// least kInlineLevelSize items, else on the calling thread.
+// least kMinPooledItems items, else on the calling thread.
 //
 // Because plan reads only frozen state and every commit sees the state the
 // canonical commit order gives it, the node-visit multiset, every RNG
@@ -68,16 +68,19 @@
 // the protocol declares commit footprints
 // (CycleProtocol::DeclaresCommitFootprints: the users whose state each
 // message's commit reads or writes) and the engine has more than one
-// thread, every due message gets a level — one more than the highest level
-// of any earlier due message sharing a user with it — and the levels run in
-// order, the messages of one level concurrently. Two messages sharing a
-// user still commit in (due, sender, seq) order, and one level's messages
-// touch disjoint users, so every commit sees exactly the state message
-// order gives it. The rest of the contract a footprint-declaring protocol
-// keeps: shared counters are written only through per-worker lanes
-// (CommitContext::worker), and trace events only through
-// CommitContext::Emit, which stages them and accepts them in message order
-// after the drain.
+// thread, every due message waits on the previous due message of each user
+// in its footprint. One pass of the worker loop then commits each message
+// as soon as those have committed, on whichever worker takes it, and each
+// commit releases the messages that waited on it last. Two messages
+// sharing a user still commit in (due, sender, seq) order, and only
+// messages with disjoint footprints commit at the same time, so every
+// commit sees exactly the state message order gives it. The longest chain
+// of messages that each wait on the one before is the drain's critical
+// path (PhaseBreakdown::drain_levels). The rest of the contract a
+// footprint-declaring protocol keeps: shared counters are written only
+// through per-worker lanes (CommitContext::worker), and trace events only
+// through CommitContext::Emit, which stages them and accepts them in message
+// order after the drain.
 //
 // An end-of-cycle plan item may run on any thread, concurrently with the
 // other items, so PlanEndCycle may read any state but writes only its own
@@ -220,8 +223,8 @@ struct CommitContext {
   bool tracing() const { return tracer != nullptr; }
 
   /// Emits a trace event from the commit. The in-order drain accepts it at
-  /// once; a drain in levels stages it and accepts every staged event in
-  /// message order once the drain ends, so the trace stream is the same.
+  /// once; a drain on the workers stages it and accepts every staged event
+  /// in message order once the drain ends, so the trace stream is the same.
   void Emit(const TraceEvent& event) const;
 
   // Engine-internal trace wiring.
@@ -287,13 +290,14 @@ class CycleProtocol {
     (void)ctx;
   }
 
-  /// Opts into the drain in levels (see the file comment). The engine asks
-  /// once per drain; the default — no footprints — commits in message order
-  /// on the calling thread. A protocol returning true promises
-  /// that CommitFootprintOf names every user CommitMessage reads or writes,
-  /// that CommitMessage writes shared counters only through per-worker
-  /// lanes (CommitContext::worker), and that it emits trace events only
-  /// through CommitContext::Emit.
+  /// Opts into the drain on the workers, where each message commits once
+  /// the earlier messages sharing a user with it have (see the file
+  /// comment). The engine asks once per drain; the default — no
+  /// footprints — commits in message order on the calling thread. A
+  /// protocol returning true promises that CommitFootprintOf names every
+  /// user CommitMessage reads or writes, that CommitMessage writes shared
+  /// counters only through per-worker lanes (CommitContext::worker), and
+  /// that it emits trace events only through CommitContext::Emit.
   virtual bool DeclaresCommitFootprints() const { return false; }
 
   /// Adds to `footprint` the users `message`'s commit touches. The
@@ -445,10 +449,10 @@ class Engine {
   static constexpr std::uint64_t kCycleSalt = 0x6379636cULL;     // "cycl"
   static constexpr std::uint64_t kDeliverySalt = 0x64656c76ULL;  // "delv"
 
-  /// ForEachItem runs fewer items than this on the calling thread (a drain
-  /// level's messages, end-of-cycle plan or close-out items): waking the
-  /// workers costs more than they save.
-  static constexpr std::size_t kInlineLevelSize = 16;
+  /// ForEachItem runs fewer items than this on the calling thread (a
+  /// drain's messages, end-of-cycle plan or close-out items; the plan's 64
+  /// shards are never fewer): waking the workers costs more than they save.
+  static constexpr std::size_t kMinPooledItems = 16;
 
  private:
   class Drain;  // the delivery drain and its scratch (engine.cc)
@@ -464,7 +468,7 @@ class Engine {
   /// The one worker loop (the only caller of PlanWorkerPool::Run): runs
   /// fn(i, worker) once for every i in [0, n) and beside() once on the
   /// calling thread (worker 0). With more than one thread and at least
-  /// kInlineLevelSize items the pool takes the items and worker 0 runs
+  /// kMinPooledItems items the pool takes the items and worker 0 runs
   /// beside() first, then joins them; otherwise beside() runs first and
   /// then the items, on the calling thread. Returns whether the pool ran
   /// the items.

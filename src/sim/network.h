@@ -47,8 +47,8 @@ class Network {
   std::vector<UserId> FailRandomFraction(double fraction, Rng* rng);
 
   /// Traffic mailbox `slot`. The plan phase records into its shard's
-  /// mailbox (one shard is planned by a single thread) and a drain in
-  /// levels into its worker's (CommitContext::worker, always below
+  /// mailbox (one shard is planned by a single thread) and a drain on the
+  /// workers into its worker's (CommitContext::worker, always below
   /// kEngineShards), so both record race-free; MergeShardTraffic folds the
   /// mailboxes into the global counters after the phase.
   Metrics& ShardTraffic(std::size_t slot) { return shard_traffic_[slot]; }

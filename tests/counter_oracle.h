@@ -153,6 +153,7 @@ inline void MergeFrom(PhaseBreakdown& into, const PhaseBreakdown& other) {
   into.drain_levels += other.drain_levels;
   into.drain_pooled_messages += other.drain_pooled_messages;
   into.drain_inline_messages += other.drain_inline_messages;
+  into.drain_wait_seconds += other.drain_wait_seconds;
   into.closeout_pooled_items += other.closeout_pooled_items;
   into.closeout_inline_items += other.closeout_inline_items;
   into.end_cycle_seconds += other.end_cycle_seconds;
@@ -182,6 +183,8 @@ inline PhaseBreakdown Since(const PhaseBreakdown& now,
       now.drain_pooled_messages - earlier.drain_pooled_messages;
   delta.drain_inline_messages =
       now.drain_inline_messages - earlier.drain_inline_messages;
+  delta.drain_wait_seconds =
+      now.drain_wait_seconds - earlier.drain_wait_seconds;
   delta.closeout_pooled_items =
       now.closeout_pooled_items - earlier.closeout_pooled_items;
   delta.closeout_inline_items =

@@ -34,6 +34,7 @@ PhaseBreakdown FilledBreakdown(std::uint64_t salt) {
   b.drain_levels = 412 + salt;
   b.drain_pooled_messages = 98765;
   b.drain_inline_messages = 4321;
+  b.drain_wait_seconds = 0.693147181;
   b.closeout_pooled_items = 777;
   b.closeout_inline_items = 55 + salt;
   b.end_cycle_seconds = 0.577215665;
@@ -100,7 +101,8 @@ TEST(CounterRecordTest, PhaseBreakdownToJsonKeepsEveryByte) {
       "\"barrier_seconds\": 0.045679, \"drain_seconds\": 2.718282, "
       "\"drain_take_seconds\": 0.314159, \"drain_teardown_seconds\": 0.161803, "
       "\"drain_levels\": 412, \"drain_pooled_messages\": 98765, "
-      "\"drain_inline_messages\": 4321, \"closeout_pooled_items\": 777, "
+      "\"drain_inline_messages\": 4321, \"drain_wait_seconds\": 0.693147, "
+      "\"closeout_pooled_items\": 777, "
       "\"closeout_inline_items\": 55, \"end_cycle_seconds\": 0.577216, "
       "\"total_seconds\": 4.575744, \"shard_plan_max_seconds\": 0.867531, "
       "\"shard_plan_sum_seconds\": 3.141593, \"active_shards\": 5, "
@@ -120,7 +122,8 @@ TEST(CounterRecordTest, PhaseProfilerToJsonKeepsEveryByte) {
       "\"barrier_seconds\": 0.045679, \"drain_seconds\": 2.718282, "
       "\"drain_take_seconds\": 0.314159, \"drain_teardown_seconds\": 0.161803, "
       "\"drain_levels\": 414, \"drain_pooled_messages\": 98765, "
-      "\"drain_inline_messages\": 4321, \"closeout_pooled_items\": 777, "
+      "\"drain_inline_messages\": 4321, \"drain_wait_seconds\": 0.693147, "
+      "\"closeout_pooled_items\": 777, "
       "\"closeout_inline_items\": 57, \"end_cycle_seconds\": 0.577216, "
       "\"total_seconds\": 4.775744, \"shard_plan_max_seconds\": 0.867531, "
       "\"shard_plan_sum_seconds\": 3.141593, \"active_shards\": 7, "
@@ -131,7 +134,8 @@ TEST(CounterRecordTest, PhaseProfilerToJsonKeepsEveryByte) {
       "\"barrier_seconds\": 0.045679, \"drain_seconds\": 2.718282, "
       "\"drain_take_seconds\": 0.314159, \"drain_teardown_seconds\": 0.161803, "
       "\"drain_levels\": 412, \"drain_pooled_messages\": 98765, "
-      "\"drain_inline_messages\": 4321, \"closeout_pooled_items\": 777, "
+      "\"drain_inline_messages\": 4321, \"drain_wait_seconds\": 0.693147, "
+      "\"closeout_pooled_items\": 777, "
       "\"closeout_inline_items\": 55, \"end_cycle_seconds\": 0.577216, "
       "\"total_seconds\": 4.575744, \"shard_plan_max_seconds\": 0.867531, "
       "\"shard_plan_sum_seconds\": 3.141593, \"active_shards\": 5, "
@@ -220,6 +224,7 @@ PhaseBreakdown RandomBreakdown(std::mt19937_64& rng) {
   b.drain_levels = count();
   b.drain_pooled_messages = count();
   b.drain_inline_messages = count();
+  b.drain_wait_seconds = seconds();
   b.closeout_pooled_items = count();
   b.closeout_inline_items = count();
   b.end_cycle_seconds = seconds();

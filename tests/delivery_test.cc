@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +215,56 @@ TEST(DeliveryQueueTest, FoldAssignsSeqInShardOrderAndCountsDrops) {
   // Shard 1 folds before shard 3, so its message gets the smaller seq.
   EXPECT_EQ(due[0].sender, 10u);
   EXPECT_LT(due[0].seq, due[1].seq);
+}
+
+/// Whether `due` is in the contract's (due cycle, sender, seq) order.
+bool InDueSenderSeqOrder(const std::vector<DeliveryQueue::InFlight>& due) {
+  return std::is_sorted(due.begin(), due.end(),
+                        [](const DeliveryQueue::InFlight& a,
+                           const DeliveryQueue::InFlight& b) {
+                          return std::tie(a.due_cycle, a.sender, a.seq) <
+                                 std::tie(b.due_cycle, b.sender, b.seq);
+                        });
+}
+
+TEST(DeliveryQueueTest, BucketMixingSendCyclesIsSortedBySender) {
+  DeliveryQueue q;
+  // Two send cycles land in the due-2 bucket: the second fold appends
+  // sender 10 after the first fold's sender 30.
+  q.EnqueuePending(/*shard=*/3, /*sender=*/30, /*send=*/0, /*due=*/2,
+                   std::make_unique<TestPayload>(1));
+  q.Fold();
+  q.EnqueuePending(/*shard=*/1, /*sender=*/10, /*send=*/1, /*due=*/2,
+                   std::make_unique<TestPayload>(2));
+  q.EnqueuePending(/*shard=*/3, /*sender=*/30, /*send=*/1, /*due=*/2,
+                   std::make_unique<TestPayload>(3));
+  q.Fold();
+  const auto due = q.TakeDue(2);
+  ASSERT_EQ(due.size(), 3u);
+  EXPECT_TRUE(InDueSenderSeqOrder(due));
+  EXPECT_EQ(ValueOf(due[0]), 2);
+  EXPECT_EQ(ValueOf(due[1]), 1);  // sender 30's older message first
+  EXPECT_EQ(ValueOf(due[2]), 3);
+}
+
+TEST(DeliveryQueueTest, BucketFoldedInNodeOrderKeepsItsOrder) {
+  DeliveryQueue q;
+  // One fold appends the shards in shard order, each in node order.
+  q.EnqueuePending(/*shard=*/0, /*sender=*/1, 0, 0,
+                   std::make_unique<TestPayload>(1));
+  q.EnqueuePending(/*shard=*/0, /*sender=*/1, 0, 0,
+                   std::make_unique<TestPayload>(2));
+  q.EnqueuePending(/*shard=*/0, /*sender=*/4, 0, 0,
+                   std::make_unique<TestPayload>(3));
+  q.EnqueuePending(/*shard=*/5, /*sender=*/50, 0, 0,
+                   std::make_unique<TestPayload>(5));
+  q.EnqueuePending(/*shard=*/2, /*sender=*/20, 0, 0,
+                   std::make_unique<TestPayload>(4));
+  q.Fold();
+  const auto due = q.TakeDue(0);
+  ASSERT_EQ(due.size(), 5u);
+  EXPECT_TRUE(InDueSenderSeqOrder(due));
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ValueOf(due[i]), i + 1) << i;
 }
 
 TEST(DeliveryStatsTest, PercentilesMergeAndSince) {

@@ -54,10 +54,11 @@ struct EagerRun {
   test::Schedule schedule{};
 };
 
-/// The eager engine's schedule ({levels, pooled messages, inline messages,
-/// pooled close-outs, inline close-outs}). The eager mode declares no
-/// commit footprints, so every drain runs in message order on the calling
-/// thread; from two threads on, every close-out goes to the pool.
+/// The eager engine's schedule ({longest footprint chains, pooled
+/// messages, inline messages, pooled close-outs, inline close-outs}). The
+/// eager mode declares no commit footprints, so every drain runs in message
+/// order on the calling thread; from two threads on, every close-out goes
+/// to the pool.
 test::Schedule PinnedSchedule(const std::string& latency, int threads) {
   const auto schedule = [&](std::uint64_t messages, std::uint64_t closeouts) {
     return threads == 1 ? test::Schedule{0, 0, messages, 0, closeouts}
@@ -166,7 +167,7 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.protocol_counters, base.protocol_counters)
         << threads << " threads";
     EXPECT_EQ(run.trace, base.trace) << threads << " threads";
-    // Every cycle has at least kMinOpenQueries >= kInlineLevelSize items,
+    // Every cycle has at least kMinOpenQueries >= kMinPooledItems items,
     // so every close-out goes to the pool.
     EXPECT_EQ(run.schedule, PinnedSchedule(GetParam(), threads))
         << threads << " threads";

@@ -10,19 +10,22 @@
 //    stream is the ForkStream of its (cycle, node) coordinates: a sender's
 //    commits in one drain continue one stream in message order;
 //  - the per-shard mailboxes merge deterministically;
-//  - the delivery drain in levels commits every message against the state,
+//  - the delivery drain on the workers, where each commit is released by
+//    the commits it waits on, commits every message against the state,
 //    with the stream draws, lane totals and trace order of the in-order
-//    drain at one thread, and a protocol without commit footprints drains
-//    in message order on the calling thread;
+//    drain at one thread, also when the whole drain is one chain, when
+//    commits finish out of message order and when a commit throws; a
+//    protocol without commit footprints drains in message order on the
+//    calling thread;
 //  - the message arenas behind the payloads are sized from the last cycle
 //    and held exactly while their send cycle has a message in flight;
 //  - every end-of-cycle plan item runs exactly once per cycle, before
 //    EndCycle and every close-out item: on the worker pool with more than
-//    one thread and at least kInlineLevelSize items, else on the calling
+//    one thread and at least kMinPooledItems items, else on the calling
 //    thread;
 //  - every close-out item runs exactly once per cycle: beside EndCycle on
 //    the worker pool with more than one thread and at least
-//    kInlineLevelSize items, else on the calling thread after EndCycle.
+//    kMinPooledItems items, else on the calling thread after EndCycle.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -266,8 +269,8 @@ TEST(EngineParallelTest, ForkStreamIsStableAndDecorrelated) {
 /// Records the draws of every stream the engine hands out: each node's
 /// plan stream, each commit's draw from its sender's commit stream and
 /// EndCycle's stream. Draws land in per-node slots, and a sender's commits
-/// never overlap (its footprint holds it), so a drain in levels may fill
-/// them concurrently.
+/// never overlap (its footprint holds it), so the drain on the workers may
+/// fill them concurrently.
 class StreamProtocol : public CycleProtocol {
  public:
   /// One commit: the cycle it arrived in, the cycle it was sent in and the
@@ -283,7 +286,7 @@ class StreamProtocol : public CycleProtocol {
         footprints_(footprints) {}
 
   /// The footprint is the sender alone, so a sender's messages due in one
-  /// drain take one level each.
+  /// drain wait on each other, oldest first.
   bool DeclaresCommitFootprints() const override { return footprints_; }
   void PlanCycle(UserId node, const PlanContext& ctx) override {
     plan_draws[node].push_back((*ctx.rng)());
@@ -437,18 +440,19 @@ TEST(EngineParallelTest, ShardTrafficMailboxesMergeDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// The delivery drain in levels.
+// The delivery drain on the workers.
 // ---------------------------------------------------------------------------
 
 /// Every node sends one message per cycle whose commit touches the sender
-/// plus up to two random users. A commit reads the state of every user it
-/// touches, works for a draw-dependent while (so commits that wrongly
-/// overlap finish out of order), then appends the same Touch — carrying the
-/// next draw of its commit stream and the state it read — to each touched
-/// user's log and advances their state. It also counts itself in its
-/// worker's lane and emits one trace event. The logs are written only by
-/// commits whose footprint holds the user, so they record each user's
-/// commit order and what each commit saw.
+/// plus up to two random users: exactly its footprint, so a variant that
+/// widens CommitFootprintOf widens what the commit touches. A commit reads
+/// the state of every user it touches, works for a draw-dependent while (so
+/// commits that wrongly overlap finish out of order), then appends the same
+/// Touch — carrying the next draw of its commit stream and the state it
+/// read — to each touched user's log and advances their state. It also
+/// counts itself in its worker's lane and emits one trace event. The logs
+/// are written only by commits whose footprint holds the user, so they
+/// record each user's commit order and what each commit saw.
 class FootprintProtocol : public CycleProtocol {
  public:
   struct Touch {
@@ -496,9 +500,7 @@ class FootprintProtocol : public CycleProtocol {
                      const CommitContext& ctx) override {
     CommitFootprint touched;
     touched.Add(sender);
-    for (UserId u : static_cast<const Payload&>(message).others) {
-      touched.Add(u);
-    }
+    CommitFootprintOf(sender, message, &touched);
     Touch touch{ctx.cycle, sender, ctx.send_cycle, (*ctx.rng)(), 0};
     for (std::size_t i = 0; i < touched.size; ++i) {
       touch.seen = touch.seen * 31 + state_[touched.users[i]];
@@ -565,10 +567,12 @@ std::size_t SendCyclesInFlight(const std::vector<TraceEvent>& events,
 }
 
 /// 600 nodes, so every drain holds at least 500 messages under zero
-/// latency and its wide levels go to the pool.
+/// latency and goes to the pool. `Protocol` is FootprintProtocol or a
+/// variant.
+template <class Protocol = FootprintProtocol>
 DrainRun RunFootprints(int threads, const LatencySpec& latency) {
   constexpr std::size_t kNodes = 600;
-  FootprintProtocol protocol(kNodes);
+  Protocol protocol(kNodes);
   auto engine = std::make_unique<Engine>(kNodes, /*seed=*/83, &protocol);
   engine->SetThreads(threads);
   engine->SetLatency(latency);
@@ -624,38 +628,88 @@ std::size_t SendersWithSeveralDueMessages(const DrainRun& run) {
   return count;
 }
 
-void ExpectLevelDrainMatchesSequential(const LatencySpec& latency) {
-  const DrainRun base = RunFootprints(1, latency);
+/// The drain on the workers at 2 and 8 threads against the one-thread
+/// in-order drain, the oracle. Returns the runs by thread count.
+template <class Protocol = FootprintProtocol>
+std::map<int, DrainRun> ExpectDrainMatchesInOrder(const LatencySpec& latency) {
+  const DrainRun base = RunFootprints<Protocol>(1, latency);
   EXPECT_EQ(base.profile.drain_levels, 0u)
       << "1 thread drains in message order";
   EXPECT_EQ(base.profile.drain_pooled_messages, 0u);
   EXPECT_EQ(base.profile.drain_inline_messages, base.lane_total);
+  EXPECT_EQ(base.profile.drain_wait_seconds, 0.0);
   EXPECT_EQ(base.trace.size(), base.lane_total);
+  std::map<int, DrainRun> runs;
   for (const int threads : {2, 8}) {
-    const DrainRun run = RunFootprints(threads, latency);
+    const DrainRun& run = runs[threads] =
+        RunFootprints<Protocol>(threads, latency);
     EXPECT_EQ(run.logs, base.logs) << threads << " threads";
     EXPECT_EQ(run.trace, base.trace) << threads << " threads";
     EXPECT_EQ(run.lane_total, base.lane_total) << threads << " threads";
     EXPECT_GT(run.profile.drain_levels, 0u) << threads << " threads";
     EXPECT_GT(run.profile.drain_pooled_messages, 0u)
-        << "no level reached the pool at " << threads << " threads";
+        << "no drain reached the pool at " << threads << " threads";
     EXPECT_EQ(run.profile.drain_pooled_messages +
                   run.profile.drain_inline_messages,
               base.lane_total);
   }
+  return runs;
 }
 
-TEST(LevelDrainTest, MatchesTheSequentialDrainUnderZeroLatency) {
-  ExpectLevelDrainMatchesSequential(LatencySpec{});
+TEST(DependencyDrainTest, MatchesTheSequentialDrainUnderZeroLatency) {
+  ExpectDrainMatchesInOrder(LatencySpec{});
 }
 
-TEST(LevelDrainTest, MatchesTheSequentialDrainWhenSendersHaveSeveralDue) {
+TEST(DependencyDrainTest, MatchesTheSequentialDrainWhenSendersHaveSeveralDue) {
   const LatencySpec lagged = test::Latency("uniform:0:3");
   EXPECT_GT(SendersWithSeveralDueMessages(RunFootprints(1, lagged)), 0u);
-  ExpectLevelDrainMatchesSequential(lagged);
+  ExpectDrainMatchesInOrder(lagged);
 }
 
-TEST(LevelDrainTest, ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
+/// Every footprint also holds user 0, so each drain is one chain: every
+/// message waits on the one before it.
+class HubProtocol : public FootprintProtocol {
+ public:
+  using FootprintProtocol::FootprintProtocol;
+  void CommitFootprintOf(UserId sender, const DeliveryMessage& message,
+                         CommitFootprint* footprint) const override {
+    footprint->Add(0);
+    FootprintProtocol::CommitFootprintOf(sender, message, footprint);
+  }
+};
+
+TEST(DependencyDrainTest, HubChainCommitsInMessageOrder) {
+  for (const auto& [threads, run] :
+       ExpectDrainMatchesInOrder<HubProtocol>(LatencySpec{})) {
+    // The longest chain is the whole drain.
+    EXPECT_EQ(run.profile.drain_levels, run.lane_total)
+        << threads << " threads";
+  }
+}
+
+/// Every fifth sender's commit spins for about 50 µs before it touches
+/// state, so messages that wait on nothing finish out of message order.
+class SlowFifthProtocol : public FootprintProtocol {
+ public:
+  using FootprintProtocol::FootprintProtocol;
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override {
+    if (sender % 5 == 0) {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+    FootprintProtocol::CommitMessage(sender, message, ctx);
+  }
+};
+
+TEST(DependencyDrainTest, CompletionOrderDoesNotLeak) {
+  ExpectDrainMatchesInOrder<SlowFifthProtocol>(LatencySpec{});
+}
+
+TEST(DependencyDrainTest,
+     ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
   class OrderProtocol : public CycleProtocol {
    public:
     void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
@@ -695,7 +749,7 @@ TEST(LevelDrainTest, ProtocolWithoutFootprintsDrainsInOrderOnCallingThread) {
   }
 }
 
-TEST(LevelDrainTest, CommitExceptionsPropagateAfterTheLevel) {
+TEST(DependencyDrainTest, CommitExceptionsPropagate) {
   class ThrowingProtocol : public FootprintProtocol {
    public:
     using FootprintProtocol::FootprintProtocol;
@@ -711,7 +765,33 @@ TEST(LevelDrainTest, CommitExceptionsPropagateAfterTheLevel) {
   EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
 }
 
-TEST(LevelDrainTest, FootprintNamingAnUnknownUserIsRejected) {
+/// Every other message of the hub chain waits on the first, whose commit
+/// throws: the workers waiting on it must give up, or RunCycles never
+/// returns (the test's ctest timeout catches that).
+TEST(DependencyDrainTest, CommitExceptionsReleaseWaitingWorkers) {
+  class ThrowingHub : public HubProtocol {
+   public:
+    using HubProtocol::HubProtocol;
+    void CommitMessage(UserId sender, DeliveryMessage& message,
+                       const CommitContext& ctx) override {
+      if (sender == 0) throw std::runtime_error("first commit failed");
+      HubProtocol::CommitMessage(sender, message, ctx);
+    }
+  };
+  for (const int threads : {2, 4, 8}) {
+    ThrowingHub protocol(600);
+    Engine engine(600, /*seed=*/97, &protocol);
+    engine.SetThreads(threads);
+    EXPECT_THROW(engine.RunCycles(1), std::runtime_error)
+        << threads << " threads";
+    EXPECT_EQ(std::accumulate(protocol.lanes.begin(), protocol.lanes.end(),
+                              std::uint64_t{0}),
+              0u)
+        << "a message committed before the one it waits on";
+  }
+}
+
+TEST(DependencyDrainTest, FootprintNamingAnUnknownUserIsRejected) {
   class OutOfRangeProtocol : public FootprintProtocol {
    public:
     using FootprintProtocol::FootprintProtocol;
@@ -746,7 +826,7 @@ TEST(MessageArenaTest, HeldWhileTheirSendCycleHasAMessageInFlight) {
                   0u);
       }
     }
-    ExpectLevelDrainMatchesSequential(latency);
+    ExpectDrainMatchesInOrder(latency);
   }
 }
 
@@ -801,7 +881,7 @@ TEST(MessageArenaTest, FirstBlockHoldsWhatTheShardsLastArenaHandedOut) {
   EXPECT_EQ(arenas.held_cycles(), 0u);
 }
 
-TEST(LevelDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {
+TEST(DependencyDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {
   CommitFootprint footprint;
   footprint.Add(3);
   footprint.Add(kInvalidUser);
@@ -830,7 +910,7 @@ void WaitBriefly(Done done) {
 }
 
 /// Cycle c has kItemsPerCycle[c] close-out items, on both sides of
-/// Engine::kInlineLevelSize. Every item counts its runs and records its
+/// Engine::kMinPooledItems. Every item counts its runs and records its
 /// thread and whether EndCycle had returned. When the engine should pool
 /// the items, EndCycle waits until all of them ran, so they must have run
 /// on the workers beside it.
@@ -843,7 +923,7 @@ class CloseoutProtocol : public CycleProtocol {
       : threads_(threads), caller_(std::this_thread::get_id()) {}
 
   bool Pooled(std::size_t items) const {
-    return threads_ > 1 && items >= Engine::kInlineLevelSize;
+    return threads_ > 1 && items >= Engine::kMinPooledItems;
   }
 
   void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
@@ -998,7 +1078,7 @@ class EndCyclePlanProtocol : public CycleProtocol {
       : threads_(threads), caller_(std::this_thread::get_id()) {}
 
   bool Pooled(std::size_t items) const {
-    return threads_ > 1 && items >= Engine::kInlineLevelSize;
+    return threads_ > 1 && items >= Engine::kMinPooledItems;
   }
 
   void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}

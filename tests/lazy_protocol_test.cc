@@ -432,7 +432,7 @@ TEST(LazyProtocolTest, CommitDropsTheMessageSnapshotHandles) {
   system.BootstrapRandomViews();
   HandleCountingProtocol protocol(&system);
   Engine engine(system.NumUsers(), /*seed=*/61, &protocol);
-  engine.SetThreads(4);  // the level drain: commits on the workers
+  engine.SetThreads(4);  // the drain on the workers
   engine.RunCycles(3);
   EXPECT_GT(protocol.referenced_before.load(), 0u);
   EXPECT_EQ(protocol.referenced_after.load(), 0u);

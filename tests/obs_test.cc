@@ -345,6 +345,7 @@ TEST(TraceDeterminismTest, ProfilerMeasuresEveryEnginePhase) {
   EXPECT_NE(json.find("\"plan_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"drain_take_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"drain_teardown_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"drain_wait_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"imbalance_histogram\""), std::string::npos);
 }
 
