@@ -479,37 +479,25 @@ void EagerProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
   }
 }
 
-std::size_t EagerProtocol::PrepareEndCycle(std::uint64_t /*cycle*/) {
-  return wave_.Prepare();
-}
-
-void EagerProtocol::PlanEndCycle(std::size_t item, std::size_t worker) {
-  wave_.Screen(item, worker);
-}
-
 void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {
-  // The "wave of refreshments": every user who took part in query gossip
-  // this cycle also runs one lazy-style top-layer maintenance exchange at
-  // the eager frequency ("maintain personal network as in lazy mode",
-  // Algorithm 3 lines 12/24) — this is what makes the eager mode refresh
-  // the querier's neighbourhood so effectively (Figure 9).
-  wave_.Run(rng);
-}
-
-std::size_t EagerProtocol::PrepareCloseouts(std::uint64_t /*cycle*/) {
-  closeouts_.clear();
+  WorkerPool& pool = system_->pool();
+  pool.ForEachItem(wave_.Prepare(), [&](std::size_t item, std::size_t worker) {
+    wave_.Screen(item, worker);
+  });
+  std::vector<QueryState*> open;
   for (auto& [qid, state] : state_) {
-    if (!state.query->finalized()) closeouts_.push_back(&state);
+    if (!state.query->finalized()) open.push_back(&state);
   }
-  return closeouts_.size();
-}
-
-void EagerProtocol::Closeout(std::size_t item) {
-  // End of cycle: the querier integrates the partial results received
-  // during this cycle and refreshes the query's top-k. The wave reads no
-  // query state, so this may run beside it.
-  QueryState& state = *closeouts_[item];
-  state.query->EndOfCycle(state.active_tasks == 0);
+  // Algorithm 4 at each querier, beside the wave of refreshments, which
+  // reads no query state. The wave is what makes the eager mode refresh the
+  // querier's neighbourhood so effectively (Figure 9).
+  pool.ForEachItem(
+      open.size(),
+      [&](std::size_t item, std::size_t /*worker*/) {
+        QueryState& state = *open[item];
+        state.query->EndOfCycle(state.active_tasks == 0);
+      },
+      [&] { wave_.Run(rng); });
 }
 
 std::vector<std::uint64_t> EagerProtocol::AllQueryIds() const {

@@ -22,13 +22,15 @@
 // CommitMessage (sequential, delivery order) applies the
 // task/traffic/query-state effects when the message arrives, merge-aware so
 // a list portion another commit appended to this node's task after planning
-// is never lost. After the drain the cycle's participants run the wave of
-// refreshments (RefreshWave below): each participant's exchange is one
-// PrepareEndCycle / PlanEndCycle item, screened on the worker pool, and
-// EndCycle then runs the exchanges in order. Each open query's end-of-cycle
-// NRA pass and snapshot is a close-out item (PrepareCloseouts / Closeout):
-// it touches only that query's ActiveQuery, so the engine may run it on a
-// plan worker beside the wave.
+// is never lost. After the drain EndCycle runs three steps on the system's
+// worker pool (sim/worker_pool.h):
+//   1. it screens the exchange of each of the cycle's participants in the
+//      wave of refreshments (RefreshWave below), one pool item each;
+//   2. it runs the wave, the exchanges in ascending participant order, on
+//      the calling thread (the pool job's `beside` work);
+//   3. beside the wave, it closes out each open query, one pool item each:
+//      the query's end-of-cycle NRA pass and snapshot (Algorithm 4), which
+//      touches only that query's ActiveQuery and nothing the wave does.
 //
 // A partial result comes from RankQueryScores (profile/profile.h): a
 // screened scan of each profile into a hit buffer the plan thread keeps,
@@ -163,16 +165,9 @@ class EagerProtocol : public CycleProtocol {
   /// and the epoch counter, so the protocol declares no commit footprints.
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
-  /// Each of the cycle's wave participants is one item.
-  std::size_t PrepareEndCycle(std::uint64_t cycle) override;
-  /// Screens one participant's wave exchange (RefreshWave::Screen).
-  void PlanEndCycle(std::size_t item, std::size_t worker) override;
-  /// Collects the queries not yet finalized; each is one close-out item.
-  std::size_t PrepareCloseouts(std::uint64_t cycle) override;
-  /// Algorithm 4 at the querier: folds the cycle's partial results into the
-  /// query's NRA and records its snapshot.
-  void Closeout(std::size_t item) override;
-  /// The wave of refreshments.
+  /// The wave of refreshments, and beside it Algorithm 4 at each querier:
+  /// the cycle's partial results folded into the query's NRA and its
+  /// snapshot recorded (see the file comment).
   void EndCycle(std::uint64_t cycle, Rng* rng) override;
 
   /// Every id-keyed accessor throws std::out_of_range naming the id for an
@@ -308,9 +303,6 @@ class EagerProtocol : public CycleProtocol {
 
   P3QSystem* system_;
   std::unordered_map<std::uint64_t, QueryState> state_;
-  /// This cycle's close-out items, from PrepareCloseouts to the cycle's
-  /// end (state_ is neither grown nor shrunk in between).
-  std::vector<QueryState*> closeouts_;
   /// Users who took part in query gossip during the current cycle; each
   /// runs one maintenance exchange at the end of the cycle.
   RefreshWave wave_;

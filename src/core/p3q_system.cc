@@ -24,8 +24,9 @@ P3QSystem::P3QSystem(ProfileStore&& store, const P3QConfig& config,
       network_(store_.NumUsers()),
       lazy_(std::make_unique<LazyProtocol>(this)),
       eager_(std::make_unique<EagerProtocol>(this)),
-      engine_(store_.NumUsers(), SplitMix64(&seed), lazy_.get()),
-      eager_engine_(store_.NumUsers(), SplitMix64(&seed), eager_.get()) {
+      engine_(store_.NumUsers(), SplitMix64(&seed), lazy_.get(), &pool_),
+      eager_engine_(store_.NumUsers(), SplitMix64(&seed), eager_.get(),
+                    &pool_) {
   const std::string problem = config_.Validate();
   if (!problem.empty()) {
     throw std::invalid_argument("P3QConfig: " + problem);
@@ -43,11 +44,6 @@ P3QSystem::P3QSystem(ProfileStore&& store, const P3QConfig& config,
     nodes_.push_back(std::make_unique<P3QNode>(u, store_.Get(u), config_,
                                                std::max(1, c), rng_.Fork()));
   }
-}
-
-void P3QSystem::SetThreads(int threads) {
-  engine_.SetThreads(threads);
-  eager_engine_.SetThreads(threads);
 }
 
 void P3QSystem::SetTracer(Tracer* tracer) {

@@ -1,8 +1,8 @@
 // P3QSystem — the public entry point: a whole simulated P3Q deployment.
 //
 // Owns the population (profile store + one P3QNode per user), the simulated
-// network with its traffic accounting, the cycle engine, and the protocol
-// instances. Typical use:
+// network with its traffic accounting, the worker pool, the two cycle
+// engines that borrow it, and the protocol instances. Typical use:
 //
 //   auto trace = GenerateSyntheticTrace(SyntheticConfig::DeliciousLike(1000), 1);
 //   P3QConfig config;
@@ -31,6 +31,7 @@
 #include "sim/delivery.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "sim/worker_pool.h"
 
 namespace p3q {
 
@@ -111,11 +112,12 @@ class P3QSystem {
   Rng& rng() { return rng_; }
   Metrics& metrics() { return network_.metrics(); }
 
-  /// Worker threads for the engines' parallel plan phases. Results are
-  /// byte-identical for every value (see sim/engine.h); the initial value
-  /// comes from the P3Q_THREADS environment variable (default 1).
-  void SetThreads(int threads);
-  int threads() const { return engine_.threads(); }
+  /// Threads of the system's one worker pool, which both engines and the
+  /// eager mode's end of cycle run on (sim/worker_pool.h). Results are
+  /// byte-identical for every value; the initial value comes from the
+  /// P3Q_THREADS environment variable (default 1).
+  void SetThreads(int threads) { pool_.SetThreads(threads); }
+  int threads() const { return pool_.threads(); }
 
   /// Installs the latency model governing message delivery on both engines
   /// (sim/engine.h). The default, zero latency, commits every planned effect
@@ -248,6 +250,10 @@ class P3QSystem {
 
   EagerProtocol& eager() { return *eager_; }
 
+  /// The worker pool both engines borrow; the eager mode's end of cycle
+  /// runs on it too.
+  WorkerPool& pool() { return pool_; }
+
   // -- Checkpointing ---------------------------------------------------------
 
   /// Serializes the complete mutable system state at a cycle barrier into
@@ -277,6 +283,7 @@ class P3QSystem {
   ProfileStore store_;
   Network network_;
   // Built before the engines, which are constructed with pointers to them.
+  WorkerPool pool_;
   std::unique_ptr<LazyProtocol> lazy_;
   std::unique_ptr<EagerProtocol> eager_;
   Engine engine_;        ///< drives the lazy protocol's cycles

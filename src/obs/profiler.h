@@ -44,7 +44,9 @@ struct PhaseBreakdown {
   /// before; a drain in message order adds none. Long chains come from
   /// users many others gossip with.
   std::uint64_t drain_levels = 0;
-  /// Messages of the drains that ran on the worker pool.
+  /// Messages of the drains offered to the worker pool. The calling
+  /// thread takes them too, and may commit a short drain before any worker
+  /// wakes, so this counts where messages could run, not where they ran.
   std::uint64_t drain_pooled_messages = 0;
   /// Messages committed on the calling thread: every drain in message
   /// order, plus every drain too small to be worth the pool.
@@ -53,12 +55,8 @@ struct PhaseBreakdown {
   /// become ready to commit, summed over the workers (a sub-span of their
   /// share of drain_seconds).
   double drain_wait_seconds = 0.0;
-  /// Close-out items (sim/engine.h) run on the worker pool beside EndCycle.
-  std::uint64_t closeout_pooled_items = 0;
-  /// Close-out items run on the calling thread after EndCycle: all of them
-  /// at one thread, and every close-out too small to be worth the pool.
-  std::uint64_t closeout_inline_items = 0;
-  /// The end-of-cycle plan, EndCycle and the close-out.
+  /// EndCycle, with the work it hands to the worker pool (the eager mode's
+  /// wave screens and query close-outs).
   double end_cycle_seconds = 0.0;
   double shard_plan_max_seconds = 0.0; ///< sum over cycles of max shard time
   double shard_plan_sum_seconds = 0.0; ///< sum over cycles of all shard times
@@ -79,8 +77,6 @@ struct PhaseBreakdown {
         Sum(&P::drain_pooled_messages, "drain_pooled_messages"),
         Sum(&P::drain_inline_messages, "drain_inline_messages"),
         Sum(&P::drain_wait_seconds, "drain_wait_seconds"),
-        Sum(&P::closeout_pooled_items, "closeout_pooled_items"),
-        Sum(&P::closeout_inline_items, "closeout_inline_items"),
         Sum(&P::end_cycle_seconds, "end_cycle_seconds"),
         Computed(&P::TotalSeconds, "total_seconds"),
         Sum(&P::shard_plan_max_seconds, "shard_plan_max_seconds"),

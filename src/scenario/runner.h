@@ -52,8 +52,8 @@ struct ScenarioRunnerOptions {
   /// success-ratio baseline uses the same metric, so scenarios stay
   /// comparable across metrics.
   SimilarityMetric similarity = SimilarityMetric::kCommonActions;
-  /// Worker threads for the engine's parallel plan phases; 0 inherits the
-  /// P3Q_THREADS environment default (1). Reports are byte-identical for
+  /// Threads of the system's worker pool; 0 inherits the P3Q_THREADS
+  /// environment default (1). Reports are byte-identical for
   /// every value; only the timing block (opt-in) differs.
   int threads = 0;
   /// When set, overrides the scenario's own latency model (the --latency /

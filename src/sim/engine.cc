@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -14,7 +11,6 @@
 #include <immintrin.h>
 #endif
 
-#include "common/env.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "sim/checkpoint.h"
@@ -32,116 +28,11 @@ std::uint64_t Absorb(std::uint64_t state, std::uint64_t word) {
   return SplitMix64(&s);
 }
 
-int ClampThreads(std::int64_t threads) {
-  return static_cast<int>(std::clamp<std::int64_t>(
-      threads, 1, static_cast<std::int64_t>(kEngineShards)));
-}
-
-/// The `beside` of a ForEachItem with nothing to run beside its items.
-constexpr auto kNothingBeside = [] {};
-
 /// Spins a drain worker pauses for before it starts yielding its core, so
 /// more workers than cores still make progress.
 constexpr std::uint32_t kSpinsBeforeYield = 32;
 
 }  // namespace
-
-/// Persistent plan-phase workers: spawned once and fed one job per
-/// Engine::ForEachItem call (a plan phase, drain, end-of-cycle plan or
-/// close-out) through an epoch counter, so a run pays the thread spawn cost
-/// once instead of once per cycle (idle workers block on the condition
-/// variable between jobs).
-/// Run() returns only after every worker finished the job — the cycle
-/// barrier — even when the job throws: exceptions from any thread are
-/// captured and the first one is rethrown on the calling thread after the
-/// barrier, matching threads=1 semantics.
-class PlanWorkerPool {
- public:
-  /// A job receives its worker index: 0 on the calling thread, 1..workers
-  /// on the pool threads.
-  using Job = std::function<void(std::size_t worker)>;
-
-  explicit PlanWorkerPool(int workers) {
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      threads_.emplace_back(
-          [this, i] { Loop(static_cast<std::size_t>(i) + 1); });
-    }
-  }
-
-  ~PlanWorkerPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  /// Runs `job` on every worker and the calling thread; returns when all
-  /// workers are done with it.
-  void Run(const Job& job) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_ = &job;
-      finished_ = 0;
-      error_ = nullptr;
-      ++epoch_;
-    }
-    work_cv_.notify_all();
-    std::exception_ptr caller_error;
-    try {
-      job(0);
-    } catch (...) {
-      caller_error = std::current_exception();
-    }
-    std::exception_ptr worker_error;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return finished_ == threads_.size(); });
-      worker_error = error_;
-    }
-    if (caller_error) std::rethrow_exception(caller_error);
-    if (worker_error) std::rethrow_exception(worker_error);
-  }
-
- private:
-  void Loop(std::size_t worker) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const Job* job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return stop_ || epoch_ > seen; });
-        if (stop_) return;
-        seen = epoch_;
-        job = job_;
-      }
-      std::exception_ptr error;
-      try {
-        (*job)(worker);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (error != nullptr && error_ == nullptr) error_ = error;
-        ++finished_;
-      }
-      done_cv_.notify_one();
-    }
-  }
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const Job* job_ = nullptr;
-  std::exception_ptr error_;
-  std::uint64_t epoch_ = 0;
-  std::size_t finished_ = 0;
-  bool stop_ = false;
-};
 
 /// Commit trace events of a drain on the workers: staged per worker with
 /// their message index, accepted in message order once the drain ends.
@@ -210,7 +101,7 @@ class Engine::Drain {
   /// Commits `due`, given in (due, sender, seq) order: each message once
   /// the earlier messages sharing a user with it have committed, on
   /// whichever worker takes it, when the protocol declares commit
-  /// footprints and the engine has more than one thread; else in message
+  /// footprints and the pool has more than one thread; else in message
   /// order on the calling thread.
   void Run(Engine* engine, std::vector<DeliveryQueue::InFlight>& due);
 
@@ -270,25 +161,6 @@ class Engine::Drain {
   std::vector<double> wait_seconds_;
   CommitEventStage stage_;
 };
-
-template <class Fn, class Beside>
-bool Engine::ForEachItem(std::size_t n, const Fn& fn, const Beside& beside) {
-  if (threads_ <= 1 || n < kMinPooledItems) {
-    beside();
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
-    return false;
-  }
-  if (pool_ == nullptr) pool_ = std::make_unique<PlanWorkerPool>(threads_ - 1);
-  std::atomic<std::size_t> next{0};
-  pool_->Run([&](std::size_t worker) {
-    if (worker == 0) beside();
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i, worker);
-    }
-  });
-  return true;
-}
 
 void Engine::Drain::ClearMarks(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -419,7 +291,8 @@ void Engine::Drain::Run(Engine* engine,
                         std::vector<DeliveryQueue::InFlight>& due) {
   AssignStreams(*engine, due);
   const std::size_t n = due.size();
-  const std::size_t threads = static_cast<std::size_t>(engine->threads_);
+  const std::size_t threads =
+      static_cast<std::size_t>(engine->pool_->threads());
   const bool released =
       threads > 1 && engine->protocol_->DeclaresCommitFootprints();
   const std::size_t longest = released ? AssignDependencies(*engine, due) : 0;
@@ -447,9 +320,8 @@ void Engine::Drain::Run(Engine* engine,
       for (std::size_t i = 0; i < n; ++i) commit(i, 0);
     } else {
       failed_.store(false, std::memory_order_relaxed);
-      pooled = engine->ForEachItem(
-          n,
-          [&](std::size_t k, std::size_t worker) {
+      pooled = engine->pool_->ForEachItem(
+          n, [&](std::size_t k, std::size_t worker) {
             const std::uint32_t ready =
                 AwaitReady(k, worker, profile != nullptr);
             if (ready == 0) return;  // a commit failed
@@ -460,8 +332,7 @@ void Engine::Drain::Run(Engine* engine,
               throw;
             }
             Release(ready - 1);
-          },
-          kNothingBeside);
+          });
     }
   } catch (...) {
     // Best effort for the flight recorder: keep what did commit.
@@ -512,13 +383,13 @@ std::pmr::memory_resource* PlanContext::arena() const {
 }
 
 Engine::Engine(std::size_t num_nodes, std::uint64_t seed,
-               CycleProtocol* protocol)
+               CycleProtocol* protocol, WorkerPool* pool)
     : protocol_(protocol),
+      pool_(pool),
       arenas_(std::make_unique<MessageArenas>()),
       queue_(std::make_unique<DeliveryQueue>()),
       num_nodes_(num_nodes),
       seed_(seed),
-      threads_(ClampThreads(GetEnvInt("P3Q_THREADS", 1))),
       drain_(std::make_unique<Drain>()) {}
 
 Engine::~Engine() = default;
@@ -536,12 +407,6 @@ DeliveryStats Engine::DeliveryStatsTotal() const { return queue_->stats(); }
 
 std::size_t Engine::MessagesInFlight() const {
   return queue_->InFlightDepth();
-}
-
-void Engine::SetThreads(int threads) {
-  const int clamped = ClampThreads(threads);
-  if (clamped != threads_) pool_.reset();  // respawned lazily at the new size
-  threads_ = clamped;
 }
 
 Rng Engine::ForkStream(std::uint64_t seed, std::uint64_t cycle, UserId node,
@@ -568,9 +433,9 @@ void Engine::RunPlanPhase() {
   // is needed beyond the pool's barrier.
   const bool profiled = profile_ != nullptr;
   if (profiled) shard_plan_seconds_.fill(0.0);
-  // So the shards go to the pool whenever the engine has more than one
+  // So the shards go to the workers whenever the pool has more than one
   // thread.
-  static_assert(kEngineShards >= kMinPooledItems);
+  static_assert(kEngineShards >= WorkerPool::kMinPooledItems);
   const auto plan_shard = [&](std::size_t s, std::size_t /*worker*/) {
     const auto shard_start = profiled
                                  ? std::chrono::steady_clock::now()
@@ -601,7 +466,7 @@ void Engine::RunPlanPhase() {
               .count();
     }
   };
-  ForEachItem(kEngineShards, plan_shard, kNothingBeside);
+  pool_->ForEachItem(kEngineShards, plan_shard);
 }
 
 void Engine::DrainDueMessages() {
@@ -628,27 +493,6 @@ void Engine::DrainDueMessages() {
   profile_->drain_teardown_seconds += sec(t2, Clock::now());
 }
 
-void Engine::CloseCycle() {
-  ForEachItem(
-      protocol_->PrepareEndCycle(cycle_),
-      [&](std::size_t item, std::size_t worker) {
-        protocol_->PlanEndCycle(item, worker);
-      },
-      kNothingBeside);
-  const std::size_t items = protocol_->PrepareCloseouts(cycle_);
-  Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt);
-  const bool pooled = ForEachItem(
-      items,
-      [&](std::size_t item, std::size_t /*worker*/) {
-        protocol_->Closeout(item);
-      },
-      [&] { protocol_->EndCycle(cycle_, &end_rng); });
-  if (profile_ != nullptr) {
-    (pooled ? profile_->closeout_pooled_items
-            : profile_->closeout_inline_items) += items;
-  }
-}
-
 void Engine::RunOneCycle() {
   using Clock = std::chrono::steady_clock;
   const bool profiled = profile_ != nullptr;
@@ -664,7 +508,8 @@ void Engine::RunOneCycle() {
   const auto t2 = profiled ? Clock::now() : Clock::time_point();
   DrainDueMessages();
   const auto t3 = profiled ? Clock::now() : Clock::time_point();
-  CloseCycle();
+  Rng end_rng = ForkStream(seed_, cycle_, 0, kCycleSalt);
+  protocol_->EndCycle(cycle_, &end_rng);
   if (profiled) {
     const auto t4 = Clock::now();
     double shard_max = 0.0;

@@ -24,21 +24,16 @@
 //           per-shard mailboxes in shard order.
 //        c. The delivery drain — the COMMIT phase: CommitMessage for every
 //           due message (see below), which may mutate any node's state.
-//        d. The end-of-cycle plan. PrepareEndCycle(cycle), a sequential
-//           hook, names the cycle's read-only items (e.g. the screens of
-//           the eager mode's wave of refreshments), and
-//           PlanEndCycle(item, worker) runs once per item. All of them
-//           finish before step e.
-//        e. The close-out. PrepareCloseouts(cycle), a sequential hook,
-//           names the cycle's independent close-out items (e.g. the eager
-//           mode's open queries). EndCycle(cycle, rng) is the sequential
-//           tear-down hook (e.g. the eager mode's wave of refreshments),
-//           and Closeout(item) runs once per item beside it.
+//        d. EndCycle(cycle, rng)       — the sequential end-of-cycle hook,
+//           on the calling thread outside any pool job, with the stream
+//           forked from (seed, cycle, kCycleSalt). Work it hands to the
+//           pool (e.g. the eager mode's wave screens and query close-outs)
+//           keeps the item rules below.
 //
-// Every parallel step (the plan's shards, a drain's messages, the
-// end-of-cycle plan and close-out items) runs through one worker loop,
-// Engine::ForEachItem: on the plan workers with more than one thread and at
-// least kMinPooledItems items, else on the calling thread.
+// Every parallel step (the plan's shards, a drain's messages) runs through
+// the WorkerPool the engine borrows (sim/worker_pool.h): on its workers with
+// more than one thread and at least WorkerPool::kMinPooledItems items, else
+// on the calling thread. The system's two engines share one pool.
 //
 // Because plan reads only frozen state and every commit sees the state the
 // canonical commit order gives it, the node-visit multiset, every RNG
@@ -67,9 +62,9 @@
 // By default it commits them in message order on the calling thread. When
 // the protocol declares commit footprints
 // (CycleProtocol::DeclaresCommitFootprints: the users whose state each
-// message's commit reads or writes) and the engine has more than one
+// message's commit reads or writes) and the pool has more than one
 // thread, every due message waits on the previous due message of each user
-// in its footprint. One pass of the worker loop then commits each message
+// in its footprint. One ForEachItem pass then commits each message
 // as soon as those have committed, on whichever worker takes it, and each
 // commit releases the messages that waited on it last. Two messages
 // sharing a user still commit in (due, sender, seq) order, and only
@@ -82,15 +77,10 @@
 // through CommitContext::Emit, which stages them and accepts them in message
 // order after the drain.
 //
-// An end-of-cycle plan item may run on any thread, concurrently with the
-// other items, so PlanEndCycle may read any state but writes only its own
-// scratch: it draws no randomness, emits no trace events and writes no
-// shared counters. A close-out item may run on any thread, concurrently
-// with EndCycle and with the other items, so Closeout touches only that
-// item's own state: it draws no randomness, emits no trace events, writes
-// no shared counters, and reads or writes nothing EndCycle does. Every
-// item then does the same work whichever thread runs it and in whatever
-// order, and EndCycle sees the state it sees at one thread.
+// The item rules. An item EndCycle hands to the pool may run on any thread,
+// concurrently with the other items and with the job's `beside` work, so it
+// draws no randomness, emits no trace events, writes no shared counters, and
+// touches only its own scratch or state, nothing the `beside` work does.
 #ifndef P3Q_SIM_ENGINE_H_
 #define P3Q_SIM_ENGINE_H_
 
@@ -105,10 +95,10 @@
 #include "common/random.h"
 #include "common/types.h"
 #include "sim/metrics.h"
+#include "sim/worker_pool.h"
 
 namespace p3q {
 
-class PlanWorkerPool;    // persistent plan-phase workers (engine.cc)
 class DeliveryQueue;     // timestamped in-flight messages (sim/delivery.h)
 class MessageArenas;     // per-(send cycle, shard) payload arenas (ditto)
 class Tracer;            // deterministic event tracing (obs/trace.h)
@@ -313,40 +303,7 @@ class CycleProtocol {
     (void)footprint;
   }
 
-  /// Sequential hook after the cycle's drain; returns how many read-only
-  /// end-of-cycle items the cycle has. The engine runs PlanEndCycle once per
-  /// item before PrepareCloseouts (see the file comment).
-  virtual std::size_t PrepareEndCycle(std::uint64_t cycle) {
-    (void)cycle;
-    return 0;
-  }
-
-  /// Plans one item named by PrepareEndCycle; called once per item. May run
-  /// on a plan worker concurrently with other items — `worker`, in
-  /// [0, threads), names the running thread (0: the calling thread) — so
-  /// it may read any state but write only its own scratch: no randomness,
-  /// no trace events, no shared counters.
-  virtual void PlanEndCycle(std::size_t item, std::size_t worker) {
-    (void)item;
-    (void)worker;
-  }
-
-  /// Sequential hook after the end-of-cycle plan, before EndCycle; returns
-  /// how many close-out items the cycle has. The engine closes item i out
-  /// with Closeout(i), possibly beside EndCycle (see the file comment).
-  virtual std::size_t PrepareCloseouts(std::uint64_t cycle) {
-    (void)cycle;
-    return 0;
-  }
-
-  /// Closes out one item named by PrepareCloseouts; called once per item.
-  /// May run on a plan worker concurrently with EndCycle and with other
-  /// items, so it may touch only that item's own state: no randomness, no
-  /// trace events, no shared counters, and nothing EndCycle reads or
-  /// writes.
-  virtual void Closeout(std::size_t item) { (void)item; }
-
-  /// Sequential hook after the cycle's drain.
+  /// Sequential hook after the cycle's drain (step d of the file comment).
   virtual void EndCycle(std::uint64_t cycle, Rng* rng) {
     (void)cycle;
     (void)rng;
@@ -369,19 +326,16 @@ class CycleProtocol {
 class Engine {
  public:
   /// num_nodes: population size; seed: root of every forked stream;
-  /// protocol: the one protocol every cycle runs, not owned, and it must
-  /// outlive the engine. The initial thread count comes from the
-  /// P3Q_THREADS environment variable (default 1); SetThreads overrides it.
-  Engine(std::size_t num_nodes, std::uint64_t seed, CycleProtocol* protocol);
+  /// protocol: the one protocol every cycle runs; pool: the threads the
+  /// plan and the drain run on, which engines that never run at the same
+  /// time may share. Neither is owned, and both must outlive the engine.
+  /// Results are byte-identical for every thread count of the pool.
+  Engine(std::size_t num_nodes, std::uint64_t seed, CycleProtocol* protocol,
+         WorkerPool* pool);
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Worker threads for the plan phase (clamped to [1, kEngineShards]).
-  /// Results are byte-identical for every value.
-  void SetThreads(int threads);
-  int threads() const { return threads_; }
 
   /// Sets the latency model governing message delivery; the spec must pass
   /// Validate(). Zero latency (the default) is the fast path —
@@ -449,11 +403,6 @@ class Engine {
   static constexpr std::uint64_t kCycleSalt = 0x6379636cULL;     // "cycl"
   static constexpr std::uint64_t kDeliverySalt = 0x64656c76ULL;  // "delv"
 
-  /// ForEachItem runs fewer items than this on the calling thread (a
-  /// drain's messages, end-of-cycle plan or close-out items; the plan's 64
-  /// shards are never fewer): waking the workers costs more than they save.
-  static constexpr std::size_t kMinPooledItems = 16;
-
  private:
   class Drain;  // the delivery drain and its scratch (engine.cc)
 
@@ -465,24 +414,13 @@ class Engine {
 
   void RunPlanPhase();
   void DrainDueMessages();
-  /// The one worker loop (the only caller of PlanWorkerPool::Run): runs
-  /// fn(i, worker) once for every i in [0, n) and beside() once on the
-  /// calling thread (worker 0). With more than one thread and at least
-  /// kMinPooledItems items the pool takes the items and worker 0 runs
-  /// beside() first, then joins them; otherwise beside() runs first and
-  /// then the items, on the calling thread. Returns whether the pool ran
-  /// the items.
-  template <class Fn, class Beside>
-  bool ForEachItem(std::size_t n, const Fn& fn, const Beside& beside);
-  /// Steps d and e: the end-of-cycle plan, then the protocol's EndCycle
-  /// and its close-out items.
-  void CloseCycle();
   void RunOneCycle();
   /// The SaveState/LoadState layout; `self` is const when saving.
   template <class Io, class Self>
   static void Transfer(Io& io, Self& self);
 
   CycleProtocol* protocol_;
+  WorkerPool* pool_;
   /// Declared before queue_, so in-flight messages are destroyed before
   /// the arenas that back them.
   std::unique_ptr<MessageArenas> arenas_;
@@ -490,7 +428,6 @@ class Engine {
   LatencySpec latency_;
   std::size_t num_nodes_;
   std::uint64_t seed_;
-  int threads_ = 1;
   std::uint64_t cycle_ = 0;
   Tracer* tracer_ = nullptr;
   /// Stable slot inside the attached profiler; null when not profiling.
@@ -499,11 +436,6 @@ class Engine {
   /// only by the thread that planned that shard (the mailbox discipline),
   /// read sequentially after the barrier. Only maintained while profiling.
   std::array<double, kEngineShards> shard_plan_seconds_{};
-  /// Persistent plan-phase workers; created lazily by the first
-  /// ForEachItem that pools (so drivers issuing RunCycles(1) per timeline
-  /// event don't respawn threads every cycle) and reset when SetThreads
-  /// resizes.
-  std::unique_ptr<PlanWorkerPool> pool_;
   /// Reused by every drain.
   std::unique_ptr<Drain> drain_;
 };

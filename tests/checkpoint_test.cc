@@ -657,7 +657,8 @@ TEST(CheckpointSystemTest, EngineQueueCountOtherThanOneIsRejected) {
   };
   IdleProtocol protocol;
   constexpr std::uint64_t kSeed = 11;
-  Engine engine(/*num_nodes=*/4, kSeed, &protocol);
+  WorkerPool pool;
+  Engine engine(/*num_nodes=*/4, kSeed, &protocol, &pool);
   for (const std::uint64_t count : {0u, 2u}) {
     CheckpointWriter out;
     out.U64(kSeed);  // seed echo

@@ -154,8 +154,6 @@ inline void MergeFrom(PhaseBreakdown& into, const PhaseBreakdown& other) {
   into.drain_pooled_messages += other.drain_pooled_messages;
   into.drain_inline_messages += other.drain_inline_messages;
   into.drain_wait_seconds += other.drain_wait_seconds;
-  into.closeout_pooled_items += other.closeout_pooled_items;
-  into.closeout_inline_items += other.closeout_inline_items;
   into.end_cycle_seconds += other.end_cycle_seconds;
   into.shard_plan_max_seconds += other.shard_plan_max_seconds;
   into.shard_plan_sum_seconds += other.shard_plan_sum_seconds;
@@ -185,10 +183,6 @@ inline PhaseBreakdown Since(const PhaseBreakdown& now,
       now.drain_inline_messages - earlier.drain_inline_messages;
   delta.drain_wait_seconds =
       now.drain_wait_seconds - earlier.drain_wait_seconds;
-  delta.closeout_pooled_items =
-      now.closeout_pooled_items - earlier.closeout_pooled_items;
-  delta.closeout_inline_items =
-      now.closeout_inline_items - earlier.closeout_inline_items;
   delta.end_cycle_seconds = now.end_cycle_seconds - earlier.end_cycle_seconds;
   delta.shard_plan_max_seconds =
       now.shard_plan_max_seconds - earlier.shard_plan_max_seconds;

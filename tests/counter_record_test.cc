@@ -35,8 +35,6 @@ PhaseBreakdown FilledBreakdown(std::uint64_t salt) {
   b.drain_pooled_messages = 98765;
   b.drain_inline_messages = 4321;
   b.drain_wait_seconds = 0.693147181;
-  b.closeout_pooled_items = 777;
-  b.closeout_inline_items = 55 + salt;
   b.end_cycle_seconds = 0.577215665;
   b.shard_plan_max_seconds = 0.867530901;
   b.shard_plan_sum_seconds = 3.141592654;
@@ -102,8 +100,7 @@ TEST(CounterRecordTest, PhaseBreakdownToJsonKeepsEveryByte) {
       "\"drain_take_seconds\": 0.314159, \"drain_teardown_seconds\": 0.161803, "
       "\"drain_levels\": 412, \"drain_pooled_messages\": 98765, "
       "\"drain_inline_messages\": 4321, \"drain_wait_seconds\": 0.693147, "
-      "\"closeout_pooled_items\": 777, "
-      "\"closeout_inline_items\": 55, \"end_cycle_seconds\": 0.577216, "
+      "\"end_cycle_seconds\": 0.577216, "
       "\"total_seconds\": 4.575744, \"shard_plan_max_seconds\": 0.867531, "
       "\"shard_plan_sum_seconds\": 3.141593, \"active_shards\": 5, "
       "\"mean_imbalance\": 1.381, \"max_imbalance\": 1.732, "
@@ -123,8 +120,7 @@ TEST(CounterRecordTest, PhaseProfilerToJsonKeepsEveryByte) {
       "\"drain_take_seconds\": 0.314159, \"drain_teardown_seconds\": 0.161803, "
       "\"drain_levels\": 414, \"drain_pooled_messages\": 98765, "
       "\"drain_inline_messages\": 4321, \"drain_wait_seconds\": 0.693147, "
-      "\"closeout_pooled_items\": 777, "
-      "\"closeout_inline_items\": 57, \"end_cycle_seconds\": 0.577216, "
+      "\"end_cycle_seconds\": 0.577216, "
       "\"total_seconds\": 4.775744, \"shard_plan_max_seconds\": 0.867531, "
       "\"shard_plan_sum_seconds\": 3.141593, \"active_shards\": 7, "
       "\"mean_imbalance\": 1.933, \"max_imbalance\": 1.732, "
@@ -135,8 +131,7 @@ TEST(CounterRecordTest, PhaseProfilerToJsonKeepsEveryByte) {
       "\"drain_take_seconds\": 0.314159, \"drain_teardown_seconds\": 0.161803, "
       "\"drain_levels\": 412, \"drain_pooled_messages\": 98765, "
       "\"drain_inline_messages\": 4321, \"drain_wait_seconds\": 0.693147, "
-      "\"closeout_pooled_items\": 777, "
-      "\"closeout_inline_items\": 55, \"end_cycle_seconds\": 0.577216, "
+      "\"end_cycle_seconds\": 0.577216, "
       "\"total_seconds\": 4.575744, \"shard_plan_max_seconds\": 0.867531, "
       "\"shard_plan_sum_seconds\": 3.141593, \"active_shards\": 5, "
       "\"mean_imbalance\": 1.381, \"max_imbalance\": 1.732, "
@@ -225,8 +220,6 @@ PhaseBreakdown RandomBreakdown(std::mt19937_64& rng) {
   b.drain_pooled_messages = count();
   b.drain_inline_messages = count();
   b.drain_wait_seconds = seconds();
-  b.closeout_pooled_items = count();
-  b.closeout_inline_items = count();
   b.end_cycle_seconds = seconds();
   b.shard_plan_max_seconds = seconds();
   b.shard_plan_sum_seconds = seconds();

@@ -324,7 +324,8 @@ class SendingProtocol : public CycleProtocol {
 TEST(EngineDelivery, FixedLatencyDeliversExactlyKCyclesLater) {
   constexpr std::size_t kNodes = 6;
   SendingProtocol protocol;
-  Engine engine(kNodes, /*seed=*/11, &protocol);
+  WorkerPool pool;
+  Engine engine(kNodes, /*seed=*/11, &protocol, &pool);
   engine.SetLatency(test::Latency("fixed:2"));
   engine.RunCycles(5);
 
@@ -351,7 +352,9 @@ TEST(EngineDelivery, FixedLatencyDeliversExactlyKCyclesLater) {
 
 TEST(EngineDelivery, ZeroLatencyDeliversSameCycleWithNothingInFlight) {
   SendingProtocol protocol;
-  Engine engine(4, /*seed=*/11, &protocol);  // no spec set = zero latency
+  WorkerPool pool;
+  // No spec set = zero latency.
+  Engine engine(4, /*seed=*/11, &protocol, &pool);
   engine.RunCycles(3);
   EXPECT_EQ(protocol.deliveries.size(), 12u);
   for (const auto& d : protocol.deliveries) EXPECT_EQ(d.arrived, d.sent);
@@ -362,8 +365,9 @@ TEST(EngineDelivery, ZeroLatencyDeliversSameCycleWithNothingInFlight) {
 TEST(EngineDelivery, DeliverySequenceIsThreadCountInvariant) {
   auto run = [](int threads) {
     SendingProtocol protocol;
-    Engine engine(40, /*seed=*/7, &protocol);
-    engine.SetThreads(threads);
+    WorkerPool pool;
+    pool.SetThreads(threads);
+    Engine engine(40, /*seed=*/7, &protocol, &pool);
     engine.SetLatency(test::Latency("uniform:0:3"));
     engine.RunCycles(8);
     return protocol.deliveries;
@@ -383,7 +387,8 @@ TEST(EngineDelivery, DeliverySequenceIsThreadCountInvariant) {
 
 TEST(EngineDelivery, LossyModelCountsDrops) {
   SendingProtocol protocol;
-  Engine engine(10, /*seed=*/23, &protocol);
+  WorkerPool pool;
+  Engine engine(10, /*seed=*/23, &protocol, &pool);
   engine.SetLatency(test::Latency("lossy:0.5:0"));
   engine.RunCycles(20);
   const DeliveryStats stats = engine.DeliveryStatsTotal();

@@ -5,7 +5,7 @@
 // At 1, 2, 4 and 8 threads, under zero, fixed and lossy latency, every
 // query's full history, the personal networks, the traffic and protocol
 // counters (the wave's serial re-plans among them) and the JSONL trace must
-// be identical, and where each commit and close-out ran is pinned.
+// be identical, and how the engine scheduled each commit is pinned.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -33,6 +33,8 @@ constexpr std::uint64_t kCycles = 14;
 constexpr int kInitialQueries = 72;
 constexpr int kQueriesPerCycle = 24;
 constexpr std::size_t kMinOpenQueries = 64;
+// So from two threads on every cycle's close-outs go to the pool.
+static_assert(kMinOpenQueries >= WorkerPool::kMinPooledItems);
 
 struct EagerRun {
   /// Per query, per snapshot: (item, worst, best) of the top-k, the used
@@ -55,18 +57,13 @@ struct EagerRun {
 };
 
 /// The eager engine's schedule ({longest footprint chains, pooled
-/// messages, inline messages, pooled close-outs, inline close-outs}). The
-/// eager mode declares no commit footprints, so every drain runs in message
-/// order on the calling thread; from two threads on, every close-out goes
-/// to the pool.
-test::Schedule PinnedSchedule(const std::string& latency, int threads) {
-  const auto schedule = [&](std::uint64_t messages, std::uint64_t closeouts) {
-    return threads == 1 ? test::Schedule{0, 0, messages, 0, closeouts}
-                        : test::Schedule{0, 0, messages, closeouts, 0};
-  };
-  if (latency == "zero") return schedule(2668, 1392);
-  if (latency == "fixed:2") return schedule(1455, 3024);
-  return schedule(1259, 3180);
+/// messages, inline messages}). The eager mode declares no commit
+/// footprints, so at every thread count every drain runs in message order
+/// on the calling thread.
+test::Schedule PinnedSchedule(const std::string& latency) {
+  if (latency == "zero") return {0, 0, 2668};
+  if (latency == "fixed:2") return {0, 0, 1455};
+  return {0, 0, 1259};
 }
 
 /// The trace, config and seeded networks every run starts from.
@@ -156,8 +153,7 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
   const EagerRun base = RunEager(deployment, GetParam(), 1);
   ASSERT_FALSE(base.trace.empty());
   EXPECT_GT(base.completed, 0u);
-  EXPECT_EQ(base.schedule, PinnedSchedule(GetParam(), 1));
-  EXPECT_GE(base.schedule[4], kCycles * kMinOpenQueries);
+  EXPECT_EQ(base.schedule, PinnedSchedule(GetParam()));
   for (const int threads : {2, 4, 8}) {
     const EagerRun run = RunEager(deployment, GetParam(), threads);
     EXPECT_EQ(run.histories, base.histories) << threads << " threads";
@@ -167,9 +163,7 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.protocol_counters, base.protocol_counters)
         << threads << " threads";
     EXPECT_EQ(run.trace, base.trace) << threads << " threads";
-    // Every cycle has at least kMinOpenQueries >= kMinPooledItems items,
-    // so every close-out goes to the pool.
-    EXPECT_EQ(run.schedule, PinnedSchedule(GetParam(), threads))
+    EXPECT_EQ(run.schedule, PinnedSchedule(GetParam()))
         << threads << " threads";
   }
 }

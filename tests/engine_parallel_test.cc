@@ -19,13 +19,18 @@
 //    calling thread;
 //  - the message arenas behind the payloads are sized from the last cycle
 //    and held exactly while their send cycle has a message in flight;
-//  - every end-of-cycle plan item runs exactly once per cycle, before
-//    EndCycle and every close-out item: on the worker pool with more than
-//    one thread and at least kMinPooledItems items, else on the calling
-//    thread;
-//  - every close-out item runs exactly once per cycle: beside EndCycle on
-//    the worker pool with more than one thread and at least
-//    kMinPooledItems items, else on the calling thread after EndCycle.
+//  - the worker pool (sim/worker_pool.h) runs every item exactly once, on
+//    its workers exactly when it has more than one thread and at least
+//    kMinPooledItems items, else on the calling thread, with worker indices
+//    below its thread count and 0 exactly on the calling thread; its
+//    `beside` work runs once on the calling thread, beside the items when
+//    they pool and before them otherwise; an item that throws on a worker
+//    is rethrown only after every other item ran; and SetThreads respawns
+//    the workers at the new count;
+//  - EndCycle runs once per cycle, after the drain, on the calling thread
+//    and outside any pool job, so the items it hands to the pool the engine
+//    borrows (as the eager mode screens its wave and closes out its
+//    queries) keep those rules, beside its own work or joined.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -51,6 +56,7 @@
 #include "sim/delivery.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "sim/worker_pool.h"
 #include "test_util.h"
 
 namespace p3q {
@@ -144,8 +150,9 @@ RunResult RunRecorded(std::size_t num_nodes, std::uint64_t seed, int threads,
                       std::uint64_t cycles,
                       std::function<bool(UserId)> active = nullptr) {
   RecordingProtocol protocol(num_nodes, std::move(active));
-  Engine engine(num_nodes, seed, &protocol);
-  engine.SetThreads(threads);
+  WorkerPool pool;
+  pool.SetThreads(threads);
+  Engine engine(num_nodes, seed, &protocol, &pool);
   engine.RunCycles(cycles);
 
   RunResult result;
@@ -206,8 +213,9 @@ TEST(EngineParallelTest, VisitMultisetAndStreamsIdenticalAcrossThreadCounts) {
 
 TEST(EngineParallelTest, CommitsAreSequentialAndAscendingUnderThreads) {
   RecordingProtocol protocol(120);
-  Engine engine(120, 53, &protocol);
-  engine.SetThreads(8);
+  WorkerPool pool;
+  pool.SetThreads(8);
+  Engine engine(120, 53, &protocol, &pool);
   engine.RunCycles(2);
   std::uint64_t prev_cycle = ~std::uint64_t{0};
   std::int64_t prev_node = -1;
@@ -224,8 +232,9 @@ TEST(EngineParallelTest, CommitsAreSequentialAndAscendingUnderThreads) {
 
 TEST(EngineParallelTest, PhasesRunInContractOrderEveryCycle) {
   RecordingProtocol protocol(10);
-  Engine engine(10, 59, &protocol);
-  engine.SetThreads(4);
+  WorkerPool pool;
+  pool.SetThreads(4);
+  Engine engine(10, 59, &protocol, &pool);
   engine.RunCycles(3);
 
   // Sequence per cycle: end_plan (the barrier), 10 commits, end_cycle.
@@ -324,8 +333,9 @@ TEST(EngineParallelTest, StreamsAreForkedFromTheirCoordinates) {
         SCOPED_TRACE(std::string(spec) + ", " + std::to_string(threads) +
                      " threads, footprints " + (footprints ? "on" : "off"));
         StreamProtocol protocol(kNodes, footprints);
-        Engine engine(kNodes, kSeed, &protocol);
-        engine.SetThreads(threads);
+        WorkerPool pool;
+        pool.SetThreads(threads);
+        Engine engine(kNodes, kSeed, &protocol, &pool);
         engine.SetLatency(latency);
         PhaseProfiler profiler;
         engine.SetProfiler(&profiler, "streams");
@@ -396,8 +406,9 @@ TEST(EngineParallelTest, PlanPhaseActuallyRunsConcurrently) {
   // Not a correctness requirement on 1-core machines, but the concurrency
   // probe must at least never exceed the configured thread count.
   RecordingProtocol protocol(400);
-  Engine engine(400, 67, &protocol);
-  engine.SetThreads(4);
+  WorkerPool pool;
+  pool.SetThreads(4);
+  Engine engine(400, 67, &protocol, &pool);
   engine.RunCycles(2);
   EXPECT_GE(protocol.peak_concurrency.load(), 1);
   EXPECT_LE(protocol.peak_concurrency.load(), 4);
@@ -427,8 +438,9 @@ TEST(EngineParallelTest, ShardTrafficMailboxesMergeDeterministically) {
   constexpr std::size_t kNodes = 301;
   Network net(kNodes);
   MailboxProtocol protocol(&net);
-  Engine engine(kNodes, 71, &protocol);
-  engine.SetThreads(8);
+  WorkerPool pool;
+  pool.SetThreads(8);
+  Engine engine(kNodes, 71, &protocol, &pool);
   engine.RunCycles(1);
 
   EXPECT_EQ(protocol.before_merge_messages_, 0u)
@@ -573,8 +585,10 @@ template <class Protocol = FootprintProtocol>
 DrainRun RunFootprints(int threads, const LatencySpec& latency) {
   constexpr std::size_t kNodes = 600;
   Protocol protocol(kNodes);
-  auto engine = std::make_unique<Engine>(kNodes, /*seed=*/83, &protocol);
-  engine->SetThreads(threads);
+  WorkerPool pool;
+  pool.SetThreads(threads);
+  auto engine =
+      std::make_unique<Engine>(kNodes, /*seed=*/83, &protocol, &pool);
   engine->SetLatency(latency);
   VectorTraceSink sink;
   Tracer tracer(&sink);
@@ -726,8 +740,9 @@ TEST(DependencyDrainTest,
   };
   const auto run = [](int threads) {
     OrderProtocol protocol;
-    Engine engine(600, /*seed=*/89, &protocol);
-    engine.SetThreads(threads);
+    WorkerPool pool;
+    pool.SetThreads(threads);
+    Engine engine(600, /*seed=*/89, &protocol, &pool);
     engine.SetLatency(test::Latency("uniform:0:3"));
     engine.RunCycles(6);
     for (const std::thread::id& id : protocol.threads) {
@@ -760,8 +775,9 @@ TEST(DependencyDrainTest, CommitExceptionsPropagate) {
     }
   };
   ThrowingProtocol protocol(600);
-  Engine engine(600, /*seed=*/97, &protocol);
-  engine.SetThreads(4);
+  WorkerPool pool;
+  pool.SetThreads(4);
+  Engine engine(600, /*seed=*/97, &protocol, &pool);
   EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
 }
 
@@ -780,8 +796,9 @@ TEST(DependencyDrainTest, CommitExceptionsReleaseWaitingWorkers) {
   };
   for (const int threads : {2, 4, 8}) {
     ThrowingHub protocol(600);
-    Engine engine(600, /*seed=*/97, &protocol);
-    engine.SetThreads(threads);
+    WorkerPool pool;
+    pool.SetThreads(threads);
+    Engine engine(600, /*seed=*/97, &protocol, &pool);
     EXPECT_THROW(engine.RunCycles(1), std::runtime_error)
         << threads << " threads";
     EXPECT_EQ(std::accumulate(protocol.lanes.begin(), protocol.lanes.end(),
@@ -801,8 +818,9 @@ TEST(DependencyDrainTest, FootprintNamingAnUnknownUserIsRejected) {
     }
   };
   OutOfRangeProtocol protocol(600);
-  Engine engine(600, /*seed=*/101, &protocol);
-  engine.SetThreads(2);
+  WorkerPool pool;
+  pool.SetThreads(2);
+  Engine engine(600, /*seed=*/101, &protocol, &pool);
   EXPECT_THROW(engine.RunCycles(1), std::out_of_range);
 }
 
@@ -896,7 +914,7 @@ TEST(DependencyDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {
 }
 
 // ---------------------------------------------------------------------------
-// The close-out beside EndCycle.
+// The worker pool.
 // ---------------------------------------------------------------------------
 
 /// Waits, for at most ten seconds, until `done` holds.
@@ -909,268 +927,279 @@ void WaitBriefly(Done done) {
   }
 }
 
-/// Cycle c has kItemsPerCycle[c] close-out items, on both sides of
-/// Engine::kMinPooledItems. Every item counts its runs and records its
-/// thread and whether EndCycle had returned. When the engine should pool
-/// the items, EndCycle waits until all of them ran, so they must have run
-/// on the workers beside it.
-class CloseoutProtocol : public CycleProtocol {
- public:
-  static constexpr std::array<std::size_t, 7> kItemsPerCycle = {
-      0, 1, 15, 16, 17, 64, 300};
+/// Item counts on both sides of WorkerPool::kMinPooledItems.
+constexpr std::array<std::size_t, 7> kItemCounts = {0, 1, 15, 16, 17, 64, 300};
 
-  explicit CloseoutProtocol(int threads)
-      : threads_(threads), caller_(std::this_thread::get_id()) {}
-
-  bool Pooled(std::size_t items) const {
-    return threads_ > 1 && items >= Engine::kMinPooledItems;
-  }
-
-  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
-
-  std::size_t PrepareCloseouts(std::uint64_t cycle) override {
-    EXPECT_EQ(std::this_thread::get_id(), caller_);
-    runs_ = std::vector<ItemRun>(kItemsPerCycle.at(cycle));
-    done_.store(0);
-    end_cycle_returned_.store(false);
-    return runs_.size();
-  }
-
-  void Closeout(std::size_t item) override {
-    ItemRun& run = runs_.at(item);
-    run.runs.fetch_add(1);
-    run.thread = std::this_thread::get_id();
-    run.after_end_cycle = end_cycle_returned_.load();
-    done_.fetch_add(1);
-  }
-
-  void EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) override {
-    EXPECT_EQ(std::this_thread::get_id(), caller_);
-    if (Pooled(runs_.size())) {
-      WaitBriefly([&] { return done_.load() == runs_.size(); });
-    }
-    end_cycle_returned_.store(true);
-  }
-
-  /// Checks the cycle's items once the cycle is over.
-  void CheckCycle(std::uint64_t cycle) const {
-    const bool pooled = Pooled(runs_.size());
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      const ItemRun& run = runs_[i];
-      EXPECT_EQ(run.runs.load(), 1) << "cycle " << cycle << " item " << i;
-      if (pooled) {
-        EXPECT_NE(run.thread, caller_) << "cycle " << cycle << " item " << i;
-        EXPECT_FALSE(run.after_end_cycle) << "cycle " << cycle;
-      } else {
-        EXPECT_EQ(run.thread, caller_) << "cycle " << cycle << " item " << i;
-        EXPECT_TRUE(run.after_end_cycle) << "cycle " << cycle;
-      }
-    }
-  }
-
- private:
-  struct ItemRun {
-    std::atomic<int> runs{0};
-    std::thread::id thread;
-    bool after_end_cycle = false;
-  };
-
-  int threads_;
-  std::thread::id caller_;
-  std::vector<ItemRun> runs_;
-  std::atomic<std::size_t> done_{0};
-  std::atomic<bool> end_cycle_returned_{false};
+/// What one item saw when it ran.
+struct ItemRun {
+  std::atomic<int> runs{0};
+  std::thread::id thread;
+  std::size_t worker = 0;
+  bool after_beside = false;  ///< beside() had returned
 };
 
-void ExpectCloseoutsAt(int threads) {
-  CloseoutProtocol protocol(threads);
-  Engine engine(64, /*seed=*/103, &protocol);
-  engine.SetThreads(threads);
-  PhaseProfiler profiler;
-  engine.SetProfiler(&profiler, "closeout");
-  for (std::uint64_t cycle = 0; cycle < CloseoutProtocol::kItemsPerCycle.size();
-       ++cycle) {
-    engine.RunCycles(1);
-    protocol.CheckCycle(cycle);
+bool ShouldPool(const WorkerPool& pool, std::size_t n) {
+  return pool.threads() > 1 && n >= WorkerPool::kMinPooledItems;
+}
+
+/// Every item ran once, under a worker index below the thread count that
+/// is 0 exactly on the calling thread.
+void ExpectEachItemRanOnce(const WorkerPool& pool,
+                           const std::vector<ItemRun>& runs,
+                           std::thread::id caller) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].runs.load(), 1) << "item " << i;
+    EXPECT_LT(runs[i].worker, static_cast<std::size_t>(pool.threads()));
+    EXPECT_EQ(runs[i].worker == 0, runs[i].thread == caller) << "item " << i;
+  }
+}
+
+/// Runs `n` items on `pool` beside the calling thread's own work, as the
+/// eager mode closes out its queries beside the refresh wave, and checks
+/// where they ran. beside() waits, when the items should pool, until every
+/// item ran, so they must run on the workers beside it; otherwise every
+/// item must run after it on the calling thread.
+void ExpectItemsRunBeside(WorkerPool* pool, std::size_t n) {
+  SCOPED_TRACE(std::to_string(pool->threads()) + " threads, " +
+               std::to_string(n) + " items beside");
+  const std::thread::id caller = std::this_thread::get_id();
+  const bool pooled = ShouldPool(*pool, n);
+  std::vector<ItemRun> runs(n);
+  std::atomic<std::size_t> done{0};
+  std::atomic<bool> beside_returned{false};
+  int beside_runs = 0;
+  EXPECT_EQ(pool->ForEachItem(
+                n,
+                [&](std::size_t i, std::size_t worker) {
+                  ItemRun& run = runs[i];
+                  run.runs.fetch_add(1);
+                  run.thread = std::this_thread::get_id();
+                  run.worker = worker;
+                  run.after_beside = beside_returned.load();
+                  done.fetch_add(1);
+                },
+                [&] {
+                  EXPECT_EQ(std::this_thread::get_id(), caller);
+                  ++beside_runs;
+                  if (pooled) WaitBriefly([&] { return done.load() == n; });
+                  beside_returned.store(true);
+                }),
+            pooled);
+  EXPECT_EQ(beside_runs, 1);
+  ExpectEachItemRanOnce(*pool, runs, caller);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(runs[i].thread == caller, !pooled) << "item " << i;
+    EXPECT_EQ(runs[i].after_beside, !pooled) << "item " << i;
+  }
+}
+
+/// Runs `n` items on `pool` with nothing beside, as the eager mode screens
+/// its wave, and checks where they ran. The first item the calling thread
+/// takes waits until every other item ran, so when they pool the others
+/// must run on the workers.
+void ExpectItemsRunJoined(WorkerPool* pool, std::size_t n) {
+  SCOPED_TRACE(std::to_string(pool->threads()) + " threads, " +
+               std::to_string(n) + " items joined");
+  const std::thread::id caller = std::this_thread::get_id();
+  const bool pooled = ShouldPool(*pool, n);
+  std::vector<ItemRun> joined(n);
+  std::atomic<std::size_t> done{0};
+  bool caller_waited = false;  // touched only by the calling thread
+  EXPECT_EQ(pool->ForEachItem(n,
+                              [&](std::size_t i, std::size_t worker) {
+                                ItemRun& run = joined[i];
+                                run.runs.fetch_add(1);
+                                run.thread = std::this_thread::get_id();
+                                run.worker = worker;
+                                if (pooled && run.thread == caller &&
+                                    !caller_waited) {
+                                  caller_waited = true;
+                                  WaitBriefly(
+                                      [&] { return done.load() + 1 == n; });
+                                }
+                                done.fetch_add(1);
+                              }),
+            pooled);
+  ExpectEachItemRanOnce(*pool, joined, caller);
+  const std::size_t on_caller = static_cast<std::size_t>(std::count_if(
+      joined.begin(), joined.end(),
+      [&](const ItemRun& run) { return run.thread == caller; }));
+  if (pooled) {
+    EXPECT_LE(on_caller, 1u);
+  } else {
+    EXPECT_EQ(on_caller, n);
+  }
+}
+
+void ExpectPoolRunsItemsAt(int threads) {
+  WorkerPool pool;
+  pool.SetThreads(threads);
+  ASSERT_EQ(pool.threads(), threads);
+  for (const std::size_t n : kItemCounts) {
+    ExpectItemsRunBeside(&pool, n);
+    ExpectItemsRunJoined(&pool, n);
+  }
+}
+
+TEST(WorkerPoolTest, RunsEveryItemOnTheCallingThreadAtOneThread) {
+  ExpectPoolRunsItemsAt(1);
+}
+
+TEST(WorkerPoolTest, PoolsFromTheInlineSizeAtTwoThreads) {
+  ExpectPoolRunsItemsAt(2);
+}
+
+TEST(WorkerPoolTest, PoolsFromTheInlineSizeAtEightThreads) {
+  ExpectPoolRunsItemsAt(8);
+}
+
+/// beside() holds the calling thread until the throwing item ran, so a
+/// worker runs it; the other items are slowed so an early rethrow would
+/// leave some of them unrun.
+TEST(WorkerPoolTest, ItemExceptionOnAWorkerIsRethrownAfterEveryOtherItem) {
+  constexpr std::size_t kItems = 64;
+  constexpr std::size_t kThrower = 5;
+  for (const int threads : {2, 8}) {
+    WorkerPool pool;
+    pool.SetThreads(threads);
+    std::atomic<bool> thrown{false};
+    std::thread::id thrower_thread;
+    std::atomic<std::size_t> runs{0};
+    EXPECT_THROW(
+        pool.ForEachItem(
+            kItems,
+            [&](std::size_t i, std::size_t /*worker*/) {
+              if (i == kThrower) {
+                thrower_thread = std::this_thread::get_id();
+                thrown.store(true);
+                throw std::runtime_error("item failed");
+              }
+              if (i % 8 == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+              }
+              runs.fetch_add(1);
+            },
+            [&] { WaitBriefly([&] { return thrown.load(); }); }),
+        std::runtime_error)
+        << threads << " threads";
+    EXPECT_NE(thrower_thread, std::this_thread::get_id());
+    EXPECT_EQ(runs.load(), kItems - 1)
+        << threads << " threads: rethrown before every other item ran";
+  }
+}
+
+/// Each thread's first item waits until every thread has taken one, so a
+/// job sees exactly the pool's threads, each under its own worker index.
+TEST(WorkerPoolTest, SetThreadsRespawnsTheWorkersAtTheNewCount) {
+  WorkerPool pool;
+  for (const int threads : {8, 2, 4, 1}) {
+    pool.SetThreads(threads);
+    ASSERT_EQ(pool.threads(), threads);
+    std::array<std::atomic<int>, kEngineShards> items{};
+    std::atomic<int> arrived{0};
+    pool.ForEachItem(64, [&](std::size_t /*i*/, std::size_t worker) {
+      if (items.at(worker).fetch_add(1) == 0) {
+        arrived.fetch_add(1);
+        WaitBriefly([&] { return arrived.load() == threads; });
+      }
+    });
+    for (std::size_t worker = 0; worker < kEngineShards; ++worker) {
+      EXPECT_EQ(items[worker].load() > 0,
+                worker < static_cast<std::size_t>(threads))
+          << threads << " threads, worker " << worker;
+    }
+  }
+  // The count is clamped to [1, kEngineShards]; nothing runs at the top.
+  pool.SetThreads(0);
+  EXPECT_EQ(pool.threads(), 1);
+  pool.SetThreads(1000);
+  EXPECT_EQ(pool.threads(), static_cast<int>(kEngineShards));
+}
+
+// ---------------------------------------------------------------------------
+// The end of cycle on the pool the engine borrows.
+// ---------------------------------------------------------------------------
+
+/// Every node sends one message a cycle, committed by the in-order drain on
+/// the calling thread. In cycle c, EndCycle hands kItemCounts[c] items to
+/// the pool the engine borrows through `pass`, as the eager mode's
+/// EndCycle does (core/eager_protocol.h). It must run once per cycle, after
+/// the drain, on the calling thread and outside any pool job: the pool is
+/// not re-entrant, and the plan phase just used it.
+class EndCyclePoolProtocol : public CycleProtocol {
+ public:
+  using Pass = std::function<void(WorkerPool* pool, std::size_t items)>;
+
+  EndCyclePoolProtocol(std::size_t num_nodes, WorkerPool* pool, Pass pass)
+      : num_nodes_(num_nodes),
+        pool_(pool),
+        pass_(std::move(pass)),
+        caller_(std::this_thread::get_id()) {}
+
+  void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
+    ctx.Send(std::make_unique<DeliveryMessage>());
+  }
+  void CommitMessage(UserId /*sender*/, DeliveryMessage& /*message*/,
+                     const CommitContext& /*ctx*/) override {
+    ++commits_;
+  }
+  void EndCycle(std::uint64_t cycle, Rng* /*rng*/) override {
+    EXPECT_EQ(std::this_thread::get_id(), caller_) << "cycle " << cycle;
+    EXPECT_EQ(commits_, num_nodes_ * (cycle + 1)) << "cycle " << cycle;
+    pass_(pool_, kItemCounts.at(cycle));
+    ++end_cycles;
   }
 
-  std::uint64_t pooled = 0;
-  std::uint64_t inline_items = 0;
-  for (const std::size_t items : CloseoutProtocol::kItemsPerCycle) {
-    (protocol.Pooled(items) ? pooled : inline_items) += items;
+  std::size_t end_cycles = 0;
+
+ private:
+  std::size_t num_nodes_;
+  WorkerPool* pool_;
+  Pass pass_;
+  std::thread::id caller_;
+  std::size_t commits_ = 0;  ///< touched only by the calling thread
+};
+
+void ExpectEndCyclePassesAt(int threads,
+                            const EndCyclePoolProtocol::Pass& pass) {
+  constexpr std::size_t kNodes = 64;
+  WorkerPool pool;
+  pool.SetThreads(threads);
+  EndCyclePoolProtocol protocol(kNodes, &pool, pass);
+  Engine engine(kNodes, /*seed=*/103, &protocol, &pool);
+  PhaseProfiler profiler;
+  engine.SetProfiler(&profiler, "end_cycle");
+  for (std::size_t cycle = 0; cycle < kItemCounts.size(); ++cycle) {
+    engine.RunCycles(1);
   }
-  const PhaseBreakdown& profile = profiler.breakdowns().at("closeout");
-  EXPECT_EQ(profile.closeout_pooled_items, pooled) << threads << " threads";
-  EXPECT_EQ(profile.closeout_inline_items, inline_items)
-      << threads << " threads";
+  EXPECT_EQ(protocol.end_cycles, kItemCounts.size());
+  const PhaseBreakdown& profile = profiler.breakdowns().at("end_cycle");
+  EXPECT_EQ(profile.cycles, kItemCounts.size());
+  EXPECT_GT(profile.end_cycle_seconds, 0.0) << threads << " threads";
 }
 
 TEST(CloseoutTest, RunsOnTheCallingThreadAfterEndCycleAtOneThread) {
-  ExpectCloseoutsAt(1);
+  ExpectEndCyclePassesAt(1, ExpectItemsRunBeside);
 }
 
 TEST(CloseoutTest, GoesToThePoolBesideEndCycleFromTheInlineSizeAtTwoThreads) {
-  ExpectCloseoutsAt(2);
+  ExpectEndCyclePassesAt(2, ExpectItemsRunBeside);
 }
 
 TEST(CloseoutTest, GoesToThePoolBesideEndCycleFromTheInlineSizeAtEightThreads) {
-  ExpectCloseoutsAt(8);
-}
-
-/// EndCycle holds the calling thread until the throwing item ran, so a
-/// worker runs it; the other items are slowed so an early rethrow would
-/// leave some of them unrun.
-class ThrowingCloseouts : public CycleProtocol {
- public:
-  static constexpr std::size_t kItems = 64;
-  static constexpr std::size_t kThrower = 5;
-
-  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
-  std::size_t PrepareCloseouts(std::uint64_t /*cycle*/) override {
-    return kItems;
-  }
-  void Closeout(std::size_t item) override {
-    if (item == kThrower) {
-      thrower_thread = std::this_thread::get_id();
-      thrown.store(true);
-      throw std::runtime_error("close-out failed");
-    }
-    if (item % 8 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    runs.fetch_add(1);
-  }
-  void EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) override {
-    WaitBriefly([&] { return thrown.load(); });
-  }
-
-  std::atomic<bool> thrown{false};
-  std::thread::id thrower_thread;
-  std::atomic<std::size_t> runs{0};
-};
-
-TEST(CloseoutTest, ItemExceptionOnAWorkerLeavesRunCyclesAfterTheBarrier) {
-  ThrowingCloseouts protocol;
-  Engine engine(64, /*seed=*/107, &protocol);
-  engine.SetThreads(4);
-  EXPECT_THROW(engine.RunCycles(1), std::runtime_error);
-  EXPECT_NE(protocol.thrower_thread, std::this_thread::get_id());
-  EXPECT_EQ(protocol.runs.load(), ThrowingCloseouts::kItems - 1)
-      << "RunCycles rethrew before every other item ran";
-}
-
-// ---------------------------------------------------------------------------
-// The end-of-cycle plan before the close-out.
-// ---------------------------------------------------------------------------
-
-/// Cycle c has kItemsPerCycle[c] end-of-cycle plan items and as many
-/// close-out items. Every plan item counts its runs and records its thread,
-/// its worker index and whether EndCycle or a close-out had started. When
-/// the engine should pool the items, the first item the calling thread
-/// takes waits until every other item ran, so the others must run on the
-/// workers.
-class EndCyclePlanProtocol : public CycleProtocol {
- public:
-  static constexpr std::array<std::size_t, 7> kItemsPerCycle = {
-      0, 1, 15, 16, 17, 64, 300};
-
-  explicit EndCyclePlanProtocol(int threads)
-      : threads_(threads), caller_(std::this_thread::get_id()) {}
-
-  bool Pooled(std::size_t items) const {
-    return threads_ > 1 && items >= Engine::kMinPooledItems;
-  }
-
-  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
-
-  std::size_t PrepareEndCycle(std::uint64_t cycle) override {
-    EXPECT_EQ(std::this_thread::get_id(), caller_);
-    runs_ = std::vector<ItemRun>(kItemsPerCycle.at(cycle));
-    done_.store(0);
-    caller_waited_ = false;
-    closing_.store(false);
-    return runs_.size();
-  }
-
-  void PlanEndCycle(std::size_t item, std::size_t worker) override {
-    ItemRun& run = runs_.at(item);
-    run.runs.fetch_add(1);
-    run.thread = std::this_thread::get_id();
-    run.worker = worker;
-    run.after_close = closing_.load();
-    if (Pooled(runs_.size()) && run.thread == caller_ && !caller_waited_) {
-      caller_waited_ = true;
-      WaitBriefly([&] { return done_.load() + 1 == runs_.size(); });
-    }
-    done_.fetch_add(1);
-  }
-
-  std::size_t PrepareCloseouts(std::uint64_t /*cycle*/) override {
-    EXPECT_EQ(done_.load(), runs_.size());
-    return runs_.size();
-  }
-  void Closeout(std::size_t /*item*/) override { closing_.store(true); }
-  void EndCycle(std::uint64_t /*cycle*/, Rng* /*rng*/) override {
-    closing_.store(true);
-  }
-
-  /// Checks the cycle's items once the cycle is over.
-  void CheckCycle(std::uint64_t cycle) const {
-    const bool pooled = Pooled(runs_.size());
-    std::size_t on_workers = 0;
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      const ItemRun& run = runs_[i];
-      EXPECT_EQ(run.runs.load(), 1) << "cycle " << cycle << " item " << i;
-      EXPECT_FALSE(run.after_close) << "cycle " << cycle << " item " << i;
-      EXPECT_LT(run.worker, static_cast<std::size_t>(threads_));
-      EXPECT_EQ(run.worker == 0, run.thread == caller_)
-          << "cycle " << cycle << " item " << i;
-      if (run.thread != caller_) ++on_workers;
-    }
-    if (pooled) {
-      EXPECT_GE(on_workers + 1, runs_.size()) << "cycle " << cycle;
-    } else {
-      EXPECT_EQ(on_workers, 0u) << "cycle " << cycle;
-    }
-  }
-
- private:
-  struct ItemRun {
-    std::atomic<int> runs{0};
-    std::thread::id thread;
-    std::size_t worker = 0;
-    bool after_close = false;
-  };
-
-  int threads_;
-  std::thread::id caller_;
-  std::vector<ItemRun> runs_;
-  std::atomic<std::size_t> done_{0};
-  bool caller_waited_ = false;  ///< touched only by the calling thread
-  std::atomic<bool> closing_{false};
-};
-
-void ExpectEndCyclePlansAt(int threads) {
-  EndCyclePlanProtocol protocol(threads);
-  Engine engine(64, /*seed=*/109, &protocol);
-  engine.SetThreads(threads);
-  for (std::uint64_t cycle = 0;
-       cycle < EndCyclePlanProtocol::kItemsPerCycle.size(); ++cycle) {
-    engine.RunCycles(1);
-    protocol.CheckCycle(cycle);
-  }
+  ExpectEndCyclePassesAt(8, ExpectItemsRunBeside);
 }
 
 TEST(EndCyclePlanTest, RunsOnTheCallingThreadAtOneThread) {
-  ExpectEndCyclePlansAt(1);
+  ExpectEndCyclePassesAt(1, ExpectItemsRunJoined);
 }
 
 TEST(EndCyclePlanTest, GoesToThePoolFromTheInlineSizeAtTwoThreads) {
-  ExpectEndCyclePlansAt(2);
+  ExpectEndCyclePassesAt(2, ExpectItemsRunJoined);
 }
 
 TEST(EndCyclePlanTest, GoesToThePoolFromTheInlineSizeAtEightThreads) {
-  ExpectEndCyclePlansAt(8);
+  ExpectEndCyclePassesAt(8, ExpectItemsRunJoined);
 }
 
 }  // namespace

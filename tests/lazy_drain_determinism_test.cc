@@ -36,20 +36,17 @@ struct LazyRun {
 };
 
 /// The lazy engine's schedule ({longest footprint chains, pooled
-/// messages, inline messages, pooled close-outs, inline close-outs}); every
-/// thread count above one gives the same chains, and pools every drain.
+/// messages, inline messages}); every thread count above one gives the
+/// same chains, and pools every drain.
 test::Schedule PinnedSchedule(const std::string& latency, int threads) {
   const bool one = threads == 1;
   if (latency == "zero") {
-    return one ? test::Schedule{0, 0, 8000, 0, 0}
-               : test::Schedule{174, 8000, 0, 0, 0};
+    return one ? test::Schedule{0, 0, 8000} : test::Schedule{174, 8000, 0};
   }
   if (latency == "fixed:2") {
-    return one ? test::Schedule{0, 0, 6000, 0, 0}
-               : test::Schedule{87, 6000, 0, 0, 0};
+    return one ? test::Schedule{0, 0, 6000} : test::Schedule{87, 6000, 0};
   }
-  return one ? test::Schedule{0, 0, 5093, 0, 0}
-             : test::Schedule{112, 5093, 0, 0, 0};
+  return one ? test::Schedule{0, 0, 5093} : test::Schedule{112, 5093, 0};
 }
 
 LazyRun RunLazy(const SyntheticTrace& trace, const std::string& latency,

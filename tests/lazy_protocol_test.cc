@@ -431,8 +431,9 @@ TEST(LazyProtocolTest, CommitDropsTheMessageSnapshotHandles) {
   P3QSystem system(trace.dataset(), SmallConfig(), {}, 61);
   system.BootstrapRandomViews();
   HandleCountingProtocol protocol(&system);
-  Engine engine(system.NumUsers(), /*seed=*/61, &protocol);
-  engine.SetThreads(4);  // the drain on the workers
+  WorkerPool pool;
+  pool.SetThreads(4);  // the drain on the workers
+  Engine engine(system.NumUsers(), /*seed=*/61, &protocol, &pool);
   engine.RunCycles(3);
   EXPECT_GT(protocol.referenced_before.load(), 0u);
   EXPECT_EQ(protocol.referenced_after.load(), 0u);

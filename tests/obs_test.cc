@@ -387,7 +387,8 @@ TEST(FlightRecorderTest, EngineDumpsRingTailOnThrow) {
   // Plan events only: the queue's wire events would change the counts.
   tracer.SetKindMask(1u << static_cast<int>(TraceEventKind::kGossipPlanned));
   ThrowingProtocol protocol(&tracer);
-  Engine engine(/*num_nodes=*/8, /*seed=*/1, &protocol);
+  WorkerPool pool;
+  Engine engine(/*num_nodes=*/8, /*seed=*/1, &protocol, &pool);
   engine.SetTracer(&tracer);
   EXPECT_THROW(engine.RunCycles(3), std::runtime_error);
   // Cycle 0 planned 8 events, cycle 1 planned 8 more and folded them at the

@@ -1,7 +1,7 @@
 // The eager mode's wave of refreshments against its serial oracle.
 //
 // RefreshWave (core/eager_protocol.h) screens every participant's exchange
-// on the engine's worker pool against the state the drain left, then runs
+// on the system's worker pool against the state the drain left, then runs
 // the exchanges in ascending participant order, reusing each screen whose
 // two networks are unchanged and re-planning the others serially. The
 // oracle is the wave as it ran before the screens: each participant in
@@ -35,8 +35,8 @@
 namespace p3q {
 namespace {
 
-/// The seed of the engine that runs the waves; wave w draws from
-/// Engine::ForkStream(kWaveSeed, w, 0, Engine::kCycleSalt).
+/// Wave w draws from Engine::ForkStream(kWaveSeed, w, 0, Engine::kCycleSalt),
+/// as the end of an engine's cycle w does.
 constexpr std::uint64_t kWaveSeed = 0x77a7e;
 constexpr std::uint64_t kWaves = 3;
 
@@ -68,34 +68,6 @@ void OracleWave(P3QSystem* system, std::vector<UserId> participants,
     system->node(partner).network().ResetTimestamp(u);
   }
 }
-
-/// Runs one RefreshWave per engine cycle: the participants join after the
-/// (empty) drain, the engine screens them as end-of-cycle plan items, and
-/// EndCycle runs the wave off the cycle's stream.
-class WaveDriver : public CycleProtocol {
- public:
-  WaveDriver(P3QSystem* system, std::vector<UserId> participants)
-      : wave(system), participants_(std::move(participants)) {}
-
-  void PlanCycle(UserId /*node*/, const PlanContext& /*ctx*/) override {}
-  std::size_t PrepareEndCycle(std::uint64_t /*cycle*/) override {
-    for (const UserId u : participants_) wave.Add(u);
-    return wave.Prepare();
-  }
-  void PlanEndCycle(std::size_t item, std::size_t worker) override {
-    wave.Screen(item, worker);
-  }
-  void EndCycle(std::uint64_t /*cycle*/, Rng* rng) override {
-    wave.Run(rng);
-    rng_after = rng->State();
-  }
-
-  RefreshWave wave;
-  std::array<std::uint64_t, 4> rng_after{};
-
- private:
-  std::vector<UserId> participants_;
-};
 
 /// What a run of waves leaves behind.
 struct WaveOutcome {
@@ -173,22 +145,30 @@ WaveOutcome RunOracle(const WaveCase& c) {
   return Finish(*system, std::move(outcome));
 }
 
+/// Runs the waves as the eager mode's end of cycle does: the participants
+/// join, their screens run on the system's pool, and the wave runs off the
+/// cycle's stream.
 WaveOutcome RunWave(const WaveCase& c, int threads,
                     std::uint64_t* replans) {
   const std::unique_ptr<P3QSystem> system = c.Restore();
-  WaveDriver driver(system.get(), c.participants);
-  Engine engine(system->NumUsers(), kWaveSeed, &driver);
-  engine.SetThreads(threads);
+  system->SetThreads(threads);
+  RefreshWave wave(system.get());
   WaveOutcome outcome;
   for (std::uint64_t w = 0; w < kWaves; ++w) {
     if (w > 0 && w - 1 < c.updates.size()) {
       system->ApplyUpdateBatch(c.updates[w - 1]);
     }
-    engine.RunCycles(1);
-    outcome.streams.push_back(driver.rng_after);
+    for (const UserId u : c.participants) wave.Add(u);
+    system->pool().ForEachItem(
+        wave.Prepare(), [&](std::size_t item, std::size_t worker) {
+          wave.Screen(item, worker);
+        });
+    Rng rng = Engine::ForkStream(kWaveSeed, w, 0, Engine::kCycleSalt);
+    wave.Run(&rng);
+    outcome.streams.push_back(rng.State());
     outcome.versions.push_back(VersionSum(*system));
   }
-  *replans = driver.wave.replans();
+  *replans = wave.replans();
   return Finish(*system, std::move(outcome));
 }
 

@@ -160,7 +160,8 @@ class CountingProtocol : public CycleProtocol {
 
 TEST(EngineTest, RunsEveryNodeEveryCycle) {
   CountingProtocol protocol(4);
-  Engine engine(4, 7, &protocol);
+  WorkerPool pool;
+  Engine engine(4, 7, &protocol, &pool);
   engine.RunCycles(3);
   EXPECT_EQ(protocol.Planned().size(), 12u);
   EXPECT_EQ(protocol.commits.size(), 12u);
@@ -178,7 +179,8 @@ TEST(EngineTest, RunsEveryNodeEveryCycle) {
 TEST(EngineTest, CommitsInAscendingNodeOrder) {
   // The ZeroLatency drain commits each cycle's messages by ascending sender.
   CountingProtocol protocol(6);
-  Engine engine(6, 11, &protocol);
+  WorkerPool pool;
+  Engine engine(6, 11, &protocol, &pool);
   engine.RunCycles(2);
   ASSERT_EQ(protocol.commits.size(), 12u);
   for (std::size_t i = 0; i < protocol.commits.size(); ++i) {
@@ -190,7 +192,8 @@ TEST(EngineTest, CommitsInAscendingNodeOrder) {
 TEST(EngineTest, LivenessFilterSkipsNodes) {
   const std::vector<char> online = {1, 1, 0, 1};
   CountingProtocol protocol(4, &online);
-  Engine engine(4, 17, &protocol);
+  WorkerPool pool;
+  Engine engine(4, 17, &protocol, &pool);
   engine.RunCycles(2);
   for (const auto& [node, cycle] : protocol.Planned()) EXPECT_NE(node, 2u);
   for (const auto& [node, cycle] : protocol.commits) EXPECT_NE(node, 2u);
@@ -200,7 +203,8 @@ TEST(EngineTest, LivenessFilterSkipsNodes) {
 
 TEST(EngineTest, DeterministicForSameSeed) {
   CountingProtocol p1(10), p2(10);
-  Engine e1(10, 99, &p1), e2(10, 99, &p2);
+  WorkerPool pool;
+  Engine e1(10, 99, &p1, &pool), e2(10, 99, &p2, &pool);
   e1.RunCycles(5);
   e2.RunCycles(5);
   EXPECT_EQ(p1.Planned(), p2.Planned());
@@ -232,7 +236,8 @@ class MidCycleKiller : public CountingProtocol {
 TEST(EngineTest, GoingOfflineInACommitTakesEffectNextCycle) {
   std::vector<char> online(4, 1);
   MidCycleKiller protocol(&online, /*victim=*/2);
-  Engine engine(4, 23, &protocol);
+  WorkerPool pool;
+  Engine engine(4, 23, &protocol, &pool);
 
   engine.RunCycles(1);
   // The victim failed during sender 0's commit (0 < victim 2), yet its own

@@ -1,5 +1,11 @@
 // Whole-system integration tests: configuration validation, determinism,
-// heterogeneous storage, and the full lazy -> eager -> dynamism pipeline.
+// heterogeneous storage, the full lazy -> eager -> dynamism pipeline, and
+// the one worker pool both engines borrow.
+#include <filesystem>
+#include <iterator>
+#include <system_error>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "baseline/centralized_topk.h"
@@ -30,6 +36,34 @@ TEST(ConfigTest, ValidatesRanges) {
   config.stored_profiles = 1;
   config.top_k = 0;
   EXPECT_FALSE(config.Validate().empty());
+}
+
+/// Threads of this process, or -1 where /proc/self/task does not exist.
+long ProcessThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator tasks("/proc/self/task", error);
+  if (error) return -1;
+  return static_cast<long>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
+}
+
+TEST(SystemPoolTest, BothEnginesBorrowOneWorkerPool) {
+  test::TestSystem env({.users = 200});
+  P3QSystem& system = *env.system;
+  // A sanitizer runtime may start a helper thread with the process's first
+  // thread; start one first, so the count sees only the pool's.
+  std::thread([] {}).join();
+  const long before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task does not exist";
+  system.SetThreads(4);
+  system.RunLazyCycles(2);
+  EXPECT_EQ(ProcessThreads() - before, 3) << "after the lazy cycles";
+  for (UserId u = 0; u < 200; u += 5) system.IssueQuery(env.QueryOf(u));
+  system.RunEagerCycles(2);
+  EXPECT_EQ(ProcessThreads() - before, 3) << "after the eager cycles";
+  system.SetThreads(2);
+  system.RunEagerCycles(1);
+  EXPECT_EQ(ProcessThreads() - before, 1) << "after SetThreads(2)";
 }
 
 TEST(SystemTest, InvalidConfigThrows) {

@@ -144,16 +144,14 @@ inline std::vector<std::pair<std::uint64_t, std::uint64_t>> TrafficRows(
   return rows;
 }
 
-/// Where an engine ran its commits and close-out items: its profile's
-/// drain_levels, drain_pooled_messages, drain_inline_messages,
-/// closeout_pooled_items and closeout_inline_items. Each is a pure function
+/// How an engine scheduled its commits: its profile's drain_levels,
+/// drain_pooled_messages and drain_inline_messages. Each is a pure function
 /// of the run and the thread count.
-using Schedule = std::array<std::uint64_t, 5>;
+using Schedule = std::array<std::uint64_t, 3>;
 
 inline Schedule ScheduleOf(const PhaseBreakdown& profile) {
   return {profile.drain_levels, profile.drain_pooled_messages,
-          profile.drain_inline_messages, profile.closeout_pooled_items,
-          profile.closeout_inline_items};
+          profile.drain_inline_messages};
 }
 
 /// A whole test deployment: trace + config + bootstrapped system.

@@ -113,7 +113,7 @@ void PrintUsage() {
       "                     alias common_actions), jaccard, cosine or\n"
       "                     overlap; anything else is rejected\n"
       "  --seed=N           master seed (1)\n"
-      "  --threads=N        plan-phase worker threads (default: P3Q_THREADS\n"
+      "  --threads=N        worker-pool threads (default: P3Q_THREADS\n"
       "                     env or 1); results are byte-identical for every N\n"
       "  --latency=MODEL    message-delivery latency model: zero (default),\n"
       "                     fixed:K, uniform:LO:HI or lossy:P:MAX; overrides\n"
