@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -23,14 +24,18 @@ std::size_t ForwardBytes(const EagerTask& task) {
 
 }  // namespace
 
-void RefreshWave::Add(UserId user) {
-  if (user >= listed_.size()) listed_.resize(system_->NumUsers(), 0);
+void RefreshWave::Add(UserId user, std::size_t worker) {
   if (listed_[user] != 0) return;
   listed_[user] = 1;
-  participants_.push_back(user);
+  joined_[worker].users.push_back(user);
 }
 
 std::size_t RefreshWave::Prepare() {
+  for (Joined& joined : joined_) {
+    participants_.insert(participants_.end(), joined.users.begin(),
+                         joined.users.end());
+    joined.users.clear();
+  }
   std::sort(participants_.begin(), participants_.end());
   for (const UserId u : participants_) listed_[u] = 0;
   for (ScreenedProposals& lane : lanes_) lane.clear();
@@ -106,7 +111,7 @@ void RefreshWave::Run(Rng* rng) {
 }
 
 void RefreshWave::Clear() {
-  for (const UserId u : participants_) listed_[u] = 0;
+  Prepare();  // gathers and unmarks the participants
   participants_.clear();
 }
 
@@ -287,7 +292,7 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
 bool EagerProtocol::ActiveInCycle(UserId node) const {
   // Read-only probes, safe from plan threads: nothing changes liveness or
   // tasks during the plan. A task can appear on a node only through a
-  // commit (sequential), and only the node's own commit removes one — so
+  // commit after the plan, and only the node's own commit removes one — so
   // the task probe cannot flip to false between a node's plan and its
   // commit.
   return system_->network().IsOnline(node) &&
@@ -352,6 +357,7 @@ void EagerProtocol::PlanCycle(UserId node_id, const PlanContext& ctx) {
 
 void EagerProtocol::EndPlan(std::uint64_t /*cycle*/) {
   system_->network().MergeShardTraffic();
+  wave_.Open(system_->NumUsers());
   for (std::uint64_t& reissues : shard_reissues_) {
     timeout_reissues_ += reissues;
     reissues = 0;
@@ -359,9 +365,9 @@ void EagerProtocol::EndPlan(std::uint64_t /*cycle*/) {
 }
 
 void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
-                                 PlannedGossip* g) {
+                                 std::size_t index, PlannedGossip* g) {
   const auto trace_stale = [&] {
-    ++stale_messages_dropped_;
+    ++lanes_[ctx.worker].stale_dropped;
     if (ctx.tracing()) {
       TraceEvent event;
       event.cycle = ctx.cycle;
@@ -391,29 +397,12 @@ void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
   }
   EagerTask& task = it->second;
   task.in_flight = false;  // the reply arrived; the task may gossip again
-  QueryState& state = state_it->second;
 
-  wave_.Add(node->id());
-  wave_.Add(g->dest);
-
-  // Forward Q and the remaining list (wire cost was paid at send time).
-  state.query->traffic().forwarded_list_bytes += g->fwd_bytes;
-  state.query->traffic().forward_messages += 1;
-  const auto reached =
-      std::lower_bound(state.reached.begin(), state.reached.end(), g->dest);
-  if (reached == state.reached.end() || *reached != g->dest) {
-    state.reached.insert(reached, g->dest);
-  }
-
-  // The destination's share of the query.
-  if (g->has_partial) {
-    const std::size_t bytes = g->partial.WireBytes();
-    state.query->traffic().partial_result_bytes += bytes;
-    state.query->traffic().partial_result_messages += 1;
-    state.query->DeliverPartialResult(std::move(g->partial));
-  }
+  wave_.Add(node->id(), ctx.worker);
+  wave_.Add(g->dest, ctx.worker);
 
   // The kept portion becomes (or extends) the destination's task.
+  int task_delta = 0;
   if (!g->kept.empty()) {
     P3QNode& dest = system_->node(g->dest);
     auto [dit, created] = dest.tasks().try_emplace(g->query_id);
@@ -421,8 +410,12 @@ void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
       dit->second.query_id = g->query_id;
       dit->second.querier = task.querier;
       dit->second.tags = task.tags;
-      dit->second.epoch = next_epoch_++;
-      ++state.active_tasks;
+      // Epoch 0, which no gossip carries, until EndCycle gives it one. Only
+      // the holder's own commits can erase the task, and theirs carry older
+      // epochs, so it outlives the drain.
+      lanes_[ctx.worker].new_tasks.push_back(
+          NewTask{ctx.message, index, g->dest, g->query_id});
+      ++task_delta;
     }
     dit->second.remaining.insert(dit->second.remaining.end(), g->kept.begin(),
                                  g->kept.end());
@@ -435,8 +428,6 @@ void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
   // `consumed`.
   const std::size_t ret_bytes =
       g->returned.size() * kBytesPerUserId + kBytesPerUserId;
-  state.query->traffic().returned_list_bytes += ret_bytes;
-  state.query->traffic().return_messages += 1;
   std::vector<UserId> merged = std::move(g->returned);
   merged.insert(merged.end(),
                 task.remaining.begin() +
@@ -449,8 +440,8 @@ void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
   // lines 6, 12, 24).
   node->network().ResetTimestamp(g->dest);
   system_->node(g->dest).network().ResetTimestamp(node->id());
-  LazyProtocol::CommitProfileExchange(system_, g->exchange,
-                                      &system_->network().metrics());
+  LazyProtocol::CommitProfileExchange(
+      system_, g->exchange, &system_->network().ShardTraffic(ctx.worker));
 
   if (ctx.tracing()) {
     TraceEvent event;
@@ -465,21 +456,79 @@ void EagerProtocol::CommitGossip(P3QNode* node, const CommitContext& ctx,
 
   if (task.remaining.empty()) {
     node->tasks().erase(it);
-    --state.active_tasks;
+    --task_delta;
   }
+
+  // The query's own state, which commits on other workers may share: sums,
+  // a set union and an append that the querier folds in message order.
+  // No commit reads any of it.
+  QueryState& state = state_it->second;
+  const std::lock_guard<std::mutex> lock(*state.lock);
+  QueryTraffic& traffic = state.query->traffic();
+  // Forward Q and the remaining list (wire cost was paid at send time).
+  traffic.forwarded_list_bytes += g->fwd_bytes;
+  traffic.forward_messages += 1;
+  traffic.returned_list_bytes += ret_bytes;
+  traffic.return_messages += 1;
+  const auto reached =
+      std::lower_bound(state.reached.begin(), state.reached.end(), g->dest);
+  if (reached == state.reached.end() || *reached != g->dest) {
+    state.reached.insert(reached, g->dest);
+  }
+  // The destination's share of the query.
+  if (g->has_partial) {
+    traffic.partial_result_bytes += g->partial.WireBytes();
+    traffic.partial_result_messages += 1;
+    g->partial.arrival = ctx.message;
+    state.query->DeliverPartialResult(std::move(g->partial));
+  }
+  state.active_tasks += task_delta;
 }
 
 void EagerProtocol::CommitMessage(UserId sender, DeliveryMessage& message,
                                   const CommitContext& ctx) {
   auto& msg = static_cast<TaskGossipMessage&>(message);
   P3QNode* node = &system_->node(sender);
-  for (PlannedGossip& g : msg.gossips) {
-    CommitGossip(node, ctx, &g);
-    g.exchange.DropSnapshots();  // sim/engine.h: a commit drops its handles
+  for (std::size_t i = 0; i < msg.gossips.size(); ++i) {
+    CommitGossip(node, ctx, i, &msg.gossips[i]);
+    // sim/engine.h: a commit drops its handles.
+    msg.gossips[i].exchange.DropSnapshots();
+  }
+}
+
+void EagerProtocol::CommitFootprintOf(UserId /*sender*/,
+                                      const DeliveryMessage& message,
+                                      CommitFootprint* footprint) const {
+  for (const PlannedGossip& g :
+       static_cast<const TaskGossipMessage&>(message).gossips) {
+    footprint->Add(g.dest);
+    footprint->Add(g.exchange.a);
+    footprint->Add(g.exchange.b);
   }
 }
 
 void EagerProtocol::EndCycle(std::uint64_t /*cycle*/, Rng* rng) {
+  // The drain's lanes first: the exchanges' traffic and the stale drops.
+  system_->network().MergeShardTraffic();
+  new_tasks_.clear();
+  for (CommitLane& lane : lanes_) {
+    stale_messages_dropped_ += lane.stale_dropped;
+    lane.stale_dropped = 0;
+    new_tasks_.insert(new_tasks_.end(), lane.new_tasks.begin(),
+                      lane.new_tasks.end());
+    lane.new_tasks.clear();
+  }
+  // The drain's new tasks get their epochs in the order an in-order drain
+  // would have created them.
+  std::sort(new_tasks_.begin(), new_tasks_.end(),
+            [](const NewTask& a, const NewTask& b) {
+              return std::tie(a.message, a.gossip) <
+                     std::tie(b.message, b.gossip);
+            });
+  for (const NewTask& created : new_tasks_) {
+    system_->node(created.holder).tasks().at(created.query_id).epoch =
+        next_epoch_++;
+  }
   WorkerPool& pool = system_->pool();
   pool.ForEachItem(wave_.Prepare(), [&](std::size_t item, std::size_t worker) {
     wave_.Screen(item, worker);
@@ -645,10 +694,11 @@ void EagerProtocol::Transfer(Io& io, Self& self) {
                             " collides with the next-id allocator (" +
                             std::to_string(self.next_id_) + ")");
     }
-    // Participants and shard mailboxes are intra-cycle scratch, empty at
-    // every barrier.
+    // Participants, shard mailboxes and commit lanes are intra-cycle
+    // scratch, empty at every barrier.
     self.wave_.Clear();
     self.shard_reissues_.fill(0);
+    for (CommitLane& lane : self.lanes_) lane = CommitLane{};
   }
 }
 

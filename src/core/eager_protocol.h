@@ -19,11 +19,25 @@
 // piggybacked maintenance exchange screens its candidates through the same
 // batched similarity kernel as the lazy mode (one KernelPairSimilarityBatch
 // sweep per screen, see profile/score_kernel.h).
-// CommitMessage (sequential, delivery order) applies the
-// task/traffic/query-state effects when the message arrives, merge-aware so
-// a list portion another commit appended to this node's task after planning
-// is never lost. After the drain EndCycle runs three steps on the system's
-// worker pool (sim/worker_pool.h):
+// CommitMessage applies the task/traffic/query-state effects when the
+// message arrives, merge-aware so a list portion another commit appended to
+// this node's task after planning is never lost. A message's commit footprint
+// (sim/engine.h) is its sender and every gossip's destination, of any
+// number, so the engine commits messages that share no user on its workers
+// at the same time. What such commits still share follows three rules:
+//   - shared counters (the exchange's traffic, the stale drops) and the
+//     wave's participants go to one lane per worker (CommitContext::worker),
+//     folded by EndCycle;
+//   - a query's own state (its traffic, the users reached, its partial
+//     results, its active-task count) changes only under the query's lock,
+//     and only by sums, set unions and appends, which no commit reads; the
+//     querier folds the partial results in message order
+//     (PartialResultMessage::arrival);
+//   - a task a commit creates holds epoch 0, which no gossip carries, until
+//     EndCycle gives out the epochs in message order, as an in-order drain
+//     would.
+// After the drain EndCycle runs three steps on the system's worker pool
+// (sim/worker_pool.h):
 //   1. it screens the exchange of each of the cycle's participants in the
 //      wave of refreshments (RefreshWave below), one pool item each;
 //   2. it runs the wave, the exchanges in ascending participant order, on
@@ -53,6 +67,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -88,11 +103,19 @@ class RefreshWave {
  public:
   explicit RefreshWave(P3QSystem* system) : system_(system) {}
 
-  /// Adds `user` to this cycle's participants; a repeat is a no-op.
-  void Add(UserId user);
+  /// Sizes the participant marks for `users` users. Sequential, before the
+  /// drain whose commits Add.
+  void Open(std::size_t users) { listed_.resize(users, 0); }
 
-  /// Sorts the participants and makes room for their screens; returns how
-  /// many there are. Sequential, after the last Add of the cycle.
+  /// Adds `user` to this cycle's participants, in `worker`'s list; a repeat
+  /// is a no-op. Commits on several workers may Add at once, as long as
+  /// only a commit whose footprint holds `user` adds it (worker <
+  /// kEngineShards).
+  void Add(UserId user, std::size_t worker);
+
+  /// Gathers the workers' lists, sorts the participants and makes room for
+  /// their screens; returns how many there are. Sequential, after the last
+  /// Add of the cycle.
   std::size_t Prepare();
 
   /// Screens participant `item`'s exchange against the current state; it
@@ -133,9 +156,16 @@ class RefreshWave {
   bool Reusable(const Screened& screened,
                 const PersonalNetwork& network) const;
 
+  /// The users one worker added this cycle, a cache line from the next
+  /// worker's.
+  struct alignas(64) Joined {
+    std::vector<UserId> users;
+  };
+
   P3QSystem* system_;
-  /// Per user: listed in participants_ (sized on first use).
+  /// Per user: added this cycle (sized by Open).
   std::vector<std::uint8_t> listed_;
+  std::array<Joined, kEngineShards> joined_;
   std::vector<UserId> participants_;
   std::vector<Screened> screens_;  ///< one per participant
   /// The survivors of every screen a worker ran this cycle.
@@ -161,13 +191,22 @@ class EagerProtocol : public CycleProtocol {
   bool ActiveInCycle(UserId node) const override;
   void PlanCycle(UserId node, const PlanContext& ctx) override;
   void EndPlan(std::uint64_t cycle) override;
-  /// Sequential: commits share per-query state, the wave's participants
-  /// and the epoch counter, so the protocol declares no commit footprints.
+  /// Commits on the workers, each once the earlier messages sharing a user
+  /// with it have; what commits of different users share follows the three
+  /// rules of the file comment.
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override;
-  /// The wave of refreshments, and beside it Algorithm 4 at each querier:
-  /// the cycle's partial results folded into the query's NRA and its
-  /// snapshot recorded (see the file comment).
+  bool DeclaresCommitFootprints() const override { return true; }
+  /// Every gossip's destination and exchange endpoints: a gossip touches
+  /// the sender's and the destination's tasks and networks, and its
+  /// exchange runs between the same two users. A message names as many
+  /// users as it carries gossips, and more than four is common.
+  void CommitFootprintOf(UserId sender, const DeliveryMessage& message,
+                         CommitFootprint* footprint) const override;
+  /// Folds the drain's lanes and gives the tasks it created their epochs;
+  /// then the wave of refreshments, and beside it Algorithm 4 at each
+  /// querier: the cycle's partial results folded into the query's NRA and
+  /// its snapshot recorded (see the file comment).
   void EndCycle(std::uint64_t cycle, Rng* rng) override;
 
   /// Every id-keyed accessor throws std::out_of_range naming the id for an
@@ -235,6 +274,9 @@ class EagerProtocol : public CycleProtocol {
     std::unique_ptr<ActiveQuery> query;
     std::vector<UserId> reached;  ///< ascending
     int active_tasks = 0;  ///< nodes currently holding a non-empty list
+    /// Held by a commit while it changes the fields above, which commits
+    /// on other workers may change at the same time.
+    std::unique_ptr<std::mutex> lock = std::make_unique<std::mutex>();
   };
 
   /// One planned gossip of a task (Algorithm 3 both roles, decided against
@@ -266,6 +308,22 @@ class EagerProtocol : public CycleProtocol {
     std::vector<PlannedGossip> gossips;  ///< one per task, query-id order
   };
 
+  /// A task a commit created, waiting for its epoch: where the in-order
+  /// drain would have created it, and where it is.
+  struct NewTask {
+    std::size_t message = 0;  ///< CommitContext::message
+    std::size_t gossip = 0;   ///< its gossip's index in the message
+    UserId holder = kInvalidUser;
+    std::uint64_t query_id = 0;
+  };
+
+  /// What one drain worker's commits leave for EndCycle, a cache line from
+  /// the next worker's.
+  struct alignas(64) CommitLane {
+    std::uint64_t stale_dropped = 0;
+    std::vector<NewTask> new_tasks;
+  };
+
   /// Algorithm 3 lines 4-9: remaining-list member that is also a
   /// personal-network neighbour with maximum timestamp, else a random
   /// remaining-list member; skips offline candidates (bounded retries).
@@ -277,11 +335,11 @@ class EagerProtocol : public CycleProtocol {
   bool PlanGossip(const P3QNode* node, const EagerTask& task,
                   const PlanContext& ctx, TaskGossipMessage* message);
 
-  /// Applies one delivered gossip at commit time; the context's
-  /// send_cycle/cycle are the gossip's wire endpoints (traced as committed
-  /// or stale).
+  /// Applies one delivered gossip, the message's `index`-th, at commit
+  /// time; the context's send_cycle/cycle are the gossip's wire endpoints
+  /// (traced as committed or stale).
   void CommitGossip(P3QNode* node, const CommitContext& ctx,
-                    PlannedGossip* gossip);
+                    std::size_t index, PlannedGossip* gossip);
 
   /// Looks up a query's state; throws std::out_of_range naming the id when
   /// the query was never issued or has been forgotten.
@@ -311,11 +369,16 @@ class EagerProtocol : public CycleProtocol {
   std::array<std::uint64_t, kEngineShards> shard_reissues_{};
   std::uint64_t timeout_reissues_ = 0;
   std::uint64_t stale_messages_dropped_ = 0;
+  /// One per drain worker, folded by EndCycle.
+  std::array<CommitLane, kEngineShards> lanes_;
+  /// The lanes' new tasks, in message order (EndCycle's scratch).
+  std::vector<NewTask> new_tasks_;
   /// Late-partial-result drops of already-forgotten queries (folded in by
   /// Forget so the system-wide total stays monotone).
   std::uint64_t forgotten_late_results_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t next_epoch_ = 1;  ///< unique EagerTask incarnation ids
+  /// Unique EagerTask incarnation ids; 0 is never handed out.
+  std::uint64_t next_epoch_ = 1;
 };
 
 }  // namespace p3q

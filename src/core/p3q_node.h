@@ -23,14 +23,15 @@ struct EagerTask {
   std::vector<UserId> remaining;    // profiles still to locate
 
   // Delivery-layer bookkeeping (owner-private: written only by the owner's
-  // plan pass and by sequential commits, so it is race-free under the
-  // engine's one-shard-one-thread contract). While a gossip of this task is
-  // in flight the task does not gossip again; once `in_flight_until`
-  // passes, the owner assumes the message lost (or hopelessly late), bumps
-  // `generation` to supersede it, and re-issues from the current list.
-  // `epoch` is unique per task *incarnation* (assigned by the protocol at
-  // creation): a task erased and later recreated on the same node gets a
-  // fresh epoch, so a gossip of the dead incarnation can never match it.
+  // plan pass and by commits whose footprint holds the owner, so it is
+  // race-free under the engine's one-shard-one-thread contract). While a
+  // gossip of this task is in flight the task does not gossip again; once
+  // `in_flight_until` passes, the owner assumes the message lost (or
+  // hopelessly late), bumps `generation` to supersede it, and re-issues from
+  // the current list. `epoch` is unique per task *incarnation* (assigned by
+  // the protocol after the drain that created it, 0 until then): a task
+  // erased and later recreated on the same node gets a fresh epoch, so a
+  // gossip of the dead incarnation can never match it.
   std::uint64_t epoch = 0;
   std::uint32_t generation = 0;
   bool in_flight = false;

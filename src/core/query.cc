@@ -26,6 +26,15 @@ void ActiveQuery::DeliverPartialResult(PartialResultMessage message) {
 }
 
 void ActiveQuery::EndOfCycle(bool complete) {
+  // A message carries at most one list of a query, so the message order
+  // alone orders the lists.
+  const auto by_arrival = [](const PartialResultMessage& a,
+                             const PartialResultMessage& b) {
+    return a.arrival < b.arrival;
+  };
+  if (!std::is_sorted(inbox_.begin(), inbox_.end(), by_arrival)) {
+    std::stable_sort(inbox_.begin(), inbox_.end(), by_arrival);
+  }
   std::size_t entries = 0;
   for (const PartialResultMessage& message : inbox_) {
     entries += message.entries.size();

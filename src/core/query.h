@@ -28,6 +28,11 @@ struct PartialResultMessage {
   std::vector<std::pair<ItemId, std::uint32_t>> entries;
   /// Users whose profiles produced this list (the querier's progress gauge).
   std::vector<UserId> used_profiles;
+  /// Where the list arrived in its cycle's drain: the index of the message
+  /// that carried it (CommitContext::message). Commits on several workers
+  /// deliver a query's lists in any order, and EndOfCycle folds them in
+  /// this one. Not on the wire, and not checkpointed.
+  std::size_t arrival = 0;
 
   /// Wire size: scored items plus the used-profile ids.
   std::size_t WireBytes() const {
@@ -86,11 +91,12 @@ class ActiveQuery {
   std::uint64_t id() const { return id_; }
   const QuerySpec& spec() const { return spec_; }
 
-  /// Enqueues a partial result received during the current cycle. Once the
-  /// query is finalized (the completion EndOfCycle ran and the NRA was
-  /// drained), late arrivals — reachable when delivery lags behind the
-  /// cycle that completed the query — are counted and dropped instead of
-  /// silently accumulating in an inbox nobody drains.
+  /// Enqueues a partial result received during the current cycle, in any
+  /// order of `arrival`. Once the query is finalized (the completion
+  /// EndOfCycle ran and the NRA was drained), late arrivals — reachable
+  /// when delivery lags behind the cycle that completed the query — are
+  /// counted and dropped instead of silently accumulating in an inbox
+  /// nobody drains.
   void DeliverPartialResult(PartialResultMessage message);
 
   /// True once the completion snapshot was recorded; later partial results
@@ -105,10 +111,10 @@ class ActiveQuery {
   /// Partial results that arrived after finalization and were dropped.
   std::uint64_t late_results_dropped() const { return late_results_dropped_; }
 
-  /// Ends the cycle: feeds queued lists into the NRA, refreshes the top-k
-  /// and appends a snapshot. `complete` signals that no remaining list for
-  /// this query exists anywhere in the system (on completion the NRA is
-  /// drained so the final ranking is exact).
+  /// Ends the cycle: feeds queued lists into the NRA in arrival order,
+  /// refreshes the top-k and appends a snapshot. `complete` signals that no
+  /// remaining list for this query exists anywhere in the system (on
+  /// completion the NRA is drained so the final ranking is exact).
   void EndOfCycle(bool complete);
 
   /// Snapshots, one per elapsed cycle (index 0 = the local result computed

@@ -51,6 +51,11 @@ struct PhaseBreakdown {
   /// Messages committed on the calling thread: every drain in message
   /// order, plus every drain too small to be worth the pool.
   std::uint64_t drain_inline_messages = 0;
+  /// Messages of the pooled drains that a pool worker, not the calling
+  /// thread, committed: where commits ran. It depends on how the threads
+  /// were scheduled, so it varies from run to run; at most
+  /// drain_pooled_messages, and 0 at one thread.
+  std::uint64_t drain_worker_messages = 0;
   /// Worker-seconds the drains' workers spent waiting for a message to
   /// become ready to commit, summed over the workers (a sub-span of their
   /// share of drain_seconds).
@@ -76,6 +81,7 @@ struct PhaseBreakdown {
         Sum(&P::drain_levels, "drain_levels"),
         Sum(&P::drain_pooled_messages, "drain_pooled_messages"),
         Sum(&P::drain_inline_messages, "drain_inline_messages"),
+        Sum(&P::drain_worker_messages, "drain_worker_messages"),
         Sum(&P::drain_wait_seconds, "drain_wait_seconds"),
         Sum(&P::end_cycle_seconds, "end_cycle_seconds"),
         Computed(&P::TotalSeconds, "total_seconds"),

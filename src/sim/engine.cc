@@ -75,14 +75,9 @@ class CommitEventStage {
 
 void CommitFootprint::Add(UserId user) {
   if (user == kInvalidUser) return;
-  for (std::size_t i = 0; i < size; ++i) {
-    if (users[i] == user) return;
-  }
-  if (size == kMaxUsers) {
-    throw std::length_error("commit footprint holds more than " +
-                            std::to_string(kMaxUsers) + " users");
-  }
-  users[size++] = user;
+  const auto begin = users_->begin() + static_cast<std::ptrdiff_t>(begin_);
+  if (std::find(begin, users_->end(), user) != users_->end()) return;
+  users_->push_back(user);
 }
 
 void CommitContext::Emit(const TraceEvent& event) const {
@@ -108,9 +103,10 @@ class Engine::Drain {
  private:
   /// One due message's place among the drain's dependencies.
   struct Link {
-    /// The later messages that wait on this one: at most the next message
-    /// of each user in its footprint.
-    std::array<std::uint32_t, CommitFootprint::kMaxUsers> successors;
+    /// Where the message's footprint starts in users_, and where its
+    /// successors start in successors_: the later messages that wait on
+    /// this one, at most the next message of each user in its footprint.
+    std::uint32_t first;
     std::uint32_t num_successors;
     /// Messages in the longest footprint chain that ends with this one.
     std::uint32_t depth;
@@ -128,9 +124,8 @@ class Engine::Drain {
   /// chain, in messages.
   std::size_t AssignDependencies(
       const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due);
-  /// Zeroes the last_message_ marks of the first `count` messages'
-  /// footprints.
-  void ClearMarks(std::size_t count);
+  /// Zeroes the last_message_ marks of users_[0, end).
+  void ClearMarks(std::size_t end);
   /// Waits until ready slot `k` is published and returns it (message + 1),
   /// or returns 0 once a commit of the drain has failed. While profiling,
   /// adds the time it waited to `worker`'s slot.
@@ -143,8 +138,11 @@ class Engine::Drain {
   /// footprint holds the user (0: none). All zero between drains, and sized
   /// on the first drain that assigns dependencies.
   std::vector<std::uint32_t> last_message_;
+  /// Every due message's footprint, one after another, and beside each
+  /// footprint user a slot for one successor.
+  std::vector<UserId> users_;
+  std::vector<std::uint32_t> successors_;
   // Per due message.
-  std::vector<CommitFootprint> footprints_;
   std::vector<std::uint32_t> stream_of_;
   std::vector<Rng> streams_;  ///< one per run of one sender's messages
   // Per due message, made anew at twice the size when a drain outgrows
@@ -153,22 +151,25 @@ class Engine::Drain {
   /// The ready slots, filled in the order messages become ready: message
   /// + 1, or 0 while unpublished. Slots [0, ready_end_) are taken.
   std::vector<std::atomic<std::uint32_t>> ready_;
-  std::atomic<std::uint32_t> ready_end_{0};
+  /// Every release that publishes a message writes it, so it sits on a
+  /// cache line of its own: the vectors above, which every worker reads,
+  /// must not share one with it.
+  alignas(64) std::atomic<std::uint32_t> ready_end_{0};
   /// Set by a commit that throws, so the workers waiting on its
   /// successors give up instead of waiting forever.
-  std::atomic<bool> failed_{false};
-  /// Per worker, while profiling: the seconds it waited for a ready slot.
-  std::vector<double> wait_seconds_;
+  alignas(64) std::atomic<bool> failed_{false};
+  /// Per worker, while profiling: the seconds it waited for a ready slot
+  /// and the messages it committed, a cache line apart.
+  struct alignas(64) WorkerTally {
+    double wait_seconds = 0.0;
+    std::uint64_t messages = 0;
+  };
+  std::vector<WorkerTally> tallies_;
   CommitEventStage stage_;
 };
 
-void Engine::Drain::ClearMarks(std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const CommitFootprint& footprint = footprints_[i];
-    for (std::size_t k = 0; k < footprint.size; ++k) {
-      last_message_[footprint.users[k]] = 0;
-    }
-  }
+void Engine::Drain::ClearMarks(std::size_t end) {
+  for (std::size_t k = 0; k < end; ++k) last_message_[users_[k]] = 0;
 }
 
 void Engine::Drain::AssignStreams(
@@ -188,7 +189,7 @@ std::size_t Engine::Drain::AssignDependencies(
     const Engine& engine, const std::vector<DeliveryQueue::InFlight>& due) {
   const std::size_t n = due.size();
   last_message_.resize(engine.num_nodes_);
-  footprints_.assign(n, CommitFootprint{});
+  users_.clear();
   if (links_.size() < n) {
     const std::size_t size = std::max(n, 2 * links_.size());
     links_ = std::vector<Link>(size);
@@ -196,21 +197,25 @@ std::size_t Engine::Drain::AssignDependencies(
   }
   std::uint32_t longest = 0;
   std::uint32_t ready = 0;
-  std::size_t i = 0;
+  // The marks set so far: up to the footprint of the message at hand.
+  std::size_t marked = 0;
   try {
-    for (; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const DeliveryQueue::InFlight& message = due[i];
-      CommitFootprint& footprint = footprints_[i];
-      // The sender is always in the footprint: its messages share a stream.
+      // Built in place at the end of users_. The sender is always in the
+      // footprint: its messages share a stream.
+      CommitFootprint footprint(&users_);
       footprint.Add(message.sender);
       engine.protocol_->CommitFootprintOf(message.sender, *message.payload,
                                           &footprint);
+      if (successors_.size() < users_.size()) successors_.resize(users_.size());
       Link& link = links_[i];
+      link.first = static_cast<std::uint32_t>(marked);
       link.num_successors = 0;
       link.depth = 1;
       std::uint32_t waiting = 0;
-      for (std::size_t k = 0; k < footprint.size; ++k) {
-        const UserId user = footprint.users[k];
+      for (std::size_t k = marked; k < users_.size(); ++k) {
+        const UserId user = users_[k];
         if (user >= last_message_.size()) {
           throw std::out_of_range("commit footprint names user " +
                                   std::to_string(user) + " of " +
@@ -218,18 +223,18 @@ std::size_t Engine::Drain::AssignDependencies(
         }
         if (last_message_[user] == 0) continue;
         Link& previous = links_[last_message_[user] - 1];
+        std::uint32_t* successors = &successors_[previous.first];
         // Two users of this message may share their previous message.
         if (previous.num_successors > 0 &&
-            previous.successors[previous.num_successors - 1] == i) {
+            successors[previous.num_successors - 1] == i) {
           continue;
         }
-        previous.successors[previous.num_successors++] =
-            static_cast<std::uint32_t>(i);
+        successors[previous.num_successors++] = static_cast<std::uint32_t>(i);
         ++waiting;
         link.depth = std::max(link.depth, previous.depth + 1);
       }
-      for (std::size_t k = 0; k < footprint.size; ++k) {
-        last_message_[footprint.users[k]] = static_cast<std::uint32_t>(i + 1);
+      for (; marked < users_.size(); ++marked) {
+        last_message_[users_[marked]] = static_cast<std::uint32_t>(i + 1);
       }
       link.waiting.store(waiting, std::memory_order_relaxed);
       if (waiting == 0) {
@@ -239,10 +244,10 @@ std::size_t Engine::Drain::AssignDependencies(
       longest = std::max(longest, link.depth);
     }
   } catch (...) {
-    ClearMarks(i);
+    ClearMarks(marked);
     throw;
   }
-  ClearMarks(n);
+  ClearMarks(marked);
   for (std::size_t k = ready; k < n; ++k) {
     ready_[k].store(0, std::memory_order_relaxed);
   }
@@ -268,7 +273,7 @@ std::uint32_t Engine::Drain::AwaitReady(std::size_t k, std::size_t worker,
     }
   }
   if (profiled) {
-    wait_seconds_[worker] +=
+    tallies_[worker].wait_seconds +=
         std::chrono::duration<double>(Clock::now() - start).count();
   }
   return ready;
@@ -277,7 +282,7 @@ std::uint32_t Engine::Drain::AwaitReady(std::size_t k, std::size_t worker,
 void Engine::Drain::Release(std::size_t i) {
   const Link& link = links_[i];
   for (std::uint32_t s = 0; s < link.num_successors; ++s) {
-    const std::uint32_t next = link.successors[s];
+    const std::uint32_t next = successors_[link.first + s];
     // The last predecessor to commit acquires the others' commits with the
     // count, and hands all of them on with the slot.
     if (links_[next].waiting.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -301,7 +306,7 @@ void Engine::Drain::Run(Engine* engine,
   CommitEventStage* stage = released && tracer != nullptr ? &stage_ : nullptr;
   if (stage != nullptr) stage->Reset(threads);
   PhaseBreakdown* profile = engine->profile_;
-  if (profile != nullptr) wait_seconds_.assign(threads, 0.0);
+  if (profile != nullptr) tallies_.assign(threads, WorkerTally{});
   const auto commit = [&](std::size_t i, std::size_t worker) {
     DeliveryQueue::InFlight& message = due[i];
     CommitContext ctx;
@@ -332,6 +337,7 @@ void Engine::Drain::Run(Engine* engine,
               throw;
             }
             Release(ready - 1);
+            if (profile != nullptr) ++tallies_[worker].messages;
           });
     }
   } catch (...) {
@@ -344,8 +350,11 @@ void Engine::Drain::Run(Engine* engine,
     profile->drain_levels += longest;
     (pooled ? profile->drain_pooled_messages
             : profile->drain_inline_messages) += n;
-    for (const double seconds : wait_seconds_) {
-      profile->drain_wait_seconds += seconds;
+    for (std::size_t worker = 0; worker < tallies_.size(); ++worker) {
+      profile->drain_wait_seconds += tallies_[worker].wait_seconds;
+      if (worker != 0) {
+        profile->drain_worker_messages += tallies_[worker].messages;
+      }
     }
   }
 }

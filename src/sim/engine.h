@@ -62,13 +62,14 @@
 // By default it commits them in message order on the calling thread. When
 // the protocol declares commit footprints
 // (CycleProtocol::DeclaresCommitFootprints: the users whose state each
-// message's commit reads or writes) and the pool has more than one
-// thread, every due message waits on the previous due message of each user
-// in its footprint. One ForEachItem pass then commits each message
-// as soon as those have committed, on whichever worker takes it, and each
-// commit releases the messages that waited on it last. Two messages
-// sharing a user still commit in (due, sender, seq) order, and only
-// messages with disjoint footprints commit at the same time, so every
+// message's commit reads or writes, of any number, appended one message
+// after another to one flat array of the drain's users) and the pool has
+// more than one thread, every due message waits on the previous due message
+// of each user in its footprint. One ForEachItem pass then commits each
+// message as soon as those have committed, on whichever worker takes it,
+// and each commit releases the messages that waited on it last. Two
+// messages sharing a user still commit in (due, sender, seq) order, and
+// only messages with disjoint footprints commit at the same time, so every
 // commit sees exactly the state message order gives it. The longest chain
 // of messages that each wait on the one before is the drain's critical
 // path (PhaseBreakdown::drain_levels). The rest of the contract a
@@ -91,6 +92,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "common/types.h"
@@ -226,16 +228,20 @@ struct CommitContext {
 };
 
 /// Every user whose state one delivered message's CommitMessage reads or
-/// writes.
-struct CommitFootprint {
-  static constexpr std::size_t kMaxUsers = 4;
+/// writes, of any number: a view of the users it appended to a flat array
+/// that holds a whole drain's footprints one after another.
+class CommitFootprint {
+ public:
+  /// An empty footprint that Add appends to the end of `users`.
+  explicit CommitFootprint(std::vector<UserId>* users)
+      : users_(users), begin_(users->size()) {}
 
-  /// Adds `user` unless it is kInvalidUser or already present. Throws
-  /// std::length_error for a distinct user past kMaxUsers.
+  /// Adds `user` unless it is kInvalidUser or already present.
   void Add(UserId user);
 
-  std::array<UserId, kMaxUsers> users{};
-  std::size_t size = 0;
+ private:
+  std::vector<UserId>* users_;
+  std::size_t begin_;
 };
 
 /// The per-node protocol an Engine drives.
@@ -290,11 +296,11 @@ class CycleProtocol {
   /// that it emits trace events only through CommitContext::Emit.
   virtual bool DeclaresCommitFootprints() const { return false; }
 
-  /// Adds to `footprint` the users `message`'s commit touches. The
-  /// footprint arrives holding the sender: a sender's messages share one
-  /// commit stream, so they must commit in order. Called sequentially,
-  /// before any commit of the drain; only when DeclaresCommitFootprints()
-  /// is true.
+  /// Adds to `footprint` the users `message`'s commit touches, as many as
+  /// it touches. The footprint arrives holding the sender: a sender's
+  /// messages share one commit stream, so they must commit in order. Called
+  /// sequentially, before any commit of the drain; only when
+  /// DeclaresCommitFootprints() is true.
   virtual void CommitFootprintOf(UserId sender,
                                  const DeliveryMessage& message,
                                  CommitFootprint* footprint) const {

@@ -153,6 +153,7 @@ inline void MergeFrom(PhaseBreakdown& into, const PhaseBreakdown& other) {
   into.drain_levels += other.drain_levels;
   into.drain_pooled_messages += other.drain_pooled_messages;
   into.drain_inline_messages += other.drain_inline_messages;
+  into.drain_worker_messages += other.drain_worker_messages;
   into.drain_wait_seconds += other.drain_wait_seconds;
   into.end_cycle_seconds += other.end_cycle_seconds;
   into.shard_plan_max_seconds += other.shard_plan_max_seconds;
@@ -181,6 +182,8 @@ inline PhaseBreakdown Since(const PhaseBreakdown& now,
       now.drain_pooled_messages - earlier.drain_pooled_messages;
   delta.drain_inline_messages =
       now.drain_inline_messages - earlier.drain_inline_messages;
+  delta.drain_worker_messages =
+      now.drain_worker_messages - earlier.drain_worker_messages;
   delta.drain_wait_seconds =
       now.drain_wait_seconds - earlier.drain_wait_seconds;
   delta.end_cycle_seconds = now.end_cycle_seconds - earlier.end_cycle_seconds;

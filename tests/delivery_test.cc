@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/p3q_system.h"
 #include "core/query.h"
 #include "eval/metrics_eval.h"
+#include "sim/checkpoint.h"
 #include "sim/delivery.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -543,6 +545,63 @@ TEST(ActiveQueryLateResults, FinalizedQueryDropsAndCountsLateResults) {
   EXPECT_EQ(query.late_results_dropped(), 1u);
   EXPECT_EQ(query.CurrentTopKItems(), final_items);
   EXPECT_EQ(query.NumUsedProfiles(), used_before);
+}
+
+/// Three partial results of one query, with scores that make the NRA's
+/// state depend on the order its lists were added.
+std::vector<PartialResultMessage> ThreeLists() {
+  std::vector<PartialResultMessage> lists(3);
+  lists[0].entries = {{ItemId{10}, 9}, {ItemId{11}, 5}, {ItemId{12}, 1}};
+  lists[0].used_profiles = {4};
+  lists[1].entries = {{ItemId{12}, 7}, {ItemId{10}, 3}};
+  lists[1].used_profiles = {2, 6};
+  lists[2].entries = {{ItemId{11}, 8}, {ItemId{13}, 6}, {ItemId{10}, 2}};
+  lists[2].used_profiles = {5};
+  lists[0].arrival = 3;
+  lists[1].arrival = 5;
+  lists[2].arrival = 9;
+  return lists;
+}
+
+/// A query's snapshots and its checkpoint bytes after two cycles: the
+/// lists delivered in `order` in the first, none in the second.
+std::pair<std::vector<std::tuple<std::vector<ItemId>, std::size_t, bool>>,
+          std::vector<std::uint8_t>>
+FoldInOrder(const std::vector<std::size_t>& order) {
+  QuerySpec spec;
+  spec.querier = 1;
+  spec.tags = {2};
+  ActiveQuery query(/*id=*/7, spec, /*k=*/2, /*expected=*/4);
+  std::vector<PartialResultMessage> lists = ThreeLists();
+  for (const std::size_t i : order) {
+    query.DeliverPartialResult(std::move(lists[i]));
+  }
+  query.EndOfCycle(/*complete=*/false);
+  CheckpointWriter open;
+  query.SaveState(&open);
+  query.EndOfCycle(/*complete=*/true);
+  std::vector<std::tuple<std::vector<ItemId>, std::size_t, bool>> history;
+  for (const QueryCycleSnapshot& snapshot : query.history()) {
+    std::vector<ItemId> items;
+    for (const RankedItem& r : snapshot.top_k) items.push_back(r.item);
+    history.emplace_back(items, snapshot.used_profiles, snapshot.complete);
+  }
+  return {history, open.buffer()};
+}
+
+TEST(ActiveQueryArrivalTest, FoldsListsInArrivalOrder) {
+  // Commits on several workers deliver a query's lists in any order; the
+  // querier folds them in the order the messages arrived.
+  const auto in_order = FoldInOrder({0, 1, 2});
+  ASSERT_EQ(in_order.first.size(), 2u);
+  EXPECT_EQ(std::get<1>(in_order.first[0]), 4u);
+  for (const std::vector<std::size_t>& order :
+       {std::vector<std::size_t>{2, 0, 1}, {1, 2, 0}, {2, 1, 0}}) {
+    const auto folded = FoldInOrder(order);
+    EXPECT_EQ(folded.first, in_order.first);
+    EXPECT_TRUE(folded.second == in_order.second)
+        << "the NRA's state depends on the delivery order";
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // pool, and its NRA close-outs run there beside the wave of refreshments.
 // At 1, 2, 4 and 8 threads, under zero, fixed and lossy latency, every
 // query's full history, the personal networks, the traffic and protocol
-// counters (the wave's serial re-plans among them) and the JSONL trace must
-// be identical, and how the engine scheduled each commit is pinned.
+// counters (the wave's serial re-plans among them), the JSONL trace and a
+// checkpoint saved at the end must be identical, and how the engine
+// scheduled each commit is pinned. The checkpoint holds what the rest does
+// not show: task epochs and the epoch counter, the users each query
+// reached, the active-task counts and the messages still in flight.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -19,6 +22,7 @@
 #include "core/p3q_system.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "sim/checkpoint.h"
 #include "sim/delivery.h"
 #include "test_util.h"
 
@@ -51,19 +55,26 @@ struct EagerRun {
   /// Stale drops, timeout re-issues and the wave's serial re-plans.
   std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> protocol_counters;
   std::string trace;
+  std::vector<std::uint8_t> checkpoint;
   /// Queries finalized by the end (their close-out drained the NRA).
   std::size_t completed = 0;
   test::Schedule schedule{};
 };
 
 /// The eager engine's schedule ({longest footprint chains, pooled
-/// messages, inline messages}). The eager mode declares no commit
-/// footprints, so at every thread count every drain runs in message order
-/// on the calling thread.
-test::Schedule PinnedSchedule(const std::string& latency) {
-  if (latency == "zero") return {0, 0, 2668};
-  if (latency == "fixed:2") return {0, 0, 1455};
-  return {0, 0, 1259};
+/// messages, inline messages}). One thread drains in message order. From
+/// two threads on, each message waits only on the earlier messages sharing
+/// its sender or a gossip's destination: every drain goes to the pool but
+/// the lossy model's few short ones, which run inline.
+test::Schedule PinnedSchedule(const std::string& latency, int threads) {
+  const bool one = threads == 1;
+  if (latency == "zero") {
+    return one ? test::Schedule{0, 0, 2668} : test::Schedule{171, 2668, 0};
+  }
+  if (latency == "fixed:2") {
+    return one ? test::Schedule{0, 0, 1455} : test::Schedule{108, 1455, 0};
+  }
+  return one ? test::Schedule{0, 0, 1259} : test::Schedule{96, 1232, 27};
 }
 
 /// The trace, config and seeded networks every run starts from.
@@ -141,6 +152,9 @@ EagerRun RunEager(const Deployment& deployment, const std::string& latency,
                            system.eager().wave_replans()};
   tracer.Finish();
   run.trace = jsonl.str();
+  CheckpointWriter checkpoint;
+  system.SaveCheckpoint(&checkpoint);
+  run.checkpoint = checkpoint.buffer();
   run.schedule = test::ScheduleOf(profiler.breakdowns().at("eager"));
   return run;
 }
@@ -153,7 +167,7 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
   const EagerRun base = RunEager(deployment, GetParam(), 1);
   ASSERT_FALSE(base.trace.empty());
   EXPECT_GT(base.completed, 0u);
-  EXPECT_EQ(base.schedule, PinnedSchedule(GetParam()));
+  EXPECT_EQ(base.schedule, PinnedSchedule(GetParam(), 1));
   for (const int threads : {2, 4, 8}) {
     const EagerRun run = RunEager(deployment, GetParam(), threads);
     EXPECT_EQ(run.histories, base.histories) << threads << " threads";
@@ -163,7 +177,9 @@ TEST_P(EagerCloseoutSystemTest, IdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.protocol_counters, base.protocol_counters)
         << threads << " threads";
     EXPECT_EQ(run.trace, base.trace) << threads << " threads";
-    EXPECT_EQ(run.schedule, PinnedSchedule(GetParam()))
+    EXPECT_TRUE(run.checkpoint == base.checkpoint)
+        << threads << " threads: the checkpoints differ";
+    EXPECT_EQ(run.schedule, PinnedSchedule(GetParam(), threads))
         << threads << " threads";
   }
 }

@@ -2,22 +2,86 @@
 // the α remaining-list split, partition soundness, traffic and churn.
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/centralized_topk.h"
 #include "baseline/ideal_network.h"
+#include "core/eager_protocol.h"
 #include "core/p3q_system.h"
 #include "dataset/generator.h"
 #include "dataset/query_gen.h"
 #include "eval/recall.h"
+#include "obs/trace.h"
+#include "sim/engine.h"
+#include "sim/worker_pool.h"
 #include "test_util.h"
 
 namespace p3q {
 namespace {
 
 using Env = test::TestSystem;
+
+/// The eager protocol, checking each commit against its footprint. A
+/// commit traces one event a gossip, committed or stale, naming its sender
+/// and the gossip's destination; the footprint must name exactly the
+/// sender and those destinations.
+class FootprintCheckingProtocol : public EagerProtocol {
+ public:
+  FootprintCheckingProtocol(P3QSystem* system, const VectorTraceSink* sink)
+      : EagerProtocol(system), sink_(sink) {}
+
+  void CommitMessage(UserId sender, DeliveryMessage& message,
+                     const CommitContext& ctx) override {
+    std::vector<UserId> users;
+    CommitFootprint footprint(&users);
+    footprint.Add(sender);
+    CommitFootprintOf(sender, message, &footprint);
+    const std::size_t before = sink_->events().size();
+    EagerProtocol::CommitMessage(sender, message, ctx);
+    std::set<UserId> named = {sender};
+    for (std::size_t i = before; i < sink_->events().size(); ++i) {
+      const TraceEvent& event = sink_->events()[i];
+      if (event.kind != TraceEventKind::kGossipCommitted &&
+          event.kind != TraceEventKind::kMessageStale) {
+        continue;
+      }
+      EXPECT_EQ(event.node, sender);
+      named.insert(event.peer);
+    }
+    EXPECT_EQ(users.size(), named.size()) << "a user named twice";
+    EXPECT_EQ(std::set<UserId>(users.begin(), users.end()), named);
+    widest = std::max(widest, users.size());
+    ++commits;
+  }
+
+  std::size_t widest = 0;
+  std::size_t commits = 0;
+
+ private:
+  const VectorTraceSink* sink_;
+};
+
+TEST(EagerFootprintTest, NamesTheSenderAndEveryDestination) {
+  Env env;
+  VectorTraceSink sink;
+  Tracer tracer(&sink);
+  FootprintCheckingProtocol protocol(env.system.get(), &sink);
+  // One thread: the in-order drain hands each commit's events to the sink
+  // as they come.
+  WorkerPool pool;
+  pool.SetThreads(1);
+  Engine engine(env.system->NumUsers(), /*seed=*/43, &protocol, &pool);
+  engine.SetTracer(&tracer);
+  // Many queries at once, so that users hold several tasks and send
+  // messages of several gossips.
+  for (UserId u = 0; u < 120; ++u) protocol.IssueQuery(env.QueryOf(u));
+  engine.RunCycles(5);
+  EXPECT_GT(protocol.commits, 100u);
+  EXPECT_GT(protocol.widest, 4u);
+}
 
 TEST(EagerProtocolTest, LocalResultAvailableAtCycleZero) {
   Env env;

@@ -456,12 +456,13 @@ TEST(EngineParallelTest, ShardTrafficMailboxesMergeDeterministically) {
 // ---------------------------------------------------------------------------
 
 /// Every node sends one message per cycle whose commit touches the sender
-/// plus up to two random users: exactly its footprint, so a variant that
-/// widens CommitFootprintOf widens what the commit touches. A commit reads
-/// the state of every user it touches, works for a draw-dependent while (so
-/// commits that wrongly overlap finish out of order), then appends the same
-/// Touch — carrying the next draw of its commit stream and the state it
-/// read — to each touched user's log and advances their state. It also
+/// plus up to `max_others` (default two) random users: exactly its
+/// footprint, so a variant that widens CommitFootprintOf widens what the
+/// commit touches. A commit reads the state of every user it touches,
+/// works for a draw-dependent while (so commits that wrongly overlap finish
+/// out of order), then appends the same Touch — carrying the next draw of
+/// its commit stream and the state it read — to each touched user's log
+/// and advances their state. It also
 /// counts itself in its worker's lane and emits one trace event. The logs
 /// are written only by commits whose footprint holds the user, so they
 /// record each user's commit order and what each commit saw.
@@ -478,22 +479,24 @@ class FootprintProtocol : public CycleProtocol {
   /// Lives on the shard's send-cycle arena, reserved to the most users a
   /// message names, so every message holds arena memory.
   struct Payload : DeliveryMessage {
-    static constexpr std::size_t kMaxOthers = 2;
-    explicit Payload(std::pmr::memory_resource* arena) : others(arena) {
-      others.reserve(kMaxOthers);
+    Payload(std::pmr::memory_resource* arena, std::size_t max_others)
+        : others(arena) {
+      others.reserve(max_others);
     }
     std::pmr::vector<UserId> others;
   };
 
-  explicit FootprintProtocol(std::size_t num_nodes)
-      : logs(num_nodes), num_nodes_(num_nodes), state_(num_nodes, 0) {}
+  explicit FootprintProtocol(std::size_t num_nodes, std::size_t max_others = 2)
+      : logs(num_nodes),
+        num_nodes_(num_nodes),
+        max_others_(max_others),
+        state_(num_nodes, 0) {}
 
   bool DeclaresCommitFootprints() const override { return true; }
 
   void PlanCycle(UserId /*node*/, const PlanContext& ctx) override {
-    auto payload = std::make_unique<Payload>(ctx.arena());
-    const std::uint64_t others =
-        ctx.rng->NextUint64(Payload::kMaxOthers + 1);
+    auto payload = std::make_unique<Payload>(ctx.arena(), max_others_);
+    const std::uint64_t others = ctx.rng->NextUint64(max_others_ + 1);
     for (std::uint64_t i = 0; i < others; ++i) {
       payload->others.push_back(
           static_cast<UserId>(ctx.rng->NextUint64(num_nodes_)));
@@ -510,18 +513,17 @@ class FootprintProtocol : public CycleProtocol {
 
   void CommitMessage(UserId sender, DeliveryMessage& message,
                      const CommitContext& ctx) override {
-    CommitFootprint touched;
+    std::vector<UserId> users;
+    CommitFootprint touched(&users);
     touched.Add(sender);
     CommitFootprintOf(sender, message, &touched);
     Touch touch{ctx.cycle, sender, ctx.send_cycle, (*ctx.rng)(), 0};
-    for (std::size_t i = 0; i < touched.size; ++i) {
-      touch.seen = touch.seen * 31 + state_[touched.users[i]];
-    }
+    for (const UserId u : users) touch.seen = touch.seen * 31 + state_[u];
     Rng work(touch.draw);
     for (std::uint64_t i = touch.draw % 2048; i > 0; --i) touch.seen ^= work();
-    for (std::size_t i = 0; i < touched.size; ++i) {
-      logs[touched.users[i]].push_back(touch);
-      state_[touched.users[i]] = touch.seen;
+    for (const UserId u : users) {
+      logs[u].push_back(touch);
+      state_[u] = touch.seen;
     }
     ++lanes[ctx.worker];
     if (ctx.tracing()) {
@@ -529,7 +531,7 @@ class FootprintProtocol : public CycleProtocol {
       event.cycle = ctx.cycle;
       event.kind = TraceEventKind::kGossipCommitted;
       event.node = sender;
-      event.id = touched.size;
+      event.id = users.size();
       event.value = static_cast<std::int64_t>(touch.draw >> 1);
       ctx.Emit(event);
     }
@@ -540,6 +542,7 @@ class FootprintProtocol : public CycleProtocol {
 
  private:
   std::size_t num_nodes_;
+  std::size_t max_others_;
   std::vector<std::uint64_t> state_;
 };
 
@@ -651,6 +654,7 @@ std::map<int, DrainRun> ExpectDrainMatchesInOrder(const LatencySpec& latency) {
       << "1 thread drains in message order";
   EXPECT_EQ(base.profile.drain_pooled_messages, 0u);
   EXPECT_EQ(base.profile.drain_inline_messages, base.lane_total);
+  EXPECT_EQ(base.profile.drain_worker_messages, 0u);
   EXPECT_EQ(base.profile.drain_wait_seconds, 0.0);
   EXPECT_EQ(base.trace.size(), base.lane_total);
   std::map<int, DrainRun> runs;
@@ -666,6 +670,10 @@ std::map<int, DrainRun> ExpectDrainMatchesInOrder(const LatencySpec& latency) {
     EXPECT_EQ(run.profile.drain_pooled_messages +
                   run.profile.drain_inline_messages,
               base.lane_total);
+    // Where the pooled commits ran depends on how the threads were
+    // scheduled.
+    EXPECT_LE(run.profile.drain_worker_messages,
+              run.profile.drain_pooled_messages);
   }
   return runs;
 }
@@ -691,6 +699,29 @@ class HubProtocol : public FootprintProtocol {
     FootprintProtocol::CommitFootprintOf(sender, message, footprint);
   }
 };
+
+/// Footprints of up to 40 users, as the eager mode's messages name one
+/// user per gossip.
+class WideProtocol : public FootprintProtocol {
+ public:
+  explicit WideProtocol(std::size_t num_nodes)
+      : FootprintProtocol(num_nodes, /*max_others=*/39) {}
+};
+
+TEST(DependencyDrainTest, WideFootprintsMatchTheInOrderDrain) {
+  for (const char* spec : {"zero", "uniform:0:3"}) {
+    SCOPED_TRACE(spec);
+    for (const auto& [threads, run] :
+         ExpectDrainMatchesInOrder<WideProtocol>(test::Latency(spec))) {
+      // Each commit traces its footprint's size.
+      std::uint64_t widest = 0;
+      for (const auto& event : run.trace) {
+        widest = std::max(widest, std::get<2>(event));
+      }
+      EXPECT_GT(widest, 30u) << threads << " threads";
+    }
+  }
+}
 
 TEST(DependencyDrainTest, HubChainCommitsInMessageOrder) {
   for (const auto& [threads, run] :
@@ -900,17 +931,24 @@ TEST(MessageArenaTest, FirstBlockHoldsWhatTheShardsLastArenaHandedOut) {
 }
 
 TEST(DependencyDrainTest, CommitFootprintSkipsInvalidAndDuplicateUsers) {
-  CommitFootprint footprint;
+  // The drain's flat array already holds an earlier message's footprint,
+  // which may name the same users.
+  std::vector<UserId> users = {7, 3};
+  CommitFootprint footprint(&users);
   footprint.Add(3);
   footprint.Add(kInvalidUser);
   footprint.Add(3);
   footprint.Add(7);
-  ASSERT_EQ(footprint.size, 2u);
-  EXPECT_EQ(footprint.users[0], 3u);
-  EXPECT_EQ(footprint.users[1], 7u);
-  footprint.Add(8);
-  footprint.Add(9);
-  EXPECT_THROW(footprint.Add(10), std::length_error);
+  std::vector<UserId> expected = {7, 3, 3, 7};
+  EXPECT_EQ(users, expected);
+  // Any number of users.
+  for (UserId u = 100; u < 140; ++u) {
+    footprint.Add(u);
+    expected.push_back(u);
+  }
+  footprint.Add(120);
+  EXPECT_EQ(users, expected);
+  EXPECT_EQ(users.size() - 2, 42u);
 }
 
 // ---------------------------------------------------------------------------

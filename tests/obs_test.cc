@@ -291,6 +291,7 @@ TEST(TraceDeterminismTest, TracingIsObservationOnly) {
   EXPECT_NE(timed.find("\"profile\""), std::string::npos);
   // The profile blocks carry PhaseBreakdownToJson's full field set.
   EXPECT_NE(timed.find("\"drain_levels\""), std::string::npos);
+  EXPECT_NE(timed.find("\"drain_worker_messages\""), std::string::npos);
   EXPECT_NE(timed.find("\"imbalance_histogram\""), std::string::npos);
   const std::string untimed_untraced =
       ScenarioReportToJson(untraced, /*include_timing=*/true);

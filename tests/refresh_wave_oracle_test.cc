@@ -158,7 +158,8 @@ WaveOutcome RunWave(const WaveCase& c, int threads,
     if (w > 0 && w - 1 < c.updates.size()) {
       system->ApplyUpdateBatch(c.updates[w - 1]);
     }
-    for (const UserId u : c.participants) wave.Add(u);
+    wave.Open(system->NumUsers());
+    for (const UserId u : c.participants) wave.Add(u, /*worker=*/0);
     system->pool().ForEachItem(
         wave.Prepare(), [&](std::size_t item, std::size_t worker) {
           wave.Screen(item, worker);
